@@ -1,0 +1,9 @@
+"""Make the harness modules (and the program) importable for the self-tests."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+for path in (BENCH_DIR.parents[1] / "src", BENCH_DIR):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
