@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test ci chaos-serve perf-regression bench examples figures lint-world clean
+.PHONY: install test ci chaos-serve perf-regression bench-smoke bench examples figures lint-world clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -12,8 +12,9 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Mirror .github/workflows/ci.yml locally: lint (when ruff is present),
-# tier-1, the resident-daemon smoke, the serve-supervisor chaos layer,
-# and the strict prefix-engine perf gate.
+# tier-1 (tests/conftest.py fails a run that leaves files behind), the
+# resident-daemon smoke, the serve-supervisor chaos layer, the
+# end-to-end ledger's correctness gates, and the strict perf gates.
 ci:
 	@if command -v ruff >/dev/null 2>&1; then \
 	  ruff check src tests; \
@@ -23,6 +24,7 @@ ci:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py
 	$(MAKE) chaos-serve
+	$(MAKE) bench-smoke
 	$(MAKE) perf-regression
 
 # The strict perf benchmarks (prefix engine, incremental delta
@@ -40,6 +42,14 @@ perf-regression:
 	PYTHONPATH=src RPSLYZER_PERF_STRICT=1 $(PYTHON) -m pytest \
 	  benchmarks/test_perf_serve_telemetry.py -q -p no:cacheprovider
 	$(PYTHON) scripts/check_perf_regression.py --bench serve_telemetry
+
+# The end-to-end ledger (benchmarks/e2e, BENCHMARK.json) for its exit
+# code only: the harness self-tests, then one short churn run whose
+# golden-count, pass-agreement and fresh-compile gates must hold.  No
+# timing is asserted here — perf claims are made against the ledger.
+bench-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests -q -p no:cacheprovider
+	$(PYTHON) benchmarks/e2e/run.py --workload churn --seed 7 --seconds 4 --trace 0
 
 # The serve-supervisor self-healing lifecycle against a live daemon:
 # SIGKILL mid-flood, heartbeat replacement of a hung worker, restart

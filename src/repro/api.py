@@ -280,7 +280,8 @@ class Session:
     * the :class:`CompiledIndex`, adopted once (digest-keyed disk cache by
       default) and shared by every query until ``close()``;
     * a warm single-route :class:`Verifier` whose hop cache persists
-      across :meth:`verify_route` calls;
+      across :meth:`verify_route` calls — and across :meth:`apply_deltas`,
+      minus the verdicts the journal can reach;
     * optionally a private :class:`~repro.obs.MetricsRegistry` installed
       around every operation (otherwise the ambient registry is used).
 
@@ -320,6 +321,7 @@ class Session:
         self._verifier: Verifier | None = None
         self._closed = False
         self._last_delta_seconds: float | None = None
+        self._last_delta_hop_cache: dict | None = None
         # The serve daemon's flight recorder (repro.obs.flight), attached
         # by VerifyService so embedders can read the lifecycle ring via
         # flight_events() without reaching into serve internals.
@@ -395,6 +397,13 @@ class Session:
         """Wall-clock of the most recent :meth:`apply_deltas` (None if never)."""
         return self._last_delta_seconds
 
+    @property
+    def last_delta_hop_cache(self) -> dict | None:
+        """What the most recent :meth:`apply_deltas` did to the hop cache:
+        ``{"carried": n, "invalidated": {reason: n}}``, or None when there
+        was no warm verifier to take a cache from."""
+        return self._last_delta_hop_cache
+
     def apply_deltas(self, journal: Journal) -> DegradationReport:
         """Absorb an NRTM-style journal: patch the IR and the live index.
 
@@ -407,8 +416,15 @@ class Session:
         missing targets) falls back to a full recompile of the replayed
         IR: slower, never wrong.  Either way the old index is released
         (closing its mmap and file descriptor when session-owned) only
-        after the replacement is fully built, and the warm verifier is
-        rebuilt against the new state.
+        after the replacement is fully built.
+
+        The warm verifier is replaced, but its hop cache is not thrown
+        away: the new verifier adopts it minus the entries the journal
+        can reach (:meth:`repro.core.verify.Verifier.adopt_hop_cache`,
+        driven by the patch's :class:`~repro.core.compiled.PatchEffects`),
+        so the pass after a delta stays warm.  The full-recompile branch
+        has no effects summary and therefore carries nothing;
+        :attr:`last_delta_hop_cache` says what happened either way.
 
         Returns the degradation report (empty ⇒ the fast path ran).
         """
@@ -445,17 +461,22 @@ class Session:
                 new_index.serials = {**old_index.serials, **journal.serials()}
             else:
                 new_index = _patch_index(old_index, old_ir, patched_ir, journal)
+            old_verifier, self._verifier = self._verifier, None
             self.ir = patched_ir
             self._index = new_index
             self._digest = new_index.digest if new_index is not None else None
-            self._verifier = None
             if old_index is not None and self._owns_index:
                 old_index.close()
             self._owns_index = new_index is not None
+            self._last_delta_hop_cache = None
             if new_index is not None and self.relationships is not None:
                 self._verifier = Verifier(
                     self.ir, self.relationships, self.options, index=new_index
                 )
+                if old_verifier is not None:
+                    self._last_delta_hop_cache = self._verifier.adopt_hop_cache(
+                        old_verifier, new_index.effects
+                    )
             elapsed = time.perf_counter() - started
             self._last_delta_seconds = elapsed
             if registry.enabled:

@@ -356,12 +356,20 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             f"{source}:{serial:.0f}"
             for source, serial in sorted(caches["journal_serials"].items())
         )
+        dropped = ", ".join(
+            f"{reason} {count:.0f}"
+            for reason, count in sorted(caches["hop_cache_invalidated"].items())
+            if count
+        )
         print(
             "incremental: generation {generation:.0f}, last delta apply "
-            "{delta:.4f}s{serials}".format(
+            "{delta:.4f}s{serials}; hop cache carried {carried:.0f}, "
+            "invalidated {dropped}".format(
                 generation=caches["index_generation"],
                 delta=caches["delta_apply_seconds"],
                 serials=f" (serials {serials})" if serials else "",
+                carried=caches["hop_cache_carried"],
+                dropped=dropped or "none",
             ),
             file=sys.stderr,
         )
@@ -1016,7 +1024,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--incident-dir",
         metavar="DIR",
-        help="write flight incident dumps here (default: working directory)",
+        help="write flight incident dumps here (default: none — incidents stay "
+        "in the ring, see GET /debug/flight)",
     )
     serve.add_argument(
         "--no-telemetry",

@@ -66,8 +66,15 @@ from repro.ir.json_io import ir_to_jsonable  # noqa: F401 - registers IR classes
 from repro.ir.model import Ir
 from repro.net.prefix import Prefix, PrefixError
 from repro.obs import get_registry
-from repro.rpsl.aspath import AsPathRegexNode
-from repro.rpsl.filter import Filter, FilterAsPathRegex, FilterAsSet, FilterRouteSet
+from repro.rpsl.aspath import AsPathRegexNode, ReAsSet, iter_regex_nodes
+from repro.rpsl.filter import (
+    Filter,
+    FilterAsn,
+    FilterAsPathRegex,
+    FilterAsSet,
+    FilterFltrSetRef,
+    FilterRouteSet,
+)
 from repro.rpsl.names import NameKind
 from repro.rpsl.peering import PeerAsSet, Peering, PeeringSetRef
 from repro.rpsl.walk import iter_as_expr_nodes, iter_filter_nodes, iter_policy_factors
@@ -76,6 +83,7 @@ __all__ = [
     "INDEX_FORMAT",
     "CompiledIndex",
     "IndexCacheError",
+    "PatchEffects",
     "compile_index",
     "patch_index",
     "ir_digest",
@@ -132,6 +140,53 @@ class _MmapResource:
                 pass
 
 
+@dataclass(frozen=True, slots=True)
+class PatchEffects:
+    """What one :func:`patch_index` step can have changed under a verdict.
+
+    Derived statically from the journal and the policy ASTs — nothing is
+    recorded while verifying — and consumed by
+    :meth:`repro.core.verify.Verifier.adopt_hop_cache` to decide which
+    cached hop checks survive the step ("What a delta invalidates" in
+    ``docs/incremental.md`` states the rule and why it covers every read
+    the verifier makes):
+
+    * ``subjects`` — aut-nums that were rewritten, or whose rules can
+      reach a changed set name — or an ``AS<n>`` atom of a flipped origin
+      *n* — through any chain of set references;
+    * ``import_subjects`` — rewritten aut-nums whose ``exports``,
+      ``bad_rules`` and ``source`` stayed as they were: an export check
+      reads nothing else of the object, so only their import checks go;
+    * ``member_subjects`` / ``member_asns`` — aut-nums whose rules reach
+      the journal only through as-sets whose flattened closure moved in
+      nothing but its member ASNs, and those ASNs (:func:`_closure_effects`).
+      Every reader of a closure asks whether one AS is a member — an
+      endpoint of the hop, an AS on the path, the origin of a route
+      object at or above *P* — so such a check is stale iff one of
+      ``member_asns`` is among the ASes it can have asked about;
+    * ``prefixes`` — route prefixes whose trie entry changed: a cached
+      check on prefix *P* read the trie only at *P* and its ancestors,
+      so it is stale iff some changed *Q* covers *P*;
+    * ``flipped_origins`` — ASes that gained their first or lost their
+      last route.  ``has_any_routes(n)`` is read from two places: an
+      ``AS<n>`` filter atom (static, hence an edge of the reference
+      graph and already folded into ``subjects``) and ``PeerAS``, which
+      names the hop's other endpoint — so beyond ``subjects`` a check
+      is stale iff *n* is one of its two endpoints.
+    """
+
+    subjects: frozenset[int]
+    import_subjects: frozenset[int]
+    member_subjects: frozenset[int]
+    member_asns: frozenset[int]
+    prefixes: frozenset[Prefix]
+    flipped_origins: frozenset[int]
+
+
+# Per-process state that never travels with an artifact (pickle / disk).
+_TRANSIENT_FIELDS = ("resource", "dependents", "effects")
+
+
 @dataclass(slots=True)
 class CompiledIndex:
     """Every query-engine table, materialized eagerly from one IR.
@@ -162,6 +217,13 @@ class CompiledIndex:
     serials: dict = field(default_factory=dict)
     format: str = INDEX_FORMAT
     resource: _MmapResource | None = field(default=None, repr=False, compare=False)
+    # Incremental-ingestion bookkeeping, both None on a from-scratch
+    # compile or a loaded artifact: the reverse reference graph
+    # (:func:`_build_dependents`, built by the first patch that needs it
+    # and carried along the lineage) and what the patch that produced
+    # this index can have invalidated relative to its predecessor.
+    dependents: dict | None = field(default=None, repr=False, compare=False)
+    effects: PatchEffects | None = field(default=None, repr=False, compare=False)
 
     def stats(self) -> dict:
         """Entry counts per table (for logs, manifests, and tests)."""
@@ -197,22 +259,45 @@ class CompiledIndex:
         return {
             f.name: getattr(self, f.name)
             for f in dataclasses.fields(self)
-            if f.name != "resource"
+            if f.name not in _TRANSIENT_FIELDS
         }
 
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
-        self.resource = None
+        for name in _TRANSIENT_FIELDS:
+            setattr(self, name, None)
+
+
+# The IR table behind each keyed journal class (routes are a list, not a
+# table, and are patched through the trie instead).
+_IR_TABLES = {
+    "aut-num": "aut_nums",
+    "as-set": "as_sets",
+    "route-set": "route_sets",
+    "peering-set": "peering_sets",
+    "filter-set": "filter_sets",
+}
 
 
 @dataclass(slots=True)
 class _Referenced:
-    """Set names and regex nodes collected from every policy AST."""
+    """Set names and regex nodes collected from policy objects.
+
+    ``as_sets``/``route_sets``/``peering_sets``/``regexes`` are what the
+    compile pass resolves eagerly; ``filter_sets``, ``regex_as_sets``
+    (as-set tokens inside AS-path regexes) and ``origins`` (``AS<n>``
+    atoms, which read whether *n* originates anything at all) resolve
+    straight off the IR or the trie, and are collected only as
+    dependency edges (:meth:`nodes`).
+    """
 
     as_sets: set[str] = field(default_factory=set)
     route_sets: set[str] = field(default_factory=set)
     peering_sets: set[str] = field(default_factory=set)
+    filter_sets: set[str] = field(default_factory=set)
+    regex_as_sets: set[str] = field(default_factory=set)
+    origins: set[int] = field(default_factory=set)
     regexes: list[AsPathRegexNode] = field(default_factory=list)
     _seen_regexes: set[AsPathRegexNode] = field(default_factory=set)
 
@@ -222,10 +307,17 @@ class _Referenced:
                 self.as_sets.add(inner.name)
             elif isinstance(inner, FilterRouteSet) and not inner.any_member:
                 self.route_sets.add(inner.name)
+            elif isinstance(inner, FilterFltrSetRef):
+                self.filter_sets.add(inner.name)
+            elif isinstance(inner, FilterAsn):
+                self.origins.add(inner.asn)
             elif isinstance(inner, FilterAsPathRegex):
                 if inner.regex not in self._seen_regexes:
                     self._seen_regexes.add(inner.regex)
                     self.regexes.append(inner.regex)
+                    for token in iter_regex_nodes(inner.regex):
+                        if isinstance(token, ReAsSet):
+                            self.regex_as_sets.add(token.name)
 
     def add_peering(self, peering: Peering) -> None:
         for inner in iter_as_expr_nodes(peering.as_expr):
@@ -233,6 +325,39 @@ class _Referenced:
                 self.as_sets.add(inner.name)
             elif isinstance(inner, PeeringSetRef):
                 self.peering_sets.add(inner.name)
+
+    def add_object(self, cls: str, obj) -> None:
+        """Everything one keyed IR object names directly."""
+        if cls == "aut-num":
+            for rule in (*obj.imports, *obj.exports):
+                for factor in iter_policy_factors(rule.expr):
+                    self.add_filter(factor.filter)
+                    for peering_action in factor.peerings:
+                        self.add_peering(peering_action.peering)
+        elif cls == "as-set":
+            self.as_sets.update(obj.members_set)
+        elif cls == "route-set":
+            for member in obj.name_members:
+                if member.kind is NameKind.AS_SET:
+                    self.as_sets.add(member.name)
+                elif member.kind is NameKind.ROUTE_SET:
+                    self.route_sets.add(member.name)
+        elif cls == "filter-set":
+            if obj.filter is not None:
+                self.add_filter(obj.filter)
+        elif cls == "peering-set":
+            for peering in obj.peerings:
+                self.add_peering(peering)
+
+    def nodes(self) -> set[tuple]:
+        """Everything referenced, as ``(class, name)`` graph nodes."""
+        found: set[tuple] = {("as-set", name) for name in self.as_sets}
+        found.update(("as-set", name) for name in self.regex_as_sets)
+        found.update(("route-set", name) for name in self.route_sets)
+        found.update(("peering-set", name) for name in self.peering_sets)
+        found.update(("filter-set", name) for name in self.filter_sets)
+        found.update(("origin", asn) for asn in self.origins)
+        return found
 
 
 def _collect_references(ir: Ir) -> _Referenced:
@@ -246,25 +371,58 @@ def _collect_references(ir: Ir) -> _Referenced:
     refs.as_sets.update(ir.as_sets)
     refs.route_sets.update(ir.route_sets)
     refs.peering_sets.update(ir.peering_sets)
-    for aut_num in ir.aut_nums.values():
-        for rule in (*aut_num.imports, *aut_num.exports):
-            for factor in iter_policy_factors(rule.expr):
-                refs.add_filter(factor.filter)
-                for peering_action in factor.peerings:
-                    refs.add_peering(peering_action.peering)
-    for filter_set in ir.filter_sets.values():
-        if filter_set.filter is not None:
-            refs.add_filter(filter_set.filter)
-    for peering_set in ir.peering_sets.values():
-        for peering in peering_set.peerings:
-            refs.add_peering(peering)
-    for route_set in ir.route_sets.values():
-        for member in route_set.name_members:
-            if member.kind is NameKind.AS_SET:
-                refs.as_sets.add(member.name)
-            elif member.kind is NameKind.ROUTE_SET:
-                refs.route_sets.add(member.name)
+    # as-set members resolve inside their owner's flattening, never alone.
+    for cls in ("aut-num", "filter-set", "peering-set", "route-set"):
+        for obj in getattr(ir, _IR_TABLES[cls]).values():
+            refs.add_object(cls, obj)
     return refs
+
+
+def _resolve_references(engine: QueryEngine, matcher: AsPathMatcher, refs) -> int:
+    """Warm the engine/matcher memo tables for ``refs`` (cached names no-op).
+
+    Returns how many of the regexes could not be lowered: those compile
+    lazily (and fail identically) if a check ever reaches them.
+    """
+    for name in sorted(refs.as_sets):
+        engine.flatten_as_set(name)
+    for name in sorted(refs.route_sets):
+        engine.resolve_route_set(name)
+    for name in sorted(refs.peering_sets):
+        engine.resolve_peering_set(name)
+    skipped = 0
+    for node in refs.regexes:
+        try:
+            matcher.compile(node)
+        except Exception:  # noqa: BLE001 - mirror the lazy path
+            skipped += 1
+    return skipped
+
+
+def _mentions(cls: str, obj) -> _Referenced:
+    """What one keyed object (None when absent) names directly."""
+    refs = _Referenced()
+    if obj is not None:
+        refs.add_object(cls, obj)
+    return refs
+
+
+def _build_dependents(ir: Ir) -> dict:
+    """referenced ``(class, name)`` node → the objects naming it.
+
+    A dependent is the ``(class, name)`` node of a set object or the
+    plain ASN of an *aut-num* (policy rules are the leaves of the graph).
+    One full AST walk; :func:`patch_index` runs it at most once per index
+    lineage and afterwards edits a shallow copy of the map from the
+    changed objects alone — no AST outside the delta is walked again.
+    """
+    dependents: dict = {}
+    for cls, table in _IR_TABLES.items():
+        for key, obj in getattr(ir, table).items():
+            dependent = key if cls == "aut-num" else (cls, key)
+            for node in _mentions(cls, obj).nodes():
+                dependents.setdefault(node, set()).add(dependent)
+    return dependents
 
 
 def compile_index(ir: Ir, *, digest: str | None = None) -> CompiledIndex:
@@ -283,21 +441,7 @@ def compile_index(ir: Ir, *, digest: str | None = None) -> CompiledIndex:
     with registry.span("compile/index"):
         engine = QueryEngine(ir, prefix_engine="trie")
         matcher = AsPathMatcher(engine)
-        refs = _collect_references(ir)
-        for name in sorted(refs.as_sets):
-            engine.flatten_as_set(name)
-        for name in sorted(refs.route_sets):
-            engine.resolve_route_set(name)
-        for name in sorted(refs.peering_sets):
-            engine.resolve_peering_set(name)
-        skipped = 0
-        for node in refs.regexes:
-            try:
-                matcher.compile(node)
-            except Exception:  # noqa: BLE001 - mirror the lazy path
-                # A regex the matcher cannot lower compiles lazily (and
-                # fails identically) if a check ever reaches it.
-                skipped += 1
+        skipped = _resolve_references(engine, matcher, _collect_references(ir))
         for resolution in engine._route_set_cache.values():
             resolution.index.freeze()
         elapsed = time.perf_counter() - started
@@ -325,48 +469,74 @@ def compile_index(ir: Ir, *, digest: str | None = None) -> CompiledIndex:
 # -- incremental patching ----------------------------------------------------
 
 
-def _reverse_reachable(seeds: set[str], reverse: dict[str, set[str]]) -> set[str]:
-    """Every node that can reach a seed (seeds included): the dirty set."""
+def _reverse_reachable(seeds: set, reverse: dict, blocked=frozenset()) -> set:
+    """Every node that can reach a seed (seeds included): the dirty set.
+
+    ``blocked`` nodes are neither entered nor walked through.
+    """
     dirty = set(seeds)
     stack = list(seeds)
     while stack:
         node = stack.pop()
         for parent in reverse.get(node, ()):
-            if parent not in dirty:
+            if parent not in dirty and parent not in blocked:
                 dirty.add(parent)
                 stack.append(parent)
     return dirty
 
 
-def _as_set_reverse_edges(old_ir: Ir, new_ir: Ir) -> dict[str, set[str]]:
-    """member → owners over ``members_set``, across both snapshots.
+def _closure_effects(
+    seeds: set, dirty: set, dependents: dict, old_as_sets: dict, new_as_sets: dict
+) -> tuple[set[int], set[int], set[int]]:
+    """Which aut-nums the dirty names can have changed a verdict of, and how.
 
-    Both sides matter: an edge deleted this epoch still made the owner's
-    cached closure depend on the member, and an edge added this epoch
-    makes the new closure depend on it.
+    ``dirty`` is everything that had to be re-resolved; what a *reader*
+    can see is narrower.  A dirty as-set whose re-resolved closure equals
+    the old one shows its readers nothing.  One whose closure moved only
+    in its member ASNs shows them something only where one of those ASNs
+    is looked up (every reader asks "is AS *x* a member", for *x* an
+    endpoint of the hop, an AS on the path, or the origin of a route
+    object at or above the prefix).  Anything else — a recorded /
+    unrecorded / ANY flag, a set that appeared or vanished, and every
+    changed non-as-set name — can reach any verdict of its dependents.
+
+    Returns ``(subjects, member_subjects, member_asns)``: aut-nums that
+    lose every cached verdict, aut-nums reached only through member-ASN
+    changes, and those ASNs.  as-set → as-set edges are not walked: each
+    as-set on the way was re-resolved and is judged by its own closure.
     """
-    reverse: dict[str, set[str]] = {}
-    for ir in (old_ir, new_ir):
-        for owner, as_set in ir.as_sets.items():
-            for member in as_set.members_set:
-                reverse.setdefault(member, set()).add(owner)
-    return reverse
-
-
-def _route_set_reverse_edges(old_ir: Ir, new_ir: Ir) -> dict[str, set[str]]:
-    """member → owners over nested route-set references, both snapshots.
-
-    Only ROUTE_SET name members fold into the cached resolution; ASN and
-    AS_SET members stay lazy (checked per query against the live trie and
-    as-set caches), so they add no invalidation edges here.
-    """
-    reverse: dict[str, set[str]] = {}
-    for ir in (old_ir, new_ir):
-        for owner, route_set in ir.route_sets.items():
-            for member in route_set.name_members:
-                if member.kind is NameKind.ROUTE_SET:
-                    reverse.setdefault(member.name, set()).add(owner)
-    return reverse
+    as_set_nodes = {
+        node for node in dirty if not isinstance(node, int) and node[0] == "as-set"
+    }
+    member_asns: set[int] = set()
+    rewritten: set = set()
+    regrouped: set = set()
+    for node in as_set_nodes:
+        old, new = old_as_sets.get(node[1]), new_as_sets.get(node[1])
+        if old == new:
+            continue
+        if (
+            old is not None
+            and new is not None
+            and dataclasses.replace(old, members=new.members) == new
+        ):
+            regrouped.add(node)
+            member_asns |= old.members ^ new.members
+        else:
+            rewritten.add(node)
+    subjects = {
+        node
+        for node in _reverse_reachable(
+            (seeds - as_set_nodes) | rewritten, dependents, as_set_nodes
+        )
+        if isinstance(node, int)
+    }
+    member_subjects = {
+        node
+        for node in _reverse_reachable(regrouped, dependents, as_set_nodes)
+        if isinstance(node, int) and node not in subjects
+    }
+    return subjects, member_subjects, member_asns
 
 
 def _route_entry_key(entry) -> tuple[Prefix, int, str]:
@@ -411,17 +581,25 @@ def patch_index(
     * members-by-reference rows are recomputed for exactly the set names
       the changed objects join (or stop joining);
     * cached as-set closures and route-set resolutions are evicted along
-      reverse reachability — every cached name whose sweep could have
-      seen a changed object — and re-resolved by the ordinary engine
-      code, so patched entries are bit-identical to a fresh compile's;
-    * non-route object churn re-runs the cheap policy-AST reference walk
-      so newly referenced names/regexes get resolved too.
+      reverse reachability over the reference graph (``dependents``:
+      built by one AST walk on the first patch that needs it — route
+      churn that flips no origin does not — then edited, on a shallow
+      copy, from the changed objects alone) — every cached name whose
+      sweep could have seen a changed object — and re-resolved by the
+      ordinary engine code, so patched entries are bit-identical to a
+      fresh compile's;
+    * the names and regexes the *changed* objects mention are resolved
+      too, so first-time references are as warm as after a fresh compile.
 
     The result is a fresh :class:`CompiledIndex` (generation + 1, serials
     advanced, digest chained over the journal content) sharing unchanged
     tables with ``index``; the input index is not mutated and never keeps
     its mmap — planes are materialized so the caller can close the old
-    artifact immediately after swapping.
+    artifact immediately after swapping.  Its ``effects`` field carries
+    the :class:`PatchEffects` of this step: the same walk that finds the
+    dirty closures also finds every aut-num whose cached hop verdicts the
+    journal can reach, and comparing each re-resolved as-set closure with
+    its predecessor says how far (:func:`_closure_effects`).
     """
     registry = get_registry()
     started = time.perf_counter()
@@ -528,42 +706,96 @@ def patch_index(
             # Thaw before mutating — and also when the old planes are mmap
             # views, so the patched index never pins the old artifact's fd.
             trie = trie.thaw()
+        # Only pairs whose presence really changed count as effects: a MOD
+        # (or a DEL shadowed by another source's registration) leaves
+        # every trie answer as it was.
+        moved: list[tuple[Prefix, int]] = []
         for pair in sorted(touched_pairs):
             if pair in present:
-                trie.insert_route(pair[0], pair[1])
+                changed_here = trie.insert_route(pair[0], pair[1])
             else:
-                trie.remove_route(pair[0], pair[1])
-
-        # -- closure invalidation: reverse reachability ---------------------
-        as_seeds = set(changed.get("as-set", ())) | as_byref_dirty
-        dirty_as = (
-            _reverse_reachable(as_seeds, _as_set_reverse_edges(old_ir, new_ir))
-            if as_seeds
-            else set()
-        )
-        rs_seeds = set(changed.get("route-set", ())) | rs_byref_dirty
-        dirty_rs = (
-            _reverse_reachable(rs_seeds, _route_set_reverse_edges(old_ir, new_ir))
-            if rs_seeds
-            else set()
+                changed_here = trie.remove_route(pair[0], pair[1])
+            if changed_here:
+                moved.append(pair)
+        old_trie = index.route_trie
+        flipped_origins = frozenset(
+            origin
+            for origin in {origin for _, origin in moved}
+            if old_trie.has_origin(origin) != trie.has_origin(origin)
         )
 
+        # -- closure invalidation over the reference graph ------------------
+        # Reverse reachability from what changed, over the union of the
+        # old and the new IR's edges: an edge deleted this epoch still
+        # made the dependent's cached state depend on the name, and an
+        # edge added this epoch makes the new state depend on it.  New
+        # edges go in before the walk, dead ones come out after it.
+        seeds = {
+            (cls, name)
+            for cls, names in changed.items()
+            if cls != "aut-num"
+            for name in names
+        }
+        seeds.update(("as-set", name) for name in as_byref_dirty)
+        seeds.update(("route-set", name) for name in rs_byref_dirty)
+        # An origin that gained its first / lost its last route changes
+        # what every AS<n> atom naming it reads (has_any_routes).
+        seeds.update(("origin", asn) for asn in flipped_origins)
+        dependents = index.dependents
+        mentioned: list[_Referenced] = []
+        retired_regexes: list[AsPathRegexNode] = []
+        dirty: set = set()
+        dead_edges: list[tuple] = []
+        if seeds or changed:  # route churn that flips no origin needs no graph
+            if dependents is None:
+                dependents = _build_dependents(old_ir)
+            elif changed:  # edited below: the input index keeps its own map
+                dependents = dict(dependents)
+            for cls, keys in changed.items():
+                table = _IR_TABLES[cls]
+                for key in keys:
+                    dependent = key if cls == "aut-num" else (cls, key)
+                    before = _mentions(cls, getattr(old_ir, table).get(key))
+                    after = _mentions(cls, getattr(new_ir, table).get(key))
+                    if cls != "as-set":  # members resolve inside their owner
+                        mentioned.append(after)
+                    retired_regexes.extend(before.regexes)
+                    before_nodes, after_nodes = before.nodes(), after.nodes()
+                    for node in after_nodes - before_nodes:
+                        dependents[node] = dependents.get(node, frozenset()) | {
+                            dependent
+                        }
+                    dead_edges.extend(
+                        (node, dependent) for node in before_nodes - after_nodes
+                    )
+            dirty = _reverse_reachable(seeds, dependents)
+
+        # A changed set object re-resolves whether or not it was cached
+        # (an ADD nothing referenced yet is still compiled eagerly).
+        dirty_sets = {node for node in dirty if not isinstance(node, int)}
         as_sets_cache = dict(index.as_sets)
-        resolve_as = sorted(name for name in dirty_as if name in as_sets_cache)
-        for name in resolve_as:
-            del as_sets_cache[name]
-        route_sets_cache = dict(index.route_sets)
-        resolve_rs = sorted(name for name in dirty_rs if name in route_sets_cache)
-        for name in resolve_rs:
-            del route_sets_cache[name]
-        peering_sets_cache = dict(index.peering_sets)
-        resolve_ps = sorted(
+        resolve_as = sorted(
             name
-            for name in changed.get("peering-set", ())
-            if name in peering_sets_cache
+            for cls, name in dirty_sets
+            if cls == "as-set"
+            and (as_sets_cache.pop(name, None) is not None or name in new_ir.as_sets)
         )
+        route_sets_cache = dict(index.route_sets)
+        resolve_rs = sorted(
+            name
+            for cls, name in dirty_sets
+            if cls == "route-set"
+            and (
+                route_sets_cache.pop(name, None) is not None
+                or name in new_ir.route_sets
+            )
+        )
+        # Peering-set rows hold only the set's own peerings (nesting is
+        # followed per evaluation), so just the rewritten rows go stale.
+        peering_sets_cache = dict(index.peering_sets)
+        resolve_ps = sorted(changed.get("peering-set", ()))
         for name in resolve_ps:
-            del peering_sets_cache[name]
+            peering_sets_cache.pop(name, None)
 
         # -- re-resolve through the ordinary engine code -------------------
         base = dataclasses.replace(
@@ -585,25 +817,52 @@ def patch_index(
         for name in resolve_ps:
             engine.resolve_peering_set(name)
         skipped = index.skipped_regexes
-        if named_entries:
-            # Policy/set objects changed: re-walk the ASTs so names and
-            # regexes referenced for the first time get resolved (already
-            # cached names no-op).  Route-only journals skip this.
-            refs = _collect_references(new_ir)
-            for name in sorted(refs.as_sets):
-                engine.flatten_as_set(name)
-            for name in sorted(refs.route_sets):
-                engine.resolve_route_set(name)
-            for name in sorted(refs.peering_sets):
-                engine.resolve_peering_set(name)
-            skipped = 0
-            for node in refs.regexes:
-                try:
-                    matcher.compile(node)
-                except Exception:  # noqa: BLE001 - mirror compile_index
-                    skipped += 1
+        failed = sum(_resolve_references(engine, matcher, refs) for refs in mentioned)
+        if failed or any(node not in matcher._compiled for node in retired_regexes):
+            # A regex that cannot be lowered entered or left the IR:
+            # ``skipped_regexes`` counts distinct nodes IR-wide, so only
+            # the whole-IR walk can recount it (rare: e.g. a repetition
+            # bound past what ``re`` accepts).
+            skipped = _resolve_references(
+                engine, matcher, _collect_references(new_ir)
+            )
         for resolution in engine._route_set_cache.values():
             resolution.index.freeze()
+
+        # -- what this step can have changed under a cached verdict --------
+        subjects, member_subjects, member_asns = _closure_effects(
+            seeds, dirty, dependents or {}, index.as_sets, engine._as_set_cache
+        )
+        # An export check reads only its aut-num's exports, bad rules
+        # and source (the only-provider safelist, which reads the peerings
+        # of both directions, applies to imports): a rewrite that left
+        # those alone leaves the export verdicts standing.
+        import_subjects: set[int] = set()
+        for asn in changed.get("aut-num", ()):
+            old, new = old_ir.aut_nums.get(asn), new_ir.aut_nums.get(asn)
+            if (
+                old is not None
+                and new is not None
+                and (old.exports, old.bad_rules, old.source)
+                == (new.exports, new.bad_rules, new.source)
+            ):
+                import_subjects.add(asn)
+            else:
+                subjects.add(asn)
+        effects = PatchEffects(
+            subjects=frozenset(subjects),
+            import_subjects=frozenset(import_subjects - subjects),
+            member_subjects=frozenset(member_subjects - subjects),
+            member_asns=frozenset(member_asns),
+            prefixes=frozenset(prefix for prefix, _ in moved),
+            flipped_origins=flipped_origins,
+        )
+        for node, dependent in dead_edges:
+            remaining = dependents[node] - {dependent}
+            if remaining:
+                dependents[node] = remaining
+            else:
+                del dependents[node]
 
         if digest is None and index.digest is not None:
             digest = hashlib.sha256(
@@ -625,10 +884,9 @@ def patch_index(
             skipped_regexes=skipped,
             generation=index.generation + 1,
             serials=serials,
+            dependents=dependents,
+            effects=effects,
         )
-    if registry.enabled:
-        registry.gauge("delta_apply_seconds").set(elapsed)
-        registry.gauge("index_generation").set(patched.generation)
     return patched
 
 
@@ -692,7 +950,7 @@ def save_index(index: CompiledIndex, path: str | Path) -> None:
     rest = {
         f.name: getattr(index, f.name)
         for f in dataclasses.fields(index)
-        if f.name not in ("route_trie", "resource")
+        if f.name != "route_trie" and f.name not in _TRANSIENT_FIELDS
     }
     blob = pickle.dumps(rest, protocol=pickle.HIGHEST_PROTOCOL)
     region += b"\x00" * (-len(region) % _ALIGN)

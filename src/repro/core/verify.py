@@ -35,7 +35,7 @@ from repro.core.report import HopReport, ItemKind, ReportItem, RouteReport
 from repro.core.special import SpecialCaseChecker
 from repro.core.status import VerifyStatus
 from repro.ir.model import Ir
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 from repro.obs import get_registry
 from repro.obs.trace import RouteTrace, get_tracer
 from repro.rpsl.aspath import regex_flags
@@ -50,11 +50,18 @@ from repro.rpsl.policy import (
 from repro.rpsl.walk import iter_filter_nodes, iter_policy_factors
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids an import cycle
-    from repro.core.compiled import CompiledIndex
+    from repro.core.compiled import CompiledIndex, PatchEffects
 
 __all__ = ["VerifyOptions", "Verifier", "rule_skip_census"]
 
 _MAX_ITEMS = MAX_ITEMS  # single source of truth: repro.core.filter_match
+
+# Why a cached hop check did not survive a journal apply (the label set of
+# verify_hop_cache_invalidated_total).
+_INVALIDATION_REASONS = ("subject", "prefix", "origin-flip", "full")
+
+# "A route object at the prefix or anywhere above it", as a range operator.
+_ANY_COVER = RangeOp(RangeOpKind.PLUS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +84,9 @@ class VerifyOptions:
     community_matches: bool = False
     # Hop-check memoization: the same ⟨direction, hop, prefix, sub-path⟩
     # recurs across collectors and peers; caching the classification is
-    # what makes bulk verification amortize (0 disables).
+    # what makes bulk verification amortize (0 disables).  Entries outlive
+    # an index generation: a journal apply hands the cache to the next
+    # verifier minus what the journal can reach (Verifier.adopt_hop_cache).
     hop_cache_size: int = 1 << 20
 
 
@@ -155,6 +164,13 @@ class _VerifierMetrics:
     def ignored(self, reason: str) -> None:
         self.registry.counter("verify_routes_ignored_total", reason=reason).inc()
 
+    def carried(self, kept: int, dropped: dict[str, int]) -> None:
+        self.registry.gauge("verify_hop_cache_carried").set(kept)
+        for reason, count in dropped.items():
+            self.registry.counter(
+                "verify_hop_cache_invalidated_total", reason=reason
+            ).inc(count)
+
 
 class Verifier:
     """Verifies BGP routes against the policies of one (merged) IR.
@@ -170,6 +186,12 @@ class Verifier:
     every pool worker.  ``RPSLYZER_PREFIX_ENGINE=naive`` falls back to
     the pre-trie dict walk; the differential suites prove both paths
     produce bit-identical reports.
+
+    The hop cache belongs to the verdicts, not to one IR snapshot: when a
+    journal is applied (:meth:`repro.api.Session.apply_deltas`) the
+    replacement verifier takes the cache over through
+    :meth:`adopt_hop_cache`, which drops exactly the entries the journal
+    can have changed and keeps the rest warm across index generations.
     """
 
     def __init__(
@@ -207,6 +229,44 @@ class Verifier:
         # null tracer pays one ``is None`` branch per route, nothing more.
         tracer = get_tracer()
         self._tracer = tracer if tracer.enabled else None
+
+    # -- cache hand-over across index generations ------------------------
+
+    def adopt_hop_cache(
+        self, previous: "Verifier", effects: "PatchEffects | None"
+    ) -> dict:
+        """Take over ``previous``'s hop cache, minus what ``effects`` reaches.
+
+        ``previous`` verified the IR generation this verifier's IR was
+        patched from; ``effects`` is that patch's
+        :class:`~repro.core.compiled.PatchEffects` (``None`` when the step
+        was not a clean patch — nothing can be vouched for, so nothing is
+        kept).  A cached ⟨direction, from, to, P, path, communities⟩ whose
+        policy-bearing AS is *s* survives unless *s* is in
+        ``effects.subjects``; *s* is in ``effects.member_subjects`` and one
+        of ``effects.member_asns`` is an endpoint, on the path, or the
+        origin of a route object at or above *P*; some prefix in
+        ``effects.prefixes`` covers *P*; or ``from``/``to`` is in
+        ``effects.flipped_origins``.  ``docs/incremental.md`` ("What a
+        delta invalidates") derives why those are all the reads a check
+        makes.
+
+        The dict itself changes hands and is swept in place — a cache may
+        hold 2**20 entries, so no survivor copy is ever built — and
+        ``previous`` is left with an empty one.  Returns
+        ``{"carried": n, "invalidated": {reason: n}}``.
+        """
+        cache, previous._hop_cache = previous._hop_cache, {}
+        dropped = dict.fromkeys(_INVALIDATION_REASONS, 0)
+        if effects is None or not self.options.hop_cache_size:
+            dropped["full"] = len(cache)
+            cache.clear()
+        else:
+            dropped.update(_sweep(cache, effects, self.query.routes))
+        self._hop_cache = cache
+        if self._metrics is not None:
+            self._metrics.carried(len(cache), dropped)
+        return {"carried": len(cache), "invalidated": dropped}
 
     # -- route-level entry points ---------------------------------------
 
@@ -521,6 +581,93 @@ class Verifier:
             if result.value is Val.TRUE:
                 return result
         return result
+
+
+def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:
+    """Delete the stale keys of a hop cache in place; returns counts by reason.
+
+    ``routes`` is the patched route trie.  A key several clauses reach
+    counts under the first of subject, origin-flip, prefix.  One pass
+    over the keys: the subject and endpoint tests are set probes, and
+    since a route's hops are inserted back to back the two per-prefix
+    tests (covered by a changed prefix; registered, at or above, by a
+    regrouped member AS) run once per run of identical prefix objects.
+    """
+    subjects = effects.subjects
+    import_subjects = effects.import_subjects
+    member_subjects = effects.member_subjects
+    member_asns = effects.member_asns
+    flipped = effects.flipped_origins
+    # Q covers P iff same family, len(Q) <= len(P) and P's top len(Q) bits
+    # are Q's: one shifted-network probe per distinct (family, length).
+    by_length: dict[tuple[int, int, int], set[int]] = {}
+    for changed in effects.prefixes:
+        shift = changed.max_length - changed.length
+        by_length.setdefault((changed.version, changed.length, shift), set()).add(
+            changed.network >> shift
+        )
+    probes = list(by_length.items())
+    if not (subjects or import_subjects or member_subjects or flipped or probes):
+        return {}
+    dead = []
+    by_subject = by_flip = 0
+    last_prefix = None
+    last_covered = False
+    member_prefix = None
+    member_registered = False
+    for key in cache:
+        if key[0] == "import":
+            subject = key[2]
+            stale = subject in subjects or subject in import_subjects
+        else:
+            subject = key[1]
+            stale = subject in subjects
+        if stale:
+            by_subject += 1
+            dead.append(key)
+            continue
+        if subject in member_subjects:
+            prefix = key[3]
+            if prefix is not member_prefix:
+                member_prefix = prefix
+                member_registered = routes.match_members(
+                    member_asns, prefix.version, prefix.network, prefix.length, _ANY_COVER
+                )
+            if (
+                member_registered
+                or key[1] in member_asns
+                or key[2] in member_asns
+                or not member_asns.isdisjoint(key[4])
+            ):
+                by_subject += 1
+                dead.append(key)
+                continue
+        # PeerAS reads has_any_routes of the hop's other endpoint.
+        if flipped and (key[1] in flipped or key[2] in flipped):
+            by_flip += 1
+            dead.append(key)
+            continue
+        prefix = key[3]
+        if prefix is not last_prefix:
+            last_prefix = prefix
+            last_covered = False
+            for (version, length, shift), networks in probes:
+                if (
+                    prefix.version == version
+                    and prefix.length >= length
+                    and (prefix.network >> shift) in networks
+                ):
+                    last_covered = True
+                    break
+        if last_covered:
+            dead.append(key)
+    for key in dead:
+        del cache[key]
+    return {
+        "subject": by_subject,
+        "origin-flip": by_flip,
+        "prefix": len(dead) - by_subject - by_flip,
+    }
 
 
 def rule_skip_census(ir: Ir) -> Counter:

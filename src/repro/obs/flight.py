@@ -100,7 +100,9 @@ class FlightRecorder:
     """An always-on bounded ring of serve lifecycle events.
 
     ``capacity`` bounds the ring; ``incident_dir`` is where incident
-    dumps land (defaults to the working directory).  Recording is
+    dumps land — without one an incident is only marked in the ring
+    (``incident-dump``), never written: a recorder nobody pointed at a
+    directory must not litter the working directory.  Recording is
     thread-safe — events arrive from the event loop, batch executor
     threads, and the supervisor's monitor thread.
     """
@@ -250,7 +252,9 @@ class FlightRecorder:
         rest is the ring, oldest first.  Dumps for the same reason are
         rate-limited to one per ``incident_interval`` seconds — a breaker
         flapping under sustained overload must not fill the disk —
-        in which case None is returned.
+        in which case None is returned.  With no ``incident_dir`` the
+        ``incident-dump`` event still lands in the ring (readable via
+        ``GET /debug/flight``) but no file is written and None is returned.
         """
         now = time.monotonic()
         with self._lock:
@@ -259,7 +263,9 @@ class FlightRecorder:
                 return None
             self._last_incident[reason] = now
         self.record("incident-dump", reason=reason)
-        directory = self.incident_dir or Path.cwd()
+        directory = self.incident_dir
+        if directory is None:
+            return None
         try:
             directory.mkdir(parents=True, exist_ok=True)
             stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())

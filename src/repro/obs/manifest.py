@@ -197,6 +197,15 @@ def cache_summary(manifest: dict, cache_dir: str | Path | None = None) -> dict:
             for record in metrics.get("gauges", ())
             if record["name"] == "journal_serial"
         },
+        # What journal applies did to the hop cache: entries the last
+        # apply kept warm, and how many were dropped (cumulative) per
+        # reason — subject / prefix / origin-flip / full.
+        "hop_cache_carried": gauge("verify_hop_cache_carried"),
+        "hop_cache_invalidated": {
+            record["labels"]["reason"]: record["value"]
+            for record in metrics.get("counters", ())
+            if record["name"] == "verify_hop_cache_invalidated_total"
+        },
     }
     summary.update(_disk_cache_summary(cache_dir))
     return summary

@@ -33,6 +33,7 @@ __all__ = [
     "ReBegin",
     "ReEnd",
     "parse_as_path_regex",
+    "iter_regex_nodes",
     "regex_flags",
 ]
 
@@ -374,6 +375,22 @@ def parse_as_path_regex(text: str) -> AsPathRegexNode:
             f"trailing characters in AS-path regex: {lexer.text[lexer.index:]!r}"
         )
     return node
+
+
+def iter_regex_nodes(node: AsPathRegexNode):
+    """Depth-first iteration over every node of an AS-path regex AST."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        if isinstance(current, ReRepeat):
+            stack.append(current.inner)
+        elif isinstance(current, ReSeq):
+            stack.extend(current.parts)
+        elif isinstance(current, ReAlt):
+            stack.extend(current.options)
+        elif isinstance(current, ReCharSet):
+            stack.extend(current.items)
 
 
 def regex_flags(node: AsPathRegexNode) -> tuple[bool, bool]:

@@ -150,7 +150,7 @@ class ServeConfig:
     milliseconds to the slow-query log (``<access_log>.slow``) and the
     flight recorder; ``flight_events`` sizes the always-on flight ring
     (0 disables it); ``incident_dir`` is where incident dumps land
-    (default: the working directory).
+    (default: none — incidents are marked in the ring, no file is written).
     """
 
     host: str = "127.0.0.1"
@@ -913,6 +913,10 @@ class VerifyService:
                 "serials": self.session.serials,
                 "degraded": bool(report),
                 "delta_apply_s": self.session.last_delta_seconds,
+                # What this apply did to the hop cache (None: nothing applied).
+                "hop_cache": (
+                    self.session.last_delta_hop_cache if report is not None else None
+                ),
             }
             if report:
                 summary["degradation"] = report.as_dict()
@@ -936,6 +940,7 @@ class VerifyService:
                 generation=self.session.generation,
                 serials=self.session.serials,
                 degraded=bool(report),
+                hop_cache=self.session.last_delta_hop_cache,
             )
             return summary
 
@@ -964,6 +969,7 @@ class VerifyService:
             "index_generation": self.session.generation,
             "journal_serials": self.session.serials,
             "last_delta_apply_s": self.session.last_delta_seconds,
+            "last_delta_hop_cache": self.session.last_delta_hop_cache,
         }
         if self.flight.enabled:
             payload["flight"] = self.flight.stats()

@@ -19,7 +19,9 @@ the listening sockets.
 
 SIGTERM and SIGINT both trigger that sequence, so ``kill <pid>`` on the
 daemon is a clean drain, not a mid-verdict abort.  SIGQUIT instead dumps
-the flight recorder to a timestamped incident file and keeps serving —
+the flight recorder to a timestamped incident file (under
+``--incident-dir``; without one the incident is only marked in the ring)
+and keeps serving —
 the classic "what is this daemon doing right now" probe.
 
 For tests and embedding there is :meth:`ServeDaemon.start_in_thread`,
@@ -181,7 +183,10 @@ class ServeDaemon:
         if path is not None:
             log.info("SIGQUIT: flight recorder dumped to %s", path)
         else:
-            log.info("SIGQUIT: flight dump skipped (disabled or rate-limited)")
+            log.info(
+                "SIGQUIT: flight dump skipped (no --incident-dir, disabled, "
+                "or rate-limited)"
+            )
 
     async def _graceful_stop(self) -> None:
         # 0. Stop the journal follower before the service goes away.

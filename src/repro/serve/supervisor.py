@@ -334,6 +334,7 @@ def _worker_main(
                 worker=worker_id,
                 pid=pid,
                 generation=session.generation,
+                hop_cache=session.last_delta_hop_cache,
             )
             conn.send(("reloaded", session.generation, bool(report)))
             continue

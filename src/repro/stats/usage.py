@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.ir.model import Ir
+from repro.rpsl.aspath import ReAsn, ReAsSet, iter_regex_nodes
 from repro.rpsl.errors import ErrorCollector, ErrorKind
 from repro.rpsl.filter import (
     Filter,
@@ -250,23 +251,11 @@ def reference_census(ir: Ir) -> ReferenceCensus:
                     elif isinstance(node, FilterFltrSetRef):
                         note("filter-set", node.name, census.referenced_filter)
                     elif isinstance(node, FilterAsPathRegex):
-                        from repro.rpsl.aspath import ReAsn, ReAsSet
-
-                        stack = [node.regex]
-                        while stack:
-                            current = stack.pop()
+                        for current in iter_regex_nodes(node.regex):
                             if isinstance(current, ReAsn):
                                 note("aut-num", current.asn, census.referenced_filter)
                             elif isinstance(current, ReAsSet):
                                 note("as-set", current.name, census.referenced_filter)
-                            else:
-                                for attr in ("parts", "options", "items"):
-                                    children = getattr(current, attr, None)
-                                    if children:
-                                        stack.extend(children)
-                                inner = getattr(current, "inner", None)
-                                if inner is not None:
-                                    stack.append(inner)
     return census
 
 

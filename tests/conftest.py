@@ -7,6 +7,8 @@ an IR, a verifier, or collector routes share it instead of regenerating.
 from __future__ import annotations
 
 import os
+from fnmatch import fnmatch
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -22,6 +24,35 @@ from repro.irr.synth import build_world, tiny_config
 settings.register_profile("default", max_examples=100, deadline=None)
 settings.register_profile("nightly", max_examples=2000, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+# Running the suite must leave nothing behind that it did not mean to
+# write (ROADMAP aim 3): a new entry at the top of the checkout — or of
+# the working directory — that ``.gitignore`` does not cover fails the
+# session.  Tests that want files use ``tmp_path``.
+_ROOT = Path(__file__).resolve().parent.parent
+_IGNORED = [".benchmarks"] + [
+    line.strip().rstrip("/")
+    for line in (_ROOT / ".gitignore").read_text().splitlines()
+    if line.strip() and not line.startswith("#") and "/" not in line.strip().rstrip("/")
+]
+_listing: dict[Path, set[str]] = {}
+
+
+def pytest_sessionstart(session):
+    for directory in {_ROOT, Path.cwd().resolve()}:
+        _listing[directory] = set(os.listdir(directory))
+
+
+def pytest_sessionfinish(session, exitstatus):
+    strays = sorted(
+        str(directory / name)
+        for directory, before in _listing.items()
+        for name in set(os.listdir(directory)) - before
+        if not any(fnmatch(name, pattern) for pattern in _IGNORED)
+    )
+    if strays:
+        print(f"\nERROR: the test run left files behind: {strays}")
+        session.exitstatus = 1
 
 
 @pytest.fixture(scope="session")

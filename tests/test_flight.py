@@ -175,6 +175,23 @@ class TestIncidentDumps:
         recorder = FlightRecorder(capacity=8, incident_dir=blocker)
         assert recorder.dump_incident("sigquit") is None
 
+    def test_without_an_incident_dir_the_incident_stays_in_the_ring(
+        self, tmp_path, monkeypatch
+    ):
+        """No directory configured means no file — in particular never one
+        in the working directory (tier-1 used to litter the repo root) —
+        but the incident is still marked, and still rate-limited."""
+        monkeypatch.chdir(tmp_path)
+        recorder = FlightRecorder(capacity=8, incident_interval=3600.0)
+        recorder.record("pool-degraded", why="budget")
+        assert recorder.dump_incident("pool-degraded") is None
+        assert recorder.dump_incident("pool-degraded") is None
+        assert list(tmp_path.iterdir()) == []
+        events = recorder.events()
+        assert [event["type"] for event in events] == ["pool-degraded", "incident-dump"]
+        assert events[-1]["reason"] == "pool-degraded"
+        assert recorder.stats()["incidents"] == 0
+
 
 class TestNullRecorder:
     def test_null_recorder_is_inert(self, tmp_path):
