@@ -331,12 +331,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if any(caches[figure] for figure in _CACHE_FIGURES):
         print(
             "caches: hop {hits}/{total} hits ({rate:.1%}), "
-            "{evictions} evictions; index {index_hits} hits / "
+            "{evictions} evictions, {plans} rule plans for {misses} misses; "
+            "index {index_hits} hits / "
             "{index_misses} misses, compile {compile:.2f}s".format(
                 hits=caches["hop_cache_hits"],
                 total=caches["hop_cache_hits"] + caches["hop_cache_misses"],
                 rate=caches["hop_cache_hit_rate"],
                 evictions=caches["hop_cache_evictions"],
+                plans=caches["rule_plans_built"],
+                misses=caches["hop_cache_misses"],
                 index_hits=caches["index_cache_hits"],
                 index_misses=caches["index_cache_misses"],
                 compile=caches["index_compile_seconds"],

@@ -21,20 +21,28 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.bgp.table import RouteEntry
 from repro.bgp.topology import AsRelationships
 from repro.core.aspath_match import AsPathMatcher
-from repro.core.filter_match import MAX_ITEMS, Eval, FilterEvaluator, MatchContext, Val
+from repro.core.filter_match import (
+    MAX_ITEMS,
+    Eval,
+    FilterEvaluator,
+    MatchContext,
+    Val,
+    _merge_items,
+)
 from repro.core.peering_match import PeeringEvaluator
 from repro.core.query import QueryEngine
 from repro.core.report import HopReport, ItemKind, ReportItem, RouteReport
 from repro.core.special import SpecialCaseChecker
 from repro.core.status import VerifyStatus
-from repro.ir.model import Ir
+from repro.ir.model import AutNum, Ir
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 from repro.obs import get_registry
 from repro.obs.trace import RouteTrace, get_tracer
@@ -43,6 +51,7 @@ from repro.rpsl.filter import Filter, FilterAsPathRegex, FilterCommunity
 from repro.rpsl.policy import (
     PolicyExcept,
     PolicyExpr,
+    PolicyFactor,
     PolicyRefine,
     PolicyRule,
     PolicyTerm,
@@ -87,6 +96,9 @@ class VerifyOptions:
     # what makes bulk verification amortize (0 disables).  Entries outlive
     # an index generation: a journal apply hands the cache to the next
     # verifier minus what the journal can reach (Verifier.adopt_hop_cache).
+    # The same figure bounds the verifier's second store, the rule plans
+    # (one per ⟨subject, direction, family, remote AS⟩; cleared wholesale at
+    # capacity and not kept at 0, like the cache; never handed over).
     hop_cache_size: int = 1 << 20
 
 
@@ -130,6 +142,107 @@ def _combine_and(left: _RuleEval, right: _RuleEval) -> _RuleEval:
     )
 
 
+# -- rule lists specialised on the remote AS -----------------------------------
+#
+# A peering is evaluated against the remote AS alone, so for a fixed
+# ⟨subject AS, direction, address family, remote AS⟩ everything about a rule
+# list except its filters is known before any route is seen.  A factor none
+# of whose peerings evaluates non-FALSE is *dead*: its filter is never read
+# and it contributes ``_RuleEval(FALSE, <peering evidence>)`` whatever the
+# route.  A term of dead factors is dead, REFINE/EXCEPT of dead sides (the
+# ``rest`` side only where its afi list reaches the family) is dead, and a
+# rule whose expression is dead is dead.
+#
+# **Why folding a run of dead steps into one constant is exact.**  Both the
+# rule loop and the factor loop compute ``OR(...OR(OR(x0, x1), x2)..., xn)``
+# and stop at the first TRUE.  On evals that are not TRUE, OR is
+#
+#     value  = max of the sides in  FALSE < UNREC < SKIP
+#     items  = the first MAX_ITEMS of  left.items + right.items
+#     peer_matched_filters = the first MAX_ITEMS of the concatenation
+#
+# (``_merge_items`` and ``_merge_filters``; every eval enters with at most
+# MAX_ITEMS of each, so "left, then as much of right as fits" *is* the
+# truncated concatenation).  ``max`` is associative, and so is truncated
+# concatenation — ``((a + b)[:M] + c)[:M] == (a + b + c)[:M] ==
+# (a + (b + c)[:M])[:M]`` — hence ``OR(OR(x, d1), d2) == OR(x, OR(d1, d2))``.
+# A dead step is never TRUE, so it cannot be the step that stops the loop;
+# its value FALSE is the identity of ``max`` and it carries no peer-matched
+# filter.  A run of dead steps therefore acts on the running eval as one
+# append of its own (truncated) concatenated items: ``leading`` before the
+# first live step, ``trailing`` after each live one.  Live steps are
+# evaluated per route, in their original order, under their original index.
+
+
+@dataclass(frozen=True, slots=True)
+class _TermPlan:
+    """A policy term with at least one factor whose peering covers the remote.
+
+    ``live`` holds, per such factor, its filter, its peerings OR-ed for the
+    remote (TRUE or UNREC, never FALSE), and the evidence of the dead
+    factors between it and the next live one.
+    """
+
+    leading: tuple[ReportItem, ...]
+    live: tuple[tuple[Filter, Eval, tuple[ReportItem, ...]], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class _PairPlan:
+    """``term REFINE rest`` / ``term EXCEPT rest`` with a live side.
+
+    Only built where the operator's afi list reaches the family; elsewhere
+    the expression *is* its term.
+    """
+
+    combine: Callable[[_RuleEval, _RuleEval], _RuleEval]
+    term: "_Residual"
+    rest: "_Residual"
+
+
+# What a policy expression leaves once the remote AS is known: a constant
+# (the expression is dead) or a plan that still reads the route.
+_Residual = _RuleEval | _TermPlan | _PairPlan
+
+
+@dataclass(frozen=True, slots=True)
+class _RulePlan:
+    """One AS's rules in one direction, for one family and one remote AS.
+
+    ``verdict`` is set when no rule can be consulted at all (no aut-num, or
+    none in this direction): the report is then the same for every route.
+    Otherwise ``aut_num`` is the subject, ``live`` holds ⟨index into its
+    rule list, residual expression, evidence of the dead rules after it⟩
+    per rule that can still match, and ``leading`` the evidence of the dead
+    rules before the first of them.
+    """
+
+    verdict: HopReport | None = None
+    aut_num: AutNum | None = None
+    leading: tuple[ReportItem, ...] = ()
+    live: tuple[tuple[int, _TermPlan | _PairPlan, tuple[ReportItem, ...]], ...] = ()
+
+
+def _fold_dead_runs(
+    steps: Iterable[tuple[Any, Any]],
+) -> tuple[tuple[ReportItem, ...], tuple[tuple, ...]]:
+    """Split ⟨key, residual⟩ steps into ``leading`` and ⟨key, residual, trailing⟩.
+
+    A step whose residual is a constant ``_RuleEval`` is dead; its items
+    join the run they sit in (see the fold argument above).
+    """
+    leading: tuple[ReportItem, ...] = ()
+    live: list[list] = []
+    for key, residual in steps:
+        if type(residual) is not _RuleEval:
+            live.append([key, residual, ()])
+        elif live:
+            live[-1][2] = _merge_items(live[-1][2], residual.items)
+        else:
+            leading = _merge_items(leading, residual.items)
+    return leading, tuple(tuple(step) for step in live)
+
+
 class _VerifierMetrics:
     """Pre-bound instruments for the verifier's hot path.
 
@@ -145,6 +258,8 @@ class _VerifierMetrics:
         "cache_hits",
         "cache_misses",
         "cache_evictions",
+        "plan_hits",
+        "plans_built",
         "latency",
         "routes",
     )
@@ -158,6 +273,8 @@ class _VerifierMetrics:
         self.cache_hits = registry.counter("verify_hop_cache_total", result="hit")
         self.cache_misses = registry.counter("verify_hop_cache_total", result="miss")
         self.cache_evictions = registry.counter("verify_hop_cache_evictions_total")
+        self.plan_hits = registry.counter("verify_rule_plans_total", result="hit")
+        self.plans_built = registry.counter("verify_rule_plans_total", result="built")
         self.latency = registry.histogram("verify_hop_seconds")
         self.routes = registry.counter("verify_routes_total")
 
@@ -187,11 +304,21 @@ class Verifier:
     the pre-trie dict walk; the differential suites prove both paths
     produce bit-identical reports.
 
-    The hop cache belongs to the verdicts, not to one IR snapshot: when a
-    journal is applied (:meth:`repro.api.Session.apply_deltas`) the
-    replacement verifier takes the cache over through
-    :meth:`adopt_hop_cache`, which drops exactly the entries the journal
-    can have changed and keeps the rest warm across index generations.
+    A check that misses the hop cache does not walk the subject's rule
+    list: the list is specialised once per ⟨subject AS, direction, address
+    family, remote AS⟩ into a *rule plan* — rules outside the family
+    dropped, every peering already evaluated, runs of rules the remote AS
+    cannot match folded into constants — and only what is left is evaluated
+    per route (see "rule lists specialised on the remote AS" in this
+    module).  There is no other rule-evaluation path.
+
+    The two stores have different lifetimes.  The hop cache belongs to the
+    verdicts, not to one IR snapshot: when a journal is applied
+    (:meth:`repro.api.Session.apply_deltas`) the replacement verifier takes
+    the cache over through :meth:`adopt_hop_cache`, which drops exactly the
+    entries the journal can have changed and keeps the rest warm across
+    index generations.  Rule plans are a pure function of one IR
+    generation and are never handed over: a new verifier starts with none.
     """
 
     def __init__(
@@ -220,6 +347,10 @@ class Verifier:
         self.peerings = PeeringEvaluator(self.query)
         self.special = SpecialCaseChecker(self.query, relationships)
         self._hop_cache: dict[tuple, HopReport] = {}
+        # ⟨direction, from, to, family⟩ -> the subject's rules specialised on
+        # the remote AS.  A pure function of this verifier's IR, so it lives
+        # exactly as long as the verifier does.
+        self._rule_plans: dict[tuple[str, int, int, int], _RulePlan] = {}
         self.hop_cache_hits = 0
         self.hop_cache_misses = 0
         self.hop_cache_evictions = 0
@@ -419,77 +550,56 @@ class Verifier:
     def _check_uncached(
         self, direction: str, from_asn: int, to_asn: int, ctx: MatchContext
     ) -> HopReport:
-        subject_asn = to_asn if direction == "import" else from_asn
-        remote_asn = from_asn if direction == "import" else to_asn
-        aut_num = self.ir.aut_nums.get(subject_asn)
-
-        if aut_num is None:
-            return self._finish(
-                direction,
-                from_asn,
-                to_asn,
-                VerifyStatus.UNRECORDED,
-                (ReportItem.of(ItemKind.UNRECORDED_AUT_NUM, asn=subject_asn),),
-            )
-
+        plan = self._plan_for(direction, from_asn, to_asn, ctx.prefix.version)
+        if plan.verdict is not None:
+            return plan.verdict
+        aut_num = plan.aut_num
         source = aut_num.source or None
-        rules = aut_num.imports if direction == "import" else aut_num.exports
-        if not rules:
-            items = [ReportItem.of(ItemKind.UNRECORDED_NO_RULES, asn=subject_asn)]
-            if aut_num.bad_rules:
-                # The only policy text present failed to parse: skip.
-                return self._finish(
-                    direction,
-                    from_asn,
-                    to_asn,
-                    VerifyStatus.SKIP,
-                    (ReportItem.of(ItemKind.SKIPPED_BAD_RULE),),
-                    source=source,
-                )
-            return self._finish(
-                direction, from_asn, to_asn, VerifyStatus.UNRECORDED, tuple(items),
-                source=source,
-            )
 
-        version = ctx.prefix.version
-        overall = _RuleEval(Val.FALSE)
-        for rule_index, rule in enumerate(rules):
-            if not any(afi.matches_version(version) for afi in rule.effective_afis()):
-                continue
-            evaluated = self._eval_expr(rule.expr, ctx, version, remote_asn)
-            overall = _combine_or(overall, evaluated)
-            if overall.value is Val.TRUE:
+        # OR over the subject's rules, the dead runs pre-folded (see
+        # "rule lists specialised on the remote AS" above).
+        value = Val.FALSE
+        items = plan.leading
+        matched: tuple[Filter, ...] = ()
+        for rule_index, residual, trailing in plan.live:
+            evaluated = self._eval_residual(residual, ctx)
+            if evaluated.value is Val.TRUE:
                 return self._finish(
                     direction, from_asn, to_asn, VerifyStatus.VERIFIED, (),
                     peer_matched=True, rule_index=rule_index, source=source,
                 )
+            if evaluated.value > value:
+                value = evaluated.value
+            items = _merge_items(_merge_items(items, evaluated.items), trailing)
+            matched = _merge_filters(matched, evaluated.peer_matched_filters)
 
-        if overall.value is Val.SKIP:
+        if value is Val.SKIP:
             return self._finish(
-                direction, from_asn, to_asn, VerifyStatus.SKIP, overall.items,
-                source=source,
+                direction, from_asn, to_asn, VerifyStatus.SKIP, items, source=source
             )
         if aut_num.bad_rules:
-            items = overall.items + (ReportItem.of(ItemKind.SKIPPED_BAD_RULE),)
+            items = items + (ReportItem.of(ItemKind.SKIPPED_BAD_RULE),)
             return self._finish(
-                direction, from_asn, to_asn, VerifyStatus.SKIP, items[:_MAX_ITEMS],
-                source=source,
+                direction, from_asn, to_asn, VerifyStatus.SKIP, items, source=source
             )
-        if overall.value is Val.UNREC:
+        if value is Val.UNREC:
             return self._finish(
-                direction, from_asn, to_asn, VerifyStatus.UNRECORDED, overall.items,
+                direction, from_asn, to_asn, VerifyStatus.UNRECORDED, items,
                 source=source,
             )
 
-        peer_matched = bool(overall.peer_matched_filters)
-        if self.options.relaxations:
+        peer_matched = bool(matched)
+        if matched and self.options.relaxations:
+            subject_asn, remote_asn = (
+                (to_asn, from_asn) if direction == "import" else (from_asn, to_asn)
+            )
             relaxed = self.special.relaxed_item(
-                direction, subject_asn, remote_asn, ctx, overall.peer_matched_filters
+                direction, subject_asn, remote_asn, ctx, matched
             )
             if relaxed is not None:
-                items = (overall.items + (relaxed,))[-_MAX_ITEMS:]
                 return self._finish(
-                    direction, from_asn, to_asn, VerifyStatus.RELAXED, items,
+                    direction, from_asn, to_asn, VerifyStatus.RELAXED,
+                    (items + (relaxed,))[-_MAX_ITEMS:],
                     peer_matched=peer_matched, source=source,
                 )
 
@@ -498,14 +608,14 @@ class Verifier:
                 direction, from_asn, to_asn, aut_num, ctx
             )
             if safelisted is not None:
-                items = (overall.items + (safelisted,))[-_MAX_ITEMS:]
                 return self._finish(
-                    direction, from_asn, to_asn, VerifyStatus.SAFELISTED, items,
+                    direction, from_asn, to_asn, VerifyStatus.SAFELISTED,
+                    (items + (safelisted,))[-_MAX_ITEMS:],
                     peer_matched=peer_matched, source=source,
                 )
 
         return self._finish(
-            direction, from_asn, to_asn, VerifyStatus.UNVERIFIED, overall.items,
+            direction, from_asn, to_asn, VerifyStatus.UNVERIFIED, items,
             peer_matched=peer_matched, source=source,
         )
 
@@ -531,56 +641,132 @@ class Verifier:
             rule_source=source,
         )
 
-    # -- policy expression evaluation ------------------------------------
+    # -- rule plans: built once per remote AS, evaluated per route ----------
 
-    def _eval_expr(
-        self, expr: PolicyExpr, ctx: MatchContext, version: int, remote_asn: int
-    ) -> _RuleEval:
+    def _plan_for(
+        self, direction: str, from_asn: int, to_asn: int, version: int
+    ) -> _RulePlan:
+        """The subject's rule list specialised on the remote AS (memoized).
+
+        Bounded like the hop cache and by the same option: cleared
+        wholesale at ``hop_cache_size`` entries, not kept at all when that
+        is 0.  Never handed to another verifier — a plan reads as-sets and
+        peering-sets of this verifier's IR generation.
+        """
+        key = (direction, from_asn, to_asn, version)
+        plan = self._rule_plans.get(key)
+        metrics = self._metrics
+        if plan is not None:
+            if metrics is not None:
+                metrics.plan_hits.inc()
+            return plan
+        plan = self._build_plan(direction, from_asn, to_asn, version)
+        if metrics is not None:
+            metrics.plans_built.inc()
+        bound = self.options.hop_cache_size
+        if bound:
+            if len(self._rule_plans) >= bound:
+                self._rule_plans.clear()
+            self._rule_plans[key] = plan
+        return plan
+
+    def _build_plan(
+        self, direction: str, from_asn: int, to_asn: int, version: int
+    ) -> _RulePlan:
+        subject_asn = to_asn if direction == "import" else from_asn
+        remote_asn = from_asn if direction == "import" else to_asn
+        aut_num = self.ir.aut_nums.get(subject_asn)
+        if aut_num is None:
+            rules = ()
+        else:
+            rules = aut_num.imports if direction == "import" else aut_num.exports
+        if not rules:
+            if aut_num is None:
+                status = VerifyStatus.UNRECORDED
+                item = ReportItem.of(ItemKind.UNRECORDED_AUT_NUM, asn=subject_asn)
+            elif aut_num.bad_rules:
+                # The only policy text present failed to parse: skip.
+                status = VerifyStatus.SKIP
+                item = ReportItem.of(ItemKind.SKIPPED_BAD_RULE)
+            else:
+                status = VerifyStatus.UNRECORDED
+                item = ReportItem.of(ItemKind.UNRECORDED_NO_RULES, asn=subject_asn)
+            source = None if aut_num is None else aut_num.source or None
+            return _RulePlan(
+                self._finish(direction, from_asn, to_asn, status, (item,), source=source)
+            )
+        leading, live = _fold_dead_runs(
+            (rule_index, self._specialise(rule.expr, version, remote_asn))
+            for rule_index, rule in enumerate(rules)
+            if any(afi.matches_version(version) for afi in rule.effective_afis())
+        )
+        return _RulePlan(None, aut_num, leading, live)
+
+    def _specialise(self, expr: PolicyExpr, version: int, remote_asn: int) -> _Residual:
+        """What ``expr`` leaves to be decided per route once the remote is known."""
         if isinstance(expr, PolicyTerm):
-            return self._eval_term(expr, ctx, remote_asn)
+            leading, live = _fold_dead_runs(
+                self._specialise_factor(factor, remote_asn) for factor in expr.factors
+            )
+            if not live:
+                return _RuleEval(Val.FALSE, leading)
+            return _TermPlan(leading, live)
         if isinstance(expr, PolicyRefine):
-            term_eval = self._eval_expr(expr.term, ctx, version, remote_asn)
-            if expr.afis and not any(afi.matches_version(version) for afi in expr.afis):
-                # The refinement does not constrain this address family.
-                return term_eval
-            rest_eval = self._eval_expr(expr.rest, ctx, version, remote_asn)
-            return _combine_and(term_eval, rest_eval)
-        if isinstance(expr, PolicyExcept):
-            term_eval = self._eval_expr(expr.term, ctx, version, remote_asn)
-            if expr.afis and not any(afi.matches_version(version) for afi in expr.afis):
-                return term_eval
+            combine = _combine_and
+        elif isinstance(expr, PolicyExcept):
             # EXCEPT hands matching routes to the rest-policy with different
             # actions; for acceptance both sides admit routes.
-            rest_eval = self._eval_expr(expr.rest, ctx, version, remote_asn)
-            return _combine_or(term_eval, rest_eval)
-        raise TypeError(f"unknown policy expression {expr!r}")
+            combine = _combine_or
+        else:
+            raise TypeError(f"unknown policy expression {expr!r}")
+        term = self._specialise(expr.term, version, remote_asn)
+        if expr.afis and not any(afi.matches_version(version) for afi in expr.afis):
+            # The operator does not constrain this address family: ``rest``
+            # is never reached, so it makes the rule neither live nor dead.
+            return term
+        rest = self._specialise(expr.rest, version, remote_asn)
+        if type(term) is _RuleEval and type(rest) is _RuleEval:
+            return combine(term, rest)
+        return _PairPlan(combine, term, rest)
 
-    def _eval_term(self, term: PolicyTerm, ctx: MatchContext, remote_asn: int) -> _RuleEval:
-        result = _RuleEval(Val.FALSE)
-        for factor in term.factors:
-            peering_eval = Eval(Val.FALSE)
-            for peering_action in factor.peerings:
-                peering_eval = peering_eval.or_(
-                    self.peerings.evaluate(peering_action.peering, remote_asn)
-                )
-                if peering_eval.value is Val.TRUE:
-                    break
-            if peering_eval.value is Val.FALSE:
-                result = _combine_or(
-                    result, _RuleEval(Val.FALSE, peering_eval.items)
-                )
-                continue
-            filter_eval = self.filters.evaluate(factor.filter, ctx)
-            pm_filters: tuple[Filter, ...] = ()
-            if peering_eval.value is Val.TRUE and filter_eval.value is not Val.TRUE:
-                pm_filters = (factor.filter,)
-            combined = peering_eval.and_(filter_eval)
-            result = _combine_or(
-                result, _RuleEval(combined.value, combined.items, pm_filters)
+    def _specialise_factor(
+        self, factor: PolicyFactor, remote_asn: int
+    ) -> tuple[Filter, Eval | _RuleEval]:
+        """⟨filter, peerings OR-ed for the remote⟩, or a dead factor's constant."""
+        peering_eval = Eval(Val.FALSE)
+        for peering_action in factor.peerings:
+            peering_eval = peering_eval.or_(
+                self.peerings.evaluate(peering_action.peering, remote_asn)
             )
-            if result.value is Val.TRUE:
-                return result
-        return result
+            if peering_eval.value is Val.TRUE:
+                break
+        if peering_eval.value is Val.FALSE:
+            return factor.filter, _RuleEval(Val.FALSE, peering_eval.items)
+        return factor.filter, peering_eval
+
+    def _eval_residual(self, residual: _Residual, ctx: MatchContext) -> _RuleEval:
+        if type(residual) is _TermPlan:
+            # OR over the term's factors, the dead runs pre-folded.
+            value = Val.FALSE
+            items = residual.leading
+            matched: tuple[Filter, ...] = ()
+            for filter_, peering_eval, trailing in residual.live:
+                combined = peering_eval.and_(self.filters.evaluate(filter_, ctx))
+                if combined.value is Val.TRUE:
+                    return _RuleEval(Val.TRUE, (), matched)
+                if peering_eval.value is Val.TRUE:
+                    # Peering matched, filter did not: a relaxation candidate.
+                    matched = _merge_filters(matched, (filter_,))
+                if combined.value > value:
+                    value = combined.value
+                items = _merge_items(_merge_items(items, combined.items), trailing)
+            return _RuleEval(value, items, matched)
+        if type(residual) is _PairPlan:
+            return residual.combine(
+                self._eval_residual(residual.term, ctx),
+                self._eval_residual(residual.rest, ctx),
+            )
+        return residual  # a dead side of a live pair
 
 
 def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:

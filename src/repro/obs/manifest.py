@@ -147,7 +147,8 @@ def cache_summary(manifest: dict, cache_dir: str | Path | None = None) -> dict:
     """Cache-effectiveness figures extracted from a run manifest.
 
     Gathers the verifier's per-hop memo cache (hits, misses, evictions,
-    hit rate) and the compiled-index cache (disk hits/misses, compile
+    hit rate), the rule plans its misses ran on (built, reused) and the
+    compiled-index cache (disk hits/misses, compile
     seconds) into one flat dict, so ``rpslyzer metrics`` and the benchmark
     suite can report cache behaviour without re-parsing the raw metric
     dump.  Counters that the run never touched read as zero.
@@ -181,6 +182,11 @@ def cache_summary(manifest: dict, cache_dir: str | Path | None = None) -> dict:
         "hop_cache_misses": hop_misses,
         "hop_cache_evictions": counter("verify_hop_cache_evictions_total"),
         "hop_cache_hit_rate": hop_hits / hop_total if hop_total else 0.0,
+        # What the misses cost: a miss evaluates the subject's rule plan
+        # for the remote AS, built on first use — "built" plans served
+        # "built + hits" misses.
+        "rule_plans_built": counter("verify_rule_plans_total", result="built"),
+        "rule_plan_hits": counter("verify_rule_plans_total", result="hit"),
         "index_cache_hits": index_hits,
         "index_cache_misses": index_misses,
         "index_compile_seconds": gauge("index_compile_seconds"),

@@ -50,6 +50,19 @@ class StatusMix:
         return None
 
 
+def _at(table: dict, key, factory):
+    """``table[key]``, made by ``factory`` on first use only.
+
+    ``table.setdefault(key, factory())`` builds (and, for a key already
+    present, discards) a default on every call — for :class:`StatusMix`
+    that is a dataclass plus a ``Counter`` per hop.
+    """
+    found = table.get(key)
+    if found is None:
+        found = table[key] = factory()
+    return found
+
+
 class VerificationStats:
     """Streaming aggregation of route reports into the paper's figures."""
 
@@ -77,32 +90,43 @@ class VerificationStats:
     # -- ingestion ---------------------------------------------------------
 
     def add_report(self, report: RouteReport) -> None:
-        """Fold one route report into every aggregate."""
+        """Fold one route report into every aggregate.
+
+        Runs once per route over every hop, so nothing is built that is
+        not kept: a :class:`StatusMix` / ``Counter`` is constructed only
+        for a key seen for the first time.
+        """
         self.routes_total += 1
         if report.ignored is not None:
             self.routes_ignored[report.ignored] += 1
             return
+        hop_totals = self.hop_totals
+        per_as = self.per_as
+        per_pair = self.per_pair
+        hops = report.hops
+        for hop in hops[:2]:
+            # hops[0]/hops[1] are the origin-side export and import — the
+            # "first hop" the paper examines for leak prevention.
+            self.first_hop_statuses[hop.status] += 1
         seen_statuses: set[VerifyStatus] = set()
-        for index, hop in enumerate(report.hops):
+        for hop in hops:
             status = hop.status
             seen_statuses.add(status)
-            self.hop_totals[status] += 1
-            subject = hop.subject_asn
-            self.per_as.setdefault(subject, StatusMix()).add(status)
-            pair_key = (hop.from_asn, hop.to_asn, hop.direction)
-            self.per_pair.setdefault(pair_key, StatusMix()).add(status)
-            if index < 2:
-                # hops[0]/hops[1] are the origin-side export and import —
-                # the "first hop" the paper examines for leak prevention.
-                self.first_hop_statuses[status] += 1
+            hop_totals[status] += 1
+            direction = hop.direction
+            from_asn = hop.from_asn
+            to_asn = hop.to_asn
+            subject = to_asn if direction == "import" else from_asn
+            _at(per_as, subject, StatusMix).counts[status] += 1
+            _at(per_pair, (from_asn, to_asn, direction), StatusMix).counts[status] += 1
             if status is VerifyStatus.UNRECORDED:
                 reason = hop.unrecorded_reason
                 if reason is not None:
-                    self.unrec_reasons_per_as.setdefault(subject, Counter())[reason] += 1
-            elif status in (VerifyStatus.RELAXED, VerifyStatus.SAFELISTED):
+                    _at(self.unrec_reasons_per_as, subject, Counter)[reason] += 1
+            elif status is VerifyStatus.RELAXED or status is VerifyStatus.SAFELISTED:
                 case = hop.special_case
                 if case is not None:
-                    self.special_per_as.setdefault(subject, Counter())[case] += 1
+                    _at(self.special_per_as, subject, Counter)[case] += 1
             elif status is VerifyStatus.UNVERIFIED:
                 self.unverified_hops += 1
                 if not hop.peer_matched:
@@ -120,16 +144,16 @@ class VerificationStats:
         self.routes_ignored.update(other.routes_ignored)
         self.hop_totals.update(other.hop_totals)
         for asn, mix in other.per_as.items():
-            self.per_as.setdefault(asn, StatusMix()).counts.update(mix.counts)
+            _at(self.per_as, asn, StatusMix).counts.update(mix.counts)
         for key, mix in other.per_pair.items():
-            self.per_pair.setdefault(key, StatusMix()).counts.update(mix.counts)
+            _at(self.per_pair, key, StatusMix).counts.update(mix.counts)
         self.route_single_status.update(other.route_single_status)
         self.route_status_count_hist.update(other.route_status_count_hist)
         self.first_hop_statuses.update(other.first_hop_statuses)
         for asn, reasons in other.unrec_reasons_per_as.items():
-            self.unrec_reasons_per_as.setdefault(asn, Counter()).update(reasons)
+            _at(self.unrec_reasons_per_as, asn, Counter).update(reasons)
         for asn, cases in other.special_per_as.items():
-            self.special_per_as.setdefault(asn, Counter()).update(cases)
+            _at(self.special_per_as, asn, Counter).update(cases)
         self.unverified_hops += other.unverified_hops
         self.unverified_peering_only += other.unverified_peering_only
         self.degradation.merge(other.degradation)

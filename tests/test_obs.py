@@ -320,6 +320,24 @@ class TestCacheSummary:
         assert caches["disk_cache_bytes"] == 0
         assert caches["disk_cache_dir"] == str(absent)
 
+    def test_rule_plans_account_for_every_hop_cache_miss(
+        self, tiny_ir, tiny_world, tiny_routes, tmp_path
+    ):
+        from repro.core.verify import Verifier
+
+        with use_registry(MetricsRegistry()) as registry:
+            verifier = Verifier(tiny_ir, tiny_world.topology)
+            for entry in tiny_routes[:400]:
+                verifier.verify_entry(entry)
+            caches = cache_summary(build_manifest("run", registry), cache_dir=tmp_path)
+        assert caches["rule_plans_built"] == len(verifier._rule_plans) > 0
+        assert caches["rule_plan_hits"] > caches["rule_plans_built"]
+        assert (
+            caches["rule_plans_built"] + caches["rule_plan_hits"]
+            == caches["hop_cache_misses"]
+            == verifier.hop_cache_misses
+        )
+
     def test_populated_cache_dir_is_counted(self, tmp_path):
         (tmp_path / "a.idx").write_bytes(b"x" * 10)
         (tmp_path / "b.idx").write_bytes(b"y" * 5)

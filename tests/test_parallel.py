@@ -1,5 +1,6 @@
 """Tests for bulk verification: serial/parallel parity and merging."""
 
+import gc
 import multiprocessing
 
 import pytest
@@ -36,6 +37,62 @@ class TestSequential:
             tiny_ir, tiny_world.topology, tiny_routes[:100], on_report=seen.append
         )
         assert len(seen) == 100
+
+
+class TestSerialPassPausesTheCyclicCollector:
+    """The pause is bounded, never covers the caller's iterator, and is undone."""
+
+    def _run(self, tiny_ir, tiny_world, tiny_routes, monkeypatch, on_report=None):
+        monkeypatch.setattr(parallel, "_GC_PAUSE_ROUTES", 40)
+        during_iteration = []
+
+        def entries():
+            for entry in tiny_routes[:100]:
+                during_iteration.append(gc.isenabled())
+                yield entry
+
+        during_reports = []
+
+        def report(route_report):
+            during_reports.append(gc.isenabled())
+            if on_report is not None:
+                on_report(route_report)
+
+        stats = verify_table(tiny_ir, tiny_world.topology, entries(), on_report=report)
+        return stats, during_iteration, during_reports
+
+    def test_paused_per_batch_and_restored(
+        self, tiny_ir, tiny_world, tiny_routes, baseline, monkeypatch
+    ):
+        assert gc.isenabled()
+        stats, during_iteration, during_reports = self._run(
+            tiny_ir, tiny_world, tiny_routes, monkeypatch
+        )
+        assert gc.isenabled()
+        assert during_iteration == [True] * 100  # the caller's generator: never paused
+        assert during_reports == [False] * 100
+        assert stats.summary() == _serial(tiny_ir, tiny_world, tiny_routes[:100]).summary()
+
+    def test_restored_when_a_callback_raises(
+        self, tiny_ir, tiny_world, tiny_routes, monkeypatch
+    ):
+        def boom(route_report):
+            raise RuntimeError("callback failed")
+
+        with pytest.raises(RuntimeError, match="callback failed"):
+            self._run(tiny_ir, tiny_world, tiny_routes, monkeypatch, on_report=boom)
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_disabled_stays_disabled(
+        self, tiny_ir, tiny_world, tiny_routes, monkeypatch
+    ):
+        gc.disable()
+        try:
+            _, during_iteration, _ = self._run(tiny_ir, tiny_world, tiny_routes, monkeypatch)
+            assert not gc.isenabled()
+            assert during_iteration == [False] * 100
+        finally:
+            gc.enable()
 
 
 class TestMerge:

@@ -139,3 +139,140 @@ class TestAggregation:
         assert set(summary["hop_fractions"]) == {
             status.label for status in VerifyStatus
         }
+
+
+# -- parity with a straightforward recount over the synthetic table -----------
+
+_AGGREGATES = (
+    "routes_total",
+    "routes_ignored",
+    "hop_totals",
+    "per_as",
+    "per_pair",
+    "route_single_status",
+    "route_status_count_hist",
+    "first_hop_statuses",
+    "unrec_reasons_per_as",
+    "special_per_as",
+    "unverified_hops",
+    "unverified_peering_only",
+)
+
+
+def _ordered(value):
+    """Dicts as item lists, recursively: ``==`` on dicts ignores order, and
+    first-seen order is part of what a serial and a merged fold agree on."""
+    if isinstance(value, StatusMix):
+        value = value.counts
+    if isinstance(value, dict):
+        return [(key, _ordered(inner)) for key, inner in value.items()]
+    return value
+
+
+def _snapshot(stats):
+    """Every public aggregate of ``stats``, order included."""
+    return {name: _ordered(getattr(stats, name)) for name in _AGGREGATES}
+
+
+def _recount(reports):
+    """The aggregates, recounted the slow obvious way from the reports."""
+    hops = [
+        (route, index, hop)
+        for route in reports
+        if route.ignored is None
+        for index, hop in enumerate(route.hops)
+    ]
+
+    def tally(keys):
+        counts = {}
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def nested(pairs):
+        table = {}
+        for outer, inner in pairs:
+            table.setdefault(outer, {})
+            table[outer][inner] = table[outer].get(inner, 0) + 1
+        return table
+
+    verified = [route for route in reports if route.ignored is None]
+    unverified = [hop for _, _, hop in hops if hop.status is VerifyStatus.UNVERIFIED]
+    return {
+        "routes_total": len(reports),
+        "routes_ignored": tally(r.ignored for r in reports if r.ignored is not None),
+        "hop_totals": tally(hop.status for _, _, hop in hops),
+        "per_as": nested((hop.subject_asn, hop.status) for _, _, hop in hops),
+        "per_pair": nested(
+            ((hop.from_asn, hop.to_asn, hop.direction), hop.status) for _, _, hop in hops
+        ),
+        "route_single_status": tally(
+            route.hops[0].status for route in verified if len(set(route.statuses())) == 1
+        ),
+        "route_status_count_hist": tally(len(set(route.statuses())) for route in verified),
+        "first_hop_statuses": tally(hop.status for _, index, hop in hops if index < 2),
+        "unrec_reasons_per_as": nested(
+            (hop.subject_asn, hop.unrecorded_reason)
+            for _, _, hop in hops
+            if hop.status is VerifyStatus.UNRECORDED and hop.unrecorded_reason is not None
+        ),
+        "special_per_as": nested(
+            (hop.subject_asn, hop.special_case)
+            for _, _, hop in hops
+            if hop.status in (VerifyStatus.RELAXED, VerifyStatus.SAFELISTED)
+            and hop.special_case is not None
+        ),
+        "unverified_hops": len(unverified),
+        "unverified_peering_only": sum(not hop.peer_matched for hop in unverified),
+    }
+
+
+class TestParityOverTheSyntheticTable:
+    @pytest.fixture(scope="class")
+    def reports(self, tiny_verifier, tiny_routes):
+        found = [tiny_verifier.verify_entry(entry) for entry in tiny_routes]
+        statuses = {hop.status for route in found for hop in route.hops}
+        # Every branch of add_report (SKIP has none of its own).
+        assert statuses >= set(VerifyStatus) - {VerifyStatus.SKIP}
+        assert any(route.ignored for route in found)
+        return found
+
+    def test_every_aggregate_equals_the_recount(self, reports):
+        stats = VerificationStats()
+        for route in reports:
+            stats.add_report(route)
+        recount = _recount(reports)
+        assert _snapshot(stats) == {name: _ordered(recount[name]) for name in _AGGREGATES}
+        assert all(type(mix) is StatusMix for mix in stats.per_as.values())
+        assert all(type(mix) is StatusMix for mix in stats.per_pair.values())
+
+    def test_merge_of_two_halves_equals_the_serial_fold(self, reports):
+        serial = VerificationStats()
+        for route in reports:
+            serial.add_report(route)
+        middle = len(reports) // 2
+        merged, second = VerificationStats(), VerificationStats()
+        for route in reports[:middle]:
+            merged.add_report(route)
+        for route in reports[middle:]:
+            second.add_report(route)
+        untouched = _snapshot(second)
+        merged.merge(second)
+        assert _snapshot(merged) == _snapshot(serial)
+        assert merged.summary() == serial.summary()
+        # merge copies counts in: the folded-in aggregator is left as it was
+        # and shares no counter with the result.
+        assert _snapshot(second) == untouched
+        assert not any(
+            merged.per_as[asn].counts is mix.counts for asn, mix in second.per_as.items()
+        )
+
+    def test_merge_into_empty_and_of_empty(self, reports):
+        serial = VerificationStats()
+        for route in reports:
+            serial.add_report(route)
+        into_empty = VerificationStats()
+        into_empty.merge(serial)
+        assert _snapshot(into_empty) == _snapshot(serial)
+        serial.merge(VerificationStats())
+        assert _snapshot(into_empty) == _snapshot(serial)
