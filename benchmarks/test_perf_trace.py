@@ -7,11 +7,14 @@ non-verified verdicts) — the configuration ``rpslyzer verify --trace``
 installs.
 
 The differential gate is always enforced: tracing must not change a
-single aggregate of the verification output.  The overhead ceiling
-(traced within 10% of untraced wall time) only fails under
-``RPSLYZER_PERF_STRICT`` so a noisy CI runner cannot flake the build; the
-measured figures are recorded as gauges and land in the emitted manifest
-either way.
+single aggregate of the verification output.  The overhead ceiling is
+on the *absolute* cost of tracing — traced minus untraced wall time,
+per route — because the ratio's denominator is the verifier itself:
+PR 14 made the untraced pass 3x faster and the old "within 10%" gate
+started failing on an unchanged tracer.  It only fails under
+``RPSLYZER_PERF_STRICT`` so a noisy CI runner cannot flake the build;
+the measured figures (the ratio too, informationally) are recorded as
+gauges and land in the emitted manifest either way.
 """
 
 import os
@@ -25,6 +28,10 @@ from repro.obs import get_registry
 from repro.obs.trace import TraceConfig, Tracer, use_tracer
 
 STRICT = bool(os.environ.get("RPSLYZER_PERF_STRICT"))
+# Default-sampled tracing measures 12-13 us/route here (0.44-0.48 s over
+# the 36.5k-route table, min-of-2 on each side); the ceiling leaves the
+# timing's own swing and catches a tracer that got half again as dear.
+OVERHEAD_CEILING_US_PER_ROUTE = 20.0
 
 
 def _best_of(runs, fn):
@@ -73,11 +80,15 @@ def test_default_sampled_tracing_overhead(ir, world, routes):
         "perf_trace_overhead",
         f"routes: {len(routes)} (serial, warm index)\n"
         f"untraced: {base_s:.3f}s\ntraced (default sampling): {traced_s:.3f}s\n"
-        f"overhead: {overhead:+.1%} = {overhead_s:+.3f}s per {len(routes)} routes "
-        f"({overhead_s * 1e6 / len(routes):.1f} us/route)\n"
+        f"overhead: {overhead_s:+.3f}s per {len(routes)} routes = "
+        f"{overhead_s * 1e6 / len(routes):.1f} us/route "
+        f"(ceiling {OVERHEAD_CEILING_US_PER_ROUTE:g}; {overhead:+.1%} of the "
+        f"untraced pass, informational)\n"
         f"events: {tracer.emitted} "
         f"({tracer.sampled['head']} head / {tracer.sampled['verdict']} verdict)",
     )
     if STRICT:
-        # The acceptance ceiling: default-sampled tracing adds <10% wall.
-        assert traced_s <= base_s * 1.10
+        assert overhead_s * 1e6 / len(routes) <= OVERHEAD_CEILING_US_PER_ROUTE, (
+            f"default-sampled tracing costs {overhead_s:.3f}s per {len(routes)} "
+            f"routes (ceiling {OVERHEAD_CEILING_US_PER_ROUTE:g} us/route)"
+        )

@@ -17,7 +17,14 @@ serving contract end to end:
    reload/recompile) and the served-request counters;
 6. ``GET /debug/flight`` exposes the live flight ring, including the
    request event for the correlation id from step 3;
-7. SIGTERM drains and the process exits 0, releasing its ports — and
+7. no timer paces a one-at-a-time client: after 50 sequential
+   ``/verify`` on one keep-alive connection the ``queue`` and
+   ``coalesce`` stages (admitted → executing) together average under
+   0.5 ms and ``serve_queue_depth`` reads 0 — structural, so a batching
+   delay that reaches lone requests fails here without any latency
+   threshold on the request itself (the coalescing period only follows
+   batches of more than one query: ``docs/serving.md``);
+8. SIGTERM drains and the process exits 0, releasing its ports — and
    the ``--access-log`` file holds one schema-complete JSONL record
    per served request.
 
@@ -103,7 +110,8 @@ def main() -> None:
             collector_routes(world.topology, world.announced, world.collectors)
         )
     )
-    with api.open_session(world) as session:
+    # use_cache=False: the smoke must not create ~/.cache/rpslyzer.
+    with api.open_session(world, use_cache=False) as session:
         expected = str(
             session.verify_route(
                 str(entry.prefix), entry.as_path, collector="serve"
@@ -138,6 +146,9 @@ def main() -> None:
         env=env,
         stderr=subprocess.PIPE,
         text=True,
+        # Its own process group, so a failed check can take the pool's
+        # workers down with the daemon instead of orphaning them.
+        start_new_session=True,
     )
     try:
         http_port = whois_port = None
@@ -243,6 +254,48 @@ def main() -> None:
             )
         print("serve-smoke: flight ring carries the correlated request event")
 
+        def waiting_totals() -> tuple[float, float, str]:
+            """Seconds spent in the queue + coalesce stages, and how many requests."""
+            text = http_json(http_port, "GET", "/metrics")[2].decode()
+            label = r'serve_stage_seconds_%s\{stage="%s"\} (\S+)'
+            return (
+                sum(
+                    float(re.search(label % ("sum", stage), text).group(1))
+                    for stage in ("queue", "coalesce")
+                ),
+                float(re.search(label % ("count", "coalesce"), text).group(1)),
+                text,
+            )
+
+        sum_before, count_before, _ = waiting_totals()
+        connection = http.client.HTTPConnection("127.0.0.1", http_port, timeout=15)
+        try:
+            for _ in range(50):
+                connection.request(
+                    "POST",
+                    "/verify",
+                    body=json.dumps(payload),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                if response.status != 200 or not response.read():
+                    fail(f"sequential /verify: {response.status}")
+        finally:
+            connection.close()
+        sum_after, count_after, text = waiting_totals()
+        if count_after - count_before < 50:
+            fail(f"coalesce stage saw {count_after - count_before} of 50 requests")
+        waiting_ms = (sum_after - sum_before) * 1e3 / (count_after - count_before)
+        if waiting_ms >= 0.5:
+            fail(f"a lone request waits {waiting_ms:.3f} ms to start executing: a timer?")
+        depth = re.search(r"^serve_queue_depth (\S+)", text, re.M)
+        if depth is None or float(depth.group(1)) != 0:
+            fail(f"serve_queue_depth on an idle daemon: {depth and depth.group(1)}")
+        print(
+            f"serve-smoke: no timer paces a lone client (queue + coalesce mean "
+            f"{waiting_ms:.3f} ms over 50 sequential requests, queue depth 0 once idle)"
+        )
+
         process.send_signal(signal.SIGTERM)
         process.wait(timeout=30)
         if process.returncode != 0:
@@ -278,7 +331,7 @@ def main() -> None:
         print("serve-smoke: OK")
     finally:
         if process.poll() is None:
-            process.kill()
+            os.killpg(process.pid, signal.SIGKILL)
             process.wait()
 
 

@@ -14,9 +14,12 @@ answers verification queries warm over two front-ends:
   a ``!v <prefix> <asn> <asn>...`` verification command.
 
 Both front-ends dispatch into one shared request core
-(:class:`~repro.serve.core.VerifyService`): concurrent route queries are
-coalesced by a micro-batcher into single indexed verify passes on a warm
-verifier, every request carries a deadline, the queue is bounded with
+(:class:`~repro.serve.core.VerifyService`): a query runs the moment an
+execution slot is free — queries that arrive while a batch executes are
+coalesced into the next one, and a client that sends one request at a
+time never waits on a timer — on a warm verifier,
+on the event loop itself when there is no worker pool; every request
+carries a deadline, the queue is bounded with
 explicit backpressure (HTTP 429 / ``%% BUSY``), and SIGTERM drains
 in-flight work before exiting.  With ``ServeConfig(workers=N)`` the
 batches execute on a supervised pool of warm worker processes

@@ -18,9 +18,21 @@ handlers stay thin:
   ``max_deadline``).  A query still queued when its deadline passes is
   never executed; the waiter gets a structured :class:`DeadlineExpired`
   (HTTP 504 / ``%% DEADLINE``) and the miss is counted.
-* **micro-batching** — concurrent queries coalesce into one indexed
-  verify pass (see :mod:`repro.serve.batcher`), so the compiled index
-  is consulted once per hop, never recompiled per request.
+* **natural batching** — a query leaves the queue the moment an
+  execution slot is free (see :mod:`repro.serve.batcher`): a lone
+  request on an idle service runs at once, and the arrivals that land
+  while a batch executes form the next one.  The one timer on the path
+  is the batcher's coalescing period, which only follows a batch of
+  more than one query.
+* **on-loop execution** — with ``workers=0`` (the default daemon) a
+  batch is verified directly on the event loop: under the GIL a helper
+  thread buys no parallelism, and the hand-off to it costs more CPU
+  than the warm verification it wraps.  The loop is held for at most
+  one batch (``batch_max`` queries) and regains control between
+  batches.  The executor is kept for what genuinely blocks: a
+  ``reload``'s session patch and pool sweep, the pool's serial
+  fallback, and any batch while a chaos ``fault_hook`` is installed or
+  a reload holds the session (:meth:`VerifyService._run_batch_async`).
 * **supervised execution** — with ``workers > 0`` batches ship to a
   self-healing pool of warm worker processes
   (:class:`~repro.serve.supervisor.WorkerSupervisor`); a batch the pool
@@ -124,16 +136,15 @@ class ServeConfig:
 
     ``http_port``/``whois_port`` of 0 bind an ephemeral port (tests);
     ``None`` disables that front-end.  ``queue_size`` bounds admitted but
-    unexecuted queries — the backpressure threshold.  ``batch_window`` is
-    how long the batcher lingers after the first query of a batch so
-    concurrent arrivals coalesce.  Deadlines are seconds of wall time; a
+    unexecuted queries — the backpressure threshold; ``batch_max`` bounds
+    how many of them one batch takes.  Deadlines are seconds of wall time; a
     request may ask for less than ``default_deadline`` but never more
     than ``max_deadline``.  ``drain_timeout`` bounds the graceful
     SIGTERM drain.
 
     ``workers`` > 0 attaches the self-healing multi-process pool (see
-    :mod:`repro.serve.supervisor`); 0 (the default) keeps the original
-    in-process single-thread execution.  ``shed_target`` of ``None``
+    :mod:`repro.serve.supervisor`); 0 (the default) executes in-process,
+    on the event loop.  ``shed_target`` of ``None``
     auto-enables CoDel-style load shedding at a 100 ms queue-wait target
     when a pool is attached and disables it otherwise; a float forces
     that target, 0 disables shedding outright.
@@ -158,7 +169,6 @@ class ServeConfig:
     whois_port: int | None = None
     queue_size: int = 256
     batch_max: int = 64
-    batch_window: float = 0.002
     default_deadline: float = 5.0
     max_deadline: float = 30.0
     drain_timeout: float = 5.0
@@ -289,13 +299,14 @@ class VerifyService:
     """The request core shared by every front-end.
 
     Wraps a warm :class:`~repro.api.Session` (the session must carry AS
-    relationships) behind a micro-batched, deadline- and
-    backpressure-aware ``submit``.  With ``workers=0`` all execution
-    happens on the batcher's single executor thread, which doubles as
-    the session's serialization point; with ``workers>0`` batches ship
-    to the supervised worker pool and the executor threads only wait on
-    pipes, with the in-process path (guarded by a lock) as the fallback
-    whenever the pool cannot serve a batch.
+    relationships) behind a batched, deadline- and backpressure-aware
+    ``submit``.  With ``workers=0`` batches execute on the event loop,
+    one at a time; with ``workers>0`` they ship to the supervised worker
+    pool (awaited on the loop, no thread parked per batch), with the
+    in-process path on the executor as the fallback whenever the pool
+    cannot serve a batch.  Every in-process execution and every hot
+    swap holds ``_serial_lock``, so the session has one user at a time
+    whichever thread that is.
     """
 
     def __init__(self, session: Session, config: ServeConfig | None = None):
@@ -305,8 +316,9 @@ class VerifyService:
         self.draining = False
         self.degradation = DegradationReport()
         self.supervisor: WorkerSupervisor | None = None
-        # Chaos/test instrumentation: called on an executor thread with
-        # the batch's queries before execution.  Never set in production.
+        # Chaos/test instrumentation: called with the batch's queries
+        # before execution, always on an executor thread (hooks block).
+        # Never set in production.
         self.fault_hook: Callable[[Sequence[Query]], None] | None = None
         # Serializes hot swaps so two concurrent reloads cannot interleave
         # their worker-pool sweeps.
@@ -317,10 +329,18 @@ class VerifyService:
         # event loop and several executor threads record into it, so all
         # serving-path mutations go through this lock.
         self._metrics_lock = threading.Lock()
-        # Serializes fallback (and workers=0) execution on the session,
-        # which is not thread-safe either.
-        self._serial_lock = threading.Lock()
+        # Serializes in-process execution and hot swaps on the session,
+        # which is not thread-safe either.  Executor threads block on it;
+        # the event loop only ever try-acquires it (_run_batch_async) and
+        # then re-enters it in _execute_serial, hence reentrant.
+        self._serial_lock = threading.RLock()
+        # Written on the loop thread only (submit, collect, stop).
         self._queue_depth = registry.gauge("serve_queue_depth")
+        # The success path's instruments, bound once per endpoint so a
+        # request does not pay two registry label lookups.
+        self._ok_instruments = {
+            kind: self._bind_ok_instruments(kind) for kind in ("verify", "explain")
+        }
         self._batch_size = registry.histogram(
             "serve_batch_size", buckets=SERVE_BATCH_BUCKETS
         )
@@ -375,15 +395,9 @@ class VerifyService:
             else None
         )
         self._batcher = MicroBatcher(
-            self._run_batch,
-            # With a pool attached, batches are dispatched natively on
-            # the event loop (pipe waits via add_reader) instead of
-            # parking executor threads on poll() — the thread wakeups
-            # lose more GIL time than the batches cost.
-            execute_async=self._run_batch_async if self.config.workers > 0 else None,
+            self._run_batch_async,
             queue_size=self.config.queue_size,
             batch_max=self.config.batch_max,
-            batch_window=self.config.batch_window,
             concurrency=max(1, self.config.workers),
             on_batch=self._observe_batch,
             on_collect=self._mark_collected,
@@ -444,6 +458,7 @@ class VerifyService:
         """Stop the batcher and the pool; still-queued waiters get BusyError."""
         self.draining = True
         await self._batcher.stop()
+        self._queue_depth.set(0)
         if self.supervisor is not None:
             self.supervisor.stop()
         self.flight.record("service-stop")
@@ -460,6 +475,13 @@ class VerifyService:
     def _outcome(self, kind: str, outcome: str):
         return self._registry.counter(
             "serve_requests_total", endpoint=kind, outcome=outcome
+        )
+
+    def _bind_ok_instruments(self, kind: str) -> tuple[Callable, Callable]:
+        """``(observe latency, count ok)`` for one endpoint."""
+        return (
+            self._registry.histogram("serve_request_seconds", endpoint=kind).observe,
+            self._outcome(kind, "ok").inc,
         )
 
     @property
@@ -531,10 +553,12 @@ class VerifyService:
         with self._metrics_lock:
             self._queue_wait[outcome].observe(wait_s)
 
-    def _mark_collected(self, pending: "_Pending") -> None:
-        """Batcher hook: the dispatcher pulled this item off the queue."""
-        if pending.telemetry is not None:
-            pending.telemetry.mark_collected()
+    def _mark_collected(self, batch: Sequence["_Pending"]) -> None:
+        """Batcher hook: a dispatcher pulled this batch off the queue."""
+        self._queue_depth.set(self._batcher.qsize())
+        for pending in batch:
+            if pending.telemetry is not None:
+                pending.telemetry.mark_collected()
 
     async def submit(
         self, query: Query, telemetry: RequestTelemetry | None = None
@@ -614,8 +638,7 @@ class VerifyService:
             raise BusyError(
                 f"queue full ({self.config.queue_size} queries pending)"
             ) from None
-        with self._metrics_lock:
-            self._queue_depth.set(self._batcher.qsize())
+        self._queue_depth.set(self._batcher.qsize())
         try:
             result = await asyncio.wait_for(pending.future, timeout)
         except asyncio.TimeoutError:
@@ -662,21 +685,28 @@ class VerifyService:
                 self._finish_request(telemetry, "error")
             raise
         with self._metrics_lock:
-            self._registry.histogram(
-                "serve_request_seconds", endpoint=query.kind
-            ).observe(time.monotonic() - pending.submitted)
-            self._outcome(query.kind, "ok").inc()
+            # The fallback serves a hand-built Query of some other kind.
+            observe_latency, count_ok = self._ok_instruments.get(
+                query.kind
+            ) or self._bind_ok_instruments(query.kind)
+            observe_latency(time.monotonic() - pending.submitted)
+            count_ok()
         self._finish_request(telemetry, "ok", verdicts=len(result.get("hops", ())))
         return result
 
-    # -- execution (batcher executor threads) --------------------------------
+    # -- execution (event loop, or the batcher's executor threads) -----------
 
     def _observe_batch(self, size: int) -> None:
         with self._metrics_lock:
             self._batch_size.observe(size)
 
-    def _run_batch(self, batch: Sequence[_Pending]) -> list:
-        """Execute one coalesced batch — via the pool or in-process.
+    def _run_batch(
+        self,
+        batch: Sequence[_Pending],
+        fault_hook: Callable[[Sequence[Query]], None] | None = None,
+    ) -> list:
+        """Execute one coalesced batch synchronously — in-process, or
+        through the pool's blocking dispatch on the degraded/chaos path.
 
         Returns an outcome per item; exceptions become the waiter's
         exception.  Queries whose deadline passed while queued are
@@ -684,8 +714,8 @@ class VerifyService:
         wasted work), and every item's measured queue wait feeds the
         latency shedder.
         """
-        if self.fault_hook is not None:
-            self.fault_hook([pending.query for pending in batch])
+        if fault_hook is not None:
+            fault_hook([pending.query for pending in batch])
         outcomes, live = self._admit_batch(batch)
         if live:
             results, timings = self._execute_queries(
@@ -745,15 +775,36 @@ class VerifyService:
                 telemetry.execute_s = execute_s
 
     async def _run_batch_async(self, batch: Sequence[_Pending]) -> list:
-        """The pool fast path: dispatch on the event loop, no thread hop.
+        """Where a batch runs — decided by observable state only.
 
-        Falls back to the full blocking path (on the batcher's executor)
-        whenever it cannot stay non-blocking: a chaos hook installed, or
-        the pool degraded/unable so queries must run in-process.
+        * no pool, no chaos hook, session free: right here on the event
+          loop.  A batch is at most ``batch_max`` warm verifications;
+          the thread hop it used to ride cost more than they do.
+        * no pool, but a ``reload`` is patching the session: on the
+          executor, where the batch queues behind the patch.  The loop
+          never *blocks* on ``_serial_lock`` — it only try-acquires it.
+        * a chaos ``fault_hook`` is installed, or the pool has degraded
+          to serial: on the executor (hooks sleep; degraded batches from
+          several slots contend for the session).
+        * a healthy pool: dispatched from the loop, awaiting the worker's
+          pipe — falling back to the executor for this batch's queries
+          when the pool cannot serve them.
         """
         supervisor = self.supervisor
-        if self.fault_hook is not None or supervisor is None or supervisor.degraded:
-            return await self._batcher.run_blocking(self._run_batch, batch)
+        fault_hook = self.fault_hook  # read once: tests set it from other threads
+        if (
+            supervisor is None
+            and fault_hook is None
+            and self._serial_lock.acquire(blocking=False)
+        ):
+            try:
+                return self._run_batch(batch)
+            finally:
+                self._serial_lock.release()
+        if fault_hook is not None or supervisor is None or supervisor.degraded:
+            return await self._batcher.run_blocking(
+                self._run_batch, batch, fault_hook
+            )
         outcomes, live = self._admit_batch(batch)
         if not live:
             return outcomes

@@ -30,7 +30,11 @@ flight ring.
 Error mapping: malformed request → 400, backpressure → 429 (with
 ``Retry-After``), deadline expiry → 504, unknown path → 404, anything
 unexpected → 500.  Every error body is ``{"error": <code>, "detail":
-<message>}``.
+<message>}``.  A response's ``Connection`` header says what the server
+then does: ``close`` whenever the request asked for it (HTTP/1.0,
+``Connection: close``) or its framing was unusable (malformed request
+line, head over ``MAX_HEADER_BYTES``, bad ``Content-Length``, oversized
+or chunked body), ``keep-alive`` otherwise.
 
 This is deliberately a hand-rolled stream handler, not
 ``http.server``: the daemon is a single asyncio process and the request
@@ -85,12 +89,17 @@ _ERROR_STATUS = {
 
 
 class _HttpError(Exception):
-    """Protocol-level failure (before the request core is reached)."""
+    """Protocol-level failure (before the request core is reached).
 
-    def __init__(self, status: int, detail: str):
+    ``close`` marks a framing failure: where this request ends is
+    unknown, so the connection cannot carry another one.
+    """
+
+    def __init__(self, status: int, detail: str, *, close: bool = False):
         super().__init__(detail)
         self.status = status
         self.detail = detail
+        self.close = close
 
 
 class HttpFrontend:
@@ -104,7 +113,7 @@ class HttpFrontend:
 
     async def start(self) -> "HttpFrontend":
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_HEADER_BYTES
         )
         # Resolve the ephemeral port for handles/tests.
         self.port = self._server.sockets[0].getsockname()[1]
@@ -147,28 +156,23 @@ class HttpFrontend:
     ) -> bool:
         """Serve one request; returns whether to keep the connection."""
         try:
-            request_line = await reader.readline()
-        except ValueError as exc:  # line longer than the stream limit
-            raise _HttpError(400, str(exc)) from exc
-        if not request_line:
-            return False  # clean EOF between requests
-        try:
-            method, target, version = (
-                request_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
-            )
-        except ValueError:
-            await self._send_error(writer, 400, "malformed request line")
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError:
+            return False  # EOF: between requests, or the client left mid-head
+        except asyncio.LimitOverrunError:
+            await self._send_error(writer, 400, "headers too large", keep_alive=False)
             return False
-        headers, header_bytes = {}, len(request_line)
-        while True:
-            line = await reader.readline()
-            header_bytes += len(line)
-            if header_bytes > MAX_HEADER_BYTES:
-                await self._send_error(writer, 400, "headers too large")
-                return False
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
+        request_line, *header_lines = head[:-4].decode("latin-1").split("\r\n")
+        try:
+            method, target, version = request_line.split(" ", 2)
+        except ValueError:
+            await self._send_error(
+                writer, 400, "malformed request line", keep_alive=False
+            )
+            return False
+        headers = {}
+        for line in header_lines:
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         keep_alive = version != "HTTP/1.0" and (
             headers.get("connection", "").lower() != "close"
@@ -190,22 +194,32 @@ class HttpFrontend:
             self.service.finish_telemetry(
                 telemetry, "bad-request" if exc.status < 500 else "error"
             )
+            keep_alive = keep_alive and not exc.close
             await self._send_error(
-                writer, exc.status, exc.detail, extra_headers=id_headers
+                writer,
+                exc.status,
+                exc.detail,
+                keep_alive=keep_alive,
+                extra_headers=id_headers,
             )
             return keep_alive
         except ServeError as exc:
             status = _ERROR_STATUS.get(exc.code, 500)
             self.service.finish_telemetry(telemetry, exc.code)
             await self._send_error(
-                writer, status, str(exc), code=exc.code, extra_headers=id_headers
+                writer,
+                status,
+                str(exc),
+                keep_alive=keep_alive,
+                code=exc.code,
+                extra_headers=id_headers,
             )
             return keep_alive
         except Exception as exc:  # noqa: BLE001 - request isolation
             log.exception("unhandled error serving %s %s", method, target)
             self.service.finish_telemetry(telemetry, "error")
             await self._send_error(
-                writer, 500, str(exc), extra_headers=id_headers
+                writer, 500, str(exc), keep_alive=keep_alive, extra_headers=id_headers
             )
             return keep_alive
         # For submitted queries the service already closed the record;
@@ -225,11 +239,15 @@ class HttpFrontend:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
-            raise _HttpError(400, "bad Content-Length") from None
+            length = -1
+        if length < 0:
+            raise _HttpError(400, "bad Content-Length", close=True)
         if length > MAX_BODY_BYTES:
-            raise _HttpError(413, f"body larger than {MAX_BODY_BYTES} bytes")
+            raise _HttpError(
+                413, f"body larger than {MAX_BODY_BYTES} bytes", close=True
+            )
         if "chunked" in headers.get("transfer-encoding", "").lower():
-            raise _HttpError(400, "chunked bodies are not supported")
+            raise _HttpError(400, "chunked bodies are not supported", close=True)
         return await reader.readexactly(length) if length else b""
 
     # -- dispatch ----------------------------------------------------------
@@ -342,6 +360,7 @@ class HttpFrontend:
         status: int,
         detail: str,
         *,
+        keep_alive: bool,
         code: str | None = None,
         extra_headers: tuple[tuple[str, str], ...] = (),
     ) -> None:
@@ -352,7 +371,7 @@ class HttpFrontend:
         if status == 429:
             extra += (("Retry-After", "1"),)
         await self._send(
-            writer, status, body, "application/json", True, extra_headers=extra
+            writer, status, body, "application/json", keep_alive, extra_headers=extra
         )
 
 

@@ -8,9 +8,12 @@ latency breakdown (``serve_stage_seconds{stage=}`` histograms and the
 
 * ``accept``   — front-end receipt → enqueued on the batcher's queue
   (parse, validation, admission checks);
-* ``queue``    — enqueued → pulled off the queue by the dispatcher;
-* ``coalesce`` — pulled → the batch it joined began executing (the
-  batcher's coalescing window plus any concurrency-semaphore wait);
+* ``queue``    — enqueued → pulled off the queue by a dispatcher, which
+  happens the moment an execution slot is free (a slot stays closed for
+  the batcher's coalescing period after a batch of more than one item);
+* ``coalesce`` — pulled → the batch it joined began executing: nothing
+  when the batch runs on the event loop, the wait for an executor
+  thread when it cannot (the name is from when a timer sat here);
 * ``dispatch`` — waiting for a pool worker lease (or the serial lock);
 * ``execute``  — the batch executing (pipe round-trip + verification);
   dispatch/execute are measured per *batch* and attributed to every
@@ -44,9 +47,9 @@ class RequestTelemetry:
 
     Marks are ``time.monotonic()`` values; ``dispatch_s``/``execute_s``
     are explicit batch-level durations set by the execution path.  The
-    object is mutated from the event loop and (for the collected mark
-    and batch durations) the executor threads, but each field has
-    exactly one writer, so no lock is needed.
+    object is mutated from the event loop and (for the admitted mark and
+    batch durations, when a batch runs there) an executor thread, but
+    each field has exactly one writer, so no lock is needed.
     """
 
     __slots__ = (

@@ -55,6 +55,16 @@ def pytest_sessionfinish(session, exitstatus):
         session.exitstatus = 1
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _index_cache_in_tmp(tmp_path_factory):
+    """Sessions opened without a ``cache_dir`` must not create
+    ``~/.cache/rpslyzer`` (the CI hygiene step fails a job that does)."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("RPSLYZER_CACHE_DIR", str(tmp_path_factory.mktemp("index-cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture(scope="session")
 def tiny_world():
     """A deterministic ~60-AS world with IRR dumps and collectors."""

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -27,6 +28,7 @@ from repro import api
 from repro.irr.whois import whois_query
 from repro.obs import MetricsRegistry, parse_prometheus
 from repro.serve import Query, ServeConfig, ServeDaemon, report_as_dict
+from repro.serve.http import MAX_HEADER_BYTES
 
 
 def _http(port: int, method: str, path: str, payload: dict | None = None):
@@ -69,6 +71,20 @@ def _http_full(
         return response.status, received, parsed
     finally:
         connection.close()
+
+
+def _raw_http(port: int, request: bytes):
+    """Send raw bytes; returns (status, lowered headers, body, server_closed)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(request)
+        reader = conn.makefile("rb")
+        status = int(reader.readline().split(b" ", 2)[1])
+        headers = {}
+        for line in iter(reader.readline, b"\r\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = reader.read(int(headers["content-length"]))
+        return status, headers, json.loads(body), reader.read(1) == b""
 
 
 def _verify_payload(entry, **extra) -> dict:
@@ -158,6 +174,60 @@ class TestHttpFrontend:
             )
             assert status == 200
             assert body["text"] == expected
+
+
+class TestHttpEdgeCases:
+    """Malformed framing is the client's fault (400), is answered, and the
+    ``Connection`` header tells the truth about what the server does next."""
+
+    def test_negative_content_length_is_bad_request(self, handle, caplog):
+        with caplog.at_level("ERROR", logger="repro.serve.http"):
+            status, headers, body, closed = _raw_http(
+                handle.http_port,
+                b"POST /verify HTTP/1.1\r\nHost: t\r\nContent-Length: -5\r\n\r\n",
+            )
+        assert (status, body["detail"]) == (400, "bad Content-Length")
+        # Where the body ends is unknown, so the connection cannot go on.
+        assert headers["connection"] == "close" and closed
+        assert not caplog.records  # a client error, not a logged 500
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /" + b"a" * MAX_HEADER_BYTES + b" HTTP/1.1\r\nHost: t\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * MAX_HEADER_BYTES + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_line_over_the_stream_limit_is_answered_400(
+        self, handle, caplog, request_head
+    ):
+        with caplog.at_level("ERROR", logger="repro.serve.http"):
+            status, headers, body, closed = _raw_http(handle.http_port, request_head)
+        assert (status, body["detail"]) == (400, "headers too large")
+        assert headers["connection"] == "close" and closed
+        assert not caplog.records  # no "unhandled error on HTTP connection"
+
+    def test_error_responses_say_what_the_server_does_next(self, handle):
+        port = handle.http_port
+        for request in (
+            b"NONSENSE\r\n\r\n",  # malformed request line
+            b"GET /nope HTTP/1.0\r\n\r\n",  # HTTP/1.0 request that fails
+            b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ):
+            status, headers, _, closed = _raw_http(port, request)
+            assert status in (400, 404)
+            assert headers["connection"] == "close" and closed, request
+        # A failed request on a connection that stays up still says so —
+        # and the connection really does serve the next request.
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            conn.sendall(b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n")
+            reader = conn.makefile("rb")
+            head = b"".join(iter(reader.readline, b"\r\n")).lower()
+            assert head.startswith(b"http/1.1 404") and b"connection: keep-alive" in head
+            reader.read(int(re.search(rb"content-length: (\d+)", head).group(1)))
+            conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert reader.readline().startswith(b"HTTP/1.1 200")
 
 
 class TestWhoisFrontend:
@@ -375,6 +445,324 @@ class TestConcurrency:
                     body for status, body in results if status == 429
                 ]
                 assert all(body["error"] == "busy" for body in busy_bodies)
+
+
+def _histogram(registry, name: str, **labels) -> dict:
+    return next(
+        histogram
+        for histogram in registry.snapshot()["histograms"]
+        if histogram["name"] == name and histogram["labels"] == labels
+    )
+
+
+class TestNaturalBatching:
+    """The dispatch rule: a query leaves the queue when an execution slot is
+    free — no timer for one-at-a-time traffic, one coalescing period after
+    a batch of several — and in-process batches run on the loop, one at a time."""
+
+    @staticmethod
+    def _queries(routes, **extra):
+        return [Query.from_payload(_verify_payload(e, **extra), "verify") for e in routes]
+
+    def test_lone_submit_on_idle_service_waits_for_nothing(
+        self, tiny_world, tiny_routes
+    ):
+        from repro.serve.core import VerifyService
+        from repro.serve.telemetry import RequestTelemetry
+
+        (query,) = self._queries(tiny_routes[:1])
+
+        async def scenario(session):
+            service = await VerifyService(session, ServeConfig()).start()
+            try:
+                waits = []
+                for number in range(6):
+                    telemetry = RequestTelemetry(f"lone-{number}", "direct")
+                    await service.submit(query, telemetry)
+                    stages = telemetry.stages()
+                    waits.append(stages["queue"] + stages["coalesce"])
+                return waits
+            finally:
+                await service.stop()
+
+        with api.open_session(
+            tiny_world, registry=MetricsRegistry(), use_cache=False
+        ) as session:
+            waits = asyncio.run(scenario(session))
+            sizes = _histogram(session.registry, "serve_batch_size")
+        # Structural, not a latency percentile: any pacing timer puts a
+        # floor under *every* request, so the best of six would show it.
+        assert min(waits) < 0.001, waits
+        assert (sizes["count"], sizes["sum"]) == (6, 6)  # six batches of one
+
+    @pytest.mark.parametrize("later, expected", [(2, [1, 5]), (8, [1, 8, 3])])
+    def test_arrivals_during_a_held_batch_form_the_next_batch(
+        self, serve_session, tiny_routes, later, expected
+    ):
+        """Everything that lands while a batch executes — however spread out
+        — is one next batch of min(N, batch_max), not one batch per burst."""
+        from repro.serve.core import VerifyService
+
+        queries = self._queries(tiny_routes[: 4 + later])
+        release = threading.Event()
+        seen: list[int] = []
+
+        def hold_first_batch(batch) -> None:
+            seen.append(len(batch))
+            if len(seen) == 1:
+                assert release.wait(10)
+
+        async def scenario():
+            service = await VerifyService(
+                serve_session, ServeConfig(batch_max=8)
+            ).start()
+            service.fault_hook = hold_first_batch
+            try:
+                tasks = [asyncio.create_task(service.submit(queries[0]))]
+                while not seen:
+                    await asyncio.sleep(0.001)
+                tasks += [asyncio.create_task(service.submit(q)) for q in queries[1:4]]
+                await asyncio.sleep(0.02)  # far longer than any coalescing window
+                tasks += [asyncio.create_task(service.submit(q)) for q in queries[4:]]
+                await asyncio.sleep(0.02)
+                release.set()
+                return await asyncio.gather(*tasks)
+            finally:
+                release.set()
+                await service.stop()
+
+        results = asyncio.run(scenario())
+        assert len(results) == len(queries) and all(r["text"] for r in results)
+        assert seen == expected
+
+    def test_backlog_holds_the_loop_for_one_batch_at_a_time(
+        self, tiny_world, tiny_routes
+    ):
+        """A queue_size-deep backlog of cold queries on the loop path:
+        /healthz gets its answer between batches, not after the backlog."""
+        from repro.serve.core import VerifyService
+        from repro.serve.http import HttpFrontend
+
+        queries = self._queries(tiny_routes[:256])
+
+        async def scenario(session):
+            service = await VerifyService(
+                session, ServeConfig(queue_size=256, batch_max=16)
+            ).start()
+            frontend = await HttpFrontend(service, "127.0.0.1", 0).start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", frontend.port)
+                writer.write(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                tasks = [asyncio.create_task(service.submit(q)) for q in queries]
+                response = await asyncio.wait_for(reader.read(), 30)
+                writer.close()
+                results = await asyncio.gather(*tasks)
+                return json.loads(response.split(b"\r\n\r\n", 1)[1]), results
+            finally:
+                await frontend.close()
+                await service.stop()
+
+        with api.open_session(
+            tiny_world, registry=MetricsRegistry(), use_cache=False
+        ) as session:
+            health, results = asyncio.run(scenario(session))
+        assert len(results) == 256 and all(r["text"] for r in results)
+        # The health snapshot was taken mid-backlog: verdicts still queued.
+        assert health["queue_depth"] > 0, health
+        assert health["queries"] < 256
+
+    def test_reload_under_flood_never_blocks_the_loop(self, tiny_world, tiny_routes):
+        """workers=0: while a reload patches the session (on the executor,
+        holding _serial_lock) the loop keeps answering; batches that land
+        meanwhile wait for the patch off the loop; nothing is dropped and
+        every verdict comes from exactly the old or the new index."""
+        from repro.irr.history import ChurnConfig, evolve_with_journal
+
+        routes = tiny_routes[:24]
+        session = api.open_session(
+            tiny_world,
+            as_rel=tiny_world.topology,
+            registry=MetricsRegistry(),
+            use_cache=False,
+        )
+        churned, journal = evolve_with_journal(session.ir, ChurnConfig(seed=13))
+
+        def texts(ir) -> list[str]:
+            verifier = api.make_verifier(ir, tiny_world.topology)
+            return [
+                str(verifier.verify_route(str(e.prefix), e.as_path, collector="serve"))
+                for e in routes
+            ]
+
+        allowed = [set(pair) for pair in zip(texts(session.ir), texts(churned))]
+        patching, patched = threading.Event(), threading.Event()
+        apply_deltas = session.apply_deltas
+
+        def slow_apply(fresh):
+            patching.set()
+            time.sleep(0.5)
+            try:
+                return apply_deltas(fresh)
+            finally:
+                patched.set()
+
+        session.apply_deltas = slow_apply
+        outcomes: list = []
+        stop = threading.Event()
+
+        def client(port: int, offset: int) -> None:
+            position = offset
+            while not stop.is_set():
+                position = (position + 1) % len(routes)
+                status, body = _http(
+                    port,
+                    "POST",
+                    "/verify",
+                    _verify_payload(routes[position], deadline_s=25),
+                )
+                outcomes.append((position, status, body))
+
+        try:
+            with ServeDaemon(session, ServeConfig(http_port=0)).start_in_thread() as handle:
+                threads = [
+                    threading.Thread(target=client, args=(handle.http_port, k))
+                    for k in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                reload_result: list = []
+                reloader = threading.Thread(
+                    target=lambda: reload_result.append(
+                        _http(
+                            handle.http_port,
+                            "POST",
+                            "/reload",
+                            {"journal": journal.to_jsonable()},
+                        )
+                    )
+                )
+                reloader.start()
+                assert patching.wait(30)
+                status, health = _http(handle.http_port, "GET", "/healthz")
+                answered_during_patch = not patched.is_set()
+                reloader.join(30)
+                time.sleep(0.1)  # the flood goes on over the new generation
+                stop.set()
+                for thread in threads:
+                    thread.join(30)
+                assert not reloader.is_alive()
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            stop.set()
+            session.close()
+        assert status == 200 and answered_during_patch
+        assert reload_result[0][0] == 200 and reload_result[0][1]["generation"] == 1
+        assert len(outcomes) > 20
+        assert {status for _, status, _ in outcomes} == {200}
+        strays = [p for p, _, body in outcomes if body["text"] not in allowed[p]]
+        assert not strays
+
+    def test_query_expired_while_queued_is_skipped_not_executed(
+        self, serve_session, tiny_routes, monkeypatch
+    ):
+        from repro.serve import DeadlineExpired
+        from repro.serve.core import VerifyService
+
+        (blocker,) = self._queries(tiny_routes[:1])
+        (doomed,) = self._queries(tiny_routes[1:2], deadline_s=0.05)
+        executed: list[str] = []
+        verify_route = serve_session.verify_route
+
+        def spy(prefix, as_path, **kwargs):
+            executed.append(prefix)
+            return verify_route(prefix, as_path, **kwargs)
+
+        monkeypatch.setattr(serve_session, "verify_route", spy)
+        misses = serve_session.registry.counter("serve_deadline_miss_total")
+
+        async def scenario():
+            service = await VerifyService(
+                serve_session, ServeConfig(batch_max=1)
+            ).start()
+            service.fault_hook = lambda batch: time.sleep(0.2)
+            try:
+                first = asyncio.create_task(service.submit(blocker))
+                await asyncio.sleep(0.01)  # the blocker's batch holds the slot
+                with pytest.raises(DeadlineExpired):
+                    await service.submit(doomed)
+                await first
+                await service.drain(5)  # the doomed query's batch has run
+            finally:
+                await service.stop()
+
+        before = misses.value
+        asyncio.run(scenario())
+        assert misses.value == before + 1
+        assert executed == [blocker.prefix]
+
+    def test_coalescing_period_follows_only_coalesced_batches(self):
+        """The one timer on the path: a slot that ran a batch of more than
+        one item stays closed until COALESCE_PERIOD_S after that batch
+        started; a batch of one, or one longer than the period, does not
+        delay the next."""
+        from types import SimpleNamespace
+
+        from repro.serve.batcher import COALESCE_PERIOD_S, MicroBatcher
+
+        ran: list[tuple[int, float, float]] = []  # size, started, finished
+
+        async def execute(batch):
+            clock = asyncio.get_running_loop().time
+            started = clock()
+            if len(batch) == 3:  # the slow batch of the scenario
+                await asyncio.sleep(3 * COALESCE_PERIOD_S)
+            ran.append((len(batch), started, clock()))
+            return [None] * len(batch)
+
+        async def scenario():
+            batcher = await MicroBatcher(execute).start()
+            loop = asyncio.get_running_loop()
+
+            async def burst(size: int) -> None:
+                items = [SimpleNamespace(future=loop.create_future()) for _ in range(size)]
+                for item in items:
+                    batcher.submit_nowait(item)
+                await asyncio.gather(*(item.future for item in items))
+
+            try:
+                for size in (1, 1, 2, 1, 3, 1):
+                    await burst(size)
+            finally:
+                await batcher.stop()
+
+        gaps: dict[str, list[float]] = {"lone": [], "coalesced": [], "slow": []}
+        for _ in range(5):
+            ran.clear()
+            asyncio.run(scenario())
+            assert [size for size, _, _ in ran] == [1, 1, 2, 1, 3, 1]
+            gaps["lone"].append(ran[1][1] - ran[0][1])
+            gaps["coalesced"].append(ran[3][1] - ran[2][1])
+            gaps["slow"].append(ran[5][1] - ran[4][2])
+        # Lower bounds hold on every run; "at once" is the best of five.
+        assert min(gaps["coalesced"]) >= COALESCE_PERIOD_S * 0.99, gaps
+        assert min(gaps["lone"]) < COALESCE_PERIOD_S / 2, gaps
+        assert min(gaps["slow"]) < COALESCE_PERIOD_S / 2, gaps
+
+    def test_batch_window_is_gone(self):
+        from repro.serve import MicroBatcher
+
+        with pytest.raises(TypeError):
+            ServeConfig(batch_window=0.002)
+        with pytest.raises(TypeError):
+            MicroBatcher(lambda batch: None, batch_window=0.002)
+
+    def test_queue_depth_gauge_reads_zero_when_idle(self, handle, tiny_routes):
+        for entry in tiny_routes[:3]:
+            assert _http(handle.http_port, "POST", "/verify", _verify_payload(entry))[0] == 200
+        gauges = handle.daemon.session.metrics_snapshot()["gauges"]
+        (depth,) = [g["value"] for g in gauges if g["name"] == "serve_queue_depth"]
+        assert handle.daemon.service.health()["queue_depth"] == 0
+        assert depth == 0
 
 
 class TestWarmLatencyMetrics:
