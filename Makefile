@@ -47,12 +47,15 @@ perf-regression:
 # code only: the harness self-tests, then one short churn run whose
 # golden-count, pass-agreement and fresh-compile gates must hold, then
 # one short verify_table run — the hop-cache *miss* path — against the
-# golden verdict digest, hop histogram and lazy-engine differential.  No
+# golden verdict digest, hop histogram and lazy-engine differential, then
+# one short ingest run — the IR codec on the real open path: cold/warm
+# digest parity, cached-artifact adoption, golden object counts.  No
 # timing is asserted here — perf claims are made against the ledger.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests -q -p no:cacheprovider
 	$(PYTHON) benchmarks/e2e/run.py --workload churn --seed 7 --seconds 4 --trace 0
 	$(PYTHON) benchmarks/e2e/run.py --workload verify_table --seed 7 --seconds 4 --trace 0
+	$(PYTHON) benchmarks/e2e/run.py --workload ingest --seed 7 --seconds 4 --trace 0
 
 # The serve-supervisor self-healing lifecycle against a live daemon:
 # SIGKILL mid-flood, heartbeat replacement of a hung worker, restart

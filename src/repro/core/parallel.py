@@ -32,13 +32,11 @@ completes with exact stats either way.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import shutil
 import tempfile
 from collections import deque
-from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from itertools import islice
@@ -50,6 +48,7 @@ from repro.bgp.topology import AsRelationships
 from repro.core.compiled import CompiledIndex, compile_index
 from repro.core.report import RouteReport
 from repro.core.verify import Verifier, VerifyOptions
+from repro.gcpause import cyclic_gc_paused
 from repro.ir.model import Ir
 from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import TraceConfig, Tracer, get_tracer, set_tracer
@@ -197,34 +196,6 @@ def _snapshot_delta(current: dict, previous: dict | None) -> dict:
 _GC_PAUSE_ROUTES = 8192
 
 
-@contextmanager
-def _cyclic_gc_paused() -> Iterator[None]:
-    """Suspend the generational (cyclic) collector for a bounded stretch.
-
-    A table pass allocates a few tracked objects per route that all live
-    on — reports, hop-cache keys — and none of them is cyclic: reference
-    counting frees every one.  The collector can only re-traverse them,
-    and re-traverse the whole heap at each full collection: on the
-    36.5k-route table, 435 young + 40 middle + 3 full collections, 0.2-0.5 s
-    of a 1.9 s pass, landing wherever the allocation counters happen to
-    trip.  Pausing it over a batch makes the pass cheaper and — what the
-    end-to-end ledger is sensitive to — makes *where* the deferred work is
-    paid the same from run to run (at the first allocation after the
-    batch, before control returns to the caller).  Process-wide state, so
-    it is restored on every exit path and left alone when the caller had
-    the collector off already; cyclic garbage an ``on_report`` callback
-    makes waits at most one batch.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 def _verify_serial(
     ir: Ir,
     relationships: AsRelationships,
@@ -239,7 +210,7 @@ def _verify_serial(
     # caller's code, often a streaming parser); only the verify/aggregate
     # loop over a materialized batch is paused.
     for batch in _iter_chunks(entries, _GC_PAUSE_ROUTES):
-        with _cyclic_gc_paused():
+        with cyclic_gc_paused():
             for entry in batch:
                 report = verifier.verify_entry(entry)
                 stats.add_report(report)

@@ -9,9 +9,12 @@ that interface.  :func:`dump_ir`/:func:`load_ir` round-trip the complete
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import IO
 
+from repro.gcpause import cyclic_gc_paused
 from repro.ir import serialize
 from repro.ir.model import (
     AsSet,
@@ -114,16 +117,24 @@ def ir_to_jsonable(ir: Ir) -> dict:
 
 
 def ir_from_jsonable(data: dict) -> Ir:
-    """Decode the dict produced by :func:`ir_to_jsonable`."""
+    """Decode the dict :func:`ir_to_jsonable` produces; ``ValueError`` if it is not one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"IR document must be a JSON object, not {type(data).__name__}")
     if data.get("format") != "rpslyzer-ir":
         raise ValueError("not an RPSLyzer IR document")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported IR format version {data.get('version')!r}")
-    ir = serialize.decode(data["ir"])
-    if not isinstance(ir, Ir):
-        raise ValueError("malformed IR document")
-    # Aut-num keys arrive as JSON pair-lists with int keys already; ensure so.
-    ir.aut_nums = {int(asn): aut_num for asn, aut_num in ir.aut_nums.items()}
+    if "ir" not in data:
+        raise ValueError('IR document has no "ir" member')
+    try:
+        ir = serialize.decode(data["ir"])
+        if not isinstance(ir, Ir):
+            raise ValueError(f'"ir" member is a {type(ir).__name__}, not an Ir')
+        # Aut-num keys arrive as JSON pair-lists with int keys already; ensure so.
+        ir.aut_nums = {int(asn): aut_num for asn, aut_num in ir.aut_nums.items()}
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
+        # The codec's error says which: unregistered tag, missing field, bad key or prefix.
+        raise ValueError(f"malformed IR document: {exc}") from exc
     return ir
 
 
@@ -134,21 +145,38 @@ def dumps_ir(ir: Ir, *, indent: int | None = None) -> str:
 
 def loads_ir(text: str) -> Ir:
     """Parse an IR from a JSON string."""
-    return ir_from_jsonable(json.loads(text))
+    with cyclic_gc_paused():
+        return ir_from_jsonable(json.loads(text))
 
 
 def dump_ir(ir: Ir, destination: str | Path | IO[str]) -> None:
-    """Write an IR to a JSON file (path or open text stream)."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8") as stream:
-            json.dump(ir_to_jsonable(ir), stream, separators=(",", ":"))
-    else:
-        json.dump(ir_to_jsonable(ir), destination, separators=(",", ":"))
+    """Write an IR to a JSON file (path or open text stream).
+
+    The document is encoded in full before anything is written, and a path
+    is replaced atomically (write-temp-then-rename, as ``save_index`` does;
+    like its artifacts the new file is private to the user), so a failing
+    or interrupted export leaves the previous file as it was.
+    """
+    text = dumps_ir(ir)
+    if not isinstance(destination, (str, Path)):
+        destination.write(text)
+        return
+    path = Path(destination)
+    handle, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
 
 
 def load_ir(source: str | Path | IO[str]) -> Ir:
     """Read an IR from a JSON file (path or open text stream)."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as stream:
-            return ir_from_jsonable(json.load(stream))
-    return ir_from_jsonable(json.load(source))
+        return loads_ir(Path(source).read_text(encoding="utf-8"))
+    return loads_ir(source.read())

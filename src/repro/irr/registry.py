@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.gcpause import cyclic_gc_paused
 from repro.ir.merge import IRR_PRIORITY, merge_irs
 from repro.ir.model import Ir
 from repro.irr.dump import parse_dump_file, parse_dump_text
@@ -64,9 +65,13 @@ class Registry:
     priority: tuple[str, ...] = IRR_PRIORITY
 
     def add_text(self, name: str, text: str) -> IrrSource:
-        """Parse one IRR's dump text and register it."""
+        """Parse one IRR's dump text and register it.
+
+        The parse builds one acyclic object tree that lives on, so the
+        cyclic collector is paused over it — per dump, never across dumps.
+        """
         registry = get_registry()
-        with registry.span("parse"), registry.span(name):
+        with registry.span("parse"), registry.span(name), cyclic_gc_paused():
             ir, errors = parse_dump_text(text, source=name)
         source = IrrSource(name=name, ir=ir, errors=errors, raw_bytes=len(text))
         self.sources[name] = source
@@ -76,7 +81,7 @@ class Registry:
     def add_file(self, name: str, path: str | Path) -> IrrSource:
         """Parse one IRR's dump file and register it."""
         registry = get_registry()
-        with registry.span("parse"), registry.span(name):
+        with registry.span("parse"), registry.span(name), cyclic_gc_paused():
             ir, errors = parse_dump_file(path, source=name)
         source = IrrSource(
             name=name, ir=ir, errors=errors, raw_bytes=Path(path).stat().st_size

@@ -1,12 +1,22 @@
 """Tests for IR JSON export/import and the generic serializer."""
 
 import dataclasses
+import io
 import json
+import os
 
 import pytest
 
 from repro.ir import serialize
-from repro.ir.json_io import dumps_ir, ir_from_jsonable, ir_to_jsonable, loads_ir
+from repro.ir.json_io import (
+    dump_ir,
+    dumps_ir,
+    ir_from_jsonable,
+    ir_to_jsonable,
+    load_ir,
+    loads_ir,
+)
+from repro.ir.model import Ir
 from repro.irr.dump import parse_dump_text
 
 SAMPLE_DUMP = """
@@ -105,6 +115,107 @@ class TestJsonRoundTrip:
     def test_stability(self, sample_ir):
         once = dumps_ir(sample_ir)
         assert dumps_ir(loads_ir(once)) == once
+
+
+def _document(ir_member):
+    return json.dumps({"format": "rpslyzer-ir", "version": 1, "ir": ir_member})
+
+
+def _ir_document(**members):
+    return _document({"__t": "Ir", **members})
+
+
+class TestMalformedDocuments:
+    """Every structurally bad document is a ``ValueError`` that says why."""
+
+    @pytest.mark.parametrize(
+        ("text", "names"),
+        [
+            ("[]", "must be a JSON object, not list"),
+            ('"ir"', "must be a JSON object, not str"),
+            ('{"format": "rpslyzer-ir", "version": 1}', 'no "ir" member'),
+            ('{"format": "rpslyzer-ir", "version": 1, "ir": ', "Expecting value"),
+            (_document({"__t": "Nope"}), "unregistered dataclass Nope"),
+            (_document([1, 2]), "is a list, not an Ir"),
+            (_document({"__t": "AutNum", "asn": 1}), "is a AutNum, not an Ir"),
+            (
+                _ir_document(aut_nums={"__kv": [[1, {"__t": "AutNum"}]]}),
+                "missing 1 required positional argument: 'asn'",
+            ),
+            (
+                _ir_document(aut_nums={"__d": None, "AS1": {"__t": "AutNum", "asn": 1}}),
+                "invalid literal for int() with base 10: 'AS1'",
+            ),
+            (_ir_document(aut_nums=[1]), "has no attribute 'items'"),
+            (
+                _ir_document(
+                    route_objects=[{"__t": "RouteObject", "prefix": {"__p": "10.0.0/33"}, "origin": 1}]
+                ),
+                "invalid prefix: '10.0.0/33'",
+            ),
+            (_ir_document(route_objects=[{"__p": 7}]), "has no attribute 'strip'"),
+            (_ir_document(route_objects=[{"__e": "NoSuchEnum", "v": 1}]), "unregistered enum NoSuchEnum"),
+            (_ir_document(route_objects=[{"__e": "RangeOpKind"}]), "'v'"),
+        ],
+    )
+    def test_value_error_naming_the_defect(self, text, names):
+        with pytest.raises(ValueError) as caught:
+            loads_ir(text)
+        assert names in str(caught.value)
+        with pytest.raises(ValueError):
+            load_ir(io.StringIO(text))
+
+    def test_well_formed_input_is_unaffected(self, sample_ir):
+        assert ir_from_jsonable(json.loads(dumps_ir(sample_ir))) == sample_ir
+        assert loads_ir(_ir_document()) == Ir()
+
+
+class TestDumpIsAtomic:
+    def _unencodable(self, sample_ir):
+        broken = loads_ir(dumps_ir(sample_ir))
+        broken.route_objects.append(object())  # no encoder: fails mid-document
+        return broken
+
+    def test_failing_encode_leaves_the_previous_file(self, sample_ir, tmp_path):
+        path = tmp_path / "ir.json"
+        dump_ir(sample_ir, path)
+        before = path.read_bytes()
+        assert before == dumps_ir(sample_ir).encode("utf-8")
+        with pytest.raises(TypeError, match="cannot encode object"):
+            dump_ir(self._unencodable(sample_ir), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ir.json"]
+
+    def test_failing_encode_creates_no_file(self, sample_ir, tmp_path):
+        with pytest.raises(TypeError):
+            dump_ir(self._unencodable(sample_ir), str(tmp_path / "ir.json"))
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_write_removes_the_temp_file(self, sample_ir, tmp_path, monkeypatch):
+        path = tmp_path / "ir.json"
+        path.write_text("previous")
+
+        def full_disk(source, destination):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            dump_ir(sample_ir, path)
+        assert path.read_text() == "previous"
+        assert os.listdir(tmp_path) == ["ir.json"]
+
+    def test_replaces_and_reads_back(self, sample_ir, tmp_path):
+        path = tmp_path / "ir.json"
+        path.write_text("previous")
+        dump_ir(sample_ir, path)
+        assert load_ir(path) == load_ir(str(path)) == sample_ir
+        assert os.listdir(tmp_path) == ["ir.json"]
+
+    def test_open_stream_gets_the_same_document(self, sample_ir):
+        stream = io.StringIO()
+        dump_ir(sample_ir, stream)
+        assert stream.getvalue() == dumps_ir(sample_ir)
+        assert not stream.closed
 
 
 class TestGenericSerializer:
