@@ -27,15 +27,12 @@ ci:
 	$(MAKE) bench-smoke
 	$(MAKE) perf-regression
 
-# The strict perf benchmarks (prefix engine, incremental delta
-# ingestion, serve telemetry), then the measured ratios diffed against
+# The strict perf benchmarks (incremental delta ingestion, serve
+# telemetry), then what they measured diffed against
 # benchmarks/baselines.json (a slide past a gated metric's tolerance
 # fails).  After an intentional perf change, re-pin:
 #   python scripts/check_perf_regression.py --bench <name> --update
 perf-regression:
-	PYTHONPATH=src RPSLYZER_PERF_STRICT=1 $(PYTHON) -m pytest \
-	  benchmarks/test_perf_prefix_engine.py -q -p no:cacheprovider
-	$(PYTHON) scripts/check_perf_regression.py --bench prefix_engine
 	PYTHONPATH=src RPSLYZER_PERF_STRICT=1 $(PYTHON) -m pytest \
 	  benchmarks/test_perf_delta.py -q -p no:cacheprovider
 	$(PYTHON) scripts/check_perf_regression.py --bench delta_ingest
@@ -83,6 +80,7 @@ lint-world:
 	$(PYTHON) -m repro verify --ir world-demo/ir.json \
 	  --as-rel world-demo/as-rel.txt --table world-demo/table.txt
 
+# Untracked build litter only: benchmarks/results/ is committed.
 clean:
-	rm -rf world-demo benchmarks/results .pytest_cache .hypothesis
+	rm -rf world-demo .bench_e2e .benchmarks .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -19,8 +19,8 @@ reported informationally and do not gate.
 
 Usage::
 
-    python scripts/check_perf_regression.py --bench prefix_engine
-    python scripts/check_perf_regression.py --bench prefix_engine --update
+    python scripts/check_perf_regression.py --bench delta_ingest
+    python scripts/check_perf_regression.py --bench delta_ingest --update
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ here; it mirrors the paper's pipeline stages:
 * :func:`synthesize` — generate an offline world (IRR dumps + topology);
 * :func:`parse_dumps` — parse a directory of dumps into one merged
   :class:`Ir` plus its parse issues;
-* :func:`verify_table` — verify BGP routes, serial or multi-process, into
+* :func:`open_session` — load once, then :meth:`Session.verify_table`
+  verifies BGP routes, serial or multi-process, into
   :class:`VerificationStats`;
 * :func:`characterize` — the Section 4 characterization.
 
@@ -36,7 +37,6 @@ from repro.api import (
     parse_dumps,
     parse_registry,
     synthesize,
-    verify_table,
 )
 from repro.bgp.topology import AsRelationships
 from repro.core.status import SpecialCase, VerifyStatus
@@ -47,7 +47,7 @@ from repro.irr.registry import Registry, parse_registry_dir
 from repro.net.prefix import Prefix
 from repro.stats.verification import VerificationStats
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     # the supported facade
@@ -60,7 +60,6 @@ __all__ = [
     "parse_dumps",
     "parse_registry",
     "synthesize",
-    "verify_table",
     "VerificationStats",
     "VerifyOptions",
     # core model and lower-level pieces

@@ -17,8 +17,8 @@ warm state::
 
 The CLI, the WHOIS server, and the ``rpslyzer serve`` daemon are all thin
 adapters over :class:`Session`.  The pre-1.4 module-level helpers
-(:func:`verify_table`, :func:`explain_route`, :func:`serve_whois`) remain
-as deprecated shims that open a throwaway session per call.
+(``verify_table``, ``explain_route``, ``serve_whois``), deprecated since
+1.4.0, were removed in 1.11.0; ``docs/serving.md`` has the migration table.
 
 Loading stages (:func:`synthesize`, :func:`parse_dumps`) return a
 :class:`LoadResult` carrying ``ir``, ``errors``, and ``degradation``;
@@ -33,7 +33,6 @@ serve daemon exposes at ``GET /metrics``.
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -91,12 +90,9 @@ __all__ = [
     "parse_dumps",
     "parse_registry",
     "make_verifier",
-    "explain_route",
-    "verify_table",
     "characterize",
     "recommend_migrations",
     "run_chaos",
-    "serve_whois",
 ]
 
 # Parse-issue kinds that are ingestion damage (not merely mis-written
@@ -765,27 +761,6 @@ def make_verifier(
     return Verifier(ir, relationships, options, index=index)
 
 
-def explain_route(
-    ir: Ir,
-    relationships: AsRelationships,
-    prefix: str,
-    as_path: Iterable[int],
-    *,
-    options: VerifyOptions | None = None,
-    index: CompiledIndex | None = None,
-    collector: str = "explain",
-):
-    """Deprecated shim: use :meth:`Session.explain` instead."""
-    warnings.warn(
-        "api.explain_route() is deprecated; use "
-        "api.open_session(...).explain(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with Session(ir, relationships, options=options, index=index) as session:
-        return session.explain(prefix, as_path, collector=collector)
-
-
 def compile_index(ir: Ir, *, digest: str | None = None) -> CompiledIndex:
     """Compile an IR's query plans once, ahead of verification.
 
@@ -818,41 +793,6 @@ def patch_index(
     return _patch_index(index, old_ir, new_ir, journal, digest=digest)
 
 
-def verify_table(
-    ir: Ir,
-    relationships: AsRelationships,
-    entries: Iterable[RouteEntry],
-    *,
-    options: VerifyOptions | None = None,
-    processes: int | None = 1,
-    chunk_size: int = 2000,
-    start_method: str | None = None,
-    on_report: Callable[[RouteReport], None] | None = None,
-    fault_hook: Callable[[int], None] | None = None,
-    index: CompiledIndex | None = None,
-) -> VerificationStats:
-    """Deprecated shim: use :meth:`Session.verify_table` instead.
-
-    Opens a throwaway :class:`Session` per call; behavior (serial/parallel
-    paths, degradation reporting, index handling) is unchanged from 1.3.
-    """
-    warnings.warn(
-        "api.verify_table() is deprecated; use "
-        "api.open_session(...).verify_table(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with Session(ir, relationships, options=options, index=index) as session:
-        return session.verify_table(
-            entries,
-            processes=processes,
-            chunk_size=chunk_size,
-            start_method=start_method,
-            on_report=on_report,
-            fault_hook=fault_hook,
-        )
-
-
 def characterize(ir: Ir) -> dict:
     """The Section 4 characterization of an IR as one JSON-able dict."""
     with Session(ir) as session:
@@ -877,18 +817,6 @@ def recommend_migrations(
         emitted += 1
         if limit and emitted >= limit:
             return
-
-
-def serve_whois(ir: Ir, host: str = "127.0.0.1", port: int = 4343) -> WhoisServer:
-    """Deprecated shim: use :meth:`Session.whois_server` instead."""
-    warnings.warn(
-        "api.serve_whois() is deprecated; use "
-        "api.open_session(...).whois_server(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with Session(ir) as session:
-        return session.whois_server(host=host, port=port)
 
 
 def run_chaos(

@@ -113,8 +113,7 @@ class Bgpq4Resolver:
         return selected
 
     def _asn_prefixes(self, asn: int) -> set[Prefix]:
-        # One bisect + span read on the trie backend; no full-table
-        # reconstruction (query.origin_prefixes) for a single ASN.
+        # One bisect + span read on the route planes.
         return {Prefix(*key) for key in self.query.routes.origin_keys(asn)}
 
     def _route_set_prefixes(self, name: str) -> set[Prefix]:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.gcpause import cyclic_gc_paused
 from repro.net.prefix import Prefix, PrefixError
 
 __all__ = ["RouteEntry", "route_entry_lines", "parse_table_text", "parse_table_file", "write_table_file"]
@@ -131,10 +133,23 @@ def parse_table_text(text: str | Iterable[str]) -> Iterator[RouteEntry]:
         )
 
 
+# Lines parsed between two opportunities for the cyclic collector to run.
+_GC_PAUSE_LINES = 8192
+
+
 def parse_table_file(path: str | Path) -> Iterator[RouteEntry]:
-    """Stream-parse a dump file."""
+    """Stream-parse a dump file, a bounded batch of lines at a time.
+
+    Each batch's entries are built with the cyclic collector paused
+    (:func:`~repro.gcpause.cyclic_gc_paused`: tens of thousands of acyclic
+    objects that all live on); the consumer's code between two entries
+    runs with it on.
+    """
     with open(path, encoding="utf-8") as stream:
-        yield from parse_table_text(stream)
+        while lines := list(islice(stream, _GC_PAUSE_LINES)):
+            with cyclic_gc_paused():
+                entries = list(parse_table_text(lines))
+            yield from entries
 
 
 def write_table_file(path: str | Path, entries: Iterable[RouteEntry]) -> int:

@@ -24,7 +24,7 @@ zero.  This module adds the missing compilation pass:
   over the same IR start warm too (``rpslyzer compile`` /
   ``--no-index-cache`` are the CLI knobs).
 
-The on-disk envelope (format 2) is *flat*: a JSON header describing the
+The on-disk envelope (format 3) is *flat*: a JSON header describing the
 trie planes, the plane bytes 16-aligned, then one pickle blob for the
 residual tables.  :func:`load_index` maps the file with ``mmap`` and
 casts the planes to zero-copy memoryviews — warm start skips
@@ -98,9 +98,12 @@ __all__ = [
 # incompatibly; mismatched cache files are recompiled, never half-read.
 # Format 2: flat mmap-able envelope (magic + JSON header + aligned plane
 # region + residual pickle) replacing the format-1 whole-pickle envelope.
-INDEX_FORMAT = "rpslyzer-compiled-index/2"
+# Format 3: the tries persist their hash planes only (format 2 carried
+# patricia node planes beside them, in the envelope and in every pickled
+# route-set member trie).
+INDEX_FORMAT = "rpslyzer-compiled-index/3"
 
-_MAGIC = b"RPSLIDX2"
+_MAGIC = b"RPSLIDX3"
 _ALIGN = 16  # plane alignment; mmap bases are page-aligned so this holds
 _MAX_HEADER_BYTES = 1 << 24
 
@@ -231,7 +234,6 @@ class CompiledIndex:
         return {
             "route_index": trie_stats["prefixes"],
             "origins": trie_stats["origins"],
-            "trie_nodes": trie_stats["nodes"],
             "plane_bytes": trie_stats["plane_bytes"],
             "as_sets": len(self.as_sets),
             "route_sets": len(self.route_sets),
@@ -431,15 +433,13 @@ def compile_index(ir: Ir, *, digest: str | None = None) -> CompiledIndex:
     The pass drives the ordinary :class:`QueryEngine`/:class:`AsPathMatcher`
     resolution code eagerly over every referenced name, then captures the
     resulting tables — so compiled lookups are the lazy path's answers,
-    computed once.  The route trie is always built here (regardless of
-    ``RPSLYZER_PREFIX_ENGINE``) and every resolved route-set's member
-    index is frozen into its flat-plane form, so the artifact carries no
-    lazy state.
+    computed once.  Every resolved route-set's member index is frozen
+    into its flat-plane form, so the artifact carries no lazy state.
     """
     registry = get_registry()
     started = time.perf_counter()
     with registry.span("compile/index"):
-        engine = QueryEngine(ir, prefix_engine="trie")
+        engine = QueryEngine(ir)
         matcher = AsPathMatcher(engine)
         skipped = _resolve_references(engine, matcher, _collect_references(ir))
         for resolution in engine._route_set_cache.values():
@@ -929,7 +929,7 @@ def _library_version() -> str:
 def save_index(index: CompiledIndex, path: str | Path) -> None:
     """Persist an artifact atomically (write-temp-then-rename).
 
-    Layout: ``RPSLIDX2`` magic, a little-endian header length, the JSON
+    Layout: ``RPSLIDX3`` magic, a little-endian header length, the JSON
     header (format / library version / IR digest / trie meta / plane
     directory), then the 16-aligned plane region with the residual
     pickle blob at its tail.  :func:`load_index` refuses anything whose
@@ -1000,7 +1000,8 @@ def load_index(path: str | Path, expect_digest: str | None = None) -> CompiledIn
     try:
         head = stream.read(lead)
         if len(head) < lead or head[: len(_MAGIC)] != _MAGIC:
-            # Format-1 envelopes (plain pickle) land here too: recompile.
+            # Earlier formats (plain pickle, ``RPSLIDX2``) land here too:
+            # recompile.
             raise IndexCacheError(f"{path}: not a compiled index (bad magic)")
         header_len = int.from_bytes(head[len(_MAGIC) :], "little")
         if not 0 < header_len <= _MAX_HEADER_BYTES:

@@ -1,35 +1,31 @@
-"""Compressed radix tries over interned prefixes (the verification hot path).
+"""Flat hash planes over interned prefixes (the verification hot path).
 
 Per-route verification spends most of its time answering two questions:
 *"did this AS register a route object covering this announced prefix?"*
 and *"does this route-set member cover it under its range operator?"*.
-The pre-trie engine answered both with an ancestor **enumeration**: up to
-33 (IPv4) or 129 (IPv6) masked-key constructions and hash probes per
-query, each allocating a fresh tuple.  This module replaces that with a
-pair of cooperating flat structures so a query touches only the ancestor
-lengths actually *declared* on its branch:
+Answering either by ancestor **enumeration** costs up to 33 (IPv4) or 129
+(IPv6) masked-key constructions and hash probes per query, each
+allocating a fresh tuple.  This module keeps one structure per address
+family so a query touches only the ancestor lengths actually *declared*
+on its branch:
 
-* a **length-compression mask** per family — one 64-bit word per
-  top-``lmk``-bit bucket (IPv4) or per family (IPv6) recording which
-  declared lengths exist on that branch.  The candidate set for a query
-  is one table read and one AND; typical branches carry 1–3 lengths
-  where the enumeration probed all 33/129.
+* a **length-compression mask** — one 64-bit word per top-``lmk``-bit
+  bucket (IPv4) or per family (IPv6) recording which declared lengths
+  exist on that branch.  The candidate set for a query is one table read
+  and one AND; typical branches carry 1–3 lengths where the enumeration
+  probed all 33/129.
 * an **open-addressing hash plane** mapping ⟨masked network, length⟩ to
   the prefix's payload span — linear probing at load factor ≤ 0.5, one
-  or two slot reads per candidate length, no allocation.
-* a **path-compressed binary radix trie** (classic patricia node
-  planes), kept for the queries the hash cannot answer: descendant
-  enumeration (``covered``) and full entry iteration.
+  or two slot reads per candidate length, no allocation.  It is the only
+  record of which prefixes are stored: point mutation patches it in
+  place, rebuilds rehash its live slots, and enumeration is a slot scan.
 
 Everything is laid out as flat parallel planes (``array`` buffers off
 the GC-tracked heap, or ``memoryview`` casts over an ``mmap`` region
 when loaded from the disk cache):
 
-* per family (IPv4/IPv6): node planes ``plen``/``net_lo``[/``net_hi``]
-  (the node's prefix, stored right-shifted so comparisons need no
-  masking), ``left``/``right`` child ids, and a ``payload`` id; the
-  match-acceleration planes ``lenmask`` and ``hlo``/[``hhi``/]
-  ``hpl``/``hval`` (hash slots);
+* per family (IPv4/IPv6): ``lenmask`` and the hash slots ``hlo``/
+  [``hhi``/]``hpl``/``hval``;
 * a payload arena: per-prefix origin spans (``span_off`` into a sorted
   ``origins`` plane) for the route trie, per-prefix range-operator spans
   for the :class:`OpTrie`;
@@ -37,14 +33,13 @@ when loaded from the disk cache):
   "every prefix this AS registered" is one bisect plus a span read.
 
 Because the planes are plain buffers they pickle compactly, share
-copy-on-write under ``fork``, and — via the v2 cache envelope in
+copy-on-write under ``fork``, and — via the cache envelope in
 :mod:`repro.core.compiled` — map straight out of the artifact file with
-near-zero deserialization.
+near-zero deserialization.  They are built in sorted key order, so the
+artifact's bytes are a function of the IR's contents alone.
 
-:class:`NaiveRouteIndex` preserves the pre-trie dict algorithm verbatim.
-It is the differential oracle: the hypothesis suite
-(``tests/test_prefixtrie.py``), the trie-vs-legacy identity tests, and
-the ``BENCH_prefix_engine`` benchmarks all compare against it.
+The ancestor-enumeration dict engine this replaced lives on as the
+differential oracle of the test suite (``tests/prefix_oracle.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from bisect import bisect_left
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 
 __all__ = [
-    "NaiveRouteIndex",
     "OpTrie",
     "RouteTrie",
     "RouteTrieBuilder",
@@ -83,66 +77,13 @@ _CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
 _OP_BOUND_CAP = 255
 
 
-# -- build-time nodes -------------------------------------------------------
-#
-# During construction nodes are plain 5-lists [net, plen, payload, left,
-# right] with *full* (unshifted, host-bits-masked) networks; linearization
-# converts to the shifted flat-plane form.
-
-
 def _mask(net: int, plen: int, maxlen: int) -> int:
     shift = maxlen - plen
     return (net >> shift) << shift
 
 
-def _insert(node, net: int, plen: int, maxlen: int, update):
-    """Patricia insert; returns the (possibly new) subtree root.
-
-    ``update(existing_payload_or_None)`` produces the node's new payload —
-    the one hook the two builders differ in.
-    """
-    if node is None:
-        return [net, plen, update(None), None, None]
-    nnet, nplen = node[0], node[1]
-    diff = net ^ nnet
-    common = maxlen - diff.bit_length() if diff else maxlen
-    cpl = min(plen, nplen, common)
-    if cpl == nplen:
-        if cpl == plen:  # same prefix: merge payloads
-            node[2] = update(node[2])
-            return node
-        # the node is a proper ancestor of the key: descend by the next bit
-        bit = (net >> (maxlen - cpl - 1)) & 1
-        child = _insert(node[4] if bit else node[3], net, plen, maxlen, update)
-        if bit:
-            node[4] = child
-        else:
-            node[3] = child
-        return node
-    if cpl == plen:
-        # the key is a proper ancestor of the node: new node becomes parent
-        fresh = [net, plen, update(None), None, None]
-        bit = (nnet >> (maxlen - cpl - 1)) & 1
-        if bit:
-            fresh[4] = node
-        else:
-            fresh[3] = node
-        return fresh
-    # diverge below cpl: split with a non-terminal internal node
-    split = [_mask(net, cpl, maxlen), cpl, None, None, None]
-    fresh = [net, plen, update(None), None, None]
-    if (nnet >> (maxlen - cpl - 1)) & 1:
-        split[4], split[3] = node, fresh
-    else:
-        split[3], split[4] = node, fresh
-    return split
-
-
 class _Family:
-    """One address family's frozen node planes (``hi`` is None for IPv4).
-
-    Besides the patricia node planes, a family carries the match
-    acceleration layer built by :func:`_build_fast`:
+    """One address family's planes (``hhi`` is None for IPv4).
 
     * ``lenmask`` — the length-compression table (IPv4 only): one 64-bit
       word per top-``lmk``-bit bucket, bit ``pl`` set iff some stored
@@ -163,19 +104,12 @@ class _Family:
     Thawed (mutable) families additionally maintain ``live``/``tomb``
     slot counts for the hash plane: point deletes leave tombstones
     (``hval == -2`` with an impossible length in ``hpl``) that the probe
-    loops walk through, and the counts decide when the plane is rebuilt
-    from the node planes instead.
+    loops walk through, and the counts decide when the plane is rehashed
+    from its live slots instead.
     """
 
     __slots__ = (
         "maxlen",
-        "root",
-        "plen",
-        "lo",
-        "hi",
-        "left",
-        "right",
-        "payload",
         "lmk",
         "lmall",
         "lenmask",
@@ -189,15 +123,8 @@ class _Family:
         "tomb",
     )
 
-    def __init__(self, maxlen, root, plen, lo, hi, left, right, payload):
+    def __init__(self, maxlen: int):
         self.maxlen = maxlen
-        self.root = root
-        self.plen = plen
-        self.lo = lo
-        self.hi = hi
-        self.left = left
-        self.right = right
-        self.payload = payload
         self.lmk = 0
         self.lmall = 0
         self.lenmask = None
@@ -210,12 +137,14 @@ class _Family:
         self.live = 0
         self.tomb = 0
 
-    def __len__(self) -> int:
-        return len(self.plen)
-
 
 _LENMASK_MAX_BITS = 20
 _LENMASK_MIN_PREFIXES = 16
+# Mask-table words per stored prefix (see :func:`_build_fast`): sharp
+# buckets for the one global route table, lean ones for the thousands of
+# per-route-set op tries a session holds.
+_ROUTE_LMFACTOR = 256
+_OP_LMFACTOR = 4
 _HASH_C = 0x9E3779B97F4A7C15
 _HASH_P = 0xFF51AFD7ED558CCD
 # Tombstone encoding for point deletes: the probe loops stop only on -1
@@ -226,7 +155,7 @@ _TOMB_PL = 255
 
 
 def _attach_fast(fam: _Family, lmk: int, lmall: int, hbits: int, planes: dict, tag: str) -> None:
-    """Wire pre-built acceleration planes (mmap views or arrays) in."""
+    """Wire pre-built planes (mmap views or arrays) in."""
     fam.lmk = lmk
     fam.lmall = lmall
     fam.lenmask = planes.get(f"{tag}.lenmask")
@@ -238,46 +167,36 @@ def _attach_fast(fam: _Family, lmk: int, lmall: int, hbits: int, planes: dict, t
     fam.hval = planes.get(f"{tag}.hval")
 
 
-def _build_fast(fam: _Family, lmfactor: int = 4) -> None:
-    """Build the family's match-acceleration planes (built once, persisted).
+def _build_fast(fam: _Family, entries: list, lmfactor: int) -> None:
+    """(Re)build the family's planes from ``(net, length, payload id)`` triples.
 
-    One pass over the payload nodes fills the hash plane (sized to load
-    factor ≤ 0.5) and the length-compression masks.  Prefixes shorter
-    than the bucket width set their length bit in every bucket they
-    cover, so any query bucket sees every ancestor length on its path.
+    One pass fills the hash plane (sized to load factor ≤ 0.5) and the
+    length-compression masks; whatever the family held before is
+    replaced, tombstones included.  Prefixes shorter than the bucket
+    width set their length bit in every bucket they cover, so any query
+    bucket sees every ancestor length on its path.  Slots are claimed in
+    the order given: the builders pass triples in sorted key order, which
+    makes a compiled layout a function of the stored set alone.
 
     ``lmfactor`` trades mask-table memory for bucket sharpness: the
-    table gets ``~lmfactor * prefixes`` words (capped at ``2**20``).
-    The global route table uses a high factor — finer buckets mean
-    fewer candidate lengths per query — while per-route-set op tries
-    stay lean because a session holds thousands of them.
+    table gets ``~lmfactor * prefixes`` words (capped at ``2**20``);
+    finer buckets mean fewer candidate lengths per query.
     """
     maxlen = fam.maxlen
-    plen, lo, hi, payload = fam.plen, fam.lo, fam.hi, fam.payload
-    entries = []
-    for i in range(len(plen)):
-        p = payload[i]
-        if p < 0:
-            continue
-        pl = plen[i]
-        snet = lo[i] if hi is None else ((hi[i] << 64) | lo[i])
-        entries.append((snet << (maxlen - pl), pl, p))
     n = len(entries)
-    if not n:
-        return
-    hbits = max(3, (2 * n - 1).bit_length())
-    size = 1 << hbits
-    hmask = size - 1
-    hlo = array("Q", bytes(8 * size))
-    hhi = array("Q", bytes(8 * size)) if maxlen > 64 else None
-    hpl = array("B", bytes(size))
-    hval = array("i", [-1]) * size
-    lmk = 0
-    lenmask = None
-    if maxlen <= 64 and n >= _LENMASK_MIN_PREFIXES:
-        lmk = min(_LENMASK_MAX_BITS, (lmfactor * n).bit_length(), maxlen)
-        lenmask = array("Q", bytes(8 << lmk))
-    lmall = 0
+    hbits = lmk = lmall = 0
+    hlo = hhi = hpl = hval = lenmask = None
+    if n:
+        hbits = max(3, (2 * n - 1).bit_length())
+        size = 1 << hbits
+        hmask = size - 1
+        hlo = array("Q", bytes(8 * size))
+        hhi = array("Q", bytes(8 * size)) if maxlen > 64 else None
+        hpl = array("B", bytes(size))
+        hval = array("i", [-1]) * size
+        if maxlen <= 64 and n >= _LENMASK_MIN_PREFIXES:
+            lmk = min(_LENMASK_MAX_BITS, (lmfactor * n).bit_length(), maxlen)
+            lenmask = array("Q", bytes(8 << lmk))
     for net, pl, p in entries:
         lmall |= 1 << pl
         if hhi is None:
@@ -313,123 +232,26 @@ def _build_fast(fam: _Family, lmfactor: int = 4) -> None:
     fam.tomb = 0
 
 
-def _rebuild_fast(fam: _Family, lmfactor: int) -> None:
-    """Rebuild the acceleration planes from the node planes.
+def _live_entries(fam: _Family):
+    """Yield ``(net, length, payload id)`` for every occupied hash slot."""
+    hval = fam.hval
+    if hval is None:
+        return
+    hlo, hhi, hpl = fam.hlo, fam.hhi, fam.hpl
+    for s, p in enumerate(hval):
+        if p >= 0:
+            yield (hlo[s] if hhi is None else (hhi[s] << 64) | hlo[s]), hpl[s], p
+
+
+def _rebuild_fast(fam: _Family, extra: tuple = ()) -> None:
+    """Rehash a route family from its live slots (plus ``extra`` new triples).
 
     Point mutation triggers this when the hash plane's load factor would
-    exceed 0.5 or tombstones dominate: the node planes are the ground
-    truth (deleted prefixes carry ``payload == -1``), so one
-    :func:`_build_fast` pass resharpens the masks and drops every
-    tombstone at once.
+    exceed 0.5 or tombstones dominate: the live slots are the ground
+    truth, so one :func:`_build_fast` pass over them resizes the table,
+    resharpens the masks and drops every tombstone at once.
     """
-    fam.lmk = 0
-    fam.lmall = 0
-    fam.lenmask = None
-    fam.hbits = 0
-    fam.hshift = 64
-    fam.hlo = None
-    fam.hhi = None
-    fam.hpl = None
-    fam.hval = None
-    fam.live = 0
-    fam.tomb = 0
-    _build_fast(fam, lmfactor)
-
-
-def _node_point_insert(fam: _Family, net: int, plen: int) -> int:
-    """Insert ⟨net, plen⟩ into the node planes; return its node index.
-
-    The append-only mirror of build-time :func:`_insert`: existing rows
-    are never moved, new rows (the key, plus a split node when the walk
-    diverges mid-edge) go at the end and only parent child-pointers are
-    rewritten — concurrent readers of a *different* (frozen) trie object
-    are unaffected because mutation requires a thawed copy.
-    """
-    maxlen = fam.maxlen
-    plens, lo, hi = fam.plen, fam.lo, fam.hi
-    left, right, payload = fam.left, fam.right, fam.payload
-
-    def append(net_: int, plen_: int) -> int:
-        idx = len(plens)
-        snet = net_ >> (maxlen - plen_) if plen_ else 0
-        plens.append(plen_)
-        lo.append(snet & _U64)
-        if hi is not None:
-            hi.append(snet >> 64)
-        left.append(-1)
-        right.append(-1)
-        payload.append(-1)
-        return idx
-
-    if fam.root < 0:
-        fam.root = append(net, plen)
-        return fam.root
-    parent, side = -1, 0
-    i = fam.root
-    while True:
-        npl = plens[i]
-        snet = lo[i] if hi is None else ((hi[i] << 64) | lo[i])
-        nnet = snet << (maxlen - npl) if npl else 0
-        diff = net ^ nnet
-        common = maxlen - diff.bit_length() if diff else maxlen
-        cpl = min(plen, npl, common)
-        if cpl == npl:
-            if cpl == plen:
-                return i  # exact node already present (maybe internal)
-            bit = (net >> (maxlen - cpl - 1)) & 1
-            child = right[i] if bit else left[i]
-            if child < 0:
-                fresh = append(net, plen)
-                if bit:
-                    right[i] = fresh
-                else:
-                    left[i] = fresh
-                return fresh
-            parent, side = i, bit
-            i = child
-            continue
-        if cpl == plen:
-            # the key is a proper ancestor of the node: key becomes parent
-            top = fresh = append(net, plen)
-            if (nnet >> (maxlen - cpl - 1)) & 1:
-                right[top] = i
-            else:
-                left[top] = i
-        else:
-            # diverge below cpl: split with a non-terminal internal node
-            top = append(_mask(net, cpl, maxlen), cpl)
-            fresh = append(net, plen)
-            if (nnet >> (maxlen - cpl - 1)) & 1:
-                right[top] = i
-                left[top] = fresh
-            else:
-                left[top] = i
-                right[top] = fresh
-        if parent < 0:
-            fam.root = top
-        elif side:
-            right[parent] = top
-        else:
-            left[parent] = top
-        return fresh
-
-
-def _node_find(fam: _Family, net: int, plen: int) -> int:
-    """The node index storing exactly ⟨net, plen⟩, or -1."""
-    maxlen = fam.maxlen
-    plens, lo, hi, left, right = fam.plen, fam.lo, fam.hi, fam.left, fam.right
-    i = fam.root
-    while i >= 0:
-        npl = plens[i]
-        if npl > plen:
-            return -1
-        stored = lo[i] if hi is None else ((hi[i] << 64) | lo[i])
-        if (net >> (maxlen - npl) if npl else 0) != stored:
-            return -1
-        if npl == plen:
-            return i
-        i = right[i] if (net >> (maxlen - npl - 1)) & 1 else left[i]
-    return -1
+    _build_fast(fam, [*_live_entries(fam), *extra], _ROUTE_LMFACTOR)
 
 
 def _hash_point_set(fam: _Family, net: int, pl: int, payload_id: int) -> None:
@@ -515,43 +337,21 @@ def _mask_point_insert(fam: _Family, net: int, pl: int) -> None:
             fam.lenmask[b] |= bit
 
 
-def _linearize(root, maxlen: int, payload_out) -> _Family:
-    """Flatten a build-time node tree into parallel planes (preorder).
+def _freeze(table: dict, payload_out, lmfactor: int) -> tuple[_Family, _Family]:
+    """Both families' planes from ``{(version, masked net, length): payload}``.
 
-    ``payload_out(payload_obj) -> payload id`` appends the payload to the
-    caller's arena and returns its span id.
+    ``payload_out(payload) -> payload id`` appends one payload to the
+    caller's arena.  Keys are visited in sorted order, so payload ids and
+    slot layout never depend on the order pairs were registered in.
     """
-    plen = array("B")
-    lo = array("Q")
-    hi = array("Q") if maxlen > 64 else None
-    left = array("i")
-    right = array("i")
-    payload = array("i")
-    if root is None:
-        return _Family(maxlen, -1, plen, lo, hi, left, right, payload)
-    stack = [(root, -1, 0)]
-    while stack:
-        node, parent, side = stack.pop()
-        idx = len(plen)
-        if parent >= 0:
-            if side:
-                right[parent] = idx
-            else:
-                left[parent] = idx
-        pl = node[1]
-        snet = node[0] >> (maxlen - pl) if pl else 0
-        plen.append(pl)
-        lo.append(snet & _U64)
-        if hi is not None:
-            hi.append(snet >> 64)
-        left.append(-1)
-        right.append(-1)
-        payload.append(payload_out(node[2]) if node[2] is not None else -1)
-        if node[3] is not None:
-            stack.append((node[3], idx, 0))
-        if node[4] is not None:
-            stack.append((node[4], idx, 1))
-    return _Family(maxlen, 0, plen, lo, hi, left, right, payload)
+    triples = {4: [], 6: []}
+    for key in sorted(table):
+        version, net, plen = key
+        triples[version].append((net, plen, payload_out(table[key])))
+    fam4, fam6 = _Family(32), _Family(128)
+    _build_fast(fam4, triples[4], lmfactor)
+    _build_fast(fam6, triples[6], lmfactor)
+    return fam4, fam6
 
 
 def _plane_bytes(plane) -> int:
@@ -581,12 +381,6 @@ class RouteTrie:
     """
 
     _FAMILY_PLANES = {
-        "plen": "B",
-        "lo": "Q",
-        "hi": "Q",
-        "left": "i",
-        "right": "i",
-        "payload": "i",
         "lenmask": "Q",
         "hlo": "Q",
         "hhi": "Q",
@@ -671,7 +465,7 @@ class RouteTrie:
         if not (fam.lmall >> qlen) & 1:
             return -1
         shift = fam.maxlen - qlen
-        qnet = (qnet >> shift) << shift  # tolerate set host bits, like the walk did
+        qnet = (qnet >> shift) << shift  # tolerate set host bits
         hlo, hhi, hval = fam.hlo, fam.hhi, fam.hval
         hmask = (1 << fam.hbits) - 1
         hpl = fam.hpl
@@ -919,54 +713,14 @@ class RouteTrie:
 
     # -- cold-path queries ------------------------------------------------
 
-    def covered(self, version: int, qnet: int, qlen: int):
-        """Yield ``((version, net, plen), origins-frozenset)`` for every
-        stored prefix contained in the query (descendant enumeration)."""
-        fam = self._fam4 if version == 4 else self._fam6
-        i = fam.root
-        if i < 0:
-            return
-        plen, lo, hi = fam.plen, fam.lo, fam.hi
-        left, right, payload = fam.left, fam.right, fam.payload
-        maxlen = fam.maxlen
-        qtop = qnet >> (maxlen - qlen) if qlen else 0
-        # Descend along the query path to the topmost node at or below qlen.
-        while i >= 0 and plen[i] < qlen:
-            pl = plen[i]
-            shift = maxlen - pl
-            stored = lo[i] if hi is None else ((hi[i] << 64) | lo[i])
-            if (qnet >> shift) != stored:
-                return
-            i = right[i] if (qnet >> (shift - 1)) & 1 else left[i]
-        if i < 0:
-            return
-        pl = plen[i]
-        stored = lo[i] if hi is None else ((hi[i] << 64) | lo[i])
-        if (stored >> (pl - qlen)) != qtop:
-            return
+    def iter_exact(self):
+        """Yield every ``((version, net, plen), origins-frozenset)`` (a slot
+        scan: hash order, not prefix order)."""
         off = self._span_off
         origins = self._origins
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            p = payload[j]
-            if p >= 0:
-                jl = plen[j]
-                snet = lo[j] if hi is None else ((hi[j] << 64) | lo[j])
-                yield (
-                    (version, snet << (maxlen - jl), jl),
-                    frozenset(origins[off[p] : off[p + 1]]),
-                )
-            if right[j] >= 0:
-                stack.append(right[j])
-            if left[j] >= 0:
-                stack.append(left[j])
-
-    def iter_exact(self):
-        """Yield every ``((version, net, plen), origins-frozenset)``."""
-        for version in (4, 6):
-            maxlen = _MAX_LEN[version]
-            yield from self.covered(version, 0, 0) if maxlen else ()
+        for version, fam in ((4, self._fam4), (6, self._fam6)):
+            for net, plen, p in _live_entries(fam):
+                yield (version, net, plen), frozenset(origins[off[p] : off[p + 1]])
 
     def origins(self):
         """Every origin AS with at least one declared route, sorted."""
@@ -1033,8 +787,8 @@ class RouteTrie:
             fam.tomb = tomb
         return clone
 
-    def _require_thawed(self, fam: _Family) -> None:
-        if fam.plen is not None and not isinstance(fam.plen, array):
+    def _require_thawed(self) -> None:
+        if not isinstance(self._span_off, array):
             raise TypeError(
                 "point mutation requires a thawed RouteTrie (call thaw() first)"
             )
@@ -1044,8 +798,8 @@ class RouteTrie:
 
         Spans are immutable once referenced (readers slice them without
         locks), so origin-set changes append a fresh span and repoint the
-        node/hash payload ids; superseded spans become garbage that the
-        next full rebuild reclaims.
+        slot's payload id; superseded spans become garbage that the next
+        full compile reclaims.
         """
         for asn in origin_list:
             self._origins.append(asn)
@@ -1120,20 +874,18 @@ class RouteTrie:
         """Point-insert one declared ⟨prefix, origin⟩ pair (thawed only).
 
         Returns False when the pair was already declared.  New prefixes
-        append a node row, claim a hash slot (reusing tombstones), and OR
-        their length bit into the pruning masks; an origin added to an
-        existing prefix appends a fresh span and repoints the payload id.
-        The hash plane is rebuilt first when the insert would push load
-        factor (live + tombstones) past 0.5.
+        claim a hash slot (reusing tombstones) and OR their length bit
+        into the pruning masks; an origin added to an existing prefix
+        appends a fresh span and repoints the slot's payload id.  The
+        plane is rehashed instead when the insert would push load factor
+        (live + tombstones) past 0.5.
         """
+        self._require_thawed()
         version = prefix.version
         fam = self._fam4 if version == 4 else self._fam6
-        self._require_thawed(fam)
         qlen = prefix.length
-        shift = fam.maxlen - qlen
-        net = (prefix.network >> shift) << shift if qlen else 0
-        node = _node_point_insert(fam, net, qlen)
-        p = fam.payload[node]
+        net = _mask(prefix.network, qlen, fam.maxlen)
+        p = self._exact_payload(fam, net, qlen)
         off = self._span_off
         if p >= 0:
             span = list(self._origins[off[p] : off[p + 1]])
@@ -1141,15 +893,12 @@ class RouteTrie:
                 return False
             span.append(origin)
             span.sort()
-            new_p = self._append_span(span)
-            fam.payload[node] = new_p
-            _hash_point_set(fam, net, qlen, new_p)
+            _hash_point_set(fam, net, qlen, self._append_span(span))
         else:
             new_p = self._append_span([origin])
-            fam.payload[node] = new_p
             self._prefix_count += 1
             if fam.hval is None or 2 * (fam.live + fam.tomb + 1) > (1 << fam.hbits):
-                _rebuild_fast(fam, lmfactor=256)
+                _rebuild_fast(fam, ((net, qlen, new_p),))
             else:
                 _hash_point_set(fam, net, qlen, new_p)
                 _mask_point_insert(fam, net, qlen)
@@ -1161,22 +910,17 @@ class RouteTrie:
         """Point-delete one declared ⟨prefix, origin⟩ pair (thawed only).
 
         Returns False when the pair was not declared.  The last origin of
-        a prefix clears the node payload and tombstones the hash slot —
-        the structural node row stays (``covered`` skips payload < 0) and
-        mask bits stay stale, both safe because the hash is the ground
-        truth.  The plane is rebuilt when tombstones reach a quarter of
-        the table or outnumber live entries.
+        a prefix tombstones its hash slot; mask bits stay stale, which is
+        safe because the hash is the ground truth.  The plane is rehashed
+        when tombstones reach a quarter of the table or outnumber live
+        entries.
         """
+        self._require_thawed()
         version = prefix.version
         fam = self._fam4 if version == 4 else self._fam6
-        self._require_thawed(fam)
         qlen = prefix.length
-        shift = fam.maxlen - qlen
-        net = (prefix.network >> shift) << shift if qlen else 0
-        node = _node_find(fam, net, qlen)
-        if node < 0:
-            return False
-        p = fam.payload[node]
+        net = _mask(prefix.network, qlen, fam.maxlen)
+        p = self._exact_payload(fam, net, qlen)
         if p < 0:
             return False
         off = self._span_off
@@ -1185,15 +929,12 @@ class RouteTrie:
             return False
         if len(span) > 1:
             span.remove(origin)
-            new_p = self._append_span(span)
-            fam.payload[node] = new_p
-            _hash_point_set(fam, net, qlen, new_p)
+            _hash_point_set(fam, net, qlen, self._append_span(span))
         else:
-            fam.payload[node] = -1
             _hash_point_delete(fam, net, qlen)
             self._prefix_count -= 1
             if fam.tomb > fam.live or 4 * fam.tomb > (1 << fam.hbits):
-                _rebuild_fast(fam, lmfactor=256)
+                _rebuild_fast(fam)
         self._okey_remove(version, net, qlen, origin)
         self._origin_set = None
         return True
@@ -1201,20 +942,17 @@ class RouteTrie:
     # -- introspection and (de)materialization ----------------------------
 
     def stats(self) -> dict:
-        """Size figures: prefixes, origins, nodes, and total plane bytes."""
+        """Size figures: prefixes, origins, and total plane bytes."""
         total = sum(_plane_bytes(plane) for _, _, plane in self.export_planes())
         return {
             "prefixes": self._prefix_count,
             "origins": sum(1 for _ in self.origins()),
-            "nodes": len(self._fam4) + len(self._fam6),
             "plane_bytes": total,
         }
 
     def meta(self) -> dict:
         """JSON-able reconstruction scalars for the flat cache envelope."""
         return {
-            "root4": self._fam4.root,
-            "root6": self._fam6.root,
             "lmk4": self._fam4.lmk,
             "lm4": self._fam4.lmall,
             "h4": self._fam4.hbits,
@@ -1232,7 +970,7 @@ class RouteTrie:
         for tag, fam in (("f4", self._fam4), ("f6", self._fam6)):
             for name, code in self._FAMILY_PLANES.items():
                 plane = getattr(fam, name)
-                if plane is None:  # IPv4 has no hi plane; IPv6 no lenmask
+                if plane is None:  # IPv4 has no hhi plane; IPv6 no lenmask
                     continue
                 out.append((f"{tag}.{name}", code, plane))
         for name, code in self._ARENA_PLANES.items():
@@ -1260,21 +998,12 @@ class RouteTrie:
         or arrays); the inverse of :meth:`export_planes`/:meth:`meta`."""
         fams = {}
         for tag, maxlen, suffix in (("f4", 32, "4"), ("f6", 128, "6")):
-            fam = _Family(
-                maxlen,
-                meta[f"root{suffix}"],
-                planes[f"{tag}.plen"],
-                planes[f"{tag}.lo"],
-                planes.get(f"{tag}.hi") if maxlen > 64 else None,
-                planes[f"{tag}.left"],
-                planes[f"{tag}.right"],
-                planes[f"{tag}.payload"],
-            )
+            fam = _Family(maxlen)
             _attach_fast(
                 fam,
-                meta.get(f"lmk{suffix}", 0),
-                meta.get(f"lm{suffix}", 0),
-                meta.get(f"h{suffix}", 0),
+                meta[f"lmk{suffix}"],
+                meta[f"lm{suffix}"],
+                meta[f"h{suffix}"],
                 planes,
                 tag,
             )
@@ -1307,7 +1036,6 @@ class RouteTrie:
                 if isinstance(plane, memoryview):
                     plane.release()
                 setattr(fam, name, None)
-            fam.root = -1
             fam.lmk = 0
             fam.lmall = 0
             fam.hbits = 0
@@ -1337,42 +1065,27 @@ class RouteTrieBuilder:
     """Accumulates ⟨prefix, origin⟩ pairs, then freezes a :class:`RouteTrie`."""
 
     def __init__(self):
-        self._roots = {4: None, 6: None}
+        self._table: dict[tuple, set] = {}
         self._by_origin: dict[int, set] = {}
 
     def add(self, prefix: Prefix, origin: int) -> None:
         """Register one declared ⟨prefix, origin⟩ pair."""
-        version = prefix.version
-        maxlen = _MAX_LEN[version]
-
-        def update(payload):
-            if payload is None:
-                return {origin}
-            payload.add(origin)
-            return payload
-
-        self._roots[version] = _insert(
-            self._roots[version], prefix.network, prefix.length, maxlen, update
-        )
-        self._by_origin.setdefault(origin, set()).add(
-            (version, prefix.network, prefix.length)
-        )
+        version, plen = prefix.version, prefix.length
+        key = (version, _mask(prefix.network, plen, _MAX_LEN[version]), plen)
+        self._table.setdefault(key, set()).add(origin)
+        self._by_origin.setdefault(origin, set()).add(key)
 
     def build(self) -> RouteTrie:
-        """Linearize the accumulated pairs into a frozen :class:`RouteTrie`."""
+        """Lower the accumulated pairs into a frozen :class:`RouteTrie`."""
         span_off = array("i", [0])
         origins = array("Q")
 
         def payload_out(origin_set) -> int:
-            for asn in sorted(origin_set):
-                origins.append(asn)
+            origins.extend(sorted(origin_set))
             span_off.append(len(origins))
             return len(span_off) - 2
 
-        fam4 = _linearize(self._roots[4], 32, payload_out)
-        fam6 = _linearize(self._roots[6], 128, payload_out)
-        _build_fast(fam4, lmfactor=256)
-        _build_fast(fam6, lmfactor=256)
+        fam4, fam6 = _freeze(self._table, payload_out, _ROUTE_LMFACTOR)
         origin_ids = array("Q")
         okey_off = array("i", [0])
         okey_ver = array("B")
@@ -1426,25 +1139,16 @@ class OpTrie:
     @classmethod
     def from_entries(cls, entries: dict) -> "OpTrie":
         """Freeze a ``{(version, net, plen): [RangeOp, ...]}`` mapping."""
-        roots = {4: None, 6: None}
+        table: dict[tuple, list] = {}
         for (version, net, plen), ops in entries.items():
-            triples = [
+            key = (version, _mask(net, plen, _MAX_LEN[version]), plen)
+            table.setdefault(key, []).extend(
                 (
                     _KIND_TO_CODE[op.kind],
                     min(op.low, _OP_BOUND_CAP),
                     min(op.high, _OP_BOUND_CAP),
                 )
                 for op in ops
-            ]
-
-            def update(payload, triples=triples):
-                if payload is None:
-                    return list(triples)
-                payload.extend(triples)
-                return payload
-
-            roots[version] = _insert(
-                roots[version], net, plen, _MAX_LEN[version], update
             )
         off = array("i", [0])
         kind = array("B")
@@ -1459,10 +1163,7 @@ class OpTrie:
             off.append(len(kind))
             return len(off) - 2
 
-        fam4 = _linearize(roots[4], 32, payload_out)
-        fam6 = _linearize(roots[6], 128, payload_out)
-        _build_fast(fam4)
-        _build_fast(fam6)
+        fam4, fam6 = _freeze(table, payload_out, _OP_LMFACTOR)
         return cls(fam4, fam6, off, kind, low, high)
 
     @property
@@ -1538,45 +1239,28 @@ class OpTrie:
         return False
 
     def iter_entries(self):
-        """Yield every stored ``((version, net, plen), RangeOp)`` pair.
+        """Yield every stored ``((version, net, plen), RangeOp)`` pair (a
+        slot scan: hash order, each prefix's operators in declared order).
 
         Operators with bounds beyond 255 come back clamped (see
         ``_OP_BOUND_CAP``) — exact for matching, approximate for display.
         """
         off = self._off
         for version, fam in ((4, self._fam4), (6, self._fam6)):
-            if fam.root < 0:
-                continue
-            plen, lo, hi = fam.plen, fam.lo, fam.hi
-            left, right, payload = fam.left, fam.right, fam.payload
-            maxlen = fam.maxlen
-            stack = [fam.root]
-            while stack:
-                j = stack.pop()
-                p = payload[j]
-                if p >= 0:
-                    pl = plen[j]
-                    snet = lo[j] if hi is None else ((hi[j] << 64) | lo[j])
-                    key = (version, snet << (maxlen - pl), pl)
-                    for t in range(off[p], off[p + 1]):
-                        code = self._kind[t]
-                        if code in (_OP_EXACT, _OP_RANGE):
-                            op = RangeOp(
-                                _CODE_TO_KIND[code], self._low[t], self._high[t]
-                            )
-                        else:
-                            op = RangeOp(_CODE_TO_KIND[code])
-                        yield key, op
-                if right[j] >= 0:
-                    stack.append(right[j])
-                if left[j] >= 0:
-                    stack.append(left[j])
+            for net, plen, p in _live_entries(fam):
+                key = (version, net, plen)
+                for t in range(off[p], off[p + 1]):
+                    code = self._kind[t]
+                    if code in (_OP_EXACT, _OP_RANGE):
+                        op = RangeOp(_CODE_TO_KIND[code], self._low[t], self._high[t])
+                    else:
+                        op = RangeOp(_CODE_TO_KIND[code])
+                    yield key, op
 
     def __getstate__(self):
         state = {"off": self._off, "kind": self._kind, "low": self._low, "high": self._high}
         for tag, fam in (("f4", self._fam4), ("f6", self._fam6)):
             state[tag] = {
-                "root": fam.root,
                 "lmk": fam.lmk,
                 "lmall": fam.lmall,
                 "hbits": fam.hbits,
@@ -1590,23 +1274,13 @@ class OpTrie:
 
     def __setstate__(self, state):
         for tag, maxlen, slot in (("f4", 32, "_fam4"), ("f6", 128, "_fam6")):
-            planes = state[tag]["planes"]
-            fam = _Family(
-                maxlen,
-                state[tag]["root"],
-                planes["plen"],
-                planes["lo"],
-                planes.get("hi"),
-                planes["left"],
-                planes["right"],
-                planes["payload"],
-            )
+            fam = _Family(maxlen)
             _attach_fast(
                 fam,
-                state[tag].get("lmk", 0),
-                state[tag].get("lmall", 0),
-                state[tag].get("hbits", 0),
-                {f"{tag}.{name}": plane for name, plane in planes.items()},
+                state[tag]["lmk"],
+                state[tag]["lmall"],
+                state[tag]["hbits"],
+                {f"{tag}.{name}": plane for name, plane in state[tag]["planes"].items()},
                 tag,
             )
             setattr(self, slot, fam)
@@ -1614,118 +1288,3 @@ class OpTrie:
         self._kind = state["kind"]
         self._low = state["low"]
         self._high = state["high"]
-
-
-# -- the legacy oracle ------------------------------------------------------
-
-
-class NaiveRouteIndex:
-    """The pre-trie dict engine, preserved verbatim as the reference.
-
-    Kept for three reasons: the hypothesis property suite and the
-    trie-vs-legacy differential tests compare against it, the
-    ``BENCH_prefix_engine`` microbenchmark measures the trie's speedup
-    over it, and ``RPSLYZER_PREFIX_ENGINE=naive`` can force it globally
-    to bisect a suspected trie bug in production data.
-    """
-
-    __slots__ = ("route_index", "origin_prefixes")
-
-    def __init__(self):
-        self.route_index: dict[tuple, set] = {}
-        self.origin_prefixes: dict[int, set] = {}
-
-    def add(self, prefix: Prefix, origin: int) -> None:
-        """Register one declared ⟨prefix, origin⟩ pair."""
-        key = (prefix.version, prefix.network, prefix.length)
-        self.route_index.setdefault(key, set()).add(origin)
-        self.origin_prefixes.setdefault(origin, set()).add(key)
-
-    def has_origin(self, asn: int) -> bool:
-        """Whether the AS originates at least one declared route."""
-        return asn in self.origin_prefixes
-
-    def has_exact(self, version: int, qnet: int, qlen: int) -> bool:
-        """Whether some route object declares exactly this prefix."""
-        return bool(self.route_index.get((version, qnet, qlen)))
-
-    def exact_origins(self, version: int, qnet: int, qlen: int) -> frozenset:
-        """Origin ASes of route objects exactly matching the prefix."""
-        return frozenset(self.route_index.get((version, qnet, qlen), ()))
-
-    def match_origin(self, asn: int, version: int, qnet: int, qlen: int, op: RangeOp) -> bool:
-        """Ancestor enumeration over the per-origin declared-prefix set."""
-        declared = self.origin_prefixes.get(asn)
-        if not declared:
-            return False
-        maxlen = _MAX_LEN[version]
-        for length in range(qlen, -1, -1):
-            shift = maxlen - length
-            key = (version, (qnet >> shift) << shift, length)
-            if key in declared and op.allows(length, qlen):
-                return True
-        return False
-
-    def match_any(self, version: int, qnet: int, qlen: int, op: RangeOp) -> bool:
-        """Whether *any* declared prefix covers the query under ``op``."""
-        maxlen = _MAX_LEN[version]
-        route_index = self.route_index
-        for length in range(qlen, -1, -1):
-            shift = maxlen - length
-            key = (version, (qnet >> shift) << shift, length)
-            if key in route_index and op.allows(length, qlen):
-                return True
-        return False
-
-    def match_members(
-        self, members, version: int, qnet: int, qlen: int, op: RangeOp
-    ) -> bool:
-        """Whether any covering prefix is originated by a member AS."""
-        maxlen = _MAX_LEN[version]
-        route_index = self.route_index
-        for length in range(qlen, -1, -1):
-            shift = maxlen - length
-            origins = route_index.get((version, (qnet >> shift) << shift, length))
-            if origins and not members.isdisjoint(origins) and op.allows(length, qlen):
-                return True
-        return False
-
-    def covering_origins(self, version: int, qnet: int, qlen: int) -> list:
-        """All stored ancestors of the query as ``(length, origins)``."""
-        maxlen = _MAX_LEN[version]
-        out = []
-        for length in range(qlen, -1, -1):
-            shift = maxlen - length
-            origins = self.route_index.get((version, (qnet >> shift) << shift, length))
-            if origins:
-                out.append((length, origins))
-        return out
-
-    def covered(self, version: int, qnet: int, qlen: int):
-        """Yield every stored ``(key, origins)`` contained in the query."""
-        probe = Prefix(version, qnet, qlen)
-        for key, origins in self.route_index.items():
-            if key[0] == version and probe.contains(Prefix(*key)):
-                yield key, frozenset(origins)
-
-    def iter_exact(self):
-        """Yield every ``((version, net, plen), origins-frozenset)``."""
-        for key, origins in self.route_index.items():
-            yield key, frozenset(origins)
-
-    def origins(self):
-        """Every origin AS with at least one declared route, sorted."""
-        return iter(sorted(self.origin_prefixes))
-
-    def origin_keys(self, asn: int) -> tuple:
-        """Every ``(version, network, length)`` the AS declared."""
-        return tuple(sorted(self.origin_prefixes.get(asn, ())))
-
-    def stats(self) -> dict:
-        """Size figures mirroring :meth:`RouteTrie.stats` (no planes)."""
-        return {
-            "prefixes": len(self.route_index),
-            "origins": len(self.origin_prefixes),
-            "nodes": 0,
-            "plane_bytes": 0,
-        }

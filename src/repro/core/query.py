@@ -3,34 +3,26 @@
 Verification evaluates millions of filter checks; this module provides the
 data structures that keep each check near-constant-time:
 
-* a per-family compressed radix trie over every declared ⟨prefix, origin⟩
-  pair (:class:`~repro.core.prefixtrie.RouteTrie`): exact, ancestor
-  (``AS<n>`` / ``^-`` / ``^+`` / ``^n-m``), and descendant queries are one
-  walk that visits only the ancestors actually present — replacing the
-  earlier per-length masked-key enumeration of up to 33 (IPv4) or 129
-  (IPv6) hash probes per check;
-* trie-backed :class:`PrefixOpIndex` for route-set members with range
+* per-family flat hash planes over every declared ⟨prefix, origin⟩ pair
+  (:class:`~repro.core.prefixtrie.RouteTrie`): exact and ancestor
+  (``AS<n>`` / ``^-`` / ``^+`` / ``^n-m``) queries probe only the
+  ancestor lengths actually declared on the branch, not all 33 (IPv4) or
+  129 (IPv6);
+* plane-backed :class:`PrefixOpIndex` for route-set members with range
   operators, probed the same way;
 * memoized recursive flattening of *as-sets* (with loop detection and
   depth measurement — the Section 4 statistics reuse both);
 * lazy resolution of *route-sets*, *peering-sets*, and *filter-sets*,
   including RFC 2622 "members by reference" via ``member-of``/
   ``mbrs-by-ref``.
-
-The pre-trie dict engine survives as
-:class:`~repro.core.prefixtrie.NaiveRouteIndex`; pass
-``prefix_engine="naive"`` (or set ``RPSLYZER_PREFIX_ENGINE=naive``) to
-force it — the differential suites prove both produce bit-identical
-verification output.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.prefixtrie import NaiveRouteIndex, OpTrie, RouteTrie, RouteTrieBuilder
+from repro.core.prefixtrie import OpTrie, RouteTrie, RouteTrieBuilder
 from repro.ir.model import Ir
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids an import cycle
@@ -44,23 +36,19 @@ __all__ = ["AsSetResolution", "ResolvedRouteSet", "PrefixOpIndex", "QueryEngine"
 
 _PrefixKey = tuple[int, int, int]  # (version, network, length)
 
-_ENGINE_ENV = "RPSLYZER_PREFIX_ENGINE"
-
 
 def _key(prefix: Prefix) -> _PrefixKey:
     return (prefix.version, prefix.network, prefix.length)
 
 
 class PrefixOpIndex:
-    """Declared prefixes with range operators, probed by one trie walk.
+    """Declared prefixes with range operators, probed through flat planes.
 
     Entries accumulate in a plain dict while the set is being resolved;
     the first probe (or an explicit :meth:`freeze`) lowers them into an
     :class:`~repro.core.prefixtrie.OpTrie` whose flat planes pickle
-    compactly inside the compiled artifact.  The legacy dict view stays
-    reachable through :attr:`entries` (reconstructed on demand), and the
-    pre-trie ancestor-enumeration algorithm through
-    :meth:`_matches_naive` — the property suite compares both.
+    compactly inside the compiled artifact.  The dict view stays
+    reachable through :attr:`entries` (reconstructed on demand).
     """
 
     __slots__ = ("_pending", "_trie")
@@ -107,27 +95,6 @@ class PrefixOpIndex:
             override = None  # a no-op override: invariant across the walk
         return trie.matches(prefix.version, prefix.network, prefix.length, override)
 
-    def _matches_naive(self, prefix: Prefix, override: RangeOp | None = None) -> bool:
-        """The pre-trie ancestor enumeration, kept as the test oracle."""
-        entries = self.entries
-        if not entries:
-            return False
-        announced = prefix.length
-        if override is not None and override.kind is RangeOpKind.NONE:
-            override = None
-        for key, declared_length in _ancestor_keys(prefix):
-            ops = entries.get(key)
-            if ops is None:
-                continue
-            if override is not None:
-                if override.allows(declared_length, announced):
-                    return True
-                continue
-            for op in ops:
-                if op.allows(declared_length, announced):
-                    return True
-        return False
-
     def __len__(self) -> int:
         if self._trie is not None and self._pending is None:
             return self._trie.op_count
@@ -151,20 +118,6 @@ class PrefixOpIndex:
     def __setstate__(self, state):
         self._pending = None
         self._trie = state["trie"]
-
-
-def _ancestor_keys(prefix: Prefix):
-    """Yield ``(version, masked-network, length)`` for every covering length.
-
-    Only the naive/differential paths enumerate ancestors this way now;
-    the trie visits just the lengths actually present.
-    """
-    version = prefix.version
-    max_length = prefix.max_length
-    network = prefix.network
-    for length in range(prefix.length, -1, -1):
-        shift = max_length - length
-        yield (version, (network >> shift) << shift, length), length
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,22 +177,6 @@ BUILTIN_FILTER_SETS: dict[str, Filter] = {
 }
 
 
-def _build_routes(ir: Ir, prefix_engine: str | None):
-    """The route backend for one IR: a frozen trie, or the naive dicts."""
-    kind = prefix_engine or os.environ.get(_ENGINE_ENV) or "trie"
-    if kind == "naive":
-        routes = NaiveRouteIndex()
-        for route in ir.route_objects:
-            routes.add(route.prefix, route.origin)
-        return routes
-    if kind != "trie":
-        raise ValueError(f"unknown prefix engine {kind!r} (expected 'trie' or 'naive')")
-    builder = RouteTrieBuilder()
-    for route in ir.route_objects:
-        builder.add(route.prefix, route.origin)
-    return builder.build()
-
-
 class QueryEngine:
     """Indexed access to one (usually merged) IR.
 
@@ -248,10 +185,6 @@ class QueryEngine:
     route trie is adopted as-is (its flat planes may be memoryviews over
     the mmap'd artifact), while the memo caches are shallow-copied so
     lazy fills never mutate the shared artifact.
-
-    ``prefix_engine`` selects the route backend — ``"trie"`` (default) or
-    ``"naive"`` (the pre-trie dict walk, for differential testing); the
-    ``RPSLYZER_PREFIX_ENGINE`` environment variable sets the default.
     """
 
     def __init__(
@@ -259,12 +192,9 @@ class QueryEngine:
         ir: Ir,
         max_depth: int = 64,
         index: "CompiledIndex | None" = None,
-        prefix_engine: str | None = None,
     ):
         self.ir = ir
         self.max_depth = max_depth
-        self._compat_route_index: dict[_PrefixKey, set[int]] | None = None
-        self._compat_origin_prefixes: dict[int, set[_PrefixKey]] | None = None
         if index is not None:
             self.routes = index.route_trie
             self._as_set_byref = index.as_set_byref
@@ -275,7 +205,10 @@ class QueryEngine:
             return
 
         # The route backend: every declared ⟨prefix, origin⟩ pair.
-        self.routes: RouteTrie | NaiveRouteIndex = _build_routes(ir, prefix_engine)
+        builder = RouteTrieBuilder()
+        for route in ir.route_objects:
+            builder.add(route.prefix, route.origin)
+        self.routes: RouteTrie = builder.build()
 
         # Members-by-reference: aut-nums joining as-sets, routes joining
         # route-sets, each gated by the set's mbrs-by-ref maintainer list.
@@ -297,37 +230,6 @@ class QueryEngine:
         self._peering_set_cache: dict[str, tuple[Peering, ...] | None] = {}
 
     # -- route objects --------------------------------------------------
-
-    @property
-    def route_index(self) -> dict[_PrefixKey, set[int]]:
-        """``{(version, net, len): {origins}}`` — compatibility view.
-
-        The naive backend exposes its live dict; the trie reconstructs
-        one lazily (and caches it) for tools that iterate the table.
-        Hot-path checks go through the backend directly.
-        """
-        routes = self.routes
-        if isinstance(routes, NaiveRouteIndex):
-            return routes.route_index
-        cached = self._compat_route_index
-        if cached is None:
-            cached = self._compat_route_index = {
-                key: set(origins) for key, origins in routes.iter_exact()
-            }
-        return cached
-
-    @property
-    def origin_prefixes(self) -> dict[int, set[_PrefixKey]]:
-        """``{asn: {(version, net, len)}}`` — compatibility view."""
-        routes = self.routes
-        if isinstance(routes, NaiveRouteIndex):
-            return routes.origin_prefixes
-        cached = self._compat_origin_prefixes
-        if cached is None:
-            cached = self._compat_origin_prefixes = {
-                asn: set(routes.origin_keys(asn)) for asn in routes.origins()
-            }
-        return cached
 
     def has_any_routes(self, asn: int) -> bool:
         """Whether the AS appears as *origin* of at least one route object."""

@@ -296,13 +296,11 @@ class Verifier:
     :func:`repro.core.compiled.compile_index`) pre-seeds the query engine
     and the AS-path matcher, turning their hot-loop resolutions into pure
     lookups; without one, everything resolves lazily as before.  Either
-    way the prefix checks run on the engine's radix-trie backend (one
-    ancestor walk per ``AS<n>``/route-set match; see
-    :mod:`repro.core.prefixtrie`) — with an index, the trie planes may be
+    way the prefix checks run on the engine's flat hash planes (a masked
+    handful of probes per ``AS<n>``/route-set match; see
+    :mod:`repro.core.prefixtrie`) — with an index, the planes may be
     memoryviews over the mmap'd cache artifact, shared page-for-page with
-    every pool worker.  ``RPSLYZER_PREFIX_ENGINE=naive`` falls back to
-    the pre-trie dict walk; the differential suites prove both paths
-    produce bit-identical reports.
+    every pool worker.
 
     A check that misses the hop cache does not walk the subject's rule
     list: the list is specialised once per ⟨subject AS, direction, address

@@ -1,8 +1,8 @@
 """Pausing the cyclic garbage collector over an allocation burst.
 
 The one place the library touches ``gc``: the stages that build or walk
-large *acyclic* object graphs (a dump file's parse, the IR codec, the
-serial table pass) import :func:`cyclic_gc_paused` from here, so the
+large *acyclic* object graphs (a dump file's parse, the IR codec, a
+table file's parse, the serial table pass) import :func:`cyclic_gc_paused` from here, so the
 save/restore discipline lives in one function.
 """
 

@@ -16,7 +16,7 @@ class TestFacadeExports:
         for name in (
             "synthesize",
             "parse_dumps",
-            "verify_table",
+            "open_session",
             "characterize",
             "VerifyOptions",
             "VerificationStats",
@@ -29,7 +29,7 @@ class TestFacadeExports:
             assert hasattr(repro, name), name
 
     def test_facade_matches_api_module(self):
-        assert repro.verify_table is api.verify_table
+        assert repro.open_session is api.open_session
         assert repro.parse_dumps is api.parse_dumps
 
 
@@ -120,37 +120,6 @@ class TestVerifyTable:
         entry = tiny_routes[0]
         report = verifier.verify_entry(entry)
         assert report.entry is entry
-
-
-class TestDeprecatedShims:
-    def test_verify_table_warns_and_matches_session(
-        self, tiny_ir, tiny_world, tiny_routes
-    ):
-        with pytest.deprecated_call():
-            stats = api.verify_table(
-                tiny_ir, tiny_world.topology, tiny_routes[:30], processes=1
-            )
-        with api.Session(tiny_ir, tiny_world.topology) as session:
-            expected = session.verify_table(tiny_routes[:30], processes=1)
-        assert stats.summary() == expected.summary()
-
-    def test_explain_route_warns_and_matches_session(
-        self, tiny_ir, tiny_world, tiny_routes
-    ):
-        entry = tiny_routes[0]
-        with pytest.deprecated_call():
-            report, events = api.explain_route(
-                tiny_ir, tiny_world.topology, str(entry.prefix), entry.as_path
-            )
-        with api.Session(tiny_ir, tiny_world.topology) as session:
-            expected, _ = session.explain(str(entry.prefix), entry.as_path)
-        assert str(report) == str(expected)
-        assert events
-
-    def test_serve_whois_warns(self, tiny_ir):
-        with pytest.deprecated_call():
-            server = api.serve_whois(tiny_ir)
-        server.stop()  # never started; must still release the socket
 
 
 class TestCharacterize:

@@ -12,10 +12,13 @@ The trie-vs-legacy differential at the bottom scales through
 raises both to fuzz fresh worlds at higher route counts.
 """
 
+import json
 import os
 import pickle
+from array import array
 
 import pytest
+from prefix_oracle import oracle_verifier
 
 from repro.bgp.routegen import collector_routes
 from repro.chaos.faults import KillWorkerChunk
@@ -35,6 +38,7 @@ from repro.core.report import ItemKind, ReportItem
 from repro.core.verify import Verifier
 from repro.irr.synth import build_world, tiny_config
 from repro.obs import MetricsRegistry, use_registry
+from repro.stats.verification import VerificationStats
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +153,37 @@ class TestDifferentialIdentity:
         assert chaotic.route_single_status == lazy_stats.route_single_status
 
 
+def _as_format_2(artifact: bytes, magic: bytes = b"RPSLIDX2") -> bytes:
+    """``artifact`` re-enveloped the way the parent commit wrote it.
+
+    Same digest and library version, so only the format can turn it away:
+    a format-2 header whose trie meta and plane directory carry the
+    patricia node planes, and a residual pickle holding a member trie's
+    state with its node planes.
+    """
+    header_len = int.from_bytes(artifact[8:16], "little")
+    header = json.loads(artifact[16 : 16 + header_len])
+    region = bytearray(artifact[-(-(16 + header_len) // 16) * 16 :])
+    header["format"] = "rpslyzer-compiled-index/2"
+    header["trie"].update(root4=0, root6=-1)
+    node_planes = {"plen": "B", "lo": "Q", "left": "i", "right": "i", "payload": "i"}
+    for name, fmt in node_planes.items():
+        region += b"\x00" * (-len(region) % 16)
+        data = array(fmt, [0]).tobytes()
+        header["planes"].append(
+            {"name": f"f4.{name}", "fmt": fmt, "offset": len(region), "nbytes": len(data)}
+        )
+        region += data
+    member_trie = {"root": 0, "planes": {name: array(fmt, [0]) for name, fmt in node_planes.items()}}
+    blob = pickle.dumps({"route_sets": {"RS-OLD": {"f4": member_trie}}})
+    region += b"\x00" * (-len(region) % 16)
+    header["pickle"] = {"offset": len(region), "nbytes": len(blob)}
+    region += blob
+    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    lead = len(magic) + 8 + len(raw)
+    return magic + len(raw).to_bytes(8, "little") + raw + b"\x00" * (-lead % 16) + bytes(region)
+
+
 class TestOnDiskCache:
     def test_save_load_roundtrip(self, index, tmp_path):
         path = tmp_path / "index.pkl"
@@ -162,11 +197,18 @@ class TestOnDiskCache:
         with pytest.raises(IndexCacheError, match="digest mismatch"):
             load_index(path, expect_digest="0" * 64)
 
-    def test_load_rejects_foreign_format(self, tmp_path):
+    def test_load_rejects_foreign_format(self, index, tmp_path):
         path = tmp_path / "bogus.pkl"
-        path.write_bytes(pickle.dumps({"format": "something-else/9"}))
-        with pytest.raises(IndexCacheError, match="not a compiled index"):
-            load_index(path)
+        save_index(index, path)
+        current = path.read_bytes()
+        for foreign, why in (
+            (pickle.dumps({"format": "something-else/9"}), "bad magic"),
+            (_as_format_2(current), "bad magic"),
+            (_as_format_2(current, magic=current[:8]), "compiled-index/2"),
+        ):
+            path.write_bytes(foreign)
+            with pytest.raises(IndexCacheError, match=f"not a compiled index.*{why}"):
+                load_index(path, expect_digest=index.digest)
 
     def test_load_rejects_version_skew(self, index, tmp_path, monkeypatch):
         path = tmp_path / "index.pkl"
@@ -186,14 +228,18 @@ class TestOnDiskCache:
         assert first.stats() == second.stats()
         assert index_cache_path(ir_digest(tiny_ir), tmp_path).exists()
 
-    def test_corrupt_cache_degrades_to_recompile(self, tiny_ir, tmp_path):
-        path = index_cache_path(ir_digest(tiny_ir), tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not a pickle")
-        index = get_or_compile(tiny_ir, cache_dir=tmp_path)
-        assert index.stats()["route_index"] > 0
-        # ... and the recompile heals the cache entry in place.
-        assert load_index(path).stats() == index.stats()
+    def test_corrupt_cache_degrades_to_recompile(self, index, tiny_ir, tmp_path):
+        path = index_cache_path(index.digest, tmp_path)
+        save_index(index, path)
+        # Garbage, and the entry the parent commit left under this digest.
+        for unusable in (b"not a pickle", _as_format_2(path.read_bytes())):
+            path.write_bytes(unusable)
+            with use_registry(MetricsRegistry()) as registry:
+                fresh = get_or_compile(tiny_ir, cache_dir=tmp_path)
+                assert registry.counter("index_cache_total", result="miss").value == 1
+            assert fresh.stats()["route_index"] > 0
+            # ... and the recompile heals the cache entry in place.
+            assert load_index(path, expect_digest=index.digest).stats() == fresh.stats()
 
     def test_use_cache_false_never_touches_disk(self, tiny_ir, tmp_path):
         get_or_compile(tiny_ir, cache_dir=tmp_path, use_cache=False)
@@ -431,14 +477,15 @@ _DIFF_SEEDS = int(os.environ.get("RPSLYZER_DIFF_SEEDS", "2"))
 class TestTrieLegacyDifferential:
     """The trie engine is bit-identical to the legacy dict engine.
 
-    Each seed builds a fresh synthetic world; the legacy engine runs via
-    ``RPSLYZER_PREFIX_ENGINE=naive`` on the lazy path, the trie engine
-    both serially (compiled index) and pooled.  Nightly CI raises
-    ``RPSLYZER_DIFF_ROUTES`` and ``RPSLYZER_DIFF_SEEDS``.
+    Each seed builds a fresh synthetic world; the legacy engine (the
+    test-only oracle of ``tests/prefix_oracle.py``) is put in a lazy
+    verifier's place, the trie engine runs both serially (compiled
+    index) and pooled.  Nightly CI raises ``RPSLYZER_DIFF_ROUTES`` and
+    ``RPSLYZER_DIFF_SEEDS``.
     """
 
     @pytest.mark.parametrize("seed", [7700 + i for i in range(_DIFF_SEEDS)])
-    def test_trie_matches_legacy_serial_and_pooled(self, seed, monkeypatch):
+    def test_trie_matches_legacy_serial_and_pooled(self, seed):
         world = build_world(tiny_config(seed=seed))
         ir = world.registry().merged()
         routes = list(
@@ -446,9 +493,10 @@ class TestTrieLegacyDifferential:
         )[:_DIFF_ROUTES]
         assert routes, "world produced no collector routes"
 
-        monkeypatch.setenv("RPSLYZER_PREFIX_ENGINE", "naive")
-        legacy = verify_table(ir, world.topology, routes, processes=1)
-        monkeypatch.delenv("RPSLYZER_PREFIX_ENGINE")
+        oracle = oracle_verifier(ir, world.topology)
+        legacy = VerificationStats()
+        for entry in routes:
+            legacy.add_report(oracle.verify_entry(entry))
 
         index = compile_index(ir, digest=ir_digest(ir))
         trie_serial = verify_table(
@@ -466,17 +514,15 @@ class TestTrieLegacyDifferential:
         )
         _assert_stats_equal(pooled, legacy)
 
-    def test_per_route_reports_identical_across_engines(self, monkeypatch):
+    def test_per_route_reports_identical_across_engines(self):
         world = build_world(tiny_config(seed=7790))
         ir = world.registry().merged()
         routes = list(
             collector_routes(world.topology, world.announced, world.collectors)
         )[: min(500, _DIFF_ROUTES)]
 
-        monkeypatch.setenv("RPSLYZER_PREFIX_ENGINE", "naive")
-        legacy = Verifier(ir, world.topology)
+        legacy = oracle_verifier(ir, world.topology)
         legacy_reports = [legacy.verify_entry(entry) for entry in routes]
-        monkeypatch.delenv("RPSLYZER_PREFIX_ENGINE")
 
         trie = Verifier(ir, world.topology, index=compile_index(ir))
         for entry, expected in zip(routes, legacy_reports):

@@ -1,9 +1,9 @@
 """The cyclic collector is paused over ingest's bursts and left as found.
 
 ``repro.gcpause.cyclic_gc_paused`` is the one place the library switches
-the collector off; a dump file's parse, ``load_ir``/``loads_ir`` and
-``stable_digest`` run inside it (the serial table pass too:
-``test_parallel.py``).  ``gc.disable()`` is process-wide, so for each of
+the collector off; a dump file's parse, ``load_ir``/``loads_ir``,
+``stable_digest`` and each batch of a table file's parse run inside it
+(the serial table pass too: ``test_parallel.py``).  ``gc.disable()`` is process-wide, so for each of
 those stages: paused while it runs, and ``gc.isenabled()`` afterwards
 exactly what it was before — collector on, collector already off, and the
 stage raising.
@@ -18,6 +18,7 @@ import pytest
 from test_ir_json import SAMPLE_DUMP
 
 import repro
+import repro.bgp.table as table
 import repro.core.parallel as parallel
 import repro.irr.registry as registry_module
 from repro import gcpause
@@ -145,6 +146,24 @@ class TestStagesLeaveTheCollectorAsFound:
     def test_stable_digest_raising(self, collector):
         with pytest.raises(TypeError, match="cannot encode object"):
             serialize.stable_digest([1, object()])
+        assert gc.isenabled() is collector
+
+    def test_table_file_parse(self, collector, tmp_path, monkeypatch):
+        """Each batch is built paused; the consumer's code between two
+        entries runs with the collector as the consumer left it."""
+        path = tmp_path / "table.txt"
+        path.write_text(
+            "".join(
+                f"TABLE_DUMP2|0|B|rrc00|64500|10.{i}.0.0/16|64500 {64600 + i}|IGP\n"
+                for i in range(5)
+            )
+        )
+        spy = Spy(table.parse_table_text)
+        monkeypatch.setattr(table, "parse_table_text", spy)
+        monkeypatch.setattr(table, "_GC_PAUSE_LINES", 2)
+        between = [gc.isenabled() for _ in table.parse_table_file(path)]
+        assert spy.seen == [False, False, False]  # batches of 2, 2 and 1 lines
+        assert between == [collector] * 5
         assert gc.isenabled() is collector
 
     def test_nested_pauses_end_with_the_outermost(self):

@@ -20,6 +20,7 @@ from contextlib import contextmanager, nullcontext
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from prefix_oracle import NaiveRouteIndex
 
 from repro import api
 from repro.bgp.routegen import collector_routes
@@ -47,7 +48,7 @@ from repro.irr.journal import (
     apply_journal_to_ir,
     journal_between,
 )
-from repro.net.prefix import Prefix, RangeOp
+from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 from repro.obs import MetricsRegistry, use_registry
 from repro.rpsl.filter import parse_filter_text
 from repro.rpsl.names import NameKind
@@ -80,31 +81,81 @@ def _assert_equivalent(patched, fresh) -> None:
     assert set(fresh.peering_sets) <= set(patched.peering_sets)
 
 
+_POINT_OPS = (
+    RangeOp(RangeOpKind.NONE),
+    RangeOp(RangeOpKind.MINUS),
+    RangeOp(RangeOpKind.PLUS),
+    RangeOp(RangeOpKind.EXACT, 20, 20),
+    RangeOp(RangeOpKind.RANGE, 18, 44),
+)
+
+
+def _with_host_bits(prefix: Prefix, rng: random.Random) -> Prefix:
+    """Another spelling of the same prefix: random bits below its length."""
+    host = prefix.max_length - prefix.length
+    return Prefix(prefix.version, prefix.network | rng.getrandbits(host), prefix.length)
+
+
 class TestTriePointOps:
+    """Point mutation against the dict oracle rebuilt over the live set.
+
+    Matching and enumeration read one structure, so every checkpoint
+    compares both — in both families, probing pairs that are live, pairs
+    that are not, and their more-specifics.
+    """
+
     def _pairs(self, count: int, rng: random.Random) -> list:
+        # Few distinct top bits and a wide length range: nested ancestors,
+        # shared mask buckets and multi-origin prefixes are all common.
+        prefixes: list = []
         pairs = set()
         while len(pairs) < count:
-            network = rng.randrange(0, 1 << 20) << 12
-            length = rng.randrange(12, 25)
-            origin = rng.randrange(1, 500)
-            pairs.add((Prefix(4, network, length), origin))
-        return sorted(pairs, key=lambda p: (p[0].network, p[0].length, p[1]))
+            if prefixes and rng.random() < 0.3:
+                prefix = rng.choice(prefixes)
+            else:
+                version = rng.choice((4, 6))
+                maxlen = 32 if version == 4 else 128
+                length = rng.randrange(12, 25) if version == 4 else rng.randrange(20, 49)
+                network = rng.getrandbits(length) & ~(0b111111 << (length - 6))
+                prefix = Prefix(version, network << (maxlen - length), length)
+                prefixes.append(prefix)
+            pairs.add((prefix, rng.randrange(1, 40)))
+        return sorted(pairs)
 
-    def _oracle(self, live: set):
-        builder = RouteTrieBuilder()
+    def _check(self, trie, live, probes) -> None:
+        oracle = NaiveRouteIndex()
         for prefix, origin in live:
-            builder.add(prefix, origin)
-        return builder.build()
+            oracle.add(prefix, origin)
+        assert _exact_map(trie) == dict(oracle.iter_exact())
+        assert list(trie.origins()) == list(oracle.origins())
+        assert trie.stats()["prefixes"] == oracle.stats()["prefixes"]
+        for prefix, origin in probes:
+            assert trie.origin_keys(origin) == oracle.origin_keys(origin)
+            members = frozenset((origin, origin + 1))
+            for length in (prefix.length, min(prefix.length + 3, prefix.max_length)):
+                key = (prefix.version, prefix.network, length)
+                assert sorted(
+                    (pl, sorted(o)) for pl, o in trie.covering_origins(*key)
+                ) == sorted((pl, sorted(o)) for pl, o in oracle.covering_origins(*key))
+                for op in _POINT_OPS:
+                    assert trie.match_origin(origin, *key, op) == oracle.match_origin(
+                        origin, *key, op
+                    ), (key, origin, op)
+                    assert trie.match_any(*key, op) == oracle.match_any(*key, op)
+                    assert trie.match_members(members, *key, op) == oracle.match_members(
+                        members, *key, op
+                    )
 
     def test_differential_against_rebuilt_oracle(self):
         """Random insert/remove churn must match a from-scratch build."""
         rng = random.Random(1234)
         pairs = self._pairs(300, rng)
         builder = RouteTrieBuilder()
-        live = set(pairs[:150])
+        live = set(pairs[::2])
         for prefix, origin in live:
             builder.add(prefix, origin)
         trie = builder.build().thaw()
+        self._check(trie, live, pairs)
         for step in range(400):
             prefix, origin = rng.choice(pairs)
             if (prefix, origin) in live:
@@ -114,28 +165,82 @@ class TestTriePointOps:
                 assert trie.insert_route(prefix, origin)
                 live.add((prefix, origin))
             if step % 100 == 99:
-                assert _exact_map(trie) == _exact_map(self._oracle(live))
-        assert _exact_map(trie) == _exact_map(self._oracle(live))
+                self._check(trie, live, rng.sample(pairs, 100))
+        self._check(trie, live, pairs)
 
     def test_delete_heavy_churn_triggers_rebuild(self):
         """Tombstone pile-up forces plane rebuilds; answers stay exact."""
         rng = random.Random(7)
         pairs = self._pairs(400, rng)
+        rng.shuffle(pairs)
         builder = RouteTrieBuilder()
         for prefix, origin in pairs:
             builder.add(prefix, origin)
         trie = builder.build().thaw()
+        sizes = {trie._fam4.hbits}
         survivors = set(pairs)
-        for prefix, origin in pairs[:360]:  # delete 90%
+        for step, (prefix, origin) in enumerate(pairs[:360]):  # delete 90%
             assert trie.remove_route(prefix, origin)
             survivors.discard((prefix, origin))
-        assert _exact_map(trie) == _exact_map(self._oracle(survivors))
-        # Matching still works after the rebuild, not just enumeration.
-        prefix, origin = next(iter(survivors))
-        from repro.net.prefix import RangeOp, RangeOpKind
+            sizes.add(trie._fam4.hbits)
+            if step % 90 == 89:
+                self._check(trie, survivors, rng.sample(pairs, 100))
+        assert len(sizes) > 1, "the plane never shrank: no rebuild was exercised"
+        assert trie._fam4.tomb <= trie._fam4.live
 
-        op = RangeOp(kind=RangeOpKind.NONE, low=0, high=0)
-        assert trie.match_origin(origin, 4, prefix.network, prefix.length, op)
+    def test_insert_heavy_growth_from_an_empty_family(self):
+        """No planes at all, then one pair at a time through every
+        load-factor rebuild — and across the 16-prefix line where the
+        IPv4 length masks first appear."""
+        rng = random.Random(99)
+        pairs = self._pairs(500, rng)
+        rng.shuffle(pairs)
+        trie = RouteTrieBuilder().build().thaw()
+        assert trie._fam4.hval is None and trie._fam6.hval is None
+        self._check(trie, set(), pairs[:20])
+        live = set()
+        sizes = {4: set(), 6: set()}
+        for step, (prefix, origin) in enumerate(pairs):
+            assert trie.insert_route(prefix, origin)
+            live.add((prefix, origin))
+            fam = trie._fam4 if prefix.version == 4 else trie._fam6
+            sizes[prefix.version].add(fam.hbits)
+            if fam is trie._fam4 and fam.live < 16:
+                assert fam.lenmask is None
+            if step < 40 or step % 100 == 99:
+                self._check(trie, live, rng.sample(pairs, 25))
+        assert trie._fam4.lenmask is not None and trie._fam6.lenmask is None
+        assert len(sizes[4]) >= 4 and len(sizes[6]) >= 4, sizes
+        self._check(trie, live, pairs)
+
+    def test_host_bit_spellings_name_one_prefix(self):
+        """The same prefix spelled with host bits set (PR 9's desync
+        class) must reach the same slot on insert, remove and probe."""
+        rng = random.Random(5)
+        pairs = self._pairs(120, rng)
+        builder = RouteTrieBuilder()
+        live = set(pairs[:40])
+        for prefix, origin in live:
+            builder.add(_with_host_bits(prefix, rng), origin)
+        trie = builder.build().thaw()
+        self._check(trie, live, pairs)
+        for prefix, origin in pairs[:80]:
+            spelled = _with_host_bits(prefix, rng)
+            if (prefix, origin) in live:
+                assert not trie.insert_route(spelled, origin)
+                assert trie.remove_route(spelled, origin)
+                assert not trie.remove_route(prefix, origin)
+                live.discard((prefix, origin))
+            else:
+                assert not trie.remove_route(spelled, origin)
+                assert trie.insert_route(spelled, origin)
+                assert not trie.insert_route(prefix, origin)
+                live.add((prefix, origin))
+            declared = frozenset(o for p, o in live if p == prefix)
+            key = (spelled.version, spelled.network, spelled.length)
+            assert trie.exact_origins(*key) == declared
+            assert trie.has_exact(*key) == bool(declared)
+        self._check(trie, live, [(_with_host_bits(p, rng), o) for p, o in pairs])
 
     def test_point_ops_are_idempotent(self):
         builder = RouteTrieBuilder()

@@ -1,19 +1,21 @@
-"""Property suite for the radix-trie prefix engine.
+"""Property suite for the flat-plane prefix engine.
 
 The contract: :class:`RouteTrie` and :class:`OpTrie` answer every query
-identically to :class:`NaiveRouteIndex` / the dict-walk oracle — the
+identically to the dict-walk oracle of ``tests/prefix_oracle.py`` — the
 pre-trie algorithms preserved verbatim.  Hypothesis drives both engines
 over arbitrary IPv4+IPv6 prefix sets (including the degenerate ``/0``
-and max-length corners) and compares insert/lookup/ancestor/descendant
+and max-length corners) and compares insert/lookup/ancestor/enumeration
 answers; the nightly CI profile raises the example budget.
 """
 
 import pickle
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from prefix_oracle import NaiveRouteIndex, matches_naive
 
-from repro.core.prefixtrie import NaiveRouteIndex, RouteTrieBuilder
+from repro.core.prefixtrie import RouteTrieBuilder
 from repro.core.query import PrefixOpIndex
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 
@@ -94,14 +96,6 @@ def test_exact_and_ancestor_queries_agree(route_pairs, extra):
         assert trie_cover == naive_cover
 
 
-@given(pairs, st.lists(prefixes(), max_size=6))
-def test_descendant_enumeration_agrees(route_pairs, extra):
-    trie, naive = _engines(route_pairs)
-    for probe in _probe_pool(route_pairs, extra):
-        args = (probe.version, probe.network, probe.length)
-        assert dict(trie.covered(*args)) == dict(naive.covered(*args))
-
-
 @given(pairs)
 def test_per_origin_tables_agree(route_pairs):
     trie, naive = _engines(route_pairs)
@@ -142,8 +136,8 @@ def test_prefix_op_index_matches_naive_walk(entries, extra, override):
         index.add(prefix, op)
     probe_pool = [prefix for prefix, _ in entries] + list(extra)
     for probe in probe_pool:
-        assert index.matches(probe, override) == index._matches_naive(
-            probe, override
+        assert index.matches(probe, override) == matches_naive(
+            index, probe, override
         ), (probe, override)
 
 
@@ -194,7 +188,7 @@ def test_empty_trie_answers_negative():
     assert not trie.match_origin(1, 6, 0, 128, RangeOp(RangeOpKind.PLUS))
     assert trie.exact_origins(4, 0, 0) == frozenset()
     assert trie.covering_origins(6, 0, 128) == []
-    assert list(trie.covered(4, 0, 0)) == []
+    assert list(trie.iter_exact()) == []
     assert trie.stats()["prefixes"] == 0
 
 
@@ -208,3 +202,47 @@ def test_duplicate_adds_are_idempotent():
     assert trie.stats()["prefixes"] == 1
     assert trie.exact_origins(4, 0xC0000200, 24) == {65000}
     assert trie.origin_keys(65000) == naive.origin_keys(65000)
+
+
+# -- production scale (what the retired BENCH_prefix_engine checked) --------
+
+_SCALE_OPS = (
+    RangeOp(RangeOpKind.NONE),
+    RangeOp(RangeOpKind.MINUS),
+    RangeOp(RangeOpKind.PLUS),
+    RangeOp(RangeOpKind.EXACT, 24, 24),
+    RangeOp(RangeOpKind.RANGE, 20, 28),
+)
+
+
+def test_production_scale_two_family_identity():
+    """≈100k prefixes over both families: the length masks at their 2**20
+    bucket cap, long probe chains, nested ancestors — sizes the hypothesis
+    budget never reaches.  Probes mix the verifier's three shapes: a
+    declared exact hit, an origin miss, a perturbed network."""
+    rng = random.Random(1)
+    pairs = []
+    for _ in range(80_000):
+        length = rng.randint(16, 24)
+        pairs.append((Prefix(4, rng.getrandbits(length) << (32 - length), length), rng.randint(1, 30_000)))
+    for _ in range(20_000):
+        length = rng.randint(29, 48)
+        network = (0x2001 << 112) | (rng.getrandbits(length - 16) << (128 - length))
+        pairs.append((Prefix(6, network, length), rng.randint(1, 30_000)))
+    trie, naive = _engines(pairs)
+    assert trie.stats()["prefixes"] == naive.stats()["prefixes"]
+    for i, (prefix, origin) in enumerate(rng.sample(pairs, 3000)):
+        version, net, length = prefix.version, prefix.network, prefix.length
+        if i % 3 == 1:
+            origin += 1
+        elif i % 3 == 2:
+            net ^= 1 << (8 if version == 4 else 100)
+        op = _SCALE_OPS[i % len(_SCALE_OPS)]
+        members = frozenset((origin, origin + 1))
+        args = (version, net, length, op)
+        assert trie.match_origin(origin, *args) == naive.match_origin(origin, *args)
+        assert trie.match_any(*args) == naive.match_any(*args)
+        assert trie.match_members(members, *args) == naive.match_members(members, *args)
+        assert {(pl, frozenset(o)) for pl, o in trie.covering_origins(*args[:3])} == {
+            (pl, frozenset(o)) for pl, o in naive.covering_origins(*args[:3])
+        }

@@ -116,6 +116,15 @@ class TestSessionQueries:
             result = session.characterize()
         assert result["counts"]["aut-num"] > 0
 
+    def test_whois_server_answers_over_the_session_ir(self, tiny_world):
+        from repro.irr.whois import whois_query
+
+        with api.open_session(tiny_world, warm=False) as session:
+            asn = min(session.ir.aut_nums)
+            with session.whois_server() as server:
+                answer = whois_query("127.0.0.1", server.port, f"AS{asn}")
+        assert f"AS{asn}" in answer
+
 
 class TestSessionMetrics:
     def test_private_registry_captures_operations(self, tiny_world, tiny_routes):
