@@ -54,11 +54,15 @@ bench-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload verify_table --seed 7 --seconds 4 --trace 0
 	$(PYTHON) benchmarks/e2e/run.py --workload ingest --seed 7 --seconds 4 --trace 0
 
-# The serve-supervisor self-healing lifecycle against a live daemon:
-# SIGKILL mid-flood, heartbeat replacement of a hung worker, restart
-# accounting in /metrics and the degradation report.
+# The one supervised worker pool under both of its callers.  Serve: the
+# self-healing lifecycle against a live daemon (SIGKILL mid-flood,
+# heartbeat replacement of a hung worker, restart accounting in /metrics
+# and the degradation report).  Bulk verify_table(processes=N): exact
+# stats under killed, SIGSTOPped and raising workers, no child left behind.
 chaos-serve:
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --only serve-supervisor
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_supervisor.py tests/test_parallel.py \
+	  -q -p no:cacheprovider
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -354,6 +354,12 @@ class Session:
         """The adopted compiled index (None until :meth:`warm` runs)."""
         return self._index
 
+    @property
+    def verifier(self) -> Verifier | None:
+        """The warm verifier (None until :meth:`warm` runs, and without
+        AS relationships); a pool worker verifies its table chunks on it."""
+        return self._verifier
+
     def warm(self) -> "Session":
         """Adopt the compiled index and build the warm single-route verifier.
 

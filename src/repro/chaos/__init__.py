@@ -10,7 +10,7 @@ reproducible:
 * :mod:`repro.chaos.mutators` — seeded, composable corruptions of dump
   and table text;
 * :mod:`repro.chaos.faults` — runtime faults (kill a verify worker at a
-  chosen chunk, SIGKILL/SIGSTOP a serve-supervisor worker by PID, a TCP
+  chosen chunk, SIGKILL/SIGSTOP a pool worker by PID, a TCP
   proxy that drops the first N connections, a slow client that wedges
   thread-per-connection handlers);
 * :mod:`repro.chaos.harness` — :func:`run_chaos` drives every mutator
@@ -28,6 +28,7 @@ from repro.chaos.faults import (
     KillWorkerChunk,
     RaiseOnChunk,
     SlowClient,
+    hang_a_worker_at,
 )
 from repro.chaos.harness import ChaosCheck, ChaosReport, run_chaos
 from repro.chaos.mutators import DUMP_MUTATORS, MUTATORS, TABLE_MUTATORS
@@ -44,5 +45,6 @@ __all__ = [
     "RaiseOnChunk",
     "SlowClient",
     "TABLE_MUTATORS",
+    "hang_a_worker_at",
     "run_chaos",
 ]

@@ -7,11 +7,13 @@ inputs.  Both are built to be driven from tests and the chaos harness:
 * :class:`KillWorkerChunk` / :class:`RaiseOnChunk` plug into
   ``verify_table(fault_hook=...)`` (picklable, so they survive the trip
   into spawn-started workers);
-* :class:`KillServeWorker` / :class:`HungWorker` act on the serve
-  supervisor's worker processes *from outside*, by PID — SIGKILL for a
-  crash, SIGSTOP for a wedge the heartbeat must detect.  External
-  delivery matters: an in-worker hook would fire again in every
-  respawned worker and the pool could never heal;
+* :class:`KillServeWorker` / :class:`HungWorker` act on the worker
+  pool's processes *from outside*, by PID — SIGKILL for a crash,
+  SIGSTOP for a wedge the hang bound or the heartbeat must detect.
+  External delivery matters: an in-worker hook would fire again in every
+  respawned worker and the pool could never heal.
+  :func:`hang_a_worker_at` delivers :class:`HungWorker` to a table run's
+  pool, whose PIDs no caller sees;
 * :class:`FlakyTcpProxy` sits in front of a live server and RST-drops
   the first N connections, exercising client retry paths;
 * :class:`SlowClient` opens a connection and then just sits on it,
@@ -21,18 +23,21 @@ inputs.  Both are built to be driven from tests and the chaos harness:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
 import struct
 import threading
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 __all__ = [
     "KillWorkerChunk",
     "RaiseOnChunk",
     "KillServeWorker",
     "HungWorker",
+    "hang_a_worker_at",
     "FlakyTcpProxy",
     "SlowClient",
 ]
@@ -43,10 +48,10 @@ class KillWorkerChunk:
     """Kill the worker process that picks up one specific chunk.
 
     The hook fires in the worker before verification, so the chunk's work
-    is lost entirely — the parent sees ``BrokenProcessPool``.  The kill
-    repeats every time the chunk is retried in a worker (no cross-process
-    state exists to count attempts), which is exactly what drives the
-    requeue path to its serial fallback.
+    is lost entirely — the parent sees the worker's pipe close.  The kill
+    repeats every time the pool retries the chunk on another worker (no
+    cross-process state exists to count attempts), which is exactly what
+    drives the chunk back to the parent's in-process fallback.
     """
 
     chunk_index: int
@@ -61,8 +66,9 @@ class KillWorkerChunk:
 class RaiseOnChunk:
     """Raise inside the worker for one specific chunk (worker survives).
 
-    Distinguishes the chunk-scoped retry path from pool breakage: the
-    exception travels back through the future, the pool stays alive.
+    Distinguishes a failed chunk from a failed worker: the exception
+    travels back in the result frame, the chunk is verified in-process
+    by the parent, and the pool stays whole.
     """
 
     chunk_index: int
@@ -75,7 +81,7 @@ class RaiseOnChunk:
 
 @dataclass(frozen=True)
 class KillServeWorker:
-    """Crash one serve-supervisor worker: SIGKILL it by PID.
+    """Crash one pool worker: SIGKILL it by PID.
 
     Target a PID from ``WorkerSupervisor.worker_pids()``.  The
     supervisor must fail only that worker's in-flight batch (retried on
@@ -91,10 +97,10 @@ class KillServeWorker:
 
 @dataclass(frozen=True)
 class HungWorker:
-    """Wedge one serve-supervisor worker: SIGSTOP it by PID.
+    """Wedge one pool worker: SIGSTOP it by PID.
 
-    A stopped worker answers neither batches (caught by the per-batch
-    ``hang_timeout``) nor heartbeat pings (caught within
+    A stopped worker answers neither batches or table chunks (caught by
+    the per-batch hang bound) nor heartbeat pings (caught within
     ``heartbeat_interval + heartbeat_timeout`` while idle); either way
     the supervisor must SIGKILL and replace it.  SIGKILL terminates a
     stopped process, so no explicit SIGCONT cleanup is needed.
@@ -102,6 +108,25 @@ class HungWorker:
 
     def __call__(self, pid: int) -> None:
         os.kill(pid, signal.SIGSTOP)
+
+
+def hang_a_worker_at(entries: Iterable, position: int) -> Iterator:
+    """Yield ``entries``; on reaching ``position``, wedge one worker of
+    the pooled ``verify_table`` run that is consuming them.
+
+    The table's pool lives and dies inside the call, so the victim is
+    found among this process's children.  ``position`` must lie past the
+    first chunk — the pool starts once that chunk has been pulled.
+    """
+    for at, entry in enumerate(entries):
+        if at == position:
+            victim = next(
+                child
+                for child in multiprocessing.active_children()
+                if child.name.startswith("rpslyzer-verify-worker")
+            )
+            HungWorker()(victim.pid)
+        yield entry
 
 
 class FlakyTcpProxy:

@@ -34,6 +34,7 @@ from repro.chaos.faults import (
     KillServeWorker,
     KillWorkerChunk,
     SlowClient,
+    hang_a_worker_at,
 )
 from repro.chaos.mutators import DUMP_MUTATORS, TABLE_MUTATORS
 from repro.core.degradation import DegradationReport
@@ -245,7 +246,7 @@ def run_chaos(
             )
         )
 
-    # -- layer 2: verification with a worker killed mid-run -------------------
+    # -- layer 2: verification with a worker killed, then one wedged, mid-run --
     ir = world.merged_ir()
     baseline = verify_table(ir, world.topology, entries, processes=1)
     chunk_size = max(1, len(entries) // 8)
@@ -272,12 +273,33 @@ def run_chaos(
     check(
         ChaosCheck(
             "verify/degradation-recorded",
-            kinds.get("verify/worker-lost", 0) >= 1
+            kinds.get("verify/worker-crashed", 0) >= 1
             and kinds.get("verify/chunk-serial-fallback", 0) >= 1,
             str(dict(sorted(kinds.items()))),
         )
     )
     report.degradation.merge(chaotic.degradation)
+    # SIGSTOP reaches the worker from outside, once: the pool must notice
+    # (the chunk's hang bound, or the heartbeat if the victim sat idle),
+    # replace it, and still account for every route.
+    wedged = verify_table(
+        ir,
+        world.topology,
+        hang_a_worker_at(entries, chunk_size * 5 // 2),
+        processes=processes,
+        chunk_size=chunk_size,
+    )
+    observed = wedged.summary()
+    observed.pop("degradation")
+    kinds = wedged.degradation.by_kind()
+    check(
+        ChaosCheck(
+            "verify/worker-hang-exact-stats",
+            observed == expected and kinds.get("verify/worker-hung", 0) >= 1,
+            f"worker SIGSTOPped mid-run; {dict(sorted(kinds.items()))}",
+        )
+    )
+    report.degradation.merge(wedged.degradation)
 
     # -- layer 2b: decision traces survive worker death -----------------------
     # The same table traced serially and in parallel with a SIGKILLed worker

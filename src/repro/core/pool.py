@@ -1,33 +1,33 @@
-"""The worker-pool supervisor: self-healing multi-process query execution.
+"""The supervised worker pool: crash-isolated warm workers, never a lost batch.
 
-One executor thread serializing the non-thread-safe Session was the
-serve daemon's remaining bottleneck — and its remaining single point of
-failure: a crashed or wedged evaluation stalled every client.  This
-module adds the missing robustness layer, modeled on how the batch pool
-(:mod:`repro.core.parallel`) already survives dying workers:
+One pool serves both multi-process callers.  ``rpslyzer serve --workers N``
+ships query batches to it (component ``serve``); bulk
+:func:`~repro.core.parallel.verify_table` with ``processes=N`` ships table
+chunks (component ``verify``) over the same lease pipe, to the same worker
+body.  This module alone creates worker processes and pipes, and owns:
 
 * **warm workers** — each worker process builds its own
   :class:`~repro.api.Session` from the parent's parsed IR and compiled
   index (shared copy-on-write under ``fork``, pickled once under
-  ``spawn``), so it answers queries warm without ever recompiling.
+  ``spawn``), so it answers warm without ever recompiling, and its hop
+  cache carries from one batch or chunk to the next.
 * **supervision** — a monitor thread health-checks idle workers with
   heartbeat pings, SIGKILLs hung ones (a worker that stops answering
-  mid-batch is caught by the per-batch ``hang_timeout``), and respawns
+  mid-batch is caught by the per-batch hang bound), and respawns
   crashed ones with exponential backoff under a bounded *restart
-  budget*.  Budget exhausted ⇒ the pool degrades gracefully: the
-  service falls back to its in-process single-thread path and records
-  the event in the :class:`~repro.core.degradation.DegradationReport`
-  and ``/healthz``.
+  budget*.  Budget exhausted ⇒ the pool degrades: ``dispatch`` answers
+  None from then on and the caller runs its in-process serial path.
 * **crash isolation** — a dying worker fails only its in-flight batch,
-  which is retried on another worker with bounded attempts; the
-  service's serial fallback guarantees the clients still get verdicts.
+  which is retried on another worker with bounded attempts; a batch the
+  pool cannot place is handed back (None) for the caller to run itself.
 * **circuit breaker** — dispatch is wrapped in a closed/open/half-open
-  :class:`CircuitBreaker`, so a collapsing pool sheds to the serial
-  path immediately instead of timing out every batch.
-* **adaptive load shedding** — :class:`LatencyShedder` watches measured
-  queue-wait latency CoDel-style (shed while the wait has been above
-  ``target`` continuously for at least ``interval``) so the daemon
-  answers 429/``%% BUSY`` *before* the bounded queue fills.
+  :class:`CircuitBreaker`, so a collapsing pool hands work back
+  immediately instead of timing out every batch.
+
+Every fault is recorded as ``<component>/worker-crashed``,
+``worker-hung``, ``worker-restarted``, ``worker-spawn-failed`` or
+``pool-degraded`` in the caller's
+:class:`~repro.core.degradation.DegradationReport` (``docs/robustness.md``).
 
 Pipe discipline: a worker's :class:`~multiprocessing.connection.Connection`
 is only ever touched by whoever holds the worker leased from the free
@@ -45,24 +45,37 @@ import queue
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Sequence
 
+from repro.bgp.table import RouteEntry
 from repro.bgp.topology import AsRelationships
 from repro.core.compiled import CompiledIndex
 from repro.core.degradation import DegradationReport
-from repro.core.verify import VerifyOptions
+from repro.core.parallel import verify_into
+from repro.core.verify import Verifier, VerifyOptions
 from repro.ir.model import Ir
+from repro.obs import NULL_REGISTRY, MetricsRegistry, get_registry, set_registry
+from repro.obs.flight import NULL_FLIGHT
+from repro.obs.trace import Tracer, get_tracer, set_tracer
+from repro.stats.verification import VerificationStats
 
 __all__ = [
+    "ChunkRunner",
     "CircuitBreaker",
-    "LatencyShedder",
     "PoolUnavailable",
     "SupervisorConfig",
     "WorkerCrash",
     "WorkerSupervisor",
 ]
 
-log = logging.getLogger("repro.serve.supervisor")
+log = logging.getLogger("repro.core.pool")
+
+# A table chunk's hang bound grows with its length — a worker may spend
+# this long per route, hop cache cold, before it is presumed wedged —
+# and never drops below ``SupervisorConfig.hang_timeout``.
+CHUNK_SECONDS_PER_ROUTE = 0.005
 
 
 class WorkerCrash(RuntimeError):
@@ -78,7 +91,8 @@ class SupervisorConfig:
     """Knobs for the worker pool; defaults suit a local daemon.
 
     ``hang_timeout`` bounds one batch's execution in a worker — a worker
-    that exceeds it is presumed wedged and SIGKILLed.  ``heartbeat_*``
+    that exceeds it is presumed wedged and SIGKILLed (a table chunk's
+    bound grows from it with the chunk's length).  ``heartbeat_*``
     drive the idle-worker liveness probe.  ``restart_budget`` is the
     total number of respawns before the pool gives up and degrades to
     the in-process serial path; ``backoff_base``/``backoff_max`` shape
@@ -177,6 +191,7 @@ class CircuitBreaker:
         return True
 
     def record_success(self) -> None:
+        """A dispatch succeeded: close the breaker, reset the streak."""
         with self._lock:
             old = self._state
             self._consecutive = 0
@@ -185,6 +200,7 @@ class CircuitBreaker:
         self._notify(old, self.CLOSED)
 
     def record_failure(self) -> None:
+        """A dispatch failed: count it, opening (or re-opening) at the limit."""
         with self._lock:
             old = self._state
             self._probing = False
@@ -200,61 +216,130 @@ class CircuitBreaker:
         self._notify(old, new)
 
 
-class LatencyShedder:
-    """CoDel-style admission control on measured queue-wait latency.
+def _snapshot_delta(current: dict, previous: dict | None) -> dict:
+    """What ``current`` adds over ``previous`` (worker chunk boundaries).
 
-    ``observe(wait)`` is called with each executed query's time spent
-    queued; shedding turns on once the wait has been above ``target``
-    continuously for at least ``interval`` seconds, and turns off on the
-    first below-target observation.  ``should_shed()`` also expires
-    shedding when no observation has arrived for ``interval`` — a shed
-    queue goes quiet, and without the expiry nothing would ever be
-    admitted to produce the below-target observation that clears it.
+    The worker's registry accumulates for its whole life (so the verifier's
+    pre-bound instruments stay valid and the hop cache survives across
+    chunks); each chunk ships only the delta so the parent's merge stays an
+    exact sum.  Gauges are point-in-time and pass through unchanged.
+    """
+    if previous is None:
+        return current
+
+    def key(record: dict) -> tuple:
+        return (record["name"], tuple(sorted(record["labels"].items())))
+
+    prev_counters = {key(r): r for r in previous.get("counters", ())}
+    counters = []
+    for record in current.get("counters", ()):
+        before = prev_counters.get(key(record))
+        value = record["value"] - (before["value"] if before else 0)
+        if value:
+            counters.append({**record, "value": value})
+
+    prev_hists = {key(r): r for r in previous.get("histograms", ())}
+    histograms = []
+    for record in current.get("histograms", ()):
+        before = prev_hists.get(key(record))
+        if before is None:
+            if record["count"]:
+                histograms.append(record)
+            continue
+        count = record["count"] - before["count"]
+        if not count:
+            continue
+        histograms.append(
+            {
+                **record,
+                "bucket_counts": [
+                    now - then
+                    for now, then in zip(
+                        record["bucket_counts"], before["bucket_counts"]
+                    )
+                ],
+                "sum": record["sum"] - before["sum"],
+                "count": count,
+            }
+        )
+
+    prev_spans = {r["path"]: r for r in previous.get("spans", ())}
+    spans = []
+    for record in current.get("spans", ()):
+        before = prev_spans.get(record["path"])
+        if before is None:
+            spans.append(record)
+            continue
+        count = record["count"] - before["count"]
+        if not count:
+            continue
+        spans.append(
+            {
+                **record,
+                "count": count,
+                "wall_s": record["wall_s"] - before["wall_s"],
+                "cpu_s": record["cpu_s"] - before["cpu_s"],
+            }
+        )
+
+    return {
+        "counters": counters,
+        "gauges": current.get("gauges", []),
+        "histograms": histograms,
+        "spans": spans,
+    }
+
+
+class ChunkRunner:
+    """The worker's side of a pooled table run: chunks in, stats and a
+    metrics delta out.
+
+    One per worker process, because the cursor is per-registry: the
+    worker's registry accumulates for its whole life and each chunk ships
+    only what it added.  ``fault_hook(chunk_index)`` is chaos
+    instrumentation (picklable, so it survives the trip into a
+    spawn-started worker), called before the chunk is verified; never
+    set in production runs.
     """
 
     def __init__(
         self,
-        target: float = 0.1,
-        interval: float = 1.0,
-        clock=time.monotonic,
+        collect_metrics: bool,
+        fault_hook: Callable[[int], None] | None = None,
     ):
-        self.target = target
-        self.interval = interval
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._above_since: float | None = None
-        self._last_observation: float | None = None
-        self._shedding = False
+        self._collect_metrics = collect_metrics
+        self._fault_hook = fault_hook
+        self._last_snapshot: dict | None = None
 
-    @property
-    def shedding(self) -> bool:
-        return self._shedding
-
-    def observe(self, wait_s: float) -> None:
-        now = self._clock()
-        with self._lock:
-            self._last_observation = now
-            if wait_s < self.target:
-                self._above_since = None
-                self._shedding = False
-                return
-            if self._above_since is None:
-                self._above_since = now
-            elif now - self._above_since >= self.interval:
-                self._shedding = True
-
-    def should_shed(self) -> bool:
-        with self._lock:
-            if not self._shedding:
-                return False
-            if (
-                self._last_observation is None
-                or self._clock() - self._last_observation > self.interval
-            ):
-                self._shedding = False
-                self._above_since = None
-                return False
-            return True
+    def run(
+        self, verifier: Verifier, index: int, entries: Sequence[RouteEntry]
+    ) -> tuple[VerificationStats, dict | None]:
+        """Verify chunk ``index`` on the worker's persistent ``verifier``;
+        returns its stats and what it added to the worker's registry."""
+        if self._fault_hook is not None:
+            self._fault_hook(index)
+        registry = get_registry()
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.chunk_id = index
+        stats = VerificationStats()
+        try:
+            with registry.span("verify/worker"):
+                verify_into(verifier, entries, stats)
+        except BaseException:
+            # A mid-chunk failure must still advance the snapshot cursor:
+            # whatever this partial attempt recorded is baked into the worker's
+            # cumulative registry, and without moving the cursor the next
+            # chunk on this worker would ship a delta that double-counts it.
+            if self._collect_metrics:
+                self._last_snapshot = registry.snapshot()
+            raise
+        if not self._collect_metrics:
+            return stats, None
+        snapshot = registry.snapshot()
+        delta = _snapshot_delta(snapshot, self._last_snapshot)
+        self._last_snapshot = snapshot
+        return stats, delta
 
 
 def _worker_main(
@@ -264,17 +349,21 @@ def _worker_main(
     relationships: AsRelationships,
     options: VerifyOptions | None,
     index: CompiledIndex | None,
+    observability: tuple,
+    fault_hook: Callable[[int], None] | None,
 ) -> None:
-    """The worker process body: one warm Session answering batch frames.
+    """The worker process body: one warm Session answering frames.
 
     Frames in: ``("batch", batch_id, items)`` where each item is
-    ``(kind, prefix, as_path, collector, request_id)``, ``("ping",
-    seq)``, ``("reload", expected_generation, journal)``, and
-    ``("stop",)``.  Frames out: ``("ready", pid)`` once warm,
-    ``("result", batch_id, outcomes, flight_lines)`` with per-item
-    ``("ok", payload)`` or ``("err", message)``, ``("pong", seq)``, and
-    ``("reloaded", generation, degraded)`` / ``("reload-failed",
-    message)``.
+    ``(kind, prefix, as_path, collector, request_id)``, ``("chunk",
+    batch_id, (chunk_index, entries))``, ``("ping", seq)``, ``("reload",
+    expected_generation, journal)``, and ``("stop",)``.  Frames out:
+    ``("ready", pid)`` once warm, ``("result", batch_id, payload,
+    flight_lines)``, ``("pong", seq)``, and ``("reloaded", generation,
+    degraded)`` / ``("reload-failed", message)``.  A batch's payload is
+    one ``("ok", payload)`` or ``("err", message)`` per item; a chunk's
+    is ``("ok", stats, metrics_delta)`` (see :class:`ChunkRunner`) or
+    ``("err", message)`` — the worker outlives a chunk that raised.
 
     The worker keeps its own small :class:`~repro.obs.flight.FlightRecorder`
     and stamps a ``worker-execute`` event (carrying the request's
@@ -289,21 +378,35 @@ def _worker_main(
     pipe instead of re-pickling the whole index.  The generation check
     makes redundant reloads no-ops.
     """
-    # Imported lazily: under spawn this module is re-imported in the
-    # child, and repro.serve.core imports this module at its top level.
+    # Imported lazily: repro.serve.core imports this module at its top
+    # level, and repro.api is imported by it.
     from repro.api import Session
-    from repro.core.parallel import reset_worker_observability
     from repro.obs.flight import FlightRecorder
     from repro.serve.core import report_as_dict
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    reset_worker_observability(False)
+    pid = os.getpid()
+    # Fresh per-process observability: a worker must never write into a
+    # registry or tracer inherited across fork (the parent would never read
+    # the child's copy).  A traced table run's workers spill to per-worker
+    # JSONL files the parent merges after the pool stops.
+    collect_metrics, trace_config, trace_dir = observability
+    set_registry(MetricsRegistry() if collect_metrics else None)
+    set_tracer(
+        Tracer(
+            trace_config,
+            sink=Path(trace_dir) / f"worker-{pid}.jsonl",
+            worker_id=pid,
+        )
+        if trace_config is not None and trace_dir is not None
+        else None
+    )
     session = Session(ir, relationships, options=options, index=index)
     session.warm()
+    chunks = ChunkRunner(collect_metrics, fault_hook)
     # A small local ring: drained into every result frame, so its
     # capacity only needs to cover one batch's worth of events.
     recorder = FlightRecorder(capacity=256)
-    pid = os.getpid()
     recorder.record("worker-online", worker=worker_id, pid=pid)
     conn.send(("ready", pid))
     while True:
@@ -339,37 +442,43 @@ def _worker_main(
             conn.send(("reloaded", session.generation, bool(report)))
             continue
         batch_id, items = message[1], message[2]
-        outcomes = []
-        for query_kind, prefix, as_path, collector, request_id in items:
-            item_start = time.monotonic()
+        if kind == "chunk":
             try:
-                if query_kind == "explain":
-                    report, events = session.explain(
-                        prefix, as_path, collector=collector
-                    )
-                    payload = report_as_dict(report)
-                    payload["events"] = events
-                else:
-                    report = session.verify_route(
-                        prefix, as_path, collector=collector
-                    )
-                    payload = report_as_dict(report)
-                outcomes.append(("ok", payload))
-                item_outcome = "ok"
-            except Exception as exc:  # noqa: BLE001 - per-query isolation
-                outcomes.append(("err", str(exc)))
-                item_outcome = "err"
-            recorder.record(
-                "worker-execute",
-                request_id=request_id or None,
-                worker=worker_id,
-                pid=pid,
-                endpoint=query_kind,
-                outcome=item_outcome,
-                ms=round((time.monotonic() - item_start) * 1000.0, 3),
-            )
+                payload = ("ok", *chunks.run(session.verifier, *items))
+            except Exception as exc:  # noqa: BLE001 - the parent verifies it
+                payload = ("err", f"{type(exc).__name__}: {exc}")
+        else:
+            payload = []
+            for query_kind, prefix, as_path, collector, request_id in items:
+                item_start = time.monotonic()
+                try:
+                    if query_kind == "explain":
+                        report, events = session.explain(
+                            prefix, as_path, collector=collector
+                        )
+                        answer = report_as_dict(report)
+                        answer["events"] = events
+                    else:
+                        report = session.verify_route(
+                            prefix, as_path, collector=collector
+                        )
+                        answer = report_as_dict(report)
+                    payload.append(("ok", answer))
+                    item_outcome = "ok"
+                except Exception as exc:  # noqa: BLE001 - per-query isolation
+                    payload.append(("err", str(exc)))
+                    item_outcome = "err"
+                recorder.record(
+                    "worker-execute",
+                    request_id=request_id or None,
+                    worker=worker_id,
+                    pid=pid,
+                    endpoint=query_kind,
+                    outcome=item_outcome,
+                    ms=round((time.monotonic() - item_start) * 1000.0, 3),
+                )
         try:
-            conn.send(("result", batch_id, outcomes, recorder.drain_lines()))
+            conn.send(("result", batch_id, payload, recorder.drain_lines()))
         except (BrokenPipeError, OSError):
             return
 
@@ -382,16 +491,20 @@ class _Worker:
     process: multiprocessing.Process
     conn: object
     pid: int
-    started: float = field(default_factory=time.monotonic)
 
 
 class WorkerSupervisor:
     """Owns the pool: spawn, lease, heartbeat, restart, degrade.
 
-    ``execute``/``dispatch`` are called from the batcher's executor
-    threads; the monitor thread runs heartbeats and respawns.  Every
-    state transition lands in the supervisor's metrics (when a registry
-    is given) and crashes/degradation in the ``degradation`` report.
+    ``dispatch``/``dispatch_chunk`` are awaited on the caller's event
+    loop (the serve daemon's, or the table client's own); the monitor
+    thread runs heartbeats and respawns.  Every state transition lands
+    in the supervisor's metrics (when a registry is given) and
+    crashes/degradation in the ``degradation`` report, under the
+    caller's ``component`` (``serve`` or ``verify``).
+    ``observability`` — ``(collect_metrics, trace_config, trace_dir)`` —
+    is what each worker installs for itself and ``fault_hook`` its
+    :class:`ChunkRunner` hook; both only a table run sets.
     """
 
     def __init__(
@@ -402,10 +515,13 @@ class WorkerSupervisor:
         index: CompiledIndex | None,
         config: SupervisorConfig | None = None,
         *,
-        registry=None,
+        registry: MetricsRegistry = NULL_REGISTRY,
         metrics_lock: threading.Lock | None = None,
         degradation: DegradationReport | None = None,
-        flight=None,
+        flight=NULL_FLIGHT,
+        component: str = "serve",
+        observability: tuple = (False, None, None),
+        fault_hook: Callable[[int], None] | None = None,
     ):
         self.config = config or SupervisorConfig()
         if self.config.workers < 1:
@@ -414,6 +530,9 @@ class WorkerSupervisor:
         self._relationships = relationships
         self._options = options
         self._index = index
+        self.component = component
+        self._observability = observability
+        self._fault_hook = fault_hook
         start_method = self.config.start_method or (
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
@@ -423,10 +542,6 @@ class WorkerSupervisor:
         self.degradation = (
             degradation if degradation is not None else DegradationReport()
         )
-        if flight is None:
-            from repro.obs.flight import NULL_FLIGHT
-
-            flight = NULL_FLIGHT
         self.flight = flight
         self.breaker = CircuitBreaker(
             failures=self.config.breaker_failures,
@@ -434,7 +549,7 @@ class WorkerSupervisor:
             on_transition=self._on_breaker_transition,
         )
         self.degraded = False
-        self._stopping = False
+        self._stopping = threading.Event()
         self._lock = threading.Lock()
         self._free: queue.Queue[_Worker] = queue.Queue()
         self._workers: dict[int, _Worker] = {}
@@ -445,16 +560,11 @@ class WorkerSupervisor:
         self._monitor: threading.Thread | None = None
         self._registry = registry
         self._metrics_lock = metrics_lock or threading.Lock()
-        if registry is not None:
-            self._gauge_live = registry.gauge("serve_workers_live")
-            self._gauge_restarting = registry.gauge("serve_workers_restarting")
-            self._counter_restarts = registry.counter("serve_worker_restarts_total")
-            self._gauge_breaker = registry.gauge("serve_breaker_state")
-            self._gauge_degraded = registry.gauge("serve_degraded")
-        else:
-            self._gauge_live = self._gauge_restarting = None
-            self._counter_restarts = self._gauge_breaker = None
-            self._gauge_degraded = None
+        self._gauge_live = registry.gauge(f"{component}_workers_live")
+        self._gauge_restarting = registry.gauge(f"{component}_workers_restarting")
+        self._counter_restarts = registry.counter(f"{component}_worker_restarts_total")
+        self._gauge_breaker = registry.gauge(f"{component}_breaker_state")
+        self._gauge_degraded = registry.gauge(f"{component}_degraded")
 
     def _on_breaker_transition(self, old: str, new: str) -> None:
         """Flight-record every breaker transition; dump the ring on open.
@@ -483,12 +593,16 @@ class WorkerSupervisor:
             try:
                 self._admit(self._spawn_worker())
             except WorkerCrash as exc:
-                self._note_restart_needed(f"startup spawn failed: {exc}")
+                self.degradation.record(
+                    self.component,
+                    "worker-spawn-failed",
+                    f"startup spawn failed: {exc}",
+                )
         if not self._workers:
             self._degrade("no worker survived startup")
         self._monitor = threading.Thread(
             target=self._monitor_loop,
-            name="rpslyzer-serve-supervisor",
+            name=f"rpslyzer-{self.component}-supervisor",
             daemon=True,
         )
         self._monitor.start()
@@ -496,12 +610,19 @@ class WorkerSupervisor:
         return self
 
     def stop(self) -> None:
-        """Kill every worker and stop the monitor thread."""
-        self._stopping = True
+        """Stop the monitor thread, then kill every worker.
+
+        In that order: a monitor caught inside ``_spawn_worker`` (seconds
+        under ``spawn``) still admits the worker it was starting, and only
+        a sweep that runs after the thread is gone finds it.
+        """
+        self._stopping.set()
+        if self._monitor is not None:
+            self._monitor.join(timeout=self.config.spawn_timeout)
+            self._monitor = None
         with self._lock:
             workers = list(self._workers.values())
             self._workers.clear()
-        # Drain the free queue so the monitor can't lease a dying worker.
         while True:
             try:
                 self._free.get_nowait()
@@ -509,9 +630,6 @@ class WorkerSupervisor:
                 break
         for worker in workers:
             self._terminate(worker)
-        if self._monitor is not None:
-            self._monitor.join(timeout=5)
-            self._monitor = None
         self._publish_metrics()
 
     def _terminate(self, worker: _Worker) -> None:
@@ -520,16 +638,21 @@ class WorkerSupervisor:
         except (BrokenPipeError, OSError):
             pass
         worker.process.join(timeout=0.5)
-        if worker.process.is_alive():
-            try:
-                os.kill(worker.pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):  # pragma: no cover
-                pass
-            worker.process.join(timeout=5)
+        self._reap(worker.process, worker.conn)
+
+    @staticmethod
+    def _reap(process, conn) -> None:
+        """SIGKILL a worker that is still running and release its pipe and
+        process handle now — a pool is started and stopped per table run,
+        so its descriptors cannot wait for a garbage collection."""
+        process.kill()
+        process.join(timeout=5)
         try:
-            worker.conn.close()
+            conn.close()
         except OSError:  # pragma: no cover
             pass
+        if not process.is_alive():
+            process.close()
 
     # -- spawning ----------------------------------------------------------
 
@@ -547,23 +670,21 @@ class WorkerSupervisor:
                 self._relationships,
                 self._options,
                 self._index,
+                self._observability,
+                self._fault_hook,
             ),
-            name=f"rpslyzer-serve-worker-{worker_id}",
+            name=f"rpslyzer-{self.component}-worker-{worker_id}",
             daemon=True,
         )
         process.start()
         child_conn.close()
         if not parent_conn.poll(self.config.spawn_timeout):
-            process.kill()
-            process.join(timeout=5)
-            parent_conn.close()
+            self._reap(process, parent_conn)
             raise WorkerCrash(f"worker {worker_id} never reported ready")
         try:
             message = parent_conn.recv()
         except (EOFError, OSError) as exc:
-            process.kill()
-            process.join(timeout=5)
-            parent_conn.close()
+            self._reap(process, parent_conn)
             raise WorkerCrash(f"worker {worker_id} died during warmup") from exc
         assert message[0] == "ready"
         return _Worker(worker_id, process, parent_conn, message[1])
@@ -577,18 +698,13 @@ class WorkerSupervisor:
         self._free.put(worker)
         self._consecutive_spawn_failures = 0
 
-    # -- leasing and execution (batcher executor threads) -------------------
+    # -- leasing (blocking: reload's sweep, on an executor thread) ------------
 
     def _lease(self) -> _Worker:
         deadline = time.monotonic() + self.config.lease_timeout
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise PoolUnavailable(
-                    f"no worker free within {self.config.lease_timeout:g}s"
-                )
             try:
-                worker = self._free.get(timeout=remaining)
+                worker = self._free.get(timeout=max(0.0, deadline - time.monotonic()))
             except queue.Empty:
                 raise PoolUnavailable(
                     f"no worker free within {self.config.lease_timeout:g}s"
@@ -599,88 +715,13 @@ class WorkerSupervisor:
                 return worker
             # A worker retired while sitting in the free queue: skip it.
 
-    def execute(self, items: list) -> tuple[list, dict]:
-        """Run one batch on a leased worker; raises on crash or hang.
-
-        Returns ``(outcomes, timings)`` where ``timings`` holds the
-        batch's ``dispatch_s`` (lease wait) and ``execute_s`` (pipe
-        round-trip including verification) — the stage breakdown the
-        telemetry attributes to every request in the batch.
-        """
-        lease_start = time.monotonic()
-        worker = self._lease()
-        dispatch_s = time.monotonic() - lease_start
-        with self._lock:
-            self._batch_seq += 1
-            batch_id = self._batch_seq
-        execute_start = time.monotonic()
-        try:
-            worker.conn.send(("batch", batch_id, items))
-            while True:
-                if not worker.conn.poll(self.config.hang_timeout):
-                    raise TimeoutError(
-                        f"no result within hang_timeout={self.config.hang_timeout:g}s"
-                    )
-                message = worker.conn.recv()
-                if message[0] == "result" and message[1] == batch_id:
-                    outcomes = message[2]
-                    self.flight.absorb(message[3])
-                    break
-                # Stale frame (a late pong): ignore and keep reading.
-        except (EOFError, BrokenPipeError, OSError, TimeoutError) as exc:
-            why = "hung" if isinstance(exc, TimeoutError) else "crashed"
-            self._retire(worker, why)
-            raise WorkerCrash(
-                f"worker {worker.worker_id} {why} mid-batch: {exc}"
-            ) from exc
-        self._free.put(worker)
-        return outcomes, {
-            "dispatch_s": dispatch_s,
-            "execute_s": time.monotonic() - execute_start,
-        }
-
-    def dispatch(self, items: list) -> tuple[list, dict] | None:
-        """Breaker-wrapped, bounded-retry execute.
-
-        Returns ``(outcomes, timings)``, or None when the pool cannot
-        serve this batch (breaker open, degraded, no worker available,
-        retries exhausted) — the caller then falls back to its serial
-        path, so no client request is ever lost to a dying worker.
-        """
-        if self.degraded or self._stopping:
-            return None
-        if not self.breaker.allow():
-            return None
-        failure: Exception | None = None
-        for _ in range(self.config.batch_retries + 1):
-            try:
-                dispatched = self.execute(items)
-            except PoolUnavailable as exc:
-                self.breaker.record_failure()
-                self._publish_metrics()
-                failure = exc
-                break
-            except WorkerCrash as exc:
-                self.breaker.record_failure()
-                failure = exc
-                continue
-            else:
-                self.breaker.record_success()
-                self._publish_metrics()
-                return dispatched
-        log.warning("pool dispatch failed, falling back serially: %s", failure)
-        self._publish_metrics()
-        return None
-
-    # -- async dispatch (the event-loop fast path) ---------------------------
+    # -- dispatch (on the caller's event loop) ---------------------------------
     #
-    # The thread-based execute() parks an executor thread on conn.poll()
-    # per batch; every wakeup then has to win the GIL back from the busy
-    # event loop, which under sustained load costs more than the batch
-    # itself.  The async variant keeps all parent-side work on the loop
-    # thread — send, await readability via add_reader, recv — so worker
-    # processes run truly in parallel with zero thread churn.  Semantics
-    # (lease exclusivity, breaker, retries, retirement) are identical.
+    # All parent-side work of a batch happens on the loop thread — send,
+    # await readability via add_reader, recv — so no thread is parked on a
+    # pipe per batch: under the serve daemon every such thread's wakeup had
+    # to win the GIL back from the busy loop, which cost more than the batch
+    # itself.  The table client runs the same coroutines on a loop of its own.
 
     async def _lease_async(self) -> _Worker:
         loop = asyncio.get_running_loop()
@@ -713,8 +754,16 @@ class WorkerSupervisor:
         finally:
             loop.remove_reader(fd)
 
-    async def execute_async(self, items: list) -> tuple[list, dict]:
-        """execute(), but awaiting the pipe on the event loop."""
+    async def execute(
+        self, kind: str, items, hang_timeout: float
+    ) -> tuple[list, dict]:
+        """Run one ``kind`` frame on a leased worker; raises on crash or hang.
+
+        Returns ``(payload, timings)`` where ``timings`` holds the
+        batch's ``dispatch_s`` (lease wait) and ``execute_s`` (pipe
+        round-trip including verification) — the stage breakdown the
+        telemetry attributes to every request in the batch.
+        """
         lease_start = time.monotonic()
         worker = await self._lease_async()
         dispatch_s = time.monotonic() - lease_start
@@ -723,9 +772,9 @@ class WorkerSupervisor:
             batch_id = self._batch_seq
         execute_start = time.monotonic()
         try:
-            worker.conn.send(("batch", batch_id, items))
+            worker.conn.send((kind, batch_id, items))
             while True:
-                await self._readable(worker.conn, self.config.hang_timeout)
+                await self._readable(worker.conn, hang_timeout)
                 message = worker.conn.recv()
                 if message[0] == "result" and message[1] == batch_id:
                     outcomes = message[2]
@@ -749,16 +798,26 @@ class WorkerSupervisor:
             "execute_s": time.monotonic() - execute_start,
         }
 
-    async def dispatch_async(self, items: list) -> tuple[list, dict] | None:
-        """dispatch(), breaker and retries included, on the event loop."""
-        if self.degraded or self._stopping:
+    async def dispatch(
+        self, items, *, kind: str = "batch", hang_timeout: float | None = None
+    ) -> tuple[list, dict] | None:
+        """Breaker-wrapped, bounded-retry execute.
+
+        Returns ``(payload, timings)``, or None when the pool cannot
+        serve this batch (breaker open, degraded, no worker available,
+        retries exhausted) — the caller then falls back to its serial
+        path, so no batch is ever lost to a dying worker.
+        """
+        if self.degraded or self._stopping.is_set():
             return None
         if not self.breaker.allow():
             return None
+        if hang_timeout is None:
+            hang_timeout = self.config.hang_timeout
         failure: Exception | None = None
         for _ in range(self.config.batch_retries + 1):
             try:
-                dispatched = await self.execute_async(items)
+                dispatched = await self.execute(kind, items, hang_timeout)
             except PoolUnavailable as exc:
                 self.breaker.record_failure()
                 self._publish_metrics()
@@ -774,6 +833,18 @@ class WorkerSupervisor:
         log.warning("pool dispatch failed, falling back serially: %s", failure)
         self._publish_metrics()
         return None
+
+    async def dispatch_chunk(
+        self, index: int, entries: Sequence[RouteEntry]
+    ) -> tuple[tuple, dict] | None:
+        """Dispatch one table chunk under a hang bound scaled to its length."""
+        return await self.dispatch(
+            (index, entries),
+            kind="chunk",
+            hang_timeout=max(
+                self.config.hang_timeout, len(entries) * CHUNK_SECONDS_PER_ROUTE
+            ),
+        )
 
     # -- hot swap -------------------------------------------------------------
 
@@ -871,17 +942,11 @@ class WorkerSupervisor:
             known = self._workers.pop(worker.worker_id, None)
         if known is None:
             return  # already retired by another path
-        try:
-            os.kill(worker.pid, signal.SIGKILL)
-        except (ProcessLookupError, OSError):
-            pass
-        worker.process.join(timeout=5)
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._reap(worker.process, worker.conn)
         self.degradation.record(
-            "serve", f"worker-{why}", f"worker {worker.worker_id} (pid {worker.pid})"
+            self.component,
+            f"worker-{why}",
+            f"worker {worker.worker_id} (pid {worker.pid})",
         )
         self.flight.record(
             "worker-retired", worker=worker.worker_id, pid=worker.pid, why=why
@@ -891,14 +956,11 @@ class WorkerSupervisor:
         )
         self._publish_metrics()
 
-    def _note_restart_needed(self, why: str) -> None:
-        self.degradation.record("serve", "worker-spawn-failed", why)
-
     def _degrade(self, why: str) -> None:
         if self.degraded:
             return
         self.degraded = True
-        self.degradation.record("serve", "pool-degraded", why)
+        self.degradation.record(self.component, "pool-degraded", why)
         self.flight.record("pool-degraded", why=why)
         # Restart-budget exhaustion is a forensic moment: the ring holds
         # the retirement sequence that burned the budget.
@@ -909,10 +971,9 @@ class WorkerSupervisor:
         self._publish_metrics()
 
     def _monitor_loop(self) -> None:
-        while not self._stopping:
-            time.sleep(self.config.heartbeat_interval)
-            if self._stopping:
-                return
+        # stop() wakes the wait: a pool is stopped at the end of every
+        # pooled table run, which must not sit out a heartbeat interval.
+        while not self._stopping.wait(self.config.heartbeat_interval):
             try:
                 self._respawn_missing()
                 self._heartbeat_idle()
@@ -938,20 +999,21 @@ class WorkerSupervisor:
                     self.config.backoff_max,
                 )
                 time.sleep(delay)
-            if self._stopping:
+            if self._stopping.is_set():
                 return
             self.restarts += 1
-            if self._counter_restarts is not None:
-                with self._metrics_lock:
-                    self._counter_restarts.inc()
+            with self._metrics_lock:
+                self._counter_restarts.inc()
             try:
                 self._admit(self._spawn_worker())
             except WorkerCrash as exc:
                 self._consecutive_spawn_failures += 1
-                self._note_restart_needed(str(exc))
+                self.degradation.record(
+                    self.component, "worker-spawn-failed", str(exc)
+                )
                 self.flight.record("worker-spawn-failed", error=str(exc)[:200])
             else:
-                self.degradation.record("serve", "worker-restarted")
+                self.degradation.record(self.component, "worker-restarted")
                 self.flight.record(
                     "worker-respawn",
                     restarts=self.restarts,
@@ -1020,7 +1082,7 @@ class WorkerSupervisor:
         }
 
     def _publish_metrics(self) -> None:
-        if self._gauge_live is None:
+        if not self._registry.enabled:
             return
         snapshot = self.state()
         breaker_code = {"closed": 0.0, "half-open": 1.0, "open": 2.0}

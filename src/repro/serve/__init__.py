@@ -23,7 +23,8 @@ carries a deadline, the queue is bounded with
 explicit backpressure (HTTP 429 / ``%% BUSY``), and SIGTERM drains
 in-flight work before exiting.  With ``ServeConfig(workers=N)`` the
 batches execute on a supervised pool of warm worker processes
-(:mod:`repro.serve.supervisor`): heartbeat health checks, SIGKILL +
+(:mod:`repro.core.pool`, the one bulk ``verify_table`` uses): heartbeat
+health checks, SIGKILL +
 respawn of hung/crashed workers under a restart budget, a circuit
 breaker around dispatch, CoDel-style load shedding on measured
 queue-wait latency, and graceful degradation to the in-process serial
@@ -54,11 +55,13 @@ Programmatic use::
         ...  # query http://127.0.0.1:<handle.http_port>/verify
 """
 
+from repro.core.pool import CircuitBreaker, SupervisorConfig, WorkerSupervisor
 from repro.serve.batcher import MicroBatcher
 from repro.serve.core import (
     BadRequestError,
     BusyError,
     DeadlineExpired,
+    LatencyShedder,
     Query,
     ServeConfig,
     ServeError,
@@ -66,12 +69,6 @@ from repro.serve.core import (
     report_as_dict,
 )
 from repro.serve.daemon import ServeDaemon, ServeHandle
-from repro.serve.supervisor import (
-    CircuitBreaker,
-    LatencyShedder,
-    SupervisorConfig,
-    WorkerSupervisor,
-)
 
 __all__ = [
     "BadRequestError",

@@ -10,7 +10,7 @@ handlers stay thin:
   :class:`BusyError`, which the front-ends translate to HTTP 429 or
   ``%% BUSY``.  Nothing in the daemon buffers unboundedly.
 * **adaptive load shedding** — with a worker pool attached, a
-  :class:`~repro.serve.supervisor.LatencyShedder` watches measured
+  :class:`LatencyShedder` watches measured
   queue-wait latency and refuses admission (429/``%% BUSY``) while the
   wait stays above target, *before* the queue fills.
 * **per-request deadlines** — every query carries a wall deadline
@@ -35,7 +35,7 @@ handlers stay thin:
   a reload holds the session (:meth:`VerifyService._run_batch_async`).
 * **supervised execution** — with ``workers > 0`` batches ship to a
   self-healing pool of warm worker processes
-  (:class:`~repro.serve.supervisor.WorkerSupervisor`); a batch the pool
+  (:class:`~repro.core.pool.WorkerSupervisor`); a batch the pool
   cannot serve (crashes, open breaker, degraded pool) falls back to the
   in-process serial path, so every admitted request still gets its
   verdict.
@@ -78,18 +78,15 @@ from repro.obs.flight import (
     clean_request_id,
     new_request_id,
 )
+from repro.core.pool import SupervisorConfig, WorkerSupervisor
 from repro.serve.batcher import MicroBatcher, QueueFull
-from repro.serve.supervisor import (
-    LatencyShedder,
-    SupervisorConfig,
-    WorkerSupervisor,
-)
 from repro.serve.telemetry import STAGES, AccessLog, RequestTelemetry
 
 __all__ = [
     "BadRequestError",
     "BusyError",
     "DeadlineExpired",
+    "LatencyShedder",
     "Query",
     "ServeConfig",
     "ServeError",
@@ -143,7 +140,7 @@ class ServeConfig:
     SIGTERM drain.
 
     ``workers`` > 0 attaches the self-healing multi-process pool (see
-    :mod:`repro.serve.supervisor`); 0 (the default) executes in-process,
+    :mod:`repro.core.pool`); 0 (the default) executes in-process,
     on the event loop.  ``shed_target`` of ``None``
     auto-enables CoDel-style load shedding at a 100 ms queue-wait target
     when a pool is attached and disables it otherwise; a float forces
@@ -282,6 +279,63 @@ def report_as_dict(report: RouteReport) -> dict:
         ],
         "text": str(report),
     }
+
+
+class LatencyShedder:
+    """CoDel-style admission control on measured queue-wait latency.
+
+    ``observe(wait)`` is called with each executed query's time spent
+    queued; shedding turns on once the wait has been above ``target``
+    continuously for at least ``interval`` seconds, and turns off on the
+    first below-target observation.  ``should_shed()`` also expires
+    shedding when no observation has arrived for ``interval`` — a shed
+    queue goes quiet, and without the expiry nothing would ever be
+    admitted to produce the below-target observation that clears it.
+    """
+
+    def __init__(
+        self,
+        target: float = 0.1,
+        interval: float = 1.0,
+        clock=time.monotonic,
+    ):
+        self.target = target
+        self.interval = interval
+        self._clock = clock
+        self._lock = threading.Lock()
+        self._above_since: float | None = None
+        self._last_observation: float | None = None
+        self._shedding = False
+
+    @property
+    def shedding(self) -> bool:
+        return self._shedding
+
+    def observe(self, wait_s: float) -> None:
+        now = self._clock()
+        with self._lock:
+            self._last_observation = now
+            if wait_s < self.target:
+                self._above_since = None
+                self._shedding = False
+                return
+            if self._above_since is None:
+                self._above_since = now
+            elif now - self._above_since >= self.interval:
+                self._shedding = True
+
+    def should_shed(self) -> bool:
+        with self._lock:
+            if not self._shedding:
+                return False
+            if (
+                self._last_observation is None
+                or self._clock() - self._last_observation > self.interval
+            ):
+                self._shedding = False
+                self._above_since = None
+                return False
+            return True
 
 
 @dataclass(slots=True)
@@ -705,8 +759,7 @@ class VerifyService:
         batch: Sequence[_Pending],
         fault_hook: Callable[[Sequence[Query]], None] | None = None,
     ) -> list:
-        """Execute one coalesced batch synchronously — in-process, or
-        through the pool's blocking dispatch on the degraded/chaos path.
+        """Execute one coalesced batch synchronously, in-process.
 
         Returns an outcome per item; exceptions become the waiter's
         exception.  Queries whose deadline passed while queued are
@@ -718,13 +771,20 @@ class VerifyService:
             fault_hook([pending.query for pending in batch])
         outcomes, live = self._admit_batch(batch)
         if live:
-            results, timings = self._execute_queries(
-                [batch[position].query for position in live]
-            )
-            self._apply_batch_timings(batch, live, timings)
-            for position, result in zip(live, results):
+            for position, result in zip(live, self._execute_live(batch, live)):
                 outcomes[position] = result
         return outcomes
+
+    def _execute_live(self, batch: Sequence[_Pending], live: Sequence[int]) -> list:
+        """A batch's live queries on the in-process path, timed."""
+        if self.degraded:
+            self._note_degraded()
+        serial_start = time.monotonic()
+        results = self._execute_serial([batch[position].query for position in live])
+        self._apply_batch_timings(
+            batch, live, {"execute_s": time.monotonic() - serial_start}
+        )
+        return results
 
     def _admit_batch(self, batch: Sequence[_Pending]) -> tuple[list, list[int]]:
         """Per-item bookkeeping shared by the sync and async batch paths:
@@ -783,12 +843,13 @@ class VerifyService:
         * no pool, but a ``reload`` is patching the session: on the
           executor, where the batch queues behind the patch.  The loop
           never *blocks* on ``_serial_lock`` — it only try-acquires it.
-        * a chaos ``fault_hook`` is installed, or the pool has degraded
-          to serial: on the executor (hooks sleep; degraded batches from
-          several slots contend for the session).
+        * no healthy pool, and a chaos ``fault_hook`` is installed or the
+          pool has degraded to serial: on the executor (hooks sleep;
+          degraded batches from several slots contend for the session).
         * a healthy pool: dispatched from the loop, awaiting the worker's
-          pipe — falling back to the executor for this batch's queries
-          when the pool cannot serve them.
+          pipe — after the chaos hook, if any, has run on the executor,
+          and falling back to the executor for this batch's queries when
+          the pool cannot serve them.
         """
         supervisor = self.supervisor
         fault_hook = self.fault_hook  # read once: tests set it from other threads
@@ -801,14 +862,17 @@ class VerifyService:
                 return self._run_batch(batch)
             finally:
                 self._serial_lock.release()
-        if fault_hook is not None or supervisor is None or supervisor.degraded:
+        if supervisor is None or supervisor.degraded:
             return await self._batcher.run_blocking(
                 self._run_batch, batch, fault_hook
+            )
+        if fault_hook is not None:
+            await self._batcher.run_blocking(
+                fault_hook, [pending.query for pending in batch]
             )
         outcomes, live = self._admit_batch(batch)
         if not live:
             return outcomes
-        queries = [batch[position].query for position in live]
         items = [
             (
                 query.kind,
@@ -817,9 +881,9 @@ class VerifyService:
                 query.collector,
                 query.request_id,
             )
-            for query in queries
+            for query in (batch[position].query for position in live)
         ]
-        dispatched = await supervisor.dispatch_async(items)
+        dispatched = await supervisor.dispatch(items)
         if dispatched is not None:
             batch_outcomes, timings = dispatched
             self._apply_batch_timings(batch, live, timings)
@@ -828,51 +892,12 @@ class VerifyService:
                 for tag, payload in batch_outcomes
             ]
         else:
-            if supervisor.degraded:
-                self._note_degraded()
-            serial_start = time.monotonic()
             results = await self._batcher.run_blocking(
-                self._execute_serial, queries
-            )
-            self._apply_batch_timings(
-                batch, live, {"execute_s": time.monotonic() - serial_start}
+                self._execute_live, batch, live
             )
         for position, result in zip(live, results):
             outcomes[position] = result
         return outcomes
-
-    def _execute_queries(
-        self, queries: Sequence[Query]
-    ) -> tuple[list, dict | None]:
-        """Run queries through the pool, falling back serially when it can't.
-
-        Returns ``(results, timings)`` where ``timings`` is the batch's
-        ``{"dispatch_s", "execute_s"}`` breakdown (None when the pool
-        path never engaged)."""
-        if self.supervisor is not None:
-            if not self.supervisor.degraded:
-                items = [
-                    (
-                        query.kind,
-                        query.prefix,
-                        query.as_path,
-                        query.collector,
-                        query.request_id,
-                    )
-                    for query in queries
-                ]
-                dispatched = self.supervisor.dispatch(items)
-                if dispatched is not None:
-                    batch_outcomes, timings = dispatched
-                    return [
-                        payload if tag == "ok" else BadRequestError(payload)
-                        for tag, payload in batch_outcomes
-                    ], timings
-            if self.supervisor.degraded:
-                self._note_degraded()
-        serial_start = time.monotonic()
-        results = self._execute_serial(queries)
-        return results, {"execute_s": time.monotonic() - serial_start}
 
     def _note_degraded(self) -> None:
         # The supervisor records the budget-exhaustion event itself (the

@@ -187,4 +187,5 @@ class TestOneHelper:
 
     def test_the_serial_table_pass_still_uses_it(self):
         assert parallel.cyclic_gc_paused is gcpause.cyclic_gc_paused
-        assert "with cyclic_gc_paused():" in inspect.getsource(parallel._verify_serial)
+        assert "with cyclic_gc_paused():" in inspect.getsource(parallel.verify_into)
+        assert "verify_into(" in inspect.getsource(parallel._verify_serial)

@@ -2,14 +2,17 @@
 
 import gc
 import multiprocessing
+import threading
+from functools import partial
 
 import pytest
 
-from repro.chaos.faults import KillWorkerChunk, RaiseOnChunk
-from repro.core import parallel
+from repro.chaos.faults import KillWorkerChunk, RaiseOnChunk, hang_a_worker_at
+from repro.core import parallel, pool
 from repro.core.parallel import verify_table
-from repro.obs import MetricsRegistry, set_registry, use_registry
-from repro.obs.trace import set_tracer
+from repro.core.pool import ChunkRunner, SupervisorConfig
+from repro.core.verify import Verifier
+from repro.obs import MetricsRegistry, use_registry
 from repro.stats.verification import VerificationStats
 
 
@@ -171,6 +174,15 @@ class TestStartMethods:
         )
         assert stats.hop_totals == expected.hop_totals
         assert stats.summary() == expected.summary()
+        assert _live_pool_workers() == []
+
+
+def _live_pool_workers() -> list:
+    return [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("rpslyzer-verify-worker")
+    ]
 
 
 def _counter_values(registry: MetricsRegistry, name: str) -> dict:
@@ -181,27 +193,14 @@ def _counter_values(registry: MetricsRegistry, name: str) -> dict:
     }
 
 
-class _PoisonedChunk(list):
-    """A chunk whose iteration raises partway through verification."""
-
-    def __init__(self, entries, blow_after: int):
-        super().__init__(entries)
-        self.blow_after = blow_after
-
-    def __iter__(self):
-        for position, entry in enumerate(super().__iter__()):
-            if position == self.blow_after:
-                raise RuntimeError("poisoned entry")
-            yield entry
-
-
 class TestWorkerMetricsResilience:
     """Degraded parallel runs must still report *exact* metrics.
 
     The per-chunk snapshot deltas shipped back to the parent have to stay
     an exact sum under every failure mode: a SIGKILLed worker (whole
-    attempt lost, chunk re-verified elsewhere), an in-worker exception
-    (chunk requeued on a pool whose worker survived), and a mid-chunk
+    attempt lost, chunk re-verified elsewhere), a SIGSTOPped one (caught
+    by the chunk's hang bound or the heartbeat), an in-worker exception
+    (chunk handed back by a worker that survives), and a mid-chunk
     failure after some hops were already recorded into the worker's
     cumulative registry.
     """
@@ -226,7 +225,7 @@ class TestWorkerMetricsResilience:
                 expected_registry, name
             ), name
         kinds = observed.degradation.by_kind()
-        assert kinds.get("verify/worker-lost", 0) >= 1
+        assert kinds.get("verify/worker-crashed", 0) >= 1
 
     def test_raised_chunk_metrics_match_serial(self, tiny_ir, tiny_world, tiny_routes):
         sample = tiny_routes[:600]
@@ -246,40 +245,127 @@ class TestWorkerMetricsResilience:
             assert _counter_values(observed_registry, name) == _counter_values(
                 expected_registry, name
             ), name
-        kinds = observed.degradation.by_kind()
-        assert kinds.get("verify/chunk-requeued", 0) >= 1
+        # The worker survived and nothing was retried in the pool: the one
+        # event is the chunk's in-process verification.
+        assert observed.degradation.by_kind() == {"verify/chunk-serial-fallback": 1}
 
     def test_mid_chunk_failure_advances_snapshot_cursor(
         self, tiny_ir, tiny_world, tiny_routes
     ):
-        # Drive the worker protocol in-process: a chunk that dies halfway
-        # bakes its partial work into the worker's cumulative registry, so
-        # the cursor must advance past it or the retry's delta double-counts.
+        # Drive the worker's chunk runner in-process: a chunk that dies
+        # halfway bakes its partial work into the worker's cumulative
+        # registry, so the cursor must advance past it or the next chunk's
+        # delta double-counts.
         chunk_a = tiny_routes[:40]
         chunk_b = tiny_routes[40:80]
-        previous = set_registry(None)
-        try:
-            parallel._init_worker(
-                tiny_ir, tiny_world.topology, None, collect_metrics=True
+        runner = ChunkRunner(collect_metrics=True)
+        with use_registry(MetricsRegistry()) as worker_registry:
+            verifier = Verifier(tiny_ir, tiny_world.topology)  # binds its instruments
+            _, delta_a = runner.run(verifier, 0, chunk_a)
+            with pytest.raises(AttributeError):
+                runner.run(verifier, 1, chunk_b[:10] + [None])  # a poisoned entry
+            # The partial attempt is baked into the worker's registry.
+            assert worker_registry.counter("verify_routes_total").value > len(chunk_a)
+            _, delta_b = runner.run(verifier, 1, chunk_b)
+        merged = MetricsRegistry()
+        merged.merge_snapshot(delta_a)
+        merged.merge_snapshot(delta_b)
+        assert merged.counter("verify_routes_total").value == len(chunk_a) + len(
+            chunk_b
+        )
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_hung_worker_mid_table_matches_serial(
+        self, tiny_ir, tiny_world, tiny_routes, start_method, monkeypatch
+    ):
+        """SIGSTOP one worker, by pid, while the table is in flight: its
+        chunk is re-verified elsewhere and the run stays exact."""
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {start_method!r} unavailable here")
+        # Only the waiting is shortened: the table client builds its pool
+        # from SupervisorConfig's defaults.
+        monkeypatch.setattr(
+            pool,
+            "SupervisorConfig",
+            partial(
+                SupervisorConfig,
+                hang_timeout=1.0,
+                heartbeat_interval=0.1,
+                heartbeat_timeout=0.5,
+            ),
+        )
+        sample = tiny_routes[:1500]
+        with use_registry(MetricsRegistry()) as expected_registry:
+            expected = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
+        outcome = {}
+
+        def pooled():
+            with use_registry(MetricsRegistry()) as registry:
+                outcome["stats"] = verify_table(
+                    tiny_ir,
+                    tiny_world.topology,
+                    hang_a_worker_at(sample, 500),
+                    processes=2,
+                    chunk_size=200,
+                    start_method=start_method,
+                )
+            outcome["registry"] = registry
+
+        # A worker pool without hang detection waits on the stopped worker
+        # for ever; bound the wait so that failure is a failure.
+        run = threading.Thread(target=pooled, daemon=True)
+        run.start()
+        run.join(timeout=120)
+        assert not run.is_alive(), "the pooled run hung on its stopped worker"
+        observed = outcome["stats"]
+        summaries = [expected.summary(), observed.summary()]
+        for summary in summaries:
+            summary.pop("degradation")
+        assert summaries[0] == summaries[1]
+        for name in ("verify_routes_total", "verify_hops_total"):
+            assert _counter_values(outcome["registry"], name) == _counter_values(
+                expected_registry, name
+            ), name
+        assert observed.degradation.by_kind().get("verify/worker-hung", 0) >= 1
+        assert _live_pool_workers() == []
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize(
+        "fault, recorded",
+        [
+            (KillWorkerChunk(2), "verify/worker-crashed"),
+            (RaiseOnChunk(2), "verify/chunk-serial-fallback"),
+        ],
+        ids=["killed", "raised"],
+    )
+    def test_faulted_run_is_exact_and_leaves_no_worker(
+        self, tiny_ir, tiny_world, tiny_routes, start_method, fault, recorded
+    ):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {start_method!r} unavailable here")
+        sample = tiny_routes[:1200]
+        with use_registry(MetricsRegistry()) as expected_registry:
+            expected = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
+        with use_registry(MetricsRegistry()) as observed_registry:
+            observed = verify_table(
+                tiny_ir,
+                tiny_world.topology,
+                sample,
+                processes=2,
+                chunk_size=200,
+                start_method=start_method,
+                fault_hook=fault,
             )
-            _, _, delta_a = parallel._verify_chunk((0, chunk_a))
-            with pytest.raises(RuntimeError, match="poisoned entry"):
-                parallel._verify_chunk((1, _PoisonedChunk(chunk_b, 10)))
-            assert parallel._WORKER_LAST_SNAPSHOT is not None
-            _, _, delta_b = parallel._verify_chunk((1, chunk_b))
-            merged = MetricsRegistry()
-            merged.merge_snapshot(delta_a)
-            merged.merge_snapshot(delta_b)
-            assert merged.counter("verify_routes_total").value == len(chunk_a) + len(
-                chunk_b
-            )
-        finally:
-            parallel._WORKER_VERIFIER = None
-            parallel._WORKER_LAST_SNAPSHOT = None
-            parallel._WORKER_COLLECT_METRICS = False
-            parallel._WORKER_FAULT_HOOK = None
-            set_registry(previous)
-            set_tracer(None)
+        summaries = [expected.summary(), observed.summary()]
+        for summary in summaries:
+            summary.pop("degradation")
+        assert summaries[0] == summaries[1]
+        for name in ("verify_routes_total", "verify_hops_total"):
+            assert _counter_values(observed_registry, name) == _counter_values(
+                expected_registry, name
+            ), name
+        assert observed.degradation.by_kind().get(recorded, 0) >= 1
+        assert _live_pool_workers() == []
 
 
 class TestRemovedAliases:

@@ -1,5 +1,6 @@
-"""Tests for the serve worker pool (``repro.serve.supervisor``).
+"""Tests for the supervised worker pool (``repro.core.pool``) under serve.
 
+Its other caller, the pooled table pass, is ``tests/test_parallel.py``.
 Unit-tests the circuit breaker and the latency shedder against a fake
 clock, then exercises the supervised pool end to end: differential
 bit-identity with the in-process path, crash isolation under SIGKILL,
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,6 +27,8 @@ from repro.serve import (
     LatencyShedder,
     ServeConfig,
     ServeDaemon,
+    SupervisorConfig,
+    WorkerSupervisor,
 )
 
 
@@ -303,6 +308,41 @@ class TestGracefulDegradation:
             kinds = daemon.service.degradation.by_kind()
             assert kinds.get("serve/pool-degraded", 0) == 1
             assert kinds.get("serve/degraded-to-serial", 0) >= 1
+
+
+class TestStopSweepsAfterTheMonitor:
+    def test_a_worker_admitted_during_stop_is_reaped(self, pool_session, monkeypatch):
+        """stop() landing while the monitor is inside ``_spawn_worker``:
+        the replacement it then admits must not outlive the pool."""
+        pool_session.warm()
+        supervisor = WorkerSupervisor(
+            pool_session.ir,
+            pool_session.relationships,
+            None,
+            pool_session.index,
+            SupervisorConfig(workers=1, heartbeat_interval=0.05),
+        ).start()
+        respawning = threading.Event()
+        spawn = supervisor._spawn_worker
+        respawned = []
+
+        def slow_spawn():
+            respawning.set()
+            time.sleep(0.5)  # stands in for the seconds a ``spawn`` start takes
+            worker = spawn()
+            respawned.append(worker.pid)
+            return worker
+
+        monkeypatch.setattr(supervisor, "_spawn_worker", slow_spawn)
+        try:
+            KillServeWorker()(supervisor.worker_pids()[0])
+            assert respawning.wait(timeout=15)
+        finally:
+            supervisor.stop()
+        assert len(respawned) == 1  # the monitor finished the spawn it had begun
+        assert supervisor.worker_pids() == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(respawned[0], 0)
 
 
 class TestAdaptiveShedding:
