@@ -13,8 +13,10 @@ test:
 
 # Mirror .github/workflows/ci.yml locally: lint (when ruff is present),
 # tier-1 (tests/conftest.py fails a run that leaves files behind), the
-# resident-daemon smoke, the serve-supervisor chaos layer, the
-# end-to-end ledger's correctness gates, and the strict perf gates.
+# resident-daemon smoke (its SIGTERM is sent with an idle HTTP and a
+# half-line WHOIS connection open: exit 0, EOF on both, no traceback),
+# the serve-supervisor chaos layer, the end-to-end ledger's correctness
+# gates, and the strict perf gates.
 ci:
 	@if command -v ruff >/dev/null 2>&1; then \
 	  ruff check src tests; \

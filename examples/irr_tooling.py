@@ -9,8 +9,9 @@ including live queries against the IRRd-style WHOIS server.
 Run: ``python examples/irr_tooling.py``
 """
 
+from repro import api
 from repro.irr.synth import build_world, tiny_config
-from repro.irr.whois import WhoisServer, whois_query
+from repro.irr.whois import whois_query
 from repro.tools.asrel import infer_relationships, score_inference
 from repro.tools.classify import classify_ir
 from repro.tools.lint import lint_ir
@@ -25,14 +26,15 @@ def main() -> None:
     print("== WHOIS / IRRd server ==")
     some_asn = next(asn for asn, aut in sorted(ir.aut_nums.items()) if aut.rule_count)
     some_set = sorted(name for name in ir.as_sets if ":" in name)[0]
-    with WhoisServer(ir) as server:
-        print(f"(serving {ir.counts()['aut-num']} aut-nums on port {server.port})")
+    with api.open_session(ir, use_cache=False) as session, session.whois_server() as server:
+        port = server.whois_port
+        print(f"(serving {ir.counts()['aut-num']} aut-nums on port {port})")
         print(f"$ whois AS{some_asn}")
-        print(whois_query("127.0.0.1", server.port, f"AS{some_asn}")[:400])
+        print(whois_query("127.0.0.1", port, f"AS{some_asn}")[:400])
         print(f"\n$ whois !i{some_set},1   # recursive set expansion")
-        print(whois_query("127.0.0.1", server.port, f"!i{some_set},1")[:200])
+        print(whois_query("127.0.0.1", port, f"!i{some_set},1")[:200])
         print(f"\n$ whois !gAS{some_asn}   # prefixes originated")
-        print(whois_query("127.0.0.1", server.port, f"!gAS{some_asn}")[:200])
+        print(whois_query("127.0.0.1", port, f"!gAS{some_asn}")[:200])
 
     print("\n== Linter ==")
     report = lint_ir(ir, registry.all_errors(), world.topology)

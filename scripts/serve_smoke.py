@@ -24,9 +24,12 @@ serving contract end to end:
    delay that reaches lone requests fails here without any latency
    threshold on the request itself (the coalescing period only follows
    batches of more than one query: ``docs/serving.md``);
-8. SIGTERM drains and the process exits 0, releasing its ports — and
-   the ``--access-log`` file holds one schema-complete JSONL record
-   per served request.
+8. SIGTERM — sent while an idle keep-alive HTTP connection and a WHOIS
+   connection that sent half a line are still open — drains and the
+   process exits 0 with no traceback on stderr, releasing its ports
+   and closing both connections (each client reads EOF): no client
+   decides when the daemon exits.  The ``--access-log`` file holds one
+   schema-complete JSONL record per served request.
 
 Exits non-zero with a diagnostic on the first violated check.
 """
@@ -296,17 +299,36 @@ def main() -> None:
             f"{waiting_ms:.3f} ms over 50 sequential requests, queue depth 0 once idle)"
         )
 
+        idle_http = http.client.HTTPConnection("127.0.0.1", http_port, timeout=10)
+        idle_http.request("GET", "/healthz")
+        idle_http.getresponse().read()  # answered; the connection stays open
+        silent_whois = socket.create_connection(("127.0.0.1", whois_port), timeout=10)
+        silent_whois.sendall(b"AS")  # half a line, then nothing
+        time.sleep(0.2)  # the daemon has read it: closing sends FIN, not RST
         process.send_signal(signal.SIGTERM)
         process.wait(timeout=30)
         if process.returncode != 0:
             fail(f"SIGTERM exit code {process.returncode}, want 0")
+        for name, held in (("http", idle_http.sock), ("whois", silent_whois)):
+            try:
+                if held.recv(1) != b"":
+                    fail(f"open {name} connection got data at shutdown, want EOF")
+            except OSError as exc:
+                fail(f"open {name} connection was not closed cleanly: {exc!r}")
+            held.close()
+        stderr_tail = process.stderr.read()
+        if "Traceback" in stderr_tail:
+            fail(f"daemon logged a traceback while stopping:\n{stderr_tail}")
         try:
             http_json(http_port, "GET", "/healthz")
         except OSError:
             pass
         else:
             fail("http port still accepting after drain")
-        print("serve-smoke: SIGTERM drained cleanly (exit 0), ports released")
+        print(
+            "serve-smoke: SIGTERM with two connections held open drained cleanly "
+            "(exit 0, both closed by the server, ports released)"
+        )
 
         if not access_log.exists():
             fail(f"access log never written: {access_log}")

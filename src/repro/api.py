@@ -15,8 +15,10 @@ warm state::
         report, events = session.explain("192.0.2.0/24", [64500, 64496])
         print(session.characterize()["counts"])
 
-The CLI, the WHOIS server, and the ``rpslyzer serve`` daemon are all thin
-adapters over :class:`Session`.  The pre-1.4 module-level helpers
+The CLI and the ``rpslyzer serve`` daemon — whose WHOIS front-end is the
+one WHOIS server, also behind ``rpslyzer whois`` and
+:meth:`Session.whois_server` — are thin adapters over :class:`Session`.
+The pre-1.4 module-level helpers
 (``verify_table``, ``explain_route``, ``serve_whois``), deprecated since
 1.4.0, were removed in 1.11.0; ``docs/serving.md`` has the migration table.
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.bgp.table import RouteEntry
 from repro.bgp.topology import AsRelationships
@@ -59,7 +61,6 @@ from repro.ir.model import Ir
 from repro.irr.journal import Journal, apply_journal_to_ir, load_journal
 from repro.irr.registry import Registry, parse_registry_dir
 from repro.irr.synth import SynthConfig, SynthWorld, build_world, default_config, tiny_config
-from repro.irr.whois import WhoisServer
 from repro.obs import MetricsRegistry, get_registry, use_registry
 from repro.obs.trace import TraceConfig, Tracer, use_tracer
 from repro.rpsl.errors import ErrorCollector, ErrorKind
@@ -68,6 +69,9 @@ from repro.stats.routes import route_object_stats
 from repro.stats.usage import filter_kind_census, peering_simplicity, rules_ccdf
 from repro.stats.verification import VerificationStats
 from repro.tools.recommend import RouteSetRecommendation, recommend_route_set
+
+if TYPE_CHECKING:
+    from repro.serve import ServeHandle
 
 __all__ = [
     "CompiledIndex",
@@ -635,12 +639,16 @@ class Session:
                     "as_sets": as_set_stats(self.ir).as_dict(),
                 }
 
-    def whois_server(self, host: str = "127.0.0.1", port: int = 0) -> WhoisServer:
-        """A threaded WHOIS/IRRd server over the session IR (caller
-        starts/stops it; see also the asyncio front-end in
-        :mod:`repro.serve`)."""
+    def whois_server(self, host: str = "127.0.0.1", port: int = 0) -> "ServeHandle":
+        """Start a serve daemon with only its WHOIS/IRRd front-end over this
+        session; returns its running :class:`~repro.serve.daemon.ServeHandle`
+        (``whois_port``, ``stop()``, context manager)."""
         self._check_open()
-        return WhoisServer(self.ir, host=host, port=port)
+        # Imported lazily: repro.serve imports this module.
+        from repro.serve import ServeConfig, ServeDaemon
+
+        config = ServeConfig(host=host, http_port=None, whois_port=port)
+        return ServeDaemon(self, config).start_in_thread()
 
     def metrics_snapshot(self) -> dict:
         """A JSON-able snapshot of the session's registry."""

@@ -16,9 +16,8 @@ inputs.  Both are built to be driven from tests and the chaos harness:
   pool, whose PIDs no caller sees;
 * :class:`FlakyTcpProxy` sits in front of a live server and RST-drops
   the first N connections, exercising client retry paths;
-* :class:`SlowClient` opens a connection and then just sits on it,
-  wedging a thread-per-connection handler — the failure
-  ``WhoisServer.stop()`` must report rather than hang on.
+* :class:`SlowClient` opens a connection and then just sits on it —
+  the peer a server's shutdown must close rather than wait for.
 """
 
 from __future__ import annotations
@@ -139,7 +138,9 @@ class FlakyTcpProxy:
 
     Use as a context manager::
 
-        with WhoisServer(ir) as server, FlakyTcpProxy("127.0.0.1", server.port, failures=2) as proxy:
+        with session.whois_server() as handle, FlakyTcpProxy(
+            "127.0.0.1", handle.whois_port, failures=2
+        ) as proxy:
             text = whois_query("127.0.0.1", proxy.port, "AS64512", retries=3)
     """
 
@@ -234,15 +235,13 @@ class FlakyTcpProxy:
 class SlowClient:
     """A client that connects and then never says anything.
 
-    A thread-per-connection server blocks its handler on the first read
-    of such a connection; servers that join handler threads on shutdown
-    must therefore time the join out and *report* the wedged thread (see
-    :meth:`repro.irr.whois.WhoisServer.stop`).  Optionally sends a
-    partial line first, so the handler is mid-request rather than
-    waiting for one.
+    A server whose shutdown waits for its connections to end hands such
+    a peer the decision of when it exits; the serve front-ends close the
+    connection themselves instead (:mod:`repro.serve.frontend`), which
+    :meth:`reads_eof` observes.  Optionally sends a partial line first,
+    so the handler is mid-request rather than waiting for one.
 
-    Use as a context manager; ``close()`` releases the socket so the
-    wedged handler unblocks afterwards.
+    Use as a context manager; ``close()`` releases the socket.
     """
 
     def __init__(self, host: str, port: int, partial: bytes = b""):
@@ -250,8 +249,16 @@ class SlowClient:
         if partial:
             self._sock.sendall(partial)  # no trailing newline: never a query
 
+    def reads_eof(self, timeout: float = 2.0) -> bool:
+        """Whether the server has closed the connection (within ``timeout``)."""
+        self._sock.settimeout(timeout)
+        try:
+            return self._sock.recv(1) == b""
+        except OSError:  # still open (timed out), or reset instead of closed
+            return False
+
     def close(self) -> None:
-        """Drop the connection, unwedging any handler blocked on it."""
+        """Drop the connection."""
         try:
             self._sock.close()
         except OSError:  # pragma: no cover

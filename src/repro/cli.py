@@ -559,34 +559,54 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_whois(args: argparse.Namespace) -> int:
-    with api.open_session(args.ir, warm=False) as session:
-        server = session.whois_server(host=args.host, port=args.port)
+def _run_daemon(session, serve_config) -> int:
+    """Serve ``session`` until SIGTERM/Ctrl-C has drained the daemon."""
+    from repro.serve import ServeDaemon
+
+    def banner(ready: ServeDaemon) -> None:
+        if ready.http is not None:
+            print(
+                f"http on {serve_config.host}:{ready.http.port} "
+                "(POST /verify, POST /explain, POST /reload, "
+                "GET /healthz, GET /metrics, GET /debug/flight)",
+                file=sys.stderr,
+            )
+        if ready.whois is not None:
+            print(
+                f"whois on {serve_config.host}:{ready.whois.port} (!v to verify)",
+                file=sys.stderr,
+            )
         print(
-            f"whois server on {args.host}:{server.port} (Ctrl-C to stop)",
+            f"serving IR {session.digest[:16]} "
+            "(SIGTERM or Ctrl-C drains and exits)",
             file=sys.stderr,
         )
-        try:
-            server.start()
-            import time
 
-            while True:  # pragma: no cover - interactive loop
-                time.sleep(1)
-        except KeyboardInterrupt:  # pragma: no cover
-            pass
-        finally:
-            server.stop()
+    try:
+        asyncio.run(ServeDaemon(session, serve_config).run(on_ready=banner))
+    except KeyboardInterrupt:  # pragma: no cover - loops without signal support
+        pass
+    finally:
+        session.close()
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServeConfig, ServeDaemon
+def _cmd_whois(args: argparse.Namespace) -> int:
+    from repro.serve import ServeConfig
 
-    config: dict = {}
+    return _run_daemon(
+        api.open_session(args.ir, warm=False),
+        ServeConfig(host=args.host, http_port=None, whois_port=args.port),
+    )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve import ServeConfig
+
     # The daemon owns a private registry so GET /metrics reflects this
     # process alone (load, index adoption, and every query report there).
     session = _open_cli_session(
-        args, config, as_rel=args.as_rel, processes=1, registry=MetricsRegistry()
+        args, {}, as_rel=args.as_rel, processes=1, registry=MetricsRegistry()
     )
     serve_config = ServeConfig(
         host=args.host,
@@ -606,34 +626,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flight_events=args.flight_events,
         incident_dir=args.incident_dir,
     )
-    daemon = ServeDaemon(session, serve_config)
-
-    def banner(ready: ServeDaemon) -> None:
-        if ready.http is not None:
-            print(
-                f"http on {serve_config.host}:{ready.http.port} "
-                "(POST /verify, POST /explain, POST /reload, "
-                "GET /healthz, GET /metrics, GET /debug/flight)",
-                file=sys.stderr,
-            )
-        if ready.whois is not None:
-            print(
-                f"whois on {serve_config.host}:{ready.whois.port} (!v to verify)",
-                file=sys.stderr,
-            )
-        print(
-            f"serving IR {config['ir_digest'][:16]} "
-            "(SIGTERM or Ctrl-C drains and exits)",
-            file=sys.stderr,
-        )
-
-    try:
-        asyncio.run(daemon.run(on_ready=banner))
-    except KeyboardInterrupt:  # pragma: no cover - loops without signal support
-        pass
-    finally:
-        session.close()
-    return 0
+    return _run_daemon(session, serve_config)
 
 
 def _filter_flight_events(events: list, args: argparse.Namespace) -> list:

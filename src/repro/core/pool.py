@@ -382,7 +382,7 @@ def _worker_main(
     # level, and repro.api is imported by it.
     from repro.api import Session
     from repro.obs.flight import FlightRecorder
-    from repro.serve.core import report_as_dict
+    from repro.serve.core import answer_query
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     pid = os.getpid()
@@ -451,30 +451,15 @@ def _worker_main(
             payload = []
             for query_kind, prefix, as_path, collector, request_id in items:
                 item_start = time.monotonic()
-                try:
-                    if query_kind == "explain":
-                        report, events = session.explain(
-                            prefix, as_path, collector=collector
-                        )
-                        answer = report_as_dict(report)
-                        answer["events"] = events
-                    else:
-                        report = session.verify_route(
-                            prefix, as_path, collector=collector
-                        )
-                        answer = report_as_dict(report)
-                    payload.append(("ok", answer))
-                    item_outcome = "ok"
-                except Exception as exc:  # noqa: BLE001 - per-query isolation
-                    payload.append(("err", str(exc)))
-                    item_outcome = "err"
+                answer = answer_query(session, query_kind, prefix, as_path, collector)
+                payload.append(answer)
                 recorder.record(
                     "worker-execute",
                     request_id=request_id or None,
                     worker=worker_id,
                     pid=pid,
                     endpoint=query_kind,
-                    outcome=item_outcome,
+                    outcome=answer[0],
                     ms=round((time.monotonic() - item_start) * 1000.0, 3),
                 )
         try:

@@ -1,10 +1,11 @@
-"""An IRRd-style WHOIS query server and client over an IR.
+"""The IRRd-style WHOIS dialect over an IR, and a client for it.
 
 IRRs serve RPSL through the WHOIS protocol (port 43) plus IRRd's
 bang-command extension; tools like BGPq4 drive the latter.  This module
-implements both faces over a parsed :class:`~repro.ir.model.Ir` so the
-whole query path — the thing the paper's pipeline replaces with bulk dump
-parsing — exists as a runnable substrate:
+answers both faces from a parsed :class:`~repro.ir.model.Ir` and speaks
+them as a client, so the whole query path — the thing the paper's
+pipeline replaces with bulk dump parsing — exists as a runnable
+substrate.  The server is :mod:`repro.serve.whois`.
 
 Plain WHOIS queries (one per line, response followed by a blank line):
 
@@ -23,14 +24,11 @@ IRRd bang commands (``!`` prefix; responses framed ``A<len>\\n...C\\n``,
 
 from __future__ import annotations
 
-import logging
 import random
 import socket
-import socketserver
-import threading
 import time
 
-from repro.core.degradation import DegradationReport
+from repro.core.compiled import CompiledIndex
 from repro.core.query import QueryEngine
 from repro.ir.model import Ir
 from repro.ir.render import (
@@ -45,21 +43,34 @@ from repro.net.asn import AsnError, parse_asn
 from repro.net.prefix import Prefix, PrefixError
 from repro.rpsl.names import NameKind, classify_name, normalize_name
 
-__all__ = ["WhoisEngine", "WhoisServer", "whois_query", "MAX_QUERY_BYTES"]
-
-logger = logging.getLogger(__name__)
+__all__ = ["WhoisEngine", "whois_query", "MAX_QUERY_BYTES", "QUIT_TOKENS"]
 
 # Longest query line the server will read; real queries are a few dozen
 # bytes, so anything near this cap is garbage or abuse, not a lookup.
 MAX_QUERY_BYTES = 4096
 
+# A line that ends the connection instead of asking anything.
+QUIT_TOKENS = frozenset(("!q", "!e", "-k q", "q"))
+
 
 class WhoisEngine:
-    """Protocol-independent query answering over one IR."""
+    """Protocol-independent query answering over one IR.
 
-    def __init__(self, ir: Ir):
+    Given the IR's :class:`~repro.core.compiled.CompiledIndex` (a session
+    holds one), the engine reads its route trie and set closures instead
+    of building its own.
+    """
+
+    def __init__(self, ir: Ir, index: CompiledIndex | None = None):
         self.ir = ir
-        self.query = QueryEngine(ir)
+        self.query = QueryEngine(ir, index=index)
+
+    def answer(self, text: str) -> str:
+        """The response to one query line, bang command or plain lookup."""
+        if text.startswith("!"):
+            return self.bang(text)
+        found = self.lookup(text)
+        return found if found is not None else "%  No entries found"
 
     # -- plain whois -----------------------------------------------------
 
@@ -92,22 +103,20 @@ class WhoisEngine:
             prefix = Prefix.parse(text)
         except PrefixError:
             return None
-        matches = [
-            render_route_object(route)
-            for route in self.ir.route_objects
-            if route.prefix == prefix
-        ]
-        return "\n\n".join(matches) if matches else None
+        return self._routes_where(lambda route: route.prefix == prefix)
 
     def _routes_by_origin_text(self, asn_text: str) -> str | None:
         try:
             asn = parse_asn(asn_text)
         except AsnError:
             return None
+        return self._routes_where(lambda route: route.origin == asn)
+
+    def _routes_where(self, wanted) -> str | None:
         matches = [
             render_route_object(route)
             for route in self.ir.route_objects
-            if route.origin == asn
+            if wanted(route)
         ]
         return "\n\n".join(matches) if matches else None
 
@@ -116,7 +125,7 @@ class WhoisEngine:
     def bang(self, command: str) -> str:
         """Answer one ``!`` command, returning the framed response."""
         command = command.strip()
-        if command in ("!q", "!e"):
+        if command in QUIT_TOKENS:
             return ""
         if command == "!j":
             counts = self.ir.counts()
@@ -158,8 +167,6 @@ class WhoisEngine:
                 return "D"
             members = [f"AS{asn}" for asn in as_set.members_asn]
             members += list(as_set.members_set)
-        if not members:
-            return _frame("")
         return _frame(" ".join(members))
 
 
@@ -167,147 +174,6 @@ def _frame(data: str) -> str:
     """IRRd framing: A<byte-length>, the data, then C."""
     payload = data + "\n" if data else ""
     return f"A{len(payload.encode())}\n{payload}C"
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via client
-        engine: WhoisEngine = self.server.engine  # type: ignore[attr-defined]
-        while True:
-            line = self.rfile.readline(MAX_QUERY_BYTES + 1)
-            if not line:
-                return
-            if len(line) > MAX_QUERY_BYTES and not line.endswith(b"\n"):
-                # An over-long line would otherwise buffer unboundedly;
-                # refuse it, then discard (in bounded reads) up to the next
-                # newline so the connection stays in sync for later queries.
-                self.wfile.write(b"F query line too long\n\n")
-                self.wfile.flush()
-                while line and not line.endswith(b"\n"):
-                    line = self.rfile.readline(MAX_QUERY_BYTES + 1)
-                continue
-            text = line.decode("utf-8", errors="replace").strip()
-            if text in ("!q", "!e", "-k q", "q"):
-                return
-            if text.startswith("!"):
-                response = engine.bang(text)
-            else:
-                found = engine.lookup(text)
-                response = found if found is not None else "%  No entries found"
-            self.wfile.write(response.encode("utf-8") + b"\n\n")
-            self.wfile.flush()
-
-
-class _TrackingTCPServer(socketserver.ThreadingTCPServer):
-    """ThreadingTCPServer that keeps handles on its handler threads.
-
-    The stock ``daemon_threads=True`` mixin fires handler threads and
-    forgets them, so ``stop()`` cannot tell whether a handler is wedged
-    on a slow client.  We spawn the threads ourselves and keep a pruned
-    list, which :meth:`WhoisServer.stop` joins and audits.
-    """
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.handler_threads: list[threading.Thread] = []
-        self._threads_lock = threading.Lock()
-
-    def process_request(self, request, client_address) -> None:
-        thread = threading.Thread(
-            target=self.process_request_thread,
-            args=(request, client_address),
-            name=f"whois-handler-{client_address[1]}",
-            daemon=True,
-        )
-        with self._threads_lock:
-            self.handler_threads = [
-                alive for alive in self.handler_threads if alive.is_alive()
-            ]
-            self.handler_threads.append(thread)
-        thread.start()
-
-    def live_handler_threads(self) -> list[threading.Thread]:
-        with self._threads_lock:
-            return [thread for thread in self.handler_threads if thread.is_alive()]
-
-
-class WhoisServer:
-    """A threaded WHOIS server bound to ``(host, port)``; port 0 = ephemeral.
-
-    Use as a context manager::
-
-        with WhoisServer(ir) as server:
-            text = whois_query("localhost", server.port, "AS2914")
-    """
-
-    def __init__(self, ir: Ir, host: str = "127.0.0.1", port: int = 0):
-        self.engine = WhoisEngine(ir)
-        self._server = _TrackingTCPServer(
-            (host, port), _Handler, bind_and_activate=True
-        )
-        self._server.engine = self.engine  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port."""
-        return self._server.server_address[1]
-
-    def start(self) -> "WhoisServer":
-        """Serve in a daemon thread."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, join_timeout: float = 5.0) -> DegradationReport:
-        """Shut down, join service and handler threads, close the socket.
-
-        Threads that refuse to exit within ``join_timeout`` (a handler
-        wedged on a slow or dead client, say) are *reported*, not
-        swallowed: the returned :class:`DegradationReport` counts each
-        leak (``whois/handler-thread-leaked``,
-        ``whois/service-thread-leaked``), mirroring the pipeline's
-        degradation contract.  The listening socket is force-closed
-        either way so the port is released; leaked daemon threads then
-        die with the process instead of pinning it.
-        """
-        report = DegradationReport()
-        deadline = time.monotonic() + join_timeout
-        if self._thread is not None:
-            # shutdown() waits on serve_forever's acknowledgement, so it
-            # must only run when the service thread was actually started.
-            self._server.shutdown()
-            self._thread.join(timeout=join_timeout)
-            if self._thread.is_alive():
-                report.record(
-                    "whois",
-                    "service-thread-leaked",
-                    f"alive after {join_timeout:.1f}s join timeout",
-                )
-        for thread in self._server.live_handler_threads():
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-            if thread.is_alive():
-                report.record(
-                    "whois",
-                    "handler-thread-leaked",
-                    f"alive after {join_timeout:.1f}s join timeout",
-                )
-        if report:
-            logger.warning("whois shutdown degraded: %s; force-closing socket", report)
-        self._server.server_close()
-        self._thread = None
-        return report
-
-    def __enter__(self) -> "WhoisServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def _query_once(host: str, port: int, query: str, timeout: float) -> str:

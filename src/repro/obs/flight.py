@@ -231,17 +231,6 @@ class FlightRecorder:
 
     # -- incident dumps ------------------------------------------------------
 
-    def dump(self, destination) -> None:
-        """Write header + every ring line to an open text stream."""
-        header = {
-            "format": FLIGHT_FORMAT,
-            "ts": round(time.time(), 6),
-            "pid": os.getpid(),
-        }
-        destination.write(json.dumps(header, sort_keys=True) + "\n")
-        for line in self.snapshot_lines():
-            destination.write(line + "\n")
-
     def dump_incident(
         self, reason: str, trigger: dict | None = None
     ) -> Path | None:

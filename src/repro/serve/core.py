@@ -92,6 +92,7 @@ __all__ = [
     "ServeError",
     "VerifyService",
     "SERVE_BATCH_BUCKETS",
+    "answer_query",
     "report_as_dict",
 ]
 
@@ -279,6 +280,42 @@ def report_as_dict(report: RouteReport) -> dict:
         ],
         "text": str(report),
     }
+
+
+def answer_query(
+    session: Session,
+    kind: str,
+    prefix: str,
+    as_path: Sequence[int],
+    collector: str,
+) -> tuple[str, dict | str]:
+    """Answer one query on ``session``: ``("ok", payload)`` or ``("err", message)``.
+
+    The one body behind every served verdict — the in-process path runs
+    it on the daemon's session, a pool worker on its own, and the pair is
+    what crosses the worker pipe.  An exception is the query's answer,
+    never the batch's.
+    """
+    try:
+        if kind == "explain":
+            report, events = session.explain(prefix, as_path, collector=collector)
+            payload = report_as_dict(report)
+            payload["events"] = events
+        else:
+            payload = report_as_dict(
+                session.verify_route(prefix, as_path, collector=collector)
+            )
+    except Exception as exc:  # noqa: BLE001 - per-query isolation
+        return "err", str(exc)
+    return "ok", payload
+
+
+def _as_outcomes(answers: Sequence[tuple[str, dict | str]]) -> list:
+    """:func:`answer_query` pairs as what a waiter receives."""
+    return [
+        payload if tag == "ok" else BadRequestError(payload)
+        for tag, payload in answers
+    ]
 
 
 class LatencyShedder:
@@ -887,10 +924,7 @@ class VerifyService:
         if dispatched is not None:
             batch_outcomes, timings = dispatched
             self._apply_batch_timings(batch, live, timings)
-            results = [
-                payload if tag == "ok" else BadRequestError(payload)
-                for tag, payload in batch_outcomes
-            ]
+            results = _as_outcomes(batch_outcomes)
         else:
             results = await self._batcher.run_blocking(
                 self._execute_live, batch, live
@@ -909,29 +943,29 @@ class VerifyService:
 
     def _execute_serial(self, queries: Sequence[Query]) -> list:
         """The in-process path: the session under its serialization lock."""
-        outcomes: list = []
         with self._serial_lock:
-            for query in queries:
-                try:
-                    if query.kind == "explain":
-                        report, events = self.session.explain(
-                            query.prefix, query.as_path, collector=query.collector
-                        )
-                        payload = report_as_dict(report)
-                        payload["events"] = events
-                    else:
-                        report = self.session.verify_route(
-                            query.prefix, query.as_path, collector=query.collector
-                        )
-                        payload = report_as_dict(report)
-                    outcomes.append(payload)
-                except Exception as exc:  # noqa: BLE001 - per-query isolation
-                    outcomes.append(
-                        exc
-                        if isinstance(exc, ServeError)
-                        else BadRequestError(str(exc))
-                    )
-        return outcomes
+            session = self.session
+            return _as_outcomes(
+                [
+                    answer_query(session, q.kind, q.prefix, q.as_path, q.collector)
+                    for q in queries
+                ]
+            )
+
+    async def read_session(self, read: Callable, *args):
+        """``read(session, *args)`` on the loop, never across a hot swap.
+
+        For readers outside the request core (the WHOIS lookups): they see
+        the session's IR and index from one generation.  Like an on-loop
+        batch this only try-acquires ``_serial_lock``; while a ``reload``
+        holds it — milliseconds — the reader yields to the loop and retries.
+        """
+        while not self._serial_lock.acquire(blocking=False):
+            await asyncio.sleep(0.001)
+        try:
+            return read(self.session, *args)
+        finally:
+            self._serial_lock.release()
 
     # -- incremental ingestion (hot swap) ------------------------------------
 

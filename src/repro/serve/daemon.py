@@ -5,13 +5,17 @@ starts the :class:`~repro.serve.core.VerifyService` and whichever
 front-ends the :class:`~repro.serve.core.ServeConfig` enables, installs
 signal handlers, and runs the graceful-shutdown sequence:
 
-1. stop accepting connections (close the listening sockets);
+1. stop accepting connections (close the listening sockets) and close
+   the idle ones — each such client reads EOF;
 2. mark the service draining — queries already admitted keep executing,
    new submissions on surviving connections get BUSY;
 3. wait (bounded by ``drain_timeout``) for the queue and the in-flight
    batches to finish, so every accepted request gets its answer;
 4. stop the batcher (waiters the drain never reached get an explicit
-   ``BusyError``, not a hang) and the worker pool, then return.
+   ``BusyError``, not a hang) and the worker pool;
+5. abort the connections still open and return once every connection
+   handler has: no client decides when the daemon exits
+   (:mod:`repro.serve.frontend`).
 
 The :class:`~repro.serve.core.VerifyService` is started *before* the
 front-ends bind, so the worker pool's forked processes never inherit
@@ -80,12 +84,10 @@ class ServeDaemon:
                 self.http = await HttpFrontend(
                     self.service, config.host, config.http_port
                 ).start()
-                log.info("http front-end on %s:%d", config.host, self.http.port)
             if config.whois_port is not None:
                 self.whois = await WhoisFrontend(
                     self.service, config.host, config.whois_port
                 ).start()
-                log.info("whois front-end on %s:%d", config.host, self.whois.port)
             if self.http is None and self.whois is None:
                 raise ValueError("ServeConfig enables no front-end")
             if config.journal_path is not None:
@@ -197,10 +199,10 @@ class ServeDaemon:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
             self._follower = None
-        # 1. Stop accepting new connections.
-        for frontend in (self.http, self.whois):
-            if frontend is not None:
-                await frontend.close()
+        # 1. Stop accepting new connections; close the idle ones.
+        frontends = [f for f in (self.http, self.whois) if f is not None]
+        for frontend in frontends:
+            await frontend.close()
         if self.service is None:
             return
         # 2–3. Refuse new queries, let admitted ones finish.
@@ -213,6 +215,9 @@ class ServeDaemon:
             )
         # 4. Release the batcher and its executor thread.
         await self.service.stop()
+        # 5. No connection outlives the loop, whatever its client does.
+        for frontend in frontends:
+            await frontend.wait_closed()
         log.info("serve daemon stopped")
 
     # -- threaded embedding (tests, notebooks) -----------------------------

@@ -34,21 +34,22 @@ unexpected → 500.  Every error body is ``{"error": <code>, "detail":
 then does: ``close`` whenever the request asked for it (HTTP/1.0,
 ``Connection: close``) or its framing was unusable (malformed request
 line, head over ``MAX_HEADER_BYTES``, bad ``Content-Length``, oversized
-or chunked body), ``keep-alive`` otherwise.
+or chunked body) or the daemon is shutting down, ``keep-alive`` otherwise.
 
 This is deliberately a hand-rolled stream handler, not
 ``http.server``: the daemon is a single asyncio process and the request
 core is already async, so a thread-per-connection HTTP stack would just
 reintroduce the contention the batcher removes.  Keep-alive is
 supported; pipelining is not (requests on one connection are handled in
-order).
+order).  The listening socket and the connections' lifecycle — including
+a shutdown that never waits on a client — are
+:class:`~repro.serve.frontend.StreamFrontend`'s.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import logging
 from urllib.parse import parse_qs
 
 from repro.obs import PROMETHEUS_CONTENT_TYPE, render_prometheus_snapshot
@@ -58,12 +59,10 @@ from repro.serve.core import (
     DeadlineExpired,
     Query,
     ServeError,
-    VerifyService,
 )
+from repro.serve.frontend import StreamFrontend
 
 __all__ = ["HttpFrontend", "MAX_BODY_BYTES", "MAX_HEADER_BYTES"]
-
-log = logging.getLogger("repro.serve.http")
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
@@ -102,66 +101,29 @@ class _HttpError(Exception):
         self.close = close
 
 
-class HttpFrontend:
-    """Owns the listening socket and per-connection handler tasks."""
+class HttpFrontend(StreamFrontend):
+    """The HTTP protocol over the shared connection lifecycle."""
 
-    def __init__(self, service: VerifyService, host: str, port: int):
-        self.service = service
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
-
-    async def start(self) -> "HttpFrontend":
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_HEADER_BYTES
-        )
-        # Resolve the ephemeral port for handles/tests.
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def close(self) -> None:
-        """Stop accepting; existing connections finish their request."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    protocol = "http"
+    limit = MAX_HEADER_BYTES
 
     # -- connection handling ----------------------------------------------
 
-    async def _handle_connection(
+    async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    ) -> bytes | None:
+        """The next request's head, terminator included (EOF — between
+        requests, or the client left mid-head — ends the connection)."""
         try:
-            while True:
-                keep_alive = await self._handle_request(reader, writer)
-                if not keep_alive:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
-            pass  # client went away mid-request; nothing to answer
-        except Exception:  # noqa: BLE001 - connection isolation
-            log.exception("unhandled error on HTTP connection")
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _handle_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Serve one request; returns whether to keep the connection."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return False  # EOF: between requests, or the client left mid-head
+            return await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
             await self._send_error(writer, 400, "headers too large", keep_alive=False)
-            return False
+            return None
+
+    async def _respond(
+        self, head: bytes, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Serve one request; returns whether to keep the connection."""
         request_line, *header_lines = head[:-4].decode("latin-1").split("\r\n")
         try:
             method, target, version = request_line.split(" ", 2)
@@ -216,7 +178,7 @@ class HttpFrontend:
             )
             return keep_alive
         except Exception as exc:  # noqa: BLE001 - request isolation
-            log.exception("unhandled error serving %s %s", method, target)
+            self._log.exception("unhandled error serving %s %s", method, target)
             self.service.finish_telemetry(telemetry, "error")
             await self._send_error(
                 writer, 500, str(exc), keep_alive=keep_alive, extra_headers=id_headers
@@ -343,11 +305,14 @@ class HttpFrontend:
         keep_alive: bool,
         extra_headers: tuple[tuple[str, str], ...] = (),
     ) -> None:
+        # A front-end that is shutting down closes after this response
+        # whatever the request asked for.
+        connection = "keep-alive" if keep_alive and not self._closing else "close"
         lines = [
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(payload)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
+            f"Connection: {connection}",
         ]
         lines.extend(f"{name}: {value}" for name, value in extra_headers)
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")

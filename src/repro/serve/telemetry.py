@@ -24,7 +24,7 @@ latency breakdown (``serve_stage_seconds{stage=}`` histograms and the
   so the stages always sum to the end-to-end latency.
 
 The :class:`AccessLog` writes one JSONL line per finished request —
-``{"ts", "id", "frontend", "endpoint", "outcome", "verdicts",
+``{"ts", "type", "id", "frontend", "endpoint", "outcome", "verdicts",
 "total_ms", "stages_ms"}`` — and promotes requests slower than
 ``slow_ms`` to a dedicated slow-query log with the same (full) record,
 so tail latency is greppable without replaying the main log.
@@ -145,29 +145,8 @@ class RequestTelemetry:
         """Per-stage seconds keyed by stage name (:meth:`stage_values`)."""
         return dict(zip(STAGES, self.stage_values()))
 
-    def total_ms(self) -> float:
-        end = self.finished if self.finished is not None else time.monotonic()
-        return max(0.0, (end - self.accepted) * 1000.0)
-
-    def record(self) -> dict:
-        """The access-log record for this request (the documented schema)."""
-        return {
-            "ts": round(self.wall_start, 6),
-            "type": "request",
-            "id": self.request_id,
-            "frontend": self.frontend,
-            "endpoint": self.endpoint,
-            "outcome": self.outcome or "unknown",
-            "verdicts": self.verdicts,
-            "total_ms": round(self.total_ms(), 3),
-            "stages_ms": {
-                stage: round(seconds * 1000.0, 3)
-                for stage, seconds in self.stages().items()
-            },
-        }
-
     def line(self, values: tuple | None = None) -> str:
-        """:meth:`record` pre-serialized — the hot path.
+        """The access-log record (the module docstring's schema), serialized.
 
         Hand-formatted instead of ``json.dumps``: the id is validated to
         the header-safe token alphabet, and frontend/outcome are
@@ -258,20 +237,6 @@ class AccessLog:
                 self._stream.write(line + "\n")
             if slow and self._slow_stream is not None:
                 self._slow_stream.write(line + "\n")
-
-    def log(self, record: dict, *, slow: bool = False) -> None:
-        self.write(
-            json.dumps(record, separators=(",", ":"), sort_keys=True), slow=slow
-        )
-
-    def flush(self) -> None:
-        with self._lock:
-            for stream in (self._stream, self._slow_stream):
-                if stream is not None:
-                    try:
-                        stream.flush()
-                    except OSError:  # pragma: no cover
-                        pass
 
     def close(self) -> None:
         with self._lock:

@@ -21,100 +21,67 @@ id (the WHOIS analogue of the HTTP ``X-Request-Id`` echo; IRRd uses the
 same comment convention for its banner).  Plain lookups and the other
 bang commands stay id-free: they never enter the request core.
 
-Plain lookups and bang commands are pure dictionary reads on the IR and
-run inline on the event loop; only ``!v`` goes through the batched
-request core.
+Plain lookups and bang commands are reads on the session's *current* IR
+and index — they follow a hot swap, like ``!v`` — and run inline on the
+event loop; only ``!v`` goes through the batched request core.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
 
-from repro.irr.whois import MAX_QUERY_BYTES, WhoisEngine, _frame
+from repro.api import Session
+from repro.irr.whois import MAX_QUERY_BYTES, QUIT_TOKENS, WhoisEngine, _frame
 from repro.net.asn import AsnError, parse_asn
-from repro.serve.core import (
-    BusyError,
-    DeadlineExpired,
-    Query,
-    ServeError,
-    VerifyService,
-)
+from repro.serve.core import BusyError, DeadlineExpired, Query, ServeError
+from repro.serve.frontend import StreamFrontend
 
 __all__ = ["WhoisFrontend"]
 
-log = logging.getLogger("repro.serve.whois")
 
-_QUIT = frozenset(("!q", "!e", "-k q", "q"))
+class WhoisFrontend(StreamFrontend):
+    """The line protocol over the shared connection lifecycle."""
 
-
-class WhoisFrontend:
-    """Owns the listening socket for the line protocol."""
-
-    def __init__(self, service: VerifyService, host: str, port: int):
-        self.service = service
-        self.engine = WhoisEngine(service.session.ir)
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
-
-    async def start(self) -> "WhoisFrontend":
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_QUERY_BYTES + 1,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    protocol = "whois"
+    limit = MAX_QUERY_BYTES + 1
+    # Built on first use, rebuilt when the session's IR has moved on.
+    _engine: WhoisEngine | None = None
 
     # -- connection handling ----------------------------------------------
 
-    async def _handle_connection(
+    async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    ) -> str | None:
+        """The next query line; a quit token or EOF ends the connection."""
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, asyncio.LimitOverrunError):
-                    # Line longer than the stream limit: the connection
-                    # cannot be resynchronized reliably, so refuse and drop.
-                    writer.write(b"F query line too long\n\n")
-                    await writer.drain()
-                    return
-                if not line:
-                    return
-                text = line.decode("utf-8", errors="replace").strip()
-                if text in _QUIT:
-                    return
-                response = await self._answer(text)
-                writer.write(response.encode("utf-8") + b"\n\n")
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away; nothing to answer
-        except Exception:  # noqa: BLE001 - connection isolation
-            log.exception("unhandled error on whois connection")
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            line = await reader.readline()
+        except ValueError:
+            # Line longer than the stream limit: the connection cannot be
+            # resynchronized reliably, so refuse and drop.
+            writer.write(b"F query line too long\n\n")
+            await writer.drain()
+            return None
+        text = line.decode("utf-8", errors="replace").strip()
+        return text if line and text not in QUIT_TOKENS else None
 
-    async def _answer(self, text: str) -> str:
+    async def _respond(
+        self, text: str, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
         if text.startswith("!v"):
-            return await self._verify(text[2:])
-        if text.startswith("!"):
-            return self.engine.bang(text)
-        found = self.engine.lookup(text)
-        return found if found is not None else "%  No entries found"
+            response = await self._verify(text[2:])
+        else:
+            response = await self.service.read_session(self._lookup, text)
+        writer.write(response.encode("utf-8") + b"\n\n")
+        await writer.drain()
+        return True
+
+    def _lookup(self, session: Session, text: str) -> str:
+        """A plain lookup or stock bang command over the session as it is
+        now: the engine follows a hot swap, over the session's own index."""
+        engine = self._engine
+        if engine is None or engine.ir is not session.ir:
+            engine = self._engine = WhoisEngine(session.ir, index=session.index)
+        return engine.answer(text)
 
     # -- verification ------------------------------------------------------
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 import gzip
 import random
 import socket
+import threading
 
 import pytest
 
+from repro import api
 from repro.chaos import (
     DUMP_MUTATORS,
     MUTATORS,
@@ -26,7 +28,7 @@ from repro.chaos.mutators import oversized_paragraph
 from repro.core.degradation import DegradationReport
 from repro.core.parallel import verify_table
 from repro.irr.dump import parse_dump_file, parse_dump_text
-from repro.irr.whois import WhoisServer, whois_query
+from repro.irr.whois import whois_query
 from repro.rpsl.errors import ErrorCollector, ErrorKind
 from repro.rpsl.lexer import LexLimits
 
@@ -184,14 +186,15 @@ def test_clean_parallel_run_has_empty_degradation(tiny_ir, tiny_world, tiny_rout
 
 
 @pytest.fixture()
-def small_ir():
+def small_session():
     ir, _ = parse_dump_text(CLEAN, source="TEST")
-    return ir
+    with api.open_session(ir, use_cache=False) as session:
+        yield session
 
 
-def test_whois_retries_through_flaky_proxy(small_ir):
-    with WhoisServer(small_ir) as server:
-        with FlakyTcpProxy("127.0.0.1", server.port, failures=2) as proxy:
+def test_whois_retries_through_flaky_proxy(small_session):
+    with small_session.whois_server() as server:
+        with FlakyTcpProxy("127.0.0.1", server.whois_port, failures=2) as proxy:
             answer = whois_query(
                 "127.0.0.1", proxy.port, "AS64500", retries=3, backoff=0.01
             )
@@ -199,9 +202,9 @@ def test_whois_retries_through_flaky_proxy(small_ir):
     assert proxy.connections == 3
 
 
-def test_whois_without_retries_surfaces_the_failure(small_ir):
-    with WhoisServer(small_ir) as server:
-        with FlakyTcpProxy("127.0.0.1", server.port, failures=1) as proxy:
+def test_whois_without_retries_surfaces_the_failure(small_session):
+    with small_session.whois_server() as server:
+        with FlakyTcpProxy("127.0.0.1", server.whois_port, failures=1) as proxy:
             with pytest.raises(OSError):
                 whois_query("127.0.0.1", proxy.port, "AS64500")
 
@@ -268,19 +271,20 @@ def test_whois_backoff_total_time_budget(monkeypatch):
         )
 
 
-def test_whois_query_line_cap(small_ir):
-    with WhoisServer(small_ir) as server:
-        refused = whois_query("127.0.0.1", server.port, "A" * 8192)
+def test_whois_query_line_cap(small_session):
+    with small_session.whois_server() as server:
+        port = server.whois_port
+        refused = whois_query("127.0.0.1", port, "A" * 8192)
         assert refused.startswith("F query line too long")
         # The server is still healthy for well-formed queries.
-        assert "aut-num" in whois_query("127.0.0.1", server.port, "AS64500")
+        assert "aut-num" in whois_query("127.0.0.1", port, "AS64500")
 
 
-def test_whois_stop_releases_port_and_thread(small_ir):
-    server = WhoisServer(small_ir).start()
-    port = server.port
+def test_whois_stop_releases_port_and_thread(small_session):
+    server = small_session.whois_server()
+    port = server.whois_port
     server.stop()
-    assert server._thread is None
+    assert "rpslyzer-serve" not in {t.name for t in threading.enumerate()}
     with pytest.raises(OSError):
         socket.create_connection(("127.0.0.1", port), timeout=0.5)
 

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro import api
 from repro.bgp.topology import AsRelationships
 from repro.core.query import QueryEngine
 from repro.core.verify import Verifier, VerifyOptions
 from repro.core.status import VerifyStatus
 from repro.irr.dump import parse_dump_text
-from repro.irr.whois import WhoisEngine, WhoisServer, whois_query
+from repro.irr.whois import WhoisEngine, whois_query
 from repro.net.prefix import Prefix, RangeOp
 from repro.stats.usage import rules_per_group
 
@@ -112,11 +113,13 @@ class TestWhoisCorners:
         assert engine.bang("!e") == ""
 
     def test_server_handles_garbage_then_valid(self, engine):
-        with WhoisServer(engine.ir) as server:
-            garbage = whois_query("127.0.0.1", server.port, "\x00\xff nonsense")
-            assert "No entries found" in garbage
-            ok = whois_query("127.0.0.1", server.port, "AS1")
-            assert ok.startswith("aut-num:")
+        with api.open_session(engine.ir, use_cache=False) as session:
+            with session.whois_server() as server:
+                port = server.whois_port
+                garbage = whois_query("127.0.0.1", port, "\x00\xff nonsense")
+                assert "No entries found" in garbage
+                ok = whois_query("127.0.0.1", port, "AS1")
+                assert ok.startswith("aut-num:")
 
 
 class TestFig1Annotations:

@@ -1,10 +1,11 @@
-"""Tests for IR rendering and the WHOIS server/client."""
+"""Tests for IR rendering and the WHOIS dialect, engine, client and server."""
 
 import pytest
 
+from repro import api
 from repro.ir.render import render_ir, render_object
 from repro.irr.dump import parse_dump_text
-from repro.irr.whois import WhoisEngine, WhoisServer, whois_query
+from repro.irr.whois import WhoisEngine, whois_query
 
 DUMP = """
 aut-num:    AS2914
@@ -136,53 +137,37 @@ class TestWhoisEngine:
 
 
 class TestWhoisServer:
-    def test_query_over_tcp(self, ir):
-        with WhoisServer(ir) as server:
-            text = whois_query("127.0.0.1", server.port, "AS2914")
-            assert "as-name:    NTT" in text
+    """The dialect over TCP, through the one server: ``session.whois_server()``."""
 
-    def test_bang_over_tcp(self, ir):
-        with WhoisServer(ir) as server:
-            text = whois_query("127.0.0.1", server.port, "!gAS1")
-            assert "10.1.0.0/16" in text
+    @pytest.fixture(scope="class")
+    def port(self, ir):
+        # No AS relationships: every lookup works, ``!v`` cannot.
+        with api.open_session(ir, use_cache=False) as session:
+            with session.whois_server() as handle:
+                yield handle.whois_port
 
-    def test_not_found_over_tcp(self, ir):
-        with WhoisServer(ir) as server:
-            text = whois_query("127.0.0.1", server.port, "AS4242")
-            assert "No entries found" in text
+    def test_query_over_tcp(self, port):
+        text = whois_query("127.0.0.1", port, "AS2914")
+        assert "as-name:    NTT" in text
 
-    def test_multiple_sequential_connections(self, ir):
-        with WhoisServer(ir) as server:
-            for query in ("AS2914", "AS-ONE", "!iAS-ONE,1"):
-                assert whois_query("127.0.0.1", server.port, query)
+    def test_bang_over_tcp(self, port):
+        text = whois_query("127.0.0.1", port, "!gAS1")
+        assert "10.1.0.0/16" in text
 
-    def test_clean_stop_reports_no_degradation(self, ir):
-        server = WhoisServer(ir).start()
-        whois_query("127.0.0.1", server.port, "AS2914")
-        report = server.stop()
-        assert not report
+    def test_not_found_over_tcp(self, port):
+        text = whois_query("127.0.0.1", port, "AS4242")
+        assert "No entries found" in text
 
-    def test_stop_reports_wedged_handler_thread(self, ir):
-        """A slow client wedges its handler on read; stop() must return
-        promptly and report the leak instead of swallowing it."""
-        import time
+    def test_multiple_sequential_connections(self, port):
+        for query in ("AS2914", "AS-ONE", "!iAS-ONE,1"):
+            assert whois_query("127.0.0.1", port, query)
 
-        from repro.chaos.faults import SlowClient
-
-        server = WhoisServer(ir).start()
-        with SlowClient("127.0.0.1", server.port, partial=b"AS29"):
-            deadline = time.monotonic() + 5
-            while (
-                not server._server.live_handler_threads()
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            started = time.monotonic()
-            report = server.stop(join_timeout=0.3)
-            elapsed = time.monotonic() - started
-        assert report.by_kind().get("whois/handler-thread-leaked") == 1
-        assert elapsed < 3  # bounded: no hang on the wedged thread
-
-    def test_stop_without_start_is_safe(self, ir):
-        report = WhoisServer(ir).stop()
-        assert not report
+    def test_bang_v_without_relationships_is_an_error_frame(self, port):
+        """A session opened without ``as_rel`` cannot verify; the client
+        gets an ``F`` line saying so, not a dropped connection."""
+        response = whois_query("127.0.0.1", port, "!v 10.1.0.0/16 AS2914 AS1")
+        comment, _, answer = response.partition("\n")
+        assert comment.startswith("%% id ")
+        assert answer.startswith("F ") and "relationships" in answer
+        # ...and the connection's server is still answering.
+        assert "as-name:    NTT" in whois_query("127.0.0.1", port, "AS2914")

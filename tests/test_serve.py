@@ -1250,6 +1250,49 @@ class TestReload:
         assert body["supervisor"]["live"] == 2
         assert body["index_generation"] == 1
 
+    def test_whois_lookups_follow_the_live_generation(self, tiny_world, tmp_path):
+        """Regression: the WHOIS front-end used to snapshot the IR at start,
+        so after a hot swap ``!v`` answered from generation N+1 and every
+        lookup from generation N.  Every answer must be the engine's over
+        the session's *current* IR — here over an mmap-backed index, whose
+        old generation is unmapped by the swap."""
+        from repro.irr.history import ChurnConfig, evolve_with_journal
+        from repro.irr.whois import WhoisEngine
+
+        api.open_session(tiny_world, cache_dir=tmp_path).close()  # fill the cache
+        session = api.open_session(
+            tiny_world, registry=MetricsRegistry(), cache_dir=tmp_path
+        )
+        _, journal = evolve_with_journal(session.ir, ChurnConfig(seed=11))
+        asn = next(entry.key[1] for entry in journal if entry.cls == "route")
+        queries = (f"!gAS{asn}", f"AS{asn}", f"-i origin AS{asn}")
+        daemon = ServeDaemon(session, ServeConfig(http_port=0, whois_port=0))
+
+        def served() -> list[str]:
+            return [whois_query("127.0.0.1", handle.whois_port, q) for q in queries]
+
+        def expected() -> list[str]:
+            engine = WhoisEngine(session.ir)
+            return [engine.answer(query) for query in queries]
+
+        try:
+            with daemon.start_in_thread() as handle:
+                assert session.index.resource is not None  # adopted from disk
+                before = served()
+                assert before == expected()
+                status, summary = _http(
+                    handle.http_port,
+                    "POST",
+                    "/reload",
+                    {"journal": journal.to_jsonable()},
+                )
+                assert status == 200 and summary["generation"] == 1
+                after = served()
+                assert after == expected()
+                assert after[0] != before[0] and after[2] != before[2]
+        finally:
+            session.close()
+
     def test_journal_follower_applies_from_disk(self, tiny_world, tmp_path):
         from repro.irr.history import ChurnConfig, evolve_with_journal
         from repro.irr.journal import save_journal
@@ -1329,6 +1372,88 @@ class TestReload:
 
 
 @pytest.mark.slow
+class TestBoundedShutdown:
+    """No client decides when the daemon stops: a connection that is not
+    owed a response is closed by the server, and ``stop()`` returns."""
+
+    @pytest.fixture()
+    def running(self, serve_session):
+        daemon = ServeDaemon(serve_session, ServeConfig(http_port=0, whois_port=0))
+        handle = daemon.start_in_thread()
+        yield handle
+        if handle._thread.is_alive():  # the test failed before stopping it
+            handle.stop()
+
+    @staticmethod
+    def _assert_stopped_cleanly(running, ports, client: socket.socket, caplog):
+        with caplog.at_level("ERROR", logger="asyncio"):
+            running.stop(timeout=5)  # raises TimeoutError if a client held it
+            client.settimeout(5)
+            assert client.recv(1) == b""  # the server closed it: EOF, not a reset
+        for port in ports:
+            with pytest.raises(OSError):
+                socket.create_connection(("127.0.0.1", port), timeout=0.5)
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        # Its "rpslyzer-serve" thread is gone, and no connection has a thread.
+        assert not running._thread.is_alive()
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("whois-handler-")
+        ]
+
+    def test_idle_keep_alive_http_connection_does_not_hold_stop(
+        self, running, caplog
+    ):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", running.http_port, timeout=5
+        )
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.getheader("connection") == "keep-alive"
+            ports = (running.http_port, running.whois_port)
+            self._assert_stopped_cleanly(running, ports, connection.sock, caplog)
+        finally:
+            connection.close()
+
+    def test_whois_client_stalled_mid_line_does_not_hold_stop(
+        self, running, caplog
+    ):
+        from repro.chaos import SlowClient
+
+        ports = (running.http_port, running.whois_port)
+        with SlowClient("127.0.0.1", running.whois_port, partial=b"AS") as slow:
+            time.sleep(0.1)  # let the handler reach its read
+            self._assert_stopped_cleanly(running, ports, slow._sock, caplog)
+
+    def test_response_in_flight_at_shutdown_is_completed(
+        self, running, tiny_routes
+    ):
+        """The other half of the rule: a connection that *is* owed a
+        response keeps it — the query admitted before shutdown is answered
+        in full, told ``Connection: close``, and then closed."""
+        entry = tiny_routes[0]
+        running.daemon.service.fault_hook = lambda queries: time.sleep(0.3)
+        answers: list = []
+        client = threading.Thread(
+            target=lambda: answers.append(
+                _http_full(
+                    running.http_port, "POST", "/verify", _verify_payload(entry)
+                )
+            )
+        )
+        client.start()
+        time.sleep(0.1)  # the request is executing
+        running.stop(timeout=5)
+        client.join(timeout=5)
+        assert not client.is_alive()
+        status, headers, body = answers[0]
+        assert status == 200 and body["prefix"] == str(entry.prefix)
+        assert headers["connection"] == "close"
+
+
 class TestDaemonLifecycle:
     def test_sigterm_drains_and_exits_clean(self, tiny_world_dir, tiny_routes):
         process, port = _spawn_serve(tiny_world_dir)

@@ -122,7 +122,7 @@ class TestSessionQueries:
         with api.open_session(tiny_world, warm=False) as session:
             asn = min(session.ir.aut_nums)
             with session.whois_server() as server:
-                answer = whois_query("127.0.0.1", server.port, f"AS{asn}")
+                answer = whois_query("127.0.0.1", server.whois_port, f"AS{asn}")
         assert f"AS{asn}" in answer
 
 
