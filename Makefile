@@ -48,13 +48,17 @@ perf-regression:
 # one short verify_table run — the hop-cache *miss* path — against the
 # golden verdict digest, hop histogram and lazy-engine differential, then
 # one short ingest run — the IR codec on the real open path: cold/warm
-# digest parity, cached-artifact adoption, golden object counts.  No
-# timing is asserted here — perf claims are made against the ledger.
+# digest parity, cached-artifact adoption, golden object counts, then
+# one short serve run — the daemon as a subprocess: every /verify body
+# byte-identical pass to pass, every `text` and WHOIS `!v` answer equal to
+# the in-process report.  No timing is asserted here — perf claims are
+# made against the ledger.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests -q -p no:cacheprovider
 	$(PYTHON) benchmarks/e2e/run.py --workload churn --seed 7 --seconds 4 --trace 0
 	$(PYTHON) benchmarks/e2e/run.py --workload verify_table --seed 7 --seconds 4 --trace 0
 	$(PYTHON) benchmarks/e2e/run.py --workload ingest --seed 7 --seconds 4 --trace 0
+	$(PYTHON) benchmarks/e2e/run.py --workload serve --seed 7 --seconds 4 --trace 0
 
 # The one supervised worker pool under both of its callers.  Serve: the
 # self-healing lifecycle against a live daemon (SIGKILL mid-flood,

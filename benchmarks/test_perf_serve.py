@@ -68,7 +68,7 @@ def _throughput(session, workers: int, queries: list[Query]) -> float:
         finally:
             await service.stop()
         assert len(results) == len(queries)
-        assert all(isinstance(result, dict) for result in results)
+        assert all(isinstance(result, bytes) for result in results)
         return len(queries) / elapsed
 
     return asyncio.run(flood())

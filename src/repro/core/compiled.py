@@ -49,7 +49,6 @@ import os
 import pickle
 import tempfile
 import time
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -938,24 +937,26 @@ def save_index(index: CompiledIndex, path: str | Path) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    region = bytearray()
-    plane_entries = []
+    # The region is laid out first and then written straight from the
+    # planes' own buffers: assembled in memory it was a second copy (and,
+    # while a plane was being appended, a third) of an index that is all
+    # planes — the peak of a cold open's resident size.
+    parts = []  # (directory entry, buffer) in file order
+    end = 0
     for name, typecode, plane in index.route_trie.export_planes():
-        region += b"\x00" * (-len(region) % _ALIGN)
-        data = plane.tobytes() if isinstance(plane, array) else bytes(plane)
-        plane_entries.append(
-            {"name": name, "fmt": typecode, "offset": len(region), "nbytes": len(data)}
-        )
-        region += data
+        nbytes = memoryview(plane).nbytes
+        entry = {"name": name, "fmt": typecode, "offset": _aligned(end), "nbytes": nbytes}
+        parts.append((entry, plane))
+        end = entry["offset"] + nbytes
     rest = {
         f.name: getattr(index, f.name)
         for f in dataclasses.fields(index)
         if f.name != "route_trie" and f.name not in _TRANSIENT_FIELDS
     }
     blob = pickle.dumps(rest, protocol=pickle.HIGHEST_PROTOCOL)
-    region += b"\x00" * (-len(region) % _ALIGN)
-    pickle_entry = {"offset": len(region), "nbytes": len(blob)}
-    region += blob
+    plane_entries = [entry for entry, _ in parts]
+    pickle_entry = {"offset": _aligned(end), "nbytes": len(blob)}
+    parts.append((pickle_entry, blob))
     header = json.dumps(
         {
             "format": INDEX_FORMAT,
@@ -975,7 +976,11 @@ def save_index(index: CompiledIndex, path: str | Path) -> None:
             stream.write(len(header).to_bytes(8, "little"))
             stream.write(header)
             stream.write(b"\x00" * (_aligned(lead) - lead))
-            stream.write(region)
+            written = 0
+            for entry, data in parts:
+                stream.write(b"\x00" * (entry["offset"] - written))
+                stream.write(data)
+                written = entry["offset"] + entry["nbytes"]
         os.replace(temp_name, path)
     except BaseException:
         try:

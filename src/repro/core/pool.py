@@ -361,7 +361,9 @@ def _worker_main(
     ``("ready", pid)`` once warm, ``("result", batch_id, payload,
     flight_lines)``, ``("pong", seq)``, and ``("reloaded", generation,
     degraded)`` / ``("reload-failed", message)``.  A batch's payload is
-    one ``("ok", payload)`` or ``("err", message)`` per item; a chunk's
+    one ``("ok", body, verdicts)`` or ``("err", message)`` per item
+    (:func:`repro.serve.core.answer_query`: the response body crosses the
+    pipe as the bytes the front-end writes); a chunk's
     is ``("ok", stats, metrics_delta)`` (see :class:`ChunkRunner`) or
     ``("err", message)`` — the worker outlives a chunk that raised.
 

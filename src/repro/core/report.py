@@ -12,6 +12,7 @@ printout format, e.g.::
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -159,6 +160,11 @@ class HopReport:
     # the printed report, so Appendix-C output is unchanged.
     rule_index: int | None = None
     rule_source: str | None = None
+    # fragments(), rendered once.  Not part of the value: two reports that
+    # differ only here are equal and hash alike.
+    _fragments: tuple[str, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def subject_asn(self) -> int:
@@ -189,6 +195,33 @@ class HopReport:
             return f"{word} {{ from: {self.from_asn}, to: {self.to_asn} }}"
         items = ", ".join(str(item) for item in self.items)
         return f"{word} {{ from: {self.from_asn}, to: {self.to_asn}, items: [{items}] }}"
+
+    def fragments(self) -> tuple[str, str]:
+        """This hop as a served response spells it, rendered on first use.
+
+        ``(object, line)``: the hop's entry in the ``/verify`` body's
+        ``hops`` list (compact, keys sorted) and ``str(self)`` JSON-escaped,
+        without the quotes, for the body's ``text``.  A report is immutable
+        and shared by every route that repeats the hop, so the pair is kept
+        on it — and goes wherever the report goes: dropped from the hop
+        cache, it takes its rendering along.
+        """
+        pair = self._fragments
+        if pair is None:
+            hop = {
+                "direction": self.direction,
+                "from_asn": self.from_asn,
+                "to_asn": self.to_asn,
+                "status": self.status.label,
+                "peer_matched": self.peer_matched,
+                "items": [str(item) for item in self.items],
+            }
+            pair = (
+                json.dumps(hop, separators=(",", ":"), sort_keys=True),
+                json.dumps(str(self))[1:-1],
+            )
+            object.__setattr__(self, "_fragments", pair)
+        return pair
 
 
 @dataclass(slots=True)

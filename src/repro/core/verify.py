@@ -425,29 +425,18 @@ class Verifier:
             check = self.check
         else:
 
-            def check(direction, from_asn, to_asn, ctx, _trace=trace):
-                return self._traced_check(_trace, direction, from_asn, to_asn, ctx)
+            def check(*hop, _trace=trace):
+                return self._traced_check(_trace, *hop)
 
+        prefix = entry.prefix
+        communities = entry.communities
+        hops = report.hops
         for index in range(len(path) - 2, -1, -1):
             exporter = path[index + 1]
             importer = path[index]
             sub_path = path[index + 1 :]
-            ctx_export = MatchContext(
-                prefix=entry.prefix,
-                as_path=sub_path,
-                peer_asn=importer,
-                self_asn=exporter,
-                communities=entry.communities,
-            )
-            report.hops.append(check("export", exporter, importer, ctx_export))
-            ctx_import = MatchContext(
-                prefix=entry.prefix,
-                as_path=sub_path,
-                peer_asn=exporter,
-                self_asn=importer,
-                communities=entry.communities,
-            )
-            report.hops.append(check("import", exporter, importer, ctx_import))
+            hops.append(check("export", exporter, importer, prefix, sub_path, communities))
+            hops.append(check("import", exporter, importer, prefix, sub_path, communities))
         if trace is not None:
             tracer.commit(trace, report)
         return report
@@ -466,18 +455,26 @@ class Verifier:
     # -- per-hop classification -------------------------------------------
 
     def check(
-        self, direction: str, from_asn: int, to_asn: int, ctx: MatchContext
+        self,
+        direction: str,
+        from_asn: int,
+        to_asn: int,
+        prefix: Prefix,
+        sub_path: tuple[int, ...],
+        communities: frozenset[tuple[int, int]],
     ) -> HopReport:
         """Classify one import or export of one hop (memoized).
 
         The cache key is the full decision context — direction, the hop's
         endpoints, the prefix, and the sub-path toward the origin — so a
-        hit is exact, and reports are immutable so sharing is safe.
+        hit is exact, and reports are immutable so sharing is safe.  A hit
+        costs the key tuple and one probe: the :class:`MatchContext` the
+        rules are evaluated in is only built on a miss.
         """
         metrics = self._metrics
         cache_size = self.options.hop_cache_size
         if cache_size:
-            key = (direction, from_asn, to_asn, ctx.prefix, ctx.as_path, ctx.communities)
+            key = (direction, from_asn, to_asn, prefix, sub_path, communities)
             cached = self._hop_cache.get(key)
             if cached is not None:
                 self.hop_cache_hits += 1
@@ -486,43 +483,45 @@ class Verifier:
                     metrics.status[cached.status].inc()
                 return cached
             self.hop_cache_misses += 1
-            report = self._checked(direction, from_asn, to_asn, ctx, metrics)
+        subject_asn, remote_asn = (
+            (to_asn, from_asn) if direction == "import" else (from_asn, to_asn)
+        )
+        ctx = MatchContext(
+            prefix=prefix,
+            as_path=sub_path,
+            peer_asn=remote_asn,
+            self_asn=subject_asn,
+            communities=communities,
+        )
+        report = self._checked(direction, from_asn, to_asn, ctx, metrics)
+        if metrics is not None:
+            metrics.status[report.status].inc()
+        if cache_size:
             if metrics is not None:
                 metrics.cache_misses.inc()
-                metrics.status[report.status].inc()
             if len(self._hop_cache) >= cache_size:
                 self._hop_cache.clear()
                 self.hop_cache_evictions += 1
                 if metrics is not None:
                     metrics.cache_evictions.inc()
             self._hop_cache[key] = report
-            return report
-        report = self._checked(direction, from_asn, to_asn, ctx, metrics)
-        if metrics is not None:
-            metrics.status[report.status].inc()
         return report
 
-    def _traced_check(
-        self,
-        trace: RouteTrace,
-        direction: str,
-        from_asn: int,
-        to_asn: int,
-        ctx: MatchContext,
-    ) -> HopReport:
+    def _traced_check(self, trace: RouteTrace, *hop) -> HopReport:
         """One hop check with provenance capture (see :mod:`repro.obs.trace`).
 
-        Wraps :meth:`check` without changing what it computes: detects
-        whether the memo cache answered (a hit skips filter evaluation, so
-        no deep chain exists for it) and, for head-sampled routes, collects
-        the filter-evaluation path from the evaluator.
+        Wraps :meth:`check` (``hop`` is its argument list) without changing
+        what it computes: detects whether the memo cache answered (a hit
+        skips filter evaluation, so no deep chain exists for it) and, for
+        head-sampled routes, collects the filter-evaluation path from the
+        evaluator.
         """
         hits_before = self.hop_cache_hits
         chain: list[str] | None = [] if trace.deep else None
         if chain is not None:
             self.filters.begin_trace(chain)
         try:
-            report = self.check(direction, from_asn, to_asn, ctx)
+            report = self.check(*hop)
         finally:
             if chain is not None:
                 self.filters.end_trace()

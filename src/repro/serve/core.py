@@ -62,6 +62,8 @@ greps the whole story of a request across the stack.
 from __future__ import annotations
 
 import asyncio
+import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -102,6 +104,13 @@ SERVE_BATCH_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(10))
 # Hard cap on AS-path length accepted over the wire; real paths top out
 # in the dozens, so anything longer is abuse, not routing.
 MAX_AS_PATH_LEN = 512
+
+_BAD_DEADLINE = "'deadline_s' must be a finite positive number"
+
+
+def _bad_deadline(value) -> bool:
+    """Not a JSON number (``true`` is not one), or not in (0, inf): NaN included."""
+    return type(value) not in (int, float) or not 0 < value < math.inf
 
 
 class ServeError(Exception):
@@ -200,7 +209,7 @@ class Query:
     """
 
     kind: str  # "verify" or "explain"
-    prefix: str
+    prefix: Prefix | str  # from_payload keeps what it parsed
     as_path: tuple[int, ...]
     collector: str = "serve"
     deadline_s: float | None = None
@@ -212,6 +221,9 @@ class Query:
 
         Raises :class:`BadRequestError` with a human-readable message on
         any malformed field — the front-end turns it into a 400/``F``.
+        Values are validated, never coerced: an ASN is a JSON integer
+        (``true`` and ``64500.9`` are not), a deadline a finite positive
+        number.
         """
         if not isinstance(payload, dict):
             raise BadRequestError("request body must be a JSON object")
@@ -219,7 +231,7 @@ class Query:
         if not isinstance(prefix, str):
             raise BadRequestError("'prefix' must be a string")
         try:
-            Prefix.parse(prefix)
+            prefix = Prefix.parse(prefix)
         except PrefixError as exc:
             raise BadRequestError(f"bad prefix: {exc}") from exc
         raw_path = payload.get("as_path")
@@ -227,27 +239,20 @@ class Query:
             raise BadRequestError("'as_path' must be a non-empty list of ASNs")
         if len(raw_path) > MAX_AS_PATH_LEN:
             raise BadRequestError(f"as_path longer than {MAX_AS_PATH_LEN}")
-        try:
-            as_path = tuple(int(asn) for asn in raw_path)
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError("'as_path' entries must be integers") from exc
-        if any(asn < 0 or asn > 0xFFFFFFFF for asn in as_path):
+        if any(type(asn) is not int for asn in raw_path):
+            raise BadRequestError("'as_path' entries must be integers")
+        if any(asn < 0 or asn > 0xFFFFFFFF for asn in raw_path):
             raise BadRequestError("'as_path' entries must be 32-bit ASNs")
         deadline = payload.get("deadline_s")
-        if deadline is not None:
-            try:
-                deadline = float(deadline)
-            except (TypeError, ValueError) as exc:
-                raise BadRequestError("'deadline_s' must be a number") from exc
-            if deadline <= 0:
-                raise BadRequestError("'deadline_s' must be positive")
+        if deadline is not None and _bad_deadline(deadline):
+            raise BadRequestError(_BAD_DEADLINE)
         collector = payload.get("collector", "serve")
         if not isinstance(collector, str):
             raise BadRequestError("'collector' must be a string")
         return Query(
             kind=kind,
             prefix=prefix,
-            as_path=as_path,
+            as_path=tuple(raw_path),
             collector=collector[:64],
             deadline_s=deadline,
             request_id=request_id,
@@ -282,39 +287,77 @@ def report_as_dict(report: RouteReport) -> dict:
     }
 
 
+def _json_bytes(value) -> bytes:
+    """The one JSON encoding every response body uses: compact, keys sorted."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+
+def render_report(report: RouteReport) -> bytes:
+    """The ``/verify`` body: ``_json_bytes(report_as_dict(report))``, byte for byte.
+
+    :func:`report_as_dict` says what the payload *is*; this writes the
+    same bytes without building it.  Only the route's own fields are
+    encoded per request — each hop brings its two fragments, rendered once
+    per :class:`~repro.core.report.HopReport` and kept on it
+    (:meth:`~repro.core.report.HopReport.fragments`), and hop reports are
+    shared through the hop cache, so a warm route is a join.
+    """
+    entry = report.entry
+    prefix = str(entry.prefix)  # digits, dots, colons, hex: nothing to escape
+    as_path = entry.as_path
+    fragments = [hop.fragments() for hop in report.hops]
+    if report.ignored is not None:
+        ignored = json.dumps(report.ignored)
+        text = json.dumps(f"Ignored({report.ignored}) {prefix}")[1:-1]
+    else:
+        ignored = "null"
+        header = f"# {prefix} path {' '.join(map(str, as_path))}"
+        text = "\\n".join([header, *[line for _, line in fragments]])
+    return (
+        f'{{"as_path":[{",".join(map(str, as_path))}]'
+        f',"collector":{json.dumps(entry.collector)}'
+        f',"hops":[{",".join([hop for hop, _ in fragments])}]'
+        f',"ignored":{ignored}'
+        f',"prefix":"{prefix}"'
+        f',"text":"{text}"}}'
+    ).encode("ascii")
+
+
 def answer_query(
     session: Session,
     kind: str,
-    prefix: str,
+    prefix: Prefix | str,
     as_path: Sequence[int],
     collector: str,
-) -> tuple[str, dict | str]:
-    """Answer one query on ``session``: ``("ok", payload)`` or ``("err", message)``.
+) -> tuple[str, bytes, int] | tuple[str, str]:
+    """Answer one query on ``session``: ``("ok", body, verdicts)`` or ``("err", message)``.
 
     The one body behind every served verdict — the in-process path runs
-    it on the daemon's session, a pool worker on its own, and the pair is
-    what crosses the worker pipe.  An exception is the query's answer,
-    never the batch's.
+    it on the daemon's session, a pool worker on its own, and the answer
+    is what crosses the worker pipe: ``body`` is the finished response
+    (JSON bytes; the front-ends add only framing), ``verdicts`` its hop
+    count for the access log.  An exception is the query's answer, never
+    the batch's.
     """
     try:
         if kind == "explain":
             report, events = session.explain(prefix, as_path, collector=collector)
             payload = report_as_dict(report)
             payload["events"] = events
+            body = _json_bytes(payload)
         else:
-            payload = report_as_dict(
-                session.verify_route(prefix, as_path, collector=collector)
-            )
+            report = session.verify_route(prefix, as_path, collector=collector)
+            body = render_report(report)
     except Exception as exc:  # noqa: BLE001 - per-query isolation
         return "err", str(exc)
-    return "ok", payload
+    return "ok", body, len(report.hops)
 
 
-def _as_outcomes(answers: Sequence[tuple[str, dict | str]]) -> list:
-    """:func:`answer_query` pairs as what a waiter receives."""
+def _as_outcomes(answers: Sequence[tuple]) -> list:
+    """:func:`answer_query` answers as what a waiter receives."""
     return [
-        payload if tag == "ok" else BadRequestError(payload)
-        for tag, payload in answers
+        answer[1:] if answer[0] == "ok" else BadRequestError(answer[1])
+        for answer in answers
     ]
 
 
@@ -373,6 +416,14 @@ class LatencyShedder:
                 self._above_since = None
                 return False
             return True
+
+
+def _expire(future: asyncio.Future, timeout: float) -> None:
+    """A request's deadline timer went off before its verdict arrived."""
+    if not future.done():
+        future.set_exception(
+            DeadlineExpired(f"no verdict within the {timeout:g}s deadline")
+        )
 
 
 @dataclass(slots=True)
@@ -653,8 +704,8 @@ class VerifyService:
 
     async def submit(
         self, query: Query, telemetry: RequestTelemetry | None = None
-    ) -> dict:
-        """Run one query through the batched core; returns the JSON payload.
+    ) -> bytes:
+        """Run one query through the batched core; returns the response body.
 
         Raises :class:`BadRequestError` on an invalid deadline,
         :class:`BusyError` on backpressure (queue full, shedding, or
@@ -677,13 +728,14 @@ class VerifyService:
                 self._observe_queue_wait("refused", telemetry.queue_wait)
                 self._finish_request(telemetry, "refused")
             raise BusyError("shutting down")
-        if query.deadline_s is not None and query.deadline_s <= 0:
+        if query.deadline_s is not None and _bad_deadline(query.deadline_s):
             # Zero/negative deadlines used to be clamped by min() into an
-            # instant 504; they are a malformed request, not a timeout.
+            # instant 504, and NaN survives min() to become the timer's
+            # ``when``; they are a malformed request, not a timeout.
             with self._metrics_lock:
                 self._outcome(query.kind, "bad-request").inc()
             self._finish_request(telemetry, "bad-request")
-            raise BadRequestError("'deadline_s' must be positive")
+            raise BadRequestError(_BAD_DEADLINE)
         if self._shedder is not None and self._shedder.should_shed():
             with self._metrics_lock:
                 self._shed_total.inc()
@@ -730,11 +782,13 @@ class VerifyService:
                 f"queue full ({self.config.queue_size} queries pending)"
             ) from None
         self._queue_depth.set(self._batcher.qsize())
+        # The deadline is one timer handle: it fails the future, so the
+        # batcher discards any late outcome instead of delivering into the
+        # void, and a request that completes first cancels it.
+        timer = loop.call_later(timeout, _expire, pending.future, timeout)
         try:
-            result = await asyncio.wait_for(pending.future, timeout)
-        except asyncio.TimeoutError:
-            # wait_for cancelled the future, so the batcher will discard
-            # any late outcome instead of delivering into the void.
+            body, verdicts = await pending.future
+        except DeadlineExpired:
             with self._metrics_lock:
                 self._deadline_miss.inc()
                 self._outcome(query.kind, "deadline").inc()
@@ -747,9 +801,7 @@ class VerifyService:
                     timeout_s=timeout,
                 )
                 self._finish_request(telemetry, "deadline")
-            raise DeadlineExpired(
-                f"no verdict within the {timeout:g}s deadline"
-            ) from None
+            raise
         except ServeError as exc:
             with self._metrics_lock:
                 self._outcome(query.kind, exc.code).inc()
@@ -775,6 +827,8 @@ class VerifyService:
                 )
                 self._finish_request(telemetry, "error")
             raise
+        finally:
+            timer.cancel()
         with self._metrics_lock:
             # The fallback serves a hand-built Query of some other kind.
             observe_latency, count_ok = self._ok_instruments.get(
@@ -782,8 +836,8 @@ class VerifyService:
             ) or self._bind_ok_instruments(query.kind)
             observe_latency(time.monotonic() - pending.submitted)
             count_ok()
-        self._finish_request(telemetry, "ok", verdicts=len(result.get("hops", ())))
-        return result
+        self._finish_request(telemetry, "ok", verdicts=verdicts)
+        return body
 
     # -- execution (event loop, or the batcher's executor threads) -----------
 

@@ -4,7 +4,8 @@ Endpoints (all responses are JSON unless noted):
 
 * ``POST /verify``  — body ``{"prefix", "as_path", "collector"?,
   "deadline_s"?}`` → the route report (see
-  :func:`repro.serve.core.report_as_dict`).
+  :func:`repro.serve.core.report_as_dict`; the body arrives from the
+  request core already encoded and is written as is).
 * ``POST /explain`` — same body → the report plus decision-provenance
   ``events``.
 * ``GET /healthz``  — liveness, headline counters, index
@@ -59,6 +60,7 @@ from repro.serve.core import (
     DeadlineExpired,
     Query,
     ServeError,
+    _json_bytes,
 )
 from repro.serve.frontend import StreamFrontend
 
@@ -229,8 +231,8 @@ class HttpFrontend(StreamFrontend):
                 path.lstrip("/"),
                 request_id=telemetry.request_id if telemetry is not None else "",
             )
-            result = await self.service.submit(query, telemetry)
-            return 200, _json_bytes(result), "application/json"
+            body = await self.service.submit(query, telemetry)
+            return 200, body, "application/json"
         if path == "/reload":
             if method != "POST":
                 raise _HttpError(405, "/reload expects POST")
@@ -360,7 +362,3 @@ def _journal_from_payload(payload):
         except (JournalError, TypeError, KeyError, AttributeError) as exc:
             raise BadRequestError(f"bad journal payload: {exc}") from exc
     raise BadRequestError("provide 'journal' or 'journal_path'")
-
-
-def _json_bytes(value) -> bytes:
-    return json.dumps(value, separators=(",", ":"), sort_keys=True).encode("utf-8")

@@ -29,6 +29,7 @@ event loop; only ``!v`` goes through the batched request core.
 from __future__ import annotations
 
 import asyncio
+import json
 
 from repro.api import Session
 from repro.irr.whois import MAX_QUERY_BYTES, QUIT_TOKENS, WhoisEngine, _frame
@@ -114,11 +115,12 @@ class WhoisFrontend(StreamFrontend):
                 "verify",
                 request_id=rid,
             )
-            result = await self.service.submit(query, telemetry)
+            body = await self.service.submit(query, telemetry)
         except BusyError as exc:
             return answer(f"%% BUSY {exc}", "busy")
         except DeadlineExpired as exc:
             return answer(f"%% DEADLINE {exc}", "deadline")
         except ServeError as exc:
             return answer(f"F {exc}", exc.code)
-        return answer(_frame(result["text"]), "ok")
+        # The same body /verify writes: its ``text`` is the report.
+        return answer(_frame(json.loads(body)["text"]), "ok")

@@ -327,6 +327,35 @@ class TestMmapEnvelope:
         loaded.close()  # idempotent: no double-release, no error
         assert _fd_count() == base
 
+    def test_save_writes_the_planes_without_copying_them(self, index, tmp_path):
+        """An index is all planes, and saving one is the peak of a cold
+        open's resident size: the region is written from the planes' own
+        buffers (arrays here, mmap views for a loaded index), never
+        assembled in memory — and lands where the header says it does."""
+        import tracemalloc
+
+        plane_bytes = index.stats()["plane_bytes"]
+        first, again = tmp_path / "first.rpslidx", tmp_path / "again.rpslidx"
+        tracemalloc.start()
+        try:
+            save_index(index, first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < plane_bytes / 4, (peak, plane_bytes)
+        loaded = load_index(first)
+        try:
+            assert loaded.stats() == index.stats()
+            save_index(loaded, again)
+        finally:
+            loaded.close()
+        reloaded = load_index(again)
+        try:
+            assert reloaded.stats() == index.stats()
+            assert sorted(reloaded.route_trie.origins()) == sorted(index.route_trie.origins())
+        finally:
+            reloaded.close()
+
     def test_queries_after_close_do_not_touch_dead_planes(self, index, tmp_path):
         path = tmp_path / "index.rpslidx"
         save_index(index, path)

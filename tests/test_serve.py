@@ -358,7 +358,7 @@ class TestDrainPaths:
             await service.stop()
             results = await asyncio.gather(*tasks, return_exceptions=True)
             assert all(
-                isinstance(result, (dict, BusyError)) for result in results
+                isinstance(result, (bytes, BusyError)) for result in results
             )
             assert any(isinstance(result, BusyError) for result in results)
 
@@ -532,7 +532,7 @@ class TestNaturalBatching:
                 await service.stop()
 
         results = asyncio.run(scenario())
-        assert len(results) == len(queries) and all(r["text"] for r in results)
+        assert len(results) == len(queries) and all(json.loads(r)["text"] for r in results)
         assert seen == expected
 
     def test_backlog_holds_the_loop_for_one_batch_at_a_time(
@@ -566,7 +566,7 @@ class TestNaturalBatching:
             tiny_world, registry=MetricsRegistry(), use_cache=False
         ) as session:
             health, results = asyncio.run(scenario(session))
-        assert len(results) == 256 and all(r["text"] for r in results)
+        assert len(results) == 256 and all(json.loads(r)["text"] for r in results)
         # The health snapshot was taken mid-backlog: verdicts still queued.
         assert health["queue_depth"] > 0, health
         assert health["queries"] < 256
