@@ -24,7 +24,14 @@ serving contract end to end:
    delay that reaches lone requests fails here without any latency
    threshold on the request itself (the coalescing period only follows
    batches of more than one query: ``docs/serving.md``);
-8. SIGTERM — sent while an idle keep-alive HTTP connection and a WHOIS
+8. a hot swap moves every reader at once: the daemon booted on a
+   cache-mmap'd index (``/proc/<pid>/maps`` lists the artifact);
+   ``POST /reload`` of one tiny-world journal answers generation 1 with
+   both pool workers swapped, ``/healthz`` reads ``index_generation`` 1
+   with the journal's serials, and ``!g``, a plain lookup and ``!v`` all
+   answer from generation 1 — after which the daemon no longer maps the
+   artifact: generation 0 went with its last reader, nobody closed it;
+9. SIGTERM — sent while an idle keep-alive HTTP connection and a WHOIS
    connection that sent half a line are still open — drains and the
    process exits 0 with no traceback on stderr, releasing its ports
    and closing both connections (each client reads EOF): no client
@@ -54,6 +61,8 @@ if not any((Path(p) / "repro").is_dir() for p in sys.path if p):
 
 from repro import api  # noqa: E402
 from repro.bgp.routegen import collector_routes  # noqa: E402
+from repro.irr.history import ChurnConfig, evolve_with_journal  # noqa: E402
+from repro.irr.whois import WhoisEngine  # noqa: E402
 
 ACCESS_FIELDS = {
     "ts",
@@ -120,6 +129,15 @@ def main() -> None:
                 str(entry.prefix), entry.as_path, collector="serve"
             )
         )
+
+    # Fill the daemon's index cache, so it boots on an mmap'd generation 0
+    # (an explicit cache_dir: still nothing under ~/.cache/rpslyzer).
+    with api.open_session(workdir / "world", cache_dir=workdir / "cache") as cached:
+        artifact = api.index_cache_path(cached.digest, workdir / "cache")
+        churned, journal = evolve_with_journal(cached.ir, ChurnConfig(seed=11))
+        engines = WhoisEngine(cached.ir), WhoisEngine(churned)
+    if not artifact.exists():
+        fail(f"index cache not filled: {artifact}")
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -213,14 +231,19 @@ def main() -> None:
         )
 
         path = " ".join(str(asn) for asn in entry.as_path)
-        framed = whois(whois_port, f"!v {entry.prefix} {path}")
-        id_match = re.match(r"%% id ([-A-Za-z0-9_.:/+=]+)\n", framed)
-        if not id_match:
-            fail(f"whois !v missing %% id comment: {framed!r}")
-        framed = framed[id_match.end() :]
-        if not framed.startswith("A"):
-            fail(f"whois !v not framed: {framed!r}")
-        unframed = framed[framed.index("\n") + 1 :].rstrip("\nC").rstrip()
+
+        def bang_verify() -> str:
+            """The report text of ``!v`` for the probe route, unframed."""
+            framed = whois(whois_port, f"!v {entry.prefix} {path}")
+            id_match = re.match(r"%% id ([-A-Za-z0-9_.:/+=]+)\n", framed)
+            if not id_match:
+                fail(f"whois !v missing %% id comment: {framed!r}")
+            framed = framed[id_match.end() :]
+            if not framed.startswith("A"):
+                fail(f"whois !v not framed: {framed!r}")
+            return framed[framed.index("\n") + 1 :].rstrip("\nC").rstrip()
+
+        unframed = bang_verify()
         if unframed != expected.rstrip():
             fail(f"whois !v diverges from batch verifier: {unframed!r}")
         print("serve-smoke: whois !v bit-identical to the batch verifier")
@@ -297,6 +320,50 @@ def main() -> None:
         print(
             f"serve-smoke: no timer paces a lone client (queue + coalesce mean "
             f"{waiting_ms:.3f} ms over 50 sequential requests, queue depth 0 once idle)"
+        )
+
+        maps = Path(f"/proc/{process.pid}/maps")
+
+        def maps_artifact() -> bool | None:
+            return artifact.name in maps.read_text() if maps.exists() else None
+
+        if maps_artifact() is False:
+            fail(f"daemon did not boot on the mmap'd cache artifact {artifact.name}")
+        status, _, body = http_json(
+            http_port, "POST", "/reload", {"journal": journal.to_jsonable()}
+        )
+        summary = json.loads(body)
+        if status != 200 or summary["generation"] != 1 or summary["degraded"]:
+            fail(f"POST /reload: {status} {summary}")
+        if summary["applied"] != len(journal) or summary["pool"]["reloaded"] != 2:
+            fail(f"reload summary: {summary}")
+        health = json.loads(http_json(http_port, "GET", "/healthz")[2])
+        if health["index_generation"] != 1 or health["journal_serials"] != journal.serials():
+            fail(f"healthz after the reload: {health}")
+        moved = False
+        for asn in sorted({e.key[1] for e in journal if e.cls == "route"}):
+            for query in (f"!gAS{asn}", f"AS{asn}"):
+                old_answer, new_answer = (engine.answer(query) for engine in engines)
+                answer = whois(whois_port, query)
+                if answer != new_answer.rstrip():
+                    fail(f"{query} not answered from generation 1: {answer[:200]!r}")
+                moved = moved or old_answer != new_answer
+        if not moved:
+            fail("the journal moved no probed lookup: the check proves nothing")
+        with api.open_session(churned, as_rel=world.topology, use_cache=False) as session:
+            swapped = str(session.verify_route(str(entry.prefix), entry.as_path))
+        unframed = bang_verify()
+        if unframed != swapped.rstrip():
+            fail(f"whois !v not answered from generation 1: {unframed!r}")
+        deadline = time.monotonic() + 5
+        while maps_artifact() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if maps_artifact():
+            fail(f"generation 0's artifact {artifact.name} still mapped after the swap")
+        print(
+            "serve-smoke: hot swap to generation 1 — /healthz, !g, lookup and !v "
+            "follow it, "
+            + ("the old artifact is unmapped" if maps.exists() else "no procfs: maps unchecked")
         )
 
         idle_http = http.client.HTTPConnection("127.0.0.1", http_port, timeout=10)

@@ -18,9 +18,9 @@ warm state::
 The CLI and the ``rpslyzer serve`` daemon — whose WHOIS front-end is the
 one WHOIS server, also behind ``rpslyzer whois`` and
 :meth:`Session.whois_server` — are thin adapters over :class:`Session`.
-The pre-1.4 module-level helpers
-(``verify_table``, ``explain_route``, ``serve_whois``), deprecated since
-1.4.0, were removed in 1.11.0; ``docs/serving.md`` has the migration table.
+A session's state is one frozen :class:`Generation` (IR, index, verifier,
+query engine, digest), replaced whole by :meth:`Session.apply_deltas`;
+read several of its fields through :attr:`Session.current`.
 
 Loading stages (:func:`synthesize`, :func:`parse_dumps`) return a
 :class:`LoadResult` carrying ``ir``, ``errors``, and ``degradation``;
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -76,6 +77,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CompiledIndex",
     "DegradationReport",
+    "Generation",
     "IndexCacheError",
     "LoadResult",
     "Session",
@@ -270,23 +272,57 @@ class SessionClosedError(RuntimeError):
     """A method was called on a :class:`Session` after ``close()``."""
 
 
+@dataclass(frozen=True, slots=True)
+class Generation:
+    """One consistent state of a :class:`Session`, never modified once built.
+
+    ``index``, the warm ``verifier`` (None without AS relationships) and
+    the one index-backed ``query`` engine (the verifier's own when there
+    is one) are None until :meth:`Session.warm` ran.  The session
+    publishes the next generation by one reference assignment, so a
+    reader that takes :attr:`Session.current` once reads one snapshot,
+    and a cache-mmap'd index stays mapped until its last reader lets go.
+    """
+
+    ir: Ir
+    index: CompiledIndex | None = None
+    verifier: Verifier | None = None
+    query: QueryEngine | None = None
+    digest: str | None = None  # the index's; Session.digest computes a missing one
+    # ⟨wall-clock seconds, hop-cache report⟩ of the apply_deltas behind it.
+    delta: tuple[float | None, dict | None] = (None, None)
+    adopted: bool = False  # mapped by the session, not shared: evict_index unmaps it
+
+    @property
+    def number(self) -> int:
+        """Index generation: 0 for a from-scratch compile, +1 per patch."""
+        return self.index.generation if self.index is not None else 0
+
+    @property
+    def serials(self) -> dict:
+        """Highest journal serial absorbed per source registry."""
+        return dict(self.index.serials) if self.index is not None else {}
+
+
 class Session:
     """A resident handle over one IR: index, verifier, and metrics lifecycle.
 
     Construct via :func:`open_session`.  A session owns:
 
-    * the parsed :class:`Ir` (plus its :class:`LoadResult` when loaded
-      from disk) and optional :class:`AsRelationships`;
-    * the :class:`CompiledIndex`, adopted once (digest-keyed disk cache by
-      default) and shared by every query until ``close()``;
-    * a warm single-route :class:`Verifier` whose hop cache persists
-      across :meth:`verify_route` calls — and across :meth:`apply_deltas`,
-      minus the verdicts the journal can reach;
+    * its :attr:`current` :class:`Generation`, the one field that changes
+      (``ir``, ``index``, ``verifier``, ``digest``, … read it): the parsed
+      :class:`Ir`, the :class:`CompiledIndex` adopted once (digest-keyed
+      disk cache by default) and the warm single-route :class:`Verifier`
+      whose hop cache persists across :meth:`verify_route` calls — and
+      across :meth:`apply_deltas`, minus the verdicts the journal can reach;
+    * the :class:`LoadResult` when loaded from disk and optional
+      :class:`AsRelationships`;
     * optionally a private :class:`~repro.obs.MetricsRegistry` installed
       around every operation (otherwise the ambient registry is used).
 
-    Sessions are not thread-safe; the serve daemon serializes access
-    through its single-threaded batch executor.
+    Reading :attr:`current` is safe from any thread; verifying and
+    :meth:`apply_deltas` are not (the hop cache is mutable and changes
+    hands) — the serve daemon serializes them through its batch executor.
     """
 
     def __init__(
@@ -303,7 +339,6 @@ class Session:
         registry: MetricsRegistry | None = None,
         load: LoadResult | None = None,
     ):
-        self.ir = ir
         self.relationships = relationships
         self.options = options
         self.processes = processes
@@ -312,16 +347,8 @@ class Session:
         self.use_cache = use_cache
         self.tracer = Tracer(trace) if trace is not None else None
         self._registry = registry
-        self._index = index
-        # Ownership decides who closes a cache-mmap'd index: an index the
-        # caller passed in is shared (the caller closes it); one the
-        # session loads/compiles itself is owned and closed with it.
-        self._owns_index = False
-        self._digest: str | None = index.digest if index is not None else None
-        self._verifier: Verifier | None = None
+        self._generation = Generation(ir, index, digest=index and index.digest)
         self._closed = False
-        self._last_delta_seconds: float | None = None
-        self._last_delta_hop_cache: dict | None = None
         # The serve daemon's flight recorder (repro.obs.flight), attached
         # by VerifyService so embedders can read the lifecycle ring via
         # flight_events() without reaching into serve internals.
@@ -346,23 +373,41 @@ class Session:
         return self._registry if self._registry is not None else get_registry()
 
     @property
+    def current(self) -> Generation:
+        """The live :class:`Generation`: take it once, read one state."""
+        return self._generation
+
+    @property
+    def ir(self) -> Ir:
+        """The current generation's IR."""
+        return self._generation.ir
+
+    @property
     def digest(self) -> str:
-        """The IR content digest (computed once, keys the index cache)."""
+        """The IR content digest that keys the index cache."""
         self._check_open()
-        if self._digest is None:
-            self._digest = ir_digest(self.ir)
-        return self._digest
+        current = self._generation
+        return current.digest or ir_digest(current.ir)
 
     @property
     def index(self) -> CompiledIndex | None:
         """The adopted compiled index (None until :meth:`warm` runs)."""
-        return self._index
+        return self._generation.index
 
     @property
     def verifier(self) -> Verifier | None:
         """The warm verifier (None until :meth:`warm` runs, and without
         AS relationships); a pool worker verifies its table chunks on it."""
-        return self._verifier
+        return self._generation.verifier
+
+    def _generation_over(self, ir, index, delta=(None, None), adopted=False):
+        """A warm :class:`Generation` over ⟨ir, index⟩, built off to the side."""
+        if self.relationships is not None:
+            verifier = Verifier(ir, self.relationships, self.options, index=index)
+            query = verifier.query
+        else:
+            verifier, query = None, QueryEngine(ir, index=index)
+        return Generation(ir, index, verifier, query, index.digest, delta, adopted)
 
     def warm(self) -> "Session":
         """Adopt the compiled index and build the warm single-route verifier.
@@ -373,42 +418,41 @@ class Session:
         resident session.  Idempotent.
         """
         self._check_open()
-        with self._scope():
-            if self._index is None:
-                self._index = get_or_compile(
-                    self.ir,
+        current = self._generation
+        if current.query is None:
+            with self._scope():
+                index = current.index or get_or_compile(
+                    current.ir,
                     digest=self.digest,
                     cache_dir=self.cache_dir,
                     use_cache=self.use_cache,
                 )
-                self._owns_index = True
-            if self._verifier is None and self.relationships is not None:
-                self._verifier = Verifier(
-                    self.ir, self.relationships, self.options, index=self._index
+                self._generation = self._generation_over(
+                    current.ir, index, current.delta, current.index is None
                 )
         return self
 
     @property
     def generation(self) -> int:
         """Index generation: 0 for a from-scratch compile, +1 per patch."""
-        return self._index.generation if self._index is not None else 0
+        return self._generation.number
 
     @property
     def serials(self) -> dict:
         """Highest journal serial absorbed per source registry."""
-        return dict(self._index.serials) if self._index is not None else {}
+        return self._generation.serials
 
     @property
     def last_delta_seconds(self) -> float | None:
         """Wall-clock of the most recent :meth:`apply_deltas` (None if never)."""
-        return self._last_delta_seconds
+        return self._generation.delta[0]
 
     @property
     def last_delta_hop_cache(self) -> dict | None:
         """What the most recent :meth:`apply_deltas` did to the hop cache:
         ``{"carried": n, "invalidated": {reason: n}}``, or None when there
         was no warm verifier to take a cache from."""
-        return self._last_delta_hop_cache
+        return self._generation.delta[1]
 
     def apply_deltas(self, journal: Journal) -> DegradationReport:
         """Absorb an NRTM-style journal: patch the IR and the live index.
@@ -420,13 +464,14 @@ class Session:
         trie mutations plus reverse-dependency cache invalidation.  Any
         degradation (corrupt entries, serial gaps going backwards,
         missing targets) falls back to a full recompile of the replayed
-        IR: slower, never wrong.  Either way the old index is released
-        (closing its mmap and file descriptor when session-owned) only
-        after the replacement is fully built.
+        IR: slower, never wrong.  Either way the next :class:`Generation`
+        is published by the last statement — a failure leaves the session
+        where it was — and the old one, mmap and file descriptor included,
+        is released when its last reader lets go.
 
-        The warm verifier is replaced, but its hop cache is not thrown
-        away: the new verifier adopts it minus the entries the journal
-        can reach (:meth:`repro.core.verify.Verifier.adopt_hop_cache`,
+        The new verifier adopts the previous one's hop cache minus the
+        entries the journal can reach
+        (:meth:`repro.core.verify.Verifier.adopt_hop_cache`,
         driven by the patch's :class:`~repro.core.compiled.PatchEffects`),
         so the pass after a delta stays warm.  The full-recompile branch
         has no effects summary and therefore carries nothing;
@@ -437,10 +482,9 @@ class Session:
         self._check_open()
         with self._scope() as registry:
             started = time.perf_counter()
-            old_ir = self.ir
-            old_index = self._index
-            patched_ir, report = apply_journal_to_ir(old_ir, journal)
-            if old_index is not None and not report:
+            old = self._generation
+            patched_ir, report = apply_journal_to_ir(old.ir, journal)
+            if old.index is not None and not report:
                 # NRTM discipline across applies: a journal whose serials
                 # do not advance past what the index already absorbed is
                 # a replay/stale stream — degrade to the full path.
@@ -449,7 +493,7 @@ class Session:
                     if entry.serial < first_serial.get(entry.source, entry.serial + 1):
                         first_serial[entry.source] = entry.serial
                 for source, first in sorted(first_serial.items()):
-                    previous = old_index.serials.get(source)
+                    previous = old.index.serials.get(source)
                     if previous is not None and first <= previous:
                         report.record(
                             "journal",
@@ -459,67 +503,56 @@ class Session:
                                 f"not past applied {previous}"
                             ),
                         )
-            if old_index is None:
-                new_index = None
-            elif report:
-                new_index = _compile_index(patched_ir, digest=ir_digest(patched_ir))
-                new_index.generation = old_index.generation + 1
-                new_index.serials = {**old_index.serials, **journal.serials()}
+            hop_cache = None
+            if old.index is None:
+                new = Generation(patched_ir)
             else:
-                new_index = _patch_index(old_index, old_ir, patched_ir, journal)
-            old_verifier, self._verifier = self._verifier, None
-            self.ir = patched_ir
-            self._index = new_index
-            self._digest = new_index.digest if new_index is not None else None
-            if old_index is not None and self._owns_index:
-                old_index.close()
-            self._owns_index = new_index is not None
-            self._last_delta_hop_cache = None
-            if new_index is not None and self.relationships is not None:
-                self._verifier = Verifier(
-                    self.ir, self.relationships, self.options, index=new_index
-                )
-                if old_verifier is not None:
-                    self._last_delta_hop_cache = self._verifier.adopt_hop_cache(
-                        old_verifier, new_index.effects
+                if report:
+                    new_index = _compile_index(patched_ir, digest=ir_digest(patched_ir))
+                    new_index.generation = old.index.generation + 1
+                    new_index.serials = {**old.index.serials, **journal.serials()}
+                else:
+                    new_index = _patch_index(old.index, old.ir, patched_ir, journal)
+                new = self._generation_over(patched_ir, new_index)
+                if new.verifier is not None and old.verifier is not None:
+                    hop_cache = new.verifier.adopt_hop_cache(
+                        old.verifier, new_index.effects
                     )
             elapsed = time.perf_counter() - started
-            self._last_delta_seconds = elapsed
             if registry.enabled:
                 registry.gauge("delta_apply_seconds").set(elapsed)
-                registry.gauge("index_generation").set(self.generation)
+                registry.gauge("index_generation").set(new.number)
                 for source, serial in sorted(journal.serials().items()):
                     registry.gauge("journal_serial", source=source or "?").set(serial)
                 registry.counter(
                     "delta_apply_total",
                     result="degraded" if report else "patched",
                 ).inc()
+            self._generation = replace(new, delta=(elapsed, hop_cache))
         return report
 
     def evict_index(self) -> None:
-        """Drop the adopted index (closing its mmap when session-owned).
+        """Drop the index, unmapping it now (the one explicit unmap: not
+        under concurrent readers) when the session adopted it itself.
 
         The next :meth:`warm` (or warm-requiring query) re-adopts from the
-        cache.  Lets a long-lived session release the artifact mapping —
-        and its file descriptor — without closing the session.
+        cache: a long-lived session can release the artifact mapping and
+        its file descriptor without closing.
         """
         self._check_open()
-        index, self._index = self._index, None
-        self._verifier = None
-        if index is not None and self._owns_index:
-            index.close()
-        self._owns_index = False
+        evicted = self._generation
+        self._generation = replace(
+            evicted, index=None, verifier=None, query=None, adopted=False
+        )
+        if evicted.adopted:
+            evicted.index.close()
 
     def close(self) -> None:
-        """Release the index (closing its mmap when session-owned) and the
-        verifier; further queries raise :class:`SessionClosedError`.
+        """Let go of the generation (its index is unmapped with its last
+        reader); further queries raise :class:`SessionClosedError`.
         Idempotent."""
         self._closed = True
-        index, self._index = self._index, None
-        if index is not None and self._owns_index:
-            index.close()
-        self._owns_index = False
-        self._verifier = None
+        self._generation = Generation(self._generation.ir)
 
     @property
     def closed(self) -> bool:
@@ -550,12 +583,9 @@ class Session:
         """Verify one ⟨prefix, AS-path⟩ against the warm verifier."""
         self._check_open()
         self._need_relationships()
-        if self._verifier is None:
-            self.warm()
+        verifier = self._generation.verifier or self.warm()._generation.verifier
         with self._scope():
-            return self._verifier.verify_route(
-                prefix, tuple(as_path), collector=collector
-            )
+            return verifier.verify_route(prefix, tuple(as_path), collector=collector)
 
     def verify_table(
         self,
@@ -577,12 +607,13 @@ class Session:
         """
         self._check_open()
         relationships = self._need_relationships()
+        current = self._generation
         tracer_scope = (
             use_tracer(self.tracer) if self.tracer is not None else nullcontext()
         )
         with self._scope(), tracer_scope:
             return _verify_table(
-                self.ir,
+                current.ir,
                 relationships,
                 entries,
                 options=options if options is not None else self.options,
@@ -591,7 +622,7 @@ class Session:
                 start_method=start_method,
                 on_report=on_report,
                 fault_hook=fault_hook,
-                index=self._index,
+                index=current.index,
             )
 
     def explain(
@@ -612,13 +643,14 @@ class Session:
         """
         self._check_open()
         relationships = self._need_relationships()
+        current = self._generation
         tracer = Tracer(TraceConfig(sample_rate=1, deep=True))
         with self._scope(), use_tracer(tracer):
             verifier = Verifier(
-                self.ir,
+                current.ir,
                 relationships,
                 options if options is not None else self.options,
-                index=self._index,
+                index=current.index,
             )
             report = verifier.verify_route(
                 prefix, tuple(as_path), collector=collector
@@ -628,15 +660,16 @@ class Session:
     def characterize(self) -> dict:
         """The Section 4 characterization of the session's IR."""
         self._check_open()
+        ir = self._generation.ir
         with self._scope() as registry:
             with registry.span("characterize"):
                 return {
-                    "counts": self.ir.counts(),
-                    "rules_ccdf_head": rules_ccdf(self.ir)[:20],
-                    "peering_simplicity": peering_simplicity(self.ir),
-                    "filter_kinds": filter_kind_census(self.ir),
-                    "route_objects": route_object_stats(self.ir).as_dict(),
-                    "as_sets": as_set_stats(self.ir).as_dict(),
+                    "counts": ir.counts(),
+                    "rules_ccdf_head": rules_ccdf(ir)[:20],
+                    "peering_simplicity": peering_simplicity(ir),
+                    "filter_kinds": filter_kind_census(ir),
+                    "route_objects": route_object_stats(ir).as_dict(),
+                    "as_sets": as_set_stats(ir).as_dict(),
                 }
 
     def whois_server(self, host: str = "127.0.0.1", port: int = 0) -> "ServeHandle":
@@ -732,28 +765,20 @@ def open_session(
             relationships = as_rel
         else:
             relationships = AsRelationships.load(as_rel)
-    loaded_index: CompiledIndex | None
-    loaded_here = False
-    if index is None or isinstance(index, CompiledIndex):
-        loaded_index = index
-    else:
-        loaded_index = load_index(index, expect_digest=ir_digest(ir))
-        loaded_here = True
+    if index is not None and not isinstance(index, CompiledIndex):
+        index = load_index(index, expect_digest=ir_digest(ir))
     session = Session(
         ir,
         relationships,
         options=options,
         processes=processes,
-        index=loaded_index,
+        index=index,
         cache_dir=cache_dir,
         use_cache=use_cache,
         trace=trace,
         registry=registry,
         load=load,
     )
-    # An artifact loaded from a path here is session-owned: close() must
-    # release its mmap.  A CompiledIndex object stays caller-owned.
-    session._owns_index = loaded_here
     if warm:
         session.warm()
     return session
@@ -802,7 +827,7 @@ def patch_index(
 
     See :func:`repro.core.compiled.patch_index`; prefer
     :meth:`Session.apply_deltas`, which also handles the degraded-journal
-    fallback and the old index's fd lifecycle.
+    fallback and publishes IR, index and verifier together.
     """
     return _patch_index(index, old_ir, new_ir, journal, digest=digest)
 

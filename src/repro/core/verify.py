@@ -385,14 +385,15 @@ class Verifier:
         ``previous`` is left with an empty one.  Returns
         ``{"carried": n, "invalidated": {reason: n}}``.
         """
-        cache, previous._hop_cache = previous._hop_cache, {}
+        cache = previous._hop_cache
         dropped = dict.fromkeys(_INVALIDATION_REASONS, 0)
         if effects is None or not self.options.hop_cache_size:
             dropped["full"] = len(cache)
             cache.clear()
         else:
             dropped.update(_sweep(cache, effects, self.query.routes))
-        self._hop_cache = cache
+        # Last: a sweep that raises leaves ``previous`` short of stale entries only.
+        previous._hop_cache, self._hop_cache = {}, cache
         if self._metrics is not None:
             self._metrics.carried(len(cache), dropped)
         return {"carried": len(cache), "invalidated": dropped}

@@ -56,14 +56,16 @@ QUIT_TOKENS = frozenset(("!q", "!e", "-k q", "q"))
 class WhoisEngine:
     """Protocol-independent query answering over one IR.
 
-    Given the IR's :class:`~repro.core.compiled.CompiledIndex` (a session
-    holds one), the engine reads its route trie and set closures instead
-    of building its own.
+    Given the IR's :class:`~repro.core.compiled.CompiledIndex`, or the
+    :class:`QueryEngine` over it (a session's generation holds both), the
+    engine reads that route trie and set closures instead of building its own.
     """
 
-    def __init__(self, ir: Ir, index: CompiledIndex | None = None):
+    def __init__(self, ir: Ir, index: CompiledIndex | QueryEngine | None = None):
         self.ir = ir
-        self.query = QueryEngine(ir, index=index)
+        self.query = (
+            index if isinstance(index, QueryEngine) else QueryEngine(ir, index=index)
+        )
 
     def answer(self, text: str) -> str:
         """The response to one query line, bang command or plain lookup."""

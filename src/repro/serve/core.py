@@ -447,8 +447,8 @@ class VerifyService:
     pool (awaited on the loop, no thread parked per batch), with the
     in-process path on the executor as the fallback whenever the pool
     cannot serve a batch.  Every in-process execution and every hot
-    swap holds ``_serial_lock``, so the session has one user at a time
-    whichever thread that is.
+    swap holds ``_serial_lock`` (the hop cache is mutable and changes
+    hands in the swap); readers take ``session.current`` once, unlocked.
     """
 
     def __init__(self, session: Session, config: ServeConfig | None = None):
@@ -471,10 +471,10 @@ class VerifyService:
         # event loop and several executor threads record into it, so all
         # serving-path mutations go through this lock.
         self._metrics_lock = threading.Lock()
-        # Serializes in-process execution and hot swaps on the session,
-        # which is not thread-safe either.  Executor threads block on it;
-        # the event loop only ever try-acquires it (_run_batch_async) and
-        # then re-enters it in _execute_serial, hence reentrant.
+        # Serializes in-process verification and hot swaps (the hop cache
+        # is mutable and a swap hands it over).  Executor threads block on
+        # it; the event loop only ever try-acquires it (_run_batch_async)
+        # and then re-enters it in _execute_serial, hence reentrant.
         self._serial_lock = threading.RLock()
         # Written on the loop thread only (submit, collect, stop).
         self._queue_depth = registry.gauge("serve_queue_depth")
@@ -550,13 +550,13 @@ class VerifyService:
 
     async def start(self) -> "VerifyService":
         """Warm the session, spawn the worker pool, start the batcher."""
-        self.session.warm()
+        current = self.session.warm().current
         if self.config.workers > 0:
             self.supervisor = WorkerSupervisor(
-                self.session.ir,
+                current.ir,
                 self.session.relationships,
                 self.session.options,
-                self.session.index,
+                current.index,
                 SupervisorConfig(
                     workers=self.config.workers,
                     hang_timeout=self.config.hang_timeout,
@@ -577,7 +577,7 @@ class VerifyService:
         self.flight.record(
             "service-start",
             workers=self.config.workers,
-            generation=self.session.generation,
+            generation=current.number,
         )
         return self
 
@@ -1006,21 +1006,6 @@ class VerifyService:
                 ]
             )
 
-    async def read_session(self, read: Callable, *args):
-        """``read(session, *args)`` on the loop, never across a hot swap.
-
-        For readers outside the request core (the WHOIS lookups): they see
-        the session's IR and index from one generation.  Like an on-loop
-        batch this only try-acquires ``_serial_lock``; while a ``reload``
-        holds it — milliseconds — the reader yields to the loop and retries.
-        """
-        while not self._serial_lock.acquire(blocking=False):
-            await asyncio.sleep(0.001)
-        try:
-            return read(self.session, *args)
-        finally:
-            self._serial_lock.release()
-
     # -- incremental ingestion (hot swap) ------------------------------------
 
     def _apply_journal_blocking(self, journal: Journal):
@@ -1050,8 +1035,8 @@ class VerifyService:
         """Hot-swap journal deltas into the live service; returns a summary.
 
         The parent session is patched first (off the event loop, under
-        the serial lock so the in-process fallback path never observes a
-        half-swapped session), then every pool worker is swapped via the
+        the serial lock: the in-process path's verifier hands its hop
+        cache over), then every pool worker is swapped via the
         supervisor's lease-serialized reload — in-flight requests keep
         flowing throughout; at worst a batch is answered by a worker one
         generation behind, never dropped.
@@ -1071,40 +1056,35 @@ class VerifyService:
             except Exception as exc:
                 self.flight.record("reload-abort", error=str(exc)[:200])
                 raise
+            current = self.session.current  # one state for every field below
+            delta_apply_s, hop_cache = current.delta
             summary = {
                 "applied": len(fresh.entries),
-                "generation": self.session.generation,
-                "serials": self.session.serials,
+                "generation": current.number,
+                "serials": current.serials,
                 "degraded": bool(report),
-                "delta_apply_s": self.session.last_delta_seconds,
+                "delta_apply_s": delta_apply_s,
                 # What this apply did to the hop cache (None: nothing applied).
-                "hop_cache": (
-                    self.session.last_delta_hop_cache if report is not None else None
-                ),
+                "hop_cache": hop_cache if report is not None else None,
             }
             if report:
                 summary["degradation"] = report.as_dict()
             if report is None:
                 self.flight.record(
-                    "reload-commit",
-                    applied=0,
-                    generation=self.session.generation,
+                    "reload-commit", applied=0, generation=current.number
                 )
                 return summary
             if self.supervisor is not None:
                 summary["pool"] = await self._batcher.run_blocking(
-                    self.supervisor.reload,
-                    self.session.ir,
-                    self.session.index,
-                    fresh,
+                    self.supervisor.reload, current.ir, current.index, fresh
                 )
             self.flight.record(
                 "reload-commit",
                 applied=len(fresh.entries),
-                generation=self.session.generation,
-                serials=self.session.serials,
+                generation=current.number,
+                serials=current.serials,
                 degraded=bool(report),
-                hop_cache=self.session.last_delta_hop_cache,
+                hop_cache=hop_cache,
             )
             return summary
 
@@ -1112,6 +1092,7 @@ class VerifyService:
 
     def health(self) -> dict:
         """The ``/healthz`` payload: liveness plus headline counters."""
+        current = self.session.current  # every index field from one generation
         if self.draining:
             status = "draining"
         elif self.degraded:
@@ -1127,13 +1108,11 @@ class VerifyService:
             "queries": self._batcher.items,
             "shedding": bool(self._shedder is not None and self._shedder.shedding),
             "shed_total": self._shed_total.value,
-            "index_digest": (
-                self.session.index.digest if self.session.index is not None else None
-            ),
-            "index_generation": self.session.generation,
-            "journal_serials": self.session.serials,
-            "last_delta_apply_s": self.session.last_delta_seconds,
-            "last_delta_hop_cache": self.session.last_delta_hop_cache,
+            "index_digest": current.index.digest if current.index is not None else None,
+            "index_generation": current.number,
+            "journal_serials": current.serials,
+            "last_delta_apply_s": current.delta[0],
+            "last_delta_hop_cache": current.delta[1],
         }
         if self.flight.enabled:
             payload["flight"] = self.flight.stats()

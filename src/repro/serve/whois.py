@@ -21,9 +21,9 @@ id (the WHOIS analogue of the HTTP ``X-Request-Id`` echo; IRRd uses the
 same comment convention for its banner).  Plain lookups and the other
 bang commands stay id-free: they never enter the request core.
 
-Plain lookups and bang commands are reads on the session's *current* IR
-and index — they follow a hot swap, like ``!v`` — and run inline on the
-event loop; only ``!v`` goes through the batched request core.
+Plain lookups and bang commands read the session's *current* generation
+(one reference: IR and index belong together, and follow a hot swap) inline
+on the event loop, unlocked; only ``!v`` goes through the batched request core.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.api import Session
 from repro.irr.whois import MAX_QUERY_BYTES, QUIT_TOKENS, WhoisEngine, _frame
 from repro.net.asn import AsnError, parse_asn
 from repro.serve.core import BusyError, DeadlineExpired, Query, ServeError
@@ -45,8 +44,6 @@ class WhoisFrontend(StreamFrontend):
 
     protocol = "whois"
     limit = MAX_QUERY_BYTES + 1
-    # Built on first use, rebuilt when the session's IR has moved on.
-    _engine: WhoisEngine | None = None
 
     # -- connection handling ----------------------------------------------
 
@@ -71,18 +68,11 @@ class WhoisFrontend(StreamFrontend):
         if text.startswith("!v"):
             response = await self._verify(text[2:])
         else:
-            response = await self.service.read_session(self._lookup, text)
+            current = self.service.session.current
+            response = WhoisEngine(current.ir, current.query).answer(text)
         writer.write(response.encode("utf-8") + b"\n\n")
         await writer.drain()
         return True
-
-    def _lookup(self, session: Session, text: str) -> str:
-        """A plain lookup or stock bang command over the session as it is
-        now: the engine follows a hot swap, over the session's own index."""
-        engine = self._engine
-        if engine is None or engine.ir is not session.ir:
-            engine = self._engine = WhoisEngine(session.ir, index=session.index)
-        return engine.answer(text)
 
     # -- verification ------------------------------------------------------
 

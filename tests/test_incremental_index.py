@@ -1451,10 +1451,10 @@ class TestHopCacheCarryDifferential:
                     # A corrupt line skipped at load time: the replay is
                     # still exact, but the apply must recompile in full.
                     journal.issues.append("line 9: not JSON")
-                cached = list(session._verifier._hop_cache)
+                cached = list(session.verifier._hop_cache)
                 report = session.apply_deltas(journal)
                 assert bool(report) == (epoch in degrade), report.as_dict()
-                kept = session._verifier._hop_cache
+                kept = session.verifier._hop_cache
                 assert _warm_reports(session, probes) == _fresh_reports(session, probes)
                 carries[epoch] = dict(
                     session.last_delta_hop_cache,

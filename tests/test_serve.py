@@ -99,6 +99,22 @@ def _strip_id(response: str) -> str:
     return response.split("\n", 1)[1]
 
 
+def _journal_chain(ir, epochs: int, seed: int = 11):
+    """``epochs`` chained churn steps from ``ir``: ``(snapshots, journals)``,
+    ``snapshots[k + 1]`` being ``snapshots[k]`` with ``journals[k]`` applied."""
+    from repro.irr.history import ChurnConfig, evolve_with_journal
+
+    snapshots, journals, serial = [ir], [], 1
+    for epoch in range(epochs):
+        evolved, journal = evolve_with_journal(
+            snapshots[-1], ChurnConfig(seed=seed), epoch=epoch, start_serial=serial
+        )
+        snapshots.append(evolved)
+        journals.append(journal)
+        serial = max(journal.serials().values(), default=serial) + 1
+    return snapshots, journals
+
+
 @pytest.fixture(scope="module")
 def serve_session(tiny_world, tmp_path_factory):
     cache = tmp_path_factory.mktemp("serve-cache")
@@ -575,8 +591,11 @@ class TestNaturalBatching:
         """workers=0: while a reload patches the session (on the executor,
         holding _serial_lock) the loop keeps answering; batches that land
         meanwhile wait for the patch off the loop; nothing is dropped and
-        every verdict comes from exactly the old or the new index."""
+        every verdict comes from exactly the old or the new index.  WHOIS
+        lookups only read: they are answered *during* the patch, from the
+        generation it has not yet replaced — they take no lock."""
         from repro.irr.history import ChurnConfig, evolve_with_journal
+        from repro.irr.whois import WhoisEngine
 
         routes = tiny_routes[:24]
         session = api.open_session(
@@ -595,6 +614,10 @@ class TestNaturalBatching:
             ]
 
         allowed = [set(pair) for pair in zip(texts(session.ir), texts(churned))]
+        asn = next(entry.key[1] for entry in journal if entry.cls == "route")
+        lookups = (f"!gAS{asn}", f"AS{asn}", f"-i origin AS{asn}")
+        engine = WhoisEngine(session.ir)
+        old_answers = [engine.answer(query) for query in lookups]
         patching, patched = threading.Event(), threading.Event()
         apply_deltas = session.apply_deltas
 
@@ -623,7 +646,8 @@ class TestNaturalBatching:
                 outcomes.append((position, status, body))
 
         try:
-            with ServeDaemon(session, ServeConfig(http_port=0)).start_in_thread() as handle:
+            config = ServeConfig(http_port=0, whois_port=0)
+            with ServeDaemon(session, config).start_in_thread() as handle:
                 threads = [
                     threading.Thread(target=client, args=(handle.http_port, k))
                     for k in range(4)
@@ -645,6 +669,10 @@ class TestNaturalBatching:
                 assert patching.wait(30)
                 status, health = _http(handle.http_port, "GET", "/healthz")
                 answered_during_patch = not patched.is_set()
+                looked_up = [
+                    whois_query("127.0.0.1", handle.whois_port, q) for q in lookups
+                ]
+                looked_up_during_patch = not patched.is_set()
                 reloader.join(30)
                 time.sleep(0.1)  # the flood goes on over the new generation
                 stop.set()
@@ -656,6 +684,8 @@ class TestNaturalBatching:
             stop.set()
             session.close()
         assert status == 200 and answered_during_patch
+        assert looked_up_during_patch and looked_up == old_answers
+        assert health["index_generation"] == 0 and health["journal_serials"] == {}
         assert reload_result[0][0] == 200 and reload_result[0][1]["generation"] == 1
         assert len(outcomes) > 20
         assert {status for _, status, _ in outcomes} == {200}
@@ -1292,6 +1322,252 @@ class TestReload:
                 assert after[0] != before[0] and after[2] != before[2]
         finally:
             session.close()
+
+    def test_failed_apply_leaves_the_old_generation_serving(
+        self, tiny_world, tiny_routes, monkeypatch
+    ):
+        """Regression: an exception inside the swap used to leave the
+        session half-advanced — ``/reload`` answered 500 but ``/healthz``
+        showed the new generation, and the retry filtered every entry as
+        already absorbed (``applied: 0``, no pool sweep)."""
+        session = api.open_session(
+            tiny_world, registry=MetricsRegistry(), use_cache=False
+        )
+        _, (journal,) = _journal_chain(session.ir, 1)
+        payload = {"journal": journal.to_jsonable()}
+        probe = _verify_payload(tiny_routes[0])
+        adopt = api.Verifier.adopt_hop_cache
+        failures: list = []
+
+        def fail_once(*args):
+            if not failures:
+                failures.append(args)
+                raise RuntimeError("injected")
+            return adopt(*args)
+
+        monkeypatch.setattr(api.Verifier, "adopt_hop_cache", fail_once)
+        try:
+            with ServeDaemon(session, ServeConfig(http_port=0)).start_in_thread() as handle:
+                _, verdict = _http(handle.http_port, "POST", "/verify", probe)
+                status, _ = _http(handle.http_port, "POST", "/reload", payload)
+                assert status == 500 and failures
+                _, health = _http(handle.http_port, "GET", "/healthz")
+                assert health["index_generation"] == 0
+                assert health["journal_serials"] == {}
+                assert health["index_digest"] == session.digest
+                assert _http(handle.http_port, "POST", "/verify", probe)[1] == verdict
+                status, summary = _http(handle.http_port, "POST", "/reload", payload)
+                assert status == 200 and summary["applied"] == len(journal)
+                assert summary["generation"] == 1 and not summary["degraded"]
+                kinds = [event["type"] for event in session.flight_events()]
+                assert kinds.count("reload-abort") == 1
+                assert kinds.count("reload-commit") == 1
+        finally:
+            session.close()
+
+    def test_health_is_read_from_one_generation(self, tiny_world):
+        """``/healthz`` during a reload loop: generation, serials and digest
+        always describe the same generation (they used to be separate reads
+        of a session that moved between them)."""
+        session = api.open_session(
+            tiny_world, registry=MetricsRegistry(), use_cache=False
+        )
+        _, journals = _journal_chain(session.ir, 6)
+        observed: list[dict] = []
+        stop = threading.Event()
+        try:
+            with ServeDaemon(session, ServeConfig(http_port=0)).start_in_thread() as handle:
+                service = handle.daemon.service
+
+                def describe(current) -> tuple:
+                    return current.number, current.serials, current.digest
+
+                def poll_http() -> None:
+                    while not stop.is_set():
+                        observed.append(_http(handle.http_port, "GET", "/healthz")[1])
+
+                def poll_direct() -> None:
+                    while not stop.is_set():
+                        observed.append(service.health())
+
+                pollers = [threading.Thread(target=poll_http)] + [
+                    threading.Thread(target=poll_direct) for _ in range(2)
+                ]
+                states = [describe(session.current)]
+                for poller in pollers:
+                    poller.start()
+                try:
+                    for journal in journals:
+                        status, summary = _http(
+                            handle.http_port,
+                            "POST",
+                            "/reload",
+                            {"journal": journal.to_jsonable()},
+                        )
+                        assert status == 200 and not summary["degraded"]
+                        states.append(describe(session.current))
+                        # The summary is one generation's too.
+                        assert (summary["generation"], summary["serials"]) == states[-1][:2]
+                finally:
+                    stop.set()
+                    for poller in pollers:
+                        poller.join(30)
+                assert not any(poller.is_alive() for poller in pollers)
+        finally:
+            stop.set()
+            session.close()
+        assert [number for number, _, _ in states] == list(range(7))
+        by_number = {number: (serials, digest) for number, serials, digest in states}
+        assert len(observed) > 20
+        torn = [
+            health
+            for health in observed
+            if (health["journal_serials"], health["index_digest"])
+            != by_number[health["index_generation"]]
+        ]
+        assert not torn, torn[:3]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs procfs")
+    def test_readers_hammer_a_reload_loop_over_an_mmap_backed_index(
+        self, tiny_world, tiny_routes, tmp_path, caplog
+    ):
+        """The lock-free read stays consistent: plain lookups, ``!g``, ``!v``
+        and ``POST /verify`` from threads while five chained journals are
+        swapped in over an mmap-backed generation 0.  Every answer is one
+        generation's (never an IR beside another generation's trie, never a
+        released plane), no client sees the generations go backwards, and
+        the old mapping's descriptor is gone after the last swap."""
+        from repro.irr.whois import WhoisEngine
+
+        def fd_count() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        api.open_session(tiny_world, cache_dir=tmp_path).close()  # fill the cache
+        session = api.open_session(
+            tiny_world, registry=MetricsRegistry(), cache_dir=tmp_path
+        )
+        snapshots, journals = _journal_chain(session.ir, 5)
+        asn = next(entry.key[1] for entry in journals[0] if entry.cls == "route")
+        set_name = next(iter(session.ir.as_sets))
+        lookups = (f"!gAS{asn}", f"AS{asn}", f"-i origin AS{asn}", f"!i{set_name},1")
+        engines = [WhoisEngine(ir) for ir in snapshots]
+        lookup_answers = {
+            query: [engine.answer(query) for engine in engines] for query in lookups
+        }
+        routes = tiny_routes[:6]
+        verifiers = [api.make_verifier(ir, tiny_world.topology) for ir in snapshots]
+        verdict_texts = [
+            [str(verifier.verify_route(str(e.prefix), e.as_path)) for verifier in verifiers]
+            for e in routes
+        ]
+        stop = threading.Event()
+        problems: list = []
+
+        def follow(history: list[str], answer: str, low: int, what) -> int:
+            """The earliest generation ≥ ``low`` that gives ``answer``."""
+            for number in range(low, len(history)):
+                if history[number] == answer:
+                    return number
+            problems.append((what, low, answer[:200]))
+            return low
+
+        def look_up(port: int) -> None:
+            low = dict.fromkeys(lookups, 0)
+            while not stop.is_set():
+                for query in lookups:
+                    answer = whois_query("127.0.0.1", port, query)
+                    low[query] = follow(lookup_answers[query], answer, low[query], query)
+
+        def bang_verify(port: int) -> None:
+            low = dict.fromkeys(range(len(routes)), 0)
+            while not stop.is_set():
+                for position, entry in enumerate(routes):
+                    path = " ".join(map(str, entry.as_path))
+                    framed = _strip_id(
+                        whois_query("127.0.0.1", port, f"!v {entry.prefix} {path}")
+                    )
+                    text = framed[framed.index("\n") + 1 : -2]
+                    low[position] = follow(
+                        verdict_texts[position], text, low[position], ("!v", position)
+                    )
+
+        def post_verify(port: int) -> None:
+            low = dict.fromkeys(range(len(routes)), 0)
+            while not stop.is_set():
+                for position, entry in enumerate(routes):
+                    status, body = _http(port, "POST", "/verify", _verify_payload(entry))
+                    if status != 200:
+                        problems.append(("/verify", status, body))
+                        continue
+                    low[position] = follow(
+                        verdict_texts[position],
+                        body["text"],
+                        low[position],
+                        ("/verify", position),
+                    )
+
+        def read_current() -> None:
+            while not stop.is_set():
+                current = session.current
+                if not (
+                    current.query.ir is current.ir
+                    and current.verifier.ir is current.ir
+                    and current.query.routes is current.index.route_trie
+                    and current.digest == current.index.digest
+                ):
+                    problems.append(("mixed generation", current.number))
+
+        def guarded(target, *args):
+            def run() -> None:
+                try:
+                    target(*args)
+                except Exception as exc:  # noqa: BLE001 - collected
+                    problems.append((target.__name__, repr(exc)))
+
+            return threading.Thread(target=run)
+
+        daemon = ServeDaemon(session, ServeConfig(http_port=0, whois_port=0))
+        try:
+            with daemon.start_in_thread() as handle, caplog.at_level("WARNING"):
+                assert session.index.resource is not None  # adopted from disk
+                threads = [
+                    guarded(look_up, handle.whois_port),
+                    guarded(bang_verify, handle.whois_port),
+                    guarded(post_verify, handle.http_port),
+                    guarded(read_current),
+                ]
+                base = fd_count()  # listeners and the mapping, no client yet
+                for thread in threads:
+                    thread.start()
+                try:
+                    for number, journal in enumerate(journals, start=1):
+                        time.sleep(0.05)
+                        status, summary = _http(
+                            handle.http_port,
+                            "POST",
+                            "/reload",
+                            {"journal": journal.to_jsonable()},
+                        )
+                        assert status == 200 and summary["generation"] == number
+                        assert not summary["degraded"]
+                    time.sleep(0.05)
+                finally:
+                    stop.set()
+                    for thread in threads:
+                        thread.join(30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert session.index.resource is None  # the patched index is heap-backed
+                deadline = time.monotonic() + 5  # the last handlers close their sockets
+                while fd_count() > base - 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert fd_count() == base - 1, "generation 0's mapping outlived its readers"
+        finally:
+            stop.set()
+            session.close()
+        assert not problems, problems[:5]
+        assert not [r for r in caplog.records if r.levelname in ("ERROR", "CRITICAL")]
+        # The generations really differed under the readers' feet.
+        assert len(set(lookup_answers[lookups[0]])) > 1
 
     def test_journal_follower_applies_from_disk(self, tiny_world, tmp_path):
         from repro.irr.history import ChurnConfig, evolve_with_journal

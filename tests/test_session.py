@@ -1,9 +1,12 @@
 """Tests for the session-oriented facade: Session, open_session, LoadResult."""
 
+import dataclasses
+
 import pytest
 
 from repro import api
 from repro.core.compiled import CompiledIndex, save_index
+from repro.irr.journal import Journal
 from repro.obs import MetricsRegistry
 
 
@@ -151,3 +154,131 @@ class TestSessionMetrics:
         ]
         # Exactly one compile/adoption, no matter how many queries ran.
         assert sum(counter["value"] for counter in cache_events) == 1
+
+
+def _churn(ir, epoch=0, start_serial=1):
+    from repro.irr.history import ChurnConfig, evolve_with_journal
+
+    return evolve_with_journal(
+        ir, ChurnConfig(seed=11), epoch=epoch, start_serial=start_serial
+    )
+
+
+class TestGeneration:
+    """A session's state is one frozen Generation behind one reference."""
+
+    @staticmethod
+    def _check(session, step):
+        current = session.current
+        assert session.ir is current.ir, step
+        assert session.index is current.index and session.verifier is current.verifier
+        assert session.generation == current.number, step
+        assert session.serials == current.serials, step
+        assert (session.last_delta_seconds, session.last_delta_hop_cache) == current.delta
+        if current.index is None:
+            assert current.verifier is None and current.query is None, step
+        else:
+            assert current.digest == current.index.digest, step
+            assert current.number == current.index.generation, step
+            assert current.query.ir is current.ir, step
+            assert current.query.routes is current.index.route_trie, step
+        if current.verifier is not None:
+            assert current.verifier.ir is current.ir, step
+            assert current.verifier.query is current.query, step
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            current.ir = None
+        return current
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["mmap", "heap"])
+    def test_every_step_publishes_one_consistent_generation(
+        self, tiny_world, tmp_path, cached
+    ):
+        if cached:  # generation 0 comes off the disk cache, mmap'd
+            api.open_session(tiny_world, cache_dir=tmp_path).close()
+        session = api.open_session(
+            tiny_world, cache_dir=tmp_path, use_cache=cached, warm=False
+        )
+        _, first = _churn(session.ir)
+        steps = [
+            ("warm", session.warm),
+            ("apply_deltas", lambda: session.apply_deltas(first)),
+            ("evict_index", session.evict_index),
+            ("warm again", session.warm),
+            (
+                "apply_deltas (degraded)",
+                lambda: session.apply_deltas(
+                    Journal(
+                        entries=_churn(session.ir, epoch=1, start_serial=10**6)[1].entries,
+                        issues=["line 3: corrupt"],
+                    )
+                ),
+            ),
+            ("close", session.close),
+        ]
+        seen = [self._check(session, "open")]
+        for step, run in steps:
+            before = dict(vars(session))
+            outcome = run()
+            current = self._check(session, step)
+            assert all(current is not earlier for earlier in seen), step
+            seen.append(current)
+            # The generation reference is the only data that moved.
+            moved = {name for name, value in vars(session).items() if before[name] is not value}
+            assert moved == {"_generation"} | ({"_closed"} if step == "close" else set()), step
+            if step == "warm":
+                assert (current.index.resource is not None) == cached
+            elif step == "apply_deltas":
+                assert not outcome and current.number == 1
+                assert current.serials == first.serials()
+                assert current.delta[0] > 0 and current.delta[1]["carried"] >= 0
+            elif step == "apply_deltas (degraded)":
+                assert outcome and current.number == 1  # a recompile over a fresh index
+                assert current.delta[1]["invalidated"]["full"] >= 0
+            elif step in ("evict_index", "close"):
+                assert current.index is None
+        # An earlier generation is still whole for whoever kept it.
+        warm = seen[1]
+        assert warm.verifier.ir is warm.ir and warm.number == 0
+
+    def test_warm_is_idempotent_and_keeps_the_generation(self, tiny_world):
+        with api.open_session(tiny_world, use_cache=False) as session:
+            current = session.current
+            assert session.warm().current is current
+
+
+class TestFailedApply:
+    """Regression: an exception inside apply_deltas used to leave ``ir``,
+    index and digest on generation N+1 with no verifier and no hop cache;
+    a retry then saw every entry as already absorbed."""
+
+    @pytest.mark.parametrize("site", ["adopt_hop_cache", "Verifier"])
+    def test_failure_publishes_nothing_and_a_retry_applies(
+        self, tiny_world, tiny_routes, monkeypatch, site
+    ):
+        with api.open_session(tiny_world, use_cache=False) as session:
+            routes = [(str(e.prefix), e.as_path) for e in tiny_routes[:40]]
+            verdicts = [str(session.verify_route(*route)) for route in routes]
+            _, journal = _churn(session.ir)
+            before = session.current
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("injected")
+
+            with monkeypatch.context() as patch:
+                if site == "Verifier":
+                    patch.setattr(api, "Verifier", boom)
+                else:
+                    patch.setattr(api.Verifier, "adopt_hop_cache", boom)
+                with pytest.raises(RuntimeError, match="injected"):
+                    session.apply_deltas(journal)
+            assert session.current is before
+            assert session.generation == 0 and session.serials == {}
+            assert session.ir is before.ir and session.verifier is before.verifier
+            assert [str(session.verify_route(*route)) for route in routes] == verdicts
+
+            assert not session.apply_deltas(journal)  # the same journal, cleanly
+            assert session.generation == 1 and session.serials == journal.serials()
+            fresh = api.make_verifier(session.ir, session.relationships)
+            assert [str(session.verify_route(*route)) for route in routes] == [
+                str(fresh.verify_route(*route, collector="session")) for route in routes
+            ]
