@@ -65,10 +65,13 @@ bench-smoke:
 # heartbeat replacement of a hung worker, restart accounting in /metrics
 # and the degradation report).  Bulk verify_table(processes=N): exact
 # stats under killed, SIGSTOPped and raising workers, no child left behind.
+# Then one table through the serial pass and a 2-worker pool: same summary,
+# same figure CSVs (a merge-order dependence shows up as a diff).
 chaos-serve:
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --only serve-supervisor
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_supervisor.py tests/test_parallel.py \
 	  -q -p no:cacheprovider
+	PYTHONPATH=src PYTHON=$(PYTHON) sh scripts/pool_figures.sh
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

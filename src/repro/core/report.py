@@ -165,11 +165,37 @@ class HopReport:
     _fragments: tuple[str, str] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # tally_key(), worked out once; kept like _fragments.
+    _tally_key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def subject_asn(self) -> int:
         """The AS whose rules were checked."""
         return self.to_asn if self.direction == "import" else self.from_asn
+
+    def tally_key(self, shared: dict[tuple, tuple]) -> tuple:
+        """⟨from, to, direction, status, detail⟩: all the figures count of a hop.
+
+        ``detail`` is the unrecorded reason, the special case or
+        ``peer_matched``, whichever the status gives a meaning.  A table
+        holds few distinct keys and many reports, so equal reports keep
+        the one tuple ``shared`` (key → key) already holds.
+        """
+        key = self._tally_key
+        if key is None:
+            status = self.status
+            if status is VerifyStatus.UNRECORDED:
+                detail = self.unrecorded_reason
+            elif status is VerifyStatus.RELAXED or status is VerifyStatus.SAFELISTED:
+                detail = self.special_case
+            elif status is VerifyStatus.UNVERIFIED:
+                detail = self.peer_matched
+            else:
+                detail = None
+            key = (self.from_asn, self.to_asn, self.direction, status, detail)
+            key = shared.setdefault(key, key)
+            object.__setattr__(self, "_tally_key", key)
+        return key
 
     @property
     def special_case(self) -> SpecialCase | None:

@@ -484,17 +484,9 @@ class Verifier:
                     metrics.status[cached.status].inc()
                 return cached
             self.hop_cache_misses += 1
-        subject_asn, remote_asn = (
-            (to_asn, from_asn) if direction == "import" else (from_asn, to_asn)
+        report = self._checked(
+            metrics, direction, from_asn, to_asn, prefix, sub_path, communities
         )
-        ctx = MatchContext(
-            prefix=prefix,
-            as_path=sub_path,
-            peer_asn=remote_asn,
-            self_asn=subject_asn,
-            communities=communities,
-        )
-        report = self._checked(direction, from_asn, to_asn, ctx, metrics)
         if metrics is not None:
             metrics.status[report.status].inc()
         if cache_size:
@@ -529,28 +521,38 @@ class Verifier:
         trace.add_hop(report, self.hop_cache_hits > hits_before, chain)
         return report
 
-    def _checked(
-        self,
-        direction: str,
-        from_asn: int,
-        to_asn: int,
-        ctx: MatchContext,
-        metrics: _VerifierMetrics | None,
-    ) -> HopReport:
+    def _checked(self, metrics: _VerifierMetrics | None, *hop) -> HopReport:
         """Run an uncached check, timing it when metrics are enabled."""
         if metrics is None:
-            return self._check_uncached(direction, from_asn, to_asn, ctx)
+            return self._check_uncached(*hop)
         started = time.perf_counter()
-        report = self._check_uncached(direction, from_asn, to_asn, ctx)
+        report = self._check_uncached(*hop)
         metrics.latency.observe(time.perf_counter() - started)
         return report
 
     def _check_uncached(
-        self, direction: str, from_asn: int, to_asn: int, ctx: MatchContext
+        self,
+        direction: str,
+        from_asn: int,
+        to_asn: int,
+        prefix: Prefix,
+        sub_path: tuple[int, ...],
+        communities: frozenset[tuple[int, int]],
     ) -> HopReport:
-        plan = self._plan_for(direction, from_asn, to_asn, ctx.prefix.version)
+        plan = self._plan_for(direction, from_asn, to_asn, prefix.version)
         if plan.verdict is not None:
+            # Route-independent: nothing below would read a context.
             return plan.verdict
+        subject_asn, remote_asn = (
+            (to_asn, from_asn) if direction == "import" else (from_asn, to_asn)
+        )
+        ctx = MatchContext(
+            prefix=prefix,
+            as_path=sub_path,
+            peer_asn=remote_asn,
+            self_asn=subject_asn,
+            communities=communities,
+        )
         aut_num = plan.aut_num
         source = aut_num.source or None
 
@@ -588,9 +590,6 @@ class Verifier:
 
         peer_matched = bool(matched)
         if matched and self.options.relaxations:
-            subject_asn, remote_asn = (
-                (to_asn, from_asn) if direction == "import" else (from_asn, to_asn)
-            )
             relaxed = self.special.relaxed_item(
                 direction, subject_asn, remote_asn, ctx, matched
             )

@@ -92,7 +92,13 @@ def fig3_rows(stats: VerificationStats) -> list[dict]:
                 **_status_columns(mix.fractions()),
             }
         )
-    rows.sort(key=lambda row: (-row["verified"], row["unverified"], row["from_asn"]))
+    # Ends in the pair itself: a total order, whatever order the pairs were met in.
+    rows.sort(
+        key=lambda row: (
+            -row["verified"], row["unverified"],
+            row["from_asn"], row["to_asn"], row["direction"],
+        )
+    )
     for index, row in enumerate(rows):
         row["x"] = index
     return rows

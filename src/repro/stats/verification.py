@@ -51,58 +51,115 @@ class StatusMix:
 
 
 def _at(table: dict, key, factory):
-    """``table[key]``, made by ``factory`` on first use only.
-
-    ``table.setdefault(key, factory())`` builds (and, for a key already
-    present, discards) a default on every call — for :class:`StatusMix`
-    that is a dataclass plus a ``Counter`` per hop.
-    """
+    """``table[key]``, made by ``factory`` on first use only."""
     found = table.get(key)
     if found is None:
         found = table[key] = factory()
     return found
 
 
+def _expand(tally: Counter) -> dict[str, object]:
+    """Every per-hop aggregate, from the tally.
+
+    Keys are visited in first-seen order, so each table's keys come out in
+    the order a hop-by-hop count would have met them.
+    """
+    hop_totals: Counter = Counter()
+    per_as: dict[int, StatusMix] = {}
+    per_pair: dict[tuple[int, int, str], StatusMix] = {}
+    unrec_reasons_per_as: dict[int, Counter] = {}
+    special_per_as: dict[int, Counter] = {}
+    unverified_hops = unverified_peering_only = 0
+    for (from_asn, to_asn, direction, status, detail), count in tally.items():
+        subject = to_asn if direction == "import" else from_asn
+        hop_totals[status] += count
+        _at(per_as, subject, StatusMix).counts[status] += count
+        _at(per_pair, (from_asn, to_asn, direction), StatusMix).counts[status] += count
+        if status is VerifyStatus.UNRECORDED:
+            if detail is not None:
+                _at(unrec_reasons_per_as, subject, Counter)[detail] += count
+        elif status is VerifyStatus.RELAXED or status is VerifyStatus.SAFELISTED:
+            if detail is not None:
+                _at(special_per_as, subject, Counter)[detail] += count
+        elif status is VerifyStatus.UNVERIFIED:
+            unverified_hops += count
+            if not detail:
+                # No rule's peering covered the remote AS: the
+                # relationship itself is undeclared (paper: 98.98% of
+                # unverified cases).
+                unverified_peering_only += count
+    return {
+        "hop_totals": hop_totals,
+        "per_as": per_as,
+        "per_pair": per_pair,
+        "unrec_reasons_per_as": unrec_reasons_per_as,
+        "special_per_as": special_per_as,
+        "unverified_hops": unverified_hops,
+        "unverified_peering_only": unverified_peering_only,
+    }
+
+
+def _view(name: str) -> property:
+    """A read-only aggregate, expanded with the others on the first read after a change."""
+
+    def read(self: "VerificationStats"):
+        if self._views is None:
+            self._views = _expand(self._tally)
+        return self._views[name]
+
+    return property(read)
+
+
 class VerificationStats:
-    """Streaming aggregation of route reports into the paper's figures."""
+    """Streaming aggregation of route reports into the paper's figures.
+
+    A hop is counted once, under its :meth:`HopReport.tally_key`; the
+    per-hop aggregates (``hop_totals``, ``per_as``, ``per_pair``,
+    ``unrec_reasons_per_as``, ``special_per_as``, ``unverified_hops``,
+    ``unverified_peering_only``) are read-only views expanded from that
+    tally on the first read after a change.  Change what they show through
+    :meth:`add_report` / :meth:`merge`, never by writing to a view.
+    """
+
+    hop_totals = _view("hop_totals")  # status -> hops
+    per_as = _view("per_as")  # subject AS -> StatusMix
+    per_pair = _view("per_pair")  # (from, to, direction) -> StatusMix
+    unrec_reasons_per_as = _view("unrec_reasons_per_as")
+    special_per_as = _view("special_per_as")
+    # unverified-peering analysis ("most unverified routes traverse
+    # undeclared peerings")
+    unverified_hops = _view("unverified_hops")
+    unverified_peering_only = _view("unverified_peering_only")
 
     def __init__(self) -> None:
         self.routes_total = 0
         self.routes_ignored: Counter = Counter()
-        self.hop_totals: Counter = Counter()  # status -> hops
-        self.per_as: dict[int, StatusMix] = {}
-        self.per_pair: dict[tuple[int, int, str], StatusMix] = {}
         # per-route summaries (no per-route storage: fold immediately)
         self.route_single_status: Counter = Counter()  # status -> routes
         self.route_status_count_hist: Counter = Counter()  # #distinct statuses -> routes
         self.first_hop_statuses: Counter = Counter()
-        # breakdowns
-        self.unrec_reasons_per_as: dict[int, Counter] = {}
-        self.special_per_as: dict[int, Counter] = {}
-        # unverified-peering analysis ("most unverified routes traverse
-        # undeclared peerings")
-        self.unverified_hops = 0
-        self.unverified_peering_only = 0
         # how the run degraded (requeued chunks, serial fallbacks, ...);
         # empty on a clean run
         self.degradation = DegradationReport()
+        self._tally: Counter = Counter()  # HopReport.tally_key -> hops
+        self._keys: dict[tuple, tuple] = {}  # what HopReport.tally_key shares
+        self._views: dict[str, object] | None = None
+
+    def __getstate__(self) -> dict:
+        """The counts alone: views are re-derived, keys re-shared, where they land."""
+        return {**self.__dict__, "_keys": {}, "_views": None}
 
     # -- ingestion ---------------------------------------------------------
 
     def add_report(self, report: RouteReport) -> None:
-        """Fold one route report into every aggregate.
-
-        Runs once per route over every hop, so nothing is built that is
-        not kept: a :class:`StatusMix` / ``Counter`` is constructed only
-        for a key seen for the first time.
-        """
+        """Fold one route report in: one tally increment per hop."""
         self.routes_total += 1
         if report.ignored is not None:
             self.routes_ignored[report.ignored] += 1
             return
-        hop_totals = self.hop_totals
-        per_as = self.per_as
-        per_pair = self.per_pair
+        self._views = None
+        tally = self._tally
+        keys = self._keys
         hops = report.hops
         for hop in hops[:2]:
             # hops[0]/hops[1] are the origin-side export and import — the
@@ -110,52 +167,22 @@ class VerificationStats:
             self.first_hop_statuses[hop.status] += 1
         seen_statuses: set[VerifyStatus] = set()
         for hop in hops:
-            status = hop.status
-            seen_statuses.add(status)
-            hop_totals[status] += 1
-            direction = hop.direction
-            from_asn = hop.from_asn
-            to_asn = hop.to_asn
-            subject = to_asn if direction == "import" else from_asn
-            _at(per_as, subject, StatusMix).counts[status] += 1
-            _at(per_pair, (from_asn, to_asn, direction), StatusMix).counts[status] += 1
-            if status is VerifyStatus.UNRECORDED:
-                reason = hop.unrecorded_reason
-                if reason is not None:
-                    _at(self.unrec_reasons_per_as, subject, Counter)[reason] += 1
-            elif status is VerifyStatus.RELAXED or status is VerifyStatus.SAFELISTED:
-                case = hop.special_case
-                if case is not None:
-                    _at(self.special_per_as, subject, Counter)[case] += 1
-            elif status is VerifyStatus.UNVERIFIED:
-                self.unverified_hops += 1
-                if not hop.peer_matched:
-                    # No rule's peering covered the remote AS: the
-                    # relationship itself is undeclared (paper: 98.98% of
-                    # unverified cases).
-                    self.unverified_peering_only += 1
+            key = hop.tally_key(keys)
+            tally[key] = tally.get(key, 0) + 1
+            seen_statuses.add(key[3])
         self.route_status_count_hist[len(seen_statuses)] += 1
         if len(seen_statuses) == 1:
             self.route_single_status[next(iter(seen_statuses))] += 1
 
     def merge(self, other: "VerificationStats") -> None:
         """Fold another aggregator into this one (parallel verification)."""
+        self._views = None
+        self._tally.update(other._tally)
         self.routes_total += other.routes_total
         self.routes_ignored.update(other.routes_ignored)
-        self.hop_totals.update(other.hop_totals)
-        for asn, mix in other.per_as.items():
-            _at(self.per_as, asn, StatusMix).counts.update(mix.counts)
-        for key, mix in other.per_pair.items():
-            _at(self.per_pair, key, StatusMix).counts.update(mix.counts)
         self.route_single_status.update(other.route_single_status)
         self.route_status_count_hist.update(other.route_status_count_hist)
         self.first_hop_statuses.update(other.first_hop_statuses)
-        for asn, reasons in other.unrec_reasons_per_as.items():
-            _at(self.unrec_reasons_per_as, asn, Counter).update(reasons)
-        for asn, cases in other.special_per_as.items():
-            _at(self.special_per_as, asn, Counter).update(cases)
-        self.unverified_hops += other.unverified_hops
-        self.unverified_peering_only += other.unverified_peering_only
         self.degradation.merge(other.degradation)
 
     # -- Figure 2: per AS -----------------------------------------------

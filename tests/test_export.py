@@ -2,10 +2,12 @@
 
 import csv
 import io
+import itertools
 
 import pytest
 
 from repro.core.parallel import verify_table
+from repro.stats.verification import VerificationStats
 from repro.stats.export import (
     fig1_rows,
     fig2_rows,
@@ -60,6 +62,38 @@ class TestFigureRows:
     def test_fig5_fig6_complete(self, stats):
         assert len(fig5_rows(stats)) == 4
         assert len(fig6_rows(stats)) == 6
+
+
+class TestFiguresDoNotDependOnMergeOrder:
+    """A pooled run merges chunk stats in completion order; the figures may
+    not show it.  (Figure 3's sort key used to stop at ``from_asn``, so pairs
+    that tie kept whichever order ``per_pair`` had met them in.)"""
+
+    _FIGURES = (fig2_rows, fig3_rows, fig4_rows, fig5_rows, fig6_rows)
+
+    def test_every_figure_is_the_serial_folds_in_every_merge_order(
+        self, tiny_verifier, tiny_routes
+    ):
+        reports = [tiny_verifier.verify_entry(entry) for entry in tiny_routes]
+        serial = VerificationStats()
+        for report in reports:
+            serial.add_report(report)
+        expected = [figure(serial) for figure in self._FIGURES]
+        size = -(-len(reports) // 4)
+        chunks = [reports[start : start + size] for start in range(0, len(reports), size)]
+        assert len(chunks) == 4
+        for order in itertools.permutations(range(4)):
+            merged = VerificationStats()
+            for index in order:
+                partial = VerificationStats()
+                for report in chunks[index]:
+                    partial.add_report(report)
+                merged.merge(partial)
+            assert merged.summary() == serial.summary()
+            if order != (0, 1, 2, 3):  # the tables really were built in another order
+                assert list(merged.per_pair) != list(serial.per_pair)
+            for figure, rows in zip(self._FIGURES, expected):
+                assert figure(merged) == rows, (figure.__name__, order)
 
 
 class TestCsvWriter:

@@ -4,7 +4,8 @@ Four gates on the hit path, none of them a timer:
 
 * the reshaped ``Verifier.check`` counts exactly what it counted before
   (values pinned on the commit that still built a ``MatchContext`` per hop);
-* operation counters — a warm route builds no ``MatchContext`` and a
+* operation counters — a warm route builds no ``MatchContext``, a miss
+  builds one only when its rule plan has rules to run, and a
   route whose hops were all rendered before calls no ``__str__``; a
   journal's invalidated hop is rendered afresh, a carried one is not;
 * the served bytes are ``report_as_dict``'s, whatever the report holds,
@@ -125,7 +126,14 @@ def test_a_warm_route_builds_no_match_context(tiny_ir, tiny_world, tiny_routes, 
     verifier = Verifier(tiny_ir, tiny_world.topology)
     entry = next(e for e in tiny_routes if len(e.deprepended_path()) > 2)
     first = verifier.verify_route(entry.prefix, entry.as_path)
-    assert contexts.count == len(first.hops) > 0  # one per miss, cold
+    # Cold: one per miss whose plan leaves something to evaluate; a plan that
+    # is a verdict (no aut-num, no rules) answers without one.
+    version = entry.prefix.version
+    evaluated = sum(
+        verifier._rule_plans[hop.direction, hop.from_asn, hop.to_asn, version].verdict is None
+        for hop in first.hops
+    )
+    assert contexts.count == evaluated and 0 < evaluated < len(first.hops)
     contexts.count = 0
     assert verifier.verify_route(entry.prefix, entry.as_path) == first
     assert contexts.count == 0
@@ -135,7 +143,39 @@ def test_a_warm_route_builds_no_match_context(tiny_ir, tiny_world, tiny_routes, 
     )
     uncached.verify_route(entry.prefix, entry.as_path)
     uncached.verify_route(entry.prefix, entry.as_path)
-    assert contexts.count == 2 * len(first.hops)
+    assert contexts.count == 2 * evaluated
+
+
+def test_a_context_is_built_only_for_a_plan_with_rules_to_run(
+    tiny_ir, tiny_world, tiny_routes, monkeypatch
+):
+    """A plan that is itself the verdict (no aut-num, no rules of that
+    direction) answers every route alike and reads no context."""
+    contexts = _Calls(monkeypatch, verify_module, "MatchContext")
+    to_run = []
+    plan_for = Verifier._plan_for
+
+    def counting(self, *key):
+        plan = plan_for(self, *key)
+        to_run.append(plan.verdict is None)
+        return plan
+
+    monkeypatch.setattr(Verifier, "_plan_for", counting)
+    for size in (1 << 20, 3, 0):
+        verifier = Verifier(
+            tiny_ir, tiny_world.topology, VerifyOptions(hop_cache_size=size)
+        )
+        contexts.count, to_run[:] = 0, []
+        hops = sum(len(verifier.verify_entry(e).hops) for e in tiny_routes[:400])
+        misses = verifier.hop_cache_misses if size else hops
+        assert len(to_run) == misses  # one plan look-up per miss
+        assert contexts.count == sum(to_run) and 0 < sum(to_run) < misses
+    # No aut-num anywhere: every miss is answered by its plan, no context at all.
+    bare = Verifier(_as_ir("route: 10.31.0.0/16\norigin: AS3001\n"), _NO_RELATIONSHIPS)
+    contexts.count, to_run[:] = 0, []
+    report = bare.verify_route("10.31.0.0/16", _PATH)
+    assert [hop.status for hop in report.hops] == [VerifyStatus.UNRECORDED] * 4
+    assert (contexts.count, to_run) == (0, [False] * 4)
 
 
 def test_rendered_hops_are_joined_not_rendered_again(
@@ -263,16 +303,25 @@ class TestRendererMatchesItsSpecification:
         )
         rendered = hop.fragments()
         assert twin._fragments is None and hop._fragments is rendered
+        shared = {}
+        key = hop.tally_key(shared)
+        assert twin._tally_key is None and hop._tally_key is key
+        assert shared == {key: key} and hop.tally_key({}) is key
         assert hop == twin and hash(hop) == hash(twin)
         assert repr(hop) == repr(twin) and "_fragments" not in repr(hop)
+        assert "_tally_key" not in repr(hop)
         for copy in (pickle.loads(pickle.dumps(hop)), pickle.loads(pickle.dumps(twin))):
             assert copy == hop and hash(copy) == hash(hop)
             assert copy.fragments() == rendered
-        with pytest.raises(TypeError):
-            HopReport(
-                hop.direction, hop.from_asn, hop.to_asn, hop.status, hop.items,
-                hop.peer_matched, hop.rule_index, hop.rule_source, rendered,
-            )
+            assert copy.tally_key({}) == key
+        # An equal report takes the tuple the table already holds, not a new one.
+        assert twin.tally_key(shared) is key
+        for memo in (rendered, key):
+            with pytest.raises(TypeError):
+                HopReport(
+                    hop.direction, hop.from_asn, hop.to_asn, hop.status, hop.items,
+                    hop.peer_matched, hop.rule_index, hop.rule_source, memo,
+                )
 
 
 # -- the same bytes over both front-ends, with and without a pool --------------------

@@ -8,6 +8,10 @@ module, class, and function in ``repro`` carries a docstring, every
 import importlib
 import inspect
 import pkgutil
+import re
+import tomllib
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +82,24 @@ def test_module_imports_standalone(module_name):
 
 def test_version_exported():
     assert repro.__version__
+
+
+def test_the_distribution_version_is_the_packages():
+    """One version: ``pyproject.toml`` declares none of its own, so what pip
+    and ``importlib.metadata`` report is what the ledger and the run
+    manifests record (they had drifted nine releases apart)."""
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    document = tomllib.loads(path.read_text(encoding="utf-8"))
+    assert "version" not in document["project"]
+    assert "version" in document["project"]["dynamic"]
+    assert document["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "repro.__version__"
+    }
+    # What setuptools makes of it (static read of the attribute: nothing is
+    # built, imported from an install, or downloaded).
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # pyproject support is "beta" in older setuptools
+        resolved = pyprojecttoml.read_configuration(path)["project"]["version"]
+    assert resolved == repro.__version__
+    assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
