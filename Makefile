@@ -65,8 +65,9 @@ bench-smoke:
 # heartbeat replacement of a hung worker, restart accounting in /metrics
 # and the degradation report).  Bulk verify_table(processes=N): exact
 # stats under killed, SIGSTOPped and raising workers, no child left behind.
-# Then one table through the serial pass and a 2-worker pool: same summary,
-# same figure CSVs (a merge-order dependence shows up as a diff).
+# Then one table, traced, through the serial pass and a 2-worker pool: same
+# summary, same figure CSVs (a merge-order dependence shows up as a diff),
+# same `rpslyzer trace` summary, no spill directory left in $$TMPDIR.
 chaos-serve:
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --only serve-supervisor
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_supervisor.py tests/test_parallel.py \

@@ -66,8 +66,8 @@ from repro.irr.whois import WhoisEngine  # noqa: E402
 
 ACCESS_FIELDS = {
     "ts",
-    "type",
-    "id",
+    "kind",
+    "ids",
     "frontend",
     "endpoint",
     "outcome",
@@ -272,7 +272,7 @@ def main() -> None:
         flight = json.loads(body)
         if not flight.get("enabled") or flight["stats"]["events"] <= 0:
             fail(f"flight recorder not live: {flight.get('stats')}")
-        kinds = {event["type"] for event in flight["events"]}
+        kinds = {event["kind"] for event in flight["events"]}
         if "request" not in kinds:
             fail(
                 f"no request event for id {request_id} in flight ring: "
@@ -411,7 +411,9 @@ def main() -> None:
                 fail(f"access record missing fields: {record}")
             if set(record["stages_ms"]) != STAGES:
                 fail(f"access record stage keys: {record['stages_ms']}")
-        if not any(record["id"] == request_id for record in records):
+        if {record["ids"]["generation"] for record in records} != {0, 1}:
+            fail("access records do not follow the generation across the reload")
+        if not any(record["ids"]["request"] == request_id for record in records):
             fail(f"access log never saw request id {request_id}")
         print(
             f"serve-smoke: access log holds {len(records)} schema-complete "

@@ -349,9 +349,10 @@ class Session:
         self._registry = registry
         self._generation = Generation(ir, index, digest=index and index.digest)
         self._closed = False
-        # The serve daemon's flight recorder (repro.obs.flight), attached
-        # by VerifyService so embedders can read the lifecycle ring via
-        # flight_events() without reaching into serve internals.
+        # The event log this session reports into (repro.obs.events): the
+        # serve daemon's flight ring, attached by VerifyService so embedders
+        # can read it via flight_events(); in a pool worker, the log its
+        # result frames drain.  explain() splices its hop events into it.
         self.flight = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -632,6 +633,7 @@ class Session:
         *,
         options: VerifyOptions | None = None,
         collector: str = "explain",
+        request_id: str | None = None,
     ) -> tuple[RouteReport, list[dict]]:
         """Replay one ⟨prefix, AS-path⟩ with tracing forced on.
 
@@ -639,12 +641,19 @@ class Session:
         decision-provenance event list (sample rate 1, deep chains always
         recorded — the verifier is fresh, so every hop is a cache miss and
         its filter-evaluation path is captured).  This is what
-        ``rpslyzer explain`` and ``POST /explain`` print.
+        ``rpslyzer explain`` and ``POST /explain`` print.  The events carry
+        ``request_id`` (the served request being answered, if any) and the
+        generation, and also land in the session's event log when it has
+        one — so ``rpslyzer debug --id`` shows an explained request's
+        matched rules next to its stage breakdown.
         """
         self._check_open()
         relationships = self._need_relationships()
         current = self._generation
-        tracer = Tracer(TraceConfig(sample_rate=1, deep=True))
+        tracer = Tracer(
+            TraceConfig(sample_rate=1, deep=True),
+            ids={"request": request_id or None, "generation": current.number},
+        )
         with self._scope(), use_tracer(tracer):
             verifier = Verifier(
                 current.ir,
@@ -655,12 +664,15 @@ class Session:
             report = verifier.verify_route(
                 prefix, tuple(as_path), collector=collector
             )
+        if self.flight is not None:
+            self.flight.absorb(tracer.log.lines())
         return report, tracer.events
 
     def characterize(self) -> dict:
         """The Section 4 characterization of the session's IR."""
         self._check_open()
-        ir = self._generation.ir
+        current = self._generation
+        ir = current.ir
         with self._scope() as registry:
             with registry.span("characterize"):
                 return {
@@ -669,7 +681,7 @@ class Session:
                     "peering_simplicity": peering_simplicity(ir),
                     "filter_kinds": filter_kind_census(ir),
                     "route_objects": route_object_stats(ir).as_dict(),
-                    "as_sets": as_set_stats(ir).as_dict(),
+                    "as_sets": as_set_stats(ir, query=current.query).as_dict(),
                 }
 
     def whois_server(self, host: str = "127.0.0.1", port: int = 0) -> "ServeHandle":
@@ -688,13 +700,13 @@ class Session:
         return self.registry.snapshot()
 
     def flight_events(self, **filters) -> list[dict]:
-        """Decoded serve flight-recorder events, oldest first.
+        """Decoded serve flight-ring events, oldest first.
 
-        Filters pass through to
-        :meth:`repro.obs.flight.FlightRecorder.events` (``request_id``,
-        ``types``, ``since``, ``until``, ``limit``).  Returns ``[]``
-        until a :class:`~repro.serve.core.VerifyService` has attached a
-        recorder to this session.
+        Filters pass through to :func:`repro.obs.events.filter_events`
+        (``request``, ``route``, ``kinds``, ``since``, ``until``,
+        ``limit``).  Returns ``[]`` until a
+        :class:`~repro.serve.core.VerifyService` has attached its ring to
+        this session.
         """
         if self.flight is None:
             return []

@@ -303,9 +303,10 @@ def run_chaos(
 
     # -- layer 2b: decision traces survive worker death -----------------------
     # The same table traced serially and in parallel with a SIGKILLed worker
-    # must canonicalize to the same events (spilled per-worker files +
-    # merge-time dedup make chunk retries idempotent), and tail sampling
-    # must have kept every route with an unverified hop.
+    # must canonicalize to the same events (a chunk's events ride its result
+    # frame, so a killed worker's die with it and the retry emits them
+    # again), and tail sampling must have kept every route with an
+    # unverified hop.
     trace_config = TraceConfig(sample_rate=7, seed=seed)
     unverified_routes: set[str] = set()
 
@@ -335,9 +336,9 @@ def run_chaos(
         )
     )
     traced = {
-        event["trace"]
+        event["ids"]["route"]
         for event in chaos_tracer.events
-        if event.get("event") == "route"
+        if event["kind"] == "route"
     }
     check(
         ChaosCheck(

@@ -30,10 +30,10 @@ Subcommands mirror the paper's pipeline:
   loaded session (see ``docs/serving.md``); request-scoped telemetry
   (correlation ids, stage timings, ``--access-log``, the flight
   recorder) is on by default — ``--no-telemetry`` opts out;
-* ``debug <incident.jsonl | http://host:port>`` — render a flight
-  recording (an incident dump or a live daemon's ``/debug/flight``
-  ring) as a filtered timeline (``--id``, ``--type``, ``--since``,
-  ``--until``, ``--limit``, ``--json``).
+* ``debug <events.jsonl | http://host:port>`` — render an event log (an
+  incident dump, an access log, a trace file, or a live daemon's
+  ``/debug/flight`` ring) as a filtered timeline (``--id``, ``--type``,
+  ``--since``, ``--until``, ``--limit``, ``--json``).
 
 The pipeline subcommands accept ``--metrics <path>`` to record the run —
 phase wall/CPU timings, counters, histograms, input digests — into a JSON
@@ -67,8 +67,9 @@ from repro.obs import (
     build_manifest,
     cache_summary,
     cumulative_view,
+    filter_events,
     load_manifest,
-    read_trace_events,
+    read_events,
     render_prometheus,
     summarize_events,
     use_registry,
@@ -410,7 +411,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if report.ignored is not None:
         print(f"  ignored: {report.ignored}")
         return 0
-    hop_events = [event for event in events if event.get("event") == "hop"]
+    hop_events = [event for event in events if event.get("kind") == "hop"]
     for hop, event in zip(report.hops, hop_events):
         subject = hop.subject_asn
         print(
@@ -441,24 +442,24 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    events = read_trace_events(args.trace_file)
+    _, events = read_events(args.trace_file)
     selected = events
     if args.status:
         wanted_traces = {
-            event.get("trace")
+            event["ids"].get("route")
             for event in events
-            if event.get("event") == "hop" and event.get("status") == args.status
+            if event.get("kind") == "hop" and event.get("status") == args.status
         }
-        selected = [event for event in selected if event.get("trace") in wanted_traces]
+        selected = [e for e in selected if e["ids"].get("route") in wanted_traces]
     if args.prefix:
         wanted_traces = {
-            event.get("trace")
+            event["ids"].get("route")
             for event in events
-            if event.get("event") == "route" and event.get("prefix") == args.prefix
+            if event.get("kind") == "route" and event.get("prefix") == args.prefix
         }
-        selected = [event for event in selected if event.get("trace") in wanted_traces]
+        selected = [e for e in selected if e["ids"].get("route") in wanted_traces]
     if args.trace_id:
-        selected = [event for event in selected if event.get("trace") == args.trace_id]
+        selected = filter_events(selected, route=args.trace_id)
     if args.json:
         shown = selected[: args.limit] if args.limit else selected
         for event in shown:
@@ -629,29 +630,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return _run_daemon(session, serve_config)
 
 
-def _filter_flight_events(events: list, args: argparse.Namespace) -> list:
-    """Apply the debug subcommand's filters to decoded flight events."""
-    wanted = frozenset(args.type) if args.type else None
-    matched = []
-    for event in events:
-        if args.id is not None and event.get("id") != args.id:
-            continue
-        if wanted is not None and event.get("type") not in wanted:
-            continue
-        ts = event.get("ts", 0.0)
-        if args.since is not None and ts < args.since:
-            continue
-        if args.until is not None and ts > args.until:
-            continue
-        matched.append(event)
-    if args.limit is not None and args.limit > 0:
-        matched = matched[-args.limit :]
-    return matched
-
-
 def _cmd_debug(args: argparse.Namespace) -> int:
-    from repro.obs import read_flight_events
-
     header: dict = {}
     if args.source.startswith(("http://", "https://")):
         from urllib.parse import urlencode
@@ -679,11 +658,18 @@ def _cmd_debug(args: argparse.Namespace) -> int:
         header = {"source": url, "stats": payload.get("stats")}
     else:
         try:
-            header, events = read_flight_events(args.source)
+            header, events = read_events(args.source)
         except (OSError, ValueError) as exc:
             print(f"cannot read {args.source}: {exc}", file=sys.stderr)
             return 1
-        events = _filter_flight_events(events, args)
+        events = filter_events(
+            events,
+            request=args.id,
+            kinds=args.type,
+            since=args.since,
+            until=args.until,
+            limit=args.limit,
+        )
     if args.json:
         json.dump({"header": header, "events": events}, sys.stdout, sort_keys=True)
         print()
@@ -699,14 +685,16 @@ def _cmd_debug(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     for event in events:
+        ids = dict(event.get("ids") or {})
+        rid = f" id={ids.pop('request')}" if ids.get("request") else ""
+        fields = {**ids, **event}
         extras = " ".join(
-            f"{key}={event[key]}"
-            for key in sorted(event)
-            if key not in ("seq", "ts", "type", "id")
+            f"{key}={fields[key]}"
+            for key in sorted(fields)
+            if key not in ("ts", "kind", "ids")
         )
-        rid = f" id={event['id']}" if event.get("id") else ""
         print(
-            f"{event.get('ts', 0.0):.6f} {event.get('type', '?'):<20}"
+            f"{event.get('ts', 0.0):.6f} {event.get('kind', '?'):<20}"
             f"{rid}{' ' + extras if extras else ''}"
         )
     print(f"{len(events)} event(s)", file=sys.stderr)
@@ -1008,14 +996,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="MS",
         help="promote requests at/above this latency to <access-log>.slow "
-        "and the flight recorder (0 = off, the default)",
+        "and the flight ring (0 = off, the default)",
     )
     serve.add_argument(
         "--flight-events",
         type=int,
         default=2048,
         metavar="N",
-        help="flight-recorder ring capacity (0 disables it; default 2048)",
+        help="flight ring capacity (0 disables it; default 2048)",
     )
     serve.add_argument(
         "--incident-dir",
@@ -1032,18 +1020,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     debug = subparsers.add_parser(
         "debug",
-        help="inspect a flight recording (incident dump file or live daemon)",
+        help="inspect an event log (incident dump, access log, trace file or live daemon)",
     )
     debug.add_argument(
         "source",
-        help="an incident .jsonl file, or http://host:port of a live daemon",
+        help="an event .jsonl file, or http://host:port of a live daemon",
     )
     debug.add_argument("--id", help="keep events with this request id")
     debug.add_argument(
         "--type",
         action="append",
         metavar="EVENT",
-        help="keep these event types (repeatable)",
+        help="keep events of these kinds (repeatable)",
     )
     debug.add_argument(
         "--since", type=float, metavar="EPOCH", help="drop events before this ts"

@@ -33,8 +33,6 @@ exact stats either way.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
@@ -133,7 +131,6 @@ def _verify_pooled(
     start_method: str | None,
     fault_hook: Callable[[int], None] | None,
     index: CompiledIndex,
-    trace_dir: str | None,
 ) -> VerificationStats:
     """The pool's table client: one chunk in flight per worker.
 
@@ -160,11 +157,7 @@ def _verify_pooled(
         SupervisorConfig(workers=processes, start_method=start_method),
         degradation=total.degradation,
         component="verify",
-        observability=(
-            registry.enabled,
-            tracer.config if tracer.enabled else None,
-            trace_dir,
-        ),
+        observability=(registry.enabled, tracer.config if tracer.enabled else None),
         fault_hook=fault_hook,
     )
 
@@ -176,6 +169,9 @@ def _verify_pooled(
             if dispatched is not None and dispatched[0][0] == "ok":
                 _, partial, delta = dispatched[0]
                 total.merge(partial)
+                # The chunk's trace events, taken with the result that counts:
+                # a chunk that falls through emits them again below.
+                tracer.absorb(dispatched[1])
                 if delta is not None:
                     registry.merge_snapshot(delta)
                 continue
@@ -277,31 +273,16 @@ def verify_table(
                 # Compile once in the parent, before the pool exists: under
                 # fork every worker then shares the artifact copy-on-write.
                 index = compile_index(ir)
-            # When tracing is live, workers spill events to per-worker JSONL
-            # files in a scratch directory; the parent merges (and dedups)
-            # them after the pool stops, so traces survive killed workers,
-            # chunk retries, and the serial fallback (which emits into
-            # ``tracer`` directly in-process).
-            trace_dir = (
-                tempfile.mkdtemp(prefix="rpslyzer-trace-") if tracer.enabled else None
+            stats = _verify_pooled(
+                ir,
+                relationships,
+                enumerate(chain([first], chunks)),
+                options,
+                processes,
+                start_method,
+                fault_hook,
+                index,
             )
-            try:
-                stats = _verify_pooled(
-                    ir,
-                    relationships,
-                    enumerate(chain([first], chunks)),
-                    options,
-                    processes,
-                    start_method,
-                    fault_hook,
-                    index,
-                    trace_dir,
-                )
-                if trace_dir is not None:
-                    tracer.merge_directory(trace_dir)
-            finally:
-                if trace_dir is not None:
-                    shutil.rmtree(trace_dir, ignore_errors=True)
         if registry.enabled:
             _record_cache_hit_rate(registry)
         _record_trace_metrics(registry, tracer, marks)

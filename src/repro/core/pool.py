@@ -46,7 +46,6 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.bgp.table import RouteEntry
@@ -57,7 +56,7 @@ from repro.core.parallel import verify_into
 from repro.core.verify import Verifier, VerifyOptions
 from repro.ir.model import Ir
 from repro.obs import NULL_REGISTRY, MetricsRegistry, get_registry, set_registry
-from repro.obs.flight import NULL_FLIGHT
+from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.trace import Tracer, get_tracer, set_tracer
 from repro.stats.verification import VerificationStats
 
@@ -125,7 +124,7 @@ class CircuitBreaker:
     cooldown.  ``clock`` is injectable for deterministic tests.
     ``on_transition(old, new)`` is invoked outside the lock on every
     state change — the supervisor uses it to land breaker transitions in
-    the flight recorder.
+    its event log.
     """
 
     CLOSED = "closed"
@@ -344,7 +343,6 @@ class ChunkRunner:
 
 def _worker_main(
     conn,
-    worker_id: int,
     ir: Ir,
     relationships: AsRelationships,
     options: VerifyOptions | None,
@@ -359,7 +357,7 @@ def _worker_main(
     batch_id, (chunk_index, entries))``, ``("ping", seq)``, ``("reload",
     expected_generation, journal)``, and ``("stop",)``.  Frames out:
     ``("ready", pid)`` once warm, ``("result", batch_id, payload,
-    flight_lines)``, ``("pong", seq)``, and ``("reloaded", generation,
+    event_lines)``, ``("pong", seq)``, and ``("reloaded", generation,
     degraded)`` / ``("reload-failed", message)``.  A batch's payload is
     one ``("ok", body, verdicts)`` or ``("err", message)`` per item
     (:func:`repro.serve.core.answer_query`: the response body crosses the
@@ -367,12 +365,15 @@ def _worker_main(
     is ``("ok", stats, metrics_delta)`` (see :class:`ChunkRunner`) or
     ``("err", message)`` — the worker outlives a chunk that raised.
 
-    The worker keeps its own small :class:`~repro.obs.flight.FlightRecorder`
-    and stamps a ``worker-execute`` event (carrying the request's
-    correlation id, this worker's id/pid, and the per-query duration)
-    for every item it runs; the pre-serialized event lines ride back in
-    the result frame and the parent splices them into the daemon's ring,
-    so one request id greps across process boundaries.
+    Everything the worker has to say goes into one
+    :class:`~repro.obs.events.EventLog`, drained into every result frame:
+    a ``worker-execute`` event per query (the request's correlation id,
+    this worker's pid, the generation, the per-query duration), an
+    explained route's hop events, and — in a traced table run — the
+    chunk's ``route``/``hop`` events.  The caller absorbs the lines of a
+    result it accepts, so one request id greps across process boundaries
+    and a chunk's events arrive exactly once (a killed worker's die with
+    its chunk; the retry emits them again).
 
     A reload replays the journal onto the worker's own session
     (:meth:`repro.api.Session.apply_deltas` — the same deterministic
@@ -383,33 +384,25 @@ def _worker_main(
     # Imported lazily: repro.serve.core imports this module at its top
     # level, and repro.api is imported by it.
     from repro.api import Session
-    from repro.obs.flight import FlightRecorder
     from repro.serve.core import answer_query
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     pid = os.getpid()
     # Fresh per-process observability: a worker must never write into a
     # registry or tracer inherited across fork (the parent would never read
-    # the child's copy).  A traced table run's workers spill to per-worker
-    # JSONL files the parent merges after the pool stops.
-    collect_metrics, trace_config, trace_dir = observability
+    # the child's copy).  Unbounded, because every result frame drains it.
+    events = EventLog()
+    collect_metrics, trace_config = observability
     set_registry(MetricsRegistry() if collect_metrics else None)
     set_tracer(
-        Tracer(
-            trace_config,
-            sink=Path(trace_dir) / f"worker-{pid}.jsonl",
-            worker_id=pid,
-        )
-        if trace_config is not None and trace_dir is not None
+        Tracer(trace_config, log=events, ids={"worker": pid})
+        if trace_config is not None
         else None
     )
     session = Session(ir, relationships, options=options, index=index)
+    session.flight = events
     session.warm()
     chunks = ChunkRunner(collect_metrics, fault_hook)
-    # A small local ring: drained into every result frame, so its
-    # capacity only needs to cover one batch's worth of events.
-    recorder = FlightRecorder(capacity=256)
-    recorder.record("worker-online", worker=worker_id, pid=pid)
     conn.send(("ready", pid))
     while True:
         try:
@@ -434,10 +427,9 @@ def _worker_main(
             except Exception as exc:  # noqa: BLE001 - supervisor retires us
                 conn.send(("reload-failed", str(exc)))
                 continue
-            recorder.record(
+            events.record(
                 "worker-reloaded",
-                worker=worker_id,
-                pid=pid,
+                worker=pid,
                 generation=session.generation,
                 hop_cache=session.last_delta_hop_cache,
             )
@@ -453,19 +445,21 @@ def _worker_main(
             payload = []
             for query_kind, prefix, as_path, collector, request_id in items:
                 item_start = time.monotonic()
-                answer = answer_query(session, query_kind, prefix, as_path, collector)
+                answer = answer_query(
+                    session, query_kind, prefix, as_path, collector, request_id
+                )
                 payload.append(answer)
-                recorder.record(
+                events.record(
                     "worker-execute",
-                    request_id=request_id or None,
-                    worker=worker_id,
-                    pid=pid,
+                    request=request_id,
+                    worker=pid,
+                    generation=session.generation,
                     endpoint=query_kind,
                     outcome=answer[0],
                     ms=round((time.monotonic() - item_start) * 1000.0, 3),
                 )
         try:
-            conn.send(("result", batch_id, payload, recorder.drain_lines()))
+            conn.send(("result", batch_id, payload, events.drain()))
         except (BrokenPipeError, OSError):
             return
 
@@ -489,7 +483,7 @@ class WorkerSupervisor:
     in the supervisor's metrics (when a registry is given) and
     crashes/degradation in the ``degradation`` report, under the
     caller's ``component`` (``serve`` or ``verify``).
-    ``observability`` — ``(collect_metrics, trace_config, trace_dir)`` —
+    ``observability`` — ``(collect_metrics, trace_config)`` —
     is what each worker installs for itself and ``fault_hook`` its
     :class:`ChunkRunner` hook; both only a table run sets.
     """
@@ -505,9 +499,9 @@ class WorkerSupervisor:
         registry: MetricsRegistry = NULL_REGISTRY,
         metrics_lock: threading.Lock | None = None,
         degradation: DegradationReport | None = None,
-        flight=NULL_FLIGHT,
+        flight: EventLog = NULL_EVENTS,
         component: str = "serve",
-        observability: tuple = (False, None, None),
+        observability: tuple = (False, None),
         fault_hook: Callable[[int], None] | None = None,
     ):
         self.config = config or SupervisorConfig()
@@ -553,18 +547,29 @@ class WorkerSupervisor:
         self._gauge_breaker = registry.gauge(f"{component}_breaker_state")
         self._gauge_degraded = registry.gauge(f"{component}_degraded")
 
-    def _on_breaker_transition(self, old: str, new: str) -> None:
-        """Flight-record every breaker transition; dump the ring on open.
+    def _event(self, kind: str, worker: _Worker | None = None, **payload) -> None:
+        """Record one lifecycle event, under the generation workers spawn from."""
+        if worker is not None:
+            payload["slot"] = worker.worker_id
+        self.flight.record(
+            kind,
+            worker=worker.pid if worker is not None else None,
+            generation=self._index.generation if self._index is not None else 0,
+            **payload,
+        )
 
-        Breaker-open is one of the incidents the flight recorder exists
+    def _on_breaker_transition(self, old: str, new: str) -> None:
+        """Record every breaker transition; dump the event log on open.
+
+        Breaker-open is one of the incidents the flight ring exists
         for — the ring at that moment holds the crashes/hangs that
         tripped it.  The dump itself is rate-limited per reason inside
-        the recorder, so a flapping breaker costs one file per interval.
+        the log, so a flapping breaker costs one file per interval.
         """
-        self.flight.record("breaker-transition", old=old, new=new)
+        self._event("breaker-transition", old=old, new=new)
         if new == CircuitBreaker.OPEN:
             self.flight.dump_incident(
-                "breaker-open", trigger={"type": "breaker-transition", "old": old}
+                "breaker-open", trigger={"kind": "breaker-transition", "old": old}
             )
 
     # -- lifecycle ---------------------------------------------------------
@@ -652,7 +657,6 @@ class WorkerSupervisor:
             target=_worker_main,
             args=(
                 child_conn,
-                worker_id,
                 self._ir,
                 self._relationships,
                 self._options,
@@ -679,9 +683,7 @@ class WorkerSupervisor:
     def _admit(self, worker: _Worker) -> None:
         with self._lock:
             self._workers[worker.worker_id] = worker
-        self.flight.record(
-            "worker-spawn", worker=worker.worker_id, pid=worker.pid
-        )
+        self._event("worker-spawn", worker)
         self._free.put(worker)
         self._consecutive_spawn_failures = 0
 
@@ -743,13 +745,16 @@ class WorkerSupervisor:
 
     async def execute(
         self, kind: str, items, hang_timeout: float
-    ) -> tuple[list, dict]:
+    ) -> tuple[list, list[str], dict]:
         """Run one ``kind`` frame on a leased worker; raises on crash or hang.
 
-        Returns ``(payload, timings)`` where ``timings`` holds the
-        batch's ``dispatch_s`` (lease wait) and ``execute_s`` (pipe
-        round-trip including verification) — the stage breakdown the
-        telemetry attributes to every request in the batch.
+        Returns ``(payload, event_lines, timings)``: what the worker
+        answered, the event lines it recorded since its previous frame
+        (the caller absorbs them into its own log if it accepts the
+        answer), and the batch's ``dispatch_s`` (lease wait) and
+        ``execute_s`` (pipe round-trip including verification) — the
+        stage breakdown the telemetry attributes to every request in the
+        batch.
         """
         lease_start = time.monotonic()
         worker = await self._lease_async()
@@ -764,8 +769,7 @@ class WorkerSupervisor:
                 await self._readable(worker.conn, hang_timeout)
                 message = worker.conn.recv()
                 if message[0] == "result" and message[1] == batch_id:
-                    outcomes = message[2]
-                    self.flight.absorb(message[3])
+                    outcomes, lines = message[2], message[3]
                     break
                 # Stale frame (a late pong): ignore and keep reading.
         except asyncio.CancelledError:
@@ -780,17 +784,17 @@ class WorkerSupervisor:
                 f"worker {worker.worker_id} {why} mid-batch: {exc}"
             ) from exc
         self._free.put(worker)
-        return outcomes, {
+        return outcomes, lines, {
             "dispatch_s": dispatch_s,
             "execute_s": time.monotonic() - execute_start,
         }
 
     async def dispatch(
         self, items, *, kind: str = "batch", hang_timeout: float | None = None
-    ) -> tuple[list, dict] | None:
+    ) -> tuple[list, list[str], dict] | None:
         """Breaker-wrapped, bounded-retry execute.
 
-        Returns ``(payload, timings)``, or None when the pool cannot
+        Returns ``(payload, event_lines, timings)``, or None when the pool cannot
         serve this batch (breaker open, degraded, no worker available,
         retries exhausted) — the caller then falls back to its serial
         path, so no batch is ever lost to a dying worker.
@@ -823,7 +827,7 @@ class WorkerSupervisor:
 
     async def dispatch_chunk(
         self, index: int, entries: Sequence[RouteEntry]
-    ) -> tuple[tuple, dict] | None:
+    ) -> tuple[tuple, list[str], dict] | None:
         """Dispatch one table chunk under a hang bound scaled to its length."""
         return await self.dispatch(
             (index, entries),
@@ -935,9 +939,7 @@ class WorkerSupervisor:
             f"worker-{why}",
             f"worker {worker.worker_id} (pid {worker.pid})",
         )
-        self.flight.record(
-            "worker-retired", worker=worker.worker_id, pid=worker.pid, why=why
-        )
+        self._event("worker-retired", worker, why=why)
         log.warning(
             "retired worker %d (pid %d): %s", worker.worker_id, worker.pid, why
         )
@@ -948,11 +950,11 @@ class WorkerSupervisor:
             return
         self.degraded = True
         self.degradation.record(self.component, "pool-degraded", why)
-        self.flight.record("pool-degraded", why=why)
+        self._event("pool-degraded", why=why)
         # Restart-budget exhaustion is a forensic moment: the ring holds
         # the retirement sequence that burned the budget.
         self.flight.dump_incident(
-            "pool-degraded", trigger={"type": "pool-degraded", "why": why}
+            "pool-degraded", trigger={"kind": "pool-degraded", "why": why}
         )
         log.error("worker pool degraded to serial execution: %s", why)
         self._publish_metrics()
@@ -998,10 +1000,10 @@ class WorkerSupervisor:
                 self.degradation.record(
                     self.component, "worker-spawn-failed", str(exc)
                 )
-                self.flight.record("worker-spawn-failed", error=str(exc)[:200])
+                self._event("worker-spawn-failed", error=str(exc)[:200])
             else:
                 self.degradation.record(self.component, "worker-restarted")
-                self.flight.record(
+                self._event(
                     "worker-respawn",
                     restarts=self.restarts,
                     budget_remaining=max(

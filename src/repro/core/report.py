@@ -167,6 +167,8 @@ class HopReport:
     )
     # tally_key(), worked out once; kept like _fragments.
     _tally_key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # trace_fragment(), rendered once; kept like _fragments.
+    _trace: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def subject_asn(self) -> int:
@@ -248,6 +250,38 @@ class HopReport:
             )
             object.__setattr__(self, "_fragments", pair)
         return pair
+
+    def trace_fragment(self) -> str:
+        """What a ``hop`` trace event says of this report, rendered on first use.
+
+        The report-derived (route-independent) fields of the event as
+        compact JSON without the braces.  Shared by every event that cites
+        the report and, like :meth:`fragments`, dropped with the hop-cache
+        entry.
+        """
+        fragment = self._trace
+        if fragment is None:
+            payload = {
+                "direction": self.direction,
+                "from": self.from_asn,
+                "to": self.to_asn,
+                "status": self.status.label,
+                "items": [str(item) for item in self.items],
+                "peer_matched": self.peer_matched,
+            }
+            if self.rule_index is not None:
+                payload["rule"] = self.rule_index
+            if self.rule_source:
+                payload["registry"] = self.rule_source
+            tier = self.special_case
+            if tier is not None:
+                payload["tier"] = tier.value
+            unrecorded = self.unrecorded_reason
+            if unrecorded is not None:
+                payload["unrecorded"] = unrecorded.value
+            fragment = json.dumps(payload, separators=(",", ":"), sort_keys=True)[1:-1]
+            object.__setattr__(self, "_trace", fragment)
+        return fragment
 
 
 @dataclass(slots=True)

@@ -1,6 +1,6 @@
-"""``repro.obs`` — pipeline observability: metrics, phase spans, manifests.
+"""``repro.obs`` — pipeline observability: metrics, phase spans, manifests, events.
 
-Three pieces, designed to cost nothing when unused:
+Designed to cost nothing when unused:
 
 * :mod:`repro.obs.metrics` — a registry of named counters, gauges, and
   fixed-bucket histograms.  The module-level default is a *null* registry
@@ -12,14 +12,16 @@ Three pieces, designed to cost nothing when unused:
 * :mod:`repro.obs.manifest` — one diffable JSON document per run (input
   digests, config, per-phase timings, full metric dump, versions), plus a
   Prometheus-style text rendering used by ``rpslyzer metrics``;
+* :mod:`repro.obs.events` — the one event log: the envelope (``ts``,
+  ``kind``, ``ids``), :class:`EventLog` (the serve daemon's always-on
+  flight ring with its incident dumps, the access and slow logs, a pool
+  worker's per-frame buffer, a tracer's events), the one reader and
+  filter, plus the request correlation-id helpers;
 * :mod:`repro.obs.trace` — sampled decision-provenance events (which
-  rule/filter/tier produced each verdict) as JSONL, with a null default
-  tracer mirroring the null registry;
+  rule/filter/tier produced each verdict), emitted into an event log,
+  with a null default tracer mirroring the null registry;
 * :mod:`repro.obs.profiler` — a background wall/CPU/RSS sampler tagging
-  each sample with the active span path (manifest resource timelines);
-* :mod:`repro.obs.flight` — the serve daemon's always-on bounded ring of
-  lifecycle events (worker churn, breaker transitions, reloads) with
-  automatic incident dumps, plus the request correlation-id helpers.
+  each sample with the active span path (manifest resource timelines).
 
 Typical use::
 
@@ -31,17 +33,14 @@ Typical use::
     manifest = build_manifest("verify", registry, inputs=["table.txt"])
 """
 
-from repro.obs.flight import (
-    FLIGHT_FORMAT,
-    NULL_FLIGHT,
-    FlightRecorder,
-    NullFlightRecorder,
+from repro.obs.events import (
+    EVENT_FORMAT,
+    NULL_EVENTS,
+    EventLog,
     clean_request_id,
-    get_flight_recorder,
+    filter_events,
     new_request_id,
-    read_flight_events,
-    set_flight_recorder,
-    use_flight_recorder,
+    read_events,
 )
 from repro.obs.manifest import (
     MANIFEST_FORMAT,
@@ -73,41 +72,36 @@ from repro.obs.profiler import PhaseProfiler
 from repro.obs.spans import NULL_SPAN, SpanAggregate, SpanStore, timed_iter
 from repro.obs.trace import (
     NULL_TRACER,
-    TRACE_FORMAT,
     NullTracer,
     TraceConfig,
     Tracer,
     canonical_events,
     get_tracer,
-    read_trace_events,
     route_trace_id,
     set_tracer,
     summarize_events,
     use_tracer,
-    write_trace_file,
 )
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "FLIGHT_FORMAT",
-    "FlightRecorder",
+    "EVENT_FORMAT",
+    "EventLog",
     "Gauge",
     "Histogram",
     "MANIFEST_FORMAT",
     "MetricsRegistry",
-    "NULL_FLIGHT",
+    "NULL_EVENTS",
     "NULL_REGISTRY",
     "NULL_SPAN",
     "NULL_TRACER",
-    "NullFlightRecorder",
     "NullRegistry",
     "NullTracer",
     "PROMETHEUS_CONTENT_TYPE",
     "PhaseProfiler",
     "SpanAggregate",
     "SpanStore",
-    "TRACE_FORMAT",
     "TraceConfig",
     "Tracer",
     "build_manifest",
@@ -117,25 +111,21 @@ __all__ = [
     "cumulative_view",
     "digest_file",
     "digest_inputs",
-    "get_flight_recorder",
+    "filter_events",
     "get_registry",
     "get_tracer",
     "load_manifest",
     "new_request_id",
     "parse_prometheus",
-    "read_flight_events",
-    "read_trace_events",
+    "read_events",
     "render_prometheus",
     "render_prometheus_snapshot",
     "route_trace_id",
-    "set_flight_recorder",
     "set_registry",
     "set_tracer",
     "summarize_events",
     "timed_iter",
-    "use_flight_recorder",
     "use_registry",
     "use_tracer",
     "write_manifest",
-    "write_trace_file",
 ]

@@ -2,9 +2,12 @@
 
 The paper's verdicts are *attributable* — every hop classification traces
 back to an aut-num rule, a filter term, a relaxation tier, or a safelisted
-relationship.  This module records that chain as compact JSONL events so a
-surprising verdict can be explained after the fact (``rpslyzer explain``,
-``rpslyzer trace``) instead of re-running under a debugger.
+relationship.  This module records that chain as ``route`` and ``hop``
+events in an :class:`~repro.obs.events.EventLog` so a surprising verdict
+can be explained after the fact (``rpslyzer explain``, ``rpslyzer trace``)
+instead of re-running under a debugger.  It decides *what* is sampled and
+builds the payloads; how an event is stored, shipped and read back is
+:mod:`repro.obs.events`' business.
 
 Sampling keeps the layer bounded on bulk runs:
 
@@ -32,22 +35,25 @@ Zero cost when disabled: the module-level default is :data:`NULL_TRACER`
 (same trick as :class:`~repro.obs.metrics.NullRegistry`) and the verifier
 hoists one ``is None`` check per route.
 
-Multiprocess collection: each worker's tracer spills to a line-buffered
-per-worker JSONL file; the parent merges the spill directory after the
-pool drains, deduplicating by ``(trace id, event type, seq)`` so chunk
-retries and killed workers never duplicate or lose committed events (a
-truncated final line from a SIGKILLed worker is skipped, not fatal).
+Multiprocess collection: a pool worker's tracer emits into the worker's
+event log, whose lines ride back in the chunk's result frame; the parent
+:meth:`Tracer.absorb`\\ s them when it accepts that result.  A chunk's
+events therefore arrive exactly once — a killed worker's partial events
+die with its chunk, and the retry (or the in-process fallback) emits the
+same content-keyed events again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from repro.obs.events import EVENT_FORMAT, NULL_EVENTS, EventLog
 from repro.obs.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -55,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.report import HopReport, RouteReport
 
 __all__ = [
-    "TRACE_FORMAT",
     "TraceConfig",
     "RouteTrace",
     "Tracer",
@@ -65,27 +70,23 @@ __all__ = [
     "set_tracer",
     "use_tracer",
     "route_trace_id",
-    "event_key",
     "event_sort_key",
     "canonical_events",
-    "read_trace_events",
-    "write_trace_file",
     "summarize_events",
 ]
 
-TRACE_FORMAT = "rpslyzer-trace/1"
+# What legitimately differs between serial and parallel runs of the same
+# table: when and in which process the event was emitted (``ts`` and every
+# id but the content-keyed ones), from which chunk, under which span,
+# whether the memo cache answered, and the deep chain (only collected on
+# cache misses).  Everything else is a pure function of the route and its
+# HopReports, so stripping these yields a run-invariant view.
+_VOLATILE_FIELDS = frozenset({"ts", "ids", "chunk", "phase", "cached", "chain"})
+_STABLE_IDS = ("request", "route")
 
-# Fields that legitimately differ between serial and parallel runs of the
-# same table: which process emitted the event, from which chunk, under
-# which span, whether the memo cache answered, and the deep chain (only
-# collected on cache misses).  Everything else is a pure function of the
-# route and its HopReports, so stripping these yields a run-invariant view.
-_VOLATILE_FIELDS = frozenset({"worker", "chunk", "phase", "cached", "chain"})
-
-# Hop payloads are cached by report identity (the verifier memoizes
-# HopReports, so the same object recurs across routes); cleared wholesale
-# at this many entries, mirroring the verifier's own hop-cache policy.
-_PAYLOAD_CACHE_MAX = 1 << 16
+# Bound of each string-conversion memo below; cleared wholesale when
+# reached, mirroring the verifier's own hop-cache policy.
+_MEMO_MAX = 1 << 16
 
 # status -> label, built on first use: importing repro.core.status at
 # module scope would cycle (core.verify imports this module).
@@ -131,7 +132,7 @@ _INT_STRS: dict = {}
 def _prefix_str(prefix) -> str:
     text = _PREFIX_STRS.get(prefix)
     if text is None:
-        if len(_PREFIX_STRS) >= _PAYLOAD_CACHE_MAX:
+        if len(_PREFIX_STRS) >= _MEMO_MAX:
             _PREFIX_STRS.clear()
         _PREFIX_STRS[prefix] = text = str(prefix)
     return text
@@ -140,7 +141,7 @@ def _prefix_str(prefix) -> str:
 def _path_str(as_path: tuple) -> str:
     text = _PATH_STRS.get(as_path)
     if text is None:
-        if len(_PATH_STRS) >= _PAYLOAD_CACHE_MAX:
+        if len(_PATH_STRS) >= _MEMO_MAX:
             _PATH_STRS.clear()
         _PATH_STRS[as_path] = text = ",".join(map(str, as_path))
     return text
@@ -149,7 +150,7 @@ def _path_str(as_path: tuple) -> str:
 def _int_str(value: int) -> str:
     text = _INT_STRS.get(value)
     if text is None:
-        if len(_INT_STRS) >= _PAYLOAD_CACHE_MAX:
+        if len(_INT_STRS) >= _MEMO_MAX:
             _INT_STRS.clear()
         _INT_STRS[value] = text = str(value)
     return text
@@ -210,14 +211,19 @@ class RouteTrace:
         self.hops.append((report, cached, tuple(chain) if chain else ()))
 
 
+# span, seq, the report's fragment, what a head sample captured live, and
+# the route's envelope tail (which closes the object).
+_HOP_LINE = '{"kind":"hop","span":"%s:%02d","seq":%d,%s%s%s'
+
+
 class Tracer:
     """Collects decision-provenance events for sampled routes.
 
-    ``sink`` directs events to a line-buffered JSONL file (the worker spill
-    mode — every committed event reaches the OS before the next, so a
-    SIGKILL loses at most a partial final line) or keeps them on
-    ``self.events`` (the in-process default).  ``worker_id``/``chunk_id``
-    stamp emitted events for post-merge attribution.
+    Events go to ``log`` (a private in-memory :class:`EventLog` unless the
+    caller shares one — a pool worker's tracer emits into the log its
+    result frames drain).  ``ids`` are envelope ids stamped on every event
+    next to the route's own: a worker's pid, the request and generation an
+    ``/explain`` answers under.  ``chunk_id`` stamps the table chunk.
     """
 
     enabled = True
@@ -226,45 +232,27 @@ class Tracer:
         self,
         config: TraceConfig | None = None,
         *,
-        sink: str | Path | IO[str] | None = None,
-        worker_id: int | None = None,
+        log: EventLog | None = None,
+        ids: dict | None = None,
     ):
         self.config = config if config is not None else TraceConfig()
-        self._lines: list[str] = []
-        self.worker_id = worker_id
+        self.log = log if log is not None else EventLog()
+        # The caller's ids as they continue an event's ``"ids":{"route":…``.
+        self._ids_tail = "".join(
+            ',"%s":%s' % (name, json.dumps(value))
+            for name, value in (ids or {}).items()
+            if value is not None
+        )
         self.chunk_id: int | None = None
         self.emitted = 0
         self.dropped = 0
         self.sampled = {"head": 0, "verdict": 0}
-        self._keys: set[str] = set()
         self._wanted: frozenset | None = None
-        self._payloads: dict[int, tuple] = {}
-        self._stream: IO[str] | None = None
-        self._owns_stream = False
-        if sink is not None:
-            if hasattr(sink, "write"):
-                self._stream = sink  # type: ignore[assignment]
-            else:
-                self._stream = open(
-                    sink, "a", encoding="utf-8", buffering=1  # noqa: SIM115
-                )
-                self._owns_stream = True
-
-    def close(self) -> None:
-        if self._stream is not None and self._owns_stream:
-            self._stream.close()
-            self._stream = None
 
     @property
     def events(self) -> list[dict]:
-        """The emitted events, as dicts (empty in sink/spill mode).
-
-        Events are held JSON-serialized — strings are invisible to the
-        cyclic GC, so a bulk run's trace doesn't grow the tracked heap and
-        trigger extra full collections over the (large) IR — and are
-        deserialized on access; each call returns a fresh list.
-        """
-        return [json.loads(line) for line in self._lines]
+        """The log's events, decoded; each call returns a fresh list."""
+        return self.log.events()
 
     # -- the verifier-facing surface ------------------------------------
 
@@ -319,9 +307,18 @@ class Tracer:
         for hop in hops:
             status = hop.status
             counts[status] = counts.get(status, 0) + 1
+        # The envelope and the volatile stamps (chunk, active span path) are
+        # the same for every event of the route: one fragment, spelled by
+        # hand (ids are hex strings and integers) and appended to each.
+        tail = ',"ids":{"route":"%s"%s},"ts":%.6f' % (trace_id, self._ids_tail, time.time())
+        if self.chunk_id is not None:
+            tail += ',"chunk":%d' % self.chunk_id
+        phase = get_registry().spans.current_path()
+        if phase:
+            tail += ',"phase":' + json.dumps(phase)
+        tail += "}"
         event = {
-            "event": "route",
-            "trace": trace_id,
+            "kind": "route",
             "sampled": reason,
             "collector": entry.collector,
             "peer": entry.peer_asn,
@@ -331,182 +328,44 @@ class Tracer:
         }
         if report.ignored is not None:
             event["ignored"] = report.ignored
-        decoration = self._decoration()
-        if decoration:
-            event.update(decoration)
-        self._emit((trace_id, "route", -1), event)
+        lines = [_dumps(event)[:-1] + tail]
+        # A hop line needs no dict and no dump: the report-derived body is a
+        # fragment rendered once per report.  A head sample adds what it
+        # captured live; a tail sample keeps only its evidence hops.
         if head:
             for seq, (hop, cached, chain) in enumerate(trace.hops):
-                self._emit(
-                    (trace_id, "hop", seq),
-                    self._hop_event(trace_id, seq, hop, cached, chain, decoration),
+                live = ',"cached":true' if cached else ',"cached":false'
+                if chain:
+                    live += ',"chain":' + _dumps(chain)
+                lines.append(
+                    _HOP_LINE % (trace_id, seq, seq, hop.trace_fragment(), live, tail)
                 )
         else:
-            if decoration:
-                deco_fragment = "," + json.dumps(
-                    decoration, separators=(",", ":"), sort_keys=True
-                )[1:-1]
-            else:
-                deco_fragment = ""
             for seq, hop in enumerate(hops):
-                if hop.status not in wanted:
-                    continue  # tail samples keep only their evidence hops
-                self._emit_line(
-                    (trace_id, "hop", seq),
-                    self._tail_hop_line(trace_id, seq, hop, deco_fragment),
-                )
+                if hop.status in wanted:
+                    lines.append(
+                        _HOP_LINE % (trace_id, seq, seq, hop.trace_fragment(), "", tail)
+                    )
+        self.absorb(lines)
         return True
 
-    def _hop_event(
-        self,
-        trace_id: str,
-        seq: int,
-        hop: "HopReport",
-        cached: bool | None,
-        chain: tuple[str, ...],
-        decoration: dict,
-    ) -> dict:
-        entry = self._payload_entry(hop)
-        event = {
-            "event": "hop",
-            "trace": trace_id,
-            "span": f"{trace_id}:{seq:02d}",
-            "seq": seq,
-            **entry[1],
-        }
-        if cached is not None:
-            event["cached"] = cached
-        if chain:
-            event["chain"] = list(chain)
-        if decoration:
-            event.update(decoration)
-        return event
+    def absorb(self, lines: list[str]) -> None:
+        """Take finished event lines — a committed route's, or those of a
+        chunk a pool worker traced — up to the ``max_events`` bound."""
+        room = max(0, self.config.max_events - self.emitted)
+        if len(lines) > room:
+            self.dropped += len(lines) - room
+            lines = lines[:room]
+        self.emitted += len(lines)
+        self.log.absorb(lines)
 
-    def _tail_hop_line(
-        self, trace_id: str, seq: int, hop: "HopReport", deco_fragment: str
-    ) -> str:
-        """A tail-sample hop event, assembled as its JSONL line directly.
-
-        Everything variable is a hex id or an integer; the report-derived
-        body and the decoration arrive as pre-serialized fragments, so the
-        hot path is one string format instead of a dict build plus dump.
-        """
-        return '{"event":"hop","trace":"%s","span":"%s:%02d","seq":%d,%s%s}' % (
-            trace_id,
-            trace_id,
-            seq,
-            seq,
-            self._payload_entry(hop)[2],
-            deco_fragment,
-        )
-
-    def _payload_entry(self, hop: "HopReport") -> tuple:
-        """(report, payload dict, serialized payload fragment), memoized."""
-        key = id(hop)
-        entry = self._payloads.get(key)
-        if entry is None or entry[0] is not hop:
-            if len(self._payloads) >= _PAYLOAD_CACHE_MAX:
-                self._payloads.clear()
-            payload = self._hop_payload(hop)
-            fragment = json.dumps(payload, separators=(",", ":"), sort_keys=True)[1:-1]
-            entry = (hop, payload, fragment)
-            self._payloads[key] = entry
-        return entry
-
-    def _hop_payload(self, hop: "HopReport") -> dict:
-        """The report-derived (route-independent) slice of a hop event.
-
-        Shared across every event that cites the same memoized report —
-        including the ``items`` list, which is never mutated downstream.
-        """
-        payload = {
-            "direction": hop.direction,
-            "from": hop.from_asn,
-            "to": hop.to_asn,
-            "status": _status_labels()[hop.status],
-            "items": [str(item) for item in hop.items],
-            "peer_matched": hop.peer_matched,
-        }
-        if hop.rule_index is not None:
-            payload["rule"] = hop.rule_index
-        if hop.rule_source:
-            payload["registry"] = hop.rule_source
-        tier = hop.special_case
-        if tier is not None:
-            payload["tier"] = tier.value
-        unrecorded = hop.unrecorded_reason
-        if unrecorded is not None:
-            payload["unrecorded"] = unrecorded.value
-        return payload
-
-    def _decoration(self) -> dict:
-        """Per-commit volatile stamps (worker, chunk, active span path)."""
-        decoration = {}
-        if self.worker_id is not None:
-            decoration["worker"] = self.worker_id
-        if self.chunk_id is not None:
-            decoration["chunk"] = self.chunk_id
-        phase = get_registry().spans.current_path()
-        if phase:
-            decoration["phase"] = phase
-        return decoration
-
-    def _emit(self, key: tuple, event: dict) -> bool:
-        token = "%s|%s|%s" % key  # a string key stays off the GC's books
-        if token in self._keys:
-            return False
-        if self.emitted >= self.config.max_events:
-            self.dropped += 1
-            return False
-        self._append(token, json.dumps(event, separators=(",", ":"), sort_keys=True))
-        return True
-
-    def _emit_line(self, key: tuple, line: str) -> bool:
-        token = "%s|%s|%s" % key
-        if token in self._keys:
-            return False
-        if self.emitted >= self.config.max_events:
-            self.dropped += 1
-            return False
-        self._append(token, line)
-        return True
-
-    def _append(self, token: str, line: str) -> None:
-        self._keys.add(token)
-        self.emitted += 1
-        if self._stream is not None:
-            self._stream.write(line + "\n")
-        else:
-            self._lines.append(line)
-
-    # -- merging and output ----------------------------------------------
-
-    def merge_events(self, events: Iterable[dict]) -> int:
-        """Fold already-emitted events (e.g. a worker's spill) into this
-        tracer, deduplicating against everything seen so far."""
-        merged = 0
-        for event in events:
-            if self._emit(event_key(event), event):
-                merged += 1
-        return merged
-
-    def merge_directory(self, directory: str | Path) -> int:
-        """Merge every ``*.jsonl`` spill file under ``directory``."""
-        directory = Path(directory)
-        if not directory.is_dir():
-            return 0
-        merged = 0
-        for path in sorted(directory.glob("*.jsonl")):
-            merged += self.merge_events(read_trace_events(path))
-        return merged
-
-    def write(self, destination: str | Path | IO[str]) -> None:
-        """Write the in-memory events as sorted, stable JSONL."""
-        write_trace_file(destination, self.events)
+    def write(self, destination: str | Path) -> None:
+        """Write the events as JSONL in stable order (:func:`event_sort_key`)."""
+        self.log.write(destination, key=event_sort_key)
 
     def stats(self) -> dict:
         return {
-            "format": TRACE_FORMAT,
+            "format": EVENT_FORMAT,
             "events": self.emitted,
             "dropped": self.dropped,
             "sampled": dict(self.sampled),
@@ -521,7 +380,9 @@ class NullTracer(Tracer):
     enabled = False
 
     def __init__(self) -> None:
-        super().__init__(TraceConfig(sample_rate=0, trace_statuses=frozenset()))
+        super().__init__(
+            TraceConfig(sample_rate=0, trace_statuses=frozenset()), log=NULL_EVENTS
+        )
 
     def route(self, entry: "RouteEntry") -> RouteTrace | None:
         return None
@@ -564,16 +425,15 @@ def use_tracer(tracer: Tracer | None = None):
 # -- event utilities ---------------------------------------------------------
 
 
-def event_key(event: dict) -> tuple:
-    """The dedup identity of one event: (trace, type, seq)."""
-    return (event.get("trace"), event.get("event"), event.get("seq", -1))
+def _dumps(event: dict) -> str:
+    return json.dumps(event, separators=(",", ":"), sort_keys=True)
 
 
 def event_sort_key(event: dict) -> tuple:
-    """Stable output order: by trace id, route before hops, then seq."""
+    """Stable output order: by route id, route before hops, then seq."""
     return (
-        event.get("trace") or "",
-        0 if event.get("event") == "route" else 1,
+        event["ids"].get("route") or "",
+        0 if event.get("kind") == "route" else 1,
         event.get("seq", -1),
     )
 
@@ -586,46 +446,13 @@ def canonical_events(events: Iterable[dict]) -> list[dict]:
     list; the differential tests assert exactly that.
     """
     stripped = (
-        {key: value for key, value in event.items() if key not in _VOLATILE_FIELDS}
+        {
+            **{key: value for key, value in event.items() if key not in _VOLATILE_FIELDS},
+            "ids": {key: event["ids"][key] for key in _STABLE_IDS if key in event["ids"]},
+        }
         for event in events
     )
     return sorted(stripped, key=event_sort_key)
-
-
-def read_trace_events(source: str | Path) -> list[dict]:
-    """Read a trace JSONL file, skipping unparsable lines.
-
-    A worker SIGKILLed mid-write leaves at most one truncated trailing
-    line in its spill file; tolerating (and dropping) such lines is what
-    lets traces survive injected worker kills.
-    """
-    events: list[dict] = []
-    with open(source, encoding="utf-8", errors="replace") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-    return events
-
-
-def write_trace_file(destination: str | Path | IO[str], events: Iterable[dict]) -> None:
-    """Write events as JSONL in stable order (see :func:`event_sort_key`)."""
-    lines = [
-        json.dumps(event, separators=(",", ":"), sort_keys=True)
-        for event in sorted(events, key=event_sort_key)
-    ]
-    body = "\n".join(lines) + ("\n" if lines else "")
-    if hasattr(destination, "write"):
-        destination.write(body)
-        return
-    with open(destination, "w", encoding="utf-8") as stream:
-        stream.write(body)
 
 
 def summarize_events(events: Iterable[dict]) -> dict:
@@ -637,7 +464,7 @@ def summarize_events(events: Iterable[dict]) -> dict:
     evidence: dict[str, int] = {}
     workers: set = set()
     for event in events:
-        kind = event.get("event")
+        kind = event.get("kind")
         if kind == "route":
             routes += 1
             reason = event.get("sampled", "?")
@@ -649,8 +476,9 @@ def summarize_events(events: Iterable[dict]) -> dict:
             for item in event.get("items", ()):
                 name = str(item).split("(", 1)[0]
                 evidence[name] = evidence.get(name, 0) + 1
-        if "worker" in event:
-            workers.add(event["worker"])
+        worker = event.get("ids", {}).get("worker")
+        if worker is not None:
+            workers.add(worker)
     top_evidence = sorted(evidence.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
     return {
         "routes": routes,

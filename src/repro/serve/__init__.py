@@ -9,7 +9,7 @@ answers verification queries warm over two front-ends:
 
 * an HTTP/JSON endpoint — ``POST /verify``, ``POST /explain``,
   ``GET /healthz``, ``GET /metrics`` (Prometheus exposition text),
-  ``GET /debug/flight`` (the flight recorder's event ring);
+  ``GET /debug/flight`` (the flight ring's events);
 * the WHOIS-style line protocol the IRRs themselves speak, extended with
   a ``!v <prefix> <asn> <asn>...`` verification command.
 
@@ -36,9 +36,9 @@ the front-end through the batcher and into the worker processes, echoed
 back on the response, and stamped on every log, metric, and flight event
 the request touches; per-stage latency (accept → queue → coalesce →
 dispatch → execute → respond) lands in ``serve_stage_seconds`` histograms
-and an optional JSONL access log with slow-query promotion.  The
-:class:`~repro.obs.flight.FlightRecorder` keeps an always-on bounded ring
-of lifecycle events (worker churn, breaker transitions, reloads, sheds)
+and an optional JSONL access log with slow-query promotion.  The flight
+ring (an :class:`~repro.obs.events.EventLog`) keeps an always-on bounded
+record of requests and lifecycle events (worker churn, breaker transitions, reloads, sheds)
 and dumps it to timestamped incident files on breaker-open, pool
 collapse, and SIGQUIT — inspect live via ``GET /debug/flight`` or
 offline via ``rpslyzer debug``.

@@ -54,8 +54,9 @@ worker/breaker gauges.
 
 Every request additionally carries a correlation id (honoring a
 client-supplied ``X-Request-Id``) that is echoed in the response,
-stamped on each access-log line and flight-recorder event — including
-the events the pool workers record in their own processes — so one id
+stamped (``ids.request``) on its access-log line and on every event it
+causes in the flight ring — including the events the pool workers record
+in their own processes and the hop events of an ``/explain`` — so one id
 greps the whole story of a request across the stack.
 """
 
@@ -74,15 +75,15 @@ from repro.core.degradation import DegradationReport
 from repro.irr.journal import Journal
 from repro.core.report import RouteReport
 from repro.net.prefix import Prefix, PrefixError
-from repro.obs.flight import (
-    NULL_FLIGHT,
-    FlightRecorder,
+from repro.obs.events import (
+    NULL_EVENTS,
+    EventLog,
     clean_request_id,
     new_request_id,
 )
 from repro.core.pool import SupervisorConfig, WorkerSupervisor
 from repro.serve.batcher import MicroBatcher, QueueFull
-from repro.serve.telemetry import STAGES, AccessLog, RequestTelemetry
+from repro.serve.telemetry import STAGES, RequestTelemetry
 
 __all__ = [
     "BadRequestError",
@@ -165,8 +166,8 @@ class ServeConfig:
     ids, the per-stage latency histograms, and the access log;
     ``access_log`` is the JSONL access-log path (None disables the
     file); ``slow_ms`` > 0 promotes requests at or above that many
-    milliseconds to the slow-query log (``<access_log>.slow``) and the
-    flight recorder; ``flight_events`` sizes the always-on flight ring
+    milliseconds to the slow-query log (``<access_log>.slow``) and a
+    ``slow-request`` event; ``flight_events`` sizes the always-on flight ring
     (0 disables it); ``incident_dir`` is where incident dumps land
     (default: none — incidents are marked in the ring, no file is written).
     """
@@ -329,6 +330,7 @@ def answer_query(
     prefix: Prefix | str,
     as_path: Sequence[int],
     collector: str,
+    request_id: str = "",
 ) -> tuple[str, bytes, int] | tuple[str, str]:
     """Answer one query on ``session``: ``("ok", body, verdicts)`` or ``("err", message)``.
 
@@ -336,12 +338,14 @@ def answer_query(
     it on the daemon's session, a pool worker on its own, and the answer
     is what crosses the worker pipe: ``body`` is the finished response
     (JSON bytes; the front-ends add only framing), ``verdicts`` its hop
-    count for the access log.  An exception is the query's answer, never
-    the batch's.
+    count for the access log.  ``request_id`` stamps the hop events of
+    an ``explain``.  An exception is the query's answer, never the batch's.
     """
     try:
         if kind == "explain":
-            report, events = session.explain(prefix, as_path, collector=collector)
+            report, events = session.explain(
+                prefix, as_path, collector=collector, request_id=request_id
+            )
             payload = report_as_dict(report)
             payload["events"] = events
             body = _json_bytes(payload)
@@ -502,15 +506,15 @@ class VerifyService:
         if session.flight is not None:
             self.flight = session.flight
         elif self.config.flight_events > 0:
-            self.flight = FlightRecorder(
-                capacity=self.config.flight_events,
-                incident_dir=self.config.incident_dir,
+            self.flight = EventLog(
+                self.config.flight_events, incident_dir=self.config.incident_dir
             )
             # Session-level access: session.flight_events() reads the
-            # same ring the daemon records into.
+            # same ring the daemon records into, and session.explain()
+            # splices an explained route's hop events into it.
             session.flight = self.flight
         else:
-            self.flight = NULL_FLIGHT
+            self.flight = NULL_EVENTS
         self._stage_seconds = {
             stage: registry.histogram("serve_stage_seconds", stage=stage)
             for stage in STAGES
@@ -525,8 +529,14 @@ class VerifyService:
             self._stage_seconds[stage].observe for stage in STAGES
         )
         self._stage_lock = threading.Lock()
-        self._access_log = AccessLog(
-            self.config.access_log, slow_ms=self.config.slow_ms
+        # The access log takes every finished request's line; the slow log
+        # (``<access_log>.slow``) those at or above ``slow_ms``.
+        access_log, slow_ms = self.config.access_log, self.config.slow_ms
+        self._access_log = EventLog(path=access_log) if access_log else NULL_EVENTS
+        self._slow_log = (
+            EventLog(path=f"{access_log}.slow")
+            if access_log and slow_ms > 0
+            else NULL_EVENTS
         )
         shed_target = self.config.shed_target
         if shed_target is None:
@@ -574,17 +584,13 @@ class VerifyService:
             )
             self.supervisor.start()
         await self._batcher.start()
-        self.flight.record(
-            "service-start",
-            workers=self.config.workers,
-            generation=current.number,
-        )
+        self._event("service-start", workers=self.config.workers)
         return self
 
     def begin_drain(self) -> None:
         """Refuse new submissions; queued work keeps executing."""
         if not self.draining:
-            self.flight.record("drain-begin", queued=self._batcher.qsize())
+            self._event("drain-begin", queued=self._batcher.qsize())
         self.draining = True
 
     async def drain(self, timeout: float | None = None) -> bool:
@@ -593,7 +599,7 @@ class VerifyService:
         drained = await self._batcher.drain(
             self.config.drain_timeout if timeout is None else timeout
         )
-        self.flight.record("drain-done", clean=drained)
+        self._event("drain-done", clean=drained)
         return drained
 
     async def stop(self) -> None:
@@ -603,8 +609,9 @@ class VerifyService:
         self._queue_depth.set(0)
         if self.supervisor is not None:
             self.supervisor.stop()
-        self.flight.record("service-stop")
+        self._event("service-stop")
         self._access_log.close()
+        self._slow_log.close()
 
     def _discard_pending(self, pending: "_Pending") -> None:
         """Fail a queued-but-never-executed waiter at shutdown."""
@@ -632,6 +639,12 @@ class VerifyService:
         return self.supervisor is not None and self.supervisor.degraded
 
     # -- request telemetry ---------------------------------------------------
+
+    def _event(self, kind: str, request_id: str | None = None, **payload) -> None:
+        """Record one serve event in the flight ring, under the live generation."""
+        self.flight.record(
+            kind, request=request_id, generation=self.session.generation, **payload
+        )
 
     def new_telemetry(
         self, frontend: str, raw_id: str | None = None
@@ -676,17 +689,18 @@ class VerifyService:
                 observe(seconds)
         total_ms = sum(values) * 1000.0
         slow = self.config.slow_ms > 0 and total_ms >= self.config.slow_ms
-        # One serialization serves both sinks: the access-log line IS the
+        # One serialization serves every log: the access-log line IS the
         # flight ring's "request" event, spliced in pre-serialized — and
         # the stage breakdown just observed is reused, not recomputed.
-        line = telemetry.line(values)
-        if self._access_log.active:
-            self._access_log.write(line, slow=slow)
+        line = telemetry.line(self.session.generation, values)
+        self._access_log.splice(line)
         self.flight.splice(line)
         if slow:
-            self.flight.record(
+            self._slow_log.splice(line)
+            self._slow_log.flush()  # slow lines are the ones someone is tailing
+            self._event(
                 "slow-request",
-                request_id=telemetry.request_id,
+                telemetry.request_id,
                 outcome=outcome,
                 total_ms=round(total_ms, 3),
             )
@@ -742,9 +756,9 @@ class VerifyService:
                 self._outcome(query.kind, "busy").inc()
             if telemetry is not None:
                 self._observe_queue_wait("shed", telemetry.queue_wait)
-                self.flight.record(
+                self._event(
                     "request-shed",
-                    request_id=telemetry.request_id,
+                    telemetry.request_id,
                     endpoint=query.kind,
                 )
                 self._finish_request(telemetry, "shed")
@@ -771,9 +785,9 @@ class VerifyService:
                 self._outcome(query.kind, "busy").inc()
             if telemetry is not None:
                 self._observe_queue_wait("refused", telemetry.queue_wait)
-                self.flight.record(
+                self._event(
                     "request-refused",
-                    request_id=telemetry.request_id,
+                    telemetry.request_id,
                     endpoint=query.kind,
                     why="queue-full",
                 )
@@ -794,9 +808,9 @@ class VerifyService:
                 self._outcome(query.kind, "deadline").inc()
             if telemetry is not None:
                 self._observe_queue_wait("deadline", telemetry.queue_wait)
-                self.flight.record(
+                self._event(
                     "request-deadline",
-                    request_id=telemetry.request_id,
+                    telemetry.request_id,
                     endpoint=query.kind,
                     timeout_s=timeout,
                 )
@@ -806,9 +820,9 @@ class VerifyService:
             with self._metrics_lock:
                 self._outcome(query.kind, exc.code).inc()
             if telemetry is not None:
-                self.flight.record(
+                self._event(
                     "request-error",
-                    request_id=telemetry.request_id,
+                    telemetry.request_id,
                     endpoint=query.kind,
                     code=exc.code,
                 )
@@ -818,9 +832,9 @@ class VerifyService:
             with self._metrics_lock:
                 self._outcome(query.kind, "error").inc()
             if telemetry is not None:
-                self.flight.record(
+                self._event(
                     "request-error",
-                    request_id=telemetry.request_id,
+                    telemetry.request_id,
                     endpoint=query.kind,
                     code="error",
                     detail=str(exc)[:200],
@@ -895,9 +909,9 @@ class VerifyService:
             if expired:
                 outcomes[position] = DeadlineExpired("expired while queued")
                 if pending.telemetry is not None:
-                    self.flight.record(
+                    self._event(
                         "request-expired",
-                        request_id=pending.telemetry.request_id,
+                        pending.telemetry.request_id,
                         endpoint=pending.query.kind,
                         queued_s=round(wait, 6),
                     )
@@ -976,7 +990,8 @@ class VerifyService:
         ]
         dispatched = await supervisor.dispatch(items)
         if dispatched is not None:
-            batch_outcomes, timings = dispatched
+            batch_outcomes, lines, timings = dispatched
+            self.flight.absorb(lines)
             self._apply_batch_timings(batch, live, timings)
             results = _as_outcomes(batch_outcomes)
         else:
@@ -1001,7 +1016,9 @@ class VerifyService:
             session = self.session
             return _as_outcomes(
                 [
-                    answer_query(session, q.kind, q.prefix, q.as_path, q.collector)
+                    answer_query(
+                        session, q.kind, q.prefix, q.as_path, q.collector, q.request_id
+                    )
                     for q in queries
                 ]
             )
@@ -1044,17 +1061,13 @@ class VerifyService:
         if self.draining:
             raise BusyError("shutting down")
         async with self._reload_lock:
-            self.flight.record(
-                "reload-begin",
-                entries=len(journal.entries),
-                generation=self.session.generation,
-            )
+            self._event("reload-begin", entries=len(journal.entries))
             try:
                 fresh, report = await self._batcher.run_blocking(
                     self._apply_journal_blocking, journal
                 )
             except Exception as exc:
-                self.flight.record("reload-abort", error=str(exc)[:200])
+                self._event("reload-abort", error=str(exc)[:200])
                 raise
             current = self.session.current  # one state for every field below
             delta_apply_s, hop_cache = current.delta
@@ -1070,18 +1083,15 @@ class VerifyService:
             if report:
                 summary["degradation"] = report.as_dict()
             if report is None:
-                self.flight.record(
-                    "reload-commit", applied=0, generation=current.number
-                )
+                self._event("reload-commit", applied=0)
                 return summary
             if self.supervisor is not None:
                 summary["pool"] = await self._batcher.run_blocking(
                     self.supervisor.reload, current.ir, current.index, fresh
                 )
-            self.flight.record(
+            self._event(
                 "reload-commit",
                 applied=len(fresh.entries),
-                generation=current.number,
                 serials=current.serials,
                 degraded=bool(report),
                 hop_cache=hop_cache,

@@ -180,10 +180,10 @@ class ServeDaemon:
         if self.service is None:
             return
         path = self.service.flight.dump_incident(
-            "sigquit", trigger={"type": "signal", "signal": "SIGQUIT"}
+            "sigquit", trigger={"kind": "signal", "signal": "SIGQUIT"}
         )
         if path is not None:
-            log.info("SIGQUIT: flight recorder dumped to %s", path)
+            log.info("SIGQUIT: flight ring dumped to %s", path)
         else:
             log.info(
                 "SIGQUIT: flight dump skipped (no --incident-dir, disabled, "

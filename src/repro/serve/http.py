@@ -13,8 +13,8 @@ Endpoints (all responses are JSON unless noted):
   while draining *or* degraded to serial execution.
 * ``GET /metrics``  — Prometheus exposition text for the session's
   registry (content type ``text/plain; version=0.0.4``).
-* ``GET /debug/flight`` — the live flight-recorder ring (see
-  :mod:`repro.obs.flight`); filter with ``?id=``, ``&type=`` (repeat
+* ``GET /debug/flight`` — the live flight ring (see
+  :mod:`repro.obs.events`); filter with ``?id=``, ``&type=`` (repeat
   for several), ``&since=``/``&until=`` (epoch seconds), ``&limit=``.
 * ``POST /reload``  — body ``{"journal": <journal jsonable>}`` or
   ``{"journal_path": "<file>"}`` → hot-swap the deltas into the live
@@ -284,8 +284,8 @@ class HttpFrontend(StreamFrontend):
         limit = number("limit")
         recorder = self.service.flight
         events = recorder.events(
-            request_id=scalar("id"),
-            types=params.get("type"),
+            request=scalar("id"),
+            kinds=params.get("type"),
             since=number("since"),
             until=number("until"),
             limit=int(limit) if limit is not None else None,

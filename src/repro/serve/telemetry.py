@@ -1,10 +1,10 @@
-"""Request-scoped serve telemetry: stage timings and the access log.
+"""Request-scoped serve telemetry: stage timings and the request event.
 
 One :class:`RequestTelemetry` rides along with each request from the
 front-end through the micro-batcher and back, collecting monotonic marks
 at every hand-off.  The serve core turns the marks into the per-stage
 latency breakdown (``serve_stage_seconds{stage=}`` histograms and the
-``stages_ms`` block of each access-log line):
+``stages_ms`` block of each ``request`` event):
 
 * ``accept``   — front-end receipt → enqueued on the batcher's queue
   (parse, validation, admission checks);
@@ -23,21 +23,20 @@ latency breakdown (``serve_stage_seconds{stage=}`` histograms and the
   serialization bookkeeping.  Computed as the remainder of the total,
   so the stages always sum to the end-to-end latency.
 
-The :class:`AccessLog` writes one JSONL line per finished request —
-``{"ts", "type", "id", "frontend", "endpoint", "outcome", "verdicts",
-"total_ms", "stages_ms"}`` — and promotes requests slower than
-``slow_ms`` to a dedicated slow-query log with the same (full) record,
-so tail latency is greppable without replaying the main log.
+A finished request is one ``request`` event (:meth:`RequestTelemetry.line`:
+``{"ts", "kind", "ids", "frontend", "endpoint", "outcome", "verdicts",
+"total_ms", "stages_ms"}``) that the serve core splices into the flight
+ring, the access log and — at or above ``slow_ms`` — the slow-query log,
+all :class:`~repro.obs.events.EventLog`\\ s, so tail latency is greppable
+without replaying the main log.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
-from pathlib import Path
 
-__all__ = ["AccessLog", "RequestTelemetry", "STAGES"]
+__all__ = ["RequestTelemetry", "STAGES"]
 
 STAGES = ("accept", "queue", "coalesce", "dispatch", "execute", "respond")
 
@@ -145,30 +144,32 @@ class RequestTelemetry:
         """Per-stage seconds keyed by stage name (:meth:`stage_values`)."""
         return dict(zip(STAGES, self.stage_values()))
 
-    def line(self, values: tuple | None = None) -> str:
-        """The access-log record (the module docstring's schema), serialized.
+    def line(self, generation: int, values: tuple | None = None) -> str:
+        """The ``request`` event (the module docstring's schema), serialized.
 
         Hand-formatted instead of ``json.dumps``: the id is validated to
         the header-safe token alphabet, and frontend/outcome are
         server-chosen tokens, so only the client-controlled endpoint
-        needs real JSON escaping.  One string serves both the access log
-        and the flight ring (spliced verbatim), so a finished request
-        serializes exactly once.  The caller may pass the
-        :meth:`stage_values` tuple it already computed for the
-        histograms so the stage math runs once per request, not twice.
+        needs real JSON escaping.  One string serves every log it is
+        spliced into, so a finished request serializes exactly once.
+        ``generation`` is the index generation the request finished
+        under.  The caller may pass the :meth:`stage_values` tuple it
+        already computed for the histograms so the stage math runs once
+        per request, not twice.
         """
         if values is None:
             values = self.stage_values()
         accept, queue, coalesce, dispatch, execute, respond = values
         endpoint = self.endpoint
         return (
-            '{"ts":%.6f,"type":"request","id":"%s","frontend":"%s",'
-            '"endpoint":%s,"outcome":"%s","verdicts":%d,"total_ms":%.3f,'
-            '"stages_ms":{"accept":%.3f,"queue":%.3f,"coalesce":%.3f,'
-            '"dispatch":%.3f,"execute":%.3f,"respond":%.3f}}'
+            '{"ts":%.6f,"kind":"request","ids":{"request":"%s","generation":%d},'
+            '"frontend":"%s","endpoint":%s,"outcome":"%s","verdicts":%d,'
+            '"total_ms":%.3f,"stages_ms":{"accept":%.3f,"queue":%.3f,'
+            '"coalesce":%.3f,"dispatch":%.3f,"execute":%.3f,"respond":%.3f}}'
             % (
                 self.wall_start,
                 self.request_id,
+                generation,
                 self.frontend,
                 # Endpoints are almost always bare serve tokens
                 # ("verify", "!v"); full JSON escaping only when not.
@@ -189,62 +190,3 @@ class RequestTelemetry:
                 respond * 1000.0,
             )
         )
-
-
-class AccessLog:
-    """JSONL access + slow-query logs for the serve daemon.
-
-    ``path`` is the access log (every finished request, one line each);
-    when ``slow_ms`` > 0, requests at or above the threshold are also
-    appended to ``<path>.slow`` (or ``slow_path``).  Either file may be
-    None — a daemon can run with only the slow log, or neither (stage
-    histograms and the flight recorder still capture the breakdown).
-
-    The access stream is block-buffered — a per-line flush would cost a
-    syscall on the event loop for every request — so a crashing daemon
-    may lose its final block of lines (the flight ring still has them).
-    The slow log *is* line-buffered: slow requests are rare and are
-    exactly the lines someone is tailing.  Writes are serialized by a
-    lock.
-    """
-
-    def __init__(
-        self,
-        path: str | Path | None,
-        *,
-        slow_ms: float = 0.0,
-        slow_path: str | Path | None = None,
-    ):
-        self.slow_ms = slow_ms
-        self._lock = threading.Lock()
-        self._stream = None
-        self._slow_stream = None
-        if path is not None:
-            self._stream = open(path, "a", encoding="utf-8")
-            if slow_ms > 0 and slow_path is None:
-                slow_path = f"{path}.slow"
-        if slow_ms > 0 and slow_path is not None:
-            self._slow_stream = open(slow_path, "a", buffering=1, encoding="utf-8")
-
-    @property
-    def active(self) -> bool:
-        return self._stream is not None or self._slow_stream is not None
-
-    def write(self, line: str, *, slow: bool = False) -> None:
-        """Append one pre-serialized JSONL line (no trailing newline)."""
-        with self._lock:
-            if self._stream is not None:
-                self._stream.write(line + "\n")
-            if slow and self._slow_stream is not None:
-                self._slow_stream.write(line + "\n")
-
-    def close(self) -> None:
-        with self._lock:
-            for stream in (self._stream, self._slow_stream):
-                if stream is not None:
-                    try:
-                        stream.close()
-                    except OSError:  # pragma: no cover
-                        pass
-            self._stream = None
-            self._slow_stream = None

@@ -1589,7 +1589,7 @@ class TestHopCacheCarryInTheServePool:
                 assert health["last_delta_hop_cache"] == session.last_delta_hop_cache
                 commits = [
                     event
-                    for event in session.flight_events(types=["reload-commit"])
+                    for event in session.flight_events(kinds=["reload-commit"])
                     if event.get("applied")
                 ]
                 assert len(commits) == 4

@@ -26,7 +26,7 @@ import pytest
 
 from repro import api
 from repro.irr.whois import whois_query
-from repro.obs import MetricsRegistry, parse_prometheus
+from repro.obs import MetricsRegistry, parse_prometheus, read_events
 from repro.serve import Query, ServeConfig, ServeDaemon, report_as_dict
 from repro.serve.http import MAX_HEADER_BYTES
 
@@ -158,7 +158,7 @@ class TestHttpFrontend:
             handle.http_port, "POST", "/explain", _verify_payload(entry)
         )
         assert status == 200
-        assert any(event.get("event") == "route" for event in body["events"])
+        assert any(event["kind"] == "route" for event in body["events"])
 
     def test_bad_request(self, handle):
         status, body = _http(
@@ -850,9 +850,9 @@ class TestRequestIds:
         )
         assert status == 200
         assert headers["x-request-id"] == rid
-        events = handle.daemon.service.flight.events(request_id=rid)
-        assert any(event["type"] == "request" for event in events)
-        request_event = next(e for e in events if e["type"] == "request")
+        events = handle.daemon.service.flight.events(request=rid)
+        assert any(event["kind"] == "request" for event in events)
+        request_event = next(e for e in events if e["kind"] == "request")
         assert request_event["outcome"] == "ok"
         assert request_event["frontend"] == "http"
         assert request_event["endpoint"] == "verify"
@@ -892,8 +892,8 @@ class TestRequestIds:
             "127.0.0.1", handle.whois_port, f"!v {entry.prefix} {path}"
         )
         rid = response.split("\n", 1)[0].split()[-1]
-        events = handle.daemon.service.flight.events(request_id=rid)
-        request_event = next(e for e in events if e["type"] == "request")
+        events = handle.daemon.service.flight.events(request=rid)
+        request_event = next(e for e in events if e["kind"] == "request")
         assert request_event["frontend"] == "whois"
         assert request_event["outcome"] == "ok"
 
@@ -933,15 +933,15 @@ class TestServeTelemetry:
         assert status == 200
         assert body["enabled"] is True
         assert body["stats"]["capacity"] > 0
-        assert all(event["id"] == rid for event in body["events"])
-        assert any(event["type"] == "request" for event in body["events"])
+        assert all(event["ids"]["request"] == rid for event in body["events"])
+        assert any(event["kind"] == "request" for event in body["events"])
         # type + limit filters
         status, _, body = _http_full(
             handle.http_port, "GET", "/debug/flight?type=request&limit=3"
         )
         assert status == 200
         assert len(body["events"]) <= 3
-        assert all(event["type"] == "request" for event in body["events"])
+        assert all(event["kind"] == "request" for event in body["events"])
         # malformed numbers are a client error, not a 500
         status, _, body = _http_full(
             handle.http_port, "GET", "/debug/flight?limit=banana"
@@ -1004,15 +1004,15 @@ class TestServeTelemetry:
                     headers={"X-Request-Id": rid},
                 )
                 assert status == 200
-        records = [
-            json.loads(line) for line in access.read_text().splitlines() if line
-        ]
+        _, records = read_events(access)
         assert records, "access log is empty"
-        record = next(r for r in records if r["id"] == rid)
+        record = next(r for r in records if r["ids"]["request"] == rid)
         assert {
-            "ts", "id", "frontend", "endpoint", "outcome", "verdicts",
+            "ts", "kind", "ids", "frontend", "endpoint", "outcome", "verdicts",
             "total_ms", "stages_ms",
-        } <= set(record)
+        } == set(record)
+        assert record["kind"] == "request"
+        assert record["ids"] == {"request": rid, "generation": 0}
         assert record["frontend"] == "http"
         assert record["endpoint"] == "verify"
         assert record["outcome"] == "ok"
@@ -1022,10 +1022,7 @@ class TestServeTelemetry:
         }
         assert record["total_ms"] > 0
         slow = access.with_name(access.name + ".slow")
-        slow_records = [
-            json.loads(line) for line in slow.read_text().splitlines() if line
-        ]
-        assert any(r["id"] == rid for r in slow_records)
+        assert record in read_events(slow)[1]
 
     def test_worker_pool_stamps_request_id_in_worker_process(
         self, tiny_world, tiny_routes, tmp_path
@@ -1053,13 +1050,68 @@ class TestServeTelemetry:
                 )
                 assert status == 200
                 assert headers["x-request-id"] == rid
-                events = daemon.service.flight.events(request_id=rid)
+                events = daemon.service.flight.events(request=rid)
                 executes = [
-                    e for e in events if e["type"] == "worker-execute"
+                    e for e in events if e["kind"] == "worker-execute"
                 ]
                 assert executes, f"no worker-execute event for {rid}: {events}"
-                assert all(e["pid"] != os.getpid() for e in executes)
+                assert all(e["ids"]["worker"] != os.getpid() for e in executes)
                 assert executes[0]["outcome"] == "ok"
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_id_finds_the_stages_the_generation_and_the_matched_rules(
+        self, workers, tiny_world, tiny_routes, tmp_path
+    ):
+        """One log, one query: after a hot swap every event carries the new
+        generation, and an ``/explain`` request's id finds its stage
+        breakdown *and* its per-hop decision events — recorded in a pool
+        worker or in-process alike."""
+        access = tmp_path / "access.jsonl"
+        probe = _verify_payload(tiny_routes[0])
+        with api.open_session(
+            tiny_world, registry=MetricsRegistry(), use_cache=False
+        ) as session:
+            _, (journal,) = _journal_chain(session.ir, 1)
+            config = ServeConfig(http_port=0, workers=workers, access_log=str(access))
+            with ServeDaemon(session, config).start_in_thread() as running:
+                port = running.http_port
+                assert _http(port, "POST", "/verify", probe)[0] == 200
+                status, summary = _http(
+                    port, "POST", "/reload", {"journal": journal.to_jsonable()}
+                )
+                assert status == 200 and summary["generation"] == 1
+                rid = "explain-probe"
+                status, _, explained = _http_full(
+                    port, "POST", "/explain", probe, headers={"X-Request-Id": rid}
+                )
+                assert status == 200
+                _, _, flight = _http_full(port, "GET", f"/debug/flight?id={rid}")
+                _, _, executes = _http_full(
+                    port, "GET", "/debug/flight?type=worker-execute"
+                )
+        events = flight["events"]
+        assert all(
+            event["ids"]["request"] == rid and event["ids"]["generation"] == 1
+            for event in events
+        )
+        by_kind: dict[str, list] = {}
+        for event in events:
+            by_kind.setdefault(event["kind"], []).append(event)
+        (request,) = by_kind["request"]
+        assert request["endpoint"] == "explain" and request["outcome"] == "ok"
+        assert len(by_kind["route"]) == 1
+        # The ring holds exactly the events the response itself carried.
+        assert by_kind["route"] + by_kind["hop"] == explained["events"]
+        assert len(by_kind["hop"]) == len(explained["hops"])
+        assert any("rule" in hop for hop in by_kind["hop"])
+        assert len(by_kind.get("worker-execute", ())) == (1 if workers else 0)
+        generations = [e["ids"]["generation"] for e in executes["events"]]
+        assert generations == ([0, 1] if workers else [])
+        # The access log: the same request line, and the generation moving.
+        _, lines = read_events(access)
+        assert request in lines
+        by_endpoint = {line["endpoint"]: line["ids"]["generation"] for line in lines}
+        assert by_endpoint["verify"] == 0 and by_endpoint["explain"] == 1
 
     def test_telemetry_off_serves_without_ids(self, tiny_world, tiny_routes):
         with api.open_session(
@@ -1359,7 +1411,7 @@ class TestReload:
                 status, summary = _http(handle.http_port, "POST", "/reload", payload)
                 assert status == 200 and summary["applied"] == len(journal)
                 assert summary["generation"] == 1 and not summary["degraded"]
-                kinds = [event["type"] for event in session.flight_events()]
+                kinds = [event["kind"] for event in session.flight_events()]
                 assert kinds.count("reload-abort") == 1
                 assert kinds.count("reload-commit") == 1
         finally:

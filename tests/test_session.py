@@ -6,6 +6,7 @@ import pytest
 
 from repro import api
 from repro.core.compiled import CompiledIndex, save_index
+from repro.core.query import QueryEngine
 from repro.irr.journal import Journal
 from repro.obs import MetricsRegistry
 
@@ -111,13 +112,26 @@ class TestSessionQueries:
         entry = tiny_routes[0]
         with api.open_session(tiny_world, warm=False) as session:
             report, events = session.explain(str(entry.prefix), entry.as_path)
-        assert any(event.get("event") == "route" for event in events)
-        assert len([e for e in events if e.get("event") == "hop"]) == len(report.hops)
+        assert any(event["kind"] == "route" for event in events)
+        assert len([e for e in events if e["kind"] == "hop"]) == len(report.hops)
 
-    def test_characterize(self, tiny_world):
+    def test_characterize(self, tiny_world, monkeypatch):
         with api.open_session(tiny_world, warm=False) as session:
             result = session.characterize()
-        assert result["counts"]["aut-num"] > 0
+            assert result["counts"]["aut-num"] > 0
+            # Warm, the as-set statistics run on the generation's engine: a
+            # private QueryEngine(ir) is a second route trie beside it.
+            session.warm()
+            built = []
+            init = QueryEngine.__init__
+
+            def counted(engine, *args, **kwargs):
+                built.append(engine)
+                init(engine, *args, **kwargs)
+
+            monkeypatch.setattr(QueryEngine, "__init__", counted)
+            assert session.characterize() == result
+            assert built == []
 
     def test_whois_server_answers_over_the_session_ir(self, tiny_world):
         from repro.irr.whois import whois_query

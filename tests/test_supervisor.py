@@ -391,7 +391,7 @@ class TestAdaptiveShedding:
 @pytest.fixture
 def fresh_session(tiny_world):
     """A function-scoped session: the service attaches its flight
-    recorder to the session, so a shared one would leak ring contents
+    ring to the session, so a shared one would leak ring contents
     and incident rate-limits between daemons."""
     with api.open_session(
         tiny_world, registry=MetricsRegistry(), use_cache=False
@@ -447,19 +447,20 @@ class TestFlightUnderChaos:
                 service.fault_hook = None
             assert [status for status, _ in results].count(200) == len(entries)
             assert self._wait_for(
-                lambda: service.flight.events(types=("worker-respawn",))
+                lambda: service.flight.events(kinds=("worker-respawn",))
             )
             events = service.flight.events()
             order = [
-                (event["type"], event.get("pid"))
+                (event["kind"], event["ids"].get("worker"))
                 for event in events
-                if event["type"] in
+                if event["kind"] in
                 ("worker-spawn", "worker-retired", "worker-respawn")
             ]
             spawn_at = order.index(("worker-spawn", victim))
             retired = next(
                 event for event in events
-                if event["type"] == "worker-retired" and event["pid"] == victim
+                if event["kind"] == "worker-retired"
+                and event["ids"]["worker"] == victim
             )
             assert retired["why"] == "crashed"
             retired_at = order.index(("worker-retired", victim))
@@ -494,18 +495,19 @@ class TestFlightUnderChaos:
                 and victim not in pids
             )
             assert self._wait_for(
-                lambda: service.flight.events(types=("worker-respawn",))
+                lambda: service.flight.events(kinds=("worker-respawn",))
             )
             events = service.flight.events(
-                types=("worker-spawn", "worker-retired", "worker-respawn")
+                kinds=("worker-spawn", "worker-retired", "worker-respawn")
             )
             retired = next(
                 event for event in events
-                if event["type"] == "worker-retired" and event["pid"] == victim
+                if event["kind"] == "worker-retired"
+                and event["ids"]["worker"] == victim
             )
             assert retired["why"] == "hung"
             retired_at = events.index(retired)
-            kinds_after = [event["type"] for event in events[retired_at + 1 :]]
+            kinds_after = [event["kind"] for event in events[retired_at + 1 :]]
             assert "worker-respawn" in kinds_after
             assert "worker-spawn" in kinds_after  # the replacement admitted
 
@@ -514,7 +516,7 @@ class TestFlightUnderChaos:
     ):
         """Exhausting the restart budget mid-flood dumps the ring; the
         dump must parse and carry the triggering event."""
-        from repro.obs import read_flight_events
+        from repro.obs import read_events
 
         daemon = ServeDaemon(
             fresh_session,
@@ -560,10 +562,10 @@ class TestFlightUnderChaos:
                 lambda: list(tmp_path.glob("flight-*-pool-degraded-*.jsonl"))
             )
         dump = next(tmp_path.glob("flight-*-pool-degraded-*.jsonl"))
-        header, events = read_flight_events(dump)
+        header, events = read_events(dump)
         assert header["reason"] == "pool-degraded"
-        assert header["trigger"]["type"] == "pool-degraded"
-        kinds = [event["type"] for event in events]
+        assert header["trigger"]["kind"] == "pool-degraded"
+        kinds = [event["kind"] for event in events]
         assert "worker-retired" in kinds
         assert "pool-degraded" in kinds
         # the ring reconstructs the kill -> degrade chain in order

@@ -5,13 +5,17 @@ The load-bearing guarantees under test:
 * tracing never changes what verification computes (identical stats with
   tracing on and off, serial and parallel);
 * serial, parallel, and parallel-with-a-killed-worker runs canonicalize
-  to the same events (content-keyed sampling + spill-file dedup);
+  to the same events (content-keyed sampling; a chunk's events arrive
+  once, with the result frame that is accepted — no spill files);
 * every route with an unverified hop is traced (tail sampling);
 * ``rpslyzer explain`` names the aut-num rule and filter term that
   decided a verdict.
 """
 
 import json
+import os
+import signal
+import tempfile
 
 import pytest
 
@@ -20,13 +24,13 @@ from repro.chaos.faults import KillWorkerChunk, RaiseOnChunk
 from repro.cli import main
 from repro.core.parallel import verify_table
 from repro.core.verify import Verifier
+from repro.obs.events import EventLog, read_events
 from repro.obs.trace import (
     NULL_TRACER,
     TraceConfig,
     Tracer,
     canonical_events,
     get_tracer,
-    read_trace_events,
     route_trace_id,
     summarize_events,
     use_tracer,
@@ -45,6 +49,30 @@ def _traced_run(ir, world, routes, **kwargs):
 
 def _chunk_size(routes):
     return max(1, len(routes) // 6)
+
+
+class KillWorkerMidChunk:
+    """A chunk fault hook: SIGKILL the worker once it has recorded the
+    events of ``routes`` sampled routes of chunk ``chunk_index`` — events
+    that are in its log and in no result frame yet."""
+
+    def __init__(self, chunk_index, routes=5):
+        self.chunk_index = chunk_index
+        self.routes = routes
+
+    def __call__(self, index):
+        if index != self.chunk_index:
+            return
+        log = get_tracer().log
+        absorb, countdown = log.absorb, iter(range(self.routes, 0, -1))
+
+        def absorb_then_die(lines):
+            absorb(lines)
+            if next(countdown) == 1:
+                assert len(log.lines()) >= self.routes
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        log.absorb = absorb_then_die
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +131,7 @@ class TestSampling:
         config = TraceConfig(sample_rate=10**9, trace_statuses=frozenset({"unverified"}))
         with use_tracer(Tracer(config)) as tracer:
             verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
-        route_events = [e for e in tracer.events if e["event"] == "route"]
+        route_events = [e for e in tracer.events if e["kind"] == "route"]
         assert route_events
         assert all(e["sampled"] == "verdict" for e in route_events)
         assert all("unverified" in e["verdicts"] for e in route_events)
@@ -136,27 +164,50 @@ class TestDifferential:
         summary = summarize_events(parallel_tracer.events)
         assert summary["workers"] >= 1
 
-    def test_survives_worker_kill(
-        self, serial_traced, tiny_ir, tiny_world, tiny_routes
-    ):
+    def _assert_survives(self, serial_traced, ir, world, routes, chunk_size, fault_hook):
         serial_stats, serial_tracer = serial_traced
+        scratch_before = set(os.listdir(tempfile.gettempdir()))
         chaos_stats, chaos_tracer = _traced_run(
-            tiny_ir,
-            tiny_world,
-            tiny_routes,
-            processes=2,
-            chunk_size=_chunk_size(tiny_routes),
-            fault_hook=KillWorkerChunk(1),
+            ir, world, routes, processes=2, chunk_size=chunk_size, fault_hook=fault_hook
         )
+        # Events cross the pipe with the results: nothing is spilled to disk.
+        assert set(os.listdir(tempfile.gettempdir())) == scratch_before
         # Stats match up to the degradation account of the injected kill.
         expected = serial_stats.summary()
         observed = chaos_stats.summary()
         expected.pop("degradation")
         observed.pop("degradation")
         assert observed == expected
-        assert len(chaos_stats.degradation) >= 1
+        assert chaos_stats.degradation.by_kind().get("verify/worker-crashed", 0) >= 1
         assert canonical_events(chaos_tracer.events) == canonical_events(
             serial_tracer.events
+        )
+
+    def test_survives_worker_kill(
+        self, serial_traced, tiny_ir, tiny_world, tiny_routes
+    ):
+        self._assert_survives(
+            serial_traced,
+            tiny_ir,
+            tiny_world,
+            tiny_routes,
+            _chunk_size(tiny_routes),
+            KillWorkerChunk(1),
+        )
+
+    def test_survives_a_worker_killed_mid_chunk(
+        self, serial_traced, tiny_ir, tiny_world, tiny_routes
+    ):
+        """The partial events of a chunk whose worker dies must die with it
+        (the retry, and in the end the in-process fallback, emit them
+        again): with a spill file they survived and had to be de-duplicated."""
+        self._assert_survives(
+            serial_traced,
+            tiny_ir,
+            tiny_world,
+            tiny_routes,
+            _chunk_size(tiny_routes),
+            KillWorkerMidChunk(1),
         )
 
     def test_unverified_routes_always_traced(self, tiny_ir, tiny_world, tiny_routes):
@@ -170,49 +221,44 @@ class TestDifferential:
             verify_table(
                 tiny_ir, tiny_world.topology, tiny_routes, processes=1, on_report=note
             )
-        traced = {e["trace"] for e in tracer.events if e["event"] == "route"}
+        traced = {e["ids"]["route"] for e in tracer.events if e["kind"] == "route"}
         assert unverified  # the tiny world does produce unverified hops
         assert unverified <= traced
 
 
 class TestSpillAndMerge:
-    def test_sink_spills_line_buffered_jsonl(
-        self, tmp_path, tiny_ir, tiny_world, tiny_routes
+    def test_tracer_emits_into_the_log_it_is_given(
+        self, tiny_ir, tiny_world, tiny_routes
     ):
-        path = tmp_path / "spill.jsonl"
-        tracer = Tracer(TRACE_CONFIG, sink=path, worker_id=1234)
-        try:
-            with use_tracer(tracer):
-                verify_table(
-                    tiny_ir, tiny_world.topology, tiny_routes[:300], processes=1
-                )
-        finally:
-            tracer.close()
-        assert tracer.events == []  # stream mode keeps nothing in memory
-        events = read_trace_events(path)
-        assert len(events) == tracer.emitted > 0
-        assert all(event["worker"] == 1234 for event in events)
+        """A pool worker's tracer shares the log its result frames drain,
+        and stamps its pid on every event."""
+        log = EventLog()
+        tracer = Tracer(TRACE_CONFIG, log=log, ids={"worker": 1234})
+        with use_tracer(tracer):
+            verify_table(tiny_ir, tiny_world.topology, tiny_routes[:300], processes=1)
+        shipped = log.drain()
+        assert len(shipped) == tracer.emitted > 0
+        assert tracer.events == []  # drained: the frame took them
+        parent = Tracer(TRACE_CONFIG)
+        parent.absorb(shipped)
+        assert parent.emitted == len(shipped)
+        assert all(event["ids"]["worker"] == 1234 for event in parent.events)
+        assert all(isinstance(event["ts"], float) for event in parent.events)
 
     def test_reader_tolerates_truncated_and_garbage_lines(self, tmp_path):
-        first = {"event": "route", "trace": "00" * 8, "sampled": "head"}
-        second = {"event": "hop", "trace": "00" * 8, "seq": 0, "status": "verified"}
+        ids = {"route": "00" * 8}
+        first = {"kind": "route", "ids": ids, "sampled": "head"}
+        second = {"kind": "hop", "ids": ids, "seq": 0, "status": "verified"}
         path = tmp_path / "trace.jsonl"
         path.write_text(
             json.dumps(first)
             + "\n\nnot json at all\n"
             + json.dumps(second)
             + "\n"
-            + '{"event":"hop","trace":"dead',  # SIGKILL mid-write
+            + '{"kind":"hop","ids":{"route":"dead',  # SIGKILL mid-write
             encoding="utf-8",
         )
-        assert read_trace_events(path) == [first, second]
-
-    def test_merge_events_dedups(self, serial_traced):
-        _, tracer = serial_traced
-        fresh = Tracer(TRACE_CONFIG)
-        assert fresh.merge_events(tracer.events) == len(tracer.events)
-        assert fresh.merge_events(tracer.events) == 0
-        assert fresh.emitted == len(tracer.events)
+        assert read_events(path) == ({}, [first, second])
 
     def test_max_events_cap_counts_drops(self, tiny_ir, tiny_world, tiny_routes):
         sample = tiny_routes[:50]
@@ -221,6 +267,11 @@ class TestSpillAndMerge:
             stats = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
         assert capped.emitted == 5
         assert capped.dropped > 0
+        # The bound covers what a pool worker ships as well.
+        absorbing = Tracer(TraceConfig(max_events=3))
+        absorbing.absorb(capped.log.lines())
+        assert (absorbing.emitted, absorbing.dropped) == (3, 2)
+        assert len(absorbing.events) == 3
         baseline = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
         assert stats.summary() == baseline.summary()
 
@@ -228,7 +279,7 @@ class TestSpillAndMerge:
         _, tracer = serial_traced
         path = tmp_path / "out.jsonl"
         tracer.write(path)
-        assert canonical_events(read_trace_events(path)) == canonical_events(
+        assert canonical_events(read_events(path)[1]) == canonical_events(
             tracer.events
         )
 
@@ -262,9 +313,9 @@ class TestExplain:
             report, events = session.explain(
                 str(verified_entry.prefix), verified_entry.as_path
             )
-        (route_event,) = [e for e in events if e["event"] == "route"]
+        (route_event,) = [e for e in events if e["kind"] == "route"]
         assert route_event["sampled"] == "head"
-        hop_events = [e for e in events if e["event"] == "hop"]
+        hop_events = [e for e in events if e["kind"] == "hop"]
         assert len(hop_events) == len(report.hops)
         verified = [e for e in hop_events if e["status"] == "verified"]
         assert verified
@@ -313,12 +364,12 @@ def trace_file(tiny_world_dir, ir_path, tmp_path_factory):
 
 class TestCli:
     def test_verify_trace_flag_writes_sorted_events(self, trace_file):
-        events = read_trace_events(trace_file)
+        _, events = read_events(trace_file)
         assert events
         # Stable order: within one trace id the route event leads its hops.
         by_trace: dict[str, list[str]] = {}
         for event in events:
-            by_trace.setdefault(event["trace"], []).append(event["event"])
+            by_trace.setdefault(event["ids"]["route"], []).append(event["kind"])
         assert all(kinds[0] == "route" for kinds in by_trace.values())
 
     def test_verify_trace_restores_null_tracer(self, trace_file):
@@ -337,24 +388,23 @@ class TestCli:
         lines = [line for line in capsys.readouterr().out.splitlines() if line]
         assert lines
         events = [json.loads(line) for line in lines]
-        kept = {e["trace"] for e in events}
+        kept = {e["ids"]["route"] for e in events}
         for trace_id in kept:
             statuses = {
                 e["status"]
                 for e in events
-                if e["event"] == "hop" and e["trace"] == trace_id
+                if e["kind"] == "hop" and e["ids"]["route"] == trace_id
             }
             assert "unverified" in statuses
 
     def test_trace_id_filter(self, trace_file, capsys):
-        events = read_trace_events(trace_file)
-        target = events[0]["trace"]
+        target = read_events(trace_file)[1][0]["ids"]["route"]
         assert main(
             ["trace", str(trace_file), "--trace-id", target, "--json"]
         ) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if line]
         assert lines
-        assert all(json.loads(line)["trace"] == target for line in lines)
+        assert all(json.loads(line)["ids"]["route"] == target for line in lines)
 
     def test_explain_cli_prints_rule(
         self, tiny_world_dir, ir_path, verified_entry, capsys
@@ -382,7 +432,7 @@ class TestCli:
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["events"]
-        assert any(e["event"] == "route" for e in payload["events"])
+        assert any(e["kind"] == "route" for e in payload["events"])
 
 
 class TestRaiseOnChunkTracing:

@@ -731,7 +731,7 @@ class TestAppendixCUnchanged:
         relationships.tier1 = {1299, 3257}
         with api.open_session(ir, as_rel=relationships) as session:
             report, events = session.explain(appendix.PREFIX, appendix.PATH)
-        hops = [event for event in events if event["event"] == "hop"]
+        hops = [event for event in events if event["kind"] == "hop"]
         assert len(hops) == len(report.hops) == 10
         assert not any(event["cached"] for event in hops)
         found = {
