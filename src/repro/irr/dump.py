@@ -20,7 +20,7 @@ import gzip
 import io
 import zlib
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO
 
 from repro.ir.model import Ir
 from repro.obs import get_registry, timed_iter
@@ -31,15 +31,18 @@ from repro.rpsl.objects import collect_into_ir
 __all__ = ["parse_dump_text", "parse_dump_file"]
 
 _GZIP_MAGIC = b"\x1f\x8b"
+# What a damaged file raises mid-read: ``BadGzipFile``, a truncated gzip
+# member (``EOFError``), zlib errors, undecodable bytes, I/O errors.
+_READ_ERRORS = (OSError, EOFError, UnicodeError, zlib.error)
 
 
 def _collect(
-    stream,
+    stream: IO[str],
     source: str,
     errors: ErrorCollector,
     ir: Ir | None,
     limits: LexLimits | None = None,
-    detect_truncation: bool = False,
+    dump_name: str | None = None,
 ) -> Ir:
     """Lex and parse one dump; with metrics live, split lex/object time.
 
@@ -48,15 +51,30 @@ def _collect(
     production time to a ``lex`` sub-span of the enclosing span (the
     registry's ``parse/<irr>``) — the remainder of that span is object and
     policy construction.
+
+    ``dump_name`` marks file ingestion: truncation detection is on, and a
+    read failure (corrupt compressed data, I/O errors mid-read) keeps what
+    parsed before the damage and records ``UNREADABLE_INPUT`` against it.
     """
     registry = get_registry()
-    paragraphs = split_dump(stream, limits=limits, detect_truncation=detect_truncation)
-    if not registry.enabled:
-        return collect_into_ir(paragraphs, source, errors, ir)
     before = len(errors)
-    paragraphs = timed_iter(paragraphs, registry.spans, "lex")
-    ir = collect_into_ir(paragraphs, source, errors, ir)
-    registry.counter("parse_errors_total", irr=source or "?").inc(len(errors) - before)
+    paragraphs = split_dump(stream, limits=limits, detect_truncation=dump_name is not None)
+    if registry.enabled:
+        paragraphs = timed_iter(paragraphs, registry.spans, "lex")
+    if ir is None:
+        ir = Ir()
+    try:
+        collect_into_ir(paragraphs, source, errors, ir)
+    except _READ_ERRORS as exc:  # only a file's stream can raise these
+        errors.record(
+            ErrorKind.UNREADABLE_INPUT,
+            "dump",
+            dump_name,
+            source,
+            f"unreadable input, kept what parsed before the damage: {exc}",
+        )
+    if registry.enabled:
+        registry.counter("parse_errors_total", irr=source or "?").inc(len(errors) - before)
     return ir
 
 
@@ -97,28 +115,6 @@ def _open_dump(path: Path) -> IO[str]:
     return open(path, encoding="utf-8", errors="replace")
 
 
-def _resilient_lines(
-    stream: IO[str], source: str, name: str, errors: ErrorCollector
-) -> Iterator[str]:
-    """Yield lines, converting read-time failures into a recorded issue.
-
-    Corrupt-compressed input raises mid-iteration (``BadGzipFile``,
-    ``EOFError``, zlib errors surfacing as ``OSError``); whatever
-    decompressed and parsed before the damage is kept, the failure is
-    recorded as ``UNREADABLE_INPUT``, and iteration ends cleanly.
-    """
-    try:
-        yield from stream
-    except (OSError, EOFError, UnicodeError, zlib.error) as exc:
-        errors.record(
-            ErrorKind.UNREADABLE_INPUT,
-            "dump",
-            name,
-            source,
-            f"unreadable input, kept what parsed before the damage: {exc}",
-        )
-
-
 def parse_dump_file(
     path: str | Path,
     source: str = "",
@@ -146,6 +142,5 @@ def parse_dump_file(
         )
         return (ir if ir is not None else Ir()), errors
     with stream:
-        lines = _resilient_lines(stream, source, name, errors)
-        ir = _collect(lines, source, errors, ir, limits=limits, detect_truncation=True)
+        ir = _collect(stream, source, errors, ir, limits=limits, dump_name=name)
     return ir, errors

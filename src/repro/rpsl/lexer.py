@@ -24,23 +24,23 @@ Two ingestion hazards are handled here rather than upstream (see
   unterminated line.  With ``detect_truncation`` enabled (file ingestion
   turns it on; in-memory text does not), the final paragraph of such a
   stream is flagged ``truncated`` and dropped with a ``TRUNCATED`` issue
-  instead of silently producing a half-parsed object.
+  instead of silently producing a half-parsed object — but only when that
+  unterminated line belongs to it: a trailing ``%`` remark or blank line
+  cut short leaves the complete object before it alone.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 __all__ = [
     "Attribute",
     "LexLimits",
     "DEFAULT_LIMITS",
     "RpslParagraph",
-    "iter_paragraphs",
     "split_dump",
-    "lex_paragraph",
 ]
 
 # Attribute names: letters, digits, hyphens; must start with a letter
@@ -49,9 +49,8 @@ __all__ = [
 _ATTR_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_-]*):(.*)$")
 
 
-@dataclass(frozen=True, slots=True)
-class Attribute:
-    """One ``name: value`` pair with comments stripped and lines joined."""
+class Attribute(NamedTuple):
+    """One ``name: value`` pair: the name lower-cased, comments stripped, lines joined."""
 
     name: str
     value: str
@@ -70,14 +69,6 @@ class LexLimits:
     max_object_lines: int = 100_000
     max_object_bytes: int = 16 << 20  # 16 MiB of buffered paragraph text
     max_line_bytes: int = 1 << 20  # one attribute line
-
-    def line_over(self, line: str) -> bool:
-        """Whether one line exceeds the per-line cap."""
-        return len(line) > self.max_line_bytes
-
-    def block_over(self, lines: int, size: int) -> bool:
-        """Whether a paragraph of ``lines`` lines / ``size`` chars is over cap."""
-        return lines > self.max_object_lines or size > self.max_object_bytes
 
 
 DEFAULT_LIMITS = LexLimits()
@@ -101,8 +92,8 @@ class RpslParagraph:
 
     @property
     def object_class(self) -> str:
-        """The class (first attribute name), lowercased; '' if empty."""
-        return self.attributes[0].name.lower() if self.attributes else ""
+        """The class (first attribute name, lower-case); '' if empty."""
+        return self.attributes[0].name if self.attributes else ""
 
     @property
     def object_name(self) -> str:
@@ -110,139 +101,32 @@ class RpslParagraph:
         return self.attributes[0].value.strip() if self.attributes else ""
 
     def get(self, name: str) -> str | None:
-        """First value of the named attribute (case-insensitive), or None."""
-        wanted = name.lower()
+        """First value of the attribute ``name`` (lower-case), or None."""
         for attribute in self.attributes:
-            if attribute.name.lower() == wanted:
+            if attribute.name == name:
                 return attribute.value
         return None
 
     def get_all(self, *names: str) -> list[Attribute]:
-        """All attributes whose name matches any of ``names``, in order."""
-        wanted = {name.lower() for name in names}
-        return [a for a in self.attributes if a.name.lower() in wanted]
+        """All attributes named any of ``names`` (lower-case), in order."""
+        return [attribute for attribute in self.attributes if attribute.name in names]
 
 
-def strip_comment(line: str) -> str:
-    """Remove a trailing ``# ...`` comment."""
-    position = line.find("#")
-    if position < 0:
-        return line
-    return line[:position]
+def _keep_first_line(paragraph: RpslParagraph, line: str) -> None:
+    """Reduce an over-cap paragraph to what its first line lexes to."""
+    paragraph.oversized = True
+    paragraph.attributes.clear()
+    paragraph.stray_lines.clear()
+    match = _ATTR_RE.match(line)
+    if match is None:
+        paragraph.stray_lines.append(line)
+    else:
+        paragraph.attributes.append(Attribute(match[1].lower(), match[2].partition("#")[0].strip()))
 
 
-def iter_paragraphs(
-    lines: Iterable[str], limits: LexLimits | None = None
-) -> Iterator[tuple[int, list[str], bool]]:
-    """Group raw dump lines into paragraphs.
-
-    Yields ``(first_line_number, lines, oversized)`` with server remarks
-    (``%``) and blank separators removed.  Line numbers are 1-based.  When
-    a paragraph exceeds ``limits`` (default :data:`DEFAULT_LIMITS`), only
-    its first line is retained and the paragraph is flagged oversized; the
-    rest of its lines are consumed without being buffered, so a hostile
-    multi-megabyte object costs one line of memory.
-    """
-    if limits is None:
-        limits = DEFAULT_LIMITS
-    block: list[str] = []
-    block_start = 0
-    block_bytes = 0
-    block_lines = 0
-    oversized = False
-    for number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if line.startswith("%"):
-            continue
-        if not line.strip():
-            if block:
-                yield block_start, block, oversized
-                block = []
-                block_bytes = 0
-                block_lines = 0
-                oversized = False
-            continue
-        if not block:
-            block_start = number
-        block_lines += 1
-        block_bytes += len(line) + 1
-        if oversized:
-            continue  # drain the oversized paragraph without buffering
-        if limits.line_over(line):
-            line = line[: limits.max_line_bytes]
-            oversized = True
-        if limits.block_over(block_lines, block_bytes):
-            oversized = True
-        if oversized:
-            del block[1:]
-            if not block:
-                block.append(line)
-            continue
-        block.append(line)
-    if block:
-        yield block_start, block, oversized
-
-
-def lex_paragraph(block_start: int, lines: list[str]) -> RpslParagraph:
-    """Turn one paragraph's lines into attributes, folding continuations."""
-    paragraph = RpslParagraph(first_line=block_start)
-    current_name: str | None = None
-    current_parts: list[str] = []
-
-    def flush() -> None:
-        nonlocal current_name, current_parts
-        if current_name is not None:
-            value = " ".join(part for part in current_parts if part)
-            paragraph.attributes.append(Attribute(current_name, value.strip()))
-        current_name = None
-        current_parts = []
-
-    for line in lines:
-        if line[:1] in (" ", "\t", "+") and current_name is not None:
-            # Continuation line; "+" means "continue with empty first column".
-            continuation = line[1:] if line[0] == "+" else line
-            current_parts.append(strip_comment(continuation).strip())
-            continue
-        match = _ATTR_RE.match(line)
-        if match is None:
-            flush()
-            paragraph.stray_lines.append(line)
-            continue
-        flush()
-        current_name = match.group(1)
-        current_parts = [strip_comment(match.group(2)).strip()]
-    flush()
-    return paragraph
-
-
-def _track_termination(stream: Iterable[str], state: dict) -> Iterator[str]:
-    """Pass lines through, remembering whether the last one ended in ``\\n``."""
-    for raw in stream:
-        state["terminated"] = raw.endswith("\n")
-        yield raw
-
-
-def _lex_stream(
-    stream: TextIO | Iterable[str],
-    limits: LexLimits | None,
-    detect_truncation: bool,
-) -> Iterator[RpslParagraph]:
-    state = {"terminated": True}
-    lines: Iterable[str] = (
-        _track_termination(stream, state) if detect_truncation else stream
-    )
-    # One-paragraph lookahead so the *final* paragraph (the only one a
-    # truncated stream can damage) can be flagged before it is yielded.
-    previous: RpslParagraph | None = None
-    for block_start, block, oversized in iter_paragraphs(lines, limits):
-        if previous is not None:
-            yield previous
-        previous = lex_paragraph(block_start, block)
-        previous.oversized = oversized
-    if previous is not None:
-        if detect_truncation and not state["terminated"]:
-            previous.truncated = True
-        yield previous
+def _fold(attributes: list[Attribute], parts: list[str]) -> None:
+    """Give the last attribute the value its continuation lines fold to."""
+    attributes[-1] = Attribute(attributes[-1].name, " ".join(parts))
 
 
 def split_dump(
@@ -252,33 +136,114 @@ def split_dump(
 ) -> Iterator[RpslParagraph]:
     """Lex a whole dump file (or any iterable of lines) into paragraphs.
 
-    ``limits`` caps per-paragraph buffering (default
-    :data:`DEFAULT_LIMITS`); ``detect_truncation`` flags the final
-    paragraph when the stream ends with an unterminated line — file-based
-    ingestion enables it, in-memory parsing (where a missing trailing
-    newline is a formatting quirk, not damage) does not.
+    One loop over the lines: server remarks (``%``) are skipped, a blank
+    line closes the paragraph, continuation lines (leading whitespace or
+    ``+``; comments cut) fold into the attribute above, anything else is
+    an attribute or a stray line.  Attribute names are lower-cased here,
+    once.  Line numbers are 1-based.
 
-    When a metrics registry is live, object and stray-line counts are
-    accumulated locally and folded in once at exhaustion — the per-object
-    cost of instrumentation is two integer adds.
+    ``limits`` caps per-paragraph buffering (default
+    :data:`DEFAULT_LIMITS`): an over-cap paragraph is reduced to its first
+    line and the rest of it is read without being kept, so a hostile
+    multi-megabyte object costs one line of memory.  ``detect_truncation``
+    flags the final paragraph when the stream's last line is one of its
+    own and has no newline — file-based ingestion enables it, in-memory
+    parsing (where a missing trailing newline is a formatting quirk, not
+    damage) does not.  An exception from ``stream`` ends the input: the
+    paragraph open at that point is still yielded, then the exception
+    propagates.
+
+    When a metrics registry is live, object, attribute and stray-line
+    counts are folded in once at exhaustion.
     """
     from repro.obs import get_registry
 
-    paragraphs_iter = _lex_stream(stream, limits, detect_truncation)
     registry = get_registry()
-    if not registry.enabled:
-        yield from paragraphs_iter
-        return
-    paragraphs = 0
-    stray_lines = 0
-    attributes = 0
+    if limits is None:
+        limits = DEFAULT_LIMITS
+    max_lines = limits.max_object_lines
+    max_bytes = limits.max_object_bytes
+    max_line = limits.max_line_bytes
+    match_attribute = _ATTR_RE.match
+    make_attribute = Attribute._make
+    paragraphs = attribute_count = stray_count = 0
+    paragraph: RpslParagraph | None = None
+    attributes: list[Attribute] = []
+    strays: list[str] = []
+    first = raw = ""
+    lines = size = 0
+    oversized = False
+    open_attribute = False  # whether a continuation line folds into attributes[-1]
+    parts: list[str] | None = None  # that attribute's value parts, once it has continuations
+    failure: Exception | None = None
     try:
-        for paragraph in paragraphs_iter:
+        try:
+            for number, raw in enumerate(stream, 1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if line[:1] == "%":
+                    continue
+                if not line or line.isspace():
+                    if paragraph is not None:
+                        if parts is not None:
+                            _fold(attributes, parts)
+                            parts = None
+                        paragraphs += 1
+                        attribute_count += len(attributes)
+                        stray_count += len(strays)
+                        yield paragraph
+                        paragraph = None
+                    continue
+                if paragraph is None:
+                    paragraph = RpslParagraph(first_line=number)
+                    attributes = paragraph.attributes
+                    strays = paragraph.stray_lines
+                    first = line
+                    lines = size = 0
+                    oversized = open_attribute = False
+                lines += 1
+                size += len(line) + 1
+                if oversized:
+                    continue  # drain the over-cap paragraph without keeping it
+                if len(line) > max_line or lines > max_lines or size > max_bytes:
+                    _keep_first_line(paragraph, line[:max_line] if lines == 1 else first)
+                    oversized = True
+                    parts = None
+                    continue
+                if open_attribute and line[0] in " \t+":
+                    # "+" continues with an empty first column.
+                    part = (line[1:] if line[0] == "+" else line).partition("#")[0].strip()
+                    if part:
+                        if parts is None:
+                            parts = [attributes[-1].value] if attributes[-1].value else []
+                        parts.append(part)
+                    continue
+                if parts is not None:
+                    _fold(attributes, parts)
+                    parts = None
+                match = match_attribute(line)
+                if match is None:
+                    strays.append(line)
+                    open_attribute = False
+                else:
+                    attributes.append(
+                        make_attribute((match[1].lower(), match[2].partition("#")[0].strip()))
+                    )
+                    open_attribute = True
+        except Exception as exc:  # noqa: BLE001 - re-raised once the open paragraph is out
+            failure = exc
+        if paragraph is not None:
+            if parts is not None:
+                _fold(attributes, parts)
+            if detect_truncation and not raw.endswith("\n") and raw[:1] != "%":
+                paragraph.truncated = True
             paragraphs += 1
-            stray_lines += len(paragraph.stray_lines)
-            attributes += len(paragraph.attributes)
+            attribute_count += len(attributes)
+            stray_count += len(strays)
             yield paragraph
+        if failure is not None:
+            raise failure
     finally:
-        registry.counter("lex_objects_total").inc(paragraphs)
-        registry.counter("lex_attributes_total").inc(attributes)
-        registry.counter("lex_stray_lines_total").inc(stray_lines)
+        if registry.enabled:
+            registry.counter("lex_objects_total").inc(paragraphs)
+            registry.counter("lex_attributes_total").inc(attribute_count)
+            registry.counter("lex_stray_lines_total").inc(stray_count)

@@ -68,9 +68,13 @@ def _record_strays(
 
 
 def parse_aut_num(
-    paragraph: RpslParagraph, source: str, errors: ErrorCollector
+    paragraph: RpslParagraph, source: str, errors: ErrorCollector, memo: dict | None = None
 ) -> AutNum | None:
-    """Parse an *aut-num* paragraph; None if the AS number itself is bad."""
+    """Parse an *aut-num* paragraph; None if the AS number itself is bad.
+
+    ``memo`` is the per-ingest sub-expression table of
+    :func:`~repro.rpsl.policy.parse_policy`.
+    """
     name = paragraph.object_name
     try:
         asn = parse_asn(name)
@@ -91,11 +95,11 @@ def parse_aut_num(
         for maintainer in _split_list(attribute.value)
     ]
     for attribute in paragraph.get_all("import", "export", "mp-import", "mp-export"):
-        attr_name = attribute.name.lower()
+        attr_name = attribute.name
         multiprotocol = attr_name.startswith("mp-")
         kind = attr_name.removeprefix("mp-")
         try:
-            rule = parse_policy(kind, attribute.value, multiprotocol=multiprotocol)
+            rule = parse_policy(kind, attribute.value, multiprotocol=multiprotocol, memo=memo)
         except RpslSyntaxError as exc:
             aut_num.bad_rules.append(BadRule(attr_name, attribute.value, str(exc)))
             errors.record(ErrorKind.SYNTAX, "aut-num", name, source, str(exc))
@@ -105,10 +109,10 @@ def parse_aut_num(
         else:
             aut_num.exports.append(rule)
     for attribute in paragraph.get_all("default", "mp-default"):
-        attr_name = attribute.name.lower()
+        attr_name = attribute.name
         try:
             aut_num.defaults.append(
-                parse_default(attribute.value, multiprotocol=attr_name.startswith("mp-"))
+                parse_default(attribute.value, multiprotocol=attr_name.startswith("mp-"), memo=memo)
             )
         except RpslSyntaxError as exc:
             aut_num.bad_rules.append(BadRule(attr_name, attribute.value, str(exc)))
@@ -324,9 +328,14 @@ def collect_into_ir(
     by the end of a partial dump) — are dropped with an ``OVERSIZED`` /
     ``TRUNCATED`` issue rather than half-parsed: a partial object is worse
     than an accounted-for missing one.
+
+    Repeated filters and peerings are parsed once per call: their nodes
+    are shared between the rules that spell them alike, through a memo
+    that lives exactly as long as this call — the next ingest starts cold.
     """
     if ir is None:
         ir = Ir()
+    memo: dict = {}
     for paragraph in paragraphs:
         object_class = paragraph.object_class
         if paragraph.oversized:
@@ -348,7 +357,7 @@ def collect_into_ir(
             )
             continue
         if object_class == "aut-num":
-            aut_num = parse_aut_num(paragraph, source, errors)
+            aut_num = parse_aut_num(paragraph, source, errors, memo)
             if aut_num is not None and aut_num.asn not in ir.aut_nums:
                 ir.aut_nums[aut_num.asn] = aut_num
         elif object_class == "as-set":

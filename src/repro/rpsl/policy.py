@@ -21,6 +21,7 @@ share one filter (the AS8323 example in the paper's appendix).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.net.afi import Afi, AfiError
 from repro.rpsl.action import ActionItem, parse_action_tokens
@@ -44,6 +45,8 @@ __all__ = [
 
 _FACTOR_KEYWORDS = ("from", "to", "action", "accept", "announce")
 _OPERATOR_KEYWORDS = ("except", "refine")
+
+_Node = TypeVar("_Node")
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,8 +208,11 @@ class DefaultRule:
         return " ".join(parts)
 
 
-def parse_default(text: str, multiprotocol: bool = False) -> DefaultRule:
-    """Parse the value of a ``default``/``mp-default`` attribute."""
+def parse_default(text: str, multiprotocol: bool = False, memo: dict | None = None) -> DefaultRule:
+    """Parse the value of a ``default``/``mp-default`` attribute.
+
+    ``memo`` is the same per-ingest table :func:`parse_policy` takes.
+    """
     stream = TokenStream.of(text)
     afis: tuple[Afi, ...] = ()
     if stream.take_keyword("afi"):
@@ -216,7 +222,7 @@ def parse_default(text: str, multiprotocol: bool = False) -> DefaultRule:
     peering_tokens = _slice_until(stream, ("action", "networks"), ())
     if not peering_tokens:
         raise RpslSyntaxError("empty peering in default rule")
-    peering = parse_peering(TokenStream(peering_tokens))
+    peering = _parse_once(parse_peering, peering_tokens, memo)
     actions: tuple[ActionItem, ...] = ()
     if stream.take_keyword("action"):
         actions = parse_action_tokens(_slice_until(stream, ("networks",), ()))
@@ -290,7 +296,26 @@ def _parse_afi_list(stream: TokenStream) -> tuple[Afi, ...]:
     return tuple(afis)
 
 
-def _parse_factor(stream: TokenStream, kind: str) -> PolicyFactor:
+def _parse_once(
+    parse: Callable[[TokenStream], _Node], tokens: list[Token], memo: dict | None
+) -> _Node:
+    """``parse`` a sub-expression, or share the node the same tokens gave before.
+
+    The key is the token texts joined by single spaces, which tokenizes
+    back to the same tokens; the nodes are frozen, so sharing one between
+    rules is safe.  A failure raises as usual and is never stored: every
+    bad occurrence is parsed, and reported, on its own.
+    """
+    if memo is None:
+        return parse(TokenStream(tokens))
+    key = (parse, " ".join([token.text for token in tokens]))
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = parse(TokenStream(tokens))
+    return node
+
+
+def _parse_factor(stream: TokenStream, kind: str, memo: dict | None) -> PolicyFactor:
     direction = "from" if kind == "import" else "to"
     wrong_direction = "to" if kind == "import" else "from"
     verb = "accept" if kind == "import" else "announce"
@@ -311,7 +336,7 @@ def _parse_factor(stream: TokenStream, kind: str) -> PolicyFactor:
         peering_tokens = _slice_until(stream, _FACTOR_KEYWORDS, ())
         if not peering_tokens:
             raise RpslSyntaxError(f"empty peering after '{direction}'")
-        peering = parse_peering(TokenStream(peering_tokens))
+        peering = _parse_once(parse_peering, peering_tokens, memo)
         actions: tuple[ActionItem, ...] = ()
         if stream.take_keyword("action"):
             action_tokens = _slice_until(stream, _FACTOR_KEYWORDS, ())
@@ -333,11 +358,10 @@ def _parse_factor(stream: TokenStream, kind: str) -> PolicyFactor:
     filter_tokens = _slice_until(stream, _OPERATOR_KEYWORDS, (TokenKind.SEMI,))
     if not filter_tokens:
         raise RpslSyntaxError(f"empty filter after '{verb}'")
-    parsed_filter = parse_filter(TokenStream(filter_tokens))
-    return PolicyFactor(tuple(peerings), parsed_filter)
+    return PolicyFactor(tuple(peerings), _parse_once(parse_filter, filter_tokens, memo))
 
 
-def _parse_term(stream: TokenStream, kind: str) -> PolicyExpr:
+def _parse_term(stream: TokenStream, kind: str, memo: dict | None) -> PolicyExpr:
     """Parse a term; braces may also enclose a whole nested expression.
 
     RFC 2622 §6.6 writes nested Structured Policies with the operator
@@ -362,42 +386,48 @@ def _parse_term(stream: TokenStream, kind: str) -> PolicyExpr:
             if token.is_keyword("except", "refine") and factors:
                 operator = stream.next().text.lower()
                 afis = _parse_afi_list(stream) if stream.take_keyword("afi") else ()
-                rest = _parse_expr(stream, kind)
+                rest = _parse_expr(stream, kind, memo)
                 stream.expect(TokenKind.RBRACE)
                 left = PolicyTerm(tuple(factors), braced=True)
                 if operator == "except":
                     return PolicyExcept(left, afis, rest)
                 return PolicyRefine(left, afis, rest)
-            factors.append(_parse_factor(stream, kind))
+            factors.append(_parse_factor(stream, kind, memo))
         if not factors:
             raise RpslSyntaxError("empty structured policy term")
         return PolicyTerm(tuple(factors), braced=True)
-    factor = _parse_factor(stream, kind)
+    factor = _parse_factor(stream, kind, memo)
     while stream.peek() is not None and stream.peek().kind is TokenKind.SEMI:
         stream.next()
     return PolicyTerm((factor,), braced=False)
 
 
-def _parse_expr(stream: TokenStream, kind: str) -> PolicyExpr:
-    term = _parse_term(stream, kind)
+def _parse_expr(stream: TokenStream, kind: str, memo: dict | None) -> PolicyExpr:
+    term = _parse_term(stream, kind, memo)
     if not isinstance(term, PolicyTerm):
         # the braces already contained a full nested expression
         return term
     if stream.take_keyword("except"):
         afis = _parse_afi_list(stream) if stream.take_keyword("afi") else ()
-        return PolicyExcept(term, afis, _parse_expr(stream, kind))
+        return PolicyExcept(term, afis, _parse_expr(stream, kind, memo))
     if stream.take_keyword("refine"):
         afis = _parse_afi_list(stream) if stream.take_keyword("afi") else ()
-        return PolicyRefine(term, afis, _parse_expr(stream, kind))
+        return PolicyRefine(term, afis, _parse_expr(stream, kind, memo))
     return term
 
 
-def parse_policy(kind: str, text: str, multiprotocol: bool = False) -> PolicyRule:
+def parse_policy(
+    kind: str, text: str, multiprotocol: bool = False, memo: dict | None = None
+) -> PolicyRule:
     """Parse the value of an ``import``/``export`` (or ``mp-``) attribute.
 
     ``kind`` must be ``"import"`` or ``"export"``.  Raises
     :class:`~repro.rpsl.errors.RpslSyntaxError` on malformed input; the
     object-level parser converts that into a recorded issue.
+
+    ``memo`` — one dict per ingest, owned by the caller — makes each
+    distinct filter and peering parse once: later rules with the same
+    tokens share the first one's node.
     """
     if kind not in ("import", "export"):
         raise ValueError(f"kind must be 'import' or 'export', not {kind!r}")
@@ -411,7 +441,7 @@ def parse_policy(kind: str, text: str, multiprotocol: bool = False) -> PolicyRul
     afis: tuple[Afi, ...] = ()
     if stream.take_keyword("afi"):
         afis = _parse_afi_list(stream)
-    expr = _parse_expr(stream, kind)
+    expr = _parse_expr(stream, kind, memo)
     if not stream.exhausted():
         raise RpslSyntaxError(f"trailing tokens in {kind} rule: {stream.rest_text()!r}")
     return PolicyRule(

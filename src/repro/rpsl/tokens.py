@@ -13,21 +13,13 @@ Keyword comparisons are case-insensitive, as required by RFC 2622.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from repro.rpsl.errors import RpslSyntaxError
 
 __all__ = ["TokenKind", "Token", "tokenize", "TokenStream"]
-
-_PUNCT = {
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ";": "SEMI",
-    ",": "COMMA",
-}
 
 
 class TokenKind(Enum):
@@ -43,8 +35,7 @@ class TokenKind(Enum):
     COMMA = "COMMA"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """One token with its source offset (for error messages)."""
 
     kind: TokenKind
@@ -56,31 +47,32 @@ class Token:
         return self.kind is TokenKind.WORD and self.text.lower() in keywords
 
 
+# One alternative per token shape: punctuation, a ``<...>`` regex, a ``<``
+# that never closes, a word.  Whitespace is what no alternative matches.
+_TOKEN_RE = re.compile(r"[{}();,]|<[^>]*>|<|[^\s{}();,<]+")
+# The kind of a token by its first character; anything else is a word.
+_KIND_OF = {
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ";": TokenKind.SEMI,
+    ",": TokenKind.COMMA,
+    "<": TokenKind.REGEX,
+}
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize a policy/filter/peering expression string."""
     tokens: list[Token] = []
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            index += 1
-            continue
-        if char in _PUNCT:
-            tokens.append(Token(TokenKind(_PUNCT[char]), char, index))
-            index += 1
-            continue
-        if char == "<":
-            end = text.find(">", index + 1)
-            if end < 0:
-                raise RpslSyntaxError(f"unterminated AS-path regex at offset {index}")
-            tokens.append(Token(TokenKind.REGEX, text[index : end + 1], index))
-            index = end + 1
-            continue
-        start = index
-        while index < length and not text[index].isspace() and text[index] not in _PUNCT and text[index] != "<":
-            index += 1
-        tokens.append(Token(TokenKind.WORD, text[start:index], start))
+    make = Token._make
+    kind_of = _KIND_OF.get
+    word = TokenKind.WORD
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group()
+        if token == "<":
+            raise RpslSyntaxError(f"unterminated AS-path regex at offset {match.start()}")
+        tokens.append(make((kind_of(token[0], word), token, match.start())))
     return tokens
 
 
