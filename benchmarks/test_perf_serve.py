@@ -50,7 +50,6 @@ def _throughput(session, workers: int, queries: list[Query]) -> float:
                 queue_size=1024,
                 default_deadline=120.0,
                 max_deadline=120.0,
-                shed_target=0.0,
             ),
         )
         await service.start()

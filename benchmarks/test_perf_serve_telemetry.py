@@ -170,7 +170,6 @@ def test_telemetry_overhead_under_ceiling(world, routes):
         queue_size=4096,
         default_deadline=120.0,
         max_deadline=120.0,
-        shed_target=0.0,
     )
     on_config = ServeConfig(
         **base,

@@ -47,7 +47,7 @@ from repro.irr.registry import Registry, parse_registry_dir
 from repro.net.prefix import Prefix
 from repro.stats.verification import VerificationStats
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     # the supported facade

@@ -526,7 +526,6 @@ def _serve_supervisor_layer(check, ir, world, entries) -> DegradationReport:
             hang_timeout=3.0,
             heartbeat_interval=0.1,
             heartbeat_timeout=1.0,
-            shed_target=0.0,  # admission stays open: every flood request answers
         ),
     )
     handle = daemon.start_in_thread()

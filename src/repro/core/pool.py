@@ -20,9 +20,11 @@ body.  This module alone creates worker processes and pipes, and owns:
 * **crash isolation** — a dying worker fails only its in-flight batch,
   which is retried on another worker with bounded attempts; a batch the
   pool cannot place is handed back (None) for the caller to run itself.
-* **circuit breaker** — dispatch is wrapped in a closed/open/half-open
-  :class:`CircuitBreaker`, so a collapsing pool hands work back
-  immediately instead of timing out every batch.
+* **pool health** — a failing pool is one whose workers keep dying.
+  A degraded or stopping pool, or one with no live worker, hands a batch
+  back at once instead of waiting out ``lease_timeout`` for a worker
+  that cannot come free.  The respawn backoff is the cooldown, and the
+  next worker admitted is the probe.
 
 Every fault is recorded as ``<component>/worker-crashed``,
 ``worker-hung``, ``worker-restarted``, ``worker-spawn-failed`` or
@@ -62,7 +64,6 @@ from repro.stats.verification import VerificationStats
 
 __all__ = [
     "ChunkRunner",
-    "CircuitBreaker",
     "PoolUnavailable",
     "SupervisorConfig",
     "WorkerCrash",
@@ -95,9 +96,11 @@ class SupervisorConfig:
     drive the idle-worker liveness probe.  ``restart_budget`` is the
     total number of respawns before the pool gives up and degrades to
     the in-process serial path; ``backoff_base``/``backoff_max`` shape
-    the exponential respawn backoff after consecutive failures.
-    ``batch_retries`` bounds how many times one batch is retried on
-    another worker after a crash before falling back serially.
+    the exponential respawn backoff after consecutive failures — the
+    only cooldown the pool has: while no worker is live, batches are
+    handed back at once.  ``batch_retries`` bounds how many times one
+    batch is retried on another worker after a crash before falling
+    back serially.
     """
 
     workers: int = 2
@@ -110,109 +113,7 @@ class SupervisorConfig:
     backoff_base: float = 0.05
     backoff_max: float = 2.0
     batch_retries: int = 2
-    breaker_failures: int = 3
-    breaker_cooldown: float = 1.0
     start_method: str | None = None
-
-
-class CircuitBreaker:
-    """A closed/open/half-open breaker around pool dispatch.
-
-    ``failures`` consecutive failures open the breaker; after
-    ``cooldown`` seconds one probe is allowed through (half-open) — its
-    success closes the breaker, its failure re-opens and re-arms the
-    cooldown.  ``clock`` is injectable for deterministic tests.
-    ``on_transition(old, new)`` is invoked outside the lock on every
-    state change — the supervisor uses it to land breaker transitions in
-    its event log.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        failures: int = 3,
-        cooldown: float = 1.0,
-        clock=time.monotonic,
-        on_transition=None,
-    ):
-        self.failures = max(1, failures)
-        self.cooldown = cooldown
-        self._clock = clock
-        self.on_transition = on_transition
-        self._lock = threading.Lock()
-        self._state = self.CLOSED
-        self._consecutive = 0
-        self._opened_at = 0.0
-        self._probing = False
-
-    def _notify(self, old: str, new: str) -> None:
-        if old != new and self.on_transition is not None:
-            try:
-                self.on_transition(old, new)
-            except Exception:  # noqa: BLE001 - observers never break dispatch
-                log.exception("breaker on_transition callback failed")
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            # Surface the imminent half-open transition so health checks
-            # don't report "open" forever on an idle daemon.
-            if (
-                self._state == self.OPEN
-                and self._clock() - self._opened_at >= self.cooldown
-            ):
-                return self.HALF_OPEN
-            return self._state
-
-    def allow(self) -> bool:
-        """Whether a dispatch may proceed right now."""
-        old = new = None
-        with self._lock:
-            if self._state == self.CLOSED:
-                return True
-            if self._state == self.OPEN:
-                if self._clock() - self._opened_at >= self.cooldown:
-                    old, new = self._state, self.HALF_OPEN
-                    self._state = self.HALF_OPEN
-                    self._probing = True
-                else:
-                    return False
-            elif self._probing:
-                # Half-open: exactly one probe in flight at a time.
-                return False
-            else:
-                self._probing = True
-                return True
-        self._notify(old, new)
-        return True
-
-    def record_success(self) -> None:
-        """A dispatch succeeded: close the breaker, reset the streak."""
-        with self._lock:
-            old = self._state
-            self._consecutive = 0
-            self._probing = False
-            self._state = self.CLOSED
-        self._notify(old, self.CLOSED)
-
-    def record_failure(self) -> None:
-        """A dispatch failed: count it, opening (or re-opening) at the limit."""
-        with self._lock:
-            old = self._state
-            self._probing = False
-            if self._state == self.HALF_OPEN:
-                self._state = self.OPEN
-                self._opened_at = self._clock()
-            else:
-                self._consecutive += 1
-                if self._consecutive >= self.failures:
-                    self._state = self.OPEN
-                    self._opened_at = self._clock()
-            new = self._state
-        self._notify(old, new)
 
 
 def _snapshot_delta(current: dict, previous: dict | None) -> dict:
@@ -524,11 +425,6 @@ class WorkerSupervisor:
             degradation if degradation is not None else DegradationReport()
         )
         self.flight = flight
-        self.breaker = CircuitBreaker(
-            failures=self.config.breaker_failures,
-            cooldown=self.config.breaker_cooldown,
-            on_transition=self._on_breaker_transition,
-        )
         self.degraded = False
         self._stopping = threading.Event()
         self._lock = threading.Lock()
@@ -544,7 +440,6 @@ class WorkerSupervisor:
         self._gauge_live = registry.gauge(f"{component}_workers_live")
         self._gauge_restarting = registry.gauge(f"{component}_workers_restarting")
         self._counter_restarts = registry.counter(f"{component}_worker_restarts_total")
-        self._gauge_breaker = registry.gauge(f"{component}_breaker_state")
         self._gauge_degraded = registry.gauge(f"{component}_degraded")
 
     def _event(self, kind: str, worker: _Worker | None = None, **payload) -> None:
@@ -557,20 +452,6 @@ class WorkerSupervisor:
             generation=self._index.generation if self._index is not None else 0,
             **payload,
         )
-
-    def _on_breaker_transition(self, old: str, new: str) -> None:
-        """Record every breaker transition; dump the event log on open.
-
-        Breaker-open is one of the incidents the flight ring exists
-        for — the ring at that moment holds the crashes/hangs that
-        tripped it.  The dump itself is rate-limited per reason inside
-        the log, so a flapping breaker costs one file per interval.
-        """
-        self._event("breaker-transition", old=old, new=new)
-        if new == CircuitBreaker.OPEN:
-            self.flight.dump_incident(
-                "breaker-open", trigger={"kind": "breaker-transition", "old": old}
-            )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -712,10 +593,21 @@ class WorkerSupervisor:
     # to win the GIL back from the busy loop, which cost more than the batch
     # itself.  The table client runs the same coroutines on a loop of its own.
 
+    def _hands_back(self) -> bool:
+        """The pool-health rule: no batch waits for a worker that cannot come.
+
+        A lease is worth waiting for only while some worker is live and
+        merely busy; a degraded or stopping pool, or one whose workers are
+        all dead and not yet respawned, hands the batch back at once.
+        """
+        return self.degraded or self._stopping.is_set() or not self._workers
+
     async def _lease_async(self) -> _Worker:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.lease_timeout
         while True:
+            if self._hands_back():
+                raise PoolUnavailable("degraded, stopping, or no live worker")
             try:
                 worker = self._free.get_nowait()
             except queue.Empty:
@@ -792,35 +684,27 @@ class WorkerSupervisor:
     async def dispatch(
         self, items, *, kind: str = "batch", hang_timeout: float | None = None
     ) -> tuple[list, list[str], dict] | None:
-        """Breaker-wrapped, bounded-retry execute.
+        """Bounded-retry execute.
 
         Returns ``(payload, event_lines, timings)``, or None when the pool cannot
-        serve this batch (breaker open, degraded, no worker available,
-        retries exhausted) — the caller then falls back to its serial
-        path, so no batch is ever lost to a dying worker.
+        serve this batch (degraded, stopping, no live worker, none free
+        within ``lease_timeout``, retries exhausted) — the caller then
+        falls back to its serial path, so no batch is ever lost to a dying
+        worker.
         """
-        if self.degraded or self._stopping.is_set():
-            return None
-        if not self.breaker.allow():
+        if self._hands_back():
             return None
         if hang_timeout is None:
             hang_timeout = self.config.hang_timeout
         failure: Exception | None = None
         for _ in range(self.config.batch_retries + 1):
             try:
-                dispatched = await self.execute(kind, items, hang_timeout)
+                return await self.execute(kind, items, hang_timeout)
             except PoolUnavailable as exc:
-                self.breaker.record_failure()
-                self._publish_metrics()
                 failure = exc
                 break
             except WorkerCrash as exc:
-                self.breaker.record_failure()
                 failure = exc
-                continue
-            else:
-                self.breaker.record_success()
-                return dispatched
         log.warning("pool dispatch failed, falling back serially: %s", failure)
         self._publish_metrics()
         return None
@@ -1066,7 +950,6 @@ class WorkerSupervisor:
             "restart_budget_remaining": max(
                 0, self.config.restart_budget - self.restarts
             ),
-            "breaker": self.breaker.state,
             "degraded": self.degraded,
         }
 
@@ -1074,9 +957,7 @@ class WorkerSupervisor:
         if not self._registry.enabled:
             return
         snapshot = self.state()
-        breaker_code = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
         with self._metrics_lock:
             self._gauge_live.set(float(snapshot["live"]))
             self._gauge_restarting.set(float(snapshot["restarting"]))
-            self._gauge_breaker.set(breaker_code[snapshot["breaker"]])
             self._gauge_degraded.set(1.0 if self.degraded else 0.0)

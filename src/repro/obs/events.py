@@ -329,7 +329,7 @@ class EventLog:
         ``pid`` and the ``trigger`` that caused the dump); the rest is the
         log, oldest first, ending with the ``incident-dump`` event recorded
         here.  Dumps for one reason are rate-limited to one per
-        ``incident_interval`` seconds — a breaker flapping under sustained
+        ``incident_interval`` seconds — a trigger repeating under sustained
         overload must not fill the disk — counted from the last dump that
         *was written*: without an ``incident_dir``, or when the write
         fails, the event still marks the incident, None is returned and

@@ -19,16 +19,16 @@ execution slot is free — queries that arrive while a batch executes are
 coalesced into the next one, and a client that sends one request at a
 time never waits on a timer — on a warm verifier,
 on the event loop itself when there is no worker pool; every request
-carries a deadline, the queue is bounded with
-explicit backpressure (HTTP 429 / ``%% BUSY``), and SIGTERM drains
-in-flight work before exiting.  With ``ServeConfig(workers=N)`` the
-batches execute on a supervised pool of warm worker processes
-(:mod:`repro.core.pool`, the one bulk ``verify_table`` uses): heartbeat
-health checks, SIGKILL +
-respawn of hung/crashed workers under a restart budget, a circuit
-breaker around dispatch, CoDel-style load shedding on measured
-queue-wait latency, and graceful degradation to the in-process serial
-path when the pool collapses.  See ``docs/serving.md``.
+carries a deadline and is admitted only while that deadline can
+plausibly be met (otherwise HTTP 429 / ``%% BUSY``), the queue is
+bounded, and SIGTERM drains in-flight work before exiting.  With
+``ServeConfig(workers=N)`` the batches execute on a supervised pool of
+warm worker processes (:mod:`repro.core.pool`, the one bulk
+``verify_table`` uses): heartbeat health checks, SIGKILL + respawn of
+hung/crashed workers under a restart budget, an immediate hand-back of
+every batch while no worker is live, and graceful degradation to the
+in-process serial path when the budget is spent.  See
+``docs/serving.md``.
 
 Every request is observable end to end (:mod:`repro.serve.telemetry`):
 a correlation id (honouring a client ``X-Request-Id``) is threaded from
@@ -38,10 +38,10 @@ the request touches; per-stage latency (accept → queue → coalesce →
 dispatch → execute → respond) lands in ``serve_stage_seconds`` histograms
 and an optional JSONL access log with slow-query promotion.  The flight
 ring (an :class:`~repro.obs.events.EventLog`) keeps an always-on bounded
-record of requests and lifecycle events (worker churn, breaker transitions, reloads, sheds)
-and dumps it to timestamped incident files on breaker-open, pool
-collapse, and SIGQUIT — inspect live via ``GET /debug/flight`` or
-offline via ``rpslyzer debug``.
+record of requests and lifecycle events (worker churn, reloads, sheds)
+and dumps it to timestamped incident files on pool collapse and
+SIGQUIT — inspect live via ``GET /debug/flight`` or offline via
+``rpslyzer debug``.
 
 Programmatic use::
 
@@ -55,13 +55,12 @@ Programmatic use::
         ...  # query http://127.0.0.1:<handle.http_port>/verify
 """
 
-from repro.core.pool import CircuitBreaker, SupervisorConfig, WorkerSupervisor
+from repro.core.pool import SupervisorConfig, WorkerSupervisor
 from repro.serve.batcher import MicroBatcher
 from repro.serve.core import (
     BadRequestError,
     BusyError,
     DeadlineExpired,
-    LatencyShedder,
     Query,
     ServeConfig,
     ServeError,
@@ -73,9 +72,7 @@ from repro.serve.daemon import ServeDaemon, ServeHandle
 __all__ = [
     "BadRequestError",
     "BusyError",
-    "CircuitBreaker",
     "DeadlineExpired",
-    "LatencyShedder",
     "MicroBatcher",
     "Query",
     "ServeConfig",

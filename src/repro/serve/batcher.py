@@ -65,7 +65,8 @@ class MicroBatcher:
     client gone) are discarded.
 
     ``on_collect`` is called with each batch as it leaves the queue and
-    ``on_batch`` with its size once it has executed.  ``discard`` is
+    ``on_batch`` with its size and its wall seconds (from leaving the
+    queue to its outcomes) once it has executed.  ``discard`` is
     called with each item still queued when the batcher stops — the
     owner fails those waiters explicitly (the serve core raises
     ``BusyError``) instead of leaving them to hang until their deadline.
@@ -78,7 +79,7 @@ class MicroBatcher:
         queue_size: int = 256,
         batch_max: int = 64,
         concurrency: int = 1,
-        on_batch: Callable[[int], None] | None = None,
+        on_batch: Callable[[int, float], None] | None = None,
         on_collect: Callable[[list], None] | None = None,
         discard: Callable[[object], None] | None = None,
     ):
@@ -98,7 +99,7 @@ class MicroBatcher:
         self._queue: asyncio.Queue | None = None
         self._dispatchers: list[asyncio.Task] = []
         self._executor: ThreadPoolExecutor | None = None
-        self._inflight = 0
+        self.inflight = 0  # items in the batches executing right now
         self.batches = 0
         self.items = 0
 
@@ -135,7 +136,7 @@ class MicroBatcher:
     @property
     def busy(self) -> bool:
         """Whether any batch is executing right now."""
-        return self._inflight > 0
+        return self.inflight > 0
 
     # -- dispatch ----------------------------------------------------------
 
@@ -164,7 +165,7 @@ class MicroBatcher:
                 return
             started = clock()
             batch = self._collect(first)
-            await self._run_batch(batch)
+            await self._run_batch(batch, started, clock)
             # After a coalesced batch: the rest of its period.  Always at
             # least a yield — a batch executed on the loop never awaited,
             # and get() does not yield while the queue holds items, so
@@ -183,8 +184,8 @@ class MicroBatcher:
             self._executor, fn, *args
         )
 
-    async def _run_batch(self, batch: list) -> None:
-        self._inflight += 1
+    async def _run_batch(self, batch: list, started: float, clock) -> None:
+        self.inflight += len(batch)
         try:
             try:
                 outcomes = await self._execute(batch)
@@ -193,7 +194,7 @@ class MicroBatcher:
             self.batches += 1
             self.items += len(batch)
             if self._on_batch is not None:
-                self._on_batch(len(batch))
+                self._on_batch(len(batch), clock() - started)
             for item, outcome in zip(batch, outcomes):
                 future = item.future
                 if future.done():
@@ -203,7 +204,7 @@ class MicroBatcher:
                 else:
                     future.set_result(outcome)
         finally:
-            self._inflight -= 1
+            self.inflight -= len(batch)
 
     # -- shutdown ----------------------------------------------------------
 

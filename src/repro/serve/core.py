@@ -5,14 +5,13 @@ to :class:`Query` values and await :meth:`VerifyService.submit`.  The
 service owns admission control and execution semantics so the protocol
 handlers stay thin:
 
-* **bounded queue** — submission is ``put_nowait`` onto the
-  :class:`~repro.serve.batcher.MicroBatcher`'s queue; overflow raises
-  :class:`BusyError`, which the front-ends translate to HTTP 429 or
-  ``%% BUSY``.  Nothing in the daemon buffers unboundedly.
-* **adaptive load shedding** — with a worker pool attached, a
-  :class:`LatencyShedder` watches measured
-  queue-wait latency and refuses admission (429/``%% BUSY``) while the
-  wait stays above target, *before* the queue fills.
+* **admission** — a request is refused with :class:`BusyError` (HTTP
+  429 / ``%% BUSY``) when its deadline cannot plausibly be met: the
+  queries queued and in flight, times the last batch's seconds per
+  query, divided by the execution slots, reach the request's own
+  timeout (:meth:`VerifyService.admits`).  An empty queue always
+  admits.  The queue is also bounded (``queue_size``), as a memory
+  bound: nothing in the daemon buffers unboundedly.
 * **per-request deadlines** — every query carries a wall deadline
   (client-supplied, validated positive and clamped to
   ``max_deadline``).  A query still queued when its deadline passes is
@@ -36,8 +35,8 @@ handlers stay thin:
 * **supervised execution** — with ``workers > 0`` batches ship to a
   self-healing pool of warm worker processes
   (:class:`~repro.core.pool.WorkerSupervisor`); a batch the pool
-  cannot serve (crashes, open breaker, degraded pool) falls back to the
-  in-process serial path, so every admitted request still gets its
+  cannot serve (crashes, no live worker, degraded pool) falls back to
+  the in-process serial path, so every admitted request still gets its
   verdict.
 
 Serving metrics (reported into the session's registry, exposed at
@@ -50,7 +49,7 @@ accept → queue → coalesce → dispatch → execute → respond breakdown, se
 :mod:`repro.serve.telemetry`), ``serve_batch_size``,
 ``serve_deadline_miss_total``, ``serve_shed_total``,
 ``serve_requests_total{endpoint=,outcome=}``, and the supervisor's
-worker/breaker gauges.
+worker gauges.
 
 Every request additionally carries a correlation id (honoring a
 client-supplied ``X-Request-Id``) that is echoed in the response,
@@ -89,7 +88,6 @@ __all__ = [
     "BadRequestError",
     "BusyError",
     "DeadlineExpired",
-    "LatencyShedder",
     "Query",
     "ServeConfig",
     "ServeError",
@@ -121,7 +119,7 @@ class ServeError(Exception):
 
 
 class BusyError(ServeError):
-    """The service refuses admission (queue full, shedding, draining)."""
+    """The service refuses admission (deadline infeasible, queue full, draining)."""
 
     code = "busy"
 
@@ -144,18 +142,16 @@ class ServeConfig:
 
     ``http_port``/``whois_port`` of 0 bind an ephemeral port (tests);
     ``None`` disables that front-end.  ``queue_size`` bounds admitted but
-    unexecuted queries — the backpressure threshold; ``batch_max`` bounds
-    how many of them one batch takes.  Deadlines are seconds of wall time; a
-    request may ask for less than ``default_deadline`` but never more
-    than ``max_deadline``.  ``drain_timeout`` bounds the graceful
+    unexecuted queries — a memory bound; admission itself follows the
+    deadline (:meth:`VerifyService.admits`).  ``batch_max`` bounds how
+    many queued queries one batch takes.  Deadlines are seconds of wall
+    time; a request may ask for less than ``default_deadline`` but never
+    more than ``max_deadline``.  ``drain_timeout`` bounds the graceful
     SIGTERM drain.
 
     ``workers`` > 0 attaches the self-healing multi-process pool (see
     :mod:`repro.core.pool`); 0 (the default) executes in-process,
-    on the event loop.  ``shed_target`` of ``None``
-    auto-enables CoDel-style load shedding at a 100 ms queue-wait target
-    when a pool is attached and disables it otherwise; a float forces
-    that target, 0 disables shedding outright.
+    on the event loop.
 
     ``journal_path`` attaches the NRTM-style journal follower: the
     daemon polls the file every ``journal_poll`` seconds and hot-swaps
@@ -185,10 +181,6 @@ class ServeConfig:
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.0
     restart_budget: int = 8
-    breaker_failures: int = 3
-    breaker_cooldown: float = 1.0
-    shed_target: float | None = None
-    shed_interval: float = 1.0
     start_method: str | None = None
     journal_path: str | None = None
     journal_poll: float = 2.0
@@ -365,63 +357,6 @@ def _as_outcomes(answers: Sequence[tuple]) -> list:
     ]
 
 
-class LatencyShedder:
-    """CoDel-style admission control on measured queue-wait latency.
-
-    ``observe(wait)`` is called with each executed query's time spent
-    queued; shedding turns on once the wait has been above ``target``
-    continuously for at least ``interval`` seconds, and turns off on the
-    first below-target observation.  ``should_shed()`` also expires
-    shedding when no observation has arrived for ``interval`` — a shed
-    queue goes quiet, and without the expiry nothing would ever be
-    admitted to produce the below-target observation that clears it.
-    """
-
-    def __init__(
-        self,
-        target: float = 0.1,
-        interval: float = 1.0,
-        clock=time.monotonic,
-    ):
-        self.target = target
-        self.interval = interval
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._above_since: float | None = None
-        self._last_observation: float | None = None
-        self._shedding = False
-
-    @property
-    def shedding(self) -> bool:
-        return self._shedding
-
-    def observe(self, wait_s: float) -> None:
-        now = self._clock()
-        with self._lock:
-            self._last_observation = now
-            if wait_s < self.target:
-                self._above_since = None
-                self._shedding = False
-                return
-            if self._above_since is None:
-                self._above_since = now
-            elif now - self._above_since >= self.interval:
-                self._shedding = True
-
-    def should_shed(self) -> bool:
-        with self._lock:
-            if not self._shedding:
-                return False
-            if (
-                self._last_observation is None
-                or self._clock() - self._last_observation > self.interval
-            ):
-                self._shedding = False
-                self._above_since = None
-                return False
-            return True
-
-
 def _expire(future: asyncio.Future, timeout: float) -> None:
     """A request's deadline timer went off before its verdict arrived."""
     if not future.done():
@@ -538,14 +473,9 @@ class VerifyService:
             if access_log and slow_ms > 0
             else NULL_EVENTS
         )
-        shed_target = self.config.shed_target
-        if shed_target is None:
-            shed_target = 0.1 if self.config.workers > 0 else 0.0
-        self._shedder = (
-            LatencyShedder(target=shed_target, interval=self.config.shed_interval)
-            if shed_target > 0
-            else None
-        )
+        # What the admission rule reads: the last completed batch's wall
+        # seconds per query (0.0 before the first: nothing to predict from).
+        self._query_seconds = 0.0
         self._batcher = MicroBatcher(
             self._run_batch_async,
             queue_size=self.config.queue_size,
@@ -573,8 +503,6 @@ class VerifyService:
                     heartbeat_interval=self.config.heartbeat_interval,
                     heartbeat_timeout=self.config.heartbeat_timeout,
                     restart_budget=self.config.restart_budget,
-                    breaker_failures=self.config.breaker_failures,
-                    breaker_cooldown=self.config.breaker_cooldown,
                     start_method=self.config.start_method,
                 ),
                 registry=self._registry,
@@ -637,6 +565,23 @@ class VerifyService:
     def degraded(self) -> bool:
         """Whether the worker pool has degraded to serial execution."""
         return self.supervisor is not None and self.supervisor.degraded
+
+    def admits(self, timeout: float) -> bool:
+        """The admission rule: can a request with ``timeout`` plausibly be met?
+
+        An empty queue always admits.  Otherwise the request's wait is
+        predicted as everything ahead of it plus itself — the queued
+        queries and the batches in flight, counted whole although they
+        have started — times the last completed batch's seconds per
+        query, divided by the execution slots; the request is refused
+        when that reaches its own timeout.
+        """
+        queued = self._batcher.qsize()
+        if not queued:
+            return True
+        ahead = queued + self._batcher.inflight + 1
+        slots = max(1, self.config.workers)
+        return ahead * self._query_seconds / slots < timeout
 
     # -- request telemetry ---------------------------------------------------
 
@@ -722,8 +667,8 @@ class VerifyService:
         """Run one query through the batched core; returns the response body.
 
         Raises :class:`BadRequestError` on an invalid deadline,
-        :class:`BusyError` on backpressure (queue full, shedding, or
-        draining) and :class:`DeadlineExpired` when the query's wall
+        :class:`BusyError` on backpressure (deadline infeasible, queue
+        full, or draining) and :class:`DeadlineExpired` when the query's wall
         deadline passes first.  ``telemetry`` is the front-end's
         request-scoped record; direct callers may omit it (one is opened
         here, keyed by the query's id, so embedded use is attributable
@@ -750,7 +695,13 @@ class VerifyService:
                 self._outcome(query.kind, "bad-request").inc()
             self._finish_request(telemetry, "bad-request")
             raise BadRequestError(_BAD_DEADLINE)
-        if self._shedder is not None and self._shedder.should_shed():
+        timeout = min(
+            query.deadline_s
+            if query.deadline_s is not None
+            else self.config.default_deadline,
+            self.config.max_deadline,
+        )
+        if not self.admits(timeout):
             with self._metrics_lock:
                 self._shed_total.inc()
                 self._outcome(query.kind, "busy").inc()
@@ -762,13 +713,7 @@ class VerifyService:
                     endpoint=query.kind,
                 )
                 self._finish_request(telemetry, "shed")
-            raise BusyError("shedding load: queue wait above target")
-        timeout = min(
-            query.deadline_s
-            if query.deadline_s is not None
-            else self.config.default_deadline,
-            self.config.max_deadline,
-        )
+            raise BusyError(f"shedding load: no verdict likely within {timeout:g}s")
         loop = asyncio.get_running_loop()
         if telemetry is not None:
             telemetry.mark_submitted()
@@ -855,7 +800,8 @@ class VerifyService:
 
     # -- execution (event loop, or the batcher's executor threads) -----------
 
-    def _observe_batch(self, size: int) -> None:
+    def _observe_batch(self, size: int, seconds: float) -> None:
+        self._query_seconds = seconds / size
         with self._metrics_lock:
             self._batch_size.observe(size)
 
@@ -869,8 +815,7 @@ class VerifyService:
         Returns an outcome per item; exceptions become the waiter's
         exception.  Queries whose deadline passed while queued are
         skipped (their waiters have already timed out, this just avoids
-        wasted work), and every item's measured queue wait feeds the
-        latency shedder.
+        wasted work).
         """
         if fault_hook is not None:
             fault_hook([pending.query for pending in batch])
@@ -893,7 +838,7 @@ class VerifyService:
 
     def _admit_batch(self, batch: Sequence[_Pending]) -> tuple[list, list[int]]:
         """Per-item bookkeeping shared by the sync and async batch paths:
-        observe queue waits (metrics + shedder) and skip expired items."""
+        observe queue waits and skip expired items."""
         outcomes: list = [None] * len(batch)
         live: list[int] = []
         now = time.monotonic()
@@ -904,8 +849,6 @@ class VerifyService:
                 self._queue_wait["expired" if expired else "executed"].observe(
                     wait
                 )
-            if self._shedder is not None:
-                self._shedder.observe(wait)
             if expired:
                 outcomes[position] = DeadlineExpired("expired while queued")
                 if pending.telemetry is not None:
@@ -1116,7 +1059,10 @@ class VerifyService:
             "queue_size": self.config.queue_size,
             "batches": self._batcher.batches,
             "queries": self._batcher.items,
-            "shedding": bool(self._shedder is not None and self._shedder.shedding),
+            # The admission rule, asked for a default-deadline request.
+            "shedding": not self.admits(
+                min(self.config.default_deadline, self.config.max_deadline)
+            ),
             "shed_total": self._shed_total.value,
             "index_digest": current.index.digest if current.index is not None else None,
             "index_generation": current.number,

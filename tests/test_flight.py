@@ -1,7 +1,7 @@
 """The event log: envelope, ring semantics, incident dumps, correlation ids.
 
 Covers :mod:`repro.obs.events` in isolation — the serve-side wiring
-(worker events riding result frames, breaker-open dumps) is exercised in
+(worker events riding result frames, pool-degraded dumps) is exercised in
 ``tests/test_serve.py`` and ``tests/test_supervisor.py``.
 """
 
@@ -212,24 +212,24 @@ class TestIncidentDumps:
     def test_dump_round_trips_through_reader(self, tmp_path):
         log = EventLog(capacity=16, incident_dir=tmp_path)
         log.record("worker-spawn", worker=4242)
-        log.record("breaker-transition", old="closed", new="open")
+        log.record("pool-degraded", why="restart budget (0) exhausted")
         path = log.dump_incident(
-            "breaker-open", trigger={"kind": "breaker-transition", "old": "closed"}
+            "pool-degraded", trigger={"kind": "pool-degraded", "why": "budget"}
         )
         assert path is not None and path.parent == tmp_path
         header, events = read_events(path)
         assert header["format"] == EVENT_FORMAT
-        assert header["reason"] == "breaker-open"
-        assert header["trigger"]["old"] == "closed"
+        assert header["reason"] == "pool-degraded"
+        assert header["trigger"]["why"] == "budget"
         kinds = [event["kind"] for event in events]
-        assert kinds == ["worker-spawn", "breaker-transition", "incident-dump"]
+        assert kinds == ["worker-spawn", "pool-degraded", "incident-dump"]
         assert log.stats()["incidents"] == 1
 
     def test_dumps_are_rate_limited_per_reason(self, tmp_path):
         log = EventLog(capacity=8, incident_dir=tmp_path)
         log.incident_interval = 3600.0
-        assert log.dump_incident("breaker-open") is not None
-        assert log.dump_incident("breaker-open") is None  # same reason
+        assert log.dump_incident("pool-degraded") is not None
+        assert log.dump_incident("pool-degraded") is None  # same reason
         assert log.dump_incident("sigquit") is not None  # distinct reason
         assert log.stats()["incidents"] == 2
 

@@ -1548,7 +1548,6 @@ class TestHopCacheCarryInTheServePool:
                 workers=2,
                 heartbeat_interval=0.1,
                 heartbeat_timeout=0.5,
-                shed_target=0.0,
             ),
         )
 

@@ -80,6 +80,33 @@ def test_module_imports_standalone(module_name):
     assert module is not None
 
 
+def test_config_knobs_are_pinned():
+    """Adding a serving or pool knob takes a deliberate edit here: overload
+    is one admission rule and one pool-health rule, not a field per
+    mechanism."""
+    from dataclasses import fields
+
+    from repro.core.pool import SupervisorConfig
+    from repro.serve import ServeConfig
+
+    serve = {field.name for field in fields(ServeConfig)}
+    assert serve == {
+        "host", "http_port", "whois_port", "queue_size", "batch_max",
+        "default_deadline", "max_deadline", "drain_timeout", "workers",
+        "hang_timeout", "heartbeat_interval", "heartbeat_timeout",
+        "restart_budget", "start_method", "journal_path", "journal_poll",
+        "telemetry", "access_log", "slow_ms", "flight_events", "incident_dir",
+    }
+    assert len(serve) == 21
+    supervisor = {field.name for field in fields(SupervisorConfig)}
+    assert supervisor == {
+        "workers", "hang_timeout", "heartbeat_interval", "heartbeat_timeout",
+        "spawn_timeout", "lease_timeout", "restart_budget", "backoff_base",
+        "backoff_max", "batch_retries", "start_method",
+    }
+    assert len(supervisor) == 11
+
+
 def test_version_exported():
     assert repro.__version__
 

@@ -786,6 +786,23 @@ class TestNaturalBatching:
         with pytest.raises(TypeError):
             MicroBatcher(lambda batch: None, batch_window=0.002)
 
+    @pytest.mark.parametrize("config", ["ServeConfig", "SupervisorConfig"])
+    @pytest.mark.parametrize(
+        "mechanism, knob",
+        [
+            ("shed", "target"),
+            ("shed", "interval"),
+            ("breaker", "failures"),
+            ("breaker", "cooldown"),
+        ],
+    )
+    def test_shedder_and_breaker_knobs_are_gone(self, config, mechanism, knob):
+        """One admission rule and one pool-health rule; neither has a knob."""
+        import repro.serve
+
+        with pytest.raises(TypeError):
+            getattr(repro.serve, config)(**{f"{mechanism}_{knob}": 1})
+
     def test_queue_depth_gauge_reads_zero_when_idle(self, handle, tiny_routes):
         for entry in tiny_routes[:3]:
             assert _http(handle.http_port, "POST", "/verify", _verify_payload(entry))[0] == 200
