@@ -8,6 +8,7 @@ adversarial paths whose ASes map to several symbols each.
 from conftest import emit
 
 from repro.core.aspath_match import AsPathMatcher
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.irr.dump import parse_dump_text
 from repro.rpsl.aspath import parse_as_path_regex
@@ -36,7 +37,7 @@ def run_matches(matcher) -> bool:
 
 def test_regex_cap_sensitivity(benchmark, capsys):
     ir, _ = parse_dump_text(DUMP, "T")
-    query = QueryEngine(ir)
+    query = QueryEngine(ir, compile_index(ir))
 
     outcomes = {}
     for cap in (16, 256, 65536):

@@ -5,14 +5,14 @@ Three comparisons, all over the same mid-scale world:
 * **compile cold vs cache warm** — the first :func:`get_or_compile` pays
   the compilation pass and populates the digest-keyed disk cache; the
   second run loads the artifact instead;
-* **serial: lazy vs compiled** — one verifier deriving its memo caches on
-  demand against one adopting the precompiled index;
-* **multi-process warm vs serial lazy** — the headline: workers sharing
-  one prebuilt artifact against the single-process lazy baseline.
+* **serial: cold vs compiled** ("lazy" in the names below) — one verifier
+  that compiles its own index against one handed the precompiled index;
+* **multi-process warm vs serial cold** — the headline: workers sharing
+  one prebuilt artifact against the single-process cold baseline.
 
 Every comparison hard-asserts *identical* ``VerificationStats`` between
 the paths — that differential check is what the CI perf-smoke job gates
-on.  Timing assertions (warm no slower than lazy, multi-process speedup)
+on.  Timing assertions (warm no slower than cold, multi-process speedup)
 only fail when ``RPSLYZER_PERF_STRICT`` is set, so a loaded CI machine
 cannot flake the build on noise.  The measured figures are recorded as
 gauges and land in the emitted run manifest either way.
@@ -43,7 +43,7 @@ def _best_of(runs, fn):
 
 
 def _verify_lazy_serial(ir, world, sample):
-    verifier = Verifier(ir, world.topology)  # cold caches, derived on demand
+    verifier = Verifier(ir, world.topology)  # compiles its own index
     from repro.stats.verification import VerificationStats
 
     stats = VerificationStats()

@@ -15,7 +15,6 @@ from repro.irr.whois import whois_query
 from repro.tools.asrel import infer_relationships, score_inference
 from repro.tools.classify import classify_ir
 from repro.tools.lint import lint_ir
-from repro.tools.recommend import recommend_route_set
 
 
 def main() -> None:
@@ -53,14 +52,8 @@ def main() -> None:
         print(f"  {label:18}: {count}")
 
     print("\n== Route-set migration advisor (the paper's §4 recommendation) ==")
-    advised = 0
-    for asn in sorted(ir.aut_nums):
-        recommendation = recommend_route_set(ir, asn, relationships=world.topology)
-        if recommendation is not None:
-            print(recommendation.summary())
-            advised += 1
-            if advised >= 2:
-                break
+    for recommendation in api.recommend_migrations(ir, relationships=world.topology, limit=2):
+        print(recommendation.summary())
 
 
 if __name__ == "__main__":

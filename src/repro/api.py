@@ -805,9 +805,9 @@ def make_verifier(
 ) -> Verifier:
     """A single-route verifier for ad-hoc ⟨prefix, AS-path⟩ checks.
 
-    Pass ``index`` (see :func:`compile_index`) to start the verifier from
-    precompiled query caches instead of deriving them lazily.  Prefer
-    :meth:`Session.verify_route` for repeated queries.
+    Pass ``index`` (see :func:`compile_index`) to verify over an index
+    already compiled for ``ir``; without one, one is compiled now.
+    Prefer :meth:`Session.verify_route` for repeated queries.
     """
     return Verifier(ir, relationships, options, index=index)
 
@@ -857,7 +857,7 @@ def recommend_migrations(
     limit: int = 0,
 ) -> Iterator[RouteSetRecommendation]:
     """Yield route-set migration proposals (the paper's Section 4 advice)."""
-    query = QueryEngine(ir)
+    query = QueryEngine(ir, _compile_index(ir))
     targets = sorted(ir.aut_nums) if asns is None else [int(asn) for asn in asns]
     emitted = 0
     for asn in targets:

@@ -15,6 +15,7 @@ reimplements that capability envelope:
 
 from __future__ import annotations
 
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.ir.model import Ir
 from repro.net.prefix import Prefix, RangeOpKind, aggregate_prefixes
@@ -84,7 +85,7 @@ class Bgpq4Resolver:
 
     def __init__(self, ir: Ir, query: QueryEngine | None = None):
         self.ir = ir
-        self.query = query if query is not None else QueryEngine(ir)
+        self.query = query if query is not None else QueryEngine(ir, compile_index(ir))
 
     def resolve(
         self, name: str, version: int = 4, aggregate: bool = False

@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Iterable
 
 from repro.bgp.table import RouteEntry
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.ir.model import Ir
 from repro.net.prefix import Prefix
@@ -44,7 +45,7 @@ class OriginValidator:
     """Validates ⟨prefix, origin⟩ pairs against registered route objects."""
 
     def __init__(self, ir: Ir, query: QueryEngine | None = None):
-        self.query = query if query is not None else QueryEngine(ir)
+        self.query = query if query is not None else QueryEngine(ir, compile_index(ir))
 
     def validate(self, prefix: Prefix, origin: int) -> OriginStatus:
         """Classify one ⟨prefix, origin⟩ pair.

@@ -1,6 +1,8 @@
 """The verification engine: RPSLyzer's primary contribution.
 
-Pipeline: a :class:`~repro.core.query.QueryEngine` indexes the IR; the
+Pipeline: :func:`~repro.core.compiled.compile_index` resolves the IR into a
+:class:`~repro.core.compiled.CompiledIndex`, read through a
+:class:`~repro.core.query.QueryEngine`; the
 peering/filter/AS-path matchers evaluate rule components against observed
 routes; the :class:`~repro.core.verify.Verifier` walks each BGP route hop
 by hop, classifying every import and export into the status lattice

@@ -45,7 +45,7 @@ from repro.rpsl.aspath import (
     ReWildcard,
 )
 
-__all__ = ["CompiledAsPathRegex", "AsPathMatcher", "AsPathMatchResult"]
+__all__ = ["CompiledAsPathRegex", "AsPathMatcher", "AsPathMatchResult", "compile_regex"]
 
 _SYMBOL_BASE = 0xE000  # Unicode private use area
 
@@ -138,42 +138,35 @@ class _Compiler:
         return f"(?:{inner}){bound}"
 
 
+def compile_regex(node: AsPathRegexNode) -> CompiledAsPathRegex:
+    """Lower a regex AST to a symbol pattern (raises if ``re`` refuses it)."""
+    compiler = _Compiler()
+    pattern_text = compiler.build(node)
+    return CompiledAsPathRegex(
+        pattern=re.compile(pattern_text),
+        tokens=tuple(compiler.symbols),
+        symbols=dict(compiler.symbols),
+        other_symbol=chr(_SYMBOL_BASE + len(compiler.symbols)),
+    )
+
+
 class AsPathMatcher:
     """Evaluates AS-path regexes against observed paths via a QueryEngine.
 
-    ``compiled`` pre-seeds the regex→program cache (the compile-once
-    pass); the dict is copied so lazy compilations never mutate the shared
-    artifact.
+    Programs come from the engine's compiled index, read in place; a regex
+    the index does not hold (one that could not be lowered, or an ad-hoc
+    filter's) is lowered per evaluation and never stored.
     """
 
-    def __init__(
-        self,
-        query: QueryEngine,
-        product_cap: int = 65536,
-        compiled: dict[AsPathRegexNode, CompiledAsPathRegex] | None = None,
-    ):
+    def __init__(self, query: QueryEngine, product_cap: int = 65536):
         self.query = query
         self.product_cap = product_cap
-        self._compiled: dict[AsPathRegexNode, CompiledAsPathRegex] = (
-            dict(compiled) if compiled else {}
-        )
+        self._compiled = query.index.aspath_regexes
 
     def compile(self, node: AsPathRegexNode) -> CompiledAsPathRegex:
-        """Compile (and cache) a regex AST."""
-        cached = self._compiled.get(node)
-        if cached is not None:
-            return cached
-        compiler = _Compiler()
-        pattern_text = compiler.build(node)
-        other = chr(_SYMBOL_BASE + len(compiler.symbols))
-        compiled = CompiledAsPathRegex(
-            pattern=re.compile(pattern_text),
-            tokens=tuple(compiler.symbols),
-            symbols=dict(compiler.symbols),
-            other_symbol=other,
-        )
-        self._compiled[node] = compiled
-        return compiled
+        """The regex's program: the index's, else lowered now."""
+        compiled = self._compiled.get(node)
+        return compiled if compiled is not None else compile_regex(node)
 
     def _token_matches(
         self, token: AsPathRegexNode, asn: int, peer_asn: int, unrecorded: set[str]

@@ -1,20 +1,22 @@
 """The compile-once verification index (see ``docs/performance.md``).
 
 Bulk verification evaluates the same immutable IR hundreds of millions of
-times, yet the :class:`~repro.core.query.QueryEngine` resolves as-sets,
-route-sets, and AS-path regexes *lazily per process*: every pool worker
-re-derives the same memo caches cold, and every run re-derives them from
-zero.  This module adds the missing compilation pass:
+times, so every set reference, member-by-reference relation and AS-path
+regex is resolved once, here, before any route is verified:
 
 * :func:`compile_index` turns an :class:`~repro.ir.model.Ir` into an
   immutable, picklable :class:`CompiledIndex` — the frozen
   :class:`~repro.core.prefixtrie.RouteTrie` over every declared
   ⟨prefix, origin⟩ pair, members-by-reference maps, fully flattened
   as-set closures, resolved route-/peering-sets (their member tries
-  pre-frozen), and AS-path regexes pre-lowered to matcher programs;
-* a :class:`~repro.core.verify.Verifier` (or ``QueryEngine``/
-  ``AsPathMatcher``) built with ``index=`` starts with every one of those
-  tables warm, so the hot loop is pure lookups;
+  frozen), and AS-path regexes lowered to matcher programs;
+* the :class:`Resolver` is the resolution code, and this module is the
+  only one that constructs it: :func:`compile_index` runs it over every
+  name the IR records or references, :func:`patch_index` over what a
+  journal touched;
+* every :class:`~repro.core.query.QueryEngine` (hence every
+  :class:`~repro.core.verify.Verifier`) is a read-only view over one
+  index, so the hot loop is pure lookups;
 * :func:`verify_table <repro.core.parallel.verify_table>` ships the
   artifact to workers instead of letting each worker re-derive it
   (``fork``: built pre-fork, the flat planes shared copy-on-write;
@@ -33,10 +35,9 @@ between every process mapping the same artifact.  The mapping holds a
 file descriptor until :meth:`CompiledIndex.close` releases it (Session
 close / index eviction call this for indexes they own).
 
-Everything in the artifact is produced by the *same* resolution code the
-lazy path runs on demand, so verification over a compiled index is
-bit-identical to the lazy path — ``tests/test_compiled_index.py`` checks
-this differentially, including under injected worker death.
+A patched index answers exactly like a fresh compile of the patched IR
+(``tests/test_incremental_index.py``), and both match an independent
+set-closure reference (``tests/set_oracle.py``).
 """
 
 from __future__ import annotations
@@ -52,18 +53,19 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.aspath_match import AsPathMatcher, CompiledAsPathRegex
-from repro.core.prefixtrie import RouteTrie
+from repro.core.aspath_match import CompiledAsPathRegex, compile_regex
+from repro.core.prefixtrie import RouteTrie, RouteTrieBuilder
 from repro.core.query import (
     AsSetResolution,
-    QueryEngine,
+    PrefixOpIndex,
     ResolvedRouteSet,
-    _byref_allowed,
+    unrecorded_as_set,
+    unrecorded_route_set,
 )
 from repro.ir import serialize
 from repro.ir.json_io import ir_to_jsonable  # noqa: F401 - registers IR classes
 from repro.ir.model import Ir
-from repro.net.prefix import Prefix, PrefixError
+from repro.net.prefix import Prefix, PrefixError, RangeOp
 from repro.obs import get_registry
 from repro.rpsl.aspath import AsPathRegexNode, ReAsSet, iter_regex_nodes
 from repro.rpsl.filter import (
@@ -193,11 +195,10 @@ _TRANSIENT_FIELDS = ("resource", "dependents", "effects")
 class CompiledIndex:
     """Every query-engine table, materialized eagerly from one IR.
 
-    Instances are treated as immutable once built: engines adopting one
-    copy the memo-cache dicts (cheap, shallow) and share the read-only
-    route trie, so a single artifact can back the parent's serial
-    fallback and every worker simultaneously.  An index loaded from the
-    disk cache keeps its planes mapped from the file; ``close()``
+    Instances are immutable once built: query engines read the tables and
+    the route trie in place, so a single artifact can back the parent's
+    serial fallback and every worker simultaneously.  An index loaded
+    from the disk cache keeps its planes mapped from the file; ``close()``
     releases the mapping (and its file descriptor) and must only be
     called by the owner once no engine uses it anymore.
     """
@@ -246,7 +247,7 @@ class CompiledIndex:
         """Release the mmap behind a cache-loaded artifact (idempotent).
 
         No-op for an index compiled in memory.  After closing, the trie
-        planes are gone — every engine adopting this index must be done.
+        planes are gone — every engine reading this index must be done.
         """
         resource, self.resource = self.resource, None
         if resource is None:
@@ -364,9 +365,8 @@ class _Referenced:
 def _collect_references(ir: Ir) -> _Referenced:
     """Every set name and regex any verification check could resolve.
 
-    Referenced-but-unrecorded names matter too: their (negative)
-    resolutions are memoized by the lazy engine, so the compiled artifact
-    carries them as well.
+    Referenced-but-unrecorded names are compiled too, as unrecorded: an
+    artifact then answers every name the IR can ask about from its tables.
     """
     refs = _Referenced()
     refs.as_sets.update(ir.as_sets)
@@ -379,25 +379,195 @@ def _collect_references(ir: Ir) -> _Referenced:
     return refs
 
 
-def _resolve_references(engine: QueryEngine, matcher: AsPathMatcher, refs) -> int:
-    """Warm the engine/matcher memo tables for ``refs`` (cached names no-op).
+def _byref_allowed(mbrs_by_ref: list[str], mnt_by: list[str]) -> bool:
+    """RFC 2622 members-by-reference gate: ANY, or a shared maintainer."""
+    if not mbrs_by_ref:
+        return False
+    if "ANY" in mbrs_by_ref:
+        return True
+    return bool(set(mbrs_by_ref) & set(mnt_by))
 
-    Returns how many of the regexes could not be lowered: those compile
-    lazily (and fail identically) if a check ever reaches them.
+
+def _byref_tables(ir: Ir) -> tuple[dict[str, set[int]], dict[str, list[Prefix]]]:
+    """Members by reference: aut-nums joining as-sets and routes joining
+    route-sets, each gated by the set's ``mbrs-by-ref`` maintainer list."""
+    as_set_byref: dict[str, set[int]] = {}
+    for aut_num in ir.aut_nums.values():
+        for set_name in aut_num.member_of:
+            as_set = ir.as_sets.get(set_name)
+            if as_set is not None and _byref_allowed(as_set.mbrs_by_ref, aut_num.mnt_by):
+                as_set_byref.setdefault(set_name, set()).add(aut_num.asn)
+    route_set_byref: dict[str, list[Prefix]] = {}
+    for route in ir.route_objects:
+        for set_name in route.member_of:
+            route_set = ir.route_sets.get(set_name)
+            if route_set is not None and _byref_allowed(route_set.mbrs_by_ref, route.mnt_by):
+                route_set_byref.setdefault(set_name, []).append(route.prefix)
+    return as_set_byref, route_set_byref
+
+
+class Resolver:
+    """The resolution code: fills one index's tables from one IR.
+
+    Constructed only in this module: by :func:`compile_index` with no
+    ``base`` (members-by-reference derived from the IR, every other table
+    empty), and by :func:`patch_index` with a ``base`` index whose tables
+    it writes into — so that caller hands it copies.  Query engines never
+    see a resolver; they read the finished :class:`CompiledIndex`.
     """
-    for name in sorted(refs.as_sets):
-        engine.flatten_as_set(name)
-    for name in sorted(refs.route_sets):
-        engine.resolve_route_set(name)
-    for name in sorted(refs.peering_sets):
-        engine.resolve_peering_set(name)
-    skipped = 0
-    for node in refs.regexes:
-        try:
-            matcher.compile(node)
-        except Exception:  # noqa: BLE001 - mirror the lazy path
-            skipped += 1
-    return skipped
+
+    __slots__ = (
+        "ir", "as_set_byref", "route_set_byref", "as_sets", "route_sets",
+        "peering_sets", "regexes",
+    )
+
+    def __init__(self, ir: Ir, base: "CompiledIndex | None" = None):
+        self.ir = ir
+        if base is None:
+            self.as_set_byref, self.route_set_byref = _byref_tables(ir)
+            self.as_sets, self.route_sets, self.peering_sets, self.regexes = {}, {}, {}, {}
+            return
+        self.as_set_byref = base.as_set_byref
+        self.route_set_byref = base.route_set_byref
+        self.as_sets = base.as_sets
+        self.route_sets = base.route_sets
+        self.peering_sets = base.peering_sets
+        self.regexes = base.aspath_regexes
+
+    def resolve(self, refs: _Referenced) -> int:
+        """Resolve every name and regex in ``refs`` (resolved names no-op).
+
+        Returns how many of the regexes could not be lowered: those stay
+        out of the index, and a check that reaches one fails identically
+        every time (:meth:`~repro.core.aspath_match.AsPathMatcher.compile`).
+        """
+        for name in sorted(refs.as_sets):
+            self.flatten_as_set(name)
+        for name in sorted(refs.route_sets):
+            self.resolve_route_set(name)
+        for name in sorted(refs.peering_sets):
+            self.resolve_peering_set(name)
+        skipped = 0
+        for node in refs.regexes:
+            if node in self.regexes:
+                continue
+            try:
+                self.regexes[node] = compile_regex(node)
+            except Exception:  # noqa: BLE001 - AsPathMatcher.compile raises the same
+                skipped += 1
+        return skipped
+
+    def flatten_as_set(self, name: str) -> AsSetResolution:
+        """Flatten an as-set: one depth-first walk, members in listed order,
+        collects every field (the rules are DESIGN.md §4a's)."""
+        cached = self.as_sets.get(name)
+        if cached is not None:
+            return cached
+        as_sets = self.ir.as_sets
+        if name not in as_sets:
+            resolution = self.as_sets[name] = unrecorded_as_set(name)
+            return resolution
+        members: set[int] = set()
+        unrecorded: set[str] = set()
+        finished: dict[str, int] = {}  # set name -> its depth
+        path: set[str] = set()
+        has_loop = contains_any = False
+
+        def depth_of(node: str) -> int:
+            nonlocal has_loop, contains_any
+            if node in path:  # a cycle's back edge contributes nothing
+                has_loop = True
+                return 0
+            if node in finished:
+                return finished[node]
+            as_set = as_sets.get(node)
+            if as_set is None:
+                unrecorded.add(node)
+                return 0
+            members.update(as_set.members_asn)
+            members.update(self.as_set_byref.get(node, ()))
+            contains_any = contains_any or as_set.contains_any
+            path.add(node)
+            depth = 1 + max(map(depth_of, as_set.members_set), default=0)
+            path.discard(node)
+            finished[node] = depth
+            return depth
+
+        depth = depth_of(name)
+        resolution = self.as_sets[name] = AsSetResolution(
+            members=frozenset(members),
+            unrecorded=tuple(sorted(unrecorded)),
+            has_loop=has_loop,
+            depth=depth,
+            contains_any=contains_any,
+            recorded=True,
+        )
+        return resolution
+
+    def resolve_route_set(self, name: str) -> ResolvedRouteSet:
+        """Resolve a route-set; nested sets are folded, AS refs stay by name."""
+        cached = self.route_sets.get(name)
+        if cached is not None:
+            return cached
+        route_sets = self.ir.route_sets
+        if name not in route_sets:
+            resolution = self.route_sets[name] = unrecorded_route_set(name)
+            return resolution
+        entries: dict[tuple[int, int, int], list] = {}
+        asn_members: list[tuple[int, RangeOp]] = []
+        as_set_members: list[tuple[str, RangeOp]] = []
+        unrecorded: set[str] = set()
+        contains_any = False
+        # Keyed by ⟨name, outer operator⟩: a set reached under two operators
+        # contributes its members under both (DESIGN.md §4a).
+        seen: set[tuple[str, RangeOp]] = set()
+        stack: list[tuple[str, RangeOp]] = [(name, RangeOp())]
+        while stack:
+            current, outer = visit = stack.pop()
+            if visit in seen:
+                continue
+            seen.add(visit)
+            route_set = route_sets.get(current)
+            if route_set is None:
+                unrecorded.add(current)
+                continue
+            for prefix, op in route_set.prefix_members:
+                entries.setdefault(
+                    (prefix.version, prefix.network, prefix.length), []
+                ).append(op.compose(outer))
+            for prefix in self.route_set_byref.get(current, ()):
+                entries.setdefault(
+                    (prefix.version, prefix.network, prefix.length), []
+                ).append(outer)
+            for member in route_set.name_members:
+                effective = member.op.compose(outer)
+                if member.kind is NameKind.ROUTE_SET:
+                    stack.append((member.name, effective))
+                elif member.kind is NameKind.AS_SET:
+                    as_set_members.append((member.name, effective))
+                elif member.kind is NameKind.ASN:
+                    asn_members.append((int(member.name[2:]), effective))
+                elif member.kind is NameKind.RS_ANY:
+                    contains_any = True
+        resolution = ResolvedRouteSet(
+            index=PrefixOpIndex(entries),
+            asn_members=tuple(asn_members),
+            as_set_members=tuple(as_set_members),
+            unrecorded=tuple(sorted(unrecorded)),
+            contains_any=contains_any,
+            recorded=True,
+        )
+        self.route_sets[name] = resolution
+        return resolution
+
+    def resolve_peering_set(self, name: str) -> tuple[Peering, ...] | None:
+        """The peerings of a peering-set, or None if unrecorded."""
+        if name not in self.peering_sets:
+            peering_set = self.ir.peering_sets.get(name)
+            self.peering_sets[name] = (
+                tuple(peering_set.peerings) if peering_set is not None else None
+            )
+        return self.peering_sets[name]
 
 
 def _mentions(cls: str, obj) -> _Referenced:
@@ -429,30 +599,29 @@ def _build_dependents(ir: Ir) -> dict:
 def compile_index(ir: Ir, *, digest: str | None = None) -> CompiledIndex:
     """Compile an IR into a :class:`CompiledIndex` (the whole pass).
 
-    The pass drives the ordinary :class:`QueryEngine`/:class:`AsPathMatcher`
-    resolution code eagerly over every referenced name, then captures the
-    resulting tables — so compiled lookups are the lazy path's answers,
-    computed once.  Every resolved route-set's member index is frozen
-    into its flat-plane form, so the artifact carries no lazy state.
+    The :class:`Resolver` runs over every name the IR records or
+    references and every regex it holds; the index keeps the tables it
+    filled, next to the route trie.
     """
     registry = get_registry()
     started = time.perf_counter()
     with registry.span("compile/index"):
-        engine = QueryEngine(ir)
-        matcher = AsPathMatcher(engine)
-        skipped = _resolve_references(engine, matcher, _collect_references(ir))
-        for resolution in engine._route_set_cache.values():
-            resolution.index.freeze()
+        builder = RouteTrieBuilder()
+        for route in ir.route_objects:
+            builder.add(route.prefix, route.origin)
+        route_trie = builder.build()
+        resolver = Resolver(ir)
+        skipped = resolver.resolve(_collect_references(ir))
         elapsed = time.perf_counter() - started
         index = CompiledIndex(
             digest=digest,
-            route_trie=engine.routes,
-            as_set_byref=engine._as_set_byref,
-            route_set_byref=engine._route_set_byref,
-            as_sets=engine._as_set_cache,
-            route_sets=engine._route_set_cache,
-            peering_sets=engine._peering_set_cache,
-            aspath_regexes=matcher._compiled,
+            route_trie=route_trie,
+            as_set_byref=resolver.as_set_byref,
+            route_set_byref=resolver.route_set_byref,
+            as_sets=resolver.as_sets,
+            route_sets=resolver.route_sets,
+            peering_sets=resolver.peering_sets,
+            aspath_regexes=resolver.regexes,
             compile_seconds=elapsed,
             skipped_regexes=skipped,
         )
@@ -585,10 +754,11 @@ def patch_index(
       churn that flips no origin does not — then edited, on a shallow
       copy, from the changed objects alone) — every cached name whose
       sweep could have seen a changed object — and re-resolved by the
-      ordinary engine code, so patched entries are bit-identical to a
-      fresh compile's;
+      same :class:`Resolver` a fresh compile runs, so patched entries are
+      bit-identical to a fresh compile's;
     * the names and regexes the *changed* objects mention are resolved
-      too, so first-time references are as warm as after a fresh compile.
+      too, so the patched index holds every name the new IR records or
+      references, as a fresh compile does.
 
     The result is a fresh :class:`CompiledIndex` (generation + 1, serials
     advanced, digest chained over the journal content) sharing unchanged
@@ -796,7 +966,7 @@ def patch_index(
         for name in resolve_ps:
             peering_sets_cache.pop(name, None)
 
-        # -- re-resolve through the ordinary engine code -------------------
+        # -- re-resolve through the resolver, into copies of the tables ---
         base = dataclasses.replace(
             index,
             route_trie=trie,
@@ -805,32 +975,28 @@ def patch_index(
             as_sets=as_sets_cache,
             route_sets=route_sets_cache,
             peering_sets=peering_sets_cache,
+            aspath_regexes=dict(index.aspath_regexes),
             resource=None,
         )
-        engine = QueryEngine(new_ir, index=base)
-        matcher = AsPathMatcher(engine, compiled=index.aspath_regexes)
+        resolver = Resolver(new_ir, base)
         for name in resolve_as:
-            engine.flatten_as_set(name)
+            resolver.flatten_as_set(name)
         for name in resolve_rs:
-            engine.resolve_route_set(name)
+            resolver.resolve_route_set(name)
         for name in resolve_ps:
-            engine.resolve_peering_set(name)
+            resolver.resolve_peering_set(name)
         skipped = index.skipped_regexes
-        failed = sum(_resolve_references(engine, matcher, refs) for refs in mentioned)
-        if failed or any(node not in matcher._compiled for node in retired_regexes):
+        failed = sum(resolver.resolve(refs) for refs in mentioned)
+        if failed or any(node not in base.aspath_regexes for node in retired_regexes):
             # A regex that cannot be lowered entered or left the IR:
             # ``skipped_regexes`` counts distinct nodes IR-wide, so only
             # the whole-IR walk can recount it (rare: e.g. a repetition
             # bound past what ``re`` accepts).
-            skipped = _resolve_references(
-                engine, matcher, _collect_references(new_ir)
-            )
-        for resolution in engine._route_set_cache.values():
-            resolution.index.freeze()
+            skipped = resolver.resolve(_collect_references(new_ir))
 
         # -- what this step can have changed under a cached verdict --------
         subjects, member_subjects, member_asns = _closure_effects(
-            seeds, dirty, dependents or {}, index.as_sets, engine._as_set_cache
+            seeds, dirty, dependents or {}, index.as_sets, base.as_sets
         )
         # An export check reads only its aut-num's exports, bad rules
         # and source (the only-provider safelist, which reads the peerings
@@ -870,15 +1036,9 @@ def patch_index(
         serials = dict(index.serials)
         serials.update(journal.serials())
         elapsed = time.perf_counter() - started
-        patched = CompiledIndex(
+        patched = dataclasses.replace(
+            base,
             digest=digest,
-            route_trie=engine.routes,
-            as_set_byref=engine._as_set_byref,
-            route_set_byref=engine._route_set_byref,
-            as_sets=engine._as_set_cache,
-            route_sets=engine._route_set_cache,
-            peering_sets=engine._peering_set_cache,
-            aspath_regexes=matcher._compiled,
             compile_seconds=elapsed,
             skipped_regexes=skipped,
             generation=index.generation + 1,

@@ -113,7 +113,7 @@ def _verify_serial(
     entries: Iterable[RouteEntry],
     options: VerifyOptions | None,
     on_report: Callable[[RouteReport], None] | None,
-    index: CompiledIndex | None = None,
+    index: CompiledIndex,
 ) -> VerificationStats:
     stats = VerificationStats()
     verify_into(
@@ -244,11 +244,11 @@ def verify_table(
     :mod:`repro.chaos`).
 
     ``index`` is a :class:`~repro.core.compiled.CompiledIndex` for ``ir``
-    (see :func:`~repro.core.compiled.compile_index`); every verifier —
-    serial, worker, and fallback — then starts from the same precompiled
-    caches.  The parallel path compiles one automatically when none is
-    given, so workers inherit it (copy-on-write under fork, pickled once
-    under spawn) instead of re-deriving set closures per process.
+    (see :func:`~repro.core.compiled.compile_index`); when none is given
+    one is compiled on entry.  Every verifier — serial, worker, and
+    fallback — reads that one index; workers inherit it (copy-on-write
+    under fork, pickled once under spawn) instead of re-deriving set
+    closures per process.
     """
     if processes is None:
         processes = os.cpu_count() or 1
@@ -256,6 +256,10 @@ def verify_table(
     tracer = get_tracer()
     marks = _trace_marks(tracer)
     with registry.span("verify"):
+        if index is None:
+            # Before the pool exists: under fork every worker then shares
+            # the artifact copy-on-write.
+            index = compile_index(ir)
         chunks = first = None
         if processes > 1 and on_report is None:
             chunks = _iter_chunks(entries, chunk_size)
@@ -269,10 +273,6 @@ def verify_table(
             # amortize, so verify in-process instead.
             stats = _verify_serial(ir, relationships, first, options, None, index)
         else:
-            if index is None:
-                # Compile once in the parent, before the pool exists: under
-                # fork every worker then shares the artifact copy-on-write.
-                index = compile_index(ir)
             stats = _verify_pooled(
                 ir,
                 relationships,

@@ -367,12 +367,14 @@ def _worker_main(
 
 @dataclass(slots=True)
 class _Worker:
-    """One live worker process and the parent's end of its pipe."""
+    """One live worker process, the parent's end of its pipe, and the index
+    it warmed on."""
 
     worker_id: int
     process: multiprocessing.Process
     conn: object
     pid: int
+    index: CompiledIndex | None
 
 
 class WorkerSupervisor:
@@ -533,15 +535,16 @@ class WorkerSupervisor:
         with self._lock:
             worker_id = self._next_id
             self._next_id += 1
+            ir, index = self._ir, self._index
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 child_conn,
-                self._ir,
+                ir,
                 self._relationships,
                 self._options,
-                self._index,
+                index,
                 self._observability,
                 self._fault_hook,
             ),
@@ -559,11 +562,18 @@ class WorkerSupervisor:
             self._reap(process, parent_conn)
             raise WorkerCrash(f"worker {worker_id} died during warmup") from exc
         assert message[0] == "ready"
-        return _Worker(worker_id, process, parent_conn, message[1])
+        return _Worker(worker_id, process, parent_conn, message[1], index)
 
     def _admit(self, worker: _Worker) -> None:
-        with self._lock:
-            self._workers[worker.worker_id] = worker
+        while True:
+            with self._lock:
+                if worker.index is self._index:
+                    self._workers[worker.worker_id] = worker
+                    break
+            # A reload swapped the state while this worker warmed and could
+            # not reach it (it was not in the pool yet): warm another.
+            self._reap(worker.process, worker.conn)
+            worker = self._spawn_worker()
         self._event("worker-spawn", worker)
         self._free.put(worker)
         self._consecutive_spawn_failures = 0

@@ -24,11 +24,12 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.bgp.table import RouteEntry
 from repro.bgp.topology import AsRelationships
 from repro.core.aspath_match import AsPathMatcher
+from repro.core.compiled import CompiledIndex, PatchEffects, compile_index
 from repro.core.filter_match import (
     MAX_ITEMS,
     Eval,
@@ -57,9 +58,6 @@ from repro.rpsl.policy import (
     PolicyTerm,
 )
 from repro.rpsl.walk import iter_filter_nodes, iter_policy_factors
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids an import cycle
-    from repro.core.compiled import CompiledIndex, PatchEffects
 
 __all__ = ["VerifyOptions", "Verifier", "rule_skip_census"]
 
@@ -292,15 +290,15 @@ class _VerifierMetrics:
 class Verifier:
     """Verifies BGP routes against the policies of one (merged) IR.
 
-    ``index`` (a :class:`~repro.core.compiled.CompiledIndex` from
-    :func:`repro.core.compiled.compile_index`) pre-seeds the query engine
-    and the AS-path matcher, turning their hot-loop resolutions into pure
-    lookups; without one, everything resolves lazily as before.  Either
-    way the prefix checks run on the engine's flat hash planes (a masked
-    handful of probes per ``AS<n>``/route-set match; see
-    :mod:`repro.core.prefixtrie`) — with an index, the planes may be
-    memoryviews over the mmap'd cache artifact, shared page-for-page with
-    every pool worker.
+    Every lookup reads ``index``, the IR's
+    :class:`~repro.core.compiled.CompiledIndex` (compiled here when none
+    is given), through a read-only :class:`~repro.core.query.QueryEngine`:
+    set closures, route-set members and AS-path programs are resolved
+    before the first route, and prefix checks run on the index's flat
+    hash planes (a masked handful of probes per ``AS<n>``/route-set match;
+    see :mod:`repro.core.prefixtrie`) — for a cache-loaded index,
+    memoryviews over the mmap'd artifact, shared page-for-page with every
+    pool worker.
 
     A check that misses the hop cache does not walk the subject's rule
     list: the list is specialised once per ⟨subject AS, direction, address
@@ -324,17 +322,13 @@ class Verifier:
         ir: Ir,
         relationships: AsRelationships,
         options: VerifyOptions | None = None,
-        index: "CompiledIndex | None" = None,
+        index: CompiledIndex | None = None,
     ):
         self.ir = ir
         self.relationships = relationships
         self.options = options if options is not None else VerifyOptions()
-        self.query = QueryEngine(ir, index=index)
-        matcher = AsPathMatcher(
-            self.query,
-            self.options.regex_product_cap,
-            compiled=None if index is None else index.aspath_regexes,
-        )
+        self.query = QueryEngine(ir, index if index is not None else compile_index(ir))
+        matcher = AsPathMatcher(self.query, self.options.regex_product_cap)
         self.filters = FilterEvaluator(
             self.query,
             matcher,
@@ -362,7 +356,7 @@ class Verifier:
     # -- cache hand-over across index generations ------------------------
 
     def adopt_hop_cache(
-        self, previous: "Verifier", effects: "PatchEffects | None"
+        self, previous: "Verifier", effects: PatchEffects | None
     ) -> dict:
         """Take over ``previous``'s hop cache, minus what ``effects`` reaches.
 

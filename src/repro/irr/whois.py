@@ -28,7 +28,7 @@ import random
 import socket
 import time
 
-from repro.core.compiled import CompiledIndex
+from repro.core.compiled import CompiledIndex, compile_index
 from repro.core.query import QueryEngine
 from repro.ir.model import Ir
 from repro.ir.render import (
@@ -58,14 +58,16 @@ class WhoisEngine:
 
     Given the IR's :class:`~repro.core.compiled.CompiledIndex`, or the
     :class:`QueryEngine` over it (a session's generation holds both), the
-    engine reads that route trie and set closures instead of building its own.
+    engine reads that route trie and set closures instead of building its
+    own; with neither, it compiles an index now.  Lookups write nothing.
     """
 
     def __init__(self, ir: Ir, index: CompiledIndex | QueryEngine | None = None):
         self.ir = ir
-        self.query = (
-            index if isinstance(index, QueryEngine) else QueryEngine(ir, index=index)
-        )
+        if isinstance(index, QueryEngine):
+            self.query = index
+        else:
+            self.query = QueryEngine(ir, index if index is not None else compile_index(ir))
 
     def answer(self, text: str) -> str:
         """The response to one query line, bang command or plain lookup."""

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.ir.model import Ir
 
@@ -52,10 +53,11 @@ def as_set_stats(
 
     "Empty" and "single member" consider *direct* members, as in the
     paper's framing (a single-member set "could be replaced by the member");
-    "huge" considers the flattened membership.
+    "huge" considers the flattened membership.  ``query`` is an engine
+    over ``ir`` (a session's); without one, an index is compiled now.
     """
     if query is None:
-        query = QueryEngine(ir)
+        query = QueryEngine(ir, compile_index(ir))
     empty = 0
     single = 0
     with_any = 0

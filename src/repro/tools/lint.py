@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.bgp.topology import AsRelationships, Rel
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.ir.model import AutNum, Ir
 from repro.rpsl.errors import ErrorCollector, ErrorKind
@@ -141,7 +142,7 @@ def lint_ir(
 ) -> LintReport:
     """Lint a (merged) IR; see the module docstring for the check table."""
     report = LintReport()
-    query = QueryEngine(ir)
+    query = QueryEngine(ir, compile_index(ir))
     census = reference_census(ir)
 
     if errors is not None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bgp.topology import AsRelationships
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.ir.model import Ir, RouteSet
 from repro.ir.render import render_route_set
@@ -87,12 +88,14 @@ def recommend_route_set(
     as-set (indirect definitions relying on *route* objects).  With
     ``relationships``, an export-self filter is widened to the customer
     cone — the intent the paper's Export Self relaxation uncovered.
+    ``query`` is an engine over ``ir``; without one, an index is compiled
+    per call (:func:`repro.api.recommend_migrations` compiles once).
     """
     aut_num = ir.aut_nums.get(asn)
     if aut_num is None:
         return None
     if query is None:
-        query = QueryEngine(ir)
+        query = QueryEngine(ir, compile_index(ir))
 
     rewritable: list[tuple[int, PolicyRule]] = []
     covered_asns: set[int] = {asn}

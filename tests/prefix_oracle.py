@@ -120,9 +120,22 @@ class NaiveRouteIndex:
         }
 
 
-def matches_naive(index: PrefixOpIndex, prefix: Prefix, override: RangeOp | None = None) -> bool:
-    """The pre-trie ancestor enumeration over ``index.entries``."""
-    entries = index.entries
+def op_entries(pairs) -> dict:
+    """``{(version, net, len): [RangeOp, ...]}`` from ⟨prefix, op⟩ pairs, the
+    mapping a :class:`PrefixOpIndex` is built from."""
+    entries: dict = {}
+    for prefix, op in pairs:
+        entries.setdefault((prefix.version, prefix.network, prefix.length), []).append(op)
+    return entries
+
+
+def op_index(pairs) -> PrefixOpIndex:
+    """A frozen :class:`PrefixOpIndex` over ⟨prefix, op⟩ pairs."""
+    return PrefixOpIndex(op_entries(pairs))
+
+
+def matches_naive(entries: dict, prefix: Prefix, override: RangeOp | None = None) -> bool:
+    """The pre-trie ancestor enumeration over an :func:`op_entries` mapping."""
     if not entries:
         return False
     announced = prefix.length
@@ -156,7 +169,7 @@ def _ancestor_keys(prefix: Prefix):
 
 
 def oracle_verifier(ir, relationships) -> Verifier:
-    """A lazy :class:`Verifier` whose prefix checks run on the dict engine."""
+    """A :class:`Verifier` whose route-object checks run on the dict engine."""
     verifier = Verifier(ir, relationships)
     routes = NaiveRouteIndex()
     for route in ir.route_objects:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.aspath_match import AsPathMatcher
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.irr.dump import parse_dump_text
 from repro.rpsl.aspath import parse_as_path_regex
@@ -14,7 +15,7 @@ def matcher():
         "as-set: AS-X\nmembers: AS10, AS11\n\nas-set: AS-Y\nmembers: AS20, AS-X\n",
         "TEST",
     )
-    return AsPathMatcher(QueryEngine(ir))
+    return AsPathMatcher(QueryEngine(ir, compile_index(ir)))
 
 
 def match(matcher, regex: str, path: tuple[int, ...], peer: int = 0):
@@ -143,14 +144,22 @@ class TestAdvanced:
 
     def test_product_cap_flags_approximate(self):
         ir, _ = parse_dump_text("as-set: AS-X\nmembers: AS1\n", "TEST")
-        matcher = AsPathMatcher(QueryEngine(ir), product_cap=2)
+        matcher = AsPathMatcher(QueryEngine(ir, compile_index(ir)), product_cap=2)
         result = match(matcher, "^(AS1 | AS-X | .){6}$", (1, 1, 1, 1, 1, 1))
         assert result.approximate
         assert result.matched  # found within the sampled candidates
 
-    def test_compile_cached(self, matcher):
+    def test_compile_cached(self):
+        """A regex the IR holds is lowered once, by the compile pass; an
+        ad-hoc one is lowered per call and never stored."""
+        ir, _ = parse_dump_text("aut-num: AS1\nimport: from AS2 accept <^AS1$>\n", "TEST")
+        index = compile_index(ir)
+        matcher = AsPathMatcher(QueryEngine(ir, index))
         node = parse_as_path_regex("^AS1$")
-        assert matcher.compile(node) is matcher.compile(node)
+        assert matcher.compile(node) is index.aspath_regexes[node]
+        adhoc = parse_as_path_regex("^AS2$")
+        assert matcher.compile(adhoc).pattern == matcher.compile(adhoc).pattern
+        assert list(index.aspath_regexes) == [node]
 
     def test_empty_path_with_star(self, matcher):
         assert match(matcher, "^.*$", ()).matched

@@ -1,30 +1,37 @@
 """Differential tests for the compile-once verification index.
 
-The contract under test: verification over a :class:`CompiledIndex` is
-*bit-identical* to the lazy path — same :class:`VerificationStats`, same
-per-route reports — serial, multi-process, and under injected worker
-death.  Plus the cache envelope (digest keying, format/version refusal,
-mmap attach/release lifecycle) and the evidence-merging fast path the
-compilation pass leans on.
+The contract under test: the index's set tables equal an independent
+fixpoint reference (``tests/set_oracle.py``), and verification over it is
+*bit-identical* to the dict-engine verifier of ``tests/prefix_oracle.py``
+— same :class:`VerificationStats`, same per-route reports — serial,
+multi-process, and under injected worker death.  Plus the cache envelope
+(digest keying, format/version refusal, mmap attach/release lifecycle) and
+the evidence-merging fast path the compilation pass leans on.
 
 The trie-vs-legacy differential at the bottom scales through
 ``RPSLYZER_DIFF_ROUTES`` / ``RPSLYZER_DIFF_SEEDS`` — the nightly CI job
 raises both to fuzz fresh worlds at higher route counts.
 """
 
+import inspect
 import json
 import os
 import pickle
+import sys
+import types
 from array import array
 
 import pytest
 from prefix_oracle import oracle_verifier
+from set_oracle import index_mismatches
 
 from repro.bgp.routegen import collector_routes
 from repro.chaos.faults import KillWorkerChunk
+from repro.core import compiled as production
 from repro.core.compiled import (
     CompiledIndex,
     IndexCacheError,
+    _collect_references,
     compile_index,
     get_or_compile,
     index_cache_path,
@@ -36,6 +43,7 @@ from repro.core.filter_match import MAX_ITEMS, _merge_items
 from repro.core.parallel import verify_table
 from repro.core.report import ItemKind, ReportItem
 from repro.core.verify import Verifier
+from repro.irr.dump import parse_dump_text
 from repro.irr.synth import build_world, tiny_config
 from repro.obs import MetricsRegistry, use_registry
 from repro.stats.verification import VerificationStats
@@ -47,8 +55,13 @@ def index(tiny_ir):
 
 
 @pytest.fixture(scope="module")
-def lazy_stats(tiny_ir, tiny_world, tiny_routes):
-    return verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
+def oracle_stats(tiny_ir, tiny_world, tiny_routes):
+    """The serial run of the dict-engine verifier."""
+    oracle = oracle_verifier(tiny_ir, tiny_world.topology)
+    stats = VerificationStats()
+    for entry in tiny_routes:
+        stats.add_report(oracle.verify_entry(entry))
+    return stats
 
 
 def _assert_stats_equal(actual, expected):
@@ -84,36 +97,35 @@ class TestCompilation:
     def test_adopting_engines_do_not_mutate_the_artifact(
         self, index, tiny_ir, tiny_world, tiny_routes
     ):
-        before = {
-            "as_sets": dict(index.as_sets),
-            "regexes": dict(index.aspath_regexes),
-        }
+        tables = ("as_sets", "route_sets", "peering_sets", "aspath_regexes")
+        before = {table: dict(getattr(index, table)) for table in tables}
         verifier = Verifier(tiny_ir, tiny_world.topology, index=index)
+        for table in tables:  # read in place, not copied
+            assert getattr(index, table) is getattr(verifier.query.index, table)
         for entry in tiny_routes[:200]:
             verifier.verify_entry(entry)
-        assert index.as_sets == before["as_sets"]
-        assert index.aspath_regexes == before["regexes"]
+        assert {table: getattr(index, table) for table in tables} == before
 
 
 class TestDifferentialIdentity:
-    def test_serial_compiled_matches_lazy(
-        self, tiny_ir, tiny_world, tiny_routes, index, lazy_stats
+    def test_serial_compiled_matches_oracle(
+        self, tiny_ir, tiny_world, tiny_routes, index, oracle_stats
     ):
         compiled = verify_table(
             tiny_ir, tiny_world.topology, tiny_routes, processes=1, index=index
         )
-        _assert_stats_equal(compiled, lazy_stats)
+        _assert_stats_equal(compiled, oracle_stats)
 
-    def test_per_route_reports_match_lazy(
+    def test_per_route_reports_match_oracle(
         self, tiny_ir, tiny_world, tiny_routes, index
     ):
-        lazy = Verifier(tiny_ir, tiny_world.topology)
+        oracle = oracle_verifier(tiny_ir, tiny_world.topology)
         compiled = Verifier(tiny_ir, tiny_world.topology, index=index)
         for entry in tiny_routes[:500]:
-            assert compiled.verify_entry(entry) == lazy.verify_entry(entry)
+            assert compiled.verify_entry(entry) == oracle.verify_entry(entry)
 
-    def test_parallel_compiled_matches_lazy(
-        self, tiny_ir, tiny_world, tiny_routes, index, lazy_stats
+    def test_parallel_compiled_matches_oracle(
+        self, tiny_ir, tiny_world, tiny_routes, index, oracle_stats
     ):
         parallel = verify_table(
             tiny_ir,
@@ -123,18 +135,18 @@ class TestDifferentialIdentity:
             chunk_size=200,
             index=index,
         )
-        _assert_stats_equal(parallel, lazy_stats)
+        _assert_stats_equal(parallel, oracle_stats)
 
     def test_parallel_auto_compiles_when_no_index_given(
-        self, tiny_ir, tiny_world, tiny_routes, lazy_stats
+        self, tiny_ir, tiny_world, tiny_routes, oracle_stats
     ):
         parallel = verify_table(
             tiny_ir, tiny_world.topology, tiny_routes, processes=2, chunk_size=200
         )
-        _assert_stats_equal(parallel, lazy_stats)
+        _assert_stats_equal(parallel, oracle_stats)
 
     def test_identical_under_worker_death(
-        self, tiny_ir, tiny_world, tiny_routes, index, lazy_stats
+        self, tiny_ir, tiny_world, tiny_routes, index, oracle_stats
     ):
         chaotic = verify_table(
             tiny_ir,
@@ -148,9 +160,135 @@ class TestDifferentialIdentity:
         # Degradation events differ by design (the run *was* degraded);
         # every verification aggregate must still be exact.
         assert chaotic.degradation.events()
-        assert chaotic.hop_totals == lazy_stats.hop_totals
-        assert chaotic.routes_total == lazy_stats.routes_total
-        assert chaotic.route_single_status == lazy_stats.route_single_status
+        assert chaotic.hop_totals == oracle_stats.hop_totals
+        assert chaotic.routes_total == oracle_stats.routes_total
+        assert chaotic.route_single_status == oracle_stats.route_single_status
+
+
+# -- the set tables against an independent reference --------------------------
+
+# Every clause of DESIGN.md §4a, on names a verdict can ask about: by-reference
+# members admitted and refused (as-set and route-set side), a loop, ANY,
+# nesting under an operator (a set reached under two operators included),
+# RS-ANY, and unrecorded names both nested and referenced from a policy.
+_SET_CORPUS = """
+as-set: AS-TOP
+members: AS1, AS-MID, AS-GONE
+mbrs-by-ref: MNT-A
+
+as-set: AS-MID
+members: AS2, AS-LOOP
+
+as-set: AS-LOOP
+members: AS3, AS-MID
+
+as-set: AS-OPEN
+members: ANY
+mbrs-by-ref: ANY
+
+aut-num: AS10
+member-of: AS-TOP
+mnt-by: MNT-A
+
+aut-num: AS11
+member-of: AS-TOP, AS-MID
+mnt-by: MNT-B
+
+aut-num: AS12
+member-of: AS-OPEN
+mnt-by: MNT-C
+import: from AS1 accept AS-UNSEEN AND RS-UNSEEN
+export: to AS1 announce RS-TOP^24 OR RS-WIDE
+
+route-set: RS-TOP
+members: 192.0.2.0/24^25-26, RS-MID^+, AS7^-, AS-TOP^24, RS-GONE
+mbrs-by-ref: MNT-A
+
+route-set: RS-MID
+members: 10.0.0.0/8, AS9, RS-TOP, RS-MID^16
+
+route-set: RS-WIDE
+members: RS-ANY, AS-MID
+
+route: 198.51.100.0/24
+origin: AS7
+member-of: RS-TOP
+mnt-by: MNT-A
+
+route: 203.0.113.0/24
+origin: AS8
+member-of: RS-TOP, RS-MID
+mnt-by: MNT-B
+"""
+
+# One clause of the resolver broken each; the reference must tell.
+_RESOLVER_MUTANTS = {
+    "as-set-byref-gate": (
+        "if as_set is not None and _byref_allowed(as_set.mbrs_by_ref, aut_num.mnt_by):",
+        "if as_set is not None:",
+    ),
+    "route-set-byref-gate": (
+        "if route_set is not None and _byref_allowed(route_set.mbrs_by_ref, route.mnt_by):",
+        "if route_set is not None:",
+    ),
+    "member-compose": (").append(op.compose(outer))", ").append(op)"),
+    "nesting-compose": (
+        "effective = member.op.compose(outer)",
+        "effective = member.op",
+    ),
+    "as-set-recorded": (
+        "            resolution = self.as_sets[name] = unrecorded_as_set(name)\n"
+        "            return resolution\n",
+        "            pass\n",
+    ),
+    "route-set-recorded": (
+        "            resolution = self.route_sets[name] = unrecorded_route_set(name)\n"
+        "            return resolution\n",
+        "            pass\n",
+    ),
+}
+
+
+def _corpus_ir():
+    ir, _ = parse_dump_text(_SET_CORPUS, "TEST")
+    return ir
+
+
+def _set_names(ir) -> tuple[set, set]:
+    """Every as-set / route-set name the IR records or references."""
+    refs = _collect_references(ir)
+    return refs.as_sets, refs.route_sets
+
+
+def _compiled_mutant(old: str, new: str) -> types.ModuleType:
+    """``repro.core.compiled`` re-compiled with one clause broken."""
+    source = inspect.getsource(production)
+    assert source.count(old) == 1, f"mutation target not found exactly once: {old!r}"
+    module = types.ModuleType("repro.core.compiled_mutant")
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        exec(compile(source.replace(old, new), module.__name__, "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+class TestSetOracle:
+    """The index's as-set and route-set tables equal ``tests/set_oracle.py``,
+    field by field, for every name the IR records or references."""
+
+    def test_tiny_world(self, tiny_ir, index):
+        assert index_mismatches(tiny_ir, index, *_set_names(tiny_ir)) == []
+
+    def test_corpus(self):
+        ir = _corpus_ir()
+        assert index_mismatches(ir, compile_index(ir), *_set_names(ir)) == []
+
+    @pytest.mark.parametrize("mutant", sorted(_RESOLVER_MUTANTS))
+    def test_each_resolver_mutant_is_caught(self, mutant):
+        ir = _corpus_ir()
+        index = _compiled_mutant(*_RESOLVER_MUTANTS[mutant]).compile_index(ir)
+        assert index_mismatches(ir, index, *_set_names(ir))
 
 
 def _as_format_2(artifact: bytes, magic: bytes = b"RPSLIDX2") -> bytes:
@@ -507,9 +645,9 @@ class TestTrieLegacyDifferential:
     """The trie engine is bit-identical to the legacy dict engine.
 
     Each seed builds a fresh synthetic world; the legacy engine (the
-    test-only oracle of ``tests/prefix_oracle.py``) is put in a lazy
-    verifier's place, the trie engine runs both serially (compiled
-    index) and pooled.  Nightly CI raises ``RPSLYZER_DIFF_ROUTES`` and
+    test-only oracle of ``tests/prefix_oracle.py``) is put in one
+    verifier's route trie's place, the trie engine runs both serially and
+    pooled.  Nightly CI raises ``RPSLYZER_DIFF_ROUTES`` and
     ``RPSLYZER_DIFF_SEEDS``.
     """
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import api
 from repro.bgp.topology import AsRelationships
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.core.verify import Verifier, VerifyOptions
 from repro.core.status import VerifyStatus
@@ -18,7 +19,7 @@ class TestQueryCorners:
         ir, _ = parse_dump_text(
             "as-set: AS-W\nmembers: ANY\n\nroute: 10.0.0.0/8\norigin: AS1\n", "T"
         )
-        engine = QueryEngine(ir)
+        engine = QueryEngine(ir, compile_index(ir))
         assert engine.as_set_route_match("AS-W", Prefix.parse("10.0.0.0/8"), RangeOp())
         assert engine.as_set_route_match(
             "AS-W", Prefix.parse("10.1.0.0/16"), RangeOp.parse("^+")
@@ -31,7 +32,7 @@ class TestQueryCorners:
         ir, _ = parse_dump_text(
             "as-set: AS-E\n\nroute: 10.0.0.0/8\norigin: AS1\n", "T"
         )
-        engine = QueryEngine(ir)
+        engine = QueryEngine(ir, compile_index(ir))
         assert not engine.as_set_route_match("AS-E", Prefix.parse("10.0.0.0/8"), RangeOp())
 
     def test_route_set_with_as_set_member(self):
@@ -41,7 +42,7 @@ class TestQueryCorners:
             "route: 10.0.0.0/8\norigin: AS1\n",
             "T",
         )
-        engine = QueryEngine(ir)
+        engine = QueryEngine(ir, compile_index(ir))
         assert engine.route_set_match("RS-M", Prefix.parse("10.7.0.0/16"), RangeOp())
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.filter_match import Eval, FilterEvaluator, MatchContext, Val
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.core.report import ItemKind
 from repro.irr.dump import parse_dump_text
@@ -33,7 +34,7 @@ filter:     AS1
 @pytest.fixture(scope="module")
 def evaluator():
     ir, _ = parse_dump_text(DUMP, "TEST")
-    return FilterEvaluator(QueryEngine(ir))
+    return FilterEvaluator(QueryEngine(ir, compile_index(ir)))
 
 
 def ctx(prefix="10.1.0.0/16", path=(1,), peer=1, self_asn=9):
@@ -146,7 +147,7 @@ class TestRegexFilters:
     def test_extensions_can_be_enabled(self):
         ir, _ = parse_dump_text(DUMP, "TEST")
         extended = FilterEvaluator(
-            QueryEngine(ir), handle_asn_ranges=True, handle_same_pattern=True
+            QueryEngine(ir, compile_index(ir)), handle_asn_ranges=True, handle_same_pattern=True
         )
         context = ctx(path=(64512, 64512))
         assert evaluate(extended, "<^AS64512-AS65534~+$>", context).value is Val.TRUE

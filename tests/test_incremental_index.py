@@ -21,12 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from prefix_oracle import NaiveRouteIndex
+from set_oracle import index_mismatches
 
 from repro import api
 from repro.bgp.routegen import collector_routes
 from repro.bgp.topology import AsRelationships
 from repro.chaos.faults import KillServeWorker, KillWorkerChunk
-from repro.core.compiled import _Referenced, compile_index, ir_digest, patch_index
+from repro.core.compiled import (
+    _collect_references,
+    _Referenced,
+    compile_index,
+    ir_digest,
+    patch_index,
+)
 from repro.core.prefixtrie import RouteTrieBuilder
 from repro.core.report import ItemKind
 from repro.core.verify import Verifier, VerifyOptions
@@ -284,6 +291,27 @@ class TestPatchIndex:
                 assert patched.serials[source] == last
             ir, index = new_ir, patched
             serial = max(journal.serials().values(), default=serial) + 1
+
+    def test_chained_epochs_match_the_set_oracle(self, tiny_world, seed_ir):
+        """After each journal the patched set tables equal the independent
+        fixpoint reference on that epoch's IR, for every name it records or
+        references; all-class churn brings in by-reference members and
+        route-sets nested under operators, which the tiny world lacks."""
+        table = list(
+            collector_routes(
+                tiny_world.topology, tiny_world.announced, tiny_world.collectors
+            )
+        )[:150]
+        churn = _AllClassChurn(random.Random(5), table)
+        ir, index, serial = seed_ir, compile_index(seed_ir), 1
+        for _ in range(4):
+            journal = journal_between(ir, churn.evolve(ir, 30), start_serial=serial)
+            new_ir, report = apply_journal_to_ir(ir, journal)
+            assert not report
+            index = patch_index(index, ir, new_ir, journal)
+            refs = _collect_references(new_ir)
+            assert index_mismatches(new_ir, index, refs.as_sets, refs.route_sets) == []
+            ir, serial = new_ir, max(journal.serials().values(), default=serial) + 1
 
     def test_digest_chains_deterministically(self, seed_ir):
         index = compile_index(seed_ir, digest=ir_digest(seed_ir))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.filter_match import Val
 from repro.core.peering_match import PeeringEvaluator
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.core.report import ItemKind
 from repro.irr.dump import parse_dump_text
@@ -29,7 +30,7 @@ peering:     PRNG-SELF
 @pytest.fixture(scope="module")
 def evaluator():
     ir, _ = parse_dump_text(DUMP, "TEST")
-    return PeeringEvaluator(QueryEngine(ir))
+    return PeeringEvaluator(QueryEngine(ir, compile_index(ir)))
 
 
 def evaluate(evaluator, text: str, remote: int):

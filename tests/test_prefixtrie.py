@@ -13,10 +13,9 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from prefix_oracle import NaiveRouteIndex, matches_naive
+from prefix_oracle import NaiveRouteIndex, matches_naive, op_entries, op_index
 
 from repro.core.prefixtrie import RouteTrieBuilder
-from repro.core.query import PrefixOpIndex
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 
 # -- strategies -------------------------------------------------------------
@@ -131,22 +130,18 @@ def test_pickle_roundtrip_preserves_answers(route_pairs, extra, op):
     st.one_of(st.none(), range_ops()),
 )
 def test_prefix_op_index_matches_naive_walk(entries, extra, override):
-    index = PrefixOpIndex()
-    for prefix, op in entries:
-        index.add(prefix, op)
+    index = op_index(entries)
     probe_pool = [prefix for prefix, _ in entries] + list(extra)
     for probe in probe_pool:
         assert index.matches(probe, override) == matches_naive(
-            index, probe, override
+            op_entries(entries), probe, override
         ), (probe, override)
 
 
 @given(st.lists(st.tuples(prefixes(), range_ops()), max_size=40))
 @settings(max_examples=30)
 def test_prefix_op_index_pickle_compat(entries):
-    index = PrefixOpIndex()
-    for prefix, op in entries:
-        index.add(prefix, op)
+    index = op_index(entries)
     clone = pickle.loads(pickle.dumps(index))
     assert len(clone) == len(index)
     for probe, _ in entries:

@@ -3,8 +3,8 @@ and index structures agree with brute-force oracles."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from prefix_oracle import op_index
 
-from repro.core.query import PrefixOpIndex
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 from repro.rpsl.filter import (
     FilterAnd,
@@ -130,9 +130,7 @@ def test_policy_roundtrip(pairs, kind):
 )
 @settings(max_examples=300)
 def test_prefix_op_index_matches_bruteforce(entries, probe):
-    index = PrefixOpIndex()
-    for declared, op in entries:
-        index.add(declared, op)
+    index = op_index(entries)
     expected = any(declared.matches_with_op(probe, op) for declared, op in entries)
     assert index.matches(probe) == expected
 
@@ -144,9 +142,7 @@ def test_prefix_op_index_matches_bruteforce(entries, probe):
 )
 @settings(max_examples=200)
 def test_prefix_op_index_override_oracle(entries, probe, override):
-    index = PrefixOpIndex()
-    for declared, op in entries:
-        index.add(declared, op)
+    index = op_index(entries)
     if override.kind is RangeOpKind.NONE:
         expected = any(d.matches_with_op(probe, op) for d, op in entries)
     else:
@@ -162,10 +158,12 @@ def test_prefix_op_index_override_oracle(entries, probe, override):
 def test_filter_evaluation_total(node):
     """Every generated filter evaluates without raising, to a defined Val."""
     from repro.core.filter_match import FilterEvaluator, MatchContext, Val
+    from repro.core.compiled import compile_index
     from repro.core.query import QueryEngine
     from repro.ir.model import Ir
 
-    evaluator = FilterEvaluator(QueryEngine(Ir()))
+    ir = Ir()
+    evaluator = FilterEvaluator(QueryEngine(ir, compile_index(ir)))
     ctx = MatchContext(Prefix.parse("203.0.113.0/24"), (65001, 65000), 65001, 65010)
     outcome = evaluator.evaluate(node, ctx)
     assert outcome.value in tuple(Val)
@@ -175,10 +173,12 @@ def test_filter_evaluation_total(node):
 @settings(max_examples=100)
 def test_double_negation_preserves_decided_value(node):
     from repro.core.filter_match import FilterEvaluator, MatchContext, Val
+    from repro.core.compiled import compile_index
     from repro.core.query import QueryEngine
     from repro.ir.model import Ir
 
-    evaluator = FilterEvaluator(QueryEngine(Ir()))
+    ir = Ir()
+    evaluator = FilterEvaluator(QueryEngine(ir, compile_index(ir)))
     ctx = MatchContext(Prefix.parse("203.0.113.0/24"), (65001, 65000), 65001, 65010)
     plain = evaluator.evaluate(node, ctx)
     doubled = evaluator.evaluate(FilterNot(FilterNot(node)), ctx)

@@ -5,6 +5,7 @@ module, class, and function in ``repro`` carries a docstring, every
 ``__all__`` entry resolves, and the packages import cleanly in isolation.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -105,6 +106,44 @@ def test_config_knobs_are_pinned():
         "backoff_max", "batch_retries", "start_method",
     }
     assert len(supervisor) == 11
+
+
+def test_engine_and_verifier_parameters_are_pinned():
+    """One resolution mode: a query engine is a view that needs its index,
+    and a verifier given none compiles one.  A new knob on either takes a
+    deliberate edit here."""
+    from repro.core.query import QueryEngine
+    from repro.core.verify import Verifier
+
+    engine = inspect.signature(QueryEngine).parameters
+    assert list(engine) == ["ir", "index"]
+    assert engine["index"].default is inspect.Parameter.empty
+    assert list(inspect.signature(Verifier).parameters) == [
+        "ir", "relationships", "options", "index",
+    ]
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def test_one_resolver():
+    """Set references are resolved at compile time only: nothing under
+    ``src/`` outside ``core/compiled.py`` constructs the resolver, and every
+    ``QueryEngine(...)`` call passes an index."""
+    offenders = []
+    for path in sorted(_SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            where = f"{path.relative_to(_SRC)}:{node.lineno}"
+            if name == "Resolver" and path != _SRC / "core" / "compiled.py":
+                offenders.append(f"{where} constructs the resolver")
+            indexed = len(node.args) >= 2 or any(k.arg == "index" for k in node.keywords)
+            if name == "QueryEngine" and not indexed:
+                offenders.append(f"{where} builds a QueryEngine without an index")
+    assert not offenders, offenders
 
 
 def test_version_exported():

@@ -1,5 +1,8 @@
 """Tests for the query engine: indexes, flattening, resolution."""
 
+from prefix_oracle import op_index
+
+from repro.core.compiled import compile_index
 from repro.core.query import BUILTIN_FILTER_SETS, PrefixOpIndex, QueryEngine
 from repro.irr.dump import parse_dump_text
 from repro.net.prefix import Prefix, RangeOp
@@ -7,34 +10,34 @@ from repro.net.prefix import Prefix, RangeOp
 
 def engine_of(text: str) -> QueryEngine:
     ir, _ = parse_dump_text(text, "TEST")
-    return QueryEngine(ir)
+    return QueryEngine(ir, compile_index(ir))
 
 
 class TestPrefixOpIndex:
     def test_exact_match(self):
-        index = PrefixOpIndex()
-        index.add(Prefix.parse("10.0.0.0/8"), RangeOp())
+        index = op_index([(Prefix.parse("10.0.0.0/8"), RangeOp())])
         assert index.matches(Prefix.parse("10.0.0.0/8"))
         assert not index.matches(Prefix.parse("10.1.0.0/16"))
 
     def test_plus_matches_more_specific(self):
-        index = PrefixOpIndex()
-        index.add(Prefix.parse("10.0.0.0/8"), RangeOp.parse("^+"))
+        index = op_index([(Prefix.parse("10.0.0.0/8"), RangeOp.parse("^+"))])
         assert index.matches(Prefix.parse("10.0.0.0/8"))
         assert index.matches(Prefix.parse("10.1.2.0/24"))
         assert not index.matches(Prefix.parse("11.0.0.0/8"))
 
     def test_override_op(self):
-        index = PrefixOpIndex()
-        index.add(Prefix.parse("10.0.0.0/8"), RangeOp())
+        index = op_index([(Prefix.parse("10.0.0.0/8"), RangeOp())])
         assert index.matches(Prefix.parse("10.1.0.0/16"), RangeOp.parse("^16"))
         assert not index.matches(Prefix.parse("10.1.0.0/17"), RangeOp.parse("^16"))
 
     def test_len(self):
-        index = PrefixOpIndex()
-        assert len(index) == 0
-        index.add(Prefix.parse("10.0.0.0/8"), RangeOp())
-        index.add(Prefix.parse("10.0.0.0/8"), RangeOp.parse("^+"))
+        assert len(PrefixOpIndex()) == 0
+        index = op_index(
+            [
+                (Prefix.parse("10.0.0.0/8"), RangeOp()),
+                (Prefix.parse("10.0.0.0/8"), RangeOp.parse("^+")),
+            ]
+        )
         assert len(index) == 2
 
 

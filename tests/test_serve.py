@@ -275,6 +275,33 @@ class TestWhoisFrontend:
         )
         assert response.startswith("F ")
 
+    def test_unknown_set_lookups_leave_the_tables_as_they_were(self, serve_session):
+        """A client asking for 5,000 distinct unknown sets gets 5,000 ``D``s
+        and grows nothing: the front-end's engine (as ``serve/whois.py``
+        builds it per lookup) reads the live generation and stores no
+        answer."""
+        from repro.irr.whois import WhoisEngine
+
+        current = serve_session.current
+        tables = (current.query, current.index)
+
+        def sizes():
+            return {
+                (type(owner).__name__, name): len(value)
+                for owner in tables
+                for name in dir(owner)
+                if not name.startswith("__")
+                and isinstance(value := getattr(owner, name, None), dict)
+            }
+
+        before = sizes()
+        answers = {
+            WhoisEngine(current.ir, current.query).answer(f"!iAS-NOPE{n},1")
+            for n in range(5000)
+        }
+        assert answers == {"D"}
+        assert sizes() == before
+
 
 class TestDeadlines:
     def test_deadline_expiry_is_structured(self, handle, tiny_routes):

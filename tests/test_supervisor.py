@@ -245,13 +245,13 @@ class TestPoolHealthRule:
         for stop in (lambda s: s._degrade("test"), lambda s: s._stopping.set()):
             supervisor = self._unstarted(pool_session, lease_timeout=5.0)
             # A live worker that never comes free: only the rule can answer.
-            supervisor._workers[0] = pool._Worker(0, None, None, 0)
+            supervisor._workers[0] = pool._Worker(0, None, None, 0, supervisor._index)
             stop(supervisor)
             dispatched, seconds = self._timed_dispatch(supervisor)
             assert dispatched is None and seconds < 0.5
         # Whereas a live but busy worker is worth waiting a lease for.
         supervisor = self._unstarted(pool_session, lease_timeout=0.3)
-        supervisor._workers[0] = pool._Worker(0, None, None, 0)
+        supervisor._workers[0] = pool._Worker(0, None, None, 0, supervisor._index)
         dispatched, seconds = self._timed_dispatch(supervisor)
         assert dispatched is None and seconds >= 0.3
 
@@ -265,7 +265,7 @@ class TestPoolHealthRule:
 
         def spawn():
             if next(outcomes):
-                return pool._Worker(supervisor._next_id, None, None, 0)
+                return pool._Worker(supervisor._next_id, None, None, 0, supervisor._index)
             raise pool.WorkerCrash("no")
 
         monkeypatch.setattr(supervisor, "_spawn_worker", spawn)
@@ -309,6 +309,27 @@ class TestPoolHealthRule:
         assert dispatched is not None
         (answer,) = dispatched[0]
         assert answer[0] == "ok"
+
+    def test_a_respawn_overtaken_by_a_reload_warms_again(self, pool_session):
+        """A worker still warming when a reload swaps the state is not in
+        the pool yet, so the reload cannot reach it; admitted as it is, it
+        would answer from the old generation for good."""
+        from repro.core.compiled import patch_index
+        from repro.irr.history import ChurnConfig, evolve_with_journal
+        from repro.irr.journal import apply_journal_to_ir
+
+        supervisor = self._unstarted(pool_session)
+        warming = supervisor._spawn_worker()  # the monitor's respawn, mid-warm
+        _, journal = evolve_with_journal(pool_session.ir, ChurnConfig(seed=3))
+        new_ir, _ = apply_journal_to_ir(pool_session.ir, journal)
+        new_index = patch_index(pool_session.index, pool_session.ir, new_ir, journal)
+        try:
+            supervisor.reload(new_ir, new_index, journal)  # nothing live to reach
+            supervisor._admit(warming)
+            (admitted,) = supervisor._workers.values()
+            assert admitted is not warming and admitted.index is new_index
+        finally:
+            supervisor.stop()
 
 
 @pytest.fixture(scope="module")

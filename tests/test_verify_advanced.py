@@ -5,6 +5,7 @@ import pytest
 
 from repro.bgp.topology import AsRelationships
 from repro.core.filter_match import FilterEvaluator, MatchContext, Val
+from repro.core.compiled import compile_index
 from repro.core.query import QueryEngine
 from repro.core.status import VerifyStatus
 from repro.core.verify import Verifier, VerifyOptions
@@ -144,7 +145,7 @@ route:      10.1.0.0/16
 origin:     AS1
 """
         ir, _ = parse_dump_text(dump, "T")
-        evaluator = FilterEvaluator(QueryEngine(ir))
+        evaluator = FilterEvaluator(QueryEngine(ir, compile_index(ir)))
         ctx = MatchContext(Prefix.parse("10.1.0.0/16"), (1,), 1, 9)
         outcome = evaluator.evaluate(parse_filter_text("FLTR-A"), ctx)
         assert outcome.value is Val.TRUE  # via the AS1 arm
@@ -155,7 +156,7 @@ origin:     AS1
     def test_self_referential_filter_set(self):
         dump = "filter-set: FLTR-A\nfilter: FLTR-A\n"
         ir, _ = parse_dump_text(dump, "T")
-        evaluator = FilterEvaluator(QueryEngine(ir))
+        evaluator = FilterEvaluator(QueryEngine(ir, compile_index(ir)))
         ctx = MatchContext(Prefix.parse("10.1.0.0/16"), (1,), 1, 9)
         assert evaluator.evaluate(parse_filter_text("FLTR-A"), ctx).value is Val.UNREC
 
