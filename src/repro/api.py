@@ -288,7 +288,9 @@ class Generation:
     index: CompiledIndex | None = None
     verifier: Verifier | None = None
     query: QueryEngine | None = None
-    digest: str | None = None  # the index's; Session.digest computes a missing one
+    # The index's, or the one the IR document certified (repro.ir.json_io);
+    # Session.digest computes a missing one.
+    digest: str | None = None
     # ⟨wall-clock seconds, hop-cache report⟩ of the apply_deltas behind it.
     delta: tuple[float | None, dict | None] = (None, None)
     adopted: bool = False  # mapped by the session, not shared: evict_index unmaps it
@@ -715,24 +717,26 @@ class Session:
 
 def _load_source(
     source: str | Path | Ir | SynthWorld | LoadResult,
-) -> tuple[Ir, LoadResult | None, AsRelationships | None]:
-    """Resolve an open_session source to (ir, load, implied relationships)."""
+) -> tuple[Ir, LoadResult | None, AsRelationships | None, str | None]:
+    """Resolve an open_session source to (ir, load, implied relationships,
+    the digest its IR document certified)."""
     if isinstance(source, Ir):
-        return source, None, None
+        return source, None, None, None
     if isinstance(source, SynthWorld):
         load = LoadResult(world=source, source="synth-world")
-        return load.ir, load, source.topology
+        return load.ir, load, source.topology, None
     if isinstance(source, LoadResult):
         implied = source.world.topology if source.world is not None else None
-        return source.ir, source, implied
+        return source.ir, source, implied, None
     path = Path(source)
     if path.is_dir():
         load = parse_dumps(path)
-        return load.ir, load, None
-    from repro.ir.json_io import load_ir
+        return load.ir, load, None, None
+    from repro.ir.json_io import certified_digest, load_ir
 
     with get_registry().span("load-ir"):
-        return load_ir(path), None, None
+        ir = load_ir(path)
+    return ir, None, None, certified_digest(ir)
 
 
 def open_session(
@@ -770,7 +774,7 @@ def open_session(
     """
     scope = use_registry(registry) if registry is not None else nullcontext()
     with scope:
-        ir, load, implied_rels = _load_source(source)
+        ir, load, implied_rels, digest = _load_source(source)
         if as_rel is None:
             relationships = implied_rels
         elif isinstance(as_rel, AsRelationships):
@@ -778,7 +782,7 @@ def open_session(
         else:
             relationships = AsRelationships.load(as_rel)
     if index is not None and not isinstance(index, CompiledIndex):
-        index = load_index(index, expect_digest=ir_digest(ir))
+        index = load_index(index, expect_digest=digest or ir_digest(ir))
     session = Session(
         ir,
         relationships,
@@ -791,6 +795,9 @@ def open_session(
         registry=registry,
         load=load,
     )
+    if digest is not None and session.current.digest is None:
+        # The IR document certified its digest: no open re-encodes it.
+        session._generation = replace(session.current, digest=digest)
     if warm:
         session.warm()
     return session

@@ -58,7 +58,7 @@ from repro import VerifyOptions, api
 from repro.bgp.routegen import collector_routes
 from repro.bgp.table import parse_table_file, write_table_file
 from repro.bgp.topology import AsRelationships
-from repro.ir.json_io import dump_ir, load_ir
+from repro.ir.json_io import certified_digest, dump_ir, load_ir
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
@@ -248,7 +248,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     config = {"output": args.output, "cache_dir": args.cache_dir}
     with _metrics_session(args, [args.ir], config):
         ir = load_ir(args.ir)
-        digest = api.ir_digest(ir)
+        digest = certified_digest(ir) or api.ir_digest(ir)
         config["ir_digest"] = digest
         destination = (
             Path(args.output)

@@ -493,7 +493,12 @@ class Resolver:
             finished[node] = depth
             return depth
 
-        depth = depth_of(name)
+        try:
+            depth = depth_of(name)
+        finally:
+            # depth_of refers to itself, and through self to the whole IR:
+            # break that cycle now rather than at the next full collection.
+            del depth_of
         resolution = self.as_sets[name] = AsSetResolution(
             members=frozenset(members),
             unrecorded=tuple(sorted(unrecorded)),

@@ -17,6 +17,14 @@ registered class — the constructor plus, per field, the list → tuple
 restoration its type hint asks for.  Failures are never cached (a class that
 cannot be coded raises ``TypeError`` on every call), and :func:`register`
 drops the plan of a name it rebinds.
+
+Two entry points skip the intermediate dict tree.  :func:`iter_canonical`
+yields the canonical JSON text (what :func:`stable_digest` hashes) in
+pieces, a batch of a container's elements at a time.  :func:`decode_hook`
+is a ``json.loads`` ``object_hook`` that applies :func:`decode`'s rule to
+one dict at a time, for the exact shapes :func:`encode` emits; it raises
+:class:`Unanswered` on any other shape, and its caller then decodes the
+document with :func:`decode`.
 """
 
 from __future__ import annotations
@@ -27,12 +35,21 @@ import json
 import types
 import typing
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.gcpause import cyclic_gc_paused
 from repro.net.prefix import Prefix
 
-__all__ = ["register", "encode", "decode", "registered_types", "stable_digest"]
+__all__ = [
+    "register",
+    "encode",
+    "decode",
+    "decode_hook",
+    "iter_canonical",
+    "registered_types",
+    "stable_digest",
+    "Unanswered",
+]
 
 _DATACLASSES: dict[str, type] = {}
 _ENUMS: dict[str, type] = {}
@@ -41,8 +58,11 @@ _ENUMS: dict[str, type] = {}
 # (and everything else) go through the dispatch below.
 _PLAIN = frozenset({type(None), bool, int, float, str})
 _ENCODERS: dict[type, Callable[[object], object]] = {}
-_Plan = tuple[type, tuple[tuple[str, Callable | None], ...]]  # constructor, (field, coercer)s
+# constructor, (field, coercer)s, and the exact key set encode emits for it
+_Plan = tuple[type, tuple[tuple[str, Callable | None], ...], frozenset]
 _PLANS: dict[str, _Plan] = {}
+_MARKERS = frozenset({"__p", "__e", "__kv", "__d"})  # the tags that outrank "__t"
+_ENUM_KEYS = frozenset({"__e", "v"})
 
 
 def register(*classes: type) -> None:
@@ -74,6 +94,18 @@ def encode(obj: object) -> object:
     return encoder(obj)
 
 
+def _encoder(cls: type) -> Callable[[object], object]:
+    try:
+        return _ENCODERS[cls]
+    except KeyError:
+        encoder = _ENCODERS[cls] = _resolve_encoder(cls)
+        return encoder
+
+
+def _encode_sequence(obj: list | tuple) -> list:
+    return [encode(item) for item in obj]
+
+
 def _encode_mapping(obj: dict) -> dict:
     if all(isinstance(key, str) for key in obj):
         return {"__d": None, **{key: encode(value) for key, value in obj.items()}}
@@ -90,7 +122,7 @@ def _resolve_encoder(cls: type) -> Callable[[object], object]:
     if issubclass(cls, Enum):
         return lambda obj: {"__e": name, "v": obj.value}
     if issubclass(cls, (list, tuple)):
-        return lambda obj: [encode(item) for item in obj]
+        return _encode_sequence
     if issubclass(cls, dict):
         return _encode_mapping
     if not dataclasses.is_dataclass(cls):
@@ -106,7 +138,73 @@ def _resolve_encoder(cls: type) -> Callable[[object], object]:
             encoded[field_name] = value if type(value) in _PLAIN else encode(value)
         return encoded
 
+    encode_node.node = (name, field_names)  # what iter_canonical streams field by field
     return encode_node
+
+
+_BATCH = 16  # container elements encoded per piece of iter_canonical
+
+
+def _canonical(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def iter_canonical(obj: object) -> Iterator[str]:
+    """The canonical JSON text of an object graph, in pieces.
+
+    ``"".join(iter_canonical(obj))`` is exactly ``json.dumps(encode(obj),
+    sort_keys=True, separators=(",", ":"))`` (ASCII, since ``ensure_ascii``
+    holds), but the encoded tree never exists whole: a top-level
+    dataclass's fields, and a container's elements :data:`_BATCH` at a
+    time, are encoded and dumped one piece after the other.  The collector
+    is paused until the generator finishes: a caller that may stop reading
+    early closes it, or holds a pause of its own around the loop.
+    """
+    with cyclic_gc_paused():
+        node = None if type(obj) in _PLAIN else getattr(_encoder(type(obj)), "node", None)
+        if node is None:
+            yield from _value_pieces(obj)
+            return
+        name, field_names = node
+        for position, key in enumerate(sorted(("__t", *field_names))):
+            yield ("{" if position == 0 else ",") + _canonical(key) + ":"
+            if key == "__t":
+                yield _canonical(name)
+            else:
+                yield from _value_pieces(getattr(obj, key))
+        yield "}"
+
+
+def _value_pieces(value: object) -> Iterator[str]:
+    """One value's canonical text; a list or a dict a batch at a time."""
+    encoder = None if type(value) in _PLAIN else _encoder(type(value))
+    if encoder is _encode_sequence:
+        items = list(value)
+        yield "["
+        for start in range(0, len(items), _BATCH):
+            batch = [encode(item) for item in items[start : start + _BATCH]]
+            yield ("," if start else "") + _canonical(batch)[1:-1]
+        yield "]"
+    elif encoder is _encode_mapping and all(isinstance(key, str) for key in value):
+        # {"__d": null, **members}, its keys sorted with the marker among them
+        keys = sorted({"__d", *value})
+        yield "{"
+        for start in range(0, len(keys), _BATCH):
+            batch = {
+                key: encode(value[key]) if key in value else None
+                for key in keys[start : start + _BATCH]
+            }
+            yield ("," if start else "") + _canonical(batch)[1:-1]
+        yield "}"
+    elif encoder is _encode_mapping:
+        items = list(value.items())
+        yield '{"__kv":['
+        for start in range(0, len(items), _BATCH):
+            batch = [[encode(key), encode(item)] for key, item in items[start : start + _BATCH]]
+            yield ("," if start else "") + _canonical(batch)[1:-1]
+        yield "]}"
+    else:
+        yield _canonical(value if encoder is None else encoder(value))
 
 
 def stable_digest(obj: object) -> str:
@@ -114,11 +212,13 @@ def stable_digest(obj: object) -> str:
 
     The content digest used to key derived artifacts (the compiled
     verification index): identical object graphs digest identically
-    regardless of where or when they were built.
+    regardless of where or when they were built.  It hashes the pieces of
+    :func:`iter_canonical`, so the encoded tree is never built whole.
     """
-    with cyclic_gc_paused():
-        payload = json.dumps(encode(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+    for piece in iter_canonical(obj):
+        digest.update(piece.encode("ascii"))
+    return digest.hexdigest()
 
 
 def _coercer(hint: object) -> Callable[[object], object] | None:
@@ -156,8 +256,11 @@ def _compile_plan(name: str) -> _Plan:
     if cls is None:
         raise TypeError(f"unregistered dataclass {name}")
     hints = typing.get_type_hints(cls)
-    fields = ((field.name, _coercer(hints.get(field.name))) for field in dataclasses.fields(cls))
-    plan = _PLANS[name] = (cls, tuple(fields))
+    fields = tuple((field.name, _coercer(hints.get(field.name))) for field in dataclasses.fields(cls))
+    keys = frozenset(("__t", *(field for field, _ in fields)))
+    if not keys.isdisjoint(_MARKERS):
+        keys = frozenset()  # a field shadows an outranking tag: no dict has the exact shape
+    plan = _PLANS[name] = (cls, fields, keys)
     return plan
 
 
@@ -175,7 +278,7 @@ def _decode_mapping(data: dict) -> object:
         return {key: decode(value) for key, value in data.items() if key != "__d"}
     if "__t" not in data:
         return {key: decode(value) for key, value in data.items()}
-    cls, fields = _PLANS.get(data["__t"]) or _compile_plan(data["__t"])
+    cls, fields, _ = _PLANS.get(data["__t"]) or _compile_plan(data["__t"])
     kwargs: dict[str, object] = {}
     for field_name, coerce in fields:
         if field_name in data:
@@ -197,3 +300,57 @@ def decode(data: object) -> object:
     if isinstance(data, (bool, int, float, str)):
         return data
     raise TypeError(f"cannot decode {type(data).__name__}")
+
+
+class Unanswered(Exception):
+    """:func:`decode_hook` met a dict that is not in a shape :func:`encode` emits."""
+
+
+def decode_hook(data: dict) -> object:
+    """:func:`decode`'s rule for one dict whose children are decoded already.
+
+    A ``json.loads`` ``object_hook``: ``json.loads(text,
+    object_hook=decode_hook)`` equals ``decode(json.loads(text))`` whenever
+    it returns.  It answers only for the exact shapes :func:`encode` emits
+    -- ``{"__t", <every field>}``, ``{"__p": str}``, ``{"__e": str, "v":
+    <plain value>}``, ``{"__kv": [[k, v], ...]}``, ``{"__d": null, ...}`` --
+    and raises :class:`Unanswered` on any other dict.  That, or any other
+    exception, means: decode this document with :func:`decode` over a
+    plain ``json.loads``, whose value or error is the answer.  The tags
+    keep :func:`decode`'s precedence (``__p``, ``__e``, ``__kv``, ``__d``,
+    ``__t``): testing ``__t`` first is safe because its exact key set holds
+    none of the others.
+    """
+    if "__t" in data:
+        cls, fields, keys = _PLANS.get(data["__t"]) or _compile_plan(data["__t"])
+        if data.keys() != keys:
+            raise Unanswered(data["__t"])
+        del data["__t"]
+        for field_name, coerce in fields:
+            if coerce is not None:
+                data[field_name] = coerce(data[field_name])
+        return cls(**data)
+    if "__p" in data:
+        text = data["__p"]
+        if len(data) != 1 or type(text) is not str:
+            raise Unanswered("__p")
+        return Prefix.parse(text)
+    if "__e" in data:
+        name, value = data["__e"], data.get("v")
+        if data.keys() != _ENUM_KEYS or type(name) is not str or type(value) not in _PLAIN:
+            raise Unanswered("__e")
+        enum_cls = _ENUMS.get(name)
+        if enum_cls is None:
+            raise Unanswered(name)
+        return enum_cls(value)
+    if "__kv" in data:
+        pairs = data["__kv"]
+        if len(data) != 1 or type(pairs) is not list or not all(
+            type(pair) is list and len(pair) == 2 for pair in pairs
+        ):
+            raise Unanswered("__kv")
+        return {key: value for key, value in pairs}
+    if "__d" in data and data["__d"] is None:
+        del data["__d"]
+        return data
+    raise Unanswered("untagged")

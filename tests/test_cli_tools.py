@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro import api
 from repro.cli import build_parser, main
+from repro.ir import serialize
+from repro.ir.json_io import load_ir
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +16,20 @@ def artifacts(tmp_path_factory):
     main(["synth", str(directory / "world"), "--preset", "tiny"])
     main(["parse", str(directory / "world"), "-o", str(directory / "ir.json")])
     return directory
+
+
+class TestCompileCommand:
+    def test_takes_the_digest_the_document_certifies(self, artifacts, tmp_path, capsys, monkeypatch):
+        expected = api.ir_digest(load_ir(artifacts / "ir.json"))
+
+        def no_encoding(obj):
+            raise AssertionError("the IR was re-encoded")
+
+        monkeypatch.setattr(serialize, "encode", no_encoding)
+        capsys.readouterr()
+        ir_json, output = str(artifacts / "ir.json"), str(tmp_path / "index.pkl")
+        assert main(["compile", "--ir", ir_json, "-o", output]) == 0
+        assert f"compiled index for IR {expected[:16]} -> {output}" in capsys.readouterr().err
 
 
 class TestLintCommand:

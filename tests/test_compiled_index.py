@@ -13,12 +13,14 @@ The trie-vs-legacy differential at the bottom scales through
 raises both to fuzz fresh worlds at higher route counts.
 """
 
+import gc
 import inspect
 import json
 import os
 import pickle
 import sys
 import types
+import weakref
 from array import array
 
 import pytest
@@ -105,6 +107,26 @@ class TestCompilation:
         for entry in tiny_routes[:200]:
             verifier.verify_entry(entry)
         assert {table: getattr(index, table) for table in tables} == before
+
+
+    def test_compiling_leaves_no_cycle_holding_the_ir(self, tiny_world):
+        """Reference counting alone frees an IR once its index is dropped.
+
+        A recursive closure in the resolver used to keep itself, the
+        resolver and so the whole IR alive until the next full collection:
+        a second IR in memory through whatever ran next (a warm open, on
+        the ingest ledger).
+        """
+        ir = tiny_world.merged_ir()
+        alive = weakref.ref(ir)
+        gc.collect()
+        gc.disable()
+        try:
+            index = compile_index(ir)
+            del index, ir
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestDifferentialIdentity:

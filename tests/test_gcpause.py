@@ -2,8 +2,8 @@
 
 ``repro.gcpause.cyclic_gc_paused`` is the one place the library switches
 the collector off; a dump file's parse, ``load_ir``/``loads_ir``,
-``stable_digest`` and each batch of a table file's parse run inside it
-(the serial table pass too: ``test_parallel.py``).  ``gc.disable()`` is process-wide, so for each of
+``dump_ir``, ``stable_digest`` and each batch of a table file's parse run
+inside it (the serial table pass too: ``test_parallel.py``).  ``gc.disable()`` is process-wide, so for each of
 those stages: paused while it runs, and ``gc.isenabled()`` afterwards
 exactly what it was before — collector on, collector already off, and the
 stage raising.
@@ -113,15 +113,29 @@ class TestStagesLeaveTheCollectorAsFound:
     def test_load_ir(self, collector, sample_ir, tmp_path, monkeypatch):
         path = tmp_path / "ir.json"
         json_io.dump_ir(sample_ir, path)
-        loads, decode = Spy(json_io.json.loads), Spy(serialize.decode)
+        loads, hook = Spy(json_io.json.loads), Spy(serialize.decode_hook)
         monkeypatch.setattr(json_io.json, "loads", loads)
-        monkeypatch.setattr(serialize, "decode", decode)
+        monkeypatch.setattr(serialize, "decode_hook", hook)
         assert json_io.load_ir(path) == sample_ir
         with open(path, encoding="utf-8") as stream:
             assert json_io.load_ir(stream) == sample_ir
         assert json_io.loads_ir(path.read_text()) == sample_ir
         assert loads.seen == [False] * 3  # the JSON parse is part of the burst
-        assert decode.seen and not any(decode.seen)
+        assert hook.seen and not any(hook.seen)  # so is the decode inside it
+        assert gc.isenabled() is collector
+
+    def test_dump_ir(self, collector, sample_ir, tmp_path, monkeypatch):
+        encode = Spy(serialize.encode)
+        monkeypatch.setattr(serialize, "encode", encode)
+        json_io.dump_ir(sample_ir, tmp_path / "ir.json")
+        assert encode.seen and not any(encode.seen)
+        assert gc.isenabled() is collector
+
+    def test_dump_ir_raising_mid_document(self, collector, sample_ir, tmp_path):
+        broken = json_io.loads_ir(json_io.dumps_ir(sample_ir))
+        broken.route_objects.append(object())
+        with pytest.raises(TypeError, match="cannot encode object"):
+            json_io.dump_ir(broken, tmp_path / "ir.json")
         assert gc.isenabled() is collector
 
     @pytest.mark.parametrize("text", ["[]", '{"format": "rpslyzer-ir", "version": 1, "ir": 3}', "{"])
@@ -136,11 +150,13 @@ class TestStagesLeaveTheCollectorAsFound:
 
     def test_stable_digest(self, collector, sample_ir, monkeypatch):
         expected = serialize.stable_digest(sample_ir)
-        encode, dumps = Spy(serialize.encode), Spy(serialize.json.dumps)
+        encode, dumps = Spy(serialize.encode), Spy(serialize._canonical)
         monkeypatch.setattr(serialize, "encode", encode)
-        monkeypatch.setattr(serialize.json, "dumps", dumps)
+        monkeypatch.setattr(serialize, "_canonical", dumps)
         assert serialize.stable_digest(sample_ir) == expected
-        assert encode.seen[0] is False and dumps.seen == [False]
+        # Every piece is encoded and dumped inside the one pause.
+        assert encode.seen and not any(encode.seen)
+        assert dumps.seen and not any(dumps.seen)
         assert gc.isenabled() is collector
 
     def test_stable_digest_raising(self, collector):

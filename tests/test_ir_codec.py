@@ -6,7 +6,11 @@ plan per registered class instead of reflecting on every node.  The digest
 and other tools hold on to, so the rewrite has to produce *the same bytes*:
 
 * digest and export values captured at the commit before the rewrite are
-  pinned as constants;
+  pinned as constants.  The digest and the indented export have never
+  changed since.  The compact export changed once, on purpose: it gained
+  the ``"digest"`` header and its member became the canonical (sorted-key)
+  text; the layout before that is pinned as the legacy layout, which
+  still loads;
 * the pre-rewrite ``encode``/``decode`` live on below, verbatim, as the
   reference, and the production codec is driven against them with the AST
   generators of ``test_property_roundtrip`` and with arbitrary tagged
@@ -20,33 +24,41 @@ import dataclasses
 import enum
 import hashlib
 import json
+import tracemalloc
 import types
 import typing
 from enum import Enum
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ir_json import SAMPLE_DUMP
-from test_property_roundtrip import filters, peerings, range_ops, v4_prefixes
+from test_property_roundtrip import aut_nums, filters, irs, peerings, policy_rules, prefix_sets
 
 from repro import api
 from repro.ir import serialize
-from repro.ir.json_io import dumps_ir, loads_ir
-from repro.ir.model import AutNum, Ir, RouteObject
+from repro.ir.json_io import dumps_ir, ir_from_jsonable, ir_to_jsonable, load_ir, loads_ir
+from repro.ir.model import Ir
 from repro.irr.dump import parse_dump_text
+from repro.irr.synth import build_world, default_config
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
-from repro.rpsl.filter import FilterPrefixSet
-from repro.rpsl.policy import PeeringAction, PolicyFactor, PolicyRule, PolicyTerm
 
 # -- pinned at the parent commit (4b44057), before the codec was touched ---------
 
 SAMPLE_DIGEST = "387d9182fa6775c79eec346727e9395b1e0a8154407ed423ee256f9ce3050164"
-SAMPLE_DUMPS_SHA256 = "78b360dd5549d3055d78aed7b9f890cc8bc35d41bb4cb7a4dd311ea0154cd84a"
 SAMPLE_DUMPS_INDENT2_SHA256 = "83d7188ecd8efd15170c2e39c7bba260a1671d63ff50f5e184c980b71a5ef7c1"
 TINY_WORLD_DIGEST = "744de88e9d6b6588a611cb1af0765e788666947280cb9c89def17bb4b7c7d58c"
-TINY_WORLD_DUMPS_SHA256 = "b2eb9c34a31bf4ce17567fe18541be50793645dba295014adad2e6674a95e16c"
+# The compact export before it carried its digest: {"format", "version", "ir"}
+# in field order (the legacy layout, still read).
+SAMPLE_LEGACY_DUMPS_SHA256 = "78b360dd5549d3055d78aed7b9f890cc8bc35d41bb4cb7a4dd311ea0154cd84a"
+TINY_WORLD_LEGACY_DUMPS_SHA256 = "b2eb9c34a31bf4ce17567fe18541be50793645dba295014adad2e6674a95e16c"
+
+# -- re-pinned on purpose: the compact export with its digest header ---------------
+
+SAMPLE_DUMPS_SHA256 = "e47a8376c0b8c7ce14c41e3cc3107e051a1d4e2e2f624ade53c0d568fa857401"
+TINY_WORLD_DUMPS_SHA256 = "79a60b3c10d181cfc9f32541290a4c57a7fae23f7da152e53341c3302df9e0b9"
 
 
 def _sha256(text: str) -> str:
@@ -73,6 +85,28 @@ class TestPinnedIdentifiers:
 
     def test_digest_survives_the_export(self, tiny_ir):
         assert api.ir_digest(loads_ir(dumps_ir(tiny_ir))) == TINY_WORLD_DIGEST
+
+    def test_the_header_is_the_digest(self, sample_ir, tiny_ir):
+        for ir, digest in ((sample_ir, SAMPLE_DIGEST), (tiny_ir, TINY_WORLD_DIGEST)):
+            text = dumps_ir(ir)
+            assert text.startswith(f'{{"format":"rpslyzer-ir","version":1,"digest":"{digest}","ir":')
+            member = text[text.index('"ir":') + len('"ir":') : -1]
+            assert _sha256(member) == digest
+
+    def test_legacy_layout_pins_and_loads(self, sample_ir, tiny_ir, tmp_path):
+        cases = (
+            (sample_ir, SAMPLE_LEGACY_DUMPS_SHA256, SAMPLE_DIGEST),
+            (tiny_ir, TINY_WORLD_LEGACY_DUMPS_SHA256, TINY_WORLD_DIGEST),
+        )
+        for ir, legacy_sha256, digest in cases:
+            legacy = json.dumps(ir_to_jsonable(ir), separators=(",", ":"))
+            assert _sha256(legacy) == legacy_sha256
+            assert loads_ir(legacy) == ir
+            path = tmp_path / "legacy.json"
+            path.write_text(legacy)
+            assert load_ir(path) == ir
+            with api.open_session(path, use_cache=False, warm=False) as session:
+                assert session.ir == ir and session.digest == digest
 
 
 # -- the reference: the reflective codec, verbatim -------------------------------
@@ -204,55 +238,18 @@ def _typed(value: object) -> object:
     return (type(value), value)
 
 
+def _canonical_text(obj: object) -> str:
+    return json.dumps(reference_encode(obj), sort_keys=True, separators=(",", ":"))
+
+
 def assert_same_codec(obj: object) -> None:
     encoded = serialize.encode(obj)
     assert _typed(encoded) == _typed(reference_encode(obj))
+    assert "".join(serialize.iter_canonical(obj)) == _canonical_text(obj)
     decoded = serialize.decode(encoded)
     assert decoded == reference_decode(encoded)
     assert decoded == obj
     assert reference_encode(decoded) == encoded  # fields ``==`` skips (compare=False) too
-
-
-prefix_sets = st.builds(
-    lambda members, op: FilterPrefixSet(tuple(members), op),
-    st.lists(st.tuples(v4_prefixes, range_ops), max_size=4),
-    range_ops,
-)
-
-policy_rules = st.builds(
-    lambda kind, pairs, braced, raw: PolicyRule(
-        kind,
-        PolicyTerm(
-            tuple(PolicyFactor((PeeringAction(peering),), node) for peering, node in pairs),
-            braced=braced,
-        ),
-        raw=raw,
-    ),
-    st.sampled_from(["import", "export"]),
-    st.lists(st.tuples(peerings, st.one_of(filters, prefix_sets)), min_size=1, max_size=3),
-    st.booleans(),
-    st.text(max_size=6),
-)
-
-aut_nums = st.builds(
-    AutNum,
-    asn=st.integers(1, 2**32 - 1),
-    as_name=st.text(max_size=8),
-    imports=st.lists(policy_rules, max_size=3),
-    exports=st.lists(policy_rules, max_size=2),
-    member_of=st.lists(st.text(max_size=6), max_size=2),
-)
-
-irs = st.builds(
-    lambda nums, routes: Ir(
-        aut_nums={aut_num.asn: aut_num for aut_num in nums}, route_objects=routes
-    ),
-    st.lists(aut_nums, max_size=3),
-    st.lists(
-        st.builds(RouteObject, prefix=v4_prefixes, origin=st.integers(1, 2**32 - 1)),
-        max_size=4,
-    ),
-)
 
 
 # Documents nobody encoded: any nesting of the five tags, known and
@@ -279,6 +276,39 @@ _documents = st.recursive(
 )
 
 
+def reference_loads_ir(text: str):
+    """``loads_ir`` as it was before the hook: the reference decoder over a plain ``json.loads``."""
+    with mock.patch.object(serialize, "decode", reference_decode):
+        return ir_from_jsonable(json.loads(text))
+
+
+def _texts(member: object) -> list[str]:
+    """The compact layouts ``loads_ir``'s hook path reads, around one ``"ir"`` member."""
+    compact = json.dumps(member, separators=(",", ":"))
+    return [
+        '{"format":"rpslyzer-ir","version":1,"digest":"' + "0" * 64 + '","ir":' + compact + "}",
+        '{"format":"rpslyzer-ir","version":1,"ir":' + compact + "}",
+    ]
+
+
+def _typed_ir(value: object) -> object:
+    """``_typed`` that also spells out the types inside an Ir's fields."""
+    if isinstance(value, Ir):
+        return _typed([getattr(value, field.name) for field in dataclasses.fields(value)])
+    return _typed(value)
+
+
+def assert_loads_alike(text: str) -> None:
+    """``loads_ir`` (hook, falling back) against the reference: equal values or the same error."""
+    kind, detail = _outcome(loads_ir, text)
+    reference_kind, reference_detail = _outcome(reference_loads_ir, text)
+    assert kind == reference_kind
+    if kind == "value":
+        assert _typed_ir(detail) == _typed_ir(reference_detail)
+    else:
+        assert detail == reference_detail
+
+
 class TestAgainstTheReference:
     @given(st.one_of(filters, peerings, prefix_sets, policy_rules, aut_nums, irs))
     @settings(max_examples=300)
@@ -289,6 +319,10 @@ class TestAgainstTheReference:
         for ir in (sample_ir, tiny_ir):
             assert_same_codec(ir)
             assert json.dumps(serialize.encode(ir)) == json.dumps(reference_encode(ir))
+            texts = [dumps_ir(ir), dumps_ir(ir, indent=2), *_texts(reference_encode(ir))]
+            for text in texts:
+                assert_loads_alike(text)
+                assert loads_ir(text) == ir
 
     @given(_documents)
     @settings(max_examples=500)
@@ -300,6 +334,73 @@ class TestAgainstTheReference:
             assert _typed(detail) == _typed(reference_detail)
         else:
             assert detail == reference_detail
+        # Where the hook answers, it answers the reference's value.
+        try:
+            hooked = json.loads(json.dumps(document), object_hook=serialize.decode_hook)
+        except Exception:  # noqa: BLE001 - declined: loads_ir takes the reference path
+            pass
+        else:
+            assert reference_kind == "value" and _typed(hooked) == _typed(reference_detail)
+        # The document as the member, and inside an Ir's route objects.
+        in_an_ir = {**reference_encode(Ir()), "route_objects": [document]}
+        for text in (*_texts(document), *_texts(in_an_ir)):
+            assert_loads_alike(text)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"__e": "RangeOpKind", "v": {"__e": "RangeOpKind", "v": "plus"}},  # rejected
+            {"__p": {"__p": "10.0.0.0/8"}},
+            {"__kv": ["ab"]},  # the reference unpacks the string: {"a": "b"}
+            {"__kv": [[1, 2, 3]]},
+            {"__d": 1, "a": [2]},
+            {"__t": "RangeOp", "low": 24},  # missing fields take their defaults
+            {**reference_encode(RangeOp()), "extra": 1},
+            {"__t": "RangeOp", "__p": "10.0.0.0/8"},
+            {"untagged": 1},
+        ],
+    )
+    def test_the_hook_declines_every_shape_encode_does_not_emit(self, document):
+        with pytest.raises(serialize.Unanswered):
+            json.loads(json.dumps(document), object_hook=serialize.decode_hook)
+        in_an_ir = {**reference_encode(Ir()), "route_objects": [document]}
+        for text in (*_texts(document), *_texts(in_an_ir)):
+            assert_loads_alike(text)
+
+
+_plain = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+_keys_near_the_marker = st.one_of(
+    st.sampled_from(["__d", "__e", "__t", "_", "", "A", "a", "~"]), st.text(max_size=3)
+)
+
+
+class TestStreamedCanonicalText:
+    """``iter_canonical``'s pieces join to ``json.dumps(encode(x), sort_keys=True)``."""
+
+    @given(
+        st.one_of(
+            st.lists(_plain, max_size=40),
+            st.dictionaries(_keys_near_the_marker, st.lists(_plain, max_size=2), max_size=40),
+            st.dictionaries(st.integers(), _plain, max_size=40),
+            _plain,
+        )
+    )
+    @settings(max_examples=300)
+    def test_containers_across_batch_boundaries(self, value):
+        assert "".join(serialize.iter_canonical(value)) == _canonical_text(value)
+
+    def test_the_digest_never_holds_the_encoded_tree(self):
+        ir = build_world(default_config()).merged_ir()
+
+        def peak(function) -> int:
+            tracemalloc.start()
+            try:
+                function(ir)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(api.ir_digest) < peak(serialize.encode) / 4
 
 
 # -- what a dispatch table can get wrong -----------------------------------------

@@ -1,14 +1,20 @@
 """Tests for IR JSON export/import and the generic serializer."""
 
+import collections
 import dataclasses
+import hashlib
 import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from test_property_roundtrip import irs
 
+from repro import api
 from repro.ir import serialize
 from repro.ir.json_io import (
+    certified_digest,
     dump_ir,
     dumps_ir,
     ir_from_jsonable,
@@ -125,6 +131,19 @@ def _ir_document(**members):
     return _document({"__t": "Ir", **members})
 
 
+HEAD = '{"format":"rpslyzer-ir","version":1,"digest":"'
+
+
+def _certified(member: str) -> str:
+    """A compact document whose header is the SHA-256 of ``member``."""
+    return HEAD + hashlib.sha256(member.encode()).hexdigest() + '","ir":' + member + "}"
+
+
+def _header_and_member(text: str) -> tuple[str, str]:
+    head, member = text.split('","ir":', 1)
+    return head[len(HEAD) :], member[:-1]
+
+
 class TestMalformedDocuments:
     """Every structurally bad document is a ``ValueError`` that says why."""
 
@@ -164,10 +183,140 @@ class TestMalformedDocuments:
         assert names in str(caught.value)
         with pytest.raises(ValueError):
             load_ir(io.StringIO(text))
+        try:
+            member = json.dumps(json.loads(text)["ir"], separators=(",", ":"))
+        except (ValueError, TypeError, KeyError):
+            return  # no "ir" member to re-lay out
+        # The same member in the compact layouts the hook path reads, the
+        # certified one with a header that holds: the hook declines or
+        # fails, and the reference path names the defect.
+        legacy = '{"format":"rpslyzer-ir","version":1,"ir":' + member + "}"
+        for variant in (_certified(member), legacy):
+            for load in (loads_ir, lambda text: load_ir(io.BytesIO(text.encode()))):
+                with pytest.raises(ValueError) as caught:
+                    load(variant)
+                assert names in str(caught.value)
 
     def test_well_formed_input_is_unaffected(self, sample_ir):
         assert ir_from_jsonable(json.loads(dumps_ir(sample_ir))) == sample_ir
         assert loads_ir(_ir_document()) == Ir()
+
+
+def _verdicts(session, routes):
+    return [session.verify_route(str(route.prefix), route.as_path).statuses() for route in routes]
+
+
+class TestTrustBoundary:
+    """A digest is taken from a document only when it hashes the bytes decoded."""
+
+    def test_a_certified_document_hands_over_its_digest_once(self, tiny_ir, tmp_path, monkeypatch):
+        path = tmp_path / "ir.json"
+        dump_ir(tiny_ir, path)
+        digest = api.ir_digest(tiny_ir)
+
+        def no_encoding(obj):
+            raise AssertionError("the IR was re-encoded")
+
+        monkeypatch.setattr(serialize, "encode", no_encoding)
+        loaded = load_ir(path)
+        assert loaded == tiny_ir
+        assert certified_digest(loaded) == digest
+        assert certified_digest(loaded) is None  # one-shot
+        with api.open_session(path, use_cache=False, warm=False) as session:
+            assert session.digest == digest
+
+    def test_an_edited_member_is_not_trusted(self, tiny_ir, tiny_world, tiny_routes, tmp_path):
+        """(a) One ASN digit changed, header stale: the cached original is not adopted."""
+        cache, path = tmp_path / "cache", tmp_path / "ir.json"
+        dump_ir(tiny_ir, path)
+        counts = collections.Counter(asn for route in tiny_routes for asn in set(route.as_path))
+        asn = max(tiny_ir.aut_nums, key=counts.__getitem__)
+        routes = [route for route in tiny_routes if asn in route.as_path][:30]
+        with api.open_session(path, as_rel=tiny_world.topology, cache_dir=cache) as original:
+            before = _verdicts(original, routes)
+            digest = original.digest
+        assert digest == api.ir_digest(tiny_ir)
+
+        text = path.read_text()
+        needle = f'[{asn},{{"__t":"AutNum"'
+        edited_asn = next(asn // 10 * 10 + d for d in range(10) if asn // 10 * 10 + d not in tiny_ir.aut_nums)
+        assert text.count(needle) == 1
+        path.write_text(text.replace(needle, f'[{edited_asn},{{"__t":"AutNum"'))
+        with api.open_session(path, as_rel=tiny_world.topology, cache_dir=cache) as edited:
+            assert edited_asn in edited.ir.aut_nums and asn not in edited.ir.aut_nums
+            assert edited.digest == api.ir_digest(edited.ir) != digest
+            assert edited.index.digest == edited.digest
+            after = _verdicts(edited, routes)
+            with api.open_session(edited.ir, as_rel=tiny_world.topology, use_cache=False) as fresh:
+                assert after == _verdicts(fresh, routes)
+        assert after != before
+        assert len(list(cache.glob("index-*.pkl"))) == 2
+
+    def test_a_forged_header_keys_what_was_decoded(self, tiny_ir, tiny_world, tmp_path):
+        """(b) A header that hashes a non-canonical member (keys unsorted) is the key."""
+        cache, path = tmp_path / "cache", tmp_path / "ir.json"
+        member = json.dumps(serialize.encode(tiny_ir), separators=(",", ":"))
+        assert member != _header_and_member(dumps_ir(tiny_ir))[1]
+        forged = hashlib.sha256(member.encode()).hexdigest()
+        path.write_text(_certified(member))
+        with api.open_session(path, as_rel=tiny_world.topology, cache_dir=cache) as session:
+            assert session.ir == tiny_ir
+            assert session.digest == forged != api.ir_digest(tiny_ir)
+            assert session.index.digest == forged
+        assert api.index_cache_path(forged, cache).exists()
+        assert not api.index_cache_path(api.ir_digest(tiny_ir), cache).exists()
+
+    @pytest.mark.parametrize(
+        "variant",
+        ["duplicate ir key", "trailing bytes", "trailing newline", "indent=2", "legacy layout"],
+    )
+    def test_anything_else_computes_the_digest(self, variant, sample_ir, tiny_ir, tmp_path):
+        """(c) Each of these loads the reference way and reports ``ir_digest``."""
+        text, expected = dumps_ir(tiny_ir), tiny_ir
+        if variant == "duplicate ir key":
+            # The header hashes everything after it: both members, so the
+            # hash holds, yet the decoded IR is the last member's.
+            second = _header_and_member(dumps_ir(sample_ir))[1]
+            text, expected = _certified(_header_and_member(text)[1] + ',"ir":' + second), sample_ir
+        elif variant == "trailing bytes":
+            text += "  "
+        elif variant == "trailing newline":
+            text += "\n"
+        elif variant == "indent=2":
+            text = dumps_ir(tiny_ir, indent=2)
+        else:
+            text = json.dumps(ir_to_jsonable(tiny_ir), separators=(",", ":"))
+        path = tmp_path / "ir.json"
+        path.write_text(text)
+        loaded = load_ir(path)
+        assert loaded == expected and certified_digest(loaded) is None
+        with api.open_session(path, use_cache=False, warm=False) as session:
+            assert session.ir == expected
+            assert session.digest == api.ir_digest(expected)
+
+    def test_trailing_garbage_is_still_an_error(self, tiny_ir):
+        for suffix in ("x", "}"):
+            with pytest.raises(ValueError, match="Extra data"):
+                load_ir(io.BytesIO((dumps_ir(tiny_ir) + suffix).encode()))
+
+
+class TestRoundTripFidelity:
+    """(d) The header is what ``ir_digest`` recomputes from the loaded IR."""
+
+    def test_tiny_world(self, tiny_ir, tmp_path):
+        path = tmp_path / "ir.json"
+        dump_ir(tiny_ir, path)
+        header, _ = _header_and_member(path.read_text())
+        assert api.ir_digest(load_ir(path)) == header == api.ir_digest(tiny_ir)
+
+    @given(irs)
+    @settings(max_examples=100)
+    def test_generated_irs(self, ir):
+        text = dumps_ir(ir)
+        header, _ = _header_and_member(text)
+        loaded = load_ir(io.BytesIO(text.encode()))
+        assert certified_digest(loaded) == header
+        assert api.ir_digest(loaded) == header
 
 
 class TestDumpIsAtomic:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from prefix_oracle import op_index
 
+from repro.ir.model import AutNum, Ir, RouteObject
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 from repro.rpsl.filter import (
     FilterAnd,
@@ -28,7 +29,7 @@ from repro.rpsl.peering import (
     Peering,
     parse_peering_text,
 )
-from repro.rpsl.policy import PeeringAction, PolicyFactor, PolicyTerm, parse_policy
+from repro.rpsl.policy import PeeringAction, PolicyFactor, PolicyRule, PolicyTerm, parse_policy
 
 # -- strategies --------------------------------------------------------------
 
@@ -86,6 +87,48 @@ as_exprs = st.recursive(
 )
 
 peerings = st.builds(Peering, as_exprs)
+
+# Policy rules, aut-nums and whole IRs, for the codec and export tests.
+prefix_sets = st.builds(
+    lambda members, op: FilterPrefixSet(tuple(members), op),
+    st.lists(st.tuples(v4_prefixes, range_ops), max_size=4),
+    range_ops,
+)
+
+policy_rules = st.builds(
+    lambda kind, pairs, braced, raw: PolicyRule(
+        kind,
+        PolicyTerm(
+            tuple(PolicyFactor((PeeringAction(peering),), node) for peering, node in pairs),
+            braced=braced,
+        ),
+        raw=raw,
+    ),
+    st.sampled_from(["import", "export"]),
+    st.lists(st.tuples(peerings, st.one_of(filters, prefix_sets)), min_size=1, max_size=3),
+    st.booleans(),
+    st.text(max_size=6),
+)
+
+aut_nums = st.builds(
+    AutNum,
+    asn=st.integers(1, 2**32 - 1),
+    as_name=st.text(max_size=8),
+    imports=st.lists(policy_rules, max_size=3),
+    exports=st.lists(policy_rules, max_size=2),
+    member_of=st.lists(st.text(max_size=6), max_size=2),
+)
+
+irs = st.builds(
+    lambda nums, routes: Ir(
+        aut_nums={aut_num.asn: aut_num for aut_num in nums}, route_objects=routes
+    ),
+    st.lists(aut_nums, max_size=3),
+    st.lists(
+        st.builds(RouteObject, prefix=v4_prefixes, origin=st.integers(1, 2**32 - 1)),
+        max_size=4,
+    ),
+)
 
 
 # -- round-trip properties ---------------------------------------------------
