@@ -16,8 +16,10 @@ IR is shared copy-on-write) and fall back to ``spawn`` elsewhere
 (macOS/Windows), where the IR is pickled to each worker instead.  Metrics
 follow the same merge discipline as the stats: when the parent has a live
 :class:`~repro.obs.MetricsRegistry`, each worker records into its own
-registry and per-chunk snapshot *deltas* ride back with the chunk results
-to be folded into the parent's registry.
+registry, and what it recorded per chunk — drained, see
+:meth:`~repro.obs.MetricsRegistry.drain` — rides back with the chunk
+results to be folded into the parent's registry, as do the tracer's
+per-chunk sample counts.
 
 The pooled path survives dying and wedged workers (see
 ``docs/robustness.md``): the pool retries a chunk whose worker crashed or
@@ -167,13 +169,15 @@ def _verify_pooled(
         for number, chunk in chunks:
             dispatched = await pool.dispatch_chunk(number, chunk)
             if dispatched is not None and dispatched[0][0] == "ok":
-                _, partial, delta = dispatched[0]
+                _, partial, metrics, sampled = dispatched[0]
                 total.merge(partial)
-                # The chunk's trace events, taken with the result that counts:
-                # a chunk that falls through emits them again below.
+                registry.merge_snapshot(metrics)
+                # The chunk's trace events and sample counts, taken with the
+                # result that counts: a chunk that falls through emits them
+                # again below.
                 tracer.absorb(dispatched[1])
-                if delta is not None:
-                    registry.merge_snapshot(delta)
+                for reason, count in sampled.items():
+                    tracer.sampled[reason] += count
                 continue
             if dispatched is not None:
                 why = dispatched[0][1]  # the chunk raised in a worker that survived

@@ -33,13 +33,17 @@ Every fault is recorded as ``<component>/worker-crashed``,
 
 Pipe discipline: a worker's :class:`~multiprocessing.connection.Connection`
 is only ever touched by whoever holds the worker leased from the free
-queue — batch executors and the heartbeat monitor alike — so request
-and pong frames never interleave.
+queue — batch and chunk executors, a reload, and the heartbeat monitor
+alike — and every exchange is one conversation: a ``(kind, id, payload)``
+frame answered by one ``("result", id, outcome, event_lines)`` (the frame
+table is :func:`_worker_main`'s).  A reader skips a result whose id is
+not its own — the late answer of a cancelled conversation.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import logging
 import multiprocessing
 import os
@@ -62,13 +66,7 @@ from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.trace import Tracer, get_tracer, set_tracer
 from repro.stats.verification import VerificationStats
 
-__all__ = [
-    "ChunkRunner",
-    "PoolUnavailable",
-    "SupervisorConfig",
-    "WorkerCrash",
-    "WorkerSupervisor",
-]
+__all__ = ["PoolUnavailable", "SupervisorConfig", "WorkerCrash", "WorkerSupervisor"]
 
 log = logging.getLogger("repro.core.pool")
 
@@ -116,130 +114,38 @@ class SupervisorConfig:
     start_method: str | None = None
 
 
-def _snapshot_delta(current: dict, previous: dict | None) -> dict:
-    """What ``current`` adds over ``previous`` (worker chunk boundaries).
+def _verify_chunk(
+    verifier: Verifier,
+    index: int,
+    entries: Sequence[RouteEntry],
+    fault_hook: Callable[[int], None] | None,
+) -> tuple:
+    """A worker's ``chunk`` frame: verify chunk ``index`` on the worker's
+    persistent ``verifier`` (its hop cache carries from chunk to chunk).
 
-    The worker's registry accumulates for its whole life (so the verifier's
-    pre-bound instruments stay valid and the hop cache survives across
-    chunks); each chunk ships only the delta so the parent's merge stays an
-    exact sum.  Gauges are point-in-time and pass through unchanged.
+    Returns ``("ok", stats, metrics, sampled)``: what the chunk recorded
+    into the worker's registry (:meth:`~repro.obs.MetricsRegistry.drain`)
+    and the routes its tracer sampled, both counted from this chunk's start.
+    A chunk that fails drains its partial attempt and discards it, so a
+    retry elsewhere is never double-counted.  ``fault_hook(index)`` is
+    chaos instrumentation (picklable, so it survives the trip into a
+    spawn-started worker), called first; never set in production runs.
     """
-    if previous is None:
-        return current
-
-    def key(record: dict) -> tuple:
-        return (record["name"], tuple(sorted(record["labels"].items())))
-
-    prev_counters = {key(r): r for r in previous.get("counters", ())}
-    counters = []
-    for record in current.get("counters", ()):
-        before = prev_counters.get(key(record))
-        value = record["value"] - (before["value"] if before else 0)
-        if value:
-            counters.append({**record, "value": value})
-
-    prev_hists = {key(r): r for r in previous.get("histograms", ())}
-    histograms = []
-    for record in current.get("histograms", ()):
-        before = prev_hists.get(key(record))
-        if before is None:
-            if record["count"]:
-                histograms.append(record)
-            continue
-        count = record["count"] - before["count"]
-        if not count:
-            continue
-        histograms.append(
-            {
-                **record,
-                "bucket_counts": [
-                    now - then
-                    for now, then in zip(
-                        record["bucket_counts"], before["bucket_counts"]
-                    )
-                ],
-                "sum": record["sum"] - before["sum"],
-                "count": count,
-            }
-        )
-
-    prev_spans = {r["path"]: r for r in previous.get("spans", ())}
-    spans = []
-    for record in current.get("spans", ()):
-        before = prev_spans.get(record["path"])
-        if before is None:
-            spans.append(record)
-            continue
-        count = record["count"] - before["count"]
-        if not count:
-            continue
-        spans.append(
-            {
-                **record,
-                "count": count,
-                "wall_s": record["wall_s"] - before["wall_s"],
-                "cpu_s": record["cpu_s"] - before["cpu_s"],
-            }
-        )
-
-    return {
-        "counters": counters,
-        "gauges": current.get("gauges", []),
-        "histograms": histograms,
-        "spans": spans,
-    }
-
-
-class ChunkRunner:
-    """The worker's side of a pooled table run: chunks in, stats and a
-    metrics delta out.
-
-    One per worker process, because the cursor is per-registry: the
-    worker's registry accumulates for its whole life and each chunk ships
-    only what it added.  ``fault_hook(chunk_index)`` is chaos
-    instrumentation (picklable, so it survives the trip into a
-    spawn-started worker), called before the chunk is verified; never
-    set in production runs.
-    """
-
-    def __init__(
-        self,
-        collect_metrics: bool,
-        fault_hook: Callable[[int], None] | None = None,
-    ):
-        self._collect_metrics = collect_metrics
-        self._fault_hook = fault_hook
-        self._last_snapshot: dict | None = None
-
-    def run(
-        self, verifier: Verifier, index: int, entries: Sequence[RouteEntry]
-    ) -> tuple[VerificationStats, dict | None]:
-        """Verify chunk ``index`` on the worker's persistent ``verifier``;
-        returns its stats and what it added to the worker's registry."""
-        if self._fault_hook is not None:
-            self._fault_hook(index)
-        registry = get_registry()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.chunk_id = index
-        stats = VerificationStats()
-        try:
-            with registry.span("verify/worker"):
-                verify_into(verifier, entries, stats)
-        except BaseException:
-            # A mid-chunk failure must still advance the snapshot cursor:
-            # whatever this partial attempt recorded is baked into the worker's
-            # cumulative registry, and without moving the cursor the next
-            # chunk on this worker would ship a delta that double-counts it.
-            if self._collect_metrics:
-                self._last_snapshot = registry.snapshot()
-            raise
-        if not self._collect_metrics:
-            return stats, None
-        snapshot = registry.snapshot()
-        delta = _snapshot_delta(snapshot, self._last_snapshot)
-        self._last_snapshot = snapshot
-        return stats, delta
+    if fault_hook is not None:
+        fault_hook(index)
+    registry = get_registry()
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.chunk_id = index
+        tracer.sampled = dict.fromkeys(tracer.sampled, 0)
+    stats = VerificationStats()
+    try:
+        with registry.span("verify/worker"):
+            verify_into(verifier, entries, stats)
+    except BaseException:
+        registry.drain()
+        raise
+    return "ok", stats, registry.drain(), tracer.sampled
 
 
 def _worker_main(
@@ -253,28 +159,31 @@ def _worker_main(
 ) -> None:
     """The worker process body: one warm Session answering frames.
 
-    Frames in: ``("batch", batch_id, items)`` where each item is
-    ``(kind, prefix, as_path, collector, request_id)``, ``("chunk",
-    batch_id, (chunk_index, entries))``, ``("ping", seq)``, ``("reload",
-    expected_generation, journal)``, and ``("stop",)``.  Frames out:
-    ``("ready", pid)`` once warm, ``("result", batch_id, payload,
-    event_lines)``, ``("pong", seq)``, and ``("reloaded", generation,
-    degraded)`` / ``("reload-failed", message)``.  A batch's payload is
-    one ``("ok", body, verdicts)`` or ``("err", message)`` per item
-    (:func:`repro.serve.core.answer_query`: the response body crosses the
-    pipe as the bytes the front-end writes); a chunk's
-    is ``("ok", stats, metrics_delta)`` (see :class:`ChunkRunner`) or
-    ``("err", message)`` — the worker outlives a chunk that raised.
+    Every frame in is ``(kind, id, payload)``; each but ``stop`` is
+    answered by one ``("result", id, outcome, event_lines)``, and the only
+    other frame out is ``("ready", pid)``, once warm:
+
+    * ``batch`` — payload: items ``(kind, prefix, as_path, collector,
+      request_id)``; outcome: one ``("ok", body, verdicts)`` or ``("err",
+      message)`` per item (:func:`repro.serve.core.answer_query`: the
+      response body crosses the pipe as the bytes the front-end writes).
+    * ``chunk`` — payload: ``(chunk_index, entries)``; outcome: ``("ok",
+      stats, metrics, sampled)`` (see :func:`_verify_chunk`) or ``("err",
+      message)`` — the worker outlives a chunk that raised.
+    * ``reload`` — payload: ``(expected_generation, journal)``; outcome:
+      ``("ok", generation, degraded)`` or ``("err", message)``.
+    * ``ping`` — payload and outcome None: the monitor's liveness probe.
+    * ``stop`` — no answer; the worker exits.
 
     Everything the worker has to say goes into one
     :class:`~repro.obs.events.EventLog`, drained into every result frame:
     a ``worker-execute`` event per query (the request's correlation id,
     this worker's pid, the generation, the per-query duration), an
-    explained route's hop events, and — in a traced table run — the
-    chunk's ``route``/``hop`` events.  The caller absorbs the lines of a
-    result it accepts, so one request id greps across process boundaries
-    and a chunk's events arrive exactly once (a killed worker's die with
-    its chunk; the retry emits them again).
+    explained route's hop events, a reload's ``worker-reloaded`` event,
+    and — in a traced table run — the chunk's ``route``/``hop`` events.
+    The caller absorbs the lines of a result it accepts, so one request id
+    greps across process boundaries and a chunk's events arrive exactly
+    once (a killed worker's die with its chunk; the retry emits them again).
 
     A reload replays the journal onto the worker's own session
     (:meth:`repro.api.Session.apply_deltas` — the same deterministic
@@ -303,53 +212,22 @@ def _worker_main(
     session = Session(ir, relationships, options=options, index=index)
     session.flight = events
     session.warm()
-    chunks = ChunkRunner(collect_metrics, fault_hook)
     conn.send(("ready", pid))
     while True:
         try:
-            message = conn.recv()
+            kind, frame_id, payload = conn.recv()
         except (EOFError, OSError):
             return
-        kind = message[0]
         if kind == "stop":
             return
-        if kind == "ping":
-            conn.send(("pong", message[1]))
-            continue
-        if kind == "reload":
-            expected_generation, journal = message[1], message[2]
-            if session.generation >= expected_generation:
-                # Already at (or past) the target: a respawned worker was
-                # built from the parent's post-patch state.
-                conn.send(("reloaded", session.generation, False))
-                continue
-            try:
-                report = session.apply_deltas(journal)
-            except Exception as exc:  # noqa: BLE001 - supervisor retires us
-                conn.send(("reload-failed", str(exc)))
-                continue
-            events.record(
-                "worker-reloaded",
-                worker=pid,
-                generation=session.generation,
-                hop_cache=session.last_delta_hop_cache,
-            )
-            conn.send(("reloaded", session.generation, bool(report)))
-            continue
-        batch_id, items = message[1], message[2]
-        if kind == "chunk":
-            try:
-                payload = ("ok", *chunks.run(session.verifier, *items))
-            except Exception as exc:  # noqa: BLE001 - the parent verifies it
-                payload = ("err", f"{type(exc).__name__}: {exc}")
-        else:
-            payload = []
-            for query_kind, prefix, as_path, collector, request_id in items:
+        if kind == "batch":
+            outcome = []
+            for query_kind, prefix, as_path, collector, request_id in payload:
                 item_start = time.monotonic()
                 answer = answer_query(
                     session, query_kind, prefix, as_path, collector, request_id
                 )
-                payload.append(answer)
+                outcome.append(answer)
                 events.record(
                     "worker-execute",
                     request=request_id,
@@ -359,8 +237,33 @@ def _worker_main(
                     outcome=answer[0],
                     ms=round((time.monotonic() - item_start) * 1000.0, 3),
                 )
+        elif kind == "chunk":
+            try:
+                outcome = _verify_chunk(session.verifier, *payload, fault_hook)
+            except Exception as exc:  # noqa: BLE001 - the parent verifies it
+                outcome = ("err", f"{type(exc).__name__}: {exc}")
+        elif kind == "reload":
+            expected_generation, journal = payload
+            # A worker respawned from the parent's post-patch state is
+            # already at (or past) the target: nothing to apply.
+            outcome = ("ok", session.generation, False)
+            if session.generation < expected_generation:
+                try:
+                    report = session.apply_deltas(journal)
+                except Exception as exc:  # noqa: BLE001 - the parent retires us
+                    outcome = ("err", str(exc))
+                else:
+                    events.record(
+                        "worker-reloaded",
+                        worker=pid,
+                        generation=session.generation,
+                        hop_cache=session.last_delta_hop_cache,
+                    )
+                    outcome = ("ok", session.generation, bool(report))
+        else:  # ping
+            outcome = None
         try:
-            conn.send(("result", batch_id, payload, events.drain()))
+            conn.send(("result", frame_id, outcome, events.drain()))
         except (BrokenPipeError, OSError):
             return
 
@@ -387,8 +290,8 @@ class WorkerSupervisor:
     crashes/degradation in the ``degradation`` report, under the
     caller's ``component`` (``serve`` or ``verify``).
     ``observability`` — ``(collect_metrics, trace_config)`` —
-    is what each worker installs for itself and ``fault_hook`` its
-    :class:`ChunkRunner` hook; both only a table run sets.
+    is what each worker installs for itself and ``fault_hook`` the
+    :func:`_verify_chunk` hook; both only a table run sets.
     """
 
     def __init__(
@@ -433,7 +336,7 @@ class WorkerSupervisor:
         self._free: queue.Queue[_Worker] = queue.Queue()
         self._workers: dict[int, _Worker] = {}
         self._next_id = 0
-        self._batch_seq = 0
+        self._frame_ids = itertools.count(1)  # next() is atomic across threads
         self.restarts = 0
         self._consecutive_spawn_failures = 0
         self._monitor: threading.Thread | None = None
@@ -509,7 +412,7 @@ class WorkerSupervisor:
 
     def _terminate(self, worker: _Worker) -> None:
         try:
-            worker.conn.send(("stop",))
+            worker.conn.send(("stop", None, None))
         except (BrokenPipeError, OSError):
             pass
         worker.process.join(timeout=0.5)
@@ -578,30 +481,14 @@ class WorkerSupervisor:
         self._free.put(worker)
         self._consecutive_spawn_failures = 0
 
-    # -- leasing (blocking: reload's sweep, on an executor thread) ------------
-
-    def _lease(self) -> _Worker:
-        deadline = time.monotonic() + self.config.lease_timeout
-        while True:
-            try:
-                worker = self._free.get(timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Empty:
-                raise PoolUnavailable(
-                    f"no worker free within {self.config.lease_timeout:g}s"
-                ) from None
-            with self._lock:
-                live = worker.worker_id in self._workers
-            if live:
-                return worker
-            # A worker retired while sitting in the free queue: skip it.
-
     # -- dispatch (on the caller's event loop) ---------------------------------
     #
-    # All parent-side work of a batch happens on the loop thread — send,
-    # await readability via add_reader, recv — so no thread is parked on a
-    # pipe per batch: under the serve daemon every such thread's wakeup had
-    # to win the GIL back from the busy loop, which cost more than the batch
-    # itself.  The table client runs the same coroutines on a loop of its own.
+    # All parent-side work of a batch, chunk or reload happens on the loop
+    # thread — send, await readability via add_reader, recv — so no thread
+    # is parked on a pipe: under the serve daemon every such thread's wakeup
+    # had to win the GIL back from the busy loop, which cost more than the
+    # batch itself.  The table client runs the same coroutines on a loop of
+    # its own.
 
     def _hands_back(self) -> bool:
         """The pool-health rule: no batch waits for a worker that cannot come.
@@ -645,6 +532,37 @@ class WorkerSupervisor:
         finally:
             loop.remove_reader(fd)
 
+    async def _converse(
+        self, worker: _Worker, kind: str, payload, timeout: float
+    ) -> tuple[object, list[str]]:
+        """Send ``(kind, id, payload)`` to a leased worker and await the
+        ``result`` frame with that id; returns ``(outcome, event_lines)``.
+
+        The caller hands the worker back.  A worker that dies, or stays
+        silent for ``timeout``, is retired (``crashed`` / ``hung``) and
+        :class:`WorkerCrash` raised.
+        """
+        frame_id = next(self._frame_ids)
+        try:
+            worker.conn.send((kind, frame_id, payload))
+            while True:
+                await self._readable(worker.conn, timeout)
+                _, answered, outcome, lines = worker.conn.recv()
+                if answered == frame_id:
+                    return outcome, lines
+                # A stale result (a cancelled conversation's): keep reading.
+        except asyncio.CancelledError:
+            # Shutdown cancelled the conversation, not a worker fault: hand
+            # the worker back (its late result is skipped as a stale frame).
+            self._free.put(worker)
+            raise
+        except (EOFError, BrokenPipeError, OSError, TimeoutError) as exc:
+            why = "hung" if isinstance(exc, TimeoutError) else "crashed"
+            self._retire(worker, why)
+            raise WorkerCrash(
+                f"worker {worker.worker_id} {why} mid-{kind}: {exc}"
+            ) from exc
+
     async def execute(
         self, kind: str, items, hang_timeout: float
     ) -> tuple[list, list[str], dict]:
@@ -661,30 +579,8 @@ class WorkerSupervisor:
         lease_start = time.monotonic()
         worker = await self._lease_async()
         dispatch_s = time.monotonic() - lease_start
-        with self._lock:
-            self._batch_seq += 1
-            batch_id = self._batch_seq
         execute_start = time.monotonic()
-        try:
-            worker.conn.send((kind, batch_id, items))
-            while True:
-                await self._readable(worker.conn, hang_timeout)
-                message = worker.conn.recv()
-                if message[0] == "result" and message[1] == batch_id:
-                    outcomes, lines = message[2], message[3]
-                    break
-                # Stale frame (a late pong): ignore and keep reading.
-        except asyncio.CancelledError:
-            # Shutdown cancelled the batch, not a worker fault: hand the
-            # worker back (its late result is skipped as a stale frame).
-            self._free.put(worker)
-            raise
-        except (EOFError, BrokenPipeError, OSError, TimeoutError) as exc:
-            why = "hung" if isinstance(exc, TimeoutError) else "crashed"
-            self._retire(worker, why)
-            raise WorkerCrash(
-                f"worker {worker.worker_id} {why} mid-batch: {exc}"
-            ) from exc
+        outcomes, lines = await self._converse(worker, kind, items, hang_timeout)
         self._free.put(worker)
         return outcomes, lines, {
             "dispatch_s": dispatch_s,
@@ -733,91 +629,76 @@ class WorkerSupervisor:
 
     # -- hot swap -------------------------------------------------------------
 
-    def reload(self, ir: Ir, index: CompiledIndex | None, journal) -> dict:
+    async def reload(self, ir: Ir, index: CompiledIndex | None, journal) -> dict:
         """Swap every live worker to the patched state without dropping work.
 
         The parent state is updated first (under the lock), so any worker
         the monitor respawns from here on warms straight from the new IR
         and index.  Each live worker is then *leased* from the free queue
-        before its reload frame is sent — leasing is the same exclusivity
-        the batch executors use, so a reload never interleaves with an
-        in-flight batch and no client request is dropped: batches simply
-        queue behind the (millisecond-scale) per-worker patch.
+        and sent a ``reload`` frame — the same exclusivity the batch
+        executors use, so a reload never interleaves with an in-flight
+        batch and no client request is dropped: batches simply queue
+        behind the (millisecond-scale) per-worker patch.
 
-        Workers that crash, wedge, or fail the patch are retired; the
-        monitor respawns them from the already-updated parent state.
-        Past the deadline any still-unswapped worker is retired too, so
-        no worker keeps answering from the old index indefinitely.
-        Returns a summary dict (``reloaded``/``retired``/``degraded``).
+        A worker whose patch raised is retired as ``reload-failed``; one
+        that crashes or wedges mid-reload as ``crashed`` / ``hung``, like
+        any frame; the monitor respawns them from the already-updated
+        parent state.  Past the deadline any still-unswapped worker is
+        retired as ``stale-after-reload``, so no worker keeps answering
+        from the old index indefinitely; a degraded or stopping pool
+        answers nothing again, so the sweep stops there.  The workers'
+        ``worker-reloaded`` events land in ``flight``.  Returns a summary
+        dict (``reloaded``/``retired``/``degraded``).
         """
         with self._lock:
             self._ir = ir
             self._index = index
             targets = set(self._workers)
-        expected_generation = index.generation if index is not None else 0
-        done: set[int] = set()
-        degraded_applies = 0
-        retired = 0
+        frame = (index.generation if index is not None else 0, journal)
         deadline = time.monotonic() + (
             self.config.lease_timeout + 2 * self.config.hang_timeout
         )
+        reloaded = degraded_applies = retired = 0
         while True:
             with self._lock:
-                remaining = {
-                    wid for wid in targets if wid in self._workers
-                } - done
-            if not remaining:
+                pending = [w for wid, w in self._workers.items() if wid in targets]
+            if not pending:
                 break
             if time.monotonic() >= deadline:
-                with self._lock:
-                    stragglers = [
-                        worker
-                        for wid, worker in self._workers.items()
-                        if wid in remaining
-                    ]
-                for worker in stragglers:
+                for worker in pending:
                     self._retire(worker, "stale-after-reload")
-                    retired += 1
+                retired += len(pending)
                 break
             try:
-                worker = self._lease()
+                worker = await self._lease_async()
             except PoolUnavailable:
+                if self._hands_back():
+                    break
                 continue
-            if worker.worker_id not in remaining:
+            if worker.worker_id not in targets:
                 # Freshly spawned (already on the new state) or already
                 # swapped: hand it back and let a pending one come free.
                 self._free.put(worker)
-                time.sleep(0.001)
+                await asyncio.sleep(0.001)
                 continue
+            targets.discard(worker.worker_id)
             try:
-                worker.conn.send(("reload", expected_generation, journal))
-                while True:
-                    if not worker.conn.poll(self.config.hang_timeout):
-                        raise TimeoutError("no reload ack")
-                    message = worker.conn.recv()
-                    if message[0] == "reloaded":
-                        break
-                    if message[0] == "reload-failed":
-                        raise WorkerCrash(message[1])
-                    # Stale frame (late pong / cancelled batch result).
-            # TimeoutError IS an OSError (since 3.3): it must come first.
-            except TimeoutError:
-                self._retire(worker, "hung")
+                outcome, lines = await self._converse(
+                    worker, "reload", frame, self.config.hang_timeout
+                )
+            except WorkerCrash:
                 retired += 1
-            except (WorkerCrash, EOFError, BrokenPipeError, OSError):
+                continue
+            self.flight.absorb(lines)
+            if outcome[0] == "ok":
+                reloaded += 1
+                degraded_applies += outcome[2]
+                self._free.put(worker)
+            else:
                 self._retire(worker, "reload-failed")
                 retired += 1
-            else:
-                done.add(worker.worker_id)
-                if message[2]:
-                    degraded_applies += 1
-                self._free.put(worker)
         self._publish_metrics()
-        return {
-            "reloaded": len(done),
-            "retired": retired,
-            "degraded": degraded_applies,
-        }
+        return dict(reloaded=reloaded, retired=retired, degraded=degraded_applies)
 
     # -- retirement and respawn ---------------------------------------------
 
@@ -909,7 +790,8 @@ class WorkerSupervisor:
         """Ping every idle worker; retire the ones that do not answer.
 
         Leasing from the free queue gives the monitor exclusive use of
-        each pipe, so pings never interleave with batch frames.
+        each pipe, so pings never interleave with batch frames.  A ping is
+        a conversation like any other, on an event loop of the monitor's.
         """
         idle: list[_Worker] = []
         while True:
@@ -926,18 +808,13 @@ class WorkerSupervisor:
                 self._retire(worker, "crashed")
                 continue
             try:
-                worker.conn.send(("ping", worker.worker_id))
-                if not worker.conn.poll(self.config.heartbeat_timeout):
-                    raise TimeoutError("no pong")
-                worker.conn.recv()
-            # TimeoutError IS an OSError (since 3.3), so it must come first
-            # or every wedge would be misfiled as a crash.
-            except TimeoutError:
-                self._retire(worker, "hung")
-            except (EOFError, BrokenPipeError, OSError):
-                self._retire(worker, "crashed")
-            else:
-                self._free.put(worker)
+                _, lines = asyncio.run(
+                    self._converse(worker, "ping", None, self.config.heartbeat_timeout)
+                )
+            except WorkerCrash:
+                continue  # retired as hung or crashed
+            self.flight.absorb(lines)
+            self._free.put(worker)
 
     # -- introspection -------------------------------------------------------
 

@@ -164,6 +164,7 @@ class MetricsRegistry:
         self._instruments: dict[tuple[str, LabelItems], object] = {}
         self._create_lock = threading.Lock()
         self.spans = SpanStore()
+        self._drained = 0  # instruments created before the last drain()
 
     # -- instrument access -------------------------------------------------
 
@@ -215,6 +216,30 @@ class MetricsRegistry:
             "histograms": [m for m, k in zip(metrics, kinds) if k == "histogram"],
             "spans": self.spans.snapshot(),
         }
+
+    def drain(self) -> dict:
+        """What was recorded since the last drain, in :meth:`snapshot` shape:
+        counters, histogram buckets and span aggregates are zeroed in place
+        (pre-bound instruments stay valid), gauges pass through, and anything
+        with nothing new is left out unless created since the last drain."""
+        instruments = list(self._instruments.values())
+        fresh = {id(instrument) for instrument in instruments[self._drained :]}
+        self._drained = len(instruments)
+        drained: dict = {"counters": [], "gauges": [], "histograms": []}
+        for instrument in instruments:
+            kind = instrument.kind
+            news = instrument.count if kind == "histogram" else instrument.value
+            if kind == "gauge" or news or id(instrument) in fresh:
+                drained[kind + "s"].append(instrument.as_dict())
+            if kind == "counter":
+                instrument.value = 0
+            elif kind == "histogram":
+                instrument.bucket_counts[:] = [0] * len(instrument.bucket_counts)
+                instrument.sum, instrument.count = 0.0, 0
+        drained["spans"] = [span for span in self.spans.snapshot() if span["count"]]
+        for aggregate in self.spans._totals.values():
+            aggregate.count, aggregate.wall_s, aggregate.cpu_s = 0, 0.0, 0.0
+        return drained
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold another registry's snapshot into this one (exact sums).

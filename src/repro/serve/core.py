@@ -996,10 +996,10 @@ class VerifyService:
 
         The parent session is patched first (off the event loop, under
         the serial lock: the in-process path's verifier hands its hop
-        cache over), then every pool worker is swapped via the
-        supervisor's lease-serialized reload — in-flight requests keep
-        flowing throughout; at worst a batch is answered by a worker one
-        generation behind, never dropped.
+        cache over), then every pool worker is swapped by the
+        supervisor's lease-serialized reload, a coroutine on this loop —
+        in-flight requests keep flowing throughout; at worst a batch is
+        answered by a worker one generation behind, never dropped.
         """
         if self.draining:
             raise BusyError("shutting down")
@@ -1029,8 +1029,8 @@ class VerifyService:
                 self._event("reload-commit", applied=0)
                 return summary
             if self.supervisor is not None:
-                summary["pool"] = await self._batcher.run_blocking(
-                    self.supervisor.reload, current.ir, current.index, fresh
+                summary["pool"] = await self.supervisor.reload(
+                    current.ir, current.index, fresh
                 )
             self._event(
                 "reload-commit",

@@ -230,6 +230,86 @@ class TestSnapshotMerge:
         assert target.snapshot()["gauges"] == []
 
 
+class TestDrain:
+    """``drain`` hands over what was recorded since the last drain: a pool
+    worker ships one per chunk and the parent merges them."""
+
+    def test_deltas_are_exact_across_three_drains(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c", k="v")
+        histogram = registry.histogram("h", buckets=(1.0, 2.0))
+        merged = MetricsRegistry()
+        for n in (2, 3, 4):
+            counter.inc(n)
+            for _ in range(n):
+                histogram.observe(1.5)
+            registry.spans.add_timing("phase", float(n), cpu_s=0.5)
+            drained = registry.drain()
+            (c,) = drained["counters"]
+            (h,) = drained["histograms"]
+            (span,) = drained["spans"]
+            assert c["value"] == n
+            assert h["bucket_counts"] == [0, n, 0]
+            assert h["count"] == n and h["sum"] == pytest.approx(1.5 * n)
+            assert span == {"path": "phase", "count": 1, "wall_s": n, "cpu_s": 0.5}
+            merged.merge_snapshot(json.loads(json.dumps(drained)))
+        assert merged.counter("c", k="v").value == 9
+        assert merged.histogram("h", buckets=(1.0, 2.0)).bucket_counts == [0, 9, 0]
+        assert merged.spans.get("phase").count == 3
+        assert merged.spans.get("phase").wall_s == pytest.approx(9.0)
+
+    def test_gauges_pass_through(self):
+        registry = MetricsRegistry()
+        registry.gauge("g").set(0.25)
+        assert registry.drain()["gauges"] == [{"name": "g", "labels": {}, "value": 0.25}]
+        assert registry.drain()["gauges"] == [{"name": "g", "labels": {}, "value": 0.25}]
+        assert registry.gauge("g").value == 0.25
+
+    def test_nothing_new_gives_no_records(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc()
+        registry.histogram("h").observe(0.1)
+        with registry.span("phase"):
+            pass
+        registry.drain()
+        assert registry.drain() == {
+            "counters": [],
+            "gauges": [],
+            "histograms": [],
+            "spans": [],
+        }
+
+    def test_a_fresh_instrument_is_drained_even_at_zero(self):
+        """So the receiving registry holds it too, as the sender's does."""
+        registry = MetricsRegistry()
+        registry.drain()
+        registry.counter("idle")
+        (record,) = registry.drain()["counters"]
+        assert record == {"name": "idle", "labels": {}, "value": 0}
+        assert registry.drain()["counters"] == []
+
+    def test_a_pre_bound_counter_still_records_after_a_drain(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")  # bound once, like a verifier's
+        counter.inc(5)
+        registry.drain()
+        counter.inc(2)
+        assert registry.counter("c") is counter
+        assert registry.drain()["counters"] == [{"name": "c", "labels": {}, "value": 2}]
+
+    def test_null_registry_drains_empty(self):
+        NULL_REGISTRY.counter("c").inc()
+        with NULL_REGISTRY.span("phase"):
+            pass
+        assert NULL_REGISTRY.drain() == NULL_REGISTRY.snapshot()
+        assert NULL_REGISTRY.drain() == {
+            "counters": [],
+            "gauges": [],
+            "histograms": [],
+            "spans": [],
+        }
+
+
 class TestPrometheusRoundTrip:
     def _snapshot(self):
         registry = MetricsRegistry()

@@ -10,7 +10,7 @@ import pytest
 from repro.chaos.faults import KillWorkerChunk, RaiseOnChunk, hang_a_worker_at
 from repro.core import parallel, pool
 from repro.core.parallel import verify_table
-from repro.core.pool import ChunkRunner, SupervisorConfig
+from repro.core.pool import SupervisorConfig, _verify_chunk
 from repro.core.verify import Verifier
 from repro.obs import MetricsRegistry, use_registry
 from repro.stats.verification import VerificationStats
@@ -196,13 +196,13 @@ def _counter_values(registry: MetricsRegistry, name: str) -> dict:
 class TestWorkerMetricsResilience:
     """Degraded parallel runs must still report *exact* metrics.
 
-    The per-chunk snapshot deltas shipped back to the parent have to stay
+    The per-chunk drained deltas shipped back to the parent have to stay
     an exact sum under every failure mode: a SIGKILLed worker (whole
     attempt lost, chunk re-verified elsewhere), a SIGSTOPped one (caught
     by the chunk's hang bound or the heartbeat), an in-worker exception
     (chunk handed back by a worker that survives), and a mid-chunk
     failure after some hops were already recorded into the worker's
-    cumulative registry.
+    registry.
     """
 
     def test_killed_worker_metrics_match_serial(self, tiny_ir, tiny_world, tiny_routes):
@@ -249,24 +249,23 @@ class TestWorkerMetricsResilience:
         # event is the chunk's in-process verification.
         assert observed.degradation.by_kind() == {"verify/chunk-serial-fallback": 1}
 
-    def test_mid_chunk_failure_advances_snapshot_cursor(
+    def test_mid_chunk_failure_is_drained_and_discarded(
         self, tiny_ir, tiny_world, tiny_routes
     ):
-        # Drive the worker's chunk runner in-process: a chunk that dies
-        # halfway bakes its partial work into the worker's cumulative
-        # registry, so the cursor must advance past it or the next chunk's
-        # delta double-counts.
+        # Drive the worker's chunk function in-process: a chunk that dies
+        # halfway records its partial work into the worker's registry, so
+        # the failure must drain it away or the next chunk's deltas
+        # double-count.
         chunk_a = tiny_routes[:40]
         chunk_b = tiny_routes[40:80]
-        runner = ChunkRunner(collect_metrics=True)
         with use_registry(MetricsRegistry()) as worker_registry:
             verifier = Verifier(tiny_ir, tiny_world.topology)  # binds its instruments
-            _, delta_a = runner.run(verifier, 0, chunk_a)
+            _, _, delta_a, _ = _verify_chunk(verifier, 0, chunk_a, None)
             with pytest.raises(AttributeError):
-                runner.run(verifier, 1, chunk_b[:10] + [None])  # a poisoned entry
-            # The partial attempt is baked into the worker's registry.
-            assert worker_registry.counter("verify_routes_total").value > len(chunk_a)
-            _, delta_b = runner.run(verifier, 1, chunk_b)
+                _verify_chunk(verifier, 1, chunk_b[:10] + [None], None)  # poisoned
+            _, _, delta_b, _ = _verify_chunk(verifier, 1, chunk_b, None)
+            # The drains zeroed the worker's registry in place.
+            assert worker_registry.counter("verify_routes_total").value == 0
         merged = MetricsRegistry()
         merged.merge_snapshot(delta_a)
         merged.merge_snapshot(delta_b)

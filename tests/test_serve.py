@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from repro.chaos import HungWorker
 from repro.irr.whois import whois_query
 from repro.obs import MetricsRegistry, parse_prometheus, read_events
 from repro.serve import Query, ServeConfig, ServeDaemon, report_as_dict
@@ -1311,6 +1312,83 @@ class TestReload:
         assert body["index_generation"] == 1
         assert body["journal_serials"] == journal.serials()
         assert body["last_delta_apply_s"] > 0
+
+    def test_worker_reloaded_events_arrive_with_the_reload(self, reload_handle):
+        """Each swapped worker's ``worker-reloaded`` event lands in the
+        flight ring with its reload's answer — not with the worker's next
+        batch, which a worker retired first never sends."""
+        handle, session, ChurnConfig, evolve_with_journal = reload_handle
+        _, journal = evolve_with_journal(session.ir, ChurnConfig(seed=11))
+        status, summary = _http(
+            handle.http_port, "POST", "/reload", {"journal": journal.to_jsonable()}
+        )
+        assert status == 200 and summary["pool"]["reloaded"] == 2
+        service = handle.daemon.service
+        events = service.flight.events(kinds=["worker-reloaded"])  # no /verify yet
+        assert len(events) == 2
+        assert [event["ids"]["generation"] for event in events] == [1, 1]
+        assert {event["ids"]["worker"] for event in events} == set(
+            service.supervisor.worker_pids()
+        )
+
+    def test_reload_past_a_wedged_worker(self, tiny_world, tiny_routes):
+        """A SIGSTOPped worker cannot take the reload: it is retired, a
+        replacement warms on the new generation, and every request after
+        the swap is answered from generation 1."""
+        from repro.irr.history import ChurnConfig, evolve_with_journal
+
+        session = api.open_session(
+            tiny_world, as_rel=tiny_world.topology, use_cache=False
+        )
+        _, journal = evolve_with_journal(session.ir, ChurnConfig(seed=11))
+        config = ServeConfig(
+            http_port=0,
+            workers=2,
+            hang_timeout=1.0,
+            heartbeat_interval=0.1,
+            heartbeat_timeout=0.5,
+        )
+        try:
+            with ServeDaemon(session, config).start_in_thread() as handle:
+                supervisor = handle.daemon.service.supervisor
+                wedged = supervisor.worker_pids()[0]
+                HungWorker()(wedged)
+                status, summary = _http(
+                    handle.http_port,
+                    "POST",
+                    "/reload",
+                    {"journal": journal.to_jsonable()},
+                )
+                assert status == 200 and summary["generation"] == 1
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline and (
+                    len(pids := supervisor.worker_pids()) < 2 or wedged in pids
+                ):
+                    time.sleep(0.05)
+                pids = supervisor.worker_pids()
+                assert len(pids) == 2 and wedged not in pids
+                rids = [f"wedged-{n}" for n in range(12)]
+                with ThreadPoolExecutor(max_workers=4) as clients:
+                    statuses = list(
+                        clients.map(
+                            lambda rid: _http_full(
+                                handle.http_port,
+                                "POST",
+                                "/verify",
+                                _verify_payload(tiny_routes[0]),
+                                headers={"X-Request-Id": rid},
+                            )[0],
+                            rids,
+                        )
+                    )
+                assert statuses == [200] * len(rids)
+                executes = handle.daemon.service.flight.events(
+                    kinds=["worker-execute"]
+                )
+                assert {event["ids"]["request"] for event in executes} == set(rids)
+                assert {event["ids"]["generation"] for event in executes} == {1}
+        finally:
+            session.close()
 
     def test_reload_is_idempotent(self, reload_handle):
         handle, session, ChurnConfig, evolve_with_journal = reload_handle

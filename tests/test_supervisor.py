@@ -324,12 +324,35 @@ class TestPoolHealthRule:
         new_ir, _ = apply_journal_to_ir(pool_session.ir, journal)
         new_index = patch_index(pool_session.index, pool_session.ir, new_ir, journal)
         try:
-            supervisor.reload(new_ir, new_index, journal)  # nothing live to reach
+            # Nothing live to reach.
+            asyncio.run(supervisor.reload(new_ir, new_index, journal))
             supervisor._admit(warming)
             (admitted,) = supervisor._workers.values()
             assert admitted is not warming and admitted.index is new_index
         finally:
             supervisor.stop()
+
+    def test_a_worker_whose_patch_raises_is_retired_as_reload_failed(
+        self, pool_session
+    ):
+        from repro.core.compiled import patch_index
+        from repro.irr.history import ChurnConfig, evolve_with_journal
+        from repro.irr.journal import apply_journal_to_ir
+
+        _, journal = evolve_with_journal(pool_session.ir, ChurnConfig(seed=3))
+        new_ir, _ = apply_journal_to_ir(pool_session.ir, journal)
+        new_index = patch_index(pool_session.index, pool_session.ir, new_ir, journal)
+        supervisor = self._unstarted(pool_session).start()
+        try:
+            (victim,) = supervisor.worker_pids()
+            # The parent swaps to the real patch; the worker's replay of a
+            # journal that is not one raises.
+            summary = asyncio.run(supervisor.reload(new_ir, new_index, None))
+        finally:
+            supervisor.stop()
+        assert summary == {"reloaded": 0, "retired": 1, "degraded": 0}
+        assert supervisor.degradation.by_kind()["serve/worker-reload-failed"] == 1
+        assert victim not in supervisor.worker_pids()
 
 
 @pytest.fixture(scope="module")

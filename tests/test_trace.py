@@ -210,6 +210,33 @@ class TestDifferential:
             KillWorkerMidChunk(1),
         )
 
+    @pytest.mark.parametrize(
+        "fault_hook",
+        [None, RaiseOnChunk(1), KillWorkerChunk(1)],
+        ids=["clean", "raised-chunk", "killed-worker"],
+    )
+    def test_pooled_run_counts_what_it_sampled(
+        self, tiny_ir, tiny_world, tiny_routes, fault_hook
+    ):
+        """A pooled run's tracer reports the serial pass's sample counts:
+        each accepted chunk carries its worker's per-chunk counts, and a
+        chunk that raised or whose worker died contributes none."""
+        config = TraceConfig(sample_rate=16)
+        with use_tracer(Tracer(config)) as serial:
+            verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
+        with use_tracer(Tracer(config)) as pooled:
+            verify_table(
+                tiny_ir,
+                tiny_world.topology,
+                tiny_routes,
+                processes=2,
+                chunk_size=500,
+                fault_hook=fault_hook,
+            )
+        assert serial.sampled["head"] > 0 and serial.sampled["verdict"] > 0
+        assert pooled.sampled == serial.sampled
+        assert pooled.emitted == serial.emitted
+
     def test_unverified_routes_always_traced(self, tiny_ir, tiny_world, tiny_routes):
         unverified: set[str] = set()
 
