@@ -207,7 +207,7 @@ class FilterEvaluator:
         # Guards against cyclic filter-set definitions (FLTR-A -> FLTR-B ->
         # FLTR-A), which would otherwise recurse without bound.
         self._filter_set_stack: set[str] = set()
-        # Deep-trace sink: when set (by Verifier._traced_check), every
+        # Deep-trace sink: when set (by Verifier._miss), every
         # evaluate() call appends "node -> outcome" to it.  None on the hot
         # path, so untraced evaluation pays one attribute load per node.
         self._trace: list[str] | None = None

@@ -693,6 +693,7 @@ class WorkerSupervisor:
             if outcome[0] == "ok":
                 reloaded += 1
                 degraded_applies += outcome[2]
+                worker.index = index  # else this record keeps the old index mapped
                 self._free.put(worker)
             else:
                 self._retire(worker, "reload-failed")

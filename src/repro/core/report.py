@@ -26,6 +26,10 @@ __all__ = ["ItemKind", "ReportItem", "HopReport", "RouteReport"]
 class ItemKind(Enum):
     """The kinds of evidence items a hop report can carry."""
 
+    # An identity hash, as repro.core.status's enums have: an item is
+    # hashed whenever its report is interned (repro.core.verify).
+    __hash__ = object.__hash__
+
     MATCH_REMOTE_AS_NUM = "MatchRemoteAsNum"
     MATCH_REMOTE_AS_SET = "MatchRemoteAsSet"
     MATCH_REMOTE_ANY = "MatchRemoteAny"

@@ -36,6 +36,12 @@ class SpecialCase(Enum):
     relationships*.
     """
 
+    # Members are singletons compared by identity, so an identity hash is
+    # exact and runs in C (Enum's own hashes the name in Python, once per
+    # tally-key probe).  Nothing printed depends on it: figures iterate
+    # members in declaration order and dicts in insertion order.
+    __hash__ = object.__hash__
+
     EXPORT_SELF = "export-self"
     IMPORT_CUSTOMER = "import-customer"
     MISSING_ROUTES = "missing-routes"
@@ -55,6 +61,8 @@ class SpecialCase(Enum):
 
 class UnrecordedReason(Enum):
     """Sub-reasons of the UNRECORDED status (Figure 5 of the paper)."""
+
+    __hash__ = object.__hash__  # as SpecialCase's
 
     NO_AUT_NUM = "no-aut-num"
     NO_RULES = "no-rules"

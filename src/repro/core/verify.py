@@ -67,6 +67,9 @@ _MAX_ITEMS = MAX_ITEMS  # single source of truth: repro.core.filter_match
 # verify_hop_cache_invalidated_total).
 _INVALIDATION_REASONS = ("subject", "prefix", "origin-flip", "full")
 
+# The two checks of a hop, in report order.
+_DIRECTIONS = ("export", "import")
+
 # "A route object at the prefix or anywhere above it", as a range operator.
 _ANY_COVER = RangeOp(RangeOpKind.PLUS)
 
@@ -94,9 +97,10 @@ class VerifyOptions:
     # what makes bulk verification amortize (0 disables).  Entries outlive
     # an index generation: a journal apply hands the cache to the next
     # verifier minus what the journal can reach (Verifier.adopt_hop_cache).
-    # The same figure bounds the verifier's second store, the rule plans
-    # (one per ⟨subject, direction, family, remote AS⟩; cleared wholesale at
-    # capacity and not kept at 0, like the cache; never handed over).
+    # The same figure bounds the verifier's other two stores, the rule plans
+    # (one per ⟨subject, direction, family, remote AS⟩) and the interned
+    # reports (one per verdict value): each cleared wholesale at capacity,
+    # the reports with the plans too, neither kept at 0, neither handed over.
     hop_cache_size: int = 1 << 20
 
 
@@ -264,10 +268,11 @@ class _VerifierMetrics:
 
     def __init__(self, registry):
         self.registry = registry
-        self.status = {
-            status: registry.counter("verify_hops_total", status=status.label)
+        # Indexed by VerifyStatus value.
+        self.status = [
+            registry.counter("verify_hops_total", status=status.label)
             for status in VerifyStatus
-        }
+        ]
         self.cache_hits = registry.counter("verify_hop_cache_total", result="hit")
         self.cache_misses = registry.counter("verify_hop_cache_total", result="miss")
         self.cache_evictions = registry.counter("verify_hop_cache_evictions_total")
@@ -275,6 +280,18 @@ class _VerifierMetrics:
         self.plans_built = registry.counter("verify_rule_plans_total", result="built")
         self.latency = registry.histogram("verify_hop_seconds")
         self.routes = registry.counter("verify_routes_total")
+
+    def add_route(self, counts: list[int], hits: int, misses: int, evictions: int) -> None:
+        """Publish one route's counts, kept in locals while its hops ran."""
+        for counter, count in zip(self.status, counts):
+            if count:
+                counter.inc(count)
+        if hits:
+            self.cache_hits.inc(hits)
+        if misses:
+            self.cache_misses.inc(misses)
+        if evictions:
+            self.cache_evictions.inc(evictions)
 
     def ignored(self, reason: str) -> None:
         self.registry.counter("verify_routes_ignored_total", reason=reason).inc()
@@ -308,13 +325,18 @@ class Verifier:
     per route (see "rule lists specialised on the remote AS" in this
     module).  There is no other rule-evaluation path.
 
-    The two stores have different lifetimes.  The hop cache belongs to the
+    A verdict is *interned*: equal reports are one :class:`HopReport`
+    object, so its tally key and renderings are worked out once per
+    distinct verdict, not once per hop.
+
+    The stores have different lifetimes.  The hop cache belongs to the
     verdicts, not to one IR snapshot: when a journal is applied
     (:meth:`repro.api.Session.apply_deltas`) the replacement verifier takes
     the cache over through :meth:`adopt_hop_cache`, which drops exactly the
     entries the journal can have changed and keeps the rest warm across
-    index generations.  Rule plans are a pure function of one IR
-    generation and are never handed over: a new verifier starts with none.
+    index generations.  Rule plans and the intern store are a pure
+    function of one IR generation and are never handed over: a new
+    verifier starts with neither.
     """
 
     def __init__(
@@ -343,6 +365,8 @@ class Verifier:
         # the remote AS.  A pure function of this verifier's IR, so it lives
         # exactly as long as the verifier does.
         self._rule_plans: dict[tuple[str, int, int, int], _RulePlan] = {}
+        # A report's value -> the one report object of that value (_finish).
+        self._reports: dict[tuple, HopReport] = {}
         self.hop_cache_hits = 0
         self.hop_cache_misses = 0
         self.hop_cache_evictions = 0
@@ -395,7 +419,16 @@ class Verifier:
     # -- route-level entry points ---------------------------------------
 
     def verify_entry(self, entry: RouteEntry) -> RouteReport:
-        """Verify one observed route; hops are reported origin side first."""
+        """Verify one observed route; hops are reported origin side first.
+
+        The one loop over a route's hops.  Each check probes the hop cache
+        on its full decision context — ⟨direction, from, to, prefix,
+        sub-path toward the origin, communities⟩ — so a hit is exact, and
+        reports are immutable so sharing is safe.  The prefix enters the
+        key as ``(version, network, length)`` ints, built once per route,
+        so the whole key hashes in C.  Only a miss calls :meth:`_miss`;
+        the counters are kept in locals and published once per route.
+        """
         tracer = self._tracer
         trace = tracer.route(entry) if tracer is not None else None
         report = RouteReport(entry=entry)
@@ -414,24 +447,46 @@ class Verifier:
             if trace is not None:
                 tracer.commit(trace, report)
             return report
-        if trace is None or not trace.head:
-            # Tail-sampled routes need no per-hop capture: commit() reads
-            # everything it emits from the finished report's hops.
-            check = self.check
-        else:
-
-            def check(*hop, _trace=trace):
-                return self._traced_check(_trace, *hop)
-
+        # Tail-sampled routes need no per-hop capture: commit() reads
+        # everything it emits from the finished report's hops.
+        head = trace if trace is not None and trace.head else None
         prefix = entry.prefix
         communities = entry.communities
+        route_prefix = (prefix.version, prefix.network, prefix.length)
+        cache = self._hop_cache
+        cache_size = self.options.hop_cache_size  # at 0 the cache stays empty
+        hits = misses = evictions = 0
+        counts = [0] * len(metrics.status) if metrics is not None else None
         hops = report.hops
         for index in range(len(path) - 2, -1, -1):
             exporter = path[index + 1]
             importer = path[index]
             sub_path = path[index + 1 :]
-            hops.append(check("export", exporter, importer, prefix, sub_path, communities))
-            hops.append(check("import", exporter, importer, prefix, sub_path, communities))
+            for direction in _DIRECTIONS:
+                key = (direction, exporter, importer, route_prefix, sub_path, communities)
+                hop = cache.get(key)
+                if hop is not None:
+                    hits += 1
+                    if head is not None:
+                        head.add_hop(hop, True, None)
+                else:
+                    hop = self._miss(
+                        direction, exporter, importer, prefix, sub_path, communities, head
+                    )
+                    if cache_size:
+                        misses += 1
+                        if len(cache) >= cache_size:
+                            cache.clear()
+                            evictions += 1
+                        cache[key] = hop
+                hops.append(hop)
+                if counts is not None:
+                    counts[hop.status] += 1
+        self.hop_cache_hits += hits
+        self.hop_cache_misses += misses
+        self.hop_cache_evictions += evictions
+        if metrics is not None:
+            metrics.add_route(counts, hits, misses, evictions)
         if trace is not None:
             tracer.commit(trace, report)
         return report
@@ -449,7 +504,7 @@ class Verifier:
 
     # -- per-hop classification -------------------------------------------
 
-    def check(
+    def _miss(
         self,
         direction: str,
         from_asn: int,
@@ -457,71 +512,31 @@ class Verifier:
         prefix: Prefix,
         sub_path: tuple[int, ...],
         communities: frozenset[tuple[int, int]],
+        trace: RouteTrace | None,
     ) -> HopReport:
-        """Classify one import or export of one hop (memoized).
+        """Classify one check the hop cache did not answer.
 
-        The cache key is the full decision context — direction, the hop's
-        endpoints, the prefix, and the sub-path toward the origin — so a
-        hit is exact, and reports are immutable so sharing is safe.  A hit
-        costs the key tuple and one probe: the :class:`MatchContext` the
-        rules are evaluated in is only built on a miss.
+        Timed when metrics are enabled.  ``trace`` is the route's head
+        sample, if it is one: the check is recorded as not cached, with
+        the filter-evaluation path the evaluator walked when the sample is
+        deep (see :mod:`repro.obs.trace`).
         """
-        metrics = self._metrics
-        cache_size = self.options.hop_cache_size
-        if cache_size:
-            key = (direction, from_asn, to_asn, prefix, sub_path, communities)
-            cached = self._hop_cache.get(key)
-            if cached is not None:
-                self.hop_cache_hits += 1
-                if metrics is not None:
-                    metrics.cache_hits.inc()
-                    metrics.status[cached.status].inc()
-                return cached
-            self.hop_cache_misses += 1
-        report = self._checked(
-            metrics, direction, from_asn, to_asn, prefix, sub_path, communities
-        )
-        if metrics is not None:
-            metrics.status[report.status].inc()
-        if cache_size:
-            if metrics is not None:
-                metrics.cache_misses.inc()
-            if len(self._hop_cache) >= cache_size:
-                self._hop_cache.clear()
-                self.hop_cache_evictions += 1
-                if metrics is not None:
-                    metrics.cache_evictions.inc()
-            self._hop_cache[key] = report
-        return report
-
-    def _traced_check(self, trace: RouteTrace, *hop) -> HopReport:
-        """One hop check with provenance capture (see :mod:`repro.obs.trace`).
-
-        Wraps :meth:`check` (``hop`` is its argument list) without changing
-        what it computes: detects whether the memo cache answered (a hit
-        skips filter evaluation, so no deep chain exists for it) and, for
-        head-sampled routes, collects the filter-evaluation path from the
-        evaluator.
-        """
-        hits_before = self.hop_cache_hits
-        chain: list[str] | None = [] if trace.deep else None
+        chain: list[str] | None = [] if trace is not None and trace.deep else None
         if chain is not None:
             self.filters.begin_trace(chain)
+        metrics = self._metrics
+        started = time.perf_counter() if metrics is not None else 0.0
         try:
-            report = self.check(*hop)
+            report = self._check_uncached(
+                direction, from_asn, to_asn, prefix, sub_path, communities
+            )
         finally:
             if chain is not None:
                 self.filters.end_trace()
-        trace.add_hop(report, self.hop_cache_hits > hits_before, chain)
-        return report
-
-    def _checked(self, metrics: _VerifierMetrics | None, *hop) -> HopReport:
-        """Run an uncached check, timing it when metrics are enabled."""
-        if metrics is None:
-            return self._check_uncached(*hop)
-        started = time.perf_counter()
-        report = self._check_uncached(*hop)
-        metrics.latency.observe(time.perf_counter() - started)
+        if metrics is not None:
+            metrics.latency.observe(time.perf_counter() - started)
+        if trace is not None:
+            trace.add_hop(report, False, chain)
         return report
 
     def _check_uncached(
@@ -621,16 +636,25 @@ class Verifier:
         rule_index: int | None = None,
         source: str | None = None,
     ) -> HopReport:
-        return HopReport(
-            direction=direction,
-            from_asn=from_asn,
-            to_asn=to_asn,
-            status=status,
-            items=items[:_MAX_ITEMS],
-            peer_matched=peer_matched,
-            rule_index=rule_index,
-            rule_source=source,
-        )
+        """The one report object of this value (interned).
+
+        Bounded like the rule plans and by the same option: cleared
+        wholesale at ``hop_cache_size`` entries and with the plans, not
+        kept at all when that is 0, never handed to another verifier.
+        """
+        items = items[:_MAX_ITEMS]
+        key = (direction, from_asn, to_asn, status, items, peer_matched, rule_index, source)
+        report = self._reports.get(key)
+        if report is None:
+            report = HopReport(
+                direction, from_asn, to_asn, status, items, peer_matched, rule_index, source
+            )
+            bound = self.options.hop_cache_size
+            if bound:
+                if len(self._reports) >= bound:
+                    self._reports.clear()
+                self._reports[key] = report
+        return report
 
     # -- rule plans: built once per remote AS, evaluated per route ----------
 
@@ -658,6 +682,7 @@ class Verifier:
         if bound:
             if len(self._rule_plans) >= bound:
                 self._rule_plans.clear()
+                self._reports.clear()
             self._rule_plans[key] = plan
         return plan
 
@@ -768,7 +793,8 @@ def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:
     over the keys: the subject and endpoint tests are set probes, and
     since a route's hops are inserted back to back the two per-prefix
     tests (covered by a changed prefix; registered, at or above, by a
-    regrouped member AS) run once per run of identical prefix objects.
+    regrouped member AS) run once per run of keys sharing one
+    ``(version, network, length)`` tuple.
     """
     subjects = effects.subjects
     import_subjects = effects.import_subjects
@@ -807,9 +833,7 @@ def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:
             prefix = key[3]
             if prefix is not member_prefix:
                 member_prefix = prefix
-                member_registered = routes.match_members(
-                    member_asns, prefix.version, prefix.network, prefix.length, _ANY_COVER
-                )
+                member_registered = routes.match_members(member_asns, *prefix, _ANY_COVER)
             if (
                 member_registered
                 or key[1] in member_asns
@@ -828,11 +852,12 @@ def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:
         if prefix is not last_prefix:
             last_prefix = prefix
             last_covered = False
-            for (version, length, shift), networks in probes:
+            version, network, length = prefix
+            for (changed_version, changed_length, shift), networks in probes:
                 if (
-                    prefix.version == version
-                    and prefix.length >= length
-                    and (prefix.network >> shift) in networks
+                    version == changed_version
+                    and length >= changed_length
+                    and (network >> shift) in networks
                 ):
                     last_covered = True
                     break

@@ -158,18 +158,18 @@ class VerificationStats:
             self.routes_ignored[report.ignored] += 1
             return
         self._views = None
-        tally = self._tally
         keys = self._keys
         hops = report.hops
         for hop in hops[:2]:
             # hops[0]/hops[1] are the origin-side export and import — the
             # "first hop" the paper examines for leak prevention.
             self.first_hop_statuses[hop.status] += 1
-        seen_statuses: set[VerifyStatus] = set()
-        for hop in hops:
-            key = hop.tally_key(keys)
-            tally[key] = tally.get(key, 0) + 1
-            seen_statuses.add(key[3])
+        # A verifier interns its reports, so a key is worked out once per
+        # distinct verdict and every other hop reads it back; each key
+        # hashes in C (ints, a str, an IntEnum and an identity-hashed detail).
+        route_keys = [hop.tally_key(keys) for hop in hops]
+        self._tally.update(route_keys)
+        seen_statuses = {key[3] for key in route_keys}
         self.route_status_count_hist[len(seen_statuses)] += 1
         if len(seen_statuses) == 1:
             self.route_single_status[next(iter(seen_statuses))] += 1

@@ -2,12 +2,14 @@
 
 Four gates on the hit path, none of them a timer:
 
-* the reshaped ``Verifier.check`` counts exactly what it counted before
+* the route loop counts exactly what the per-hop ``check`` counted before
   (values pinned on the commit that still built a ``MatchContext`` per hop);
 * operation counters — a warm route builds no ``MatchContext``, a miss
   builds one only when its rule plan has rules to run, and a
   route whose hops were all rendered before calls no ``__str__``; a
-  journal's invalidated hop is rendered afresh, a carried one is not;
+  journal's invalidated hop is rendered afresh, a carried one is not; a
+  pass and its fold hash no ``Prefix`` and no ``Enum``, and make one
+  report object per verdict value;
 * the served bytes are ``report_as_dict``'s, whatever the report holds,
   in process and over both front-ends with and without a worker pool;
 * the memo slot is not part of a ``HopReport``'s value.
@@ -20,6 +22,7 @@ import http.client
 import json
 import pickle
 from contextlib import nullcontext
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,7 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.obs.trace import TraceConfig, Tracer, use_tracer
 from repro.serve import ServeConfig, ServeDaemon, report_as_dict
 from repro.serve.core import _json_bytes, render_report
+from repro.stats.verification import VerificationStats
 
 from test_incremental_index import _NO_RELATIONSHIPS, _PATH, _as_ir, _world
 
@@ -180,6 +184,35 @@ def test_a_context_is_built_only_for_a_plan_with_rules_to_run(
     report = bare.verify_route("10.31.0.0/16", _PATH)
     assert [hop.status for hop in report.hops] == [VerifyStatus.UNRECORDED] * 4
     assert (contexts.count, to_run) == (0, [False] * 4)
+
+
+def test_a_pass_and_its_fold_hash_no_prefix_and_no_enum(
+    tiny_ir, tiny_world, tiny_routes, monkeypatch
+):
+    """The hop-cache key holds the prefix as ints, and every enum a tally
+    key or an interned report holds hashes by identity: nothing per hop
+    runs a Python-level ``__hash__`` of either kind."""
+    verifier = Verifier(tiny_ir, tiny_world.topology)  # compiling is not the pass
+    prefix_hashes = _Calls(monkeypatch, Prefix, "__hash__")
+    enum_hashes = _Calls(monkeypatch, Enum, "__hash__")
+    stats = VerificationStats()
+    for _ in range(2):  # cold, then warm
+        for entry in tiny_routes:
+            stats.add_report(verifier.verify_entry(entry))
+    summary = stats.summary()
+    assert stats.unrecorded_breakdown() and stats.special_breakdown()
+    assert verifier.hop_cache_hits > verifier.hop_cache_misses > 0
+    assert summary["hops"] == verifier.hop_cache_misses + verifier.hop_cache_hits
+    assert (prefix_hashes.count, enum_hashes.count) == (0, 0)
+
+
+def test_one_report_object_per_verdict_value(tiny_ir, tiny_world, tiny_routes):
+    """Equal verdicts are one interned object, so its tally key and its
+    renderings are worked out once per value, not once per miss."""
+    verifier = Verifier(tiny_ir, tiny_world.topology)
+    hops = [hop for entry in tiny_routes for hop in verifier.verify_entry(entry).hops]
+    objects = {id(hop): hop for hop in hops}
+    assert len(objects) == len(set(objects.values())) < verifier.hop_cache_misses
 
 
 def test_rendered_hops_are_joined_not_rendered_again(

@@ -992,6 +992,31 @@ class TestWhatADeltaInvalidates:
         assert not effects.subjects and not effects.flipped_origins
         assert carry["invalidated"]["prefix"] == 4
 
+    def test_less_specific_route6_add_covers_a_cached_ipv6_more_specific(self):
+        """The sweep reads the cache key's ``(version, network, length)``
+        ints: an IPv6 cover is matched on the IPv6 family's bits."""
+        world = _world("AS3001^+", mp=True) + self.ELSEWHERE
+        effects, carry = _assert_clause(
+            world,
+            world + "\nroute6: 2001:db8::/32\norigin: AS3001\n",
+            [("2001:db8:5::/48", _PATH)],
+            [_effects_without("prefixes")],
+        )
+        assert effects.prefixes == {Prefix.parse("2001:db8::/32")}
+        assert not effects.subjects and not effects.flipped_origins
+        assert carry["invalidated"]["prefix"] == 4
+
+    def test_ipv4_and_ipv6_prefixes_of_equal_bits_do_not_share_an_entry(self):
+        """``0.0.0.0/16`` and ``::/16`` are both network 0, length 16: the
+        family is part of the key, so neither answers for the other."""
+        verifier = Verifier(_as_ir(_world()), _NO_RELATIONSHIPS)  # IPv4 rules only
+        v4 = verifier.verify_route("0.0.0.0/16", _PATH)
+        v6 = verifier.verify_route("::/16", _PATH)
+        assert verifier.hop_cache_hits == 0 and len(verifier._hop_cache) == 8
+        assert [hop.status for hop in v4.hops] != [hop.status for hop in v6.hops]
+        assert verifier.verify_route("::/16", _PATH) == v6
+        assert verifier.hop_cache_hits == 4
+
     def test_route_add_that_covers_nothing_cached_keeps_the_cache(self):
         """The converse: a touched prefix that does not cover *P* (a
         more-specific, a sibling) invalidates nothing."""

@@ -332,6 +332,31 @@ class TestPoolHealthRule:
         finally:
             supervisor.stop()
 
+    def test_a_clean_reload_leaves_no_worker_on_the_old_index(self, pool_session):
+        """A worker records the index it warmed on for the respawn check;
+        kept past a reload, the record pins the old generation's index (and
+        its mmap) in the parent for as long as the worker lives."""
+        from repro.core.compiled import patch_index
+        from repro.irr.history import ChurnConfig, evolve_with_journal
+        from repro.irr.journal import apply_journal_to_ir
+
+        _, journal = evolve_with_journal(pool_session.ir, ChurnConfig(seed=3))
+        new_ir, _ = apply_journal_to_ir(pool_session.ir, journal)
+        old_index = pool_session.index
+        new_index = patch_index(old_index, pool_session.ir, new_ir, journal)
+        supervisor = WorkerSupervisor(
+            pool_session.ir, pool_session.relationships, None, old_index,
+            SupervisorConfig(workers=2),
+        ).start()
+        try:
+            summary = asyncio.run(supervisor.reload(new_ir, new_index, journal))
+            workers = list(supervisor._workers.values())
+        finally:
+            supervisor.stop()
+        assert summary["reloaded"] == 2 and summary["retired"] == 0
+        assert len(workers) == 2
+        assert all(worker.index is new_index for worker in workers)
+
     def test_a_worker_whose_patch_raises_is_retired_as_reload_failed(
         self, pool_session
     ):

@@ -704,12 +704,32 @@ class TestPlanStore:
         verifier, counts = self._counts(options)
         assert counts == {"built": 6, "hit": 0}
         assert verifier._rule_plans == {} and verifier._hop_cache == {}
+        assert verifier._reports == {}  # nor the interned reports
         assert disagreements(self.POLICY, self.ROUTES, options) == []
 
     def test_store_is_cleared_wholesale_at_capacity(self):
         verifier, _ = build(self.POLICY, VerifyOptions(hop_cache_size=2))
+        cleared: list[str] = []
+
+        class Store(dict):
+            def __init__(self, name):
+                self.name = name
+
+            def clear(self):
+                cleared.append(self.name)
+                super().clear()
+
+        verifier._rule_plans, verifier._reports = Store("plans"), Store("reports")
         verifier.verify_route("10.1.0.0/16", (1, 2, 3))  # four distinct hops
         assert 0 < len(verifier._rule_plans) <= 2
+        assert 0 < len(verifier._reports) <= 2
+        # Each clear of the plans takes the interned reports with it.
+        assert "plans" in cleared
+        assert all(
+            cleared[at + 1 : at + 2] == ["reports"]
+            for at, name in enumerate(cleared)
+            if name == "plans"
+        )
         routes = [("10.1.0.0/16", (1, 2, 3)), ("10.1.0.0/16", (3, 1, 2))]
         assert disagreements(self.POLICY, routes, VerifyOptions(hop_cache_size=2)) == []
 
