@@ -14,7 +14,7 @@ import random
 
 from repro.baseline.origin_validation import OriginStatus, OriginValidator
 from repro.bgp.routegen import collector_routes
-from repro.bgp.updates import StreamVerifier, UpdateEntry, synthesize_updates
+from repro.bgp.updates import UpdateEntry, synthesize_updates
 from repro.core.status import VerifyStatus
 from repro.core.verify import Verifier
 from repro.irr.synth import build_world, tiny_config
@@ -56,11 +56,19 @@ def main() -> None:
     updates, hijacks = inject_hijacks(updates, world)
     print(f"monitoring {len(updates)} updates ({len(hijacks)} injected hijacks)\n")
 
-    stream = StreamVerifier(verifier)
-    alerts = 0
+    # The monitored RIB: (collector, peer, prefix) -> AS path.
+    rib = {}
+    announcements = withdrawals = alerts = 0
     for update in updates:
-        report = stream.apply(update)
-        if report is None or report.ignored is not None:
+        key = (update.collector, update.peer_asn, update.prefix)
+        if update.kind == "W":
+            withdrawals += 1
+            rib.pop(key, None)
+            continue
+        announcements += 1
+        rib[key] = update.as_path
+        report = verifier.verify_entry(update.to_route_entry())
+        if report.ignored is not None:
             continue
         origin_status = validator.validate(update.prefix, update.as_path[-1])
         bad_hops = [h for h in report.hops if h.status is VerifyStatus.UNVERIFIED]
@@ -79,8 +87,8 @@ def main() -> None:
             )
 
     print(
-        f"\nprocessed {stream.announcements} announcements, "
-        f"{stream.withdrawals} withdrawals; RIB size {len(stream.rib)}; "
+        f"\nprocessed {announcements} announcements, "
+        f"{withdrawals} withdrawals; RIB size {len(rib)}; "
         f"{alerts} alerts raised"
     )
     assert alerts > 0

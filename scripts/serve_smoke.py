@@ -115,7 +115,7 @@ def whois(port: int, query: str) -> str:
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
     access_log = workdir / "access.jsonl"
-    world = api.synthesize("tiny", seed=42)
+    world = api.synthesize("tiny", seed=42).world
     world.write_to_dir(workdir / "world")
     entry = next(
         iter(

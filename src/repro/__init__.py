@@ -1,77 +1,33 @@
 """RPSLyzer reproduction: parse, characterize, and verify RPSL policies.
 
-The supported entry point is the :mod:`repro.api` facade, re-exported
-here; it mirrors the paper's pipeline stages:
-
-* :func:`synthesize` — generate an offline world (IRR dumps + topology);
-* :func:`parse_dumps` — parse a directory of dumps into one merged
-  :class:`Ir` plus its parse issues;
-* :func:`open_session` — load once, then :meth:`Session.verify_table`
-  verifies BGP routes, serial or multi-process, into
-  :class:`VerificationStats`;
-* :func:`characterize` — the Section 4 characterization.
-
-Observability for all of it lives in :mod:`repro.obs` (metrics registry,
-phase spans, run manifests); lower-level pieces (:class:`Verifier`,
-:class:`Registry`, the RPSL parsers) remain importable for tooling but are
-implementation detail.
+The supported entry point is the :mod:`repro.api` facade, whose stages
+mirror the paper's pipeline: ``synthesize`` an offline world,
+``parse_dumps`` into one merged IR, ``open_session`` to verify routes
+(``Session.verify_table``) and ``characterize`` (Section 4).  This package
+re-exports only what callers outside the test suite use; observability
+lives in :mod:`repro.obs`.
 
 Quickstart::
 
-    from repro import open_session
+    from repro import api
     from repro.bgp.table import parse_table_file
 
-    with open_session("dumps/", as_rel="as-rel.txt") as session:
+    with api.open_session("dumps/", as_rel="as-rel.txt") as session:
         stats = session.verify_table(parse_table_file("table.txt"), processes=4)
         report = session.verify_route("192.0.2.0/24", [64500, 64496])
     print(stats.summary())
 """
 
-from repro.api import (
-    LoadResult,
-    Session,
-    SessionClosedError,
-    characterize,
-    make_verifier,
-    open_session,
-    parse_dumps,
-    parse_registry,
-    synthesize,
-)
-from repro.bgp.topology import AsRelationships
-from repro.core.status import SpecialCase, VerifyStatus
+from repro.api import synthesize
 from repro.core.verify import Verifier, VerifyOptions
-from repro.ir.model import Ir
-from repro.irr.dump import parse_dump_file, parse_dump_text
-from repro.irr.registry import Registry, parse_registry_dir
-from repro.net.prefix import Prefix
-from repro.stats.verification import VerificationStats
+from repro.irr.dump import parse_dump_text
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
-    # the supported facade
-    "LoadResult",
-    "Session",
-    "SessionClosedError",
-    "characterize",
-    "make_verifier",
-    "open_session",
-    "parse_dumps",
-    "parse_registry",
-    "synthesize",
-    "VerificationStats",
-    "VerifyOptions",
-    # core model and lower-level pieces
-    "AsRelationships",
-    "Ir",
-    "Prefix",
-    "Registry",
-    "SpecialCase",
     "Verifier",
-    "VerifyStatus",
+    "VerifyOptions",
     "__version__",
-    "parse_dump_file",
     "parse_dump_text",
-    "parse_registry_dir",
+    "synthesize",
 ]

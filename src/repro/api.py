@@ -23,8 +23,8 @@ query engine, digest), replaced whole by :meth:`Session.apply_deltas`;
 read several of its fields through :attr:`Session.current`.
 
 Loading stages (:func:`synthesize`, :func:`parse_dumps`) return a
-:class:`LoadResult` carrying ``ir``, ``errors``, and ``degradation``;
-``ir, errors = parse_dumps(...)`` keeps working via tuple unpacking.
+:class:`LoadResult` carrying ``ir``, ``errors``, and ``degradation``
+(and, for a synthesis, the generated ``world``).
 
 All stages report into the current :mod:`repro.obs` metrics registry when
 one is installed; a :class:`Session` can also own a private registry
@@ -44,7 +44,6 @@ from repro.bgp.table import RouteEntry
 from repro.bgp.topology import AsRelationships
 from repro.core.compiled import (
     CompiledIndex,
-    IndexCacheError,
     get_or_compile,
     index_cache_path,
     ir_digest,
@@ -59,7 +58,7 @@ from repro.core.query import QueryEngine
 from repro.core.report import RouteReport
 from repro.core.verify import Verifier, VerifyOptions
 from repro.ir.model import Ir
-from repro.irr.journal import Journal, apply_journal_to_ir, load_journal
+from repro.irr.journal import Journal, apply_journal_to_ir
 from repro.irr.registry import Registry, parse_registry_dir
 from repro.irr.synth import SynthConfig, SynthWorld, build_world, default_config, tiny_config
 from repro.obs import MetricsRegistry, get_registry, use_registry
@@ -75,18 +74,10 @@ if TYPE_CHECKING:
     from repro.serve import ServeHandle
 
 __all__ = [
-    "CompiledIndex",
-    "DegradationReport",
-    "Generation",
-    "IndexCacheError",
     "LoadResult",
     "Session",
     "SessionClosedError",
-    "apply_journal",
     "compile_index",
-    "get_or_compile",
-    "load_journal",
-    "patch_index",
     "index_cache_path",
     "ir_digest",
     "load_index",
@@ -98,7 +89,6 @@ __all__ = [
     "make_verifier",
     "characterize",
     "recommend_migrations",
-    "run_chaos",
 ]
 
 # Parse-issue kinds that are ingestion damage (not merely mis-written
@@ -127,11 +117,9 @@ class LoadResult:
     """What a loading stage produced: IR, parse issues, and degradation.
 
     The consistent return shape of :func:`synthesize` and
-    :func:`parse_dumps`.  Tuple unpacking stays supported —
-    ``ir, errors = api.parse_dumps(...)`` — via ``__iter__``; synthesis
-    results additionally delegate attribute access to the underlying
-    :class:`~repro.irr.synth.SynthWorld` (``result.write_to_dir(...)``,
-    ``result.topology``), so pre-1.4 callers keep working unchanged.
+    :func:`parse_dumps`.  A synthesis result's ``world`` is the generated
+    :class:`~repro.irr.synth.SynthWorld` (``result.world.write_to_dir(...)``,
+    ``result.world.topology``).
 
     ``ir``/``errors`` are computed lazily for synthesis results (the dump
     text is only parsed when something asks for the IR).
@@ -179,20 +167,6 @@ class LoadResult:
             self._degradation = _ingest_degradation(self.errors)
         return self._degradation
 
-    def __iter__(self):
-        """Tuple-unpack compatibility: ``ir, errors = load_result``."""
-        return iter((self.ir, self.errors))
-
-    def __getattr__(self, name: str):
-        # Compatibility bridge for synthesis results: anything LoadResult
-        # itself does not define resolves against the SynthWorld.
-        world = self.__dict__.get("world")
-        if world is not None:
-            return getattr(world, name)
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
-
     def __repr__(self) -> str:
         origin = f"world seed={self.world.config.seed}" if self.world else self.source
         return f"LoadResult({origin})"
@@ -206,8 +180,7 @@ def synthesize(
     ``config`` is a :class:`SynthConfig`, a preset name (``"tiny"`` or
     ``"default"``), or None for the default preset; ``seed`` applies to
     preset names only.  Returns a :class:`LoadResult` whose ``world`` is
-    the generated :class:`~repro.irr.synth.SynthWorld` (attribute access
-    delegates to it, so ``result.write_to_dir(...)`` works) and whose
+    the generated :class:`~repro.irr.synth.SynthWorld` and whose
     ``ir``/``errors`` parse the generated dumps on first use.
     """
     if config is None:
@@ -233,8 +206,7 @@ def parse_dumps(directory: str | Path) -> LoadResult:
     """Parse and priority-merge a directory of IRR dumps.
 
     Returns a :class:`LoadResult` with the merged IR, every parse issue
-    across all dumps, and the ingestion degradation report;
-    ``ir, errors = parse_dumps(...)`` still unpacks.  Use
+    across all dumps, and the ingestion degradation report.  Use
     :func:`parse_registry` instead when per-IRR views (Table 1) are
     needed.
     """
@@ -245,26 +217,6 @@ def parse_dumps(directory: str | Path) -> LoadResult:
         errors=errors,
         degradation=_ingest_degradation(errors),
         source=str(directory),
-    )
-
-
-def apply_journal(ir: Ir, journal: Journal) -> LoadResult:
-    """Replay an NRTM-style journal onto an IR (provenance intact).
-
-    Returns a :class:`LoadResult` whose ``ir`` is the patched snapshot
-    (the input IR is never mutated — objects are shared, containers are
-    fresh) and whose ``degradation`` carries every replay anomaly:
-    corrupt entries, out-of-order or duplicate serials, missing targets.
-    A non-empty report means the journal cannot be trusted for
-    incremental index patching; recompile instead (that is exactly what
-    :meth:`Session.apply_deltas` does).
-    """
-    patched, report = apply_journal_to_ir(ir, journal)
-    return LoadResult(
-        ir=patched,
-        errors=ErrorCollector(),
-        degradation=report,
-        source="journal",
     )
 
 
@@ -599,7 +551,6 @@ class Session:
         chunk_size: int = 2000,
         start_method: str | None = None,
         on_report: Callable[[RouteReport], None] | None = None,
-        fault_hook: Callable[[int], None] | None = None,
     ) -> VerificationStats:
         """Verify a table of routes (Section 5), serial or multi-process.
 
@@ -624,7 +575,6 @@ class Session:
                 chunk_size=chunk_size,
                 start_method=start_method,
                 on_report=on_report,
-                fault_hook=fault_hook,
                 index=current.index,
             )
 
@@ -827,28 +777,11 @@ def compile_index(ir: Ir, *, digest: str | None = None) -> CompiledIndex:
     and AS-path regex program is materialized eagerly, so verifiers built
     from it never resolve anything in the hot loop.  Feed it to
     :func:`open_session`/:func:`make_verifier`, persist it with
-    :func:`save_index`, or let :func:`get_or_compile` manage an on-disk
-    cache keyed by :func:`ir_digest`.  ``digest`` stamps the artifact for
-    cache validation (defaults to unstamped).
+    :func:`save_index`, or let :func:`~repro.core.compiled.get_or_compile`
+    manage an on-disk cache keyed by :func:`ir_digest`.  ``digest`` stamps
+    the artifact for cache validation (defaults to unstamped).
     """
     return _compile_index(ir, digest=digest)
-
-
-def patch_index(
-    index: CompiledIndex,
-    old_ir: Ir,
-    new_ir: Ir,
-    journal: Journal,
-    *,
-    digest: str | None = None,
-) -> CompiledIndex:
-    """Patch a compiled index with one journal's deltas (the fast path).
-
-    See :func:`repro.core.compiled.patch_index`; prefer
-    :meth:`Session.apply_deltas`, which also handles the degraded-journal
-    fallback and publishes IR, index and verifier together.
-    """
-    return _patch_index(index, old_ir, new_ir, journal, digest=digest)
 
 
 def characterize(ir: Ir) -> dict:
@@ -875,22 +808,3 @@ def recommend_migrations(
         emitted += 1
         if limit and emitted >= limit:
             return
-
-
-def run_chaos(
-    seed: int = 42,
-    preset: str = "tiny",
-    processes: int = 2,
-    only: str | None = None,
-):
-    """Run the fault-injection suite; returns a ``repro.chaos.ChaosReport``.
-
-    Every mutator and fault in the catalogue is driven against a seeded
-    synthetic world (see ``docs/robustness.md``); the report carries
-    pass/fail resilience checks plus the aggregated
-    :class:`DegradationReport`.  ``only="serve-supervisor"`` restricts
-    the run to the serve worker-pool crash/hang layer.
-    """
-    from repro.chaos import run_chaos as _run_chaos
-
-    return _run_chaos(seed=seed, preset=preset, processes=processes, only=only)

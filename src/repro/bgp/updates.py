@@ -1,4 +1,4 @@
-"""BGP update streams: incremental route churn and its verification.
+"""BGP update streams: incremental route churn.
 
 RIS and RouteViews publish both table snapshots and *update* feeds;
 the paper argues RPSLyzer's throughput "allows processing large volumes
@@ -9,10 +9,11 @@ provides that workload offline:
   the bgpdump update format (``BGP4MP|<ts>|A|...`` / ``|W|...``);
 * :func:`synthesize_updates` — a churn generator over a route table:
   flaps (withdraw + re-announce), path changes (the AS picks its next
-  best route), and new-prefix announcements, in timestamp order;
-* :class:`StreamVerifier` — incremental verification: announcements are
-  verified like table entries (the hop cache makes re-announcements
-  nearly free); withdrawals update the tracked RIB only.
+  best route), and new-prefix announcements, in timestamp order.
+
+An announcement is verified like a table entry —
+``verifier.verify_entry(update.to_route_entry())``; the hop cache makes
+re-announcements nearly free.  A withdrawal carries no route to verify.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.bgp.table import DUMP_TIMESTAMP, RouteEntry, _parse_path
-from repro.core.report import RouteReport
-from repro.core.verify import Verifier
 from repro.net.prefix import Prefix, PrefixError
 
-__all__ = ["UpdateEntry", "synthesize_updates", "StreamVerifier", "parse_update_text"]
+__all__ = ["UpdateEntry", "synthesize_updates", "parse_update_text"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,60 +129,3 @@ def synthesize_updates(
             )
     updates.sort(key=lambda update: (update.timestamp, update.peer_asn, str(update.prefix)))
     return updates
-
-
-class StreamVerifier:
-    """Incremental verification over an update stream.
-
-    Tracks the per-(collector, peer, prefix) RIB and verifies every
-    announcement; exposes counters for throughput accounting.
-    """
-
-    def __init__(self, verifier: Verifier):
-        self.verifier = verifier
-        self.rib: dict[tuple[str, int, Prefix], tuple[int, ...]] = {}
-        self.announcements = 0
-        self.withdrawals = 0
-        self.implicit_withdrawals = 0
-
-    def apply(self, update: UpdateEntry) -> RouteReport | None:
-        """Apply one update; returns the report for announcements."""
-        key = (update.collector, update.peer_asn, update.prefix)
-        if update.kind == "W":
-            self.withdrawals += 1
-            self.rib.pop(key, None)
-            return None
-        self.announcements += 1
-        if key in self.rib:
-            self.implicit_withdrawals += 1
-        self.rib[key] = update.as_path
-        return self.verifier.verify_entry(update.to_route_entry())
-
-    def run(self, updates: Iterable[UpdateEntry]) -> "StreamStats":
-        """Apply a whole stream, aggregating announcement statuses."""
-        from collections import Counter
-
-        statuses: Counter = Counter()
-        for update in updates:
-            report = self.apply(update)
-            if report is not None and report.ignored is None:
-                for hop in report.hops:
-                    statuses[hop.status] += 1
-        return StreamStats(
-            announcements=self.announcements,
-            withdrawals=self.withdrawals,
-            implicit_withdrawals=self.implicit_withdrawals,
-            rib_size=len(self.rib),
-            hop_statuses=statuses,
-        )
-
-
-@dataclass(slots=True)
-class StreamStats:
-    """Summary of one stream-verification run."""
-
-    announcements: int
-    withdrawals: int
-    implicit_withdrawals: int
-    rib_size: int
-    hop_statuses: "object"

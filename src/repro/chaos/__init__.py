@@ -13,6 +13,9 @@ reproducible:
   chosen chunk, SIGKILL/SIGSTOP a pool worker by PID, a TCP
   proxy that drops the first N connections, a slow client that wedges
   thread-per-connection handlers);
+* :func:`use_faults` — installs the one fault plan the product reads
+  (a chunk fault in pool workers, a batch fault in the serve core; see
+  :mod:`repro.faultplan`) for a ``with`` block;
 * :mod:`repro.chaos.harness` — :func:`run_chaos` drives every mutator
   and fault against a synthetic world and returns a structured
   :class:`ChaosReport` (also ``rpslyzer chaos --seed 42``).
@@ -32,6 +35,7 @@ from repro.chaos.faults import (
 )
 from repro.chaos.harness import ChaosCheck, ChaosReport, run_chaos
 from repro.chaos.mutators import DUMP_MUTATORS, MUTATORS, TABLE_MUTATORS
+from repro.faultplan import use_faults
 
 __all__ = [
     "ChaosCheck",
@@ -47,4 +51,5 @@ __all__ = [
     "TABLE_MUTATORS",
     "hang_a_worker_at",
     "run_chaos",
+    "use_faults",
 ]

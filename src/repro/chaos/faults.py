@@ -4,13 +4,14 @@ These are the injection points the mutators cannot reach — failures of
 the *processes and sockets* around the pipeline rather than of its
 inputs.  Both are built to be driven from tests and the chaos harness:
 
-* :class:`KillWorkerChunk` / :class:`RaiseOnChunk` plug into
-  ``verify_table(fault_hook=...)`` (picklable, so they survive the trip
-  into spawn-started workers);
+* :class:`KillWorkerChunk` / :class:`RaiseOnChunk` are chunk faults for
+  the installed fault plan (``with use_faults(chunk=...)``, see
+  :mod:`repro.faultplan`; picklable, so they survive the trip into
+  spawn-started workers);
 * :class:`KillServeWorker` / :class:`HungWorker` act on the worker
   pool's processes *from outside*, by PID — SIGKILL for a crash,
   SIGSTOP for a wedge the hang bound or the heartbeat must detect.
-  External delivery matters: an in-worker hook would fire again in every
+  External delivery matters: an in-worker fault would fire again in every
   respawned worker and the pool could never heal.
   :func:`hang_a_worker_at` delivers :class:`HungWorker` to a table run's
   pool, whose PIDs no caller sees;
@@ -46,7 +47,7 @@ __all__ = [
 class KillWorkerChunk:
     """Kill the worker process that picks up one specific chunk.
 
-    The hook fires in the worker before verification, so the chunk's work
+    The fault fires in the worker before verification, so the chunk's work
     is lost entirely — the parent sees the worker's pipe close.  The kill
     repeats every time the pool retries the chunk on another worker (no
     cross-process state exists to count attempts), which is exactly what

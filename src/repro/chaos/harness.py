@@ -39,6 +39,7 @@ from repro.chaos.faults import (
 from repro.chaos.mutators import DUMP_MUTATORS, TABLE_MUTATORS
 from repro.core.degradation import DegradationReport
 from repro.core.parallel import verify_table
+from repro.faultplan import use_faults
 from repro.irr.dump import parse_dump_file, parse_dump_text
 from repro.irr.synth import build_world, default_config, tiny_config
 from repro.irr.whois import whois_query
@@ -250,14 +251,10 @@ def run_chaos(
     ir = world.merged_ir()
     baseline = verify_table(ir, world.topology, entries, processes=1)
     chunk_size = max(1, len(entries) // 8)
-    chaotic = verify_table(
-        ir,
-        world.topology,
-        entries,
-        processes=processes,
-        chunk_size=chunk_size,
-        fault_hook=KillWorkerChunk(1),
-    )
+    with use_faults(chunk=KillWorkerChunk(1)):
+        chaotic = verify_table(
+            ir, world.topology, entries, processes=processes, chunk_size=chunk_size
+        )
     expected = baseline.summary()
     observed = chaotic.summary()
     expected.pop("degradation")
@@ -318,14 +315,10 @@ def run_chaos(
         verify_table(
             ir, world.topology, entries, processes=1, on_report=note_unverified
         )
-    with use_tracer(Tracer(trace_config)) as chaos_tracer:
+    kill = use_faults(chunk=KillWorkerChunk(1))
+    with use_tracer(Tracer(trace_config)) as chaos_tracer, kill:
         verify_table(
-            ir,
-            world.topology,
-            entries,
-            processes=processes,
-            chunk_size=chunk_size,
-            fault_hook=KillWorkerChunk(1),
+            ir, world.topology, entries, processes=processes, chunk_size=chunk_size
         )
     check(
         ChaosCheck(
@@ -458,10 +451,9 @@ def _serve_layer(check, ir, world, entries) -> DegradationReport:
             )
         )
         # Make each batch slow so the bounded queue actually fills.
-        daemon.service.fault_hook = lambda queries: time.sleep(0.05)
-        with ThreadPoolExecutor(max_workers=32) as pool:
+        slow = use_faults(batch=lambda queries: time.sleep(0.05))
+        with slow, ThreadPoolExecutor(max_workers=32) as pool:
             outcomes = [f.result() for f in [pool.submit(post_verify) for _ in range(32)]]
-        daemon.service.fault_hook = None
         statuses = sorted({status for status, _ in outcomes})
         busy = sum(1 for status, _ in outcomes if status == 429)
         served = sum(1 for status, _ in outcomes if status == 200)
@@ -567,19 +559,16 @@ def _serve_supervisor_layer(check, ir, world, entries) -> DegradationReport:
             )
         )
 
-        # SIGKILL one worker mid-flood.  The fault hook slows each batch
+        # SIGKILL one worker mid-flood.  The batch fault slows each batch
         # so the flood is still in flight when the kill lands and some
         # batch actually dies with its worker.
         victim = supervisor.worker_pids()[0]
-        service.fault_hook = lambda queries: time.sleep(0.02)
-        try:
-            with ThreadPoolExecutor(max_workers=16) as pool:
-                futures = [pool.submit(post_verify) for _ in range(48)]
-                time.sleep(0.1)
-                KillServeWorker()(victim)
-                outcomes = [future.result() for future in futures]
-        finally:
-            service.fault_hook = None
+        slow = use_faults(batch=lambda queries: time.sleep(0.02))
+        with slow, ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(post_verify) for _ in range(48)]
+            time.sleep(0.1)
+            KillServeWorker()(victim)
+            outcomes = [future.result() for future in futures]
         served = sum(1 for status, _ in outcomes if status == 200)
         identical = all(
             payload.get("text") == expected

@@ -62,7 +62,6 @@ from repro.ir.json_io import certified_digest, dump_ir, load_ir
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
-    PhaseProfiler,
     TraceConfig,
     build_manifest,
     cache_summary,
@@ -87,32 +86,21 @@ def _metrics_session(
 
     ``extras`` lets the command deposit values computed inside the session
     (``extras["degradation"]``, ``extras["trace"]``) for inclusion in the
-    manifest.  ``--profile`` additionally runs the background resource
-    sampler for the session and records its timeline.
+    manifest.
     """
     path = getattr(args, "metrics", None)
     if not path:
-        if getattr(args, "profile", False):
-            print("--profile requires --metrics; ignoring", file=sys.stderr)
         yield
         return
     registry = MetricsRegistry()
-    profiler = PhaseProfiler(registry) if getattr(args, "profile", False) else None
     with use_registry(registry):
-        if profiler is not None:
-            profiler.start()
-        try:
-            yield
-        finally:
-            if profiler is not None:
-                profiler.stop()
+        yield
     manifest = build_manifest(
         command=" ".join([args.command, *map(str, inputs)]),
         registry=registry,
         inputs=inputs,
         config=config,
         degradation=(extras or {}).get("degradation"),
-        profile=profiler.snapshot() if profiler is not None else None,
         trace=(extras or {}).get("trace"),
     )
     write_manifest(path, manifest)
@@ -120,7 +108,7 @@ def _metrics_session(
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    world = api.synthesize(args.preset, seed=args.seed)
+    world = api.synthesize(args.preset, seed=args.seed).world
     world.write_to_dir(args.directory)
     if args.routes:
         entries = collector_routes(world.topology, world.announced, world.collectors)
@@ -706,11 +694,6 @@ def _add_metrics_flag(subparser: argparse.ArgumentParser) -> None:
         "--metrics",
         metavar="PATH",
         help="write a JSON run manifest (timings, counters, input digests) here",
-    )
-    subparser.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample wall/CPU/RSS during the run into the manifest (needs --metrics)",
     )
 
 

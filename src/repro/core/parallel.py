@@ -131,7 +131,6 @@ def _verify_pooled(
     options: VerifyOptions | None,
     processes: int,
     start_method: str | None,
-    fault_hook: Callable[[int], None] | None,
     index: CompiledIndex,
 ) -> VerificationStats:
     """The pool's table client: one chunk in flight per worker.
@@ -160,7 +159,6 @@ def _verify_pooled(
         degradation=total.degradation,
         component="verify",
         observability=(registry.enabled, tracer.config if tracer.enabled else None),
-        fault_hook=fault_hook,
     )
 
     async def slot() -> None:
@@ -224,7 +222,6 @@ def verify_table(
     chunk_size: int = 2000,
     start_method: str | None = None,
     on_report: Callable[[RouteReport], None] | None = None,
-    fault_hook: Callable[[int], None] | None = None,
     index: CompiledIndex | None = None,
 ) -> VerificationStats:
     """Verify a table of routes; serial and parallel return equal stats.
@@ -242,10 +239,9 @@ def verify_table(
     The pooled path tolerates dying and wedged workers: the pool retries
     a chunk on another worker (bounded by its ``batch_retries``), a chunk
     it hands back is verified in-process, and every degradation is
-    recorded on the returned stats' ``degradation`` report.
-    ``fault_hook`` is chaos-harness instrumentation — a picklable callable
-    invoked in each worker with the chunk index before verification (see
-    :mod:`repro.chaos`).
+    recorded on the returned stats' ``degradation`` report.  The chaos
+    harness injects worker faults through the installed fault plan
+    (:mod:`repro.faultplan`), never through this signature.
 
     ``index`` is a :class:`~repro.core.compiled.CompiledIndex` for ``ir``
     (see :func:`~repro.core.compiled.compile_index`); when none is given
@@ -284,7 +280,6 @@ def verify_table(
                 options,
                 processes,
                 start_method,
-                fault_hook,
                 index,
             )
         if registry.enabled:

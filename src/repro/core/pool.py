@@ -52,8 +52,9 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
+from repro import faultplan
 from repro.bgp.table import RouteEntry
 from repro.bgp.topology import AsRelationships
 from repro.core.compiled import CompiledIndex
@@ -115,10 +116,7 @@ class SupervisorConfig:
 
 
 def _verify_chunk(
-    verifier: Verifier,
-    index: int,
-    entries: Sequence[RouteEntry],
-    fault_hook: Callable[[int], None] | None,
+    verifier: Verifier, index: int, entries: Sequence[RouteEntry]
 ) -> tuple:
     """A worker's ``chunk`` frame: verify chunk ``index`` on the worker's
     persistent ``verifier`` (its hop cache carries from chunk to chunk).
@@ -127,12 +125,12 @@ def _verify_chunk(
     into the worker's registry (:meth:`~repro.obs.MetricsRegistry.drain`)
     and the routes its tracer sampled, both counted from this chunk's start.
     A chunk that fails drains its partial attempt and discards it, so a
-    retry elsewhere is never double-counted.  ``fault_hook(index)`` is
-    chaos instrumentation (picklable, so it survives the trip into a
-    spawn-started worker), called first; never set in production runs.
+    retry elsewhere is never double-counted.  The installed fault plan's
+    chunk fault, if any, is called first (:mod:`repro.faultplan`).
     """
-    if fault_hook is not None:
-        fault_hook(index)
+    chunk_fault = faultplan.current().chunk
+    if chunk_fault is not None:
+        chunk_fault(index)
     registry = get_registry()
     tracer = get_tracer()
     if tracer.enabled:
@@ -155,7 +153,7 @@ def _worker_main(
     options: VerifyOptions | None,
     index: CompiledIndex | None,
     observability: tuple,
-    fault_hook: Callable[[int], None] | None,
+    plan: faultplan.FaultPlan,
 ) -> None:
     """The worker process body: one warm Session answering frames.
 
@@ -197,6 +195,7 @@ def _worker_main(
     from repro.serve.core import answer_query
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    faultplan.install(plan)
     pid = os.getpid()
     # Fresh per-process observability: a worker must never write into a
     # registry or tracer inherited across fork (the parent would never read
@@ -239,7 +238,7 @@ def _worker_main(
                 )
         elif kind == "chunk":
             try:
-                outcome = _verify_chunk(session.verifier, *payload, fault_hook)
+                outcome = _verify_chunk(session.verifier, *payload)
             except Exception as exc:  # noqa: BLE001 - the parent verifies it
                 outcome = ("err", f"{type(exc).__name__}: {exc}")
         elif kind == "reload":
@@ -290,8 +289,9 @@ class WorkerSupervisor:
     crashes/degradation in the ``degradation`` report, under the
     caller's ``component`` (``serve`` or ``verify``).
     ``observability`` — ``(collect_metrics, trace_config)`` —
-    is what each worker installs for itself and ``fault_hook`` the
-    :func:`_verify_chunk` hook; both only a table run sets.
+    is what each worker installs for itself; only a table run sets it.
+    Each worker also installs the fault plan that was current when it
+    was spawned (:mod:`repro.faultplan`).
     """
 
     def __init__(
@@ -308,7 +308,6 @@ class WorkerSupervisor:
         flight: EventLog = NULL_EVENTS,
         component: str = "serve",
         observability: tuple = (False, None),
-        fault_hook: Callable[[int], None] | None = None,
     ):
         self.config = config or SupervisorConfig()
         if self.config.workers < 1:
@@ -319,7 +318,6 @@ class WorkerSupervisor:
         self._index = index
         self.component = component
         self._observability = observability
-        self._fault_hook = fault_hook
         start_method = self.config.start_method or (
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
@@ -449,7 +447,7 @@ class WorkerSupervisor:
                 self._options,
                 index,
                 self._observability,
-                self._fault_hook,
+                faultplan.current(),
             ),
             name=f"rpslyzer-{self.component}-worker-{worker_id}",
             daemon=True,

@@ -19,9 +19,7 @@ Designed to cost nothing when unused:
   filter, plus the request correlation-id helpers;
 * :mod:`repro.obs.trace` — sampled decision-provenance events (which
   rule/filter/tier produced each verdict), emitted into an event log,
-  with a null default tracer mirroring the null registry;
-* :mod:`repro.obs.profiler` — a background wall/CPU/RSS sampler tagging
-  each sample with the active span path (manifest resource timelines).
+  with a null default tracer mirroring the null registry.
 
 Typical use::
 
@@ -68,7 +66,6 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.spans import NULL_SPAN, SpanAggregate, SpanStore, timed_iter
 from repro.obs.trace import (
     NULL_TRACER,
@@ -99,7 +96,6 @@ __all__ = [
     "NullRegistry",
     "NullTracer",
     "PROMETHEUS_CONTENT_TYPE",
-    "PhaseProfiler",
     "SpanAggregate",
     "SpanStore",
     "TraceConfig",

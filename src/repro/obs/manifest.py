@@ -3,9 +3,10 @@
 A manifest captures everything needed to audit or compare two benchmark
 runs: what ran (command, config), on what (input files with SHA-256
 digests), with which code (python/package versions), how long each phase
-took (wall and CPU seconds per span path), and every metric the run
-recorded.  ``rpslyzer metrics <manifest.json>`` renders the metric dump as
-a Prometheus-style text table for eyeballing or scraping.
+took (wall and CPU seconds per span path), the process's peak resident
+set size, and every metric the run recorded.  ``rpslyzer metrics
+<manifest.json>`` renders the metric dump as a Prometheus-style text
+table for eyeballing or scraping.
 
 Keys are emitted sorted so two runs over the same inputs produce
 line-diffable documents.
@@ -16,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import resource
+import sys
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -83,7 +86,6 @@ def build_manifest(
     inputs: Iterable[str | Path] = (),
     config: dict | None = None,
     degradation: dict | None = None,
-    profile: dict | None = None,
     trace: dict | None = None,
 ) -> dict:
     """Assemble the manifest document from a finished run's registry.
@@ -92,12 +94,15 @@ def build_manifest(
     :meth:`~repro.core.degradation.DegradationReport.as_dict` — how the
     run deviated from the clean path (requeued chunks, dropped objects);
     always present in the document so clean and degraded runs stay
-    line-diffable.  ``profile`` is a
-    :meth:`~repro.obs.profiler.PhaseProfiler.snapshot` resource timeline
-    and ``trace`` a :meth:`~repro.obs.trace.Tracer.stats` summary; both
-    keys are always emitted (null when the run recorded neither).
+    line-diffable.  ``trace`` is a :meth:`~repro.obs.trace.Tracer.stats`
+    summary, always emitted (null for an untraced run).  ``peak_rss_kb`` is
+    read here, at the end of the run; a pre-1.20 manifest's ``profile``
+    timeline still loads (:func:`load_manifest` keeps unknown keys).
     """
     snapshot = registry.snapshot()
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # bytes there, KiB on Linux
+        peak_rss //= 1024
     phases = {
         record["path"]: {
             "count": record["count"],
@@ -115,7 +120,7 @@ def build_manifest(
         "phases": phases,
         "metrics": snapshot,
         "degradation": degradation if degradation is not None else {"events": [], "total": 0},
-        "profile": profile,
+        "peak_rss_kb": peak_rss,
         "trace": trace,
     }
 

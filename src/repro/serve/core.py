@@ -30,8 +30,9 @@ handlers stay thin:
   one batch (``batch_max`` queries) and regains control between
   batches.  The executor is kept for what genuinely blocks: a
   ``reload``'s session patch and pool sweep, the pool's serial
-  fallback, and any batch while a chaos ``fault_hook`` is installed or
-  a reload holds the session (:meth:`VerifyService._run_batch_async`).
+  fallback, and any batch while a chaos batch fault is installed
+  (:mod:`repro.faultplan`) or a reload holds the session
+  (:meth:`VerifyService._run_batch_async`).
 * **supervised execution** — with ``workers > 0`` batches ship to a
   self-healing pool of warm worker processes
   (:class:`~repro.core.pool.WorkerSupervisor`); a batch the pool
@@ -69,6 +70,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro import faultplan
 from repro.api import Session
 from repro.core.degradation import DegradationReport
 from repro.irr.journal import Journal
@@ -397,10 +399,6 @@ class VerifyService:
         self.draining = False
         self.degradation = DegradationReport()
         self.supervisor: WorkerSupervisor | None = None
-        # Chaos/test instrumentation: called with the batch's queries
-        # before execution, always on an executor thread (hooks block).
-        # Never set in production.
-        self.fault_hook: Callable[[Sequence[Query]], None] | None = None
         # Serializes hot swaps so two concurrent reloads cannot interleave
         # their worker-pool sweeps.
         self._reload_lock = asyncio.Lock()
@@ -808,7 +806,7 @@ class VerifyService:
     def _run_batch(
         self,
         batch: Sequence[_Pending],
-        fault_hook: Callable[[Sequence[Query]], None] | None = None,
+        batch_fault: Callable[[Sequence[Query]], None] | None = None,
     ) -> list:
         """Execute one coalesced batch synchronously, in-process.
 
@@ -817,8 +815,8 @@ class VerifyService:
         skipped (their waiters have already timed out, this just avoids
         wasted work).
         """
-        if fault_hook is not None:
-            fault_hook([pending.query for pending in batch])
+        if batch_fault is not None:
+            batch_fault([pending.query for pending in batch])
         outcomes, live = self._admit_batch(batch)
         if live:
             for position, result in zip(live, self._execute_live(batch, live)):
@@ -885,25 +883,26 @@ class VerifyService:
     async def _run_batch_async(self, batch: Sequence[_Pending]) -> list:
         """Where a batch runs — decided by observable state only.
 
-        * no pool, no chaos hook, session free: right here on the event
+        * no pool, no chaos batch fault, session free: right here on the event
           loop.  A batch is at most ``batch_max`` warm verifications;
           the thread hop it used to ride cost more than they do.
         * no pool, but a ``reload`` is patching the session: on the
           executor, where the batch queues behind the patch.  The loop
           never *blocks* on ``_serial_lock`` — it only try-acquires it.
-        * no healthy pool, and a chaos ``fault_hook`` is installed or the
-          pool has degraded to serial: on the executor (hooks sleep;
+        * no healthy pool, and a chaos batch fault is installed or the
+          pool has degraded to serial: on the executor (faults sleep;
           degraded batches from several slots contend for the session).
         * a healthy pool: dispatched from the loop, awaiting the worker's
-          pipe — after the chaos hook, if any, has run on the executor,
+          pipe — after the batch fault, if any, has run on the executor,
           and falling back to the executor for this batch's queries when
           the pool cannot serve them.
         """
         supervisor = self.supervisor
-        fault_hook = self.fault_hook  # read once: tests set it from other threads
+        # Read once: tests install a plan from other threads.
+        batch_fault = faultplan.current().batch
         if (
             supervisor is None
-            and fault_hook is None
+            and batch_fault is None
             and self._serial_lock.acquire(blocking=False)
         ):
             try:
@@ -912,11 +911,11 @@ class VerifyService:
                 self._serial_lock.release()
         if supervisor is None or supervisor.degraded:
             return await self._batcher.run_blocking(
-                self._run_batch, batch, fault_hook
+                self._run_batch, batch, batch_fault
             )
-        if fault_hook is not None:
+        if batch_fault is not None:
             await self._batcher.run_blocking(
-                fault_hook, [pending.query for pending in batch]
+                batch_fault, [pending.query for pending in batch]
             )
         outcomes, live = self._admit_batch(batch)
         if not live:

@@ -13,14 +13,7 @@ from repro.stats.verification import VerificationStats
 
 class TestFacadeExports:
     def test_top_level_reexports(self):
-        for name in (
-            "synthesize",
-            "parse_dumps",
-            "open_session",
-            "characterize",
-            "VerifyOptions",
-            "VerificationStats",
-        ):
+        for name in ("synthesize", "Verifier", "VerifyOptions", "parse_dump_text"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
 
@@ -29,8 +22,7 @@ class TestFacadeExports:
             assert hasattr(repro, name), name
 
     def test_facade_matches_api_module(self):
-        assert repro.open_session is api.open_session
-        assert repro.parse_dumps is api.parse_dumps
+        assert repro.synthesize is api.synthesize
 
 
 class TestCliImportHygiene:
@@ -47,14 +39,14 @@ class TestCliImportHygiene:
 
 class TestSynthesize:
     def test_presets(self):
-        world = api.synthesize("tiny", seed=7)
+        world = api.synthesize("tiny", seed=7).world
         assert world.config.seed == 7
         assert world.irr_dumps
 
     def test_config_object_passthrough(self, tiny_world):
         from repro.irr.synth import tiny_config
 
-        world = api.synthesize(tiny_config(seed=42))
+        world = api.synthesize(tiny_config(seed=42)).world
         assert world.config == tiny_world.config
 
     def test_unknown_preset_rejected(self):
@@ -65,9 +57,9 @@ class TestSynthesize:
 class TestParseDumps:
     def test_round_trip_through_directory(self, tmp_path, tiny_world, tiny_ir):
         tiny_world.write_to_dir(tmp_path)
-        ir, errors = api.parse_dumps(tmp_path)  # tuple-unpack compat
-        assert ir.counts() == tiny_ir.counts()
-        assert len(errors) >= 0
+        load = api.parse_dumps(tmp_path)
+        assert load.ir.counts() == tiny_ir.counts()
+        assert len(load.errors) >= 0
 
     def test_load_result_fields(self, tiny_world_dir, tiny_ir):
         load = api.parse_dumps(tiny_world_dir)

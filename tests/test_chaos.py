@@ -23,6 +23,7 @@ from repro.chaos import (
     KillWorkerChunk,
     RaiseOnChunk,
     run_chaos,
+    use_faults,
 )
 from repro.chaos.mutators import oversized_paragraph
 from repro.core.degradation import DegradationReport
@@ -144,14 +145,10 @@ def _summaries_match(a, b) -> bool:
 
 def test_worker_kill_mid_run_exact_stats(tiny_ir, tiny_world, tiny_routes):
     baseline = verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
-    chaotic = verify_table(
-        tiny_ir,
-        tiny_world.topology,
-        tiny_routes,
-        processes=4,
-        chunk_size=200,
-        fault_hook=KillWorkerChunk(2),
-    )
+    with use_faults(chunk=KillWorkerChunk(2)):
+        chaotic = verify_table(
+            tiny_ir, tiny_world.topology, tiny_routes, processes=4, chunk_size=200
+        )
     assert _summaries_match(baseline, chaotic)
     kinds = chaotic.degradation.by_kind()
     assert kinds.get("verify/worker-crashed", 0) >= 1
@@ -160,14 +157,10 @@ def test_worker_kill_mid_run_exact_stats(tiny_ir, tiny_world, tiny_routes):
 
 def test_worker_exception_retried_then_serial(tiny_ir, tiny_world, tiny_routes):
     baseline = verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
-    chaotic = verify_table(
-        tiny_ir,
-        tiny_world.topology,
-        tiny_routes,
-        processes=2,
-        chunk_size=300,
-        fault_hook=RaiseOnChunk(0),
-    )
+    with use_faults(chunk=RaiseOnChunk(0)):
+        chaotic = verify_table(
+            tiny_ir, tiny_world.topology, tiny_routes, processes=2, chunk_size=300
+        )
     assert _summaries_match(baseline, chaotic)
     # The chunk came back from a worker that survived and went straight to
     # the in-process fallback: no worker crashed, hung or was restarted.

@@ -28,7 +28,7 @@ from prefix_oracle import oracle_verifier
 from set_oracle import index_mismatches
 
 from repro.bgp.routegen import collector_routes
-from repro.chaos.faults import KillWorkerChunk
+from repro.chaos import KillWorkerChunk, use_faults
 from repro.core import compiled as production
 from repro.core.compiled import (
     CompiledIndex,
@@ -170,15 +170,15 @@ class TestDifferentialIdentity:
     def test_identical_under_worker_death(
         self, tiny_ir, tiny_world, tiny_routes, index, oracle_stats
     ):
-        chaotic = verify_table(
-            tiny_ir,
-            tiny_world.topology,
-            tiny_routes,
-            processes=2,
-            chunk_size=200,
-            index=index,
-            fault_hook=KillWorkerChunk(2),
-        )
+        with use_faults(chunk=KillWorkerChunk(2)):
+            chaotic = verify_table(
+                tiny_ir,
+                tiny_world.topology,
+                tiny_routes,
+                processes=2,
+                chunk_size=200,
+                index=index,
+            )
         # Degradation events differ by design (the run *was* degraded);
         # every verification aggregate must still be exact.
         assert chaotic.degradation.events()

@@ -26,7 +26,7 @@ from set_oracle import index_mismatches
 from repro import api
 from repro.bgp.routegen import collector_routes
 from repro.bgp.topology import AsRelationships
-from repro.chaos.faults import KillServeWorker, KillWorkerChunk
+from repro.chaos import KillServeWorker, KillWorkerChunk, use_faults
 from repro.core.compiled import (
     _collect_references,
     _Referenced,
@@ -513,12 +513,8 @@ class TestVerdictIdentity:
     def test_identity_under_worker_kill(self, evolved_state, table):
         """A killed worker chunk re-runs serially; verdicts stay identical."""
         patched, fresh = evolved_state
-        stats = patched.verify_table(
-            table,
-            processes=2,
-            chunk_size=50,
-            fault_hook=KillWorkerChunk(chunk_index=1),
-        )
+        with use_faults(chunk=KillWorkerChunk(chunk_index=1)):
+            stats = patched.verify_table(table, processes=2, chunk_size=50)
         assert self._summary(stats) == self._summary(
             fresh.verify_table(table, processes=1)
         )

@@ -286,13 +286,6 @@ class TestDegradation:
 
 
 class TestApiSurface:
-    def test_apply_journal_wrapper(self, seed_ir):
-        evolved, journal = evolve_with_journal(seed_ir, ChurnConfig(seed=9))
-        result = api.apply_journal(seed_ir, journal)
-        assert result.source == "journal"
-        assert not result.degradation
-        _assert_same_ir(evolved, result.ir)
-
     def test_journal_entry_jsonable_shape(self, seed_ir):
         _, journal = evolve_with_journal(seed_ir, ChurnConfig(seed=9))
         doc = journal.to_jsonable()

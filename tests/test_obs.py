@@ -3,6 +3,7 @@
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.obs import (
     NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,
-    PhaseProfiler,
     SpanStore,
     build_manifest,
     cache_summary,
@@ -355,42 +355,6 @@ class TestPrometheusRoundTrip:
         assert parse_prometheus("") == {"counters": [], "gauges": [], "histograms": []}
 
 
-class TestPhaseProfiler:
-    def test_samples_are_tagged_with_active_phase(self):
-        registry = MetricsRegistry()
-        profiler = PhaseProfiler(registry, interval=0.005)
-        with profiler:
-            with registry.span("work"):
-                deadline = time.monotonic() + 0.1
-                while time.monotonic() < deadline:
-                    pass
-        snapshot = profiler.snapshot()
-        assert snapshot["sample_count"] == len(snapshot["samples"]) > 0
-        assert snapshot["peak_rss_kb"] > 0
-        assert snapshot["duration_s"] > 0
-        assert "work" in snapshot["phase_sample_counts"]
-        sample = snapshot["samples"][0]
-        assert set(sample) == {"t", "phase", "cpu_s", "rss_kb"}
-
-    def test_bounded_memory_halves_and_slows(self):
-        profiler = PhaseProfiler(None, interval=1.0, max_samples=4)
-        for _ in range(4):
-            profiler._sample()
-        # Hitting the cap halves the samples and doubles the interval.
-        assert len(profiler.samples) == 2
-        assert profiler.interval == 2.0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            PhaseProfiler(None, interval=0)
-        with pytest.raises(ValueError):
-            PhaseProfiler(None, max_samples=2)
-        profiler = PhaseProfiler(None)
-        with profiler:
-            with pytest.raises(RuntimeError):
-                profiler.start()
-
-
 class TestCacheSummary:
     def test_missing_cache_dir_reports_none(self, tmp_path):
         manifest = build_manifest("run", MetricsRegistry())
@@ -648,8 +612,12 @@ class TestCliMetricsFormats:
         assert "index disk cache: 1 artifact(s), 3 bytes" in err
 
 
-class TestCliProfile:
-    def test_profile_lands_in_manifest(self, tmp_path, capsys):
+class TestManifestResources:
+    """``peak_rss_kb`` replaced the ``--profile`` resource timeline (1.20.0)."""
+
+    OLD_MANIFEST = Path(__file__).parent / "data" / "run-manifest-1.19.0-profile.json"
+
+    def test_every_metrics_manifest_records_peak_rss(self, tmp_path, capsys):
         directory = tmp_path / "world"
         assert main(["synth", str(directory), "--preset", "tiny"]) == 0
         manifest_path = tmp_path / "run.json"
@@ -658,22 +626,35 @@ class TestCliProfile:
                 "parse", str(directory),
                 "-o", str(tmp_path / "ir.json"),
                 "--metrics", str(manifest_path),
-                "--profile",
             ]
         ) == 0
         capsys.readouterr()
         manifest = load_manifest(manifest_path)
-        profile = manifest["profile"]
-        assert profile is not None
-        assert profile["duration_s"] > 0
-        assert profile["sample_count"] == len(profile["samples"])
-        assert set(profile["phase_sample_counts"]) or profile["sample_count"] == 0
+        assert manifest["peak_rss_kb"] > 0
+        assert "profile" not in manifest
 
-    def test_profile_without_metrics_warns_and_continues(self, tmp_path, capsys):
-        directory = tmp_path / "world"
-        assert main(["synth", str(directory), "--preset", "tiny"]) == 0
-        assert main(
-            ["parse", str(directory), "-o", str(tmp_path / "ir.json"), "--profile"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "--profile requires --metrics" in err
+    def test_manifest_with_a_profile_still_loads_and_prints(self, capsys):
+        """A manifest written by 1.19.0's ``verify --metrics --profile``."""
+        manifest = load_manifest(self.OLD_MANIFEST)
+        assert manifest["profile"]["sample_count"] == 1
+        assert main(["metrics", str(self.OLD_MANIFEST)]) == 0
+        out = capsys.readouterr().out
+        assert 'repro_phase_wall_seconds{phase="verify"}' in out
+        assert main(["metrics", str(self.OLD_MANIFEST), "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["profile"] == manifest["profile"]
+
+    def test_profile_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "parse", str(tmp_path),
+                    "-o", str(tmp_path / "ir.json"),
+                    "--metrics", str(tmp_path / "run.json"),
+                    "--profile",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
+

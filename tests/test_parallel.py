@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from repro.chaos.faults import KillWorkerChunk, RaiseOnChunk, hang_a_worker_at
+from repro.chaos import KillWorkerChunk, RaiseOnChunk, hang_a_worker_at, use_faults
 from repro.core import parallel, pool
 from repro.core.parallel import verify_table
 from repro.core.pool import SupervisorConfig, _verify_chunk
@@ -210,14 +210,14 @@ class TestWorkerMetricsResilience:
             expected = verify_table(
                 tiny_ir, tiny_world.topology, tiny_routes, processes=1
             )
-        with use_registry(MetricsRegistry()) as observed_registry:
+        kill = use_faults(chunk=KillWorkerChunk(1))
+        with use_registry(MetricsRegistry()) as observed_registry, kill:
             observed = verify_table(
                 tiny_ir,
                 tiny_world.topology,
                 tiny_routes,
                 processes=2,
                 chunk_size=max(1, len(tiny_routes) // 8),
-                fault_hook=KillWorkerChunk(1),
             )
         assert observed.hop_totals == expected.hop_totals
         for name in ("verify_routes_total", "verify_hops_total"):
@@ -231,14 +231,10 @@ class TestWorkerMetricsResilience:
         sample = tiny_routes[:600]
         with use_registry(MetricsRegistry()) as expected_registry:
             expected = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
-        with use_registry(MetricsRegistry()) as observed_registry:
+        raise_ = use_faults(chunk=RaiseOnChunk(1))
+        with use_registry(MetricsRegistry()) as observed_registry, raise_:
             observed = verify_table(
-                tiny_ir,
-                tiny_world.topology,
-                sample,
-                processes=2,
-                chunk_size=100,
-                fault_hook=RaiseOnChunk(1),
+                tiny_ir, tiny_world.topology, sample, processes=2, chunk_size=100
             )
         assert observed.hop_totals == expected.hop_totals
         for name in ("verify_routes_total", "verify_hops_total"):
@@ -260,10 +256,10 @@ class TestWorkerMetricsResilience:
         chunk_b = tiny_routes[40:80]
         with use_registry(MetricsRegistry()) as worker_registry:
             verifier = Verifier(tiny_ir, tiny_world.topology)  # binds its instruments
-            _, _, delta_a, _ = _verify_chunk(verifier, 0, chunk_a, None)
+            _, _, delta_a, _ = _verify_chunk(verifier, 0, chunk_a)
             with pytest.raises(AttributeError):
-                _verify_chunk(verifier, 1, chunk_b[:10] + [None], None)  # poisoned
-            _, _, delta_b, _ = _verify_chunk(verifier, 1, chunk_b, None)
+                _verify_chunk(verifier, 1, chunk_b[:10] + [None])  # poisoned
+            _, _, delta_b, _ = _verify_chunk(verifier, 1, chunk_b)
             # The drains zeroed the worker's registry in place.
             assert worker_registry.counter("verify_routes_total").value == 0
         merged = MetricsRegistry()
@@ -345,7 +341,9 @@ class TestWorkerMetricsResilience:
         sample = tiny_routes[:1200]
         with use_registry(MetricsRegistry()) as expected_registry:
             expected = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
-        with use_registry(MetricsRegistry()) as observed_registry:
+        with use_registry(MetricsRegistry()) as observed_registry, use_faults(
+            chunk=fault
+        ):
             observed = verify_table(
                 tiny_ir,
                 tiny_world.topology,
@@ -353,7 +351,6 @@ class TestWorkerMetricsResilience:
                 processes=2,
                 chunk_size=200,
                 start_method=start_method,
-                fault_hook=fault,
             )
         summaries = [expected.summary(), observed.summary()]
         for summary in summaries:

@@ -146,6 +146,69 @@ def test_one_resolver():
     assert not offenders, offenders
 
 
+def test_public_surface_is_pinned():
+    """A name is public only while a caller outside the tests uses it —
+    ``cli``, ``serve``, a benchmark, an example, ``scripts/`` or a README
+    code block.  Adding one takes a deliberate edit here."""
+    from repro import api
+
+    assert set(repro.__all__) == {
+        "Verifier", "VerifyOptions", "__version__", "parse_dump_text", "synthesize",
+    }
+    assert set(api.__all__) == {
+        "LoadResult", "Session", "SessionClosedError", "characterize",
+        "compile_index", "index_cache_path", "ir_digest", "load_index",
+        "make_verifier", "open_session", "parse_dumps", "parse_registry",
+        "recommend_migrations", "save_index", "synthesize",
+    }
+
+
+def test_ledger_probes_still_resolve():
+    """The end-to-end ledger times these ``repro.api`` module attributes by
+    name (``benchmarks/e2e``); without them its per-layer facts go silent."""
+    from repro import api
+    from repro.core.compiled import get_or_compile, ir_digest, patch_index
+    from repro.irr.journal import apply_journal_to_ir
+    from repro.irr.registry import parse_registry_dir
+
+    assert api._patch_index is patch_index
+    assert api.get_or_compile is get_or_compile
+    assert api.apply_journal_to_ir is apply_journal_to_ir
+    assert api.ir_digest is ir_digest
+    assert api.parse_registry_dir is parse_registry_dir
+
+
+def _identifiers(node):
+    for child in ast.walk(node):
+        for field in ("id", "attr", "arg", "name"):
+            value = getattr(child, field, None)
+            if isinstance(value, str):
+                yield child, value
+
+
+def test_no_chaos_instrumentation_in_product_signatures():
+    """Chaos faults reach the product through the installed fault plan
+    (``repro.faultplan``) only, and ``LoadResult`` has no pre-1.4 bridges."""
+    offenders = []
+    for path in sorted(_SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node, name in _identifiers(tree):
+            if name == "fault_hook":
+                where = f"{path.relative_to(_SRC)}:{getattr(node, 'lineno', '?')}"
+                offenders.append(where)
+    assert not offenders, offenders
+    api_tree = ast.parse((_SRC / "api.py").read_text(encoding="utf-8"))
+    (load_result,) = [
+        node
+        for node in api_tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "LoadResult"
+    ]
+    methods = {
+        node.name for node in load_result.body if isinstance(node, ast.FunctionDef)
+    }
+    assert not methods & {"__getattr__", "__iter__"}, methods
+
+
 def test_version_exported():
     assert repro.__version__
 

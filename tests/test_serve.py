@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.chaos import HungWorker
+from repro.chaos import HungWorker, use_faults
 from repro.irr.whois import whois_query
 from repro.obs import MetricsRegistry, parse_prometheus, read_events
 from repro.serve import Query, ServeConfig, ServeDaemon, report_as_dict
@@ -308,8 +308,7 @@ class TestDeadlines:
     def test_deadline_expiry_is_structured(self, handle, tiny_routes):
         service = handle.daemon.service
         batches = service.health()["batches"]
-        service.fault_hook = lambda queries: time.sleep(0.4)
-        try:
+        with use_faults(batch=lambda queries: time.sleep(0.4)):
             started = time.monotonic()
             status, body = _http(
                 handle.http_port,
@@ -318,8 +317,6 @@ class TestDeadlines:
                 _verify_payload(tiny_routes[0], deadline_s=0.05),
             )
             elapsed = time.monotonic() - started
-        finally:
-            service.fault_hook = None
         assert status == 504
         assert body["error"] == "deadline"
         assert elapsed < 2  # answered at the deadline, not after the stall
@@ -402,7 +399,6 @@ class TestDrainPaths:
                 ServeConfig(queue_size=64, batch_max=1, default_deadline=30.0),
             )
             await service.start()
-            service.fault_hook = lambda queries: time.sleep(0.2)
             tasks = [
                 asyncio.create_task(service.submit(query)) for _ in range(6)
             ]
@@ -418,7 +414,8 @@ class TestDrainPaths:
             )
             assert any(isinstance(result, BusyError) for result in results)
 
-        asyncio.run(scenario())
+        with use_faults(batch=lambda queries: time.sleep(0.2)):
+            asyncio.run(scenario())
 
     def test_post_drain_submit_refused_on_both_frontends(
         self, tiny_world, tiny_routes
@@ -478,8 +475,8 @@ class TestConcurrency:
                     http_port=0, queue_size=4, batch_max=2, default_deadline=30.0
                 ),
             )
-            with daemon.start_in_thread() as running:
-                daemon.service.fault_hook = lambda queries: time.sleep(0.05)
+            slow = use_faults(batch=lambda queries: time.sleep(0.05))
+            with daemon.start_in_thread() as running, slow:
                 route = {
                     "prefix": "0.0.0.0/0",
                     "as_path": [64500],
@@ -572,7 +569,6 @@ class TestNaturalBatching:
             service = await VerifyService(
                 serve_session, ServeConfig(batch_max=8)
             ).start()
-            service.fault_hook = hold_first_batch
             try:
                 tasks = [asyncio.create_task(service.submit(queries[0]))]
                 while not seen:
@@ -587,7 +583,8 @@ class TestNaturalBatching:
                 release.set()
                 await service.stop()
 
-        results = asyncio.run(scenario())
+        with use_faults(batch=hold_first_batch):
+            results = asyncio.run(scenario())
         assert len(results) == len(queries) and all(json.loads(r)["text"] for r in results)
         assert seen == expected
 
@@ -754,7 +751,6 @@ class TestNaturalBatching:
             service = await VerifyService(
                 serve_session, ServeConfig(batch_max=1)
             ).start()
-            service.fault_hook = lambda batch: time.sleep(0.2)
             try:
                 first = asyncio.create_task(service.submit(blocker))
                 await asyncio.sleep(0.01)  # the blocker's batch holds the slot
@@ -766,7 +762,8 @@ class TestNaturalBatching:
                 await service.stop()
 
         before = misses.value
-        asyncio.run(scenario())
+        with use_faults(batch=lambda batch: time.sleep(0.2)):
+            asyncio.run(scenario())
         assert misses.value == before + 1
         assert executed == [blocker.prefix]
 
@@ -1897,7 +1894,6 @@ class TestBoundedShutdown:
         response keeps it — the query admitted before shutdown is answered
         in full, told ``Connection: close``, and then closed."""
         entry = tiny_routes[0]
-        running.daemon.service.fault_hook = lambda queries: time.sleep(0.3)
         answers: list = []
         client = threading.Thread(
             target=lambda: answers.append(
@@ -1906,10 +1902,11 @@ class TestBoundedShutdown:
                 )
             )
         )
-        client.start()
-        time.sleep(0.1)  # the request is executing
-        running.stop(timeout=5)
-        client.join(timeout=5)
+        with use_faults(batch=lambda queries: time.sleep(0.3)):
+            client.start()
+            time.sleep(0.1)  # the request is executing
+            running.stop(timeout=5)
+            client.join(timeout=5)
         assert not client.is_alive()
         status, headers, body = answers[0]
         assert status == 200 and body["prefix"] == str(entry.prefix)

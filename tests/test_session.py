@@ -15,16 +15,15 @@ class TestLoadResult:
     def test_synthesize_returns_load_result(self):
         load = api.synthesize("tiny")
         assert isinstance(load, api.LoadResult)
-        # SynthWorld surface still reachable (delegation).
-        assert load.irr_dumps
-        assert load.topology is not None
+        assert load.world.irr_dumps
+        assert load.world.topology is not None
         # Parsed lazily from the world's dumps.
         assert load.ir.counts()["aut-num"] > 0
 
-    def test_tuple_unpack_compat(self, tiny_world_dir):
-        ir, errors = api.parse_dumps(tiny_world_dir)
-        assert ir.counts()["aut-num"] > 0
-        assert hasattr(errors, "issues")  # the ErrorCollector, as before 1.4
+    def test_parse_dumps_carries_ir_and_errors(self, tiny_world_dir):
+        load = api.parse_dumps(tiny_world_dir)
+        assert load.ir.counts()["aut-num"] > 0
+        assert hasattr(load.errors, "issues")  # the ErrorCollector
 
     def test_degradation_folds_ingest_damage(self, tmp_path):
         (tmp_path / "ripe.db").write_text(
@@ -35,9 +34,14 @@ class TestLoadResult:
         assert load.degradation is not None
 
     def test_world_delegation_misses_raise(self):
+        """The SynthWorld is reached through ``load.world`` only."""
         load = api.synthesize("tiny")
         with pytest.raises(AttributeError):
             load.not_a_real_attribute
+        with pytest.raises(AttributeError):
+            load.topology
+        with pytest.raises(TypeError):
+            ir, errors = load
 
 
 class TestOpenSession:

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import api
-from repro.chaos import HungWorker, KillServeWorker
+from repro.chaos import HungWorker, KillServeWorker, use_faults
 from repro.core import pool
 from repro.obs import MetricsRegistry
 from repro.serve import (
@@ -88,16 +88,15 @@ async def _held(service, queries, probe):
         entered.set()
         release.wait(10)
 
-    service.fault_hook = hold
-    try:
-        tasks = [asyncio.create_task(service.submit(query)) for query in queries]
-        while not entered.is_set():
-            await asyncio.sleep(0.001)
-        seen = await probe()
-    finally:
-        release.set()
-    outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-    service.fault_hook = None
+    with use_faults(batch=hold):
+        try:
+            tasks = [asyncio.create_task(service.submit(query)) for query in queries]
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
+            seen = await probe()
+        finally:
+            release.set()
+        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
     return seen, outcomes
 
 
@@ -110,9 +109,8 @@ class TestAdmissionRule:
         (quick,) = _queries(tiny_routes[1:2], deadline_s=0.05)
 
         async def scenario(service):
-            service.fault_hook = lambda batch: time.sleep(0.4)
-            await service.submit(stall)  # the last batch: 0.4 s a query
-            service.fault_hook = None
+            with use_faults(batch=lambda batch: time.sleep(0.4)):
+                await service.submit(stall)  # the last batch: 0.4 s a query
             admitted, shedding = service.admits(0.05), service.health()["shedding"]
             return admitted, shedding, await service.submit(quick)
 
@@ -127,8 +125,8 @@ class TestAdmissionRule:
             async def shedding():
                 return service.health()["shedding"]
 
-            service.fault_hook = lambda batch: time.sleep(0.05)
-            await service.submit(queries[0])  # the last batch: >= 0.05 s a query
+            with use_faults(batch=lambda batch: time.sleep(0.05)):
+                await service.submit(queries[0])  # the last batch: >= 0.05 s a query
             return await _held(service, queries[1:], shedding)
 
         shedding, outcomes = _serve(
@@ -153,8 +151,8 @@ class TestAdmissionRule:
                     await service.submit(short)
                 return service.admits(5.0)
 
-            service.fault_hook = lambda batch: time.sleep(0.05)
-            await service.submit(queued[0])  # the last batch: >= 0.05 s a query
+            with use_faults(batch=lambda batch: time.sleep(0.05)):
+                await service.submit(queued[0])  # the last batch: >= 0.05 s a query
             return await _held(service, queued, probe)
 
         default_admitted, outcomes = _serve(pool_session, scenario, batch_max=1)
@@ -168,12 +166,11 @@ class TestAdmissionRule:
             async def admits():
                 return service.admits(0.5)
 
-            service.fault_hook = lambda batch: time.sleep(0.4)
-            await service.submit(queries[0])  # the stall
+            with use_faults(batch=lambda batch: time.sleep(0.4)):
+                await service.submit(queries[0])  # the stall
             stalled, _ = await _held(service, queries[1:], admits)
-            service.fault_hook = lambda batch: time.sleep(0.4)
-            await service.submit(queries[0])  # the stall again
-            service.fault_hook = None
+            with use_faults(batch=lambda batch: time.sleep(0.4)):
+                await service.submit(queries[0])  # the stall again
             await service.submit(queries[0])  # one fast batch
             cleared, _ = await _held(service, queries[1:], admits)
             return stalled, cleared
@@ -198,14 +195,11 @@ class TestAdmissionUnderFlood:
             def verify(_=None) -> tuple[int, dict]:
                 return _http(running.http_port, "POST", "/verify", _payload(entry))
 
-            daemon.service.fault_hook = lambda queries: time.sleep(0.2)
-            try:
+            with use_faults(batch=lambda queries: time.sleep(0.2)):
                 # One request first: the service learns what a batch costs.
                 assert verify()[0] == 200
                 with ThreadPoolExecutor(max_workers=40) as executor:
                     results = list(executor.map(verify, range(40)))
-            finally:
-                daemon.service.fault_hook = None
             statuses = [status for status, _ in results]
             assert statuses.count(504) == 0, statuses
             assert set(statuses) == {200, 429}, statuses
@@ -433,8 +427,7 @@ class TestSupervisedPool:
         restarts_before = supervisor.state()["restarts_total"]
         victim = supervisor.worker_pids()[0]
         entries = [tiny_routes[i % len(tiny_routes)] for i in range(40)]
-        service.fault_hook = lambda queries: time.sleep(0.02)
-        try:
+        with use_faults(batch=lambda queries: time.sleep(0.02)):
             with ThreadPoolExecutor(max_workers=16) as executor:
                 futures = [
                     executor.submit(
@@ -449,8 +442,6 @@ class TestSupervisedPool:
                 time.sleep(0.1)
                 KillServeWorker()(victim)
                 results = [future.result() for future in futures]
-        finally:
-            service.fault_hook = None
         assert [status for status, _ in results].count(200) == len(entries)
         # restarts_total bumps when the budget is drawn, *before* the
         # replacement finishes forking; wait for the post-spawn
@@ -607,8 +598,7 @@ class TestFlightUnderChaos:
             service = daemon.service
             supervisor = service.supervisor
             victim = supervisor.worker_pids()[0]
-            service.fault_hook = lambda queries: time.sleep(0.02)
-            try:
+            with use_faults(batch=lambda queries: time.sleep(0.02)):
                 entries = [tiny_routes[i % len(tiny_routes)] for i in range(30)]
                 with ThreadPoolExecutor(max_workers=12) as executor:
                     futures = [
@@ -621,8 +611,6 @@ class TestFlightUnderChaos:
                     time.sleep(0.1)
                     KillServeWorker()(victim)
                     results = [future.result() for future in futures]
-            finally:
-                service.fault_hook = None
             assert [status for status, _ in results].count(200) == len(entries)
             assert self._wait_for(
                 lambda: service.flight.events(kinds=("worker-respawn",))
@@ -716,16 +704,13 @@ class TestFlightUnderChaos:
             service = daemon.service
             supervisor = service.supervisor
             victim = supervisor.worker_pids()[0]
-            service.fault_hook = lambda queries: time.sleep(0.02)
-            try:
+            with use_faults(batch=lambda queries: time.sleep(0.02)):
                 entries = [tiny_routes[i % len(tiny_routes)] for i in range(20)]
                 with ThreadPoolExecutor(max_workers=8) as executor:
                     futures = [executor.submit(timed_verify, entry) for entry in entries]
                     time.sleep(0.05)
                     KillServeWorker()(victim)
                     results = [future.result() for future in futures]
-            finally:
-                service.fault_hook = None
             # With a zero budget the pool cannot heal, and with its one
             # worker dead it has nothing to lease: every batch from the
             # kill on is handed back at once and answered serially —

@@ -20,7 +20,7 @@ import tempfile
 import pytest
 
 from repro import api
-from repro.chaos.faults import KillWorkerChunk, RaiseOnChunk
+from repro.chaos import KillWorkerChunk, RaiseOnChunk, use_faults
 from repro.cli import main
 from repro.core.parallel import verify_table
 from repro.core.verify import Verifier
@@ -52,7 +52,7 @@ def _chunk_size(routes):
 
 
 class KillWorkerMidChunk:
-    """A chunk fault hook: SIGKILL the worker once it has recorded the
+    """A chunk fault: SIGKILL the worker once it has recorded the
     events of ``routes`` sampled routes of chunk ``chunk_index`` — events
     that are in its log and in no result frame yet."""
 
@@ -164,12 +164,13 @@ class TestDifferential:
         summary = summarize_events(parallel_tracer.events)
         assert summary["workers"] >= 1
 
-    def _assert_survives(self, serial_traced, ir, world, routes, chunk_size, fault_hook):
+    def _assert_survives(self, serial_traced, ir, world, routes, chunk_size, fault):
         serial_stats, serial_tracer = serial_traced
         scratch_before = set(os.listdir(tempfile.gettempdir()))
-        chaos_stats, chaos_tracer = _traced_run(
-            ir, world, routes, processes=2, chunk_size=chunk_size, fault_hook=fault_hook
-        )
+        with use_faults(chunk=fault):
+            chaos_stats, chaos_tracer = _traced_run(
+                ir, world, routes, processes=2, chunk_size=chunk_size
+            )
         # Events cross the pipe with the results: nothing is spilled to disk.
         assert set(os.listdir(tempfile.gettempdir())) == scratch_before
         # Stats match up to the degradation account of the injected kill.
@@ -211,12 +212,12 @@ class TestDifferential:
         )
 
     @pytest.mark.parametrize(
-        "fault_hook",
+        "fault",
         [None, RaiseOnChunk(1), KillWorkerChunk(1)],
         ids=["clean", "raised-chunk", "killed-worker"],
     )
     def test_pooled_run_counts_what_it_sampled(
-        self, tiny_ir, tiny_world, tiny_routes, fault_hook
+        self, tiny_ir, tiny_world, tiny_routes, fault
     ):
         """A pooled run's tracer reports the serial pass's sample counts:
         each accepted chunk carries its worker's per-chunk counts, and a
@@ -224,14 +225,9 @@ class TestDifferential:
         config = TraceConfig(sample_rate=16)
         with use_tracer(Tracer(config)) as serial:
             verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
-        with use_tracer(Tracer(config)) as pooled:
+        with use_tracer(Tracer(config)) as pooled, use_faults(chunk=fault):
             verify_table(
-                tiny_ir,
-                tiny_world.topology,
-                tiny_routes,
-                processes=2,
-                chunk_size=500,
-                fault_hook=fault_hook,
+                tiny_ir, tiny_world.topology, tiny_routes, processes=2, chunk_size=500
             )
         assert serial.sampled["head"] > 0 and serial.sampled["verdict"] > 0
         assert pooled.sampled == serial.sampled
@@ -467,14 +463,14 @@ class TestRaiseOnChunkTracing:
         self, serial_traced, tiny_ir, tiny_world, tiny_routes
     ):
         _, serial_tracer = serial_traced
-        _, retry_tracer = _traced_run(
-            tiny_ir,
-            tiny_world,
-            tiny_routes,
-            processes=2,
-            chunk_size=_chunk_size(tiny_routes),
-            fault_hook=RaiseOnChunk(2),
-        )
+        with use_faults(chunk=RaiseOnChunk(2)):
+            _, retry_tracer = _traced_run(
+                tiny_ir,
+                tiny_world,
+                tiny_routes,
+                processes=2,
+                chunk_size=_chunk_size(tiny_routes),
+            )
         assert canonical_events(retry_tracer.events) == canonical_events(
             serial_tracer.events
         )

@@ -1,10 +1,9 @@
-"""Tests for BGP update streams and incremental verification."""
+"""Tests for BGP update streams and the verification of announcements."""
 
 import pytest
 
 from repro.bgp.table import RouteEntry
 from repro.bgp.updates import (
-    StreamVerifier,
     UpdateEntry,
     parse_update_text,
     synthesize_updates,
@@ -81,36 +80,14 @@ class TestSynthesize:
         assert left == right
 
 
-class TestStreamVerifier:
-    def test_rib_tracking(self, tiny_verifier):
-        stream = StreamVerifier(tiny_verifier)
-        stream.apply(announce(ts=1))
-        assert stream.rib
-        stream.apply(withdraw(ts=2))
-        assert not stream.rib
-        assert (stream.announcements, stream.withdrawals) == (1, 1)
-
-    def test_implicit_withdrawal_counted(self, tiny_verifier):
-        stream = StreamVerifier(tiny_verifier)
-        stream.apply(announce(ts=1, path=(1, 2)))
-        stream.apply(announce(ts=2, path=(1, 5, 2)))
-        assert stream.implicit_withdrawals == 1
-        assert stream.rib[("rrc00", 1, Prefix.parse("10.0.0.0/16"))] == (1, 5, 2)
-
-    def test_run_over_synthetic_stream(self, tiny_verifier, tiny_routes):
-        updates = synthesize_updates(tiny_routes[:500], flap_probability=0.3)
-        stats = StreamVerifier(tiny_verifier).run(updates)
-        assert stats.announcements > 0
-        assert stats.withdrawals > 0
-        assert sum(stats.hop_statuses.values()) > 0
-
+class TestVerifyAnnouncement:
     def test_announcement_verification_matches_table(self, tiny_verifier, tiny_routes):
         entry = next(e for e in tiny_routes if e.as_set is None and len(e.as_path) > 2)
         table_report = tiny_verifier.verify_entry(entry)
         update = UpdateEntry(
             1, "A", entry.collector, entry.peer_asn, entry.prefix, entry.as_path
         )
-        stream_report = StreamVerifier(tiny_verifier).apply(update)
+        stream_report = tiny_verifier.verify_entry(update.to_route_entry())
         assert [h.status for h in stream_report.hops] == [
             h.status for h in table_report.hops
         ]
