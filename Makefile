@@ -15,8 +15,9 @@ test:
 # tier-1 (tests/conftest.py fails a run that leaves files behind), the
 # resident-daemon smoke (its SIGTERM is sent with an idle HTTP and a
 # half-line WHOIS connection open: exit 0, EOF on both, no traceback),
-# the serve-supervisor chaos layer, the end-to-end ledger's correctness
-# gates, and the strict perf gates.
+# the chaos-smoke job's fault-injection suite (every layer, the serve
+# core's batch-fault flood included), the serve-supervisor chaos layer,
+# the end-to-end ledger's correctness gates, and the strict perf gates.
 ci:
 	@if command -v ruff >/dev/null 2>&1; then \
 	  ruff check src tests; \
@@ -25,6 +26,7 @@ ci:
 	fi
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py
+	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --processes 2
 	$(MAKE) chaos-serve
 	$(MAKE) bench-smoke
 	$(MAKE) perf-regression

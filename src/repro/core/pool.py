@@ -303,7 +303,6 @@ class WorkerSupervisor:
         config: SupervisorConfig | None = None,
         *,
         registry: MetricsRegistry = NULL_REGISTRY,
-        metrics_lock: threading.Lock | None = None,
         degradation: DegradationReport | None = None,
         flight: EventLog = NULL_EVENTS,
         component: str = "serve",
@@ -339,7 +338,8 @@ class WorkerSupervisor:
         self._consecutive_spawn_failures = 0
         self._monitor: threading.Thread | None = None
         self._registry = registry
-        self._metrics_lock = metrics_lock or threading.Lock()
+        # The monitor thread and the caller's loop both publish these.
+        self._metrics_lock = threading.Lock()
         self._gauge_live = registry.gauge(f"{component}_workers_live")
         self._gauge_restarting = registry.gauge(f"{component}_workers_restarting")
         self._counter_restarts = registry.counter(f"{component}_worker_restarts_total")

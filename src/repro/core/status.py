@@ -49,15 +49,6 @@ class SpecialCase(Enum):
     TIER1_PAIR = "tier1-pair"
     UPHILL = "uphill"
 
-    @property
-    def is_relaxation(self) -> bool:
-        """Whether this case yields RELAXED (else SAFELISTED)."""
-        return self in (
-            SpecialCase.EXPORT_SELF,
-            SpecialCase.IMPORT_CUSTOMER,
-            SpecialCase.MISSING_ROUTES,
-        )
-
 
 class UnrecordedReason(Enum):
     """Sub-reasons of the UNRECORDED status (Figure 5 of the paper)."""

@@ -182,10 +182,3 @@ class Ir:
             "import": sum(len(a.imports) for a in self.aut_nums.values()),
             "export": sum(len(a.exports) for a in self.aut_nums.values()),
         }
-
-    def routes_by_origin(self) -> dict[int, list[Prefix]]:
-        """Map each origin ASN to its registered prefixes (deduplicated)."""
-        by_origin: dict[int, set[Prefix]] = {}
-        for route in self.route_objects:
-            by_origin.setdefault(route.origin, set()).add(route.prefix)
-        return {origin: sorted(prefixes) for origin, prefixes in by_origin.items()}

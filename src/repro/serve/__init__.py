@@ -13,12 +13,13 @@ answers verification queries warm over two front-ends:
 * the WHOIS-style line protocol the IRRs themselves speak, extended with
   a ``!v <prefix> <asn> <asn>...`` verification command.
 
-Both front-ends dispatch into one shared request core
-(:class:`~repro.serve.core.VerifyService`): a query runs the moment an
-execution slot is free — queries that arrive while a batch executes are
-coalesced into the next one, and a client that sends one request at a
-time never waits on a timer — on a warm verifier,
-on the event loop itself when there is no worker pool; every request
+Both front-ends dispatch into one request core
+(:class:`~repro.serve.core.VerifyService`, which owns the bounded queue,
+the execution slots and all of their bookkeeping on the event loop): a
+query runs the moment an execution slot is free — queries that arrive
+while a batch executes are coalesced into the next one, and a client
+that sends one request at a time never waits on a timer — on a warm
+verifier, on the event loop itself when there is no worker pool; every request
 carries a deadline and is admitted only while that deadline can
 plausibly be met (otherwise HTTP 429 / ``%% BUSY``), the queue is
 bounded, and SIGTERM drains in-flight work before exiting.  With
@@ -32,7 +33,7 @@ in-process serial path when the budget is spent.  See
 
 Every request is observable end to end (:mod:`repro.serve.telemetry`):
 a correlation id (honouring a client ``X-Request-Id``) is threaded from
-the front-end through the batcher and into the worker processes, echoed
+the front-end through the request core and into the worker processes, echoed
 back on the response, and stamped on every log, metric, and flight event
 the request touches; per-stage latency (accept → queue → coalesce →
 dispatch → execute → respond) lands in ``serve_stage_seconds`` histograms
@@ -56,7 +57,6 @@ Programmatic use::
 """
 
 from repro.core.pool import SupervisorConfig, WorkerSupervisor
-from repro.serve.batcher import MicroBatcher
 from repro.serve.core import (
     BadRequestError,
     BusyError,
@@ -73,7 +73,6 @@ __all__ = [
     "BadRequestError",
     "BusyError",
     "DeadlineExpired",
-    "MicroBatcher",
     "Query",
     "ServeConfig",
     "ServeDaemon",

@@ -18,21 +18,23 @@ handlers stay thin:
   never executed; the waiter gets a structured :class:`DeadlineExpired`
   (HTTP 504 / ``%% DEADLINE``) and the miss is counted.
 * **natural batching** — a query leaves the queue the moment an
-  execution slot is free (see :mod:`repro.serve.batcher`): a lone
-  request on an idle service runs at once, and the arrivals that land
-  while a batch executes form the next one.  The one timer on the path
-  is the batcher's coalescing period, which only follows a batch of
-  more than one query.
+  execution slot is free (:meth:`VerifyService._slot`): a lone request
+  on an idle service runs at once, and the arrivals that land while a
+  batch executes form the next one.  The one timer on the path is
+  :data:`COALESCE_PERIOD_S`, which only follows a batch of more than
+  one query.
 * **on-loop execution** — with ``workers=0`` (the default daemon) a
   batch is verified directly on the event loop: under the GIL a helper
   thread buys no parallelism, and the hand-off to it costs more CPU
   than the warm verification it wraps.  The loop is held for at most
   one batch (``batch_max`` queries) and regains control between
-  batches.  The executor is kept for what genuinely blocks: a
-  ``reload``'s session patch and pool sweep, the pool's serial
-  fallback, and any batch while a chaos batch fault is installed
-  (:mod:`repro.faultplan`) or a reload holds the session
-  (:meth:`VerifyService._run_batch_async`).
+  batches.  All bookkeeping — admission, expiry, every ``serve_*``
+  instrument, stage timings — happens on the loop; the executor runs
+  only what genuinely blocks: an installed chaos batch fault
+  (:mod:`repro.faultplan`), the serial verification when the loop may
+  not take it (a reload holds the session, a fault is installed, or
+  the pool cannot serve the batch), and a ``reload``'s session patch
+  (:meth:`VerifyService._run_batch`).
 * **supervised execution** — with ``workers > 0`` batches ship to a
   self-healing pool of warm worker processes
   (:class:`~repro.core.pool.WorkerSupervisor`); a batch the pool
@@ -67,6 +69,7 @@ import json
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -83,7 +86,6 @@ from repro.obs.events import (
     new_request_id,
 )
 from repro.core.pool import SupervisorConfig, WorkerSupervisor
-from repro.serve.batcher import MicroBatcher, QueueFull
 from repro.serve.telemetry import STAGES, RequestTelemetry
 
 __all__ = [
@@ -106,7 +108,20 @@ SERVE_BATCH_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(10))
 # in the dozens, so anything longer is abuse, not routing.
 MAX_AS_PATH_LEN = 512
 
+# How long after a coalesced batch started its slot takes the next one.
+# It is the one timer on the path, it is not configurable, and what it
+# trades is written down in ``docs/serving.md``, "Request core": a
+# handful of overlapping closed-loop clients wait up to a period for each
+# other, and in exchange their rate is set by a clock instead of by how
+# fast the host happens to run this second.  A batch that took longer
+# than the period is followed by the next at once.  asyncio's epoll wait
+# is whole milliseconds, rounded up, so the pause really ends about a
+# millisecond after the loop last had I/O to do.
+COALESCE_PERIOD_S = 0.001
+
 _BAD_DEADLINE = "'deadline_s' must be a finite positive number"
+
+_STOP = object()  # the queue sentinel that ends every slot
 
 
 def _bad_deadline(value) -> bool:
@@ -198,7 +213,7 @@ class Query:
     """One unit of work: verify or explain a ⟨prefix, AS-path⟩.
 
     ``request_id`` is the correlation id assigned by the front-end; it
-    rides the query through the batcher and the worker pipe protocol so
+    rides the query through the batch and the worker pipe protocol so
     events recorded inside worker processes carry the same id the client
     saw in its response.
     """
@@ -369,7 +384,7 @@ def _expire(future: asyncio.Future, timeout: float) -> None:
 
 @dataclass(slots=True)
 class _Pending:
-    """A submitted query waiting for the batcher."""
+    """A submitted query waiting for an execution slot."""
 
     query: Query
     future: asyncio.Future
@@ -383,18 +398,25 @@ class VerifyService:
 
     Wraps a warm :class:`~repro.api.Session` (the session must carry AS
     relationships) behind a batched, deadline- and backpressure-aware
-    ``submit``.  With ``workers=0`` batches execute on the event loop,
-    one at a time; with ``workers>0`` they ship to the supervised worker
-    pool (awaited on the loop, no thread parked per batch), with the
-    in-process path on the executor as the fallback whenever the pool
-    cannot serve a batch.  Every in-process execution and every hot
-    swap holds ``_serial_lock`` (the hop cache is mutable and changes
-    hands in the swap); readers take ``session.current`` once, unlocked.
+    ``submit``: a bounded queue and one slot coroutine per execution
+    slot (``max(1, workers)``).  With ``workers=0`` batches execute on
+    the event loop, one at a time; with ``workers>0`` they ship to the
+    supervised worker pool (awaited on the loop, no thread parked per
+    batch), with the in-process path on the executor as the fallback
+    whenever the pool cannot serve a batch.  Every in-process execution
+    and every hot swap holds ``_serial_lock`` (the hop cache is mutable
+    and changes hands in the swap); readers take ``session.current``
+    once, unlocked.  Everything else — the queue, the counters, every
+    ``serve_*`` instrument — is touched on the loop thread only.
     """
 
     def __init__(self, session: Session, config: ServeConfig | None = None):
         self.session = session
         self.config = config or ServeConfig()
+        if self.config.queue_size < 1:
+            raise ValueError("queue_size must be >= 1")
+        if self.config.batch_max < 1:
+            raise ValueError("batch_max must be >= 1")
         self.started_at = time.time()
         self.draining = False
         self.degradation = DegradationReport()
@@ -402,18 +424,24 @@ class VerifyService:
         # Serializes hot swaps so two concurrent reloads cannot interleave
         # their worker-pool sweeps.
         self._reload_lock = asyncio.Lock()
-        registry = session.registry
-        self._registry = registry
-        # The registry is not thread-safe; with a pool attached both the
-        # event loop and several executor threads record into it, so all
-        # serving-path mutations go through this lock.
-        self._metrics_lock = threading.Lock()
         # Serializes in-process verification and hot swaps (the hop cache
         # is mutable and a swap hands it over).  Executor threads block on
-        # it; the event loop only ever try-acquires it (_run_batch_async)
-        # and then re-enters it in _execute_serial, hence reentrant.
-        self._serial_lock = threading.RLock()
-        # Written on the loop thread only (submit, collect, stop).
+        # it; the event loop only ever try-acquires it (_run_batch).
+        self._serial_lock = threading.Lock()
+        # Admitted but unexecuted queries; one slot coroutine per
+        # execution slot takes batches off it, and the executor has one
+        # thread per slot for what a batch cannot run on the loop.
+        self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_size)
+        self._slots: list[asyncio.Task] = []
+        self._executor = ThreadPoolExecutor(
+            max_workers=max(1, self.config.workers),
+            thread_name_prefix="rpslyzer-serve-batch",
+        )
+        self.inflight = 0  # queries in the batches executing right now
+        self.batches = 0
+        self.queries = 0
+        registry = session.registry
+        self._registry = registry
         self._queue_depth = registry.gauge("serve_queue_depth")
         # The success path's instruments, bound once per endpoint so a
         # request does not pay two registry label lookups.
@@ -448,20 +476,13 @@ class VerifyService:
             session.flight = self.flight
         else:
             self.flight = NULL_EVENTS
-        self._stage_seconds = {
-            stage: registry.histogram("serve_stage_seconds", stage=stage)
-            for stage in STAGES
-        }
         # The finish path observes all six stages for every request, so
         # the bound observe methods are pre-resolved in STAGES order
-        # (matching RequestTelemetry.stage_values) and guarded by their
-        # own lock: the shared _metrics_lock is contended by the batch
-        # executor threads, and making each response wait on it there
-        # is measurable.
+        # (matching RequestTelemetry.stage_values).
         self._stage_observes = tuple(
-            self._stage_seconds[stage].observe for stage in STAGES
+            registry.histogram("serve_stage_seconds", stage=stage).observe
+            for stage in STAGES
         )
-        self._stage_lock = threading.Lock()
         # The access log takes every finished request's line; the slow log
         # (``<access_log>.slow``) those at or above ``slow_ms``.
         access_log, slow_ms = self.config.access_log, self.config.slow_ms
@@ -474,20 +495,11 @@ class VerifyService:
         # What the admission rule reads: the last completed batch's wall
         # seconds per query (0.0 before the first: nothing to predict from).
         self._query_seconds = 0.0
-        self._batcher = MicroBatcher(
-            self._run_batch_async,
-            queue_size=self.config.queue_size,
-            batch_max=self.config.batch_max,
-            concurrency=max(1, self.config.workers),
-            on_batch=self._observe_batch,
-            on_collect=self._mark_collected,
-            discard=self._discard_pending,
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> "VerifyService":
-        """Warm the session, spawn the worker pool, start the batcher."""
+        """Warm the session, spawn the worker pool, start the slots."""
         current = self.session.warm().current
         if self.config.workers > 0:
             self.supervisor = WorkerSupervisor(
@@ -504,46 +516,75 @@ class VerifyService:
                     start_method=self.config.start_method,
                 ),
                 registry=self._registry,
-                metrics_lock=self._metrics_lock,
                 degradation=self.degradation,
                 flight=self.flight,
             )
             self.supervisor.start()
-        await self._batcher.start()
+        self._slots = [
+            asyncio.create_task(self._slot(), name=f"serve-slot-{slot}")
+            for slot in range(max(1, self.config.workers))
+        ]
         self._event("service-start", workers=self.config.workers)
         return self
 
     def begin_drain(self) -> None:
         """Refuse new submissions; queued work keeps executing."""
         if not self.draining:
-            self._event("drain-begin", queued=self._batcher.qsize())
+            self._event("drain-begin", queued=self._queue.qsize())
         self.draining = True
 
     async def drain(self, timeout: float | None = None) -> bool:
         """Wait (bounded) for queued and in-flight work to finish."""
         self.begin_drain()
-        drained = await self._batcher.drain(
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + (
             self.config.drain_timeout if timeout is None else timeout
         )
+        while (self._queue.qsize() or self.inflight) and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        drained = not self._queue.qsize() and not self.inflight
         self._event("drain-done", clean=drained)
         return drained
 
+    def _take_queued(self) -> list:
+        """Empty the queue; returns what was pending (the stop sentinel dropped)."""
+        taken = []
+        while not self._queue.empty():
+            pending = self._queue.get_nowait()
+            if pending is not _STOP:
+                taken.append(pending)
+        return taken
+
     async def stop(self) -> None:
-        """Stop the batcher and the pool; still-queued waiters get BusyError."""
+        """Stop the slots and the pool; still-queued waiters get BusyError."""
         self.draining = True
-        await self._batcher.stop()
+        if self._slots:
+            # Anything still queued is refused, not executed: stop() runs
+            # after the drain window has closed, and the waiters must get
+            # an explicit BusyError rather than surprise late verdicts.
+            # This runs on the loop between the slots' awaits, so the
+            # hand-off is race-free.
+            leftovers = self._take_queued()
+            self._queue.put_nowait(_STOP)
+            stopping = asyncio.gather(*self._slots, return_exceptions=True)
+            try:
+                # Each slot finishes the batch it is executing first.
+                await asyncio.wait_for(stopping, timeout=5)
+            except asyncio.TimeoutError:  # pragma: no cover - wait_for cancelled them
+                pass
+            self._slots = []
+            # The sentinel, and anything submitted behind it, comes out too.
+            for pending in leftovers + self._take_queued():
+                if not pending.future.done():
+                    pending.future.set_exception(BusyError("shutting down"))
+                self._finish_request(pending.telemetry, "refused")
+        self._executor.shutdown(wait=False, cancel_futures=True)
         self._queue_depth.set(0)
         if self.supervisor is not None:
             self.supervisor.stop()
         self._event("service-stop")
         self._access_log.close()
         self._slow_log.close()
-
-    def _discard_pending(self, pending: "_Pending") -> None:
-        """Fail a queued-but-never-executed waiter at shutdown."""
-        if not pending.future.done():
-            pending.future.set_exception(BusyError("shutting down"))
-        self._finish_request(pending.telemetry, "refused")
 
     # -- submission --------------------------------------------------------
 
@@ -574,10 +615,10 @@ class VerifyService:
         query, divided by the execution slots; the request is refused
         when that reaches its own timeout.
         """
-        queued = self._batcher.qsize()
+        queued = self._queue.qsize()
         if not queued:
             return True
-        ahead = queued + self._batcher.inflight + 1
+        ahead = queued + self.inflight + 1
         slots = max(1, self.config.workers)
         return ahead * self._query_seconds / slots < timeout
 
@@ -627,9 +668,8 @@ class VerifyService:
         if telemetry is None or not telemetry.finish(outcome, verdicts):
             return
         values = telemetry.stage_values()
-        with self._stage_lock:
-            for observe, seconds in zip(self._stage_observes, values):
-                observe(seconds)
+        for observe, seconds in zip(self._stage_observes, values):
+            observe(seconds)
         total_ms = sum(values) * 1000.0
         slow = self.config.slow_ms > 0 and total_ms >= self.config.slow_ms
         # One serialization serves every log: the access-log line IS the
@@ -648,16 +688,34 @@ class VerifyService:
                 total_ms=round(total_ms, 3),
             )
 
-    def _observe_queue_wait(self, outcome: str, wait_s: float) -> None:
-        with self._metrics_lock:
-            self._queue_wait[outcome].observe(wait_s)
+    def _refuse(
+        self,
+        exc: Exception,
+        query: Query,
+        telemetry: RequestTelemetry | None,
+        finished: str | None = None,
+        wait: str | None = None,
+        event: str | None = None,
+        **payload,
+    ) -> Exception:
+        """Close a request that gets ``exc`` instead of a verdict: the one
+        path every refusal, expiry and error takes.  Returns ``exc``.
 
-    def _mark_collected(self, batch: Sequence["_Pending"]) -> None:
-        """Batcher hook: a dispatcher pulled this batch off the queue."""
-        self._queue_depth.set(self._batcher.qsize())
-        for pending in batch:
-            if pending.telemetry is not None:
-                pending.telemetry.mark_collected()
+        Counts ``serve_requests_total{outcome=}`` under the error's code
+        (``error`` for an unexpected exception); with telemetry, observes
+        the request's queue wait under ``wait``, records ``event`` (stamped
+        with the endpoint and ``payload``) and finishes the request as
+        ``finished`` — by default the code as well.
+        """
+        code = exc.code if isinstance(exc, ServeError) else "error"
+        self._outcome(query.kind, code).inc()
+        if telemetry is not None:
+            if wait is not None:
+                self._queue_wait[wait].observe(telemetry.queue_wait)
+            if event is not None:
+                self._event(event, telemetry.request_id, endpoint=query.kind, **payload)
+            self._finish_request(telemetry, finished or code)
+        return exc
 
     async def submit(
         self, query: Query, telemetry: RequestTelemetry | None = None
@@ -679,20 +737,13 @@ class VerifyService:
         if telemetry is not None:
             telemetry.endpoint = query.kind
         if self.draining:
-            with self._metrics_lock:
-                self._outcome(query.kind, "busy").inc()
-            if telemetry is not None:
-                self._observe_queue_wait("refused", telemetry.queue_wait)
-                self._finish_request(telemetry, "refused")
-            raise BusyError("shutting down")
+            busy = BusyError("shutting down")
+            raise self._refuse(busy, query, telemetry, "refused", wait="refused")
         if query.deadline_s is not None and _bad_deadline(query.deadline_s):
             # Zero/negative deadlines used to be clamped by min() into an
             # instant 504, and NaN survives min() to become the timer's
             # ``when``; they are a malformed request, not a timeout.
-            with self._metrics_lock:
-                self._outcome(query.kind, "bad-request").inc()
-            self._finish_request(telemetry, "bad-request")
-            raise BadRequestError(_BAD_DEADLINE)
+            raise self._refuse(BadRequestError(_BAD_DEADLINE), query, telemetry)
         timeout = min(
             query.deadline_s
             if query.deadline_s is not None
@@ -700,18 +751,9 @@ class VerifyService:
             self.config.max_deadline,
         )
         if not self.admits(timeout):
-            with self._metrics_lock:
-                self._shed_total.inc()
-                self._outcome(query.kind, "busy").inc()
-            if telemetry is not None:
-                self._observe_queue_wait("shed", telemetry.queue_wait)
-                self._event(
-                    "request-shed",
-                    telemetry.request_id,
-                    endpoint=query.kind,
-                )
-                self._finish_request(telemetry, "shed")
-            raise BusyError(f"shedding load: no verdict likely within {timeout:g}s")
+            self._shed_total.inc()
+            busy = BusyError(f"shedding load: no verdict likely within {timeout:g}s")
+            raise self._refuse(busy, query, telemetry, "shed", "shed", "request-shed")
         loop = asyncio.get_running_loop()
         if telemetry is not None:
             telemetry.mark_submitted()
@@ -722,132 +764,154 @@ class VerifyService:
             telemetry=telemetry,
         )
         try:
-            self._batcher.submit_nowait(pending)
-        except QueueFull:
-            with self._metrics_lock:
-                self._outcome(query.kind, "busy").inc()
-            if telemetry is not None:
-                self._observe_queue_wait("refused", telemetry.queue_wait)
-                self._event(
-                    "request-refused",
-                    telemetry.request_id,
-                    endpoint=query.kind,
-                    why="queue-full",
-                )
-                self._finish_request(telemetry, "busy")
-            raise BusyError(
-                f"queue full ({self.config.queue_size} queries pending)"
+            self._queue.put_nowait(pending)
+        except asyncio.QueueFull:
+            busy = BusyError(f"queue full ({self.config.queue_size} queries pending)")
+            raise self._refuse(
+                busy,
+                query,
+                telemetry,
+                wait="refused",
+                event="request-refused",
+                why="queue-full",
             ) from None
-        self._queue_depth.set(self._batcher.qsize())
+        self._queue_depth.set(self._queue.qsize())
         # The deadline is one timer handle: it fails the future, so the
-        # batcher discards any late outcome instead of delivering into the
+        # slot discards any late outcome instead of delivering into the
         # void, and a request that completes first cancels it.
         timer = loop.call_later(timeout, _expire, pending.future, timeout)
         try:
             body, verdicts = await pending.future
-        except DeadlineExpired:
-            with self._metrics_lock:
-                self._deadline_miss.inc()
-                self._outcome(query.kind, "deadline").inc()
-            if telemetry is not None:
-                self._observe_queue_wait("deadline", telemetry.queue_wait)
-                self._event(
-                    "request-deadline",
-                    telemetry.request_id,
-                    endpoint=query.kind,
-                    timeout_s=timeout,
-                )
-                self._finish_request(telemetry, "deadline")
+        except DeadlineExpired as exc:
+            self._deadline_miss.inc()
+            self._refuse(
+                exc,
+                query,
+                telemetry,
+                wait="deadline",
+                event="request-deadline",
+                timeout_s=timeout,
+            )
             raise
         except ServeError as exc:
-            with self._metrics_lock:
-                self._outcome(query.kind, exc.code).inc()
-            if telemetry is not None:
-                self._event(
-                    "request-error",
-                    telemetry.request_id,
-                    endpoint=query.kind,
-                    code=exc.code,
-                )
-                self._finish_request(telemetry, exc.code)
+            self._refuse(exc, query, telemetry, event="request-error", code=exc.code)
             raise
         except Exception as exc:
-            with self._metrics_lock:
-                self._outcome(query.kind, "error").inc()
-            if telemetry is not None:
-                self._event(
-                    "request-error",
-                    telemetry.request_id,
-                    endpoint=query.kind,
-                    code="error",
-                    detail=str(exc)[:200],
-                )
-                self._finish_request(telemetry, "error")
+            self._refuse(
+                exc,
+                query,
+                telemetry,
+                event="request-error",
+                code="error",
+                detail=str(exc)[:200],
+            )
             raise
         finally:
             timer.cancel()
-        with self._metrics_lock:
-            # The fallback serves a hand-built Query of some other kind.
-            observe_latency, count_ok = self._ok_instruments.get(
-                query.kind
-            ) or self._bind_ok_instruments(query.kind)
-            observe_latency(time.monotonic() - pending.submitted)
-            count_ok()
+        # The fallback serves a hand-built Query of some other kind.
+        observe_latency, count_ok = self._ok_instruments.get(
+            query.kind
+        ) or self._bind_ok_instruments(query.kind)
+        observe_latency(time.monotonic() - pending.submitted)
+        count_ok()
         self._finish_request(telemetry, "ok", verdicts=verdicts)
         return body
 
-    # -- execution (event loop, or the batcher's executor threads) -----------
+    # -- execution ---------------------------------------------------------
 
-    def _observe_batch(self, size: int, seconds: float) -> None:
-        self._query_seconds = seconds / size
-        with self._metrics_lock:
-            self._batch_size.observe(size)
+    async def _slot(self) -> None:
+        """One execution slot: it is free exactly while this waits on the queue.
 
-    def _run_batch(
-        self,
-        batch: Sequence[_Pending],
-        batch_fault: Callable[[Sequence[Query]], None] | None = None,
-    ) -> list:
-        """Execute one coalesced batch synchronously, in-process.
-
-        Returns an outcome per item; exceptions become the waiter's
-        exception.  Queries whose deadline passed while queued are
-        skipped (their waiters have already timed out, this just avoids
-        wasted work).
+        Take the first query, then whatever else is queued behind it (at
+        most ``batch_max``), run the batch, deliver each outcome to its
+        waiter — unless the waiter is already done (deadline hit, client
+        gone).  A slot that ran a *coalesced* batch (more than one query:
+        clients are overlapping) stays closed until
+        :data:`COALESCE_PERIOD_S` after that batch started, so the same
+        clients' next queries land in one batch again; after a lone
+        query it only yields.
         """
+        queue, batch_max = self._queue, self.config.batch_max
+        clock = asyncio.get_running_loop().time
+        while True:
+            first = await queue.get()
+            if first is _STOP:
+                queue.put_nowait(first)  # hand the sentinel to the next slot
+                return
+            started = clock()
+            batch = [first]
+            while len(batch) < batch_max and not queue.empty():
+                pending = queue.get_nowait()
+                if pending is _STOP:
+                    queue.put_nowait(pending)  # for the slots' outer loops
+                    break
+                batch.append(pending)
+            self._queue_depth.set(queue.qsize())
+            for pending in batch:
+                if pending.telemetry is not None:
+                    pending.telemetry.mark_collected()
+            self.inflight += len(batch)
+            try:
+                try:
+                    outcomes = await self._run_batch(batch)
+                except Exception as exc:  # noqa: BLE001 - fail the whole batch
+                    outcomes = [exc] * len(batch)
+                self.batches += 1
+                self.queries += len(batch)
+                self._query_seconds = (clock() - started) / len(batch)
+                self._batch_size.observe(len(batch))
+                for pending, outcome in zip(batch, outcomes):
+                    future = pending.future
+                    if future.done():
+                        continue
+                    if isinstance(outcome, Exception):
+                        future.set_exception(outcome)
+                    else:
+                        future.set_result(outcome)
+            finally:
+                self.inflight -= len(batch)
+            # After a coalesced batch: the rest of its period.  Always at
+            # least a yield — a batch executed on the loop never awaited,
+            # and get() does not yield while the queue holds items, so
+            # without it the loop would be held for the whole backlog.
+            rest = started + COALESCE_PERIOD_S - clock() if len(batch) > 1 else 0.0
+            await asyncio.sleep(rest if rest > 0.0 else 0)
+
+    async def _run_batch(self, batch: Sequence[_Pending]) -> list:
+        """One batch, every route: an outcome per query, in order.
+
+        1. An installed chaos batch fault runs on the executor (faults
+           sleep), before admission.
+        2. Admission, on the loop: a query whose deadline passed while it
+           was queued is skipped (its waiter has already timed out, this
+           just avoids wasted work); every query's queue wait is observed.
+        3. Execution, where observable state says: a healthy pool
+           dispatches from the loop, awaiting the worker's pipe; with no
+           pool, no fault and the session free, the batch runs right here
+           on the loop — at most ``batch_max`` warm verifications; anything
+           else (a reload patching the session, a fault, a degraded pool,
+           a batch the pool handed back) runs the serial path on the
+           executor, where it queues behind ``_serial_lock``.  The loop
+           never *blocks* on that lock — it only try-acquires it.
+        4. The batch's dispatch/execute durations are attributed to each
+           executed query — they coalesced precisely so they would share
+           those costs.
+        """
+        loop = asyncio.get_running_loop()
+        supervisor = self.supervisor
+        # Read once: tests install a plan from other threads.
+        batch_fault = faultplan.current().batch
         if batch_fault is not None:
-            batch_fault([pending.query for pending in batch])
-        outcomes, live = self._admit_batch(batch)
-        if live:
-            for position, result in zip(live, self._execute_live(batch, live)):
-                outcomes[position] = result
-        return outcomes
-
-    def _execute_live(self, batch: Sequence[_Pending], live: Sequence[int]) -> list:
-        """A batch's live queries on the in-process path, timed."""
-        if self.degraded:
-            self._note_degraded()
-        serial_start = time.monotonic()
-        results = self._execute_serial([batch[position].query for position in live])
-        self._apply_batch_timings(
-            batch, live, {"execute_s": time.monotonic() - serial_start}
-        )
-        return results
-
-    def _admit_batch(self, batch: Sequence[_Pending]) -> tuple[list, list[int]]:
-        """Per-item bookkeeping shared by the sync and async batch paths:
-        observe queue waits and skip expired items."""
+            await loop.run_in_executor(
+                self._executor, batch_fault, [pending.query for pending in batch]
+            )
         outcomes: list = [None] * len(batch)
         live: list[int] = []
         now = time.monotonic()
         for position, pending in enumerate(batch):
             wait = now - pending.submitted
-            expired = pending.deadline <= now or pending.future.done()
-            with self._metrics_lock:
-                self._queue_wait["expired" if expired else "executed"].observe(
-                    wait
-                )
-            if expired:
+            if pending.deadline <= now or pending.future.done():
+                self._queue_wait["expired"].observe(wait)
                 outcomes[position] = DeadlineExpired("expired while queued")
                 if pending.telemetry is not None:
                     self._event(
@@ -857,91 +921,50 @@ class VerifyService:
                         queued_s=round(wait, 6),
                     )
             else:
+                self._queue_wait["executed"].observe(wait)
                 if pending.telemetry is not None:
                     pending.telemetry.mark_admitted()
                 live.append(position)
-        return outcomes, live
-
-    def _apply_batch_timings(
-        self,
-        batch: Sequence[_Pending],
-        live: Sequence[int],
-        timings: dict | None,
-    ) -> None:
-        """Attribute batch-level dispatch/execute durations to each live
-        request — they coalesced precisely so they would share those costs."""
-        if not timings:
-            return
-        dispatch_s = timings.get("dispatch_s")
-        execute_s = timings.get("execute_s")
-        for position in live:
+        if not live:
+            return outcomes
+        queries = [batch[position].query for position in live]
+        dispatched = None
+        if supervisor is not None and not supervisor.degraded:
+            dispatched = await supervisor.dispatch(
+                [
+                    (q.kind, q.prefix, q.as_path, q.collector, q.request_id)
+                    for q in queries
+                ]
+            )
+        if dispatched is not None:
+            answers, lines, timings = dispatched
+            self.flight.absorb(lines)
+            results = _as_outcomes(answers)
+            dispatch_s, execute_s = timings["dispatch_s"], timings["execute_s"]
+        else:
+            if self.degraded:
+                self._note_degraded()
+            started = time.monotonic()
+            if (
+                supervisor is None
+                and batch_fault is None
+                and self._serial_lock.acquire(blocking=False)
+            ):
+                try:
+                    results = self._answer(queries)
+                finally:
+                    self._serial_lock.release()
+            else:
+                results = await loop.run_in_executor(
+                    self._executor, self._execute_serial, queries
+                )
+            dispatch_s, execute_s = None, time.monotonic() - started
+        for position, result in zip(live, results):
+            outcomes[position] = result
             telemetry = batch[position].telemetry
             if telemetry is not None:
                 telemetry.dispatch_s = dispatch_s
                 telemetry.execute_s = execute_s
-
-    async def _run_batch_async(self, batch: Sequence[_Pending]) -> list:
-        """Where a batch runs — decided by observable state only.
-
-        * no pool, no chaos batch fault, session free: right here on the event
-          loop.  A batch is at most ``batch_max`` warm verifications;
-          the thread hop it used to ride cost more than they do.
-        * no pool, but a ``reload`` is patching the session: on the
-          executor, where the batch queues behind the patch.  The loop
-          never *blocks* on ``_serial_lock`` — it only try-acquires it.
-        * no healthy pool, and a chaos batch fault is installed or the
-          pool has degraded to serial: on the executor (faults sleep;
-          degraded batches from several slots contend for the session).
-        * a healthy pool: dispatched from the loop, awaiting the worker's
-          pipe — after the batch fault, if any, has run on the executor,
-          and falling back to the executor for this batch's queries when
-          the pool cannot serve them.
-        """
-        supervisor = self.supervisor
-        # Read once: tests install a plan from other threads.
-        batch_fault = faultplan.current().batch
-        if (
-            supervisor is None
-            and batch_fault is None
-            and self._serial_lock.acquire(blocking=False)
-        ):
-            try:
-                return self._run_batch(batch)
-            finally:
-                self._serial_lock.release()
-        if supervisor is None or supervisor.degraded:
-            return await self._batcher.run_blocking(
-                self._run_batch, batch, batch_fault
-            )
-        if batch_fault is not None:
-            await self._batcher.run_blocking(
-                batch_fault, [pending.query for pending in batch]
-            )
-        outcomes, live = self._admit_batch(batch)
-        if not live:
-            return outcomes
-        items = [
-            (
-                query.kind,
-                query.prefix,
-                query.as_path,
-                query.collector,
-                query.request_id,
-            )
-            for query in (batch[position].query for position in live)
-        ]
-        dispatched = await supervisor.dispatch(items)
-        if dispatched is not None:
-            batch_outcomes, lines, timings = dispatched
-            self.flight.absorb(lines)
-            self._apply_batch_timings(batch, live, timings)
-            results = _as_outcomes(batch_outcomes)
-        else:
-            results = await self._batcher.run_blocking(
-                self._execute_live, batch, live
-            )
-        for position, result in zip(live, results):
-            outcomes[position] = result
         return outcomes
 
     def _note_degraded(self) -> None:
@@ -952,18 +975,22 @@ class VerifyService:
                 "serve", "degraded-to-serial", "pool unavailable; serving in-process"
             )
 
+    def _answer(self, queries: Sequence[Query]) -> list:
+        """The in-process verify body; the caller holds ``_serial_lock``."""
+        session = self.session
+        return _as_outcomes(
+            [
+                answer_query(
+                    session, q.kind, q.prefix, q.as_path, q.collector, q.request_id
+                )
+                for q in queries
+            ]
+        )
+
     def _execute_serial(self, queries: Sequence[Query]) -> list:
-        """The in-process path: the session under its serialization lock."""
+        """The in-process path off the loop: the session under its lock."""
         with self._serial_lock:
-            session = self.session
-            return _as_outcomes(
-                [
-                    answer_query(
-                        session, q.kind, q.prefix, q.as_path, q.collector, q.request_id
-                    )
-                    for q in queries
-                ]
-            )
+            return self._answer(queries)
 
     # -- incremental ingestion (hot swap) ------------------------------------
 
@@ -1005,8 +1032,8 @@ class VerifyService:
         async with self._reload_lock:
             self._event("reload-begin", entries=len(journal.entries))
             try:
-                fresh, report = await self._batcher.run_blocking(
-                    self._apply_journal_blocking, journal
+                fresh, report = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._apply_journal_blocking, journal
                 )
             except Exception as exc:
                 self._event("reload-abort", error=str(exc)[:200])
@@ -1054,10 +1081,10 @@ class VerifyService:
         payload = {
             "status": status,
             "uptime_s": round(time.time() - self.started_at, 3),
-            "queue_depth": self._batcher.qsize(),
+            "queue_depth": self._queue.qsize(),
             "queue_size": self.config.queue_size,
-            "batches": self._batcher.batches,
-            "queries": self._batcher.items,
+            "batches": self.batches,
+            "queries": self.queries,
             # The admission rule, asked for a default-deadline request.
             "shedding": not self.admits(
                 min(self.config.default_deadline, self.config.max_deadline)

@@ -11,8 +11,8 @@ signal handlers, and runs the graceful-shutdown sequence:
    new submissions on surviving connections get BUSY;
 3. wait (bounded by ``drain_timeout``) for the queue and the in-flight
    batches to finish, so every accepted request gets its answer;
-4. stop the batcher (waiters the drain never reached get an explicit
-   ``BusyError``, not a hang) and the worker pool;
+4. stop the service's execution slots (waiters the drain never reached
+   get an explicit ``BusyError``, not a hang) and the worker pool;
 5. abort the connections still open and return once every connection
    handler has: no client decides when the daemon exits
    (:mod:`repro.serve.frontend`).
@@ -213,7 +213,7 @@ class ServeDaemon:
                 self.config.drain_timeout,
                 self.service.health()["queue_depth"],
             )
-        # 4. Release the batcher and its executor thread.
+        # 4. Release the execution slots and their executor threads.
         await self.service.stop()
         # 5. No connection outlives the loop, whatever its client does.
         for frontend in frontends:

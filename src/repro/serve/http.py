@@ -40,7 +40,7 @@ or chunked body) or the daemon is shutting down, ``keep-alive`` otherwise.
 This is deliberately a hand-rolled stream handler, not
 ``http.server``: the daemon is a single asyncio process and the request
 core is already async, so a thread-per-connection HTTP stack would just
-reintroduce the contention the batcher removes.  Keep-alive is
+reintroduce the contention the request core removes.  Keep-alive is
 supported; pipelining is not (requests on one connection are handled in
 order).  The listening socket and the connections' lifecycle — including
 a shutdown that never waits on a client — are

@@ -1,21 +1,23 @@
 """Request-scoped serve telemetry: stage timings and the request event.
 
 One :class:`RequestTelemetry` rides along with each request from the
-front-end through the micro-batcher and back, collecting monotonic marks
+front-end through the request core and back, collecting monotonic marks
 at every hand-off.  The serve core turns the marks into the per-stage
 latency breakdown (``serve_stage_seconds{stage=}`` histograms and the
 ``stages_ms`` block of each ``request`` event):
 
-* ``accept``   — front-end receipt → enqueued on the batcher's queue
+* ``accept``   — front-end receipt → enqueued on the service's queue
   (parse, validation, admission checks);
-* ``queue``    — enqueued → pulled off the queue by a dispatcher, which
+* ``queue``    — enqueued → pulled off the queue by a slot, which
   happens the moment an execution slot is free (a slot stays closed for
-  the batcher's coalescing period after a batch of more than one item);
-* ``coalesce`` — pulled → the batch it joined began executing: nothing
-  when the batch runs on the event loop, the wait for an executor
-  thread when it cannot (the name is from when a timer sat here);
-* ``dispatch`` — waiting for a pool worker lease (or the serial lock);
-* ``execute``  — the batch executing (pipe round-trip + verification);
+  the coalescing period after a batch of more than one item);
+* ``coalesce`` — pulled → the batch it joined was admitted: nothing
+  unless a chaos batch fault ran first, on the executor (the name is
+  from when a timer sat here);
+* ``dispatch`` — waiting for a pool worker lease;
+* ``execute``  — the batch executing, wherever it ran (pipe round-trip
+  + verification, or the serial path on the loop or the executor,
+  including its wait for the serial lock);
   dispatch/execute are measured per *batch* and attributed to every
   request in it — the requests coalesced precisely so they would share
   those costs;
@@ -46,9 +48,7 @@ class RequestTelemetry:
 
     Marks are ``time.monotonic()`` values; ``dispatch_s``/``execute_s``
     are explicit batch-level durations set by the execution path.  The
-    object is mutated from the event loop and (for the admitted mark and
-    batch durations, when a batch runs there) an executor thread, but
-    each field has exactly one writer, so no lock is needed.
+    object is mutated on the event loop only, so no lock is needed.
     """
 
     __slots__ = (

@@ -196,10 +196,6 @@ class VerificationStats:
                 result[single] += 1
         return dict(result)
 
-    def as_status_fractions(self) -> dict[int, dict[VerifyStatus, float]]:
-        """Per-AS status fractions — the stacked bars of Figure 2."""
-        return {asn: mix.fractions() for asn, mix in self.per_as.items()}
-
     # -- Figure 3: per AS pair --------------------------------------------
 
     def pairs_with_single_status(self, direction: str) -> tuple[int, int]:

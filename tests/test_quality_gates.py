@@ -163,6 +163,34 @@ def test_public_surface_is_pinned():
     }
 
 
+def test_one_request_core():
+    """``VerifyService`` is the request core: no batcher beside it, one
+    thread lock in it (the serial lock — the loop owns every other piece of
+    serve state), and no lock shared with the pool."""
+    from repro import serve
+    from repro.core.pool import WorkerSupervisor
+
+    assert set(serve.__all__) == {
+        "BadRequestError", "BusyError", "DeadlineExpired", "Query",
+        "ServeConfig", "ServeDaemon", "ServeError", "ServeHandle",
+        "SupervisorConfig", "VerifyService", "WorkerSupervisor", "report_as_dict",
+    }
+    assert not (_SRC / "serve" / "batcher.py").exists()
+    locks = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+    tree = ast.parse((_SRC / "serve" / "core.py").read_text(encoding="utf-8"))
+    constructed = [
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "threading"
+        and node.func.attr in locks
+    ]
+    assert constructed == ["Lock"], constructed
+    assert "metrics_lock" not in inspect.signature(WorkerSupervisor).parameters
+
+
 def test_ledger_probes_still_resolve():
     """The end-to-end ledger times these ``repro.api`` module attributes by
     name (``benchmarks/e2e``); without them its per-layer facts go silent."""

@@ -767,61 +767,67 @@ class TestNaturalBatching:
         assert misses.value == before + 1
         assert executed == [blocker.prefix]
 
-    def test_coalescing_period_follows_only_coalesced_batches(self):
+    def test_coalescing_period_follows_only_coalesced_batches(
+        self, serve_session, tiny_routes
+    ):
         """The one timer on the path: a slot that ran a batch of more than
-        one item stays closed until COALESCE_PERIOD_S after that batch
-        started; a batch of one, or one longer than the period, does not
-        delay the next."""
-        from types import SimpleNamespace
+        one query stays closed until COALESCE_PERIOD_S after that batch was
+        collected; a batch of one, or one longer than the period, does not
+        delay the next.  A batch's collection and its queries' finish are
+        read off their telemetry; the slow batch is held by a batch fault
+        that sleeps when it sees three queries."""
+        from repro.serve.core import COALESCE_PERIOD_S, VerifyService
+        from repro.serve.telemetry import RequestTelemetry
 
-        from repro.serve.batcher import COALESCE_PERIOD_S, MicroBatcher
+        queries = self._queries(tiny_routes[:3])
+        batches: list[list[RequestTelemetry]] = []
 
-        ran: list[tuple[int, float, float]] = []  # size, started, finished
+        def hold_the_batch_of_three(batch) -> None:
+            if len(batch) == 3:
+                time.sleep(3 * COALESCE_PERIOD_S)
 
-        async def execute(batch):
-            clock = asyncio.get_running_loop().time
-            started = clock()
-            if len(batch) == 3:  # the slow batch of the scenario
-                await asyncio.sleep(3 * COALESCE_PERIOD_S)
-            ran.append((len(batch), started, clock()))
-            return [None] * len(batch)
-
-        async def scenario():
-            batcher = await MicroBatcher(execute).start()
-            loop = asyncio.get_running_loop()
+        async def scenario() -> list[int]:
+            service = await VerifyService(serve_session, ServeConfig()).start()
+            counts = []
 
             async def burst(size: int) -> None:
-                items = [SimpleNamespace(future=loop.create_future()) for _ in range(size)]
-                for item in items:
-                    batcher.submit_nowait(item)
-                await asyncio.gather(*(item.future for item in items))
+                records = [RequestTelemetry(f"burst-{size}", "direct") for _ in range(size)]
+                await asyncio.gather(
+                    *(service.submit(q, t) for q, t in zip(queries, records))
+                )
+                batches.append(records)
+                counts.append(service.batches)
 
             try:
                 for size in (1, 1, 2, 1, 3, 1):
-                    await burst(size)
+                    if size == 3:
+                        # Installed for this burst only: the others run on
+                        # the loop, so a batch of one takes next to nothing.
+                        with use_faults(batch=hold_the_batch_of_three):
+                            await burst(size)
+                    else:
+                        await burst(size)
             finally:
-                await batcher.stop()
+                await service.stop()
+            return counts
 
         gaps: dict[str, list[float]] = {"lone": [], "coalesced": [], "slow": []}
         for _ in range(5):
-            ran.clear()
-            asyncio.run(scenario())
-            assert [size for size, _, _ in ran] == [1, 1, 2, 1, 3, 1]
-            gaps["lone"].append(ran[1][1] - ran[0][1])
-            gaps["coalesced"].append(ran[3][1] - ran[2][1])
-            gaps["slow"].append(ran[5][1] - ran[4][2])
+            batches.clear()
+            assert asyncio.run(scenario()) == [1, 2, 3, 4, 5, 6]  # a batch per burst
+            collected = [min(t.collected for t in b) for b in batches]
+            finished = [max(t.finished for t in b) for b in batches]
+            gaps["lone"].append(collected[1] - collected[0])
+            gaps["coalesced"].append(collected[3] - collected[2])
+            gaps["slow"].append(collected[5] - finished[4])
         # Lower bounds hold on every run; "at once" is the best of five.
         assert min(gaps["coalesced"]) >= COALESCE_PERIOD_S * 0.99, gaps
         assert min(gaps["lone"]) < COALESCE_PERIOD_S / 2, gaps
         assert min(gaps["slow"]) < COALESCE_PERIOD_S / 2, gaps
 
     def test_batch_window_is_gone(self):
-        from repro.serve import MicroBatcher
-
         with pytest.raises(TypeError):
             ServeConfig(batch_window=0.002)
-        with pytest.raises(TypeError):
-            MicroBatcher(lambda batch: None, batch_window=0.002)
 
     @pytest.mark.parametrize("config", ["ServeConfig", "SupervisorConfig"])
     @pytest.mark.parametrize(
