@@ -65,8 +65,9 @@ bench-smoke:
 # The one supervised worker pool under both of its callers.  Serve: the
 # self-healing lifecycle against a live daemon (SIGKILL mid-flood,
 # heartbeat replacement of a hung worker, restart accounting in /metrics
-# and the degradation report).  Bulk verify_table(processes=N): exact
-# stats under killed, SIGSTOPped and raising workers, no child left behind.
+# and the degradation report).  The table pass, Session.verify_table
+# (processes=N), in tests/test_parallel.py: exact stats under killed,
+# SIGSTOPped and raising workers, no child left behind.
 # Then one table, traced, through the serial pass and a 2-worker pool: same
 # summary, same figure CSVs (a merge-order dependence shows up as a diff),
 # same `rpslyzer trace` summary, no spill directory left in $$TMPDIR.

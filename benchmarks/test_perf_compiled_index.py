@@ -23,8 +23,8 @@ import time
 
 from conftest import emit
 
+from repro.api import Session
 from repro.core.compiled import compile_index, get_or_compile, ir_digest
-from repro.core.parallel import verify_table
 from repro.core.verify import Verifier
 from repro.obs import get_registry
 
@@ -79,12 +79,11 @@ def test_cold_compile_vs_warm_cache(ir, tmp_path_factory):
 
 def test_serial_compiled_no_slower_than_lazy(ir, world, routes):
     sample = routes[:2000]
-    index = compile_index(ir)
+    session = Session(ir, world.topology, index=compile_index(ir))
 
     lazy_s, lazy = _best_of(2, lambda: _verify_lazy_serial(ir, world, sample))
     compiled_s, compiled = _best_of(
-        2,
-        lambda: verify_table(ir, world.topology, sample, processes=1, index=index),
+        2, lambda: session.verify_table(sample, processes=1)
     )
     assert compiled.summary() == lazy.summary()
     assert compiled.hop_totals == lazy.hop_totals
@@ -105,18 +104,15 @@ def test_serial_compiled_no_slower_than_lazy(ir, world, routes):
 
 def test_multiprocess_warm_beats_serial_lazy(ir, world, routes):
     processes = min(4, os.cpu_count() or 1)
-    index = compile_index(ir)
+    session = Session(ir, world.topology, index=compile_index(ir))
 
     lazy_s, lazy = _best_of(1, lambda: _verify_lazy_serial(ir, world, routes))
     warm_s, warm = _best_of(
         2,
-        lambda: verify_table(
-            ir,
-            world.topology,
+        lambda: session.verify_table(
             routes,
             processes=processes,
             chunk_size=max(200, len(routes) // (processes * 4)),
-            index=index,
         ),
     )
     # The differential gate: identical aggregates, always enforced.

@@ -22,8 +22,8 @@ import time
 
 from conftest import emit
 
+from repro.api import Session
 from repro.core.compiled import compile_index
-from repro.core.parallel import verify_table
 from repro.obs import get_registry
 from repro.obs.trace import TraceConfig, Tracer, use_tracer
 
@@ -46,17 +46,13 @@ def _best_of(runs, fn):
 
 
 def test_default_sampled_tracing_overhead(ir, world, routes):
-    index = compile_index(ir)
+    session = Session(ir, world.topology, index=compile_index(ir))
 
-    base_s, base = _best_of(
-        2, lambda: verify_table(ir, world.topology, routes, processes=1, index=index)
-    )
+    base_s, base = _best_of(2, lambda: session.verify_table(routes, processes=1))
 
     def traced_run():
         with use_tracer(Tracer(TraceConfig())) as tracer:
-            stats = verify_table(
-                ir, world.topology, routes, processes=1, index=index
-            )
+            stats = session.verify_table(routes, processes=1)
         return stats, tracer
 
     traced_s, (traced, tracer) = _best_of(2, traced_run)

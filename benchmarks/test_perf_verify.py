@@ -34,18 +34,17 @@ def test_verify_throughput(benchmark, verifier, routes):
 def test_verify_throughput_parallel(benchmark, ir, world, routes):
     import os
 
+    from repro.api import Session
     from repro.core.compiled import compile_index
-    from repro.core.parallel import verify_table
 
     sample = routes[:6000]
     cores = os.cpu_count() or 1
     workers = min(4, cores)
-    index = compile_index(ir)  # once, outside the rounds: the pass is what is timed
+    # Compiled once, outside the rounds: the pass is what is timed.
+    session = Session(ir, world.topology, index=compile_index(ir))
 
     def run():
-        return verify_table(
-            ir, world.topology, sample, processes=workers, chunk_size=1000, index=index
-        )
+        return session.verify_table(sample, processes=workers, chunk_size=1000)
 
     stats = benchmark.pedantic(run, rounds=3, iterations=1)
     seconds = benchmark.stats.stats.mean

@@ -37,6 +37,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -53,16 +54,15 @@ from repro.core.compiled import (
 from repro.core.compiled import compile_index as _compile_index
 from repro.core.compiled import patch_index as _patch_index
 from repro.core.degradation import DegradationReport
-from repro.core.parallel import verify_table as _verify_table
 from repro.core.query import QueryEngine
 from repro.core.report import RouteReport
-from repro.core.verify import Verifier, VerifyOptions
+from repro.core.verify import Verifier, VerifyOptions, iter_chunks, verify_into
 from repro.ir.model import Ir
 from repro.irr.journal import Journal, apply_journal_to_ir
 from repro.irr.registry import Registry, parse_registry_dir
 from repro.irr.synth import SynthConfig, SynthWorld, build_world, default_config, tiny_config
 from repro.obs import MetricsRegistry, get_registry, use_registry
-from repro.obs.trace import TraceConfig, Tracer, use_tracer
+from repro.obs.trace import TraceConfig, Tracer, get_tracer, use_tracer
 from repro.rpsl.errors import ErrorCollector, ErrorKind
 from repro.stats.as_sets import as_set_stats
 from repro.stats.routes import route_object_stats
@@ -285,7 +285,6 @@ class Session:
         relationships: AsRelationships | None = None,
         *,
         options: VerifyOptions | None = None,
-        processes: int | None = 1,
         index: CompiledIndex | None = None,
         cache_dir: str | Path | None = None,
         use_cache: bool = True,
@@ -295,7 +294,6 @@ class Session:
     ):
         self.relationships = relationships
         self.options = options
-        self.processes = processes
         self.load = load
         self.cache_dir = cache_dir
         self.use_cache = use_cache
@@ -546,37 +544,96 @@ class Session:
         self,
         entries: Iterable[RouteEntry],
         *,
-        options: VerifyOptions | None = None,
-        processes: int | None = None,
+        processes: int = 1,
         chunk_size: int = 2000,
         start_method: str | None = None,
         on_report: Callable[[RouteReport], None] | None = None,
     ) -> VerificationStats:
-        """Verify a table of routes (Section 5), serial or multi-process.
+        """Verify a table of routes (Section 5); serial and pooled runs
+        return equal stats.
 
-        Defaults come from the session (``processes``, ``options``, the
-        adopted index); see :func:`repro.core.parallel.verify_table` for
-        the resilience contract.  When the session owns a tracer, sampled
-        decision provenance is recorded into it.
+        The one table pass.  It adopts the index first (:meth:`warm`), then
+        verifies on a fresh :class:`Verifier` over the current generation,
+        with the session's options: its hop cache starts cold and is
+        dropped with the pass.
+        ``entries`` may be any iterable (e.g. the streaming
+        :func:`~repro.bgp.table.parse_table_file` generator).
+
+        ``processes=1`` (the default) stays in-process.  With more, the
+        table is chunked lazily — never materialized whole — and the chunks
+        are fed to the supervised worker pool (:mod:`repro.core.pool`, the
+        one ``serve --workers`` uses); only per-chunk aggregates cross
+        process boundaries.  A table that fits in one chunk is verified
+        in-process, where process start-up would not amortize.
+        ``on_report`` is called with every
+        :class:`~repro.core.report.RouteReport` and forces the serial pass
+        (reports do not cross process boundaries).  ``start_method``
+        overrides the multiprocessing start method; by default ``fork`` is
+        used where available (workers share the index copy-on-write) and
+        ``spawn`` otherwise (it is pickled to each worker once).
+
+        The pooled pass tolerates dying and wedged workers: a chunk is
+        retried on another worker, a chunk the pool hands back is verified
+        in-process, and every such step is recorded on the returned stats'
+        ``degradation`` report (``docs/robustness.md``).  When the session
+        owns a tracer, sampled decision provenance is recorded into it.
         """
         self._check_open()
         relationships = self._need_relationships()
-        current = self._generation
+        current = self.warm()._generation
         tracer_scope = (
             use_tracer(self.tracer) if self.tracer is not None else nullcontext()
         )
-        with self._scope(), tracer_scope:
-            return _verify_table(
-                current.ir,
-                relationships,
-                entries,
-                options=options if options is not None else self.options,
-                processes=processes if processes is not None else self.processes,
-                chunk_size=chunk_size,
-                start_method=start_method,
-                on_report=on_report,
-                index=current.index,
-            )
+        with self._scope() as registry, tracer_scope:
+            tracer = get_tracer()
+            marks = (tracer.emitted, tracer.dropped)
+            with registry.span("verify"):
+                first = None
+                if processes > 1 and on_report is None:
+                    chunks = iter_chunks(entries, chunk_size)
+                    first = next(chunks, None)
+                    if first is None:
+                        return VerificationStats()
+                if first is not None and len(first) == chunk_size:
+                    # Imported here: the serial pass, which is all most
+                    # callers ever run, does not pay for the pool.
+                    from repro.core.pool import _verify_pooled
+
+                    stats = _verify_pooled(
+                        current.ir,
+                        relationships,
+                        self.options,
+                        current.index,
+                        enumerate(chain([first], chunks)),
+                        processes,
+                        start_method,
+                    )
+                else:
+                    stats = VerificationStats()
+                    verifier = Verifier(
+                        current.ir, relationships, self.options, index=current.index
+                    )
+                    verify_into(
+                        verifier, entries if first is None else first, stats, on_report
+                    )
+                if registry.enabled:
+                    # The hit rate of the merged counters, and this pass's
+                    # trace-event counts.
+                    hits, misses = (
+                        registry.counter("verify_hop_cache_total", result=result).value
+                        for result in ("hit", "miss")
+                    )
+                    registry.gauge("verify_hop_cache_hit_rate").set(
+                        hits / (hits + misses) if hits + misses else 0.0
+                    )
+                    if tracer.enabled:
+                        emitted = tracer.emitted - marks[0]
+                        dropped = tracer.dropped - marks[1]
+                        if emitted:
+                            registry.counter("trace_events_total").inc(emitted)
+                        if dropped:
+                            registry.counter("trace_events_dropped_total").inc(dropped)
+                return stats
 
     def explain(
         self,
@@ -694,7 +751,6 @@ def open_session(
     *,
     as_rel: str | Path | AsRelationships | None = None,
     options: VerifyOptions | None = None,
-    processes: int | None = 1,
     index: CompiledIndex | str | Path | None = None,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
@@ -737,7 +793,6 @@ def open_session(
         ir,
         relationships,
         options=options,
-        processes=processes,
         index=index,
         cache_dir=cache_dir,
         use_cache=use_cache,

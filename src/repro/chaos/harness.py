@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.api import Session
 from repro.bgp.routegen import collector_routes
 from repro.bgp.table import parse_table_text, route_entry_lines
 from repro.chaos.faults import (
@@ -38,7 +39,6 @@ from repro.chaos.faults import (
 )
 from repro.chaos.mutators import DUMP_MUTATORS, TABLE_MUTATORS
 from repro.core.degradation import DegradationReport
-from repro.core.parallel import verify_table
 from repro.faultplan import use_faults
 from repro.irr.dump import parse_dump_file, parse_dump_text
 from repro.irr.synth import build_world, default_config, tiny_config
@@ -248,12 +248,14 @@ def run_chaos(
         )
 
     # -- layer 2: verification with a worker killed, then one wedged, mid-run --
-    ir = world.merged_ir()
-    baseline = verify_table(ir, world.topology, entries, processes=1)
+    # One session, one in-memory index, for every table pass and the WHOIS
+    # layer below.
+    session = Session(world.merged_ir(), world.topology, use_cache=False)
+    baseline = session.verify_table(entries)
     chunk_size = max(1, len(entries) // 8)
     with use_faults(chunk=KillWorkerChunk(1)):
-        chaotic = verify_table(
-            ir, world.topology, entries, processes=processes, chunk_size=chunk_size
+        chaotic = session.verify_table(
+            entries, processes=processes, chunk_size=chunk_size
         )
     expected = baseline.summary()
     observed = chaotic.summary()
@@ -279,9 +281,7 @@ def run_chaos(
     # SIGSTOP reaches the worker from outside, once: the pool must notice
     # (the chunk's hang bound, or the heartbeat if the victim sat idle),
     # replace it, and still account for every route.
-    wedged = verify_table(
-        ir,
-        world.topology,
+    wedged = session.verify_table(
         hang_a_worker_at(entries, chunk_size * 5 // 2),
         processes=processes,
         chunk_size=chunk_size,
@@ -312,14 +312,10 @@ def run_chaos(
             unverified_routes.add(route_trace_id(route_report.entry, trace_config.seed))
 
     with use_tracer(Tracer(trace_config)) as serial_tracer:
-        verify_table(
-            ir, world.topology, entries, processes=1, on_report=note_unverified
-        )
+        session.verify_table(entries, on_report=note_unverified)
     kill = use_faults(chunk=KillWorkerChunk(1))
     with use_tracer(Tracer(trace_config)) as chaos_tracer, kill:
-        verify_table(
-            ir, world.topology, entries, processes=processes, chunk_size=chunk_size
-        )
+        session.verify_table(entries, processes=processes, chunk_size=chunk_size)
     check(
         ChaosCheck(
             "trace/survives-worker-kill",
@@ -342,11 +338,10 @@ def run_chaos(
     )
 
     # -- layer 3: WHOIS behind a flaky network --------------------------------
-    from repro.api import Session
-
+    ir = session.ir
     asn = min(ir.aut_nums)
-    with Session(ir, world.topology, index=None, use_cache=False) as whois_session:
-        handle = whois_session.whois_server()
+    with session:
+        handle = session.whois_server()
         with FlakyTcpProxy("127.0.0.1", handle.whois_port, failures=2) as proxy:
             try:
                 answer = whois_query(
@@ -411,7 +406,6 @@ def _serve_layer(check, ir, world, entries) -> DegradationReport:
     backpressure — and shutdown still drains.  Nothing hangs, nothing
     crashes, and the refused count is recorded as degradation.
     """
-    from repro.api import Session
     from repro.serve import ServeConfig, ServeDaemon
 
     degradation = DegradationReport()
@@ -493,7 +487,6 @@ def _serve_supervisor_layer(check, ir, world, entries) -> DegradationReport:
     degradation report; a SIGSTOPped worker is detected by heartbeat and
     replaced without operator intervention.
     """
-    from repro.api import Session
     from repro.obs import MetricsRegistry
     from repro.serve import ServeConfig, ServeDaemon
 

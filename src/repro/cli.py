@@ -182,7 +182,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             config,
             as_rel=args.as_rel,
             options=options,
-            processes=args.processes,
             trace=trace_config,
         ) as session:
 
@@ -193,6 +192,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
             stats = session.verify_table(
                 parse_table_file(args.table),
+                processes=args.processes,
                 on_report=print_report if args.report else None,
             )
             extras["degradation"] = stats.degradation.as_dict()
@@ -595,7 +595,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # The daemon owns a private registry so GET /metrics reflects this
     # process alone (load, index adoption, and every query report there).
     session = _open_cli_session(
-        args, {}, as_rel=args.as_rel, processes=1, registry=MetricsRegistry()
+        args, {}, as_rel=args.as_rel, registry=MetricsRegistry()
     )
     serve_config = ServeConfig(
         host=args.host,

@@ -17,7 +17,7 @@ regex is resolved once, here, before any route is verified:
 * every :class:`~repro.core.query.QueryEngine` (hence every
   :class:`~repro.core.verify.Verifier`) is a read-only view over one
   index, so the hot loop is pure lookups;
-* :func:`verify_table <repro.core.parallel.verify_table>` ships the
+* :meth:`Session.verify_table <repro.api.Session.verify_table>` ships the
   artifact to workers instead of letting each worker re-derive it
   (``fork``: built pre-fork, the flat planes shared copy-on-write;
   ``spawn``: pickled once per worker);

@@ -1,10 +1,12 @@
 """The supervised worker pool: crash-isolated warm workers, never a lost batch.
 
 One pool serves both multi-process callers.  ``rpslyzer serve --workers N``
-ships query batches to it (component ``serve``); bulk
-:func:`~repro.core.parallel.verify_table` with ``processes=N`` ships table
+ships query batches to it (component ``serve``);
+:meth:`~repro.api.Session.verify_table` with ``processes=N`` ships table
 chunks (component ``verify``) over the same lease pipe, to the same worker
-body.  This module alone creates worker processes and pipes, and owns:
+body, through this module's table client, :func:`_verify_pooled` — so the
+one module that sends a ``chunk`` frame is the one that reads its answer.
+This module alone creates worker processes and pipes, and owns:
 
 * **warm workers** — each worker process builds its own
   :class:`~repro.api.Session` from the parent's parsed IR and compiled
@@ -18,8 +20,9 @@ body.  This module alone creates worker processes and pipes, and owns:
   budget*.  Budget exhausted ⇒ the pool degrades: ``dispatch`` answers
   None from then on and the caller runs its in-process serial path.
 * **crash isolation** — a dying worker fails only its in-flight batch,
-  which is retried on another worker with bounded attempts; a batch the
-  pool cannot place is handed back (None) for the caller to run itself.
+  which is retried on another worker (at most ``BATCH_RETRIES`` times); a
+  batch the pool cannot place is handed back (None) for the caller to run
+  itself.
 * **pool health** — a failing pool is one whose workers keep dying.
   A degraded or stopping pool, or one with no live worker, hands a batch
   back at once instead of waiting out ``lease_timeout`` for a worker
@@ -52,15 +55,14 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro import faultplan
 from repro.bgp.table import RouteEntry
 from repro.bgp.topology import AsRelationships
 from repro.core.compiled import CompiledIndex
 from repro.core.degradation import DegradationReport
-from repro.core.parallel import verify_into
-from repro.core.verify import Verifier, VerifyOptions
+from repro.core.verify import Verifier, VerifyOptions, verify_into
 from repro.ir.model import Ir
 from repro.obs import NULL_REGISTRY, MetricsRegistry, get_registry, set_registry
 from repro.obs.events import NULL_EVENTS, EventLog
@@ -75,6 +77,13 @@ log = logging.getLogger("repro.core.pool")
 # this long per route, hop cache cold, before it is presumed wedged —
 # and never drops below ``SupervisorConfig.hang_timeout``.
 CHUNK_SECONDS_PER_ROUTE = 0.005
+
+# How long a new worker may take to warm up and report ready.
+SPAWN_TIMEOUT = 60.0
+
+# How many times one batch is retried on another worker after a crash
+# before it is handed back for the caller to run serially.
+BATCH_RETRIES = 2
 
 
 class WorkerCrash(RuntimeError):
@@ -97,21 +106,17 @@ class SupervisorConfig:
     the in-process serial path; ``backoff_base``/``backoff_max`` shape
     the exponential respawn backoff after consecutive failures — the
     only cooldown the pool has: while no worker is live, batches are
-    handed back at once.  ``batch_retries`` bounds how many times one
-    batch is retried on another worker after a crash before falling
-    back serially.
+    handed back at once.
     """
 
     workers: int = 2
     hang_timeout: float = 10.0
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.0
-    spawn_timeout: float = 60.0
     lease_timeout: float = 5.0
     restart_budget: int = 8
     backoff_base: float = 0.05
     backoff_max: float = 2.0
-    batch_retries: int = 2
     start_method: str | None = None
 
 
@@ -144,6 +149,97 @@ def _verify_chunk(
         registry.drain()
         raise
     return "ok", stats, registry.drain(), tracer.sampled
+
+
+def _verify_pooled(
+    ir: Ir,
+    relationships: AsRelationships,
+    options: VerifyOptions | None,
+    index: CompiledIndex,
+    chunks: Iterator[tuple[int, list[RouteEntry]]],
+    processes: int,
+    start_method: str | None,
+) -> VerificationStats:
+    """The pool's table client: one chunk in flight per worker.
+
+    Starts a pool of ``processes`` workers over ⟨ir, index⟩, feeds it the
+    numbered ``chunks`` and stops it again.  The dispatch coroutines run on
+    an event loop of their own, on this thread — so the caller's iterator
+    is advanced, and every result merged, here.  (Like any
+    ``asyncio.run``, not from inside a running loop: hand a pooled table
+    pass to an executor thread there.)
+
+    A chunk the pool hands back, or one that raised in a worker, is
+    verified in-process and recorded as ``verify/chunk-serial-fallback``;
+    once the pool degrades, the rest of the table drains here.  The
+    returned stats are exact either way.  Each worker's drained metrics,
+    trace lines and sample counts are folded into the parent's registry
+    and tracer only for a chunk whose result is accepted.
+    """
+    registry = get_registry()
+    tracer = get_tracer()
+    total = VerificationStats()
+    fallback: Verifier | None = None
+    pool = WorkerSupervisor(
+        ir,
+        relationships,
+        options,
+        index,
+        SupervisorConfig(workers=processes, start_method=start_method),
+        degradation=total.degradation,
+        component="verify",
+        observability=(registry.enabled, tracer.config if tracer.enabled else None),
+    )
+
+    async def slot() -> None:
+        nonlocal fallback
+        # Every slot draws from the one iterator; next() never spans an await.
+        for number, chunk in chunks:
+            dispatched = await pool.dispatch_chunk(number, chunk)
+            if dispatched is not None and dispatched[0][0] == "ok":
+                _, partial, metrics, sampled = dispatched[0]
+                total.merge(partial)
+                registry.merge_snapshot(metrics)
+                # The chunk's trace events and sample counts, taken with the
+                # result that counts: a chunk that falls through emits them
+                # again below.
+                tracer.absorb(dispatched[1])
+                for reason, count in sampled.items():
+                    tracer.sampled[reason] += count
+                continue
+            if dispatched is not None:
+                why = dispatched[0][1]  # the chunk raised in a worker that survived
+            elif pool.degraded:
+                why = None  # the pool said so once; the table drains here
+            else:
+                why = "the pool handed it back"
+            if why is not None:
+                total.degradation.record(
+                    "verify", "chunk-serial-fallback", f"chunk {number}: {why}"
+                )
+            # A deterministic error surfaces from here, in the parent.
+            if fallback is None:
+                fallback = Verifier(ir, relationships, options, index=index)
+            verify_into(fallback, chunk, total)
+
+    async def feed() -> None:
+        await asyncio.gather(*(slot() for _ in range(processes)))
+
+    try:
+        pool.start()
+        asyncio.run(feed())
+    finally:
+        pool.stop()
+
+    if registry.enabled:
+        registry.gauge("verify_workers").set(processes)
+        for event in total.degradation.events():
+            registry.counter(
+                "verify_degradation_total",
+                component=event.component,
+                kind=event.kind,
+            ).inc(event.count)
+    return total
 
 
 def _worker_main(
@@ -394,7 +490,7 @@ class WorkerSupervisor:
         """
         self._stopping.set()
         if self._monitor is not None:
-            self._monitor.join(timeout=self.config.spawn_timeout)
+            self._monitor.join(timeout=SPAWN_TIMEOUT)
             self._monitor = None
         with self._lock:
             workers = list(self._workers.values())
@@ -454,7 +550,7 @@ class WorkerSupervisor:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.config.spawn_timeout):
+        if not parent_conn.poll(SPAWN_TIMEOUT):
             self._reap(process, parent_conn)
             raise WorkerCrash(f"worker {worker_id} never reported ready")
         try:
@@ -601,7 +697,7 @@ class WorkerSupervisor:
         if hang_timeout is None:
             hang_timeout = self.config.hang_timeout
         failure: Exception | None = None
-        for _ in range(self.config.batch_retries + 1):
+        for _ in range(BATCH_RETRIES + 1):
             try:
                 return await self.execute(kind, items, hang_timeout)
             except PoolUnavailable as exc:

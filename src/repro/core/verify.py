@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-
-from typing import Any
+from itertools import islice
+from typing import TYPE_CHECKING, Any
 
 from repro.bgp.table import RouteEntry
 from repro.bgp.topology import AsRelationships
@@ -43,6 +43,7 @@ from repro.core.query import QueryEngine
 from repro.core.report import HopReport, ItemKind, ReportItem, RouteReport
 from repro.core.special import SpecialCaseChecker
 from repro.core.status import VerifyStatus
+from repro.gcpause import cyclic_gc_paused
 from repro.ir.model import AutNum, Ir
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 from repro.obs import get_registry
@@ -59,7 +60,10 @@ from repro.rpsl.policy import (
 )
 from repro.rpsl.walk import iter_filter_nodes, iter_policy_factors
 
-__all__ = ["VerifyOptions", "Verifier", "rule_skip_census"]
+if TYPE_CHECKING:
+    from repro.stats.verification import VerificationStats
+
+__all__ = ["VerifyOptions", "Verifier", "rule_skip_census", "verify_into"]
 
 _MAX_ITEMS = MAX_ITEMS  # single source of truth: repro.core.filter_match
 
@@ -86,7 +90,6 @@ class VerifyOptions:
     safelists: bool = True
     handle_asn_ranges: bool = False
     handle_same_pattern: bool = False
-    regex_product_cap: int = 65536
     # Match community(...) filters against observed community tags instead
     # of skipping the rule.  The paper skips (communities may be stripped
     # in flight); the synthetic world controls stripping, so this is an
@@ -350,7 +353,7 @@ class Verifier:
         self.relationships = relationships
         self.options = options if options is not None else VerifyOptions()
         self.query = QueryEngine(ir, index if index is not None else compile_index(ir))
-        matcher = AsPathMatcher(self.query, self.options.regex_product_cap)
+        matcher = AsPathMatcher(self.query)
         self.filters = FilterEvaluator(
             self.query,
             matcher,
@@ -783,6 +786,37 @@ class Verifier:
                 self._eval_residual(residual.rest, ctx),
             )
         return residual  # a dead side of a live pair
+
+
+def iter_chunks(entries: Iterable[RouteEntry], size: int) -> Iterator[list[RouteEntry]]:
+    """``entries`` in lists of ``size``, pulled lazily from the iterable."""
+    iterator = iter(entries)
+    while chunk := list(islice(iterator, size)):
+        yield chunk
+
+
+# Routes verified between two opportunities for the cyclic collector to run.
+_GC_PAUSE_ROUTES = 8192
+
+
+def verify_into(
+    verifier: Verifier,
+    entries: Iterable[RouteEntry],
+    stats: "VerificationStats",
+    on_report: Callable[[RouteReport], None] | None = None,
+) -> None:
+    """Verify ``entries`` into ``stats``: the table loop of the serial
+    pass, of a pool worker's chunk, and of the in-process fallback."""
+    # ``entries`` is advanced with the collector running (it is the
+    # caller's code, often a streaming parser); only the verify/aggregate
+    # loop over a materialized batch is paused.
+    for batch in iter_chunks(entries, _GC_PAUSE_ROUTES):
+        with cyclic_gc_paused():
+            for entry in batch:
+                report = verifier.verify_entry(entry)
+                stats.add_report(report)
+                if on_report is not None:
+                    on_report(report)
 
 
 def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:

@@ -464,17 +464,19 @@ def load_journal(source: str | Path | IO[str]) -> Journal:
     names an unknown format — with no trustworthy framing, skipping
     lines could silently drop arbitrary updates.  Individual bad lines
     are recorded on ``Journal.issues`` so the apply step degrades to a
-    full recompile rather than guessing.
+    full recompile rather than guessing.  A file is decoded line by line:
+    an entry line that is not UTF-8 is one more such issue, a header that
+    is not raises.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+        lines = Path(source).read_bytes().splitlines()
     if not lines:
         raise JournalError("empty journal document")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json.loads(_decoded(lines[0]))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise JournalError(f"unreadable journal header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
         raise JournalError(
@@ -487,10 +489,17 @@ def load_journal(source: str | Path | IO[str]) -> Journal:
         if not line.strip():
             continue
         try:
-            journal.entries.append(JournalEntry.from_jsonable(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            journal.entries.append(
+                JournalEntry.from_jsonable(json.loads(_decoded(line)))
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError.
             journal.issues.append(f"line {number}: {exc}")
     return journal
+
+
+def _decoded(line: str | bytes) -> str:
+    return line.decode("utf-8") if isinstance(line, bytes) else line
 
 
 def route_prefix(entry: JournalEntry) -> Prefix:

@@ -16,11 +16,12 @@ Endpoints (all responses are JSON unless noted):
 * ``GET /debug/flight`` — the live flight ring (see
   :mod:`repro.obs.events`); filter with ``?id=``, ``&type=`` (repeat
   for several), ``&since=``/``&until=`` (epoch seconds), ``&limit=``.
-* ``POST /reload``  — body ``{"journal": <journal jsonable>}`` or
-  ``{"journal_path": "<file>"}`` → hot-swap the deltas into the live
-  index (already-absorbed serials are skipped, so retries are
-  idempotent); responds with the applied count, the new generation, and
-  the per-source serials.
+* ``POST /reload``  — body ``{"journal": <journal jsonable>}`` →
+  hot-swap the deltas into the live index (already-absorbed serials are
+  skipped, so retries are idempotent); responds with the applied count,
+  the new generation, and the per-source serials.  The daemon reads no
+  file a client names: a journal on disk is fed by the operator's
+  ``--journal`` follower.
 
 Every request is assigned a correlation id — a client-sent
 ``X-Request-Id`` header is honored when it is a clean token — and the id
@@ -344,21 +345,11 @@ class HttpFrontend(StreamFrontend):
 
 def _journal_from_payload(payload):
     """Build a Journal from a ``/reload`` body; BadRequestError on misuse."""
-    from repro.irr.journal import Journal, JournalError, load_journal
+    from repro.irr.journal import Journal, JournalError
 
-    if not isinstance(payload, dict):
-        raise BadRequestError("request body must be a JSON object")
-    if "journal_path" in payload:
-        path = payload["journal_path"]
-        if not isinstance(path, str):
-            raise BadRequestError("'journal_path' must be a string")
-        try:
-            return load_journal(path)
-        except (JournalError, OSError) as exc:
-            raise BadRequestError(f"unreadable journal: {exc}") from exc
-    if "journal" in payload:
-        try:
-            return Journal.from_jsonable(payload["journal"])
-        except (JournalError, TypeError, KeyError, AttributeError) as exc:
-            raise BadRequestError(f"bad journal payload: {exc}") from exc
-    raise BadRequestError("provide 'journal' or 'journal_path'")
+    if not isinstance(payload, dict) or "journal" not in payload:
+        raise BadRequestError("request body must be a JSON object with a 'journal'")
+    try:
+        return Journal.from_jsonable(payload["journal"])
+    except (JournalError, TypeError, KeyError, AttributeError) as exc:
+        raise BadRequestError(f"bad journal payload: {exc}") from exc

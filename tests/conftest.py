@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from repro.api import Session
 from repro.bgp.routegen import collector_routes
 from repro.core.verify import Verifier
 from repro.irr.synth import build_world, tiny_config
@@ -87,6 +88,14 @@ def tiny_ir(tiny_registry):
 def tiny_verifier(tiny_ir, tiny_world):
     """A verifier over the tiny world with paper-default options."""
     return Verifier(tiny_ir, tiny_world.topology)
+
+
+@pytest.fixture(scope="session")
+def tiny_session(tiny_ir, tiny_world):
+    """A session over the tiny world, its index compiled in memory on the
+    first table pass; every ``verify_table`` builds a fresh verifier."""
+    with Session(tiny_ir, tiny_world.topology, use_cache=False) as session:
+        yield session
 
 
 @pytest.fixture(scope="session")

@@ -98,12 +98,9 @@ class TestVerifyTable:
 
     def test_options_and_reports(self, tiny_ir, tiny_world, tiny_routes):
         reports = []
-        with api.Session(tiny_ir, tiny_world.topology) as session:
-            stats = session.verify_table(
-                tiny_routes[:20],
-                options=repro.VerifyOptions(relaxations=False, safelists=False),
-                on_report=reports.append,
-            )
+        options = repro.VerifyOptions(relaxations=False, safelists=False)
+        with api.Session(tiny_ir, tiny_world.topology, options=options) as session:
+            stats = session.verify_table(tiny_routes[:20], on_report=reports.append)
         assert len(reports) == 20
         assert stats.routes_total == 20
 

@@ -27,7 +27,6 @@ from repro.chaos import (
 )
 from repro.chaos.mutators import oversized_paragraph
 from repro.core.degradation import DegradationReport
-from repro.core.parallel import verify_table
 from repro.irr.dump import parse_dump_file, parse_dump_text
 from repro.irr.whois import whois_query
 from repro.rpsl.errors import ErrorCollector, ErrorKind
@@ -143,34 +142,28 @@ def _summaries_match(a, b) -> bool:
     return left == right
 
 
-def test_worker_kill_mid_run_exact_stats(tiny_ir, tiny_world, tiny_routes):
-    baseline = verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
+def test_worker_kill_mid_run_exact_stats(tiny_session, tiny_routes):
+    baseline = tiny_session.verify_table(tiny_routes, processes=1)
     with use_faults(chunk=KillWorkerChunk(2)):
-        chaotic = verify_table(
-            tiny_ir, tiny_world.topology, tiny_routes, processes=4, chunk_size=200
-        )
+        chaotic = tiny_session.verify_table(tiny_routes, processes=4, chunk_size=200)
     assert _summaries_match(baseline, chaotic)
     kinds = chaotic.degradation.by_kind()
     assert kinds.get("verify/worker-crashed", 0) >= 1
     assert kinds.get("verify/chunk-serial-fallback", 0) >= 1
 
 
-def test_worker_exception_retried_then_serial(tiny_ir, tiny_world, tiny_routes):
-    baseline = verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
+def test_worker_exception_retried_then_serial(tiny_session, tiny_routes):
+    baseline = tiny_session.verify_table(tiny_routes, processes=1)
     with use_faults(chunk=RaiseOnChunk(0)):
-        chaotic = verify_table(
-            tiny_ir, tiny_world.topology, tiny_routes, processes=2, chunk_size=300
-        )
+        chaotic = tiny_session.verify_table(tiny_routes, processes=2, chunk_size=300)
     assert _summaries_match(baseline, chaotic)
     # The chunk came back from a worker that survived and went straight to
     # the in-process fallback: no worker crashed, hung or was restarted.
     assert chaotic.degradation.by_kind() == {"verify/chunk-serial-fallback": 1}
 
 
-def test_clean_parallel_run_has_empty_degradation(tiny_ir, tiny_world, tiny_routes):
-    stats = verify_table(
-        tiny_ir, tiny_world.topology, tiny_routes, processes=2, chunk_size=300
-    )
+def test_clean_parallel_run_has_empty_degradation(tiny_session, tiny_routes):
+    stats = tiny_session.verify_table(tiny_routes, processes=2, chunk_size=300)
     assert not stats.degradation
     assert stats.summary()["degradation"] == {"events": [], "total": 0}
 

@@ -27,6 +27,7 @@ import pytest
 from prefix_oracle import oracle_verifier
 from set_oracle import index_mismatches
 
+from repro.api import Session
 from repro.bgp.routegen import collector_routes
 from repro.chaos import KillWorkerChunk, use_faults
 from repro.core import compiled as production
@@ -42,7 +43,6 @@ from repro.core.compiled import (
     save_index,
 )
 from repro.core.filter_match import MAX_ITEMS, _merge_items
-from repro.core.parallel import verify_table
 from repro.core.report import ItemKind, ReportItem
 from repro.core.verify import Verifier
 from repro.irr.dump import parse_dump_text
@@ -54,6 +54,13 @@ from repro.stats.verification import VerificationStats
 @pytest.fixture(scope="module")
 def index(tiny_ir):
     return compile_index(tiny_ir, digest=ir_digest(tiny_ir))
+
+
+@pytest.fixture(scope="module")
+def indexed(tiny_ir, tiny_world, index):
+    """A session pinned to the module's compiled index."""
+    with Session(tiny_ir, tiny_world.topology, index=index) as session:
+        yield session
 
 
 @pytest.fixture(scope="module")
@@ -130,12 +137,8 @@ class TestCompilation:
 
 
 class TestDifferentialIdentity:
-    def test_serial_compiled_matches_oracle(
-        self, tiny_ir, tiny_world, tiny_routes, index, oracle_stats
-    ):
-        compiled = verify_table(
-            tiny_ir, tiny_world.topology, tiny_routes, processes=1, index=index
-        )
+    def test_serial_compiled_matches_oracle(self, indexed, tiny_routes, oracle_stats):
+        compiled = indexed.verify_table(tiny_routes, processes=1)
         _assert_stats_equal(compiled, oracle_stats)
 
     def test_per_route_reports_match_oracle(
@@ -146,39 +149,21 @@ class TestDifferentialIdentity:
         for entry in tiny_routes[:500]:
             assert compiled.verify_entry(entry) == oracle.verify_entry(entry)
 
-    def test_parallel_compiled_matches_oracle(
-        self, tiny_ir, tiny_world, tiny_routes, index, oracle_stats
-    ):
-        parallel = verify_table(
-            tiny_ir,
-            tiny_world.topology,
-            tiny_routes,
-            processes=2,
-            chunk_size=200,
-            index=index,
-        )
+    def test_parallel_compiled_matches_oracle(self, indexed, tiny_routes, oracle_stats):
+        parallel = indexed.verify_table(tiny_routes, processes=2, chunk_size=200)
         _assert_stats_equal(parallel, oracle_stats)
 
     def test_parallel_auto_compiles_when_no_index_given(
         self, tiny_ir, tiny_world, tiny_routes, oracle_stats
     ):
-        parallel = verify_table(
-            tiny_ir, tiny_world.topology, tiny_routes, processes=2, chunk_size=200
-        )
+        with Session(tiny_ir, tiny_world.topology, use_cache=False) as session:
+            parallel = session.verify_table(tiny_routes, processes=2, chunk_size=200)
+            assert session.index is not None  # adopted on entry, and kept
         _assert_stats_equal(parallel, oracle_stats)
 
-    def test_identical_under_worker_death(
-        self, tiny_ir, tiny_world, tiny_routes, index, oracle_stats
-    ):
+    def test_identical_under_worker_death(self, indexed, tiny_routes, oracle_stats):
         with use_faults(chunk=KillWorkerChunk(2)):
-            chaotic = verify_table(
-                tiny_ir,
-                tiny_world.topology,
-                tiny_routes,
-                processes=2,
-                chunk_size=200,
-                index=index,
-            )
+            chaotic = indexed.verify_table(tiny_routes, processes=2, chunk_size=200)
         # Degradation events differ by design (the run *was* degraded);
         # every verification aggregate must still be exact.
         assert chaotic.degradation.events()
@@ -687,19 +672,12 @@ class TestTrieLegacyDifferential:
         for entry in routes:
             legacy.add_report(oracle.verify_entry(entry))
 
-        index = compile_index(ir, digest=ir_digest(ir))
-        trie_serial = verify_table(
-            ir, world.topology, routes, processes=1, index=index
-        )
+        session = Session(ir, world.topology, index=compile_index(ir, digest=ir_digest(ir)))
+        trie_serial = session.verify_table(routes, processes=1)
         _assert_stats_equal(trie_serial, legacy)
 
-        pooled = verify_table(
-            ir,
-            world.topology,
-            routes,
-            processes=2,
-            chunk_size=max(1, len(routes) // 4),
-            index=index,
+        pooled = session.verify_table(
+            routes, processes=2, chunk_size=max(1, len(routes) // 4)
         )
         _assert_stats_equal(pooled, legacy)
 

@@ -6,7 +6,6 @@ import itertools
 
 import pytest
 
-from repro.core.parallel import verify_table
 from repro.stats.verification import VerificationStats
 from repro.stats.export import (
     fig1_rows,
@@ -20,8 +19,8 @@ from repro.stats.export import (
 
 
 @pytest.fixture(scope="module")
-def stats(tiny_ir, tiny_world, tiny_routes):
-    return verify_table(tiny_ir, tiny_world.topology, tiny_routes[:4000])
+def stats(tiny_session, tiny_routes):
+    return tiny_session.verify_table(tiny_routes[:4000])
 
 
 class TestFigureRows:

@@ -18,8 +18,9 @@ import pytest
 from test_ir_json import SAMPLE_DUMP
 
 import repro
+import repro.api as api
 import repro.bgp.table as table
-import repro.core.parallel as parallel
+import repro.core.verify as verify
 import repro.irr.registry as registry_module
 from repro import gcpause
 from repro.ir import json_io, serialize
@@ -202,6 +203,6 @@ class TestOneHelper:
         assert hits == ["gcpause.py", "gcpause.py"]  # one disable, one enable
 
     def test_the_serial_table_pass_still_uses_it(self):
-        assert parallel.cyclic_gc_paused is gcpause.cyclic_gc_paused
-        assert "with cyclic_gc_paused():" in inspect.getsource(parallel.verify_into)
-        assert "verify_into(" in inspect.getsource(parallel._verify_serial)
+        assert verify.cyclic_gc_paused is gcpause.cyclic_gc_paused
+        assert "with cyclic_gc_paused():" in inspect.getsource(verify.verify_into)
+        assert "verify_into(" in inspect.getsource(api.Session.verify_table)

@@ -112,6 +112,23 @@ class TestJournalFormat:
         _, report = apply_journal_to_ir(seed_ir, loaded)
         assert "journal/corrupt-entry" in report.by_kind()
 
+    def test_bytes_that_are_not_utf8(self, seed_ir, tmp_path):
+        """An entry line that is not UTF-8 is one more corrupt line; a header
+        that is not is a journal that cannot be framed."""
+        _, journal = evolve_with_journal(seed_ir, ChurnConfig(seed=5))
+        path = tmp_path / "binary.jsonl"
+        save_journal(journal, path)
+        header, _, rest = path.read_bytes().partition(b"\n")
+        path.write_bytes(header + b"\n\xff\xfe\n" + rest)
+        loaded = load_journal(path)
+        assert len(loaded.issues) == 1 and loaded.issues[0].startswith("line 2:")
+        assert loaded.digest() == journal.digest()
+        _, report = apply_journal_to_ir(seed_ir, loaded)
+        assert "journal/corrupt-entry" in report.by_kind()
+        path.write_bytes(b"\xff\xfe" + header + b"\n" + rest)
+        with pytest.raises(JournalError):
+            load_journal(path)
+
 
 class TestReplay:
     def test_single_epoch_replay(self, seed_ir):

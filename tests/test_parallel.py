@@ -1,6 +1,8 @@
-"""Tests for bulk verification: serial/parallel parity and merging."""
+"""Tests for the table pass, ``Session.verify_table``: serial/pooled
+parity, merging, and the pooled pass under worker faults."""
 
 import gc
+import importlib
 import multiprocessing
 import threading
 from functools import partial
@@ -8,21 +10,21 @@ from functools import partial
 import pytest
 
 from repro.chaos import KillWorkerChunk, RaiseOnChunk, hang_a_worker_at, use_faults
-from repro.core import parallel, pool
-from repro.core.parallel import verify_table
+from repro import api
+from repro.core import pool, verify
 from repro.core.pool import SupervisorConfig, _verify_chunk
 from repro.core.verify import Verifier
 from repro.obs import MetricsRegistry, use_registry
 from repro.stats.verification import VerificationStats
 
 
-def _serial(ir, world, routes):
-    return verify_table(ir, world.topology, routes, processes=1)
+def _serial(session, routes):
+    return session.verify_table(routes, processes=1)
 
 
 @pytest.fixture(scope="module")
-def baseline(tiny_ir, tiny_world, tiny_routes):
-    return _serial(tiny_ir, tiny_world, tiny_routes)
+def baseline(tiny_session, tiny_routes):
+    return _serial(tiny_session, tiny_routes)
 
 
 class TestSequential:
@@ -30,23 +32,21 @@ class TestSequential:
         assert baseline.routes_total == len(tiny_routes)
         assert sum(baseline.hop_totals.values()) > 0
 
-    def test_accepts_streaming_iterable(self, tiny_ir, tiny_world, tiny_routes, baseline):
-        stats = verify_table(tiny_ir, tiny_world.topology, iter(tiny_routes))
+    def test_accepts_streaming_iterable(self, tiny_session, tiny_routes, baseline):
+        stats = tiny_session.verify_table(iter(tiny_routes))
         assert stats.hop_totals == baseline.hop_totals
 
-    def test_on_report_sees_every_route(self, tiny_ir, tiny_world, tiny_routes):
+    def test_on_report_sees_every_route(self, tiny_session, tiny_routes):
         seen = []
-        verify_table(
-            tiny_ir, tiny_world.topology, tiny_routes[:100], on_report=seen.append
-        )
+        tiny_session.verify_table(tiny_routes[:100], on_report=seen.append)
         assert len(seen) == 100
 
 
 class TestSerialPassPausesTheCyclicCollector:
     """The pause is bounded, never covers the caller's iterator, and is undone."""
 
-    def _run(self, tiny_ir, tiny_world, tiny_routes, monkeypatch, on_report=None):
-        monkeypatch.setattr(parallel, "_GC_PAUSE_ROUTES", 40)
+    def _run(self, tiny_session, tiny_routes, monkeypatch, on_report=None):
+        monkeypatch.setattr(verify, "_GC_PAUSE_ROUTES", 40)
         during_iteration = []
 
         def entries():
@@ -61,37 +61,37 @@ class TestSerialPassPausesTheCyclicCollector:
             if on_report is not None:
                 on_report(route_report)
 
-        stats = verify_table(tiny_ir, tiny_world.topology, entries(), on_report=report)
+        stats = tiny_session.verify_table(entries(), on_report=report)
         return stats, during_iteration, during_reports
 
     def test_paused_per_batch_and_restored(
-        self, tiny_ir, tiny_world, tiny_routes, baseline, monkeypatch
+        self, tiny_session, tiny_routes, baseline, monkeypatch
     ):
         assert gc.isenabled()
         stats, during_iteration, during_reports = self._run(
-            tiny_ir, tiny_world, tiny_routes, monkeypatch
+            tiny_session, tiny_routes, monkeypatch
         )
         assert gc.isenabled()
         assert during_iteration == [True] * 100  # the caller's generator: never paused
         assert during_reports == [False] * 100
-        assert stats.summary() == _serial(tiny_ir, tiny_world, tiny_routes[:100]).summary()
+        assert stats.summary() == _serial(tiny_session, tiny_routes[:100]).summary()
 
     def test_restored_when_a_callback_raises(
-        self, tiny_ir, tiny_world, tiny_routes, monkeypatch
+        self, tiny_session, tiny_routes, monkeypatch
     ):
         def boom(route_report):
             raise RuntimeError("callback failed")
 
         with pytest.raises(RuntimeError, match="callback failed"):
-            self._run(tiny_ir, tiny_world, tiny_routes, monkeypatch, on_report=boom)
+            self._run(tiny_session, tiny_routes, monkeypatch, on_report=boom)
         assert gc.isenabled()
 
     def test_a_collector_the_caller_disabled_stays_disabled(
-        self, tiny_ir, tiny_world, tiny_routes, monkeypatch
+        self, tiny_session, tiny_routes, monkeypatch
     ):
         gc.disable()
         try:
-            _, during_iteration, _ = self._run(tiny_ir, tiny_world, tiny_routes, monkeypatch)
+            _, during_iteration, _ = self._run(tiny_session, tiny_routes, monkeypatch)
             assert not gc.isenabled()
             assert during_iteration == [False] * 100
         finally:
@@ -99,12 +99,12 @@ class TestSerialPassPausesTheCyclicCollector:
 
 
 class TestMerge:
-    def test_merge_equals_whole(self, tiny_ir, tiny_world, tiny_routes):
+    def test_merge_equals_whole(self, tiny_session, tiny_routes):
         half = len(tiny_routes) // 2
-        first = _serial(tiny_ir, tiny_world, tiny_routes[:half])
-        second = _serial(tiny_ir, tiny_world, tiny_routes[half:])
+        first = _serial(tiny_session, tiny_routes[:half])
+        second = _serial(tiny_session, tiny_routes[half:])
         first.merge(second)
-        whole = _serial(tiny_ir, tiny_world, tiny_routes)
+        whole = _serial(tiny_session, tiny_routes)
         assert first.hop_totals == whole.hop_totals
         assert first.routes_total == whole.routes_total
         assert first.route_single_status == whole.route_single_status
@@ -118,38 +118,32 @@ class TestMerge:
 
 
 class TestParallel:
-    def test_parallel_matches_sequential(self, tiny_ir, tiny_world, tiny_routes):
+    def test_parallel_matches_sequential(self, tiny_session, tiny_routes):
         sample = tiny_routes[:3000]
-        expected = _serial(tiny_ir, tiny_world, sample)
-        parallel = verify_table(
-            tiny_ir, tiny_world.topology, sample, processes=2, chunk_size=500
-        )
+        expected = _serial(tiny_session, sample)
+        parallel = tiny_session.verify_table(sample, processes=2, chunk_size=500)
         assert parallel.hop_totals == expected.hop_totals
         assert parallel.routes_total == expected.routes_total
         assert parallel.per_as.keys() == expected.per_as.keys()
         for asn in expected.per_as:
             assert parallel.per_as[asn].counts == expected.per_as[asn].counts
 
-    def test_parallel_streams_chunks_lazily(self, tiny_ir, tiny_world, tiny_routes):
+    def test_parallel_streams_chunks_lazily(self, tiny_session, tiny_routes):
         sample = tiny_routes[:1500]
-        expected = _serial(tiny_ir, tiny_world, sample)
-        stats = verify_table(
-            tiny_ir, tiny_world.topology, iter(sample), processes=2, chunk_size=300
-        )
+        expected = _serial(tiny_session, sample)
+        stats = tiny_session.verify_table(iter(sample), processes=2, chunk_size=300)
         assert stats.hop_totals == expected.hop_totals
 
-    def test_small_input_falls_back(self, tiny_ir, tiny_world, tiny_routes):
-        stats = verify_table(
-            tiny_ir, tiny_world.topology, tiny_routes[:10], processes=4, chunk_size=2000
-        )
+    def test_small_input_falls_back(self, tiny_session, tiny_routes):
+        stats = tiny_session.verify_table(tiny_routes[:10], processes=4, chunk_size=2000)
         assert stats.routes_total == 10
 
-    def test_empty_input(self, tiny_ir, tiny_world):
-        stats = verify_table(tiny_ir, tiny_world.topology, [], processes=4)
+    def test_empty_input(self, tiny_session):
+        stats = tiny_session.verify_table([], processes=4)
         assert stats.routes_total == 0
 
-    def test_single_process_requested(self, tiny_ir, tiny_world, tiny_routes):
-        stats = verify_table(tiny_ir, tiny_world.topology, tiny_routes[:50], processes=1)
+    def test_single_process_requested(self, tiny_session, tiny_routes):
+        stats = tiny_session.verify_table(tiny_routes[:50], processes=1)
         assert stats.routes_total == 50
 
 
@@ -158,19 +152,14 @@ class TestStartMethods:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_start_method_matches_serial(
-        self, tiny_ir, tiny_world, tiny_routes, start_method
+        self, tiny_session, tiny_routes, start_method
     ):
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {start_method!r} unavailable here")
         sample = tiny_routes[:1200]
-        expected = _serial(tiny_ir, tiny_world, sample)
-        stats = verify_table(
-            tiny_ir,
-            tiny_world.topology,
-            sample,
-            processes=2,
-            chunk_size=300,
-            start_method=start_method,
+        expected = _serial(tiny_session, sample)
+        stats = tiny_session.verify_table(
+            sample, processes=2, chunk_size=300, start_method=start_method
         )
         assert stats.hop_totals == expected.hop_totals
         assert stats.summary() == expected.summary()
@@ -205,19 +194,13 @@ class TestWorkerMetricsResilience:
     registry.
     """
 
-    def test_killed_worker_metrics_match_serial(self, tiny_ir, tiny_world, tiny_routes):
+    def test_killed_worker_metrics_match_serial(self, tiny_session, tiny_routes):
         with use_registry(MetricsRegistry()) as expected_registry:
-            expected = verify_table(
-                tiny_ir, tiny_world.topology, tiny_routes, processes=1
-            )
+            expected = tiny_session.verify_table(tiny_routes, processes=1)
         kill = use_faults(chunk=KillWorkerChunk(1))
         with use_registry(MetricsRegistry()) as observed_registry, kill:
-            observed = verify_table(
-                tiny_ir,
-                tiny_world.topology,
-                tiny_routes,
-                processes=2,
-                chunk_size=max(1, len(tiny_routes) // 8),
+            observed = tiny_session.verify_table(
+                tiny_routes, processes=2, chunk_size=max(1, len(tiny_routes) // 8)
             )
         assert observed.hop_totals == expected.hop_totals
         for name in ("verify_routes_total", "verify_hops_total"):
@@ -227,15 +210,13 @@ class TestWorkerMetricsResilience:
         kinds = observed.degradation.by_kind()
         assert kinds.get("verify/worker-crashed", 0) >= 1
 
-    def test_raised_chunk_metrics_match_serial(self, tiny_ir, tiny_world, tiny_routes):
+    def test_raised_chunk_metrics_match_serial(self, tiny_session, tiny_routes):
         sample = tiny_routes[:600]
         with use_registry(MetricsRegistry()) as expected_registry:
-            expected = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
+            expected = tiny_session.verify_table(sample, processes=1)
         raise_ = use_faults(chunk=RaiseOnChunk(1))
         with use_registry(MetricsRegistry()) as observed_registry, raise_:
-            observed = verify_table(
-                tiny_ir, tiny_world.topology, sample, processes=2, chunk_size=100
-            )
+            observed = tiny_session.verify_table(sample, processes=2, chunk_size=100)
         assert observed.hop_totals == expected.hop_totals
         for name in ("verify_routes_total", "verify_hops_total"):
             assert _counter_values(observed_registry, name) == _counter_values(
@@ -271,7 +252,7 @@ class TestWorkerMetricsResilience:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_hung_worker_mid_table_matches_serial(
-        self, tiny_ir, tiny_world, tiny_routes, start_method, monkeypatch
+        self, tiny_session, tiny_routes, start_method, monkeypatch
     ):
         """SIGSTOP one worker, by pid, while the table is in flight: its
         chunk is re-verified elsewhere and the run stays exact."""
@@ -291,14 +272,12 @@ class TestWorkerMetricsResilience:
         )
         sample = tiny_routes[:1500]
         with use_registry(MetricsRegistry()) as expected_registry:
-            expected = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
+            expected = tiny_session.verify_table(sample, processes=1)
         outcome = {}
 
         def pooled():
             with use_registry(MetricsRegistry()) as registry:
-                outcome["stats"] = verify_table(
-                    tiny_ir,
-                    tiny_world.topology,
+                outcome["stats"] = tiny_session.verify_table(
                     hang_a_worker_at(sample, 500),
                     processes=2,
                     chunk_size=200,
@@ -334,23 +313,18 @@ class TestWorkerMetricsResilience:
         ids=["killed", "raised"],
     )
     def test_faulted_run_is_exact_and_leaves_no_worker(
-        self, tiny_ir, tiny_world, tiny_routes, start_method, fault, recorded
+        self, tiny_session, tiny_routes, start_method, fault, recorded
     ):
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {start_method!r} unavailable here")
         sample = tiny_routes[:1200]
         with use_registry(MetricsRegistry()) as expected_registry:
-            expected = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
+            expected = tiny_session.verify_table(sample, processes=1)
         with use_registry(MetricsRegistry()) as observed_registry, use_faults(
             chunk=fault
         ):
-            observed = verify_table(
-                tiny_ir,
-                tiny_world.topology,
-                sample,
-                processes=2,
-                chunk_size=200,
-                start_method=start_method,
+            observed = tiny_session.verify_table(
+                sample, processes=2, chunk_size=200, start_method=start_method
             )
         summaries = [expected.summary(), observed.summary()]
         for summary in summaries:
@@ -366,7 +340,10 @@ class TestWorkerMetricsResilience:
 
 class TestRemovedAliases:
     def test_verify_entries_aliases_are_gone(self):
-        """The long-deprecated 1.x aliases were removed in 1.4."""
-        assert not hasattr(parallel, "verify_entries")
-        assert not hasattr(parallel, "verify_entries_parallel")
-        assert "verify_entries" not in parallel.__all__
+        """The long-deprecated 1.x aliases were removed in 1.4, and their
+        module, ``repro.core.parallel``, in 1.22: the table pass is
+        ``Session.verify_table``."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.parallel")
+        for name in ("verify_entries", "verify_entries_parallel", "verify_table"):
+            assert not hasattr(api, name)

@@ -8,8 +8,11 @@ module, class, and function in ``repro`` carries a docstring, every
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import tomllib
 import warnings
 from pathlib import Path
@@ -102,10 +105,10 @@ def test_config_knobs_are_pinned():
     supervisor = {field.name for field in fields(SupervisorConfig)}
     assert supervisor == {
         "workers", "hang_timeout", "heartbeat_interval", "heartbeat_timeout",
-        "spawn_timeout", "lease_timeout", "restart_budget", "backoff_base",
-        "backoff_max", "batch_retries", "start_method",
+        "lease_timeout", "restart_budget", "backoff_base", "backoff_max",
+        "start_method",
     }
-    assert len(supervisor) == 11
+    assert len(supervisor) == 9
 
 
 def test_engine_and_verifier_parameters_are_pinned():
@@ -144,6 +147,72 @@ def test_one_resolver():
             if name == "QueryEngine" and not indexed:
                 offenders.append(f"{where} builds a QueryEngine without an index")
     assert not offenders, offenders
+
+
+def _is_chunk(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "chunk"
+
+
+def _chunk_protocol_sites(tree):
+    """Lines that speak the ``chunk`` frame: a frame tuple or ``kind=`` of
+    ``"chunk"``, a comparison with it, or a use of the pool's chunk
+    dispatcher or the worker's chunk answer (whose outcome is unpacked)."""
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if (
+            name in ("dispatch_chunk", "_verify_chunk")
+            or (isinstance(node, ast.Tuple) and node.elts and _is_chunk(node.elts[0]))
+            or (isinstance(node, ast.keyword) and _is_chunk(node.value))
+            or (
+                isinstance(node, ast.Compare)
+                and any(map(_is_chunk, [node.left, *node.comparators]))
+            )
+        ):
+            yield getattr(node, "lineno", None) or node.value.lineno
+
+
+def test_one_table_pass():
+    """``Session.verify_table`` is the one table pass: ``core/parallel.py`` is
+    gone, the pass takes no per-call options and the session no default
+    process count, and ``core/pool.py`` alone speaks the chunk frame — it
+    sends it and it reads the answer."""
+    from repro import api
+
+    assert not (_SRC / "core" / "parallel.py").exists()
+    signature = inspect.signature(api.Session.verify_table)
+    assert [
+        (name, parameter.kind.name, parameter.default)
+        for name, parameter in signature.parameters.items()
+    ] == [
+        ("self", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("entries", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("processes", "KEYWORD_ONLY", 1),
+        ("chunk_size", "KEYWORD_ONLY", 2000),
+        ("start_method", "KEYWORD_ONLY", None),
+        ("on_report", "KEYWORD_ONLY", None),
+    ]
+    for opener in (api.open_session, api.Session):
+        assert "processes" not in inspect.signature(opener).parameters
+    offenders = [
+        f"{path.relative_to(_SRC)}:{line}"
+        for path in sorted(_SRC.rglob("*.py"))
+        if path != _SRC / "core" / "pool.py"
+        for line in _chunk_protocol_sites(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not offenders, offenders
+    # The pool is imported only by a pooled pass, never with the facade.
+    probe = (
+        "import sys, repro.api; "
+        "print(sorted({'asyncio', 'multiprocessing', 'repro.core.pool'} & set(sys.modules)))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(_SRC.parent)},
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 def test_public_surface_is_pinned():

@@ -1403,21 +1403,26 @@ class TestReload:
         assert summary["applied"] == 0
         assert summary["generation"] == 1  # no spurious recompile
 
-    def test_reload_rejects_garbage(self, reload_handle):
-        handle, *_ = reload_handle
+    def test_reload_rejects_garbage(self, reload_handle, tmp_path):
+        from repro.irr.journal import save_journal
+
+        handle, session, ChurnConfig, evolve_with_journal = reload_handle
         status, body = _http(handle.http_port, "POST", "/reload", {"nope": 1})
         assert status == 400
         status, body = _http(
             handle.http_port, "POST", "/reload", {"journal": {"format": "x"}}
         )
         assert status == 400
-        status, body = _http(
-            handle.http_port,
-            "POST",
-            "/reload",
-            {"journal_path": "/does/not/exist.jsonl"},
-        )
-        assert status == 400
+        # The daemon reads no file a client names, not even a valid journal:
+        # the operator's --journal follower is how a file is fed.
+        _, journal = evolve_with_journal(session.ir, ChurnConfig(seed=11))
+        save_journal(journal, tmp_path / "feed.jsonl")
+        for path in (tmp_path / "feed.jsonl", "/does/not/exist.jsonl"):
+            status, body = _http(
+                handle.http_port, "POST", "/reload", {"journal_path": str(path)}
+            )
+            assert status == 400
+        assert session.generation == 0
         status, _ = _http(handle.http_port, "GET", "/reload")
         assert status == 405
 
@@ -1834,6 +1839,60 @@ class TestReload:
 
         asyncio.run(main())
         assert len(calls) >= 2
+
+    def test_journal_follower_survives_bytes_that_are_not_utf8(
+        self, tiny_world, tmp_path
+    ):
+        """A journal line that is not UTF-8 used to end the follower task
+        for good; it is one more corrupt line now (the apply degrades to a
+        full recompile), and the next good file is applied."""
+        from types import SimpleNamespace
+
+        from repro.irr.history import ChurnConfig, evolve_with_journal
+        from repro.irr.journal import save_journal
+
+        path = tmp_path / "feed.jsonl"
+        _, journal = evolve_with_journal(tiny_world.merged_ir(), ChurnConfig(seed=19))
+        save_journal(journal, path)
+        good = path.read_bytes()
+        header, _, rest = good.partition(b"\n")
+        path.write_bytes(header + b"\n\xff\xfe\n" + rest)
+        received = []
+
+        async def main() -> None:
+            clean = asyncio.Event()
+
+            async def reload(journal) -> dict:
+                received.append(journal)
+                if not journal.issues:
+                    clean.set()
+                return {"applied": len(journal), "generation": 1, "degraded": False}
+
+            stub = SimpleNamespace(
+                config=SimpleNamespace(journal_path=str(path), journal_poll=0.01),
+                service=SimpleNamespace(reload=reload),
+            )
+            follower = asyncio.create_task(ServeDaemon._follow_journal(stub))
+            deadline = time.monotonic() + 30
+            try:
+                while not received and not follower.done():
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.01)
+                path.write_bytes(good)
+                while not clean.is_set() and not follower.done():
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.01)
+                assert not follower.done(), follower.exception()
+            finally:
+                follower.cancel()
+                try:
+                    await follower
+                except (asyncio.CancelledError, Exception):  # noqa: BLE001 - what killed it
+                    pass
+
+        asyncio.run(main())
+        assert received[0].issues and len(received[0]) == len(journal)
+        assert not received[-1].issues and len(received[-1]) == len(journal)
 
 
 @pytest.mark.slow

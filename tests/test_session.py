@@ -108,9 +108,30 @@ class TestSessionQueries:
                 assert str(warm) == str(cold)
 
     def test_verify_table_uses_session_defaults(self, tiny_world, tiny_routes):
-        with api.open_session(tiny_world, processes=1) as session:
+        with api.open_session(tiny_world) as session:
             stats = session.verify_table(tiny_routes[:25])
         assert stats.routes_total == 25
+
+    def test_table_passes_on_an_unwarmed_session_adopt_the_index_once(
+        self, tiny_world, tiny_routes, tmp_path
+    ):
+        registry = MetricsRegistry()
+        cache = tmp_path / "cache"
+        with api.open_session(
+            tiny_world, registry=registry, cache_dir=cache, use_cache=False, warm=False
+        ) as session:
+            first = session.verify_table(tiny_routes[:200])
+            index = session.index
+            second = session.verify_table(tiny_routes[:200])
+            assert index is not None and session.index is index
+        assert first.summary() == second.summary()
+        compiles = [
+            span["count"]
+            for span in registry.snapshot()["spans"]
+            if span["path"].endswith("compile/index")
+        ]
+        assert compiles == [1]
+        assert not cache.exists()  # use_cache=False: adopted in memory only
 
     def test_explain_returns_events(self, tiny_world, tiny_routes):
         entry = tiny_routes[0]

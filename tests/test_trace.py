@@ -22,7 +22,6 @@ import pytest
 from repro import api
 from repro.chaos import KillWorkerChunk, RaiseOnChunk, use_faults
 from repro.cli import main
-from repro.core.parallel import verify_table
 from repro.core.verify import Verifier
 from repro.obs.events import EventLog, read_events
 from repro.obs.trace import (
@@ -41,9 +40,9 @@ from repro.obs.trace import (
 TRACE_CONFIG = TraceConfig(sample_rate=7, seed=1)
 
 
-def _traced_run(ir, world, routes, **kwargs):
+def _traced_run(session, routes, **kwargs):
     with use_tracer(Tracer(TRACE_CONFIG)) as tracer:
-        stats = verify_table(ir, world.topology, routes, **kwargs)
+        stats = session.verify_table(routes, **kwargs)
     return stats, tracer
 
 
@@ -76,13 +75,13 @@ class KillWorkerMidChunk:
 
 
 @pytest.fixture(scope="module")
-def serial_traced(tiny_ir, tiny_world, tiny_routes):
-    return _traced_run(tiny_ir, tiny_world, tiny_routes, processes=1)
+def serial_traced(tiny_session, tiny_routes):
+    return _traced_run(tiny_session, tiny_routes, processes=1)
 
 
 @pytest.fixture(scope="module")
-def untraced(tiny_ir, tiny_world, tiny_routes):
-    return verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
+def untraced(tiny_session, tiny_routes):
+    return tiny_session.verify_table(tiny_routes, processes=1)
 
 
 class TestSampling:
@@ -126,11 +125,11 @@ class TestSampling:
         assert NULL_TRACER.events == []
 
     def test_tail_sampling_keeps_only_matching_verdicts(
-        self, tiny_ir, tiny_world, tiny_routes
+        self, tiny_session, tiny_routes
     ):
         config = TraceConfig(sample_rate=10**9, trace_statuses=frozenset({"unverified"}))
         with use_tracer(Tracer(config)) as tracer:
-            verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
+            tiny_session.verify_table(tiny_routes, processes=1)
         route_events = [e for e in tracer.events if e["kind"] == "route"]
         assert route_events
         assert all(e["sampled"] == "verdict" for e in route_events)
@@ -146,15 +145,11 @@ class TestDifferential:
         assert traced_stats.hop_totals == untraced.hop_totals
 
     def test_parallel_canonicalizes_like_serial(
-        self, serial_traced, tiny_ir, tiny_world, tiny_routes
+        self, serial_traced, tiny_session, tiny_routes
     ):
         serial_stats, serial_tracer = serial_traced
         parallel_stats, parallel_tracer = _traced_run(
-            tiny_ir,
-            tiny_world,
-            tiny_routes,
-            processes=2,
-            chunk_size=_chunk_size(tiny_routes),
+            tiny_session, tiny_routes, processes=2, chunk_size=_chunk_size(tiny_routes)
         )
         assert parallel_stats.summary() == serial_stats.summary()
         assert canonical_events(parallel_tracer.events) == canonical_events(
@@ -164,12 +159,12 @@ class TestDifferential:
         summary = summarize_events(parallel_tracer.events)
         assert summary["workers"] >= 1
 
-    def _assert_survives(self, serial_traced, ir, world, routes, chunk_size, fault):
+    def _assert_survives(self, serial_traced, session, routes, chunk_size, fault):
         serial_stats, serial_tracer = serial_traced
         scratch_before = set(os.listdir(tempfile.gettempdir()))
         with use_faults(chunk=fault):
             chaos_stats, chaos_tracer = _traced_run(
-                ir, world, routes, processes=2, chunk_size=chunk_size
+                session, routes, processes=2, chunk_size=chunk_size
             )
         # Events cross the pipe with the results: nothing is spilled to disk.
         assert set(os.listdir(tempfile.gettempdir())) == scratch_before
@@ -185,27 +180,25 @@ class TestDifferential:
         )
 
     def test_survives_worker_kill(
-        self, serial_traced, tiny_ir, tiny_world, tiny_routes
+        self, serial_traced, tiny_session, tiny_routes
     ):
         self._assert_survives(
             serial_traced,
-            tiny_ir,
-            tiny_world,
+            tiny_session,
             tiny_routes,
             _chunk_size(tiny_routes),
             KillWorkerChunk(1),
         )
 
     def test_survives_a_worker_killed_mid_chunk(
-        self, serial_traced, tiny_ir, tiny_world, tiny_routes
+        self, serial_traced, tiny_session, tiny_routes
     ):
         """The partial events of a chunk whose worker dies must die with it
         (the retry, and in the end the in-process fallback, emit them
         again): with a spill file they survived and had to be de-duplicated."""
         self._assert_survives(
             serial_traced,
-            tiny_ir,
-            tiny_world,
+            tiny_session,
             tiny_routes,
             _chunk_size(tiny_routes),
             KillWorkerMidChunk(1),
@@ -217,23 +210,21 @@ class TestDifferential:
         ids=["clean", "raised-chunk", "killed-worker"],
     )
     def test_pooled_run_counts_what_it_sampled(
-        self, tiny_ir, tiny_world, tiny_routes, fault
+        self, tiny_session, tiny_routes, fault
     ):
         """A pooled run's tracer reports the serial pass's sample counts:
         each accepted chunk carries its worker's per-chunk counts, and a
         chunk that raised or whose worker died contributes none."""
         config = TraceConfig(sample_rate=16)
         with use_tracer(Tracer(config)) as serial:
-            verify_table(tiny_ir, tiny_world.topology, tiny_routes, processes=1)
+            tiny_session.verify_table(tiny_routes, processes=1)
         with use_tracer(Tracer(config)) as pooled, use_faults(chunk=fault):
-            verify_table(
-                tiny_ir, tiny_world.topology, tiny_routes, processes=2, chunk_size=500
-            )
+            tiny_session.verify_table(tiny_routes, processes=2, chunk_size=500)
         assert serial.sampled["head"] > 0 and serial.sampled["verdict"] > 0
         assert pooled.sampled == serial.sampled
         assert pooled.emitted == serial.emitted
 
-    def test_unverified_routes_always_traced(self, tiny_ir, tiny_world, tiny_routes):
+    def test_unverified_routes_always_traced(self, tiny_session, tiny_routes):
         unverified: set[str] = set()
 
         def note(report) -> None:
@@ -241,9 +232,7 @@ class TestDifferential:
                 unverified.add(route_trace_id(report.entry, TRACE_CONFIG.seed))
 
         with use_tracer(Tracer(TRACE_CONFIG)) as tracer:
-            verify_table(
-                tiny_ir, tiny_world.topology, tiny_routes, processes=1, on_report=note
-            )
+            tiny_session.verify_table(tiny_routes, processes=1, on_report=note)
         traced = {e["ids"]["route"] for e in tracer.events if e["kind"] == "route"}
         assert unverified  # the tiny world does produce unverified hops
         assert unverified <= traced
@@ -251,14 +240,14 @@ class TestDifferential:
 
 class TestSpillAndMerge:
     def test_tracer_emits_into_the_log_it_is_given(
-        self, tiny_ir, tiny_world, tiny_routes
+        self, tiny_session, tiny_routes
     ):
         """A pool worker's tracer shares the log its result frames drain,
         and stamps its pid on every event."""
         log = EventLog()
         tracer = Tracer(TRACE_CONFIG, log=log, ids={"worker": 1234})
         with use_tracer(tracer):
-            verify_table(tiny_ir, tiny_world.topology, tiny_routes[:300], processes=1)
+            tiny_session.verify_table(tiny_routes[:300], processes=1)
         shipped = log.drain()
         assert len(shipped) == tracer.emitted > 0
         assert tracer.events == []  # drained: the frame took them
@@ -283,11 +272,11 @@ class TestSpillAndMerge:
         )
         assert read_events(path) == ({}, [first, second])
 
-    def test_max_events_cap_counts_drops(self, tiny_ir, tiny_world, tiny_routes):
+    def test_max_events_cap_counts_drops(self, tiny_session, tiny_routes):
         sample = tiny_routes[:50]
         capped = Tracer(TraceConfig(sample_rate=1, max_events=5))
         with use_tracer(capped):
-            stats = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
+            stats = tiny_session.verify_table(sample, processes=1)
         assert capped.emitted == 5
         assert capped.dropped > 0
         # The bound covers what a pool worker ships as well.
@@ -295,7 +284,7 @@ class TestSpillAndMerge:
         absorbing.absorb(capped.log.lines())
         assert (absorbing.emitted, absorbing.dropped) == (3, 2)
         assert len(absorbing.events) == 3
-        baseline = verify_table(tiny_ir, tiny_world.topology, sample, processes=1)
+        baseline = tiny_session.verify_table(sample, processes=1)
         assert stats.summary() == baseline.summary()
 
     def test_write_read_round_trip(self, tmp_path, serial_traced):
@@ -460,13 +449,12 @@ class TestCli:
 
 class TestRaiseOnChunkTracing:
     def test_chunk_retry_does_not_duplicate_events(
-        self, serial_traced, tiny_ir, tiny_world, tiny_routes
+        self, serial_traced, tiny_session, tiny_routes
     ):
         _, serial_tracer = serial_traced
         with use_faults(chunk=RaiseOnChunk(2)):
             _, retry_tracer = _traced_run(
-                tiny_ir,
-                tiny_world,
+                tiny_session,
                 tiny_routes,
                 processes=2,
                 chunk_size=_chunk_size(tiny_routes),
