@@ -74,7 +74,8 @@ bench-smoke:
 chaos-serve:
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --only serve-supervisor
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_supervisor.py tests/test_parallel.py \
-	  -q -p no:cacheprovider
+	  tests/test_serve_core.py -q -p no:cacheprovider -W error::RuntimeWarning \
+	  -W error::pytest.PytestUnraisableExceptionWarning
 	PYTHONPATH=src PYTHON=$(PYTHON) sh scripts/pool_figures.sh
 
 bench:

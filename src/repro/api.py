@@ -640,7 +640,6 @@ class Session:
         prefix: str,
         as_path: Iterable[int],
         *,
-        options: VerifyOptions | None = None,
         collector: str = "explain",
         request_id: str | None = None,
     ) -> tuple[RouteReport, list[dict]]:
@@ -649,26 +648,24 @@ class Session:
         Returns ``(report, events)``: the route report plus the full
         decision-provenance event list (sample rate 1, deep chains always
         recorded — the verifier is fresh, so every hop is a cache miss and
-        its filter-evaluation path is captured).  This is what
-        ``rpslyzer explain`` and ``POST /explain`` print.  The events carry
-        ``request_id`` (the served request being answered, if any) and the
-        generation, and also land in the session's event log when it has
-        one — so ``rpslyzer debug --id`` shows an explained request's
-        matched rules next to its stage breakdown.
+        its filter-evaluation path is captured).  The verifier runs on the
+        session's options over the index it adopts once (:meth:`warm`).
+        This is what ``rpslyzer explain`` and ``POST /explain`` print.  The
+        events carry ``request_id`` (the served request being answered, if
+        any) and the generation, and also land in the session's event log
+        when it has one — so ``rpslyzer debug --id`` shows an explained
+        request's matched rules next to its stage breakdown.
         """
         self._check_open()
         relationships = self._need_relationships()
-        current = self._generation
+        current = self.warm()._generation
         tracer = Tracer(
             TraceConfig(sample_rate=1, deep=True),
             ids={"request": request_id or None, "generation": current.number},
         )
         with self._scope(), use_tracer(tracer):
             verifier = Verifier(
-                current.ir,
-                relationships,
-                options if options is not None else self.options,
-                index=current.index,
+                current.ir, relationships, self.options, index=current.index
             )
             report = verifier.verify_route(
                 prefix, tuple(as_path), collector=collector

@@ -28,8 +28,8 @@ Subcommands mirror the paper's pipeline:
   ``GET /healthz``, ``GET /metrics``) and optionally the WHOIS line
   protocol with a ``!v`` verify command, answering warm from one
   loaded session (see ``docs/serving.md``); request-scoped telemetry
-  (correlation ids, stage timings, ``--access-log``, the flight
-  recorder) is on by default — ``--no-telemetry`` opts out;
+  (correlation ids, stage timings) is always on, beside
+  ``--access-log`` and the flight recorder (``--flight-events``);
 * ``debug <events.jsonl | http://host:port>`` — render an event log (an
   incident dump, an access log, a trace file, or a live daemon's
   ``/debug/flight`` ring) as a filtered timeline (``--id``, ``--type``,
@@ -383,7 +383,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    with api.open_session(args.ir, as_rel=args.as_rel, warm=False) as session:
+    # In memory only: an ad-hoc explain writes no disk cache.
+    with api.open_session(
+        args.ir, as_rel=args.as_rel, use_cache=False, warm=False
+    ) as session:
         ir = session.ir
         report, events = session.explain(args.prefix, args.as_path)
     if args.json:
@@ -609,7 +612,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         journal_path=args.journal,
         journal_poll=args.journal_poll,
-        telemetry=not args.no_telemetry,
         access_log=args.access_log,
         slow_ms=args.slow_ms,
         flight_events=args.flight_events,
@@ -993,11 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="write flight incident dumps here (default: none — incidents stay "
         "in the ring, see GET /debug/flight)",
-    )
-    serve.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable request ids, stage histograms, and the access log",
     )
     serve.set_defaults(func=_cmd_serve)
 

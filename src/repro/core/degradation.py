@@ -65,7 +65,7 @@ class DegradationReport:
 
     def merge(self, other: "DegradationReport") -> None:
         """Fold another report into this one (parallel verification)."""
-        self._counts.update(other._counts)
+        self._counts.update(dict(other._counts))  # one snapshot, see by_kind
 
     def events(self) -> list[DegradationEvent]:
         """All events, deterministically ordered."""
@@ -75,9 +75,13 @@ class DegradationReport:
         ]
 
     def by_kind(self) -> dict[str, int]:
-        """Occurrence totals keyed ``component/kind`` (detail collapsed)."""
+        """Occurrence totals keyed ``component/kind`` (detail collapsed).
+
+        Safe from another thread while the owner's loop records: the
+        events are copied in one C-level step before they are summed.
+        """
         totals: Counter = Counter()
-        for (component, kind, _), count in self._counts.items():
+        for (component, kind, _), count in list(self._counts.items()):
             totals[f"{component}/{kind}"] += count
         return dict(sorted(totals.items()))
 

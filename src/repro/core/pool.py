@@ -13,12 +13,13 @@ This module alone creates worker processes and pipes, and owns:
   index (shared copy-on-write under ``fork``, pickled once under
   ``spawn``), so it answers warm without ever recompiling, and its hop
   cache carries from one batch or chunk to the next.
-* **supervision** — a monitor thread health-checks idle workers with
-  heartbeat pings, SIGKILLs hung ones (a worker that stops answering
-  mid-batch is caught by the per-batch hang bound), and respawns
-  crashed ones with exponential backoff under a bounded *restart
-  budget*.  Budget exhausted ⇒ the pool degrades: ``dispatch`` answers
-  None from then on and the caller runs its in-process serial path.
+* **supervision** — a monitor task on the caller's event loop
+  health-checks idle workers with heartbeat pings, SIGKILLs hung ones (a
+  worker that stops answering mid-batch is caught by the per-batch hang
+  bound), and respawns crashed ones with exponential backoff under a
+  bounded *restart budget*.  Budget exhausted ⇒ the pool degrades:
+  ``dispatch`` answers None from then on and the caller runs its
+  in-process serial path.
 * **crash isolation** — a dying worker fails only its in-flight batch,
   which is retried on another worker (at most ``BATCH_RETRIES`` times); a
   batch the pool cannot place is handed back (None) for the caller to run
@@ -50,10 +51,9 @@ import itertools
 import logging
 import multiprocessing
 import os
-import queue
 import signal
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -163,9 +163,9 @@ def _verify_pooled(
     """The pool's table client: one chunk in flight per worker.
 
     Starts a pool of ``processes`` workers over ⟨ir, index⟩, feeds it the
-    numbered ``chunks`` and stops it again.  The dispatch coroutines run on
-    an event loop of their own, on this thread — so the caller's iterator
-    is advanced, and every result merged, here.  (Like any
+    numbered ``chunks`` and stops it again, all inside one event loop of
+    its own, on this thread — so the caller's iterator is advanced, every
+    result merged and the pool supervised here.  (Like any
     ``asyncio.run``, not from inside a running loop: hand a pooled table
     pass to an executor thread there.)
 
@@ -222,14 +222,22 @@ def _verify_pooled(
                 fallback = Verifier(ir, relationships, options, index=index)
             verify_into(fallback, chunk, total)
 
-    async def feed() -> None:
-        await asyncio.gather(*(slot() for _ in range(processes)))
+    async def run() -> None:
+        slots: list[asyncio.Task] = []
+        try:
+            await pool.start()
+            slots = [asyncio.create_task(slot()) for _ in range(processes)]
+            await asyncio.gather(*slots)
+        finally:
+            # A slot that raised leaves the others running: stop them
+            # before the pool goes.
+            for task in slots:
+                task.cancel()
+            if slots:
+                await asyncio.wait(slots)
+            await pool.stop()
 
-    try:
-        pool.start()
-        asyncio.run(feed())
-    finally:
-        pool.stop()
+    asyncio.run(run())
 
     if registry.enabled:
         registry.gauge("verify_workers").set(processes)
@@ -363,7 +371,7 @@ def _worker_main(
             return
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Worker:
     """One live worker process, the parent's end of its pipe, and the index
     it warmed on."""
@@ -378,12 +386,15 @@ class _Worker:
 class WorkerSupervisor:
     """Owns the pool: spawn, lease, heartbeat, restart, degrade.
 
-    ``dispatch``/``dispatch_chunk`` are awaited on the caller's event
-    loop (the serve daemon's, or the table client's own); the monitor
-    thread runs heartbeats and respawns.  Every state transition lands
-    in the supervisor's metrics (when a registry is given) and
-    crashes/degradation in the ``degradation`` report, under the
-    caller's ``component`` (``serve`` or ``verify``).
+    The pool lives on its caller's event loop (the serve daemon's, or
+    the table client's own) and starts no thread: ``await start()``
+    spawns the workers and schedules the monitor task (heartbeats,
+    respawns), ``dispatch``/``dispatch_chunk``/``reload`` are awaited
+    there, and ``await stop()`` cancels the task and reaps every worker.
+    Every state transition, metric (when a registry is given) and crash
+    or degradation recorded in ``degradation`` under the caller's
+    ``component`` (``serve`` or ``verify``) happens on that loop; another
+    thread only reads, through :meth:`worker_pids` and :meth:`state`.
     ``observability`` — ``(collect_metrics, trace_config)`` —
     is what each worker installs for itself; only a table run sets it.
     Each worker also installs the fault plan that was current when it
@@ -424,18 +435,18 @@ class WorkerSupervisor:
         )
         self.flight = flight
         self.degraded = False
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
-        self._free: queue.Queue[_Worker] = queue.Queue()
+        self._stopping = False
         self._workers: dict[int, _Worker] = {}
+        self._free: deque[_Worker] = deque()  # live workers nobody holds
+        # Set when a worker comes free or the pool's health changes: what
+        # a waiting lease, or a reload sweep, wakes on.
+        self._changed = asyncio.Event()
         self._next_id = 0
-        self._frame_ids = itertools.count(1)  # next() is atomic across threads
+        self._frame_ids = itertools.count(1)
         self.restarts = 0
         self._consecutive_spawn_failures = 0
-        self._monitor: threading.Thread | None = None
+        self._monitor: asyncio.Task | None = None
         self._registry = registry
-        # The monitor thread and the caller's loop both publish these.
-        self._metrics_lock = threading.Lock()
         self._gauge_live = registry.gauge(f"{component}_workers_live")
         self._gauge_restarting = registry.gauge(f"{component}_workers_restarting")
         self._counter_restarts = registry.counter(f"{component}_worker_restarts_total")
@@ -454,16 +465,17 @@ class WorkerSupervisor:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> "WorkerSupervisor":
-        """Spawn the initial pool and the monitor thread.
+    async def start(self) -> "WorkerSupervisor":
+        """Spawn the initial pool and schedule the monitor task on this loop.
 
-        A worker that fails to come up during initial start consumes
-        restart budget like any later crash would; a pool that cannot
-        field a single worker starts degraded instead of raising.
+        A worker that fails to come up during initial start is left to
+        the monitor's respawn, which draws on the restart budget like any
+        later crash; a pool that cannot field a single worker starts
+        degraded instead of raising.
         """
         for _ in range(self.config.workers):
             try:
-                self._admit(self._spawn_worker())
+                await self._admit(await self._spawn_worker())
             except WorkerCrash as exc:
                 self.degradation.record(
                     self.component,
@@ -472,45 +484,37 @@ class WorkerSupervisor:
                 )
         if not self._workers:
             self._degrade("no worker survived startup")
-        self._monitor = threading.Thread(
-            target=self._monitor_loop,
-            name=f"rpslyzer-{self.component}-supervisor",
-            daemon=True,
+        self._monitor = asyncio.create_task(
+            self._monitor_loop(), name=f"{self.component}-pool-monitor"
         )
-        self._monitor.start()
         self._publish_metrics()
         return self
 
-    def stop(self) -> None:
-        """Stop the monitor thread, then kill every worker.
+    async def stop(self) -> None:
+        """Cancel the monitor task, then stop every worker.
 
-        In that order: a monitor caught inside ``_spawn_worker`` (seconds
-        under ``spawn``) still admits the worker it was starting, and only
-        a sweep that runs after the thread is gone finds it.
+        In that order, so nothing admits a worker behind the sweep; a
+        respawn the cancellation catches still warming is reaped by
+        :meth:`_spawn_worker` itself.
         """
-        self._stopping.set()
+        self._stopping = True
+        self._changed.set()
         if self._monitor is not None:
-            self._monitor.join(timeout=SPAWN_TIMEOUT)
+            self._monitor.cancel()
+            await asyncio.wait([self._monitor])
             self._monitor = None
-        with self._lock:
-            workers = list(self._workers.values())
-            self._workers.clear()
-        while True:
-            try:
-                self._free.get_nowait()
-            except queue.Empty:
-                break
+        workers = list(self._workers.values())
+        self._workers.clear()
+        self._free.clear()
         for worker in workers:
-            self._terminate(worker)
+            try:
+                worker.conn.send(("stop", None, None))
+            except (BrokenPipeError, OSError):
+                pass
+        for worker in workers:
+            worker.process.join(timeout=0.5)
+            self._reap(worker.process, worker.conn)
         self._publish_metrics()
-
-    def _terminate(self, worker: _Worker) -> None:
-        try:
-            worker.conn.send(("stop", None, None))
-        except (BrokenPipeError, OSError):
-            pass
-        worker.process.join(timeout=0.5)
-        self._reap(worker.process, worker.conn)
 
     @staticmethod
     def _reap(process, conn) -> None:
@@ -528,17 +532,17 @@ class WorkerSupervisor:
 
     # -- spawning ----------------------------------------------------------
 
-    def _spawn_worker(self) -> _Worker:
-        with self._lock:
-            worker_id = self._next_id
-            self._next_id += 1
-            ir, index = self._ir, self._index
+    async def _spawn_worker(self) -> _Worker:
+        """Start one worker and await its ``ready`` frame on the loop."""
+        worker_id = self._next_id
+        self._next_id += 1
+        index = self._index
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 child_conn,
-                ir,
+                self._ir,
                 self._relationships,
                 self._options,
                 index,
@@ -550,39 +554,39 @@ class WorkerSupervisor:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(SPAWN_TIMEOUT):
-            self._reap(process, parent_conn)
-            raise WorkerCrash(f"worker {worker_id} never reported ready")
         try:
+            await self._readable(parent_conn, SPAWN_TIMEOUT)
             message = parent_conn.recv()
+        except TimeoutError:
+            self._reap(process, parent_conn)
+            raise WorkerCrash(f"worker {worker_id} never reported ready") from None
         except (EOFError, OSError) as exc:
             self._reap(process, parent_conn)
             raise WorkerCrash(f"worker {worker_id} died during warmup") from exc
+        except asyncio.CancelledError:
+            self._reap(process, parent_conn)  # stop() landed mid-warmup
+            raise
         assert message[0] == "ready"
         return _Worker(worker_id, process, parent_conn, message[1], index)
 
-    def _admit(self, worker: _Worker) -> None:
-        while True:
-            with self._lock:
-                if worker.index is self._index:
-                    self._workers[worker.worker_id] = worker
-                    break
-            # A reload swapped the state while this worker warmed and could
-            # not reach it (it was not in the pool yet): warm another.
+    async def _admit(self, worker: _Worker) -> None:
+        # A reload swapped the state while this worker warmed and could not
+        # reach it (it was not in the pool yet): warm another.
+        while worker.index is not self._index:
             self._reap(worker.process, worker.conn)
-            worker = self._spawn_worker()
+            worker = await self._spawn_worker()
+        self._workers[worker.worker_id] = worker
         self._event("worker-spawn", worker)
-        self._free.put(worker)
+        self._release(worker)
         self._consecutive_spawn_failures = 0
 
-    # -- dispatch (on the caller's event loop) ---------------------------------
+    # -- dispatch ----------------------------------------------------------
     #
-    # All parent-side work of a batch, chunk or reload happens on the loop
-    # thread — send, await readability via add_reader, recv — so no thread
-    # is parked on a pipe: under the serve daemon every such thread's wakeup
-    # had to win the GIL back from the busy loop, which cost more than the
-    # batch itself.  The table client runs the same coroutines on a loop of
-    # its own.
+    # All parent-side work of a batch, chunk, reload or ping happens on the
+    # loop thread — send, await readability via add_reader, recv — so no
+    # thread is parked on a pipe: under the serve daemon every such thread's
+    # wakeup had to win the GIL back from the busy loop, which cost more
+    # than the batch itself.
 
     def _hands_back(self) -> bool:
         """The pool-health rule: no batch waits for a worker that cannot come.
@@ -591,28 +595,35 @@ class WorkerSupervisor:
         merely busy; a degraded or stopping pool, or one whose workers are
         all dead and not yet respawned, hands the batch back at once.
         """
-        return self.degraded or self._stopping.is_set() or not self._workers
+        return self.degraded or self._stopping or not self._workers
 
-    async def _lease_async(self) -> _Worker:
+    def _release(self, worker: _Worker) -> None:
+        """Hand a leased worker back, unless it was retired meanwhile."""
+        if worker.worker_id in self._workers:
+            self._free.append(worker)
+        self._changed.set()
+
+    async def _changes_before(self, deadline: float) -> bool:
+        """Wait for a worker to come free or the pool's health to change;
+        False once the loop clock passes ``deadline`` first."""
+        self._changed.clear()
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.lease_timeout
-        while True:
-            if self._hands_back():
-                raise PoolUnavailable("degraded, stopping, or no live worker")
-            try:
-                worker = self._free.get_nowait()
-            except queue.Empty:
-                if loop.time() >= deadline:
-                    raise PoolUnavailable(
-                        f"no worker free within {self.config.lease_timeout:g}s"
-                    ) from None
-                await asyncio.sleep(0.001)
-                continue
-            with self._lock:
-                live = worker.worker_id in self._workers
-            if live:
-                return worker
-            # A worker retired while sitting in the free queue: skip it.
+        try:
+            await asyncio.wait_for(self._changed.wait(), deadline - loop.time())
+        except TimeoutError:
+            return False
+        return True
+
+    async def _lease(self) -> _Worker:
+        deadline = asyncio.get_running_loop().time() + self.config.lease_timeout
+        while not self._hands_back():
+            if self._free:
+                return self._free.popleft()
+            if not await self._changes_before(deadline):
+                raise PoolUnavailable(
+                    f"no worker free within {self.config.lease_timeout:g}s"
+                )
+        raise PoolUnavailable("degraded, stopping, or no live worker")
 
     @staticmethod
     async def _readable(conn, timeout: float) -> None:
@@ -648,7 +659,7 @@ class WorkerSupervisor:
         except asyncio.CancelledError:
             # Shutdown cancelled the conversation, not a worker fault: hand
             # the worker back (its late result is skipped as a stale frame).
-            self._free.put(worker)
+            self._release(worker)
             raise
         except (EOFError, BrokenPipeError, OSError, TimeoutError) as exc:
             why = "hung" if isinstance(exc, TimeoutError) else "crashed"
@@ -671,11 +682,11 @@ class WorkerSupervisor:
         batch.
         """
         lease_start = time.monotonic()
-        worker = await self._lease_async()
+        worker = await self._lease()
         dispatch_s = time.monotonic() - lease_start
         execute_start = time.monotonic()
         outcomes, lines = await self._converse(worker, kind, items, hang_timeout)
-        self._free.put(worker)
+        self._release(worker)
         return outcomes, lines, {
             "dispatch_s": dispatch_s,
             "execute_s": time.monotonic() - execute_start,
@@ -726,10 +737,10 @@ class WorkerSupervisor:
     async def reload(self, ir: Ir, index: CompiledIndex | None, journal) -> dict:
         """Swap every live worker to the patched state without dropping work.
 
-        The parent state is updated first (under the lock), so any worker
-        the monitor respawns from here on warms straight from the new IR
-        and index.  Each live worker is then *leased* from the free queue
-        and sent a ``reload`` frame — the same exclusivity the batch
+        The parent state is updated first, so any worker the monitor
+        respawns from here on warms straight from the new IR and index.
+        Each live worker is then taken off the free queue as it comes
+        free and sent a ``reload`` frame — the same exclusivity the batch
         executors use, so a reload never interleaves with an in-flight
         batch and no client request is dropped: batches simply queue
         behind the (millisecond-scale) per-worker patch.
@@ -744,37 +755,31 @@ class WorkerSupervisor:
         ``worker-reloaded`` events land in ``flight``.  Returns a summary
         dict (``reloaded``/``retired``/``degraded``).
         """
-        with self._lock:
-            self._ir = ir
-            self._index = index
-            targets = set(self._workers)
+        self._ir = ir
+        self._index = index
+        targets = set(self._workers)
         frame = (index.generation if index is not None else 0, journal)
-        deadline = time.monotonic() + (
-            self.config.lease_timeout + 2 * self.config.hang_timeout
-        )
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.lease_timeout + 2 * self.config.hang_timeout
         reloaded = degraded_applies = retired = 0
         while True:
-            with self._lock:
-                pending = [w for wid, w in self._workers.items() if wid in targets]
+            pending = [w for wid, w in self._workers.items() if wid in targets]
             if not pending:
                 break
-            if time.monotonic() >= deadline:
+            if loop.time() >= deadline:
                 for worker in pending:
                     self._retire(worker, "stale-after-reload")
                 retired += len(pending)
                 break
-            try:
-                worker = await self._lease_async()
-            except PoolUnavailable:
-                if self._hands_back():
-                    break
+            if self._hands_back():
+                break
+            # A freshly spawned (already on the new state) or already
+            # swapped worker stays free for the batches.
+            worker = next((w for w in self._free if w.worker_id in targets), None)
+            if worker is None:
+                await self._changes_before(deadline)
                 continue
-            if worker.worker_id not in targets:
-                # Freshly spawned (already on the new state) or already
-                # swapped: hand it back and let a pending one come free.
-                self._free.put(worker)
-                await asyncio.sleep(0.001)
-                continue
+            self._free.remove(worker)
             targets.discard(worker.worker_id)
             try:
                 outcome, lines = await self._converse(
@@ -788,7 +793,7 @@ class WorkerSupervisor:
                 reloaded += 1
                 degraded_applies += outcome[2]
                 worker.index = index  # else this record keeps the old index mapped
-                self._free.put(worker)
+                self._release(worker)
             else:
                 self._retire(worker, "reload-failed")
                 retired += 1
@@ -799,10 +804,11 @@ class WorkerSupervisor:
 
     def _retire(self, worker: _Worker, why: str) -> None:
         """Remove a worker from service and SIGKILL its process."""
-        with self._lock:
-            known = self._workers.pop(worker.worker_id, None)
-        if known is None:
+        if self._workers.pop(worker.worker_id, None) is None:
             return  # already retired by another path
+        if worker in self._free:
+            self._free.remove(worker)
+        self._changed.set()
         self._reap(worker.process, worker.conn)
         self.degradation.record(
             self.component,
@@ -819,6 +825,7 @@ class WorkerSupervisor:
         if self.degraded:
             return
         self.degraded = True
+        self._changed.set()
         self.degradation.record(self.component, "pool-degraded", why)
         self._event("pool-degraded", why=why)
         # Restart-budget exhaustion is a forensic moment: the ring holds
@@ -829,42 +836,39 @@ class WorkerSupervisor:
         log.error("worker pool degraded to serial execution: %s", why)
         self._publish_metrics()
 
-    def _monitor_loop(self) -> None:
-        # stop() wakes the wait: a pool is stopped at the end of every
-        # pooled table run, which must not sit out a heartbeat interval.
-        while not self._stopping.wait(self.config.heartbeat_interval):
+    async def _monitor_loop(self) -> None:
+        """The monitor task: every ``heartbeat_interval``, respawn the
+        missing workers, then ping the idle ones.  stop() cancels it."""
+        while True:
+            await asyncio.sleep(self.config.heartbeat_interval)
             try:
-                self._respawn_missing()
-                self._heartbeat_idle()
+                await self._respawn_missing()
+                await self._heartbeat_idle()
             except Exception:  # noqa: BLE001 - the monitor must survive
                 log.exception("supervisor monitor iteration failed")
             self._publish_metrics()
 
-    def _respawn_missing(self) -> None:
+    async def _respawn_missing(self) -> None:
         if self.degraded:
             return
-        with self._lock:
-            deficit = self.config.workers - len(self._workers)
-        for _ in range(deficit):
+        for _ in range(self.config.workers - len(self._workers)):
             if self.restarts >= self.config.restart_budget:
                 self._degrade(
                     f"restart budget ({self.config.restart_budget}) exhausted"
                 )
                 return
             if self._consecutive_spawn_failures:
-                delay = min(
-                    self.config.backoff_base
-                    * (2 ** (self._consecutive_spawn_failures - 1)),
-                    self.config.backoff_max,
+                await asyncio.sleep(
+                    min(
+                        self.config.backoff_base
+                        * (2 ** (self._consecutive_spawn_failures - 1)),
+                        self.config.backoff_max,
+                    )
                 )
-                time.sleep(delay)
-            if self._stopping.is_set():
-                return
             self.restarts += 1
-            with self._metrics_lock:
-                self._counter_restarts.inc()
+            self._counter_restarts.inc()
             try:
-                self._admit(self._spawn_worker())
+                await self._admit(await self._spawn_worker())
             except WorkerCrash as exc:
                 self._consecutive_spawn_failures += 1
                 self.degradation.record(
@@ -881,47 +885,39 @@ class WorkerSupervisor:
                     ),
                 )
 
-    def _heartbeat_idle(self) -> None:
+    async def _heartbeat_idle(self) -> None:
         """Ping every idle worker; retire the ones that do not answer.
 
-        Leasing from the free queue gives the monitor exclusive use of
-        each pipe, so pings never interleave with batch frames.  A ping is
-        a conversation like any other, on an event loop of the monitor's.
+        Taking them off the free queue gives the monitor exclusive use of
+        each pipe, so pings never interleave with batch frames.  The pings
+        run side by side: a lease waits out one round trip, not all of them.
         """
-        idle: list[_Worker] = []
-        while True:
-            try:
-                idle.append(self._free.get_nowait())
-            except queue.Empty:
-                break
-        for worker in idle:
-            with self._lock:
-                live = worker.worker_id in self._workers
-            if not live:
-                continue
-            if not worker.process.is_alive():
-                self._retire(worker, "crashed")
-                continue
-            try:
-                _, lines = asyncio.run(
-                    self._converse(worker, "ping", None, self.config.heartbeat_timeout)
-                )
-            except WorkerCrash:
-                continue  # retired as hung or crashed
-            self.flight.absorb(lines)
-            self._free.put(worker)
+        idle = list(self._free)
+        self._free.clear()
+        await asyncio.gather(*(self._ping(worker) for worker in idle))
+
+    async def _ping(self, worker: _Worker) -> None:
+        try:
+            _, lines = await self._converse(
+                worker, "ping", None, self.config.heartbeat_timeout
+            )
+        except WorkerCrash:
+            return  # retired as hung or crashed
+        self.flight.absorb(lines)
+        self._release(worker)
 
     # -- introspection -------------------------------------------------------
+    #
+    # Safe from another thread (a test, the chaos harness) while the loop
+    # changes the pool: each reads the worker table once, in one C call.
 
     def worker_pids(self) -> list[int]:
         """PIDs of the live workers (chaos faults target these)."""
-        with self._lock:
-            return [worker.pid for worker in self._workers.values()]
+        return [worker.pid for worker in list(self._workers.values())]
 
     def state(self) -> dict:
         """The ``/healthz`` supervisor block."""
-        with self._lock:
-            live = len(self._workers)
+        live = len(self._workers)
         return {
             "workers": self.config.workers,
             "live": live,
@@ -939,7 +935,6 @@ class WorkerSupervisor:
         if not self._registry.enabled:
             return
         snapshot = self.state()
-        with self._metrics_lock:
-            self._gauge_live.set(float(snapshot["live"]))
-            self._gauge_restarting.set(float(snapshot["restarting"]))
-            self._gauge_degraded.set(1.0 if self.degraded else 0.0)
+        self._gauge_live.set(float(snapshot["live"]))
+        self._gauge_restarting.set(float(snapshot["restarting"]))
+        self._gauge_degraded.set(1.0 if self.degraded else 0.0)

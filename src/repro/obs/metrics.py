@@ -18,8 +18,8 @@ same discipline as :class:`~repro.stats.verification.VerificationStats`).
 Instrument *creation* is guarded by a lock, because the serve daemon
 looks instruments up from both its event loop and its batch executor
 threads; callers that mutate instruments from several threads serialize
-those updates themselves (the serve core holds one metrics lock around
-every serving-path mutation).
+those updates themselves (the serve core, its worker pool included,
+writes every ``serve_*`` instrument on its event loop's thread).
 """
 
 from __future__ import annotations

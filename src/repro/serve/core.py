@@ -175,14 +175,14 @@ class ServeConfig:
     any not-yet-absorbed entries into the live index (see
     :meth:`VerifyService.reload`).
 
-    Telemetry: ``telemetry`` (on by default) enables request correlation
-    ids, the per-stage latency histograms, and the access log;
-    ``access_log`` is the JSONL access-log path (None disables the
-    file); ``slow_ms`` > 0 promotes requests at or above that many
-    milliseconds to the slow-query log (``<access_log>.slow``) and a
-    ``slow-request`` event; ``flight_events`` sizes the always-on flight ring
-    (0 disables it); ``incident_dir`` is where incident dumps land
-    (default: none — incidents are marked in the ring, no file is written).
+    Telemetry — request correlation ids and the per-stage latency
+    histograms — is always on.  ``access_log`` is the JSONL access-log
+    path (None disables the file); ``slow_ms`` > 0 promotes requests at
+    or above that many milliseconds to the slow-query log
+    (``<access_log>.slow``) and a ``slow-request`` event;
+    ``flight_events`` sizes the always-on flight ring (0 disables it);
+    ``incident_dir`` is where incident dumps land (default: none —
+    incidents are marked in the ring, no file is written).
     """
 
     host: str = "127.0.0.1"
@@ -201,7 +201,6 @@ class ServeConfig:
     start_method: str | None = None
     journal_path: str | None = None
     journal_poll: float = 2.0
-    telemetry: bool = True
     access_log: str | None = None
     slow_ms: float = 0.0
     flight_events: int = 2048
@@ -389,8 +388,8 @@ class _Pending:
     query: Query
     future: asyncio.Future
     deadline: float  # time.monotonic() value
+    telemetry: RequestTelemetry
     submitted: float = field(default_factory=time.monotonic)
-    telemetry: RequestTelemetry | None = None
 
 
 class VerifyService:
@@ -519,7 +518,7 @@ class VerifyService:
                 degradation=self.degradation,
                 flight=self.flight,
             )
-            self.supervisor.start()
+            await self.supervisor.start()
         self._slots = [
             asyncio.create_task(self._slot(), name=f"serve-slot-{slot}")
             for slot in range(max(1, self.config.workers))
@@ -581,7 +580,7 @@ class VerifyService:
         self._executor.shutdown(wait=False, cancel_futures=True)
         self._queue_depth.set(0)
         if self.supervisor is not None:
-            self.supervisor.stop()
+            await self.supervisor.stop()
         self._event("service-stop")
         self._access_log.close()
         self._slow_log.close()
@@ -632,21 +631,18 @@ class VerifyService:
 
     def new_telemetry(
         self, frontend: str, raw_id: str | None = None
-    ) -> RequestTelemetry | None:
+    ) -> RequestTelemetry:
         """Open request-scoped telemetry for one front-end request.
 
         Honors a client-supplied id when it is a clean header token,
-        generates a fresh one otherwise.  Returns None when telemetry is
-        disabled — front-ends skip the id echo entirely in that case.
+        generates a fresh one otherwise.
         """
-        if not self.config.telemetry:
-            return None
         request_id = clean_request_id(raw_id) or new_request_id()
         return RequestTelemetry(request_id, frontend)
 
     def finish_telemetry(
         self,
-        telemetry: RequestTelemetry | None,
+        telemetry: RequestTelemetry,
         outcome: str,
         verdicts: int = 0,
     ) -> None:
@@ -655,7 +651,7 @@ class VerifyService:
 
     def _finish_request(
         self,
-        telemetry: RequestTelemetry | None,
+        telemetry: RequestTelemetry,
         outcome: str,
         verdicts: int = 0,
     ) -> None:
@@ -665,7 +661,7 @@ class VerifyService:
         front-end can finish defensively in its error paths without
         double-counting.
         """
-        if telemetry is None or not telemetry.finish(outcome, verdicts):
+        if not telemetry.finish(outcome, verdicts):
             return
         values = telemetry.stage_values()
         for observe, seconds in zip(self._stage_observes, values):
@@ -692,7 +688,7 @@ class VerifyService:
         self,
         exc: Exception,
         query: Query,
-        telemetry: RequestTelemetry | None,
+        telemetry: RequestTelemetry,
         finished: str | None = None,
         wait: str | None = None,
         event: str | None = None,
@@ -702,19 +698,18 @@ class VerifyService:
         path every refusal, expiry and error takes.  Returns ``exc``.
 
         Counts ``serve_requests_total{outcome=}`` under the error's code
-        (``error`` for an unexpected exception); with telemetry, observes
-        the request's queue wait under ``wait``, records ``event`` (stamped
-        with the endpoint and ``payload``) and finishes the request as
-        ``finished`` — by default the code as well.
+        (``error`` for an unexpected exception), observes the request's
+        queue wait under ``wait``, records ``event`` (stamped with the
+        endpoint and ``payload``) and finishes the request as ``finished``
+        — by default the code as well.
         """
         code = exc.code if isinstance(exc, ServeError) else "error"
         self._outcome(query.kind, code).inc()
-        if telemetry is not None:
-            if wait is not None:
-                self._queue_wait[wait].observe(telemetry.queue_wait)
-            if event is not None:
-                self._event(event, telemetry.request_id, endpoint=query.kind, **payload)
-            self._finish_request(telemetry, finished or code)
+        if wait is not None:
+            self._queue_wait[wait].observe(telemetry.queue_wait)
+        if event is not None:
+            self._event(event, telemetry.request_id, endpoint=query.kind, **payload)
+        self._finish_request(telemetry, finished or code)
         return exc
 
     async def submit(
@@ -730,12 +725,11 @@ class VerifyService:
         here, keyed by the query's id, so embedded use is attributable
         too).
         """
-        if telemetry is None and self.config.telemetry:
+        if telemetry is None:
             telemetry = RequestTelemetry(
                 query.request_id or new_request_id(), "direct"
             )
-        if telemetry is not None:
-            telemetry.endpoint = query.kind
+        telemetry.endpoint = query.kind
         if self.draining:
             busy = BusyError("shutting down")
             raise self._refuse(busy, query, telemetry, "refused", wait="refused")
@@ -755,13 +749,9 @@ class VerifyService:
             busy = BusyError(f"shedding load: no verdict likely within {timeout:g}s")
             raise self._refuse(busy, query, telemetry, "shed", "shed", "request-shed")
         loop = asyncio.get_running_loop()
-        if telemetry is not None:
-            telemetry.mark_submitted()
+        telemetry.mark_submitted()
         pending = _Pending(
-            query,
-            loop.create_future(),
-            time.monotonic() + timeout,
-            telemetry=telemetry,
+            query, loop.create_future(), time.monotonic() + timeout, telemetry
         )
         try:
             self._queue.put_nowait(pending)
@@ -848,8 +838,7 @@ class VerifyService:
                 batch.append(pending)
             self._queue_depth.set(queue.qsize())
             for pending in batch:
-                if pending.telemetry is not None:
-                    pending.telemetry.mark_collected()
+                pending.telemetry.mark_collected()
             self.inflight += len(batch)
             try:
                 try:
@@ -913,17 +902,15 @@ class VerifyService:
             if pending.deadline <= now or pending.future.done():
                 self._queue_wait["expired"].observe(wait)
                 outcomes[position] = DeadlineExpired("expired while queued")
-                if pending.telemetry is not None:
-                    self._event(
-                        "request-expired",
-                        pending.telemetry.request_id,
-                        endpoint=pending.query.kind,
-                        queued_s=round(wait, 6),
-                    )
+                self._event(
+                    "request-expired",
+                    pending.telemetry.request_id,
+                    endpoint=pending.query.kind,
+                    queued_s=round(wait, 6),
+                )
             else:
                 self._queue_wait["executed"].observe(wait)
-                if pending.telemetry is not None:
-                    pending.telemetry.mark_admitted()
+                pending.telemetry.mark_admitted()
                 live.append(position)
         if not live:
             return outcomes
@@ -962,9 +949,8 @@ class VerifyService:
         for position, result in zip(live, results):
             outcomes[position] = result
             telemetry = batch[position].telemetry
-            if telemetry is not None:
-                telemetry.dispatch_s = dispatch_s
-                telemetry.execute_s = execute_s
+            telemetry.dispatch_s = dispatch_s
+            telemetry.execute_s = execute_s
         return outcomes
 
     def _note_degraded(self) -> None:

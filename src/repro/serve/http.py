@@ -146,10 +146,8 @@ class HttpFrontend(StreamFrontend):
         telemetry = self.service.new_telemetry(
             "http", headers.get("x-request-id")
         )
-        id_headers: tuple[tuple[str, str], ...] = ()
-        if telemetry is not None:
-            telemetry.endpoint = target_path.lstrip("/") or "/"
-            id_headers = (("X-Request-Id", telemetry.request_id),)
+        telemetry.endpoint = target_path.lstrip("/") or "/"
+        id_headers = (("X-Request-Id", telemetry.request_id),)
         try:
             body = await self._read_body(reader, headers)
             status, payload, content_type = await self._route(
@@ -230,7 +228,7 @@ class HttpFrontend(StreamFrontend):
             query = Query.from_payload(
                 payload,
                 path.lstrip("/"),
-                request_id=telemetry.request_id if telemetry is not None else "",
+                request_id=telemetry.request_id,
             )
             body = await self.service.submit(query, telemetry)
             return 200, body, "application/json"

@@ -79,8 +79,8 @@ class WhoisFrontend(StreamFrontend):
     async def _verify(self, argument: str) -> str:
         """``!v <prefix> <asn> <asn>...`` through the shared request core."""
         telemetry = self.service.new_telemetry("whois")
-        rid = telemetry.request_id if telemetry is not None else ""
-        prefix_comment = f"%% id {rid}\n" if rid else ""
+        rid = telemetry.request_id
+        prefix_comment = f"%% id {rid}\n"
 
         def answer(response: str, outcome: str) -> str:
             # Defensive close for paths the core never saw (parse errors);

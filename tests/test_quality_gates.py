@@ -99,9 +99,9 @@ def test_config_knobs_are_pinned():
         "default_deadline", "max_deadline", "drain_timeout", "workers",
         "hang_timeout", "heartbeat_interval", "heartbeat_timeout",
         "restart_budget", "start_method", "journal_path", "journal_poll",
-        "telemetry", "access_log", "slow_ms", "flight_events", "incident_dir",
+        "access_log", "slow_ms", "flight_events", "incident_dir",
     }
-    assert len(serve) == 21
+    assert len(serve) == 20
     supervisor = {field.name for field in fields(SupervisorConfig)}
     assert supervisor == {
         "workers", "hang_timeout", "heartbeat_interval", "heartbeat_timeout",
@@ -258,6 +258,49 @@ def test_one_request_core():
     ]
     assert constructed == ["Lock"], constructed
     assert "metrics_lock" not in inspect.signature(WorkerSupervisor).parameters
+
+
+def test_one_pool_loop(tiny_session, tiny_routes, monkeypatch):
+    """The pool lives on its caller's event loop: ``core/pool.py`` imports
+    no ``threading`` or ``queue``, never sleeps a thread, enters a loop in
+    one place (the table client), and a pooled pass runs no supervisor
+    thread."""
+    import threading
+
+    from repro.core import pool
+
+    tree = ast.parse((_SRC / "core" / "pool.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    assert not imported & {"threading", "queue"}, imported
+    calls = [
+        f"{node.func.value.id}.{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+    ]
+    assert calls.count("asyncio.run") == 1
+    assert "time.sleep" not in calls
+    seen: set[str] = set()
+    dispatch_chunk = pool.WorkerSupervisor.dispatch_chunk
+
+    async def spied(self, index, entries):
+        seen.update(thread.name for thread in threading.enumerate())
+        return await dispatch_chunk(self, index, entries)
+
+    monkeypatch.setattr(pool.WorkerSupervisor, "dispatch_chunk", spied)
+    tiny_session.verify_table(tiny_routes, processes=2, chunk_size=300)
+    assert seen, "the pass never reached the pool"
+    assert not [name for name in seen if name.endswith("-supervisor")], seen
 
 
 def test_ledger_probes_still_resolve():

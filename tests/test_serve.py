@@ -526,7 +526,9 @@ class TestNaturalBatching:
         (query,) = self._queries(tiny_routes[:1])
 
         async def scenario(session):
-            service = await VerifyService(session, ServeConfig()).start()
+            # No flight ring either: nothing on the path waits for one.
+            service = await VerifyService(session, ServeConfig(flight_events=0)).start()
+            assert not service.flight.enabled
             try:
                 waits = []
                 for number in range(6):
@@ -1172,34 +1174,6 @@ class TestServeTelemetry:
         assert request in lines
         by_endpoint = {line["endpoint"]: line["ids"]["generation"] for line in lines}
         assert by_endpoint["verify"] == 0 and by_endpoint["explain"] == 1
-
-    def test_telemetry_off_serves_without_ids(self, tiny_world, tiny_routes):
-        with api.open_session(
-            tiny_world, registry=MetricsRegistry(), use_cache=False
-        ) as session:
-            daemon = ServeDaemon(
-                session,
-                ServeConfig(http_port=0, whois_port=0, telemetry=False,
-                            flight_events=0),
-            )
-            with daemon.start_in_thread() as running:
-                status, headers, body = _http_full(
-                    running.http_port,
-                    "POST",
-                    "/verify",
-                    _verify_payload(tiny_routes[0]),
-                )
-                assert status == 200
-                assert "x-request-id" not in headers
-                entry = tiny_routes[0]
-                path = " ".join(str(asn) for asn in entry.as_path)
-                framed = whois_query(
-                    "127.0.0.1",
-                    running.whois_port,
-                    f"!v {entry.prefix} {path}",
-                )
-                assert framed.startswith("A")  # no %% id comment
-                assert not daemon.service.flight.enabled
 
 
 class TestQueryValidation:

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
 from repro import api
-from repro.chaos import use_faults
+from repro.chaos import KillServeWorker, use_faults
 from repro.irr.history import ChurnConfig, evolve_with_journal
 from repro.obs import MetricsRegistry
-from repro.obs.metrics import Counter, Histogram
+from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.serve import Query, ServeConfig
 from repro.serve.core import VerifyService, render_report
 from repro.serve.telemetry import STAGES
@@ -116,6 +117,54 @@ def test_the_loop_writes_every_serve_instrument(session, tiny_routes, route, mon
     loop_thread = threading.current_thread().name  # asyncio.run's loop ran here
     names = {name for name, _ in writes}
     assert {"serve_queue_wait_seconds", "serve_batch_size"} <= names, names
+    assert {thread for _, thread in writes} == {loop_thread}, writes
+
+
+def test_a_respawning_pool_writes_every_serve_instrument_on_the_loop(
+    session, tiny_routes, monkeypatch
+):
+    """The pool's own ``serve_*`` counter and gauges — restarts, live,
+    restarting, degraded — are written on the loop too, through a worker's
+    SIGKILL and its respawn."""
+    writes: list[tuple[str, str]] = []
+
+    def spy(method):
+        def spied(self, *args):
+            if self.name.startswith("serve_"):
+                writes.append((self.name, threading.current_thread().name))
+            method(self, *args)
+
+        return spied
+
+    for cls, name in ((Histogram, "observe"), (Counter, "inc"), (Gauge, "set")):
+        monkeypatch.setattr(cls, name, spy(getattr(cls, name)))
+
+    async def scenario() -> int:
+        config = ServeConfig(workers=1, heartbeat_interval=0.05)
+        service = await VerifyService(session, config).start()
+        supervisor = service.supervisor
+        try:
+            await service.submit(_query(tiny_routes[0]))
+            victim = supervisor.worker_pids()[0]
+            KillServeWorker()(victim)
+            deadline = time.monotonic() + 15
+            while time.monotonic() < deadline and (
+                not supervisor.restarts or victim in supervisor.worker_pids()
+                or not supervisor.worker_pids()
+            ):
+                await asyncio.sleep(0.02)
+            await service.submit(_query(tiny_routes[1]))
+            return supervisor.restarts
+        finally:
+            await service.stop()
+
+    assert asyncio.run(scenario()) >= 1
+    loop_thread = threading.current_thread().name
+    names = {name for name, _ in writes}
+    assert {
+        "serve_worker_restarts_total", "serve_workers_live",
+        "serve_workers_restarting", "serve_degraded", "serve_batch_size",
+    } <= names, names
     assert {thread for _, thread in writes} == {loop_thread}, writes
 
 

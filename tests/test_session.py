@@ -133,6 +133,28 @@ class TestSessionQueries:
         assert compiles == [1]
         assert not cache.exists()  # use_cache=False: adopted in memory only
 
+    def test_explains_on_an_unwarmed_session_adopt_the_index_once(
+        self, tiny_world, tiny_routes, tmp_path
+    ):
+        registry = MetricsRegistry()
+        cache = tmp_path / "cache"
+        entry = tiny_routes[0]
+        with api.open_session(
+            tiny_world, registry=registry, cache_dir=cache, use_cache=False, warm=False
+        ) as session:
+            first, _ = session.explain(str(entry.prefix), entry.as_path)
+            index = session.index
+            second, _ = session.explain(str(entry.prefix), entry.as_path)
+            assert index is not None and session.index is index
+        assert str(first) == str(second)
+        compiles = [
+            span["count"]
+            for span in registry.snapshot()["spans"]
+            if span["path"].endswith("compile/index")
+        ]
+        assert compiles == [1]
+        assert not cache.exists()  # use_cache=False: adopted in memory only
+
     def test_explain_returns_events(self, tiny_world, tiny_routes):
         entry = tiny_routes[0]
         with api.open_session(tiny_world, warm=False) as session:

@@ -225,50 +225,74 @@ class TestPoolHealthRule:
         )
 
     @staticmethod
-    def _timed_dispatch(supervisor) -> tuple[object, float]:
+    async def _timed_dispatch(supervisor) -> tuple[object, float]:
         started = time.monotonic()
-        dispatched = asyncio.run(supervisor.dispatch(TestPoolHealthRule.ITEMS))
+        dispatched = await supervisor.dispatch(TestPoolHealthRule.ITEMS)
         return dispatched, time.monotonic() - started
 
     def test_no_live_worker_hands_back_at_once(self, pool_session):
         supervisor = self._unstarted(pool_session, lease_timeout=5.0)
-        dispatched, seconds = self._timed_dispatch(supervisor)
+        dispatched, seconds = asyncio.run(self._timed_dispatch(supervisor))
         assert dispatched is None and seconds < 0.5
 
     def test_degraded_or_stopping_pool_hands_back_at_once(self, pool_session):
-        for stop in (lambda s: s._degrade("test"), lambda s: s._stopping.set()):
+        for stop in (
+            lambda s: s._degrade("test"),
+            lambda s: setattr(s, "_stopping", True),
+        ):
             supervisor = self._unstarted(pool_session, lease_timeout=5.0)
             # A live worker that never comes free: only the rule can answer.
             supervisor._workers[0] = pool._Worker(0, None, None, 0, supervisor._index)
             stop(supervisor)
-            dispatched, seconds = self._timed_dispatch(supervisor)
+            dispatched, seconds = asyncio.run(self._timed_dispatch(supervisor))
             assert dispatched is None and seconds < 0.5
         # Whereas a live but busy worker is worth waiting a lease for.
         supervisor = self._unstarted(pool_session, lease_timeout=0.3)
         supervisor._workers[0] = pool._Worker(0, None, None, 0, supervisor._index)
-        dispatched, seconds = self._timed_dispatch(supervisor)
+        dispatched, seconds = asyncio.run(self._timed_dispatch(supervisor))
         assert dispatched is None and seconds >= 0.3
+
+    def test_a_waiting_lease_wakes_when_the_pool_degrades(self, pool_session):
+        """A lease waits on the pool's changes, not on a clock: a busy
+        pool that degrades mid-wait hands the batch back at once."""
+        supervisor = self._unstarted(pool_session, lease_timeout=5.0)
+        supervisor._workers[0] = pool._Worker(0, None, None, 0, supervisor._index)
+
+        async def scenario():
+            asyncio.get_running_loop().call_later(0.1, supervisor._degrade, "test")
+            return await self._timed_dispatch(supervisor)
+
+        dispatched, seconds = asyncio.run(scenario())
+        assert dispatched is None and 0.1 <= seconds < 0.5
 
     def _respawn_delays(self, supervisor, monkeypatch, spawns) -> list[float]:
         """Run one monitor respawn pass per outcome in ``spawns`` (True: the
         worker comes up); returns the backoff each pass slept first."""
         delays: list[float] = []
-        clock = SimpleNamespace(sleep=delays.append, monotonic=time.monotonic)
-        monkeypatch.setattr(pool, "time", clock)  # this module's clock only
+
+        async def sleep(delay):
+            delays.append(delay)
+
+        clock = SimpleNamespace(**{**vars(asyncio), "sleep": sleep})
+        monkeypatch.setattr(pool, "asyncio", clock)  # this module's clock only
         outcomes = iter(spawns)
 
-        def spawn():
+        async def spawn():
             if next(outcomes):
                 return pool._Worker(supervisor._next_id, None, None, 0, supervisor._index)
             raise pool.WorkerCrash("no")
 
         monkeypatch.setattr(supervisor, "_spawn_worker", spawn)
-        for _ in spawns:
-            supervisor._workers.clear()  # the worker died again
-            before = len(delays)
-            supervisor._respawn_missing()
-            if len(delays) == before:
-                delays.append(0.0)
+
+        async def passes():
+            for _ in spawns:
+                supervisor._workers.clear()  # the worker died again
+                before = len(delays)
+                await supervisor._respawn_missing()
+                if len(delays) == before:
+                    delays.append(0.0)
+
+        asyncio.run(passes())
         return delays
 
     def test_respawn_backoff_doubles_per_consecutive_spawn_failure(
@@ -288,18 +312,23 @@ class TestPoolHealthRule:
     def test_the_next_admitted_worker_serves(self, pool_session):
         """No half-open state: once the respawned worker is admitted, the
         very next batch goes to it."""
-        supervisor = self._unstarted(pool_session, heartbeat_interval=0.05).start()
-        try:
-            victim = supervisor.worker_pids()[0]
-            KillServeWorker()(victim)
-            deadline = time.monotonic() + 15
-            while time.monotonic() < deadline and (
-                (pids := supervisor.worker_pids()) == [] or victim in pids
-            ):
-                time.sleep(0.02)
-            dispatched, _ = self._timed_dispatch(supervisor)
-        finally:
-            supervisor.stop()
+        supervisor = self._unstarted(pool_session, heartbeat_interval=0.05)
+
+        async def scenario():
+            await supervisor.start()
+            try:
+                victim = supervisor.worker_pids()[0]
+                KillServeWorker()(victim)
+                deadline = time.monotonic() + 15
+                while time.monotonic() < deadline and (
+                    (pids := supervisor.worker_pids()) == [] or victim in pids
+                ):
+                    await asyncio.sleep(0.02)
+                return await self._timed_dispatch(supervisor)
+            finally:
+                await supervisor.stop()
+
+        dispatched, _ = asyncio.run(scenario())
         assert dispatched is not None
         (answer,) = dispatched[0]
         assert answer[0] == "ok"
@@ -313,18 +342,22 @@ class TestPoolHealthRule:
         from repro.irr.journal import apply_journal_to_ir
 
         supervisor = self._unstarted(pool_session)
-        warming = supervisor._spawn_worker()  # the monitor's respawn, mid-warm
         _, journal = evolve_with_journal(pool_session.ir, ChurnConfig(seed=3))
         new_ir, _ = apply_journal_to_ir(pool_session.ir, journal)
         new_index = patch_index(pool_session.index, pool_session.ir, new_ir, journal)
-        try:
-            # Nothing live to reach.
-            asyncio.run(supervisor.reload(new_ir, new_index, journal))
-            supervisor._admit(warming)
-            (admitted,) = supervisor._workers.values()
-            assert admitted is not warming and admitted.index is new_index
-        finally:
-            supervisor.stop()
+
+        async def scenario():
+            warming = await supervisor._spawn_worker()  # the monitor's respawn
+            try:
+                # Nothing live to reach.
+                await supervisor.reload(new_ir, new_index, journal)
+                await supervisor._admit(warming)
+                (admitted,) = supervisor._workers.values()
+                assert admitted is not warming and admitted.index is new_index
+            finally:
+                await supervisor.stop()
+
+        asyncio.run(scenario())
 
     def test_a_clean_reload_leaves_no_worker_on_the_old_index(self, pool_session):
         """A worker records the index it warmed on for the respawn check;
@@ -341,12 +374,17 @@ class TestPoolHealthRule:
         supervisor = WorkerSupervisor(
             pool_session.ir, pool_session.relationships, None, old_index,
             SupervisorConfig(workers=2),
-        ).start()
-        try:
-            summary = asyncio.run(supervisor.reload(new_ir, new_index, journal))
-            workers = list(supervisor._workers.values())
-        finally:
-            supervisor.stop()
+        )
+
+        async def scenario():
+            await supervisor.start()
+            try:
+                summary = await supervisor.reload(new_ir, new_index, journal)
+                return summary, list(supervisor._workers.values())
+            finally:
+                await supervisor.stop()
+
+        summary, workers = asyncio.run(scenario())
         assert summary["reloaded"] == 2 and summary["retired"] == 0
         assert len(workers) == 2
         assert all(worker.index is new_index for worker in workers)
@@ -361,14 +399,19 @@ class TestPoolHealthRule:
         _, journal = evolve_with_journal(pool_session.ir, ChurnConfig(seed=3))
         new_ir, _ = apply_journal_to_ir(pool_session.ir, journal)
         new_index = patch_index(pool_session.index, pool_session.ir, new_ir, journal)
-        supervisor = self._unstarted(pool_session).start()
-        try:
-            (victim,) = supervisor.worker_pids()
-            # The parent swaps to the real patch; the worker's replay of a
-            # journal that is not one raises.
-            summary = asyncio.run(supervisor.reload(new_ir, new_index, None))
-        finally:
-            supervisor.stop()
+        supervisor = self._unstarted(pool_session)
+
+        async def scenario():
+            await supervisor.start()
+            try:
+                (victim,) = supervisor.worker_pids()
+                # The parent swaps to the real patch; the worker's replay of
+                # a journal that is not one raises.
+                return victim, await supervisor.reload(new_ir, new_index, None)
+            finally:
+                await supervisor.stop()
+
+        victim, summary = asyncio.run(scenario())
         assert summary == {"reloaded": 0, "retired": 1, "degraded": 0}
         assert supervisor.degradation.by_kind()["serve/worker-reload-failed"] == 1
         assert victim not in supervisor.worker_pids()
@@ -524,9 +567,11 @@ class TestGracefulDegradation:
 
 
 class TestStopSweepsAfterTheMonitor:
-    def test_a_worker_admitted_during_stop_is_reaped(self, pool_session, monkeypatch):
+    def test_a_worker_admitted_during_stop_is_reaped(
+        self, pool_session, monkeypatch, tmp_path
+    ):
         """stop() landing while the monitor is inside ``_spawn_worker``:
-        the replacement it then admits must not outlive the pool."""
+        the replacement it is warming must not outlive the pool."""
         pool_session.warm()
         supervisor = WorkerSupervisor(
             pool_session.ir,
@@ -534,25 +579,31 @@ class TestStopSweepsAfterTheMonitor:
             None,
             pool_session.index,
             SupervisorConfig(workers=1, heartbeat_interval=0.05),
-        ).start()
-        respawning = threading.Event()
-        spawn = supervisor._spawn_worker
-        respawned = []
+        )
+        marker = tmp_path / "respawned"
+        worker_main = pool._worker_main
 
-        def slow_spawn():
-            respawning.set()
+        def slow_worker_main(conn, *args):
+            (tmp_path / "pid").write_text(str(os.getpid()))
+            (tmp_path / "pid").rename(marker)
             time.sleep(0.5)  # stands in for the seconds a ``spawn`` start takes
-            worker = spawn()
-            respawned.append(worker.pid)
-            return worker
+            worker_main(conn, *args)
 
-        monkeypatch.setattr(supervisor, "_spawn_worker", slow_spawn)
-        try:
-            KillServeWorker()(supervisor.worker_pids()[0])
-            assert respawning.wait(timeout=15)
-        finally:
-            supervisor.stop()
-        assert len(respawned) == 1  # the monitor finished the spawn it had begun
+        async def scenario():
+            await supervisor.start()
+            # Only the respawn warms slowly: it forks with this in place.
+            monkeypatch.setattr(pool, "_worker_main", slow_worker_main)
+            try:
+                KillServeWorker()(supervisor.worker_pids()[0])
+                deadline = time.monotonic() + 15
+                while not marker.exists() and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+            finally:
+                await supervisor.stop()
+
+        asyncio.run(scenario())
+        respawned = [int(marker.read_text())] if marker.exists() else []
+        assert len(respawned) == 1  # the monitor had begun the respawn
         assert supervisor.worker_pids() == []
         with pytest.raises(ProcessLookupError):
             os.kill(respawned[0], 0)
