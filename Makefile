@@ -15,6 +15,7 @@ test:
 # tier-1 (tests/conftest.py fails a run that leaves files behind), the
 # resident-daemon smoke (its SIGTERM is sent with an idle HTTP and a
 # half-line WHOIS connection open: exit 0, EOF on both, no traceback),
+# the serve job's test suite (an un-awaited coroutine fails it),
 # the chaos-smoke job's fault-injection suite (every layer, the serve
 # core's batch-fault flood included), the serve-supervisor chaos layer,
 # the end-to-end ledger's correctness gates, and the strict perf gates.
@@ -26,6 +27,9 @@ ci:
 	fi
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serve.py tests/test_session.py \
+	  tests/test_serve_core.py -q -p no:cacheprovider -W error::RuntimeWarning \
+	  -W error::pytest.PytestUnraisableExceptionWarning
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --processes 2
 	$(MAKE) chaos-serve
 	$(MAKE) bench-smoke

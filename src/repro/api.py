@@ -245,7 +245,6 @@ class Generation:
     digest: str | None = None
     # ⟨wall-clock seconds, hop-cache report⟩ of the apply_deltas behind it.
     delta: tuple[float | None, dict | None] = (None, None)
-    adopted: bool = False  # mapped by the session, not shared: evict_index unmaps it
 
     @property
     def number(self) -> int:
@@ -276,7 +275,8 @@ class Session:
 
     Reading :attr:`current` is safe from any thread; verifying and
     :meth:`apply_deltas` are not (the hop cache is mutable and changes
-    hands) — the serve daemon serializes them through its batch executor.
+    hands) — the serve daemon verifies on its event loop and holds an
+    :class:`asyncio.Lock` across each patch it runs on a thread.
     """
 
     def __init__(
@@ -353,14 +353,14 @@ class Session:
         AS relationships); a pool worker verifies its table chunks on it."""
         return self._generation.verifier
 
-    def _generation_over(self, ir, index, delta=(None, None), adopted=False):
+    def _generation_over(self, ir, index, delta=(None, None)):
         """A warm :class:`Generation` over ⟨ir, index⟩, built off to the side."""
         if self.relationships is not None:
             verifier = Verifier(ir, self.relationships, self.options, index=index)
             query = verifier.query
         else:
             verifier, query = None, QueryEngine(ir, index=index)
-        return Generation(ir, index, verifier, query, index.digest, delta, adopted)
+        return Generation(ir, index, verifier, query, index.digest, delta)
 
     def warm(self) -> "Session":
         """Adopt the compiled index and build the warm single-route verifier.
@@ -381,7 +381,7 @@ class Session:
                     use_cache=self.use_cache,
                 )
                 self._generation = self._generation_over(
-                    current.ir, index, current.delta, current.index is None
+                    current.ir, index, current.delta
                 )
         return self
 
@@ -483,22 +483,6 @@ class Session:
                 ).inc()
             self._generation = replace(new, delta=(elapsed, hop_cache))
         return report
-
-    def evict_index(self) -> None:
-        """Drop the index, unmapping it now (the one explicit unmap: not
-        under concurrent readers) when the session adopted it itself.
-
-        The next :meth:`warm` (or warm-requiring query) re-adopts from the
-        cache: a long-lived session can release the artifact mapping and
-        its file descriptor without closing.
-        """
-        self._check_open()
-        evicted = self._generation
-        self._generation = replace(
-            evicted, index=None, verifier=None, query=None, adopted=False
-        )
-        if evicted.adopted:
-            evicted.index.close()
 
     def close(self) -> None:
         """Let go of the generation (its index is unmapped with its last

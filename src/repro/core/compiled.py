@@ -1227,14 +1227,12 @@ def get_or_compile(
     digest: str | None = None,
     cache_dir: str | Path | None = None,
     use_cache: bool = True,
-    refresh: bool = False,
 ) -> CompiledIndex:
     """The caching entry point: load the artifact for this IR or build it.
 
     ``digest`` defaults to :func:`ir_digest` of the IR.  With
     ``use_cache=False`` the pass always runs and nothing touches disk
-    (the ``--no-index-cache`` escape hatch); ``refresh=True`` recompiles
-    and overwrites an existing cache entry.  Cache I/O failures are never
+    (the ``--no-index-cache`` escape hatch).  Cache I/O failures are never
     fatal — a corrupt or unwritable cache degrades to a recompile.
     """
     registry = get_registry()
@@ -1243,18 +1241,17 @@ def get_or_compile(
     if not use_cache:
         return compile_index(ir, digest=digest)
     path = index_cache_path(digest, cache_dir)
-    if not refresh:
-        try:
-            index = load_index(path, expect_digest=digest)
-        except FileNotFoundError:
-            pass
-        except (IndexCacheError, pickle.PickleError, EOFError, OSError, ValueError):
-            # Unusable cache entry: recompile and overwrite below.
-            pass
-        else:
-            if registry.enabled:
-                registry.counter("index_cache_total", result="hit").inc()
-            return index
+    try:
+        index = load_index(path, expect_digest=digest)
+    except FileNotFoundError:
+        pass
+    except (IndexCacheError, pickle.PickleError, EOFError, OSError, ValueError):
+        # Unusable cache entry: recompile and overwrite below.
+        pass
+    else:
+        if registry.enabled:
+            registry.counter("index_cache_total", result="hit").inc()
+        return index
     if registry.enabled:
         registry.counter("index_cache_total", result="miss").inc()
     index = compile_index(ir, digest=digest)

@@ -26,7 +26,7 @@ This module alone creates worker processes and pipes, and owns:
   itself.
 * **pool health** — a failing pool is one whose workers keep dying.
   A degraded or stopping pool, or one with no live worker, hands a batch
-  back at once instead of waiting out ``lease_timeout`` for a worker
+  back at once instead of waiting out ``LEASE_TIMEOUT`` for a worker
   that cannot come free.  The respawn backoff is the cooldown, and the
   next worker admitted is the probe.
 
@@ -85,6 +85,16 @@ SPAWN_TIMEOUT = 60.0
 # before it is handed back for the caller to run serially.
 BATCH_RETRIES = 2
 
+# How long a batch waits for a live but busy worker to come free before
+# it is handed back (a pool with no live worker hands it back at once).
+LEASE_TIMEOUT = 5.0
+
+# The exponential respawn backoff after consecutive spawn failures: the
+# first retry waits BACKOFF_BASE, each further one twice as long, capped
+# at BACKOFF_MAX.  It is the only cooldown the pool has.
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
+
 
 class WorkerCrash(RuntimeError):
     """A worker died or hung while executing a batch."""
@@ -103,20 +113,16 @@ class SupervisorConfig:
     bound grows from it with the chunk's length).  ``heartbeat_*``
     drive the idle-worker liveness probe.  ``restart_budget`` is the
     total number of respawns before the pool gives up and degrades to
-    the in-process serial path; ``backoff_base``/``backoff_max`` shape
-    the exponential respawn backoff after consecutive failures — the
-    only cooldown the pool has: while no worker is live, batches are
-    handed back at once.
+    the in-process serial path; respawns back off exponentially
+    (:data:`BACKOFF_BASE`, :data:`BACKOFF_MAX`) — the only cooldown the
+    pool has: while no worker is live, batches are handed back at once.
     """
 
     workers: int = 2
     hang_timeout: float = 10.0
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.0
-    lease_timeout: float = 5.0
     restart_budget: int = 8
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
     start_method: str | None = None
 
 
@@ -615,14 +621,12 @@ class WorkerSupervisor:
         return True
 
     async def _lease(self) -> _Worker:
-        deadline = asyncio.get_running_loop().time() + self.config.lease_timeout
+        deadline = asyncio.get_running_loop().time() + LEASE_TIMEOUT
         while not self._hands_back():
             if self._free:
                 return self._free.popleft()
             if not await self._changes_before(deadline):
-                raise PoolUnavailable(
-                    f"no worker free within {self.config.lease_timeout:g}s"
-                )
+                raise PoolUnavailable(f"no worker free within {LEASE_TIMEOUT:g}s")
         raise PoolUnavailable("degraded, stopping, or no live worker")
 
     @staticmethod
@@ -699,7 +703,7 @@ class WorkerSupervisor:
 
         Returns ``(payload, event_lines, timings)``, or None when the pool cannot
         serve this batch (degraded, stopping, no live worker, none free
-        within ``lease_timeout``, retries exhausted) — the caller then
+        within ``LEASE_TIMEOUT``, retries exhausted) — the caller then
         falls back to its serial path, so no batch is ever lost to a dying
         worker.
         """
@@ -760,7 +764,7 @@ class WorkerSupervisor:
         targets = set(self._workers)
         frame = (index.generation if index is not None else 0, journal)
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.lease_timeout + 2 * self.config.hang_timeout
+        deadline = loop.time() + LEASE_TIMEOUT + 2 * self.config.hang_timeout
         reloaded = degraded_applies = retired = 0
         while True:
             pending = [w for wid, w in self._workers.items() if wid in targets]
@@ -860,9 +864,8 @@ class WorkerSupervisor:
             if self._consecutive_spawn_failures:
                 await asyncio.sleep(
                     min(
-                        self.config.backoff_base
-                        * (2 ** (self._consecutive_spawn_failures - 1)),
-                        self.config.backoff_max,
+                        BACKOFF_BASE * 2 ** (self._consecutive_spawn_failures - 1),
+                        BACKOFF_MAX,
                     )
                 )
             self.restarts += 1

@@ -5,7 +5,8 @@ a :class:`FaultPlan` with :func:`use_faults` (re-exported by
 :mod:`repro.chaos`), and two points read it: a pool worker's chunk frame
 (:func:`repro.core.pool._verify_chunk`, never the parent's in-process
 fallback) and :meth:`repro.serve.core.VerifyService._run_batch`, which
-runs a batch fault on an executor thread.  The pool ships the plan
+runs a batch fault off the event loop (:func:`asyncio.to_thread`), before
+the batch is admitted.  The pool ships the plan
 current at each spawn in the worker's start arguments, so a
 ``spawn``-started or respawned worker carries it like a forked one.
 This module imports nothing from ``repro``: reading it never pulls in

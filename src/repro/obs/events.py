@@ -176,9 +176,9 @@ class EventLog:
     daemon may lose its final block — :meth:`flush` after a line someone
     is tailing) and is write-only; read it with :func:`read_events`.
     Otherwise lines are held in memory, the newest ``capacity`` of them
-    (all, when None).  Recording is thread-safe — a daemon's ring is
-    written from the event loop, executor threads and the pool's monitor
-    thread.
+    (all, when None).  Recording is thread-safe — a daemon records on
+    its event loop while other threads (an embedding caller, a test) read
+    the ring or record into the same session's log.
 
     ``incident_dir`` is where :meth:`dump_incident` writes; without one an
     incident is only marked in the log, never written: a log nobody

@@ -15,11 +15,12 @@ Registries are deliberately not thread-safe on the *update* path: the
 pipeline parallelizes by process, and per-worker registries are folded
 back into the parent with :meth:`MetricsRegistry.merge_snapshot` (the
 same discipline as :class:`~repro.stats.verification.VerificationStats`).
-Instrument *creation* is guarded by a lock, because the serve daemon
-looks instruments up from both its event loop and its batch executor
-threads; callers that mutate instruments from several threads serialize
-those updates themselves (the serve core, its worker pool included,
-writes every ``serve_*`` instrument on its event loop's thread).
+Instrument *creation* is guarded by a lock, because a registry is looked
+up from more than one thread: the serve daemon's event loop, the thread
+its session patch runs on, and whatever thread embeds the session.
+Callers that mutate instruments from several threads serialize those
+updates themselves (the serve core, its worker pool included, writes
+every ``serve_*`` instrument on its event loop's thread).
 """
 
 from __future__ import annotations

@@ -23,24 +23,23 @@ handlers stay thin:
   batch executes form the next one.  The one timer on the path is
   :data:`COALESCE_PERIOD_S`, which only follows a batch of more than
   one query.
-* **on-loop execution** — with ``workers=0`` (the default daemon) a
-  batch is verified directly on the event loop: under the GIL a helper
-  thread buys no parallelism, and the hand-off to it costs more CPU
-  than the warm verification it wraps.  The loop is held for at most
-  one batch (``batch_max`` queries) and regains control between
-  batches.  All bookkeeping — admission, expiry, every ``serve_*``
-  instrument, stage timings — happens on the loop; the executor runs
-  only what genuinely blocks: an installed chaos batch fault
-  (:mod:`repro.faultplan`), the serial verification when the loop may
-  not take it (a reload holds the session, a fault is installed, or
-  the pool cannot serve the batch), and a ``reload``'s session patch
-  (:meth:`VerifyService._run_batch`).
+* **on-loop execution** — every in-process verdict is produced on the
+  event loop: under the GIL a helper thread buys no parallelism, and
+  the hand-off to it costs more CPU than the warm verification it
+  wraps.  The loop is held for at most one batch (``batch_max``
+  queries) and regains control between batches.  A batch waits for a
+  ``reload``'s session patch in flight on ``_session_lock``, an
+  :class:`asyncio.Lock`, so it never overlaps the patch, and the loop
+  keeps serving meanwhile.  Only what genuinely blocks leaves the loop,
+  through :func:`asyncio.to_thread`: an installed chaos batch fault
+  (:mod:`repro.faultplan`) and the patch itself
+  (:meth:`VerifyService._run_batch`, :meth:`VerifyService.reload`).
 * **supervised execution** — with ``workers > 0`` batches ship to a
   self-healing pool of warm worker processes
   (:class:`~repro.core.pool.WorkerSupervisor`); a batch the pool
-  cannot serve (crashes, no live worker, degraded pool) falls back to
-  the in-process serial path, so every admitted request still gets its
-  verdict.
+  cannot serve (crashes, no live worker, degraded pool) is verified
+  in-process on the loop instead, so every admitted request still gets
+  its verdict.
 
 Serving metrics (reported into the session's registry, exposed at
 ``GET /metrics``): ``serve_request_seconds{endpoint=}`` latency
@@ -67,9 +66,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -401,12 +398,13 @@ class VerifyService:
     slot (``max(1, workers)``).  With ``workers=0`` batches execute on
     the event loop, one at a time; with ``workers>0`` they ship to the
     supervised worker pool (awaited on the loop, no thread parked per
-    batch), with the in-process path on the executor as the fallback
-    whenever the pool cannot serve a batch.  Every in-process execution
-    and every hot swap holds ``_serial_lock`` (the hop cache is mutable
-    and changes hands in the swap); readers take ``session.current``
-    once, unlocked.  Everything else — the queue, the counters, every
-    ``serve_*`` instrument — is touched on the loop thread only.
+    batch), and a batch the pool cannot serve executes on the loop too.
+    Every in-process execution and every session patch holds
+    ``_session_lock`` (the hop cache is mutable and changes hands in the
+    patch); readers take ``session.current`` once, unlocked.  The patch
+    is the one piece of the service that runs on another thread;
+    everything else — the queue, the counters, every ``serve_*``
+    instrument, every verdict — is the loop thread's.
     """
 
     def __init__(self, session: Session, config: ServeConfig | None = None):
@@ -423,19 +421,15 @@ class VerifyService:
         # Serializes hot swaps so two concurrent reloads cannot interleave
         # their worker-pool sweeps.
         self._reload_lock = asyncio.Lock()
-        # Serializes in-process verification and hot swaps (the hop cache
-        # is mutable and a swap hands it over).  Executor threads block on
-        # it; the event loop only ever try-acquires it (_run_batch).
-        self._serial_lock = threading.Lock()
+        # Serializes in-process verification and session patches (the hop
+        # cache is mutable and a patch hands it over).  A reload holds it
+        # until its patch thread has returned; a batch waits on the loop.
+        self._session_lock = asyncio.Lock()
         # Admitted but unexecuted queries; one slot coroutine per
-        # execution slot takes batches off it, and the executor has one
-        # thread per slot for what a batch cannot run on the loop.
+        # execution slot takes batches off it and marks each query done
+        # once its outcome is delivered (drain() joins the queue).
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_size)
         self._slots: list[asyncio.Task] = []
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.workers),
-            thread_name_prefix="rpslyzer-serve-batch",
-        )
         self.inflight = 0  # queries in the batches executing right now
         self.batches = 0
         self.queries = 0
@@ -535,13 +529,14 @@ class VerifyService:
     async def drain(self, timeout: float | None = None) -> bool:
         """Wait (bounded) for queued and in-flight work to finish."""
         self.begin_drain()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + (
-            self.config.drain_timeout if timeout is None else timeout
-        )
-        while (self._queue.qsize() or self.inflight) and loop.time() < deadline:
-            await asyncio.sleep(0.005)
-        drained = not self._queue.qsize() and not self.inflight
+        try:
+            await asyncio.wait_for(
+                self._queue.join(),
+                self.config.drain_timeout if timeout is None else timeout,
+            )
+            drained = True
+        except asyncio.TimeoutError:
+            drained = False
         self._event("drain-done", clean=drained)
         return drained
 
@@ -577,7 +572,6 @@ class VerifyService:
                 if not pending.future.done():
                     pending.future.set_exception(BusyError("shutting down"))
                 self._finish_request(pending.telemetry, "refused")
-        self._executor.shutdown(wait=False, cancel_futures=True)
         self._queue_depth.set(0)
         if self.supervisor is not None:
             await self.supervisor.stop()
@@ -859,6 +853,8 @@ class VerifyService:
                         future.set_result(outcome)
             finally:
                 self.inflight -= len(batch)
+                for _ in batch:
+                    queue.task_done()
             # After a coalesced batch: the rest of its period.  Always at
             # least a yield — a batch executed on the loop never awaited,
             # and get() does not yield while the queue holds items, so
@@ -869,31 +865,26 @@ class VerifyService:
     async def _run_batch(self, batch: Sequence[_Pending]) -> list:
         """One batch, every route: an outcome per query, in order.
 
-        1. An installed chaos batch fault runs on the executor (faults
+        1. An installed chaos batch fault runs off the loop (faults
            sleep), before admission.
         2. Admission, on the loop: a query whose deadline passed while it
            was queued is skipped (its waiter has already timed out, this
            just avoids wasted work); every query's queue wait is observed.
-        3. Execution, where observable state says: a healthy pool
-           dispatches from the loop, awaiting the worker's pipe; with no
-           pool, no fault and the session free, the batch runs right here
-           on the loop — at most ``batch_max`` warm verifications; anything
-           else (a reload patching the session, a fault, a degraded pool,
-           a batch the pool handed back) runs the serial path on the
-           executor, where it queues behind ``_serial_lock``.  The loop
-           never *blocks* on that lock — it only try-acquires it.
+        3. Execution: a healthy pool dispatches from the loop, awaiting
+           the worker's pipe; anything else (no pool, a degraded pool, a
+           batch the pool handed back) runs right here on the loop — at
+           most ``batch_max`` warm verifications — after any session
+           patch in flight (``_session_lock``; the wait counts as
+           ``execute``).
         4. The batch's dispatch/execute durations are attributed to each
            executed query — they coalesced precisely so they would share
            those costs.
         """
-        loop = asyncio.get_running_loop()
         supervisor = self.supervisor
         # Read once: tests install a plan from other threads.
         batch_fault = faultplan.current().batch
         if batch_fault is not None:
-            await loop.run_in_executor(
-                self._executor, batch_fault, [pending.query for pending in batch]
-            )
+            await asyncio.to_thread(batch_fault, [pending.query for pending in batch])
         outcomes: list = [None] * len(batch)
         live: list[int] = []
         now = time.monotonic()
@@ -932,19 +923,8 @@ class VerifyService:
             if self.degraded:
                 self._note_degraded()
             started = time.monotonic()
-            if (
-                supervisor is None
-                and batch_fault is None
-                and self._serial_lock.acquire(blocking=False)
-            ):
-                try:
-                    results = self._answer(queries)
-                finally:
-                    self._serial_lock.release()
-            else:
-                results = await loop.run_in_executor(
-                    self._executor, self._execute_serial, queries
-                )
+            async with self._session_lock:
+                results = self._answer(queries)
             dispatch_s, execute_s = None, time.monotonic() - started
         for position, result in zip(live, results):
             outcomes[position] = result
@@ -962,7 +942,7 @@ class VerifyService:
             )
 
     def _answer(self, queries: Sequence[Query]) -> list:
-        """The in-process verify body; the caller holds ``_serial_lock``."""
+        """The in-process verify body; the caller holds ``_session_lock``."""
         session = self.session
         return _as_outcomes(
             [
@@ -973,15 +953,10 @@ class VerifyService:
             ]
         )
 
-    def _execute_serial(self, queries: Sequence[Query]) -> list:
-        """The in-process path off the loop: the session under its lock."""
-        with self._serial_lock:
-            return self._answer(queries)
-
     # -- incremental ingestion (hot swap) ------------------------------------
 
     def _apply_journal_blocking(self, journal: Journal):
-        """Patch the parent session under the serial lock (executor thread).
+        """Patch the parent session (off the loop; the reload holds the lock).
 
         Entries whose serial the index has already absorbed are filtered
         out first — that makes re-reading a growing journal file (the
@@ -989,38 +964,52 @@ class VerifyService:
         tripping the stale-serial degradation.  Returns ``(fresh,
         report)`` where ``report`` is ``None`` when nothing was applied.
         """
-        with self._serial_lock:
-            applied = self.session.serials
-            fresh = Journal(
-                entries=[
-                    entry
-                    for entry in journal.entries
-                    if entry.serial > applied.get(entry.source, -1)
-                ],
-                issues=list(journal.issues),
-            )
-            if not fresh.entries and not fresh.issues:
-                return fresh, None
-            return fresh, self.session.apply_deltas(fresh)
+        applied = self.session.serials
+        fresh = Journal(
+            entries=[
+                entry
+                for entry in journal.entries
+                if entry.serial > applied.get(entry.source, -1)
+            ],
+            issues=list(journal.issues),
+        )
+        if not fresh.entries and not fresh.issues:
+            return fresh, None
+        return fresh, self.session.apply_deltas(fresh)
+
+    async def _patch(self, journal: Journal):
+        """Run :meth:`_apply_journal_blocking` on a thread under ``_session_lock``.
+
+        The lock is released when the patch returns, not when its awaiter
+        does: a reload cancelled mid-patch (the journal follower at
+        shutdown) still keeps every batch off the session until the
+        thread has let go of it.
+        """
+        lock = self._session_lock
+        await lock.acquire()
+        patch = asyncio.ensure_future(
+            asyncio.to_thread(self._apply_journal_blocking, journal)
+        )
+        patch.add_done_callback(lambda _: lock.release())
+        return await asyncio.shield(patch)
 
     async def reload(self, journal: Journal) -> dict:
         """Hot-swap journal deltas into the live service; returns a summary.
 
-        The parent session is patched first (off the event loop, under
-        the serial lock: the in-process path's verifier hands its hop
-        cache over), then every pool worker is swapped by the
-        supervisor's lease-serialized reload, a coroutine on this loop —
-        in-flight requests keep flowing throughout; at worst a batch is
-        answered by a worker one generation behind, never dropped.
+        The parent session is patched first (on a thread, holding
+        ``_session_lock``: the in-process verifier hands its hop cache
+        over, so an in-process batch waits on the loop for the patch),
+        then every pool worker is swapped by the supervisor's
+        lease-serialized reload, a coroutine on this loop — in-flight
+        requests keep flowing throughout; at worst a batch is answered by
+        a worker one generation behind, never dropped.
         """
         if self.draining:
             raise BusyError("shutting down")
         async with self._reload_lock:
             self._event("reload-begin", entries=len(journal.entries))
             try:
-                fresh, report = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self._apply_journal_blocking, journal
-                )
+                fresh, report = await self._patch(journal)
             except Exception as exc:
                 self._event("reload-abort", error=str(exc)[:200])
                 raise

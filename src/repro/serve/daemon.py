@@ -213,7 +213,7 @@ class ServeDaemon:
                 self.config.drain_timeout,
                 self.service.health()["queue_depth"],
             )
-        # 4. Release the execution slots and their executor threads.
+        # 4. Stop the execution slots and the worker pool.
         await self.service.stop()
         # 5. No connection outlives the loop, whatever its client does.
         for frontend in frontends:

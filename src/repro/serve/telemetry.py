@@ -12,12 +12,12 @@ latency breakdown (``serve_stage_seconds{stage=}`` histograms and the
   happens the moment an execution slot is free (a slot stays closed for
   the coalescing period after a batch of more than one item);
 * ``coalesce`` — pulled → the batch it joined was admitted: nothing
-  unless a chaos batch fault ran first, on the executor (the name is
-  from when a timer sat here);
+  unless a chaos batch fault ran first, off the loop (the name is from
+  when a timer sat here);
 * ``dispatch`` — waiting for a pool worker lease;
 * ``execute``  — the batch executing, wherever it ran (pipe round-trip
-  + verification, or the serial path on the loop or the executor,
-  including its wait for the serial lock);
+  + verification in a worker, or verification on the loop, including
+  its wait for a session patch in flight);
   dispatch/execute are measured per *batch* and attributed to every
   request in it — the requests coalesced precisely so they would share
   those costs;

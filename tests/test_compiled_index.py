@@ -529,26 +529,6 @@ class TestSessionIndexLifecycle:
             session.close()
             assert _fd_count() == base, "descriptor leaked by a session cycle"
 
-    @needs_procfs
-    def test_evict_index_releases_and_rewarm_reattaches(self, tiny_ir, tmp_path):
-        from repro.api import Session
-
-        with Session(tiny_ir, cache_dir=tmp_path) as session:
-            session.warm()
-        base = _fd_count()
-        with Session(tiny_ir, cache_dir=tmp_path) as session:
-            session.warm()
-            first = session.index
-            assert _fd_count() == base + 1
-            session.evict_index()
-            assert session.index is None
-            assert _fd_count() == base
-            session.warm()
-            assert session.index is not None
-            assert session.index is not first
-            assert _fd_count() == base + 1
-        assert _fd_count() == base
-
     def test_shared_index_is_not_closed_by_the_session(self, tiny_ir, index):
         from repro.api import Session
 

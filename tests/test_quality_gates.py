@@ -105,10 +105,9 @@ def test_config_knobs_are_pinned():
     supervisor = {field.name for field in fields(SupervisorConfig)}
     assert supervisor == {
         "workers", "hang_timeout", "heartbeat_interval", "heartbeat_timeout",
-        "lease_timeout", "restart_budget", "backoff_base", "backoff_max",
-        "start_method",
+        "restart_budget", "start_method",
     }
-    assert len(supervisor) == 9
+    assert len(supervisor) == 6
 
 
 def test_engine_and_verifier_parameters_are_pinned():
@@ -234,8 +233,10 @@ def test_public_surface_is_pinned():
 
 def test_one_request_core():
     """``VerifyService`` is the request core: no batcher beside it, one
-    thread lock in it (the serial lock — the loop owns every other piece of
-    serve state), and no lock shared with the pool."""
+    thread in it (the loop produces every in-process verdict; only a
+    batch fault and a session patch leave it, through ``asyncio.to_thread``),
+    no thread lock, one timer (the coalescing pause in ``_slot``; ``drain``
+    joins the queue), and no lock shared with the pool."""
     from repro import serve
     from repro.core.pool import WorkerSupervisor
 
@@ -245,18 +246,32 @@ def test_one_request_core():
         "SupervisorConfig", "VerifyService", "WorkerSupervisor", "report_as_dict",
     }
     assert not (_SRC / "serve" / "batcher.py").exists()
-    locks = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
     tree = ast.parse((_SRC / "serve" / "core.py").read_text(encoding="utf-8"))
-    constructed = [
-        node.func.attr
+    imported = {
+        alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "threading"
-        and node.func.attr in locks
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    assert not imported & {"threading", "_thread", "concurrent.futures"}, imported
+    calls = [
+        f"{getattr(node.func.value, 'id', '')}.{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     ]
-    assert constructed == ["Lock"], constructed
+    assert not [call for call in calls if call.endswith(".run_in_executor")], calls
+    assert not [call for call in calls if call.startswith("threading.")], calls
+    assert calls.count("asyncio.sleep") == 1, calls
+    sleeper = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AsyncFunctionDef) and node.name == "_slot"
+    )
+    assert "asyncio.sleep" in ast.unparse(sleeper)
     assert "metrics_lock" not in inspect.signature(WorkerSupervisor).parameters
 
 

@@ -460,11 +460,11 @@ class TestConcurrency:
         assert statuses.count(200) == 150
         health = handle.daemon.service.health()
         # Micro-batching actually coalesced concurrent arrivals: strictly
-        # fewer executor batches than executed queries.
+        # fewer batches than executed queries.
         assert health["batches"] < health["queries"]
 
     def test_flood_backpressure_bounded_queue(self, tiny_world, tmp_path):
-        """A tiny queue under a slow executor refuses with 429, never
+        """A tiny queue under slow batches refuses with 429, never
         buffers unboundedly, and still answers admitted requests."""
         with api.open_session(
             tiny_world, registry=MetricsRegistry(), use_cache=False
@@ -627,9 +627,9 @@ class TestNaturalBatching:
         assert health["queries"] < 256
 
     def test_reload_under_flood_never_blocks_the_loop(self, tiny_world, tiny_routes):
-        """workers=0: while a reload patches the session (on the executor,
-        holding _serial_lock) the loop keeps answering; batches that land
-        meanwhile wait for the patch off the loop; nothing is dropped and
+        """workers=0: while a reload patches the session (on its own
+        thread, holding the session lock) the loop keeps answering;
+        batches that land meanwhile await the lock on the loop; nothing is dropped and
         every verdict comes from exactly the old or the new index.  WHOIS
         lookups only read: they are answered *during* the patch, from the
         generation it has not yet replaced — they take no lock."""

@@ -1,10 +1,11 @@
 """One request core: every batch route is admitted and timed on the loop.
 
 ``VerifyService`` runs a batch on one of several routes — on the event
-loop, on the executor behind an installed chaos batch fault or a reload
-holding the session, on a worker pool, or in-process when the pool is
-degraded.  Whichever it takes, the answer and the bookkeeping must be the
-same, and every ``serve_*`` instrument must be written on the loop thread.
+loop, behind an installed chaos batch fault, after a reload's session
+patch, on a worker pool, or in-process when the pool is degraded.
+Whichever it takes, the answer and the bookkeeping must be the same, every
+``serve_*`` instrument must be written on the loop thread, and every
+in-process verdict must be produced there.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ async def _submit_on(session, route: str, query: Query) -> tuple[bytes, VerifySe
     try:
         if route == "degraded":
             service.supervisor._degrade("test")
-        if route != "reload":
+        if route not in ("reload", "cancelled-reload"):
             return await service.submit(query), service
-        # The reload's patch holds the session (and the one executor
-        # thread) until the batch has left the queue: the batch cannot take
-        # the session on the loop and queues behind the patch.
+        # The reload's patch holds the session until the batch has left
+        # the queue: the batch waits on the loop for the patch to finish,
+        # also when the reload is cancelled meanwhile (as the journal
+        # follower is at shutdown) — the patch thread still runs.
         _, journal = evolve_with_journal(session.ir, ChurnConfig(seed=13))
         patching, release = threading.Event(), threading.Event()
         apply_deltas = session.apply_deltas
@@ -66,11 +68,16 @@ async def _submit_on(session, route: str, query: Query) -> tuple[bytes, VerifySe
             reload = asyncio.create_task(service.reload(journal))
             while not patching.is_set():
                 await asyncio.sleep(0.001)
+            if route == "cancelled-reload":
+                reload.cancel()
             request = asyncio.create_task(service.submit(query))
-            while not service.inflight:
+            while not (service.inflight or request.done()):
                 await asyncio.sleep(0.001)
+            await asyncio.sleep(0.02)
+            assert not request.done(), "a verdict while the patch holds the session"
             release.set()
-            assert (await reload)["generation"] == 1
+            if route == "reload":
+                assert (await reload)["generation"] == 1
             return await request, service
         finally:
             release.set()
@@ -168,7 +175,27 @@ def test_a_respawning_pool_writes_every_serve_instrument_on_the_loop(
     assert {thread for _, thread in writes} == {loop_thread}, writes
 
 
-@pytest.mark.parametrize("route", ROUTES + ("degraded",))
+@pytest.mark.parametrize("route", ["loop", "fault", "reload", "degraded"])
+def test_every_in_process_verdict_runs_on_the_loop(
+    session, tiny_routes, route, monkeypatch
+):
+    """No pool, a batch fault, a patch in flight or a degraded pool: the
+    verdict is produced on the loop's thread, never a helper thread."""
+    from repro.serve import core
+
+    callers: list[str] = []
+    answer_query = core.answer_query
+
+    def spied(*args):
+        callers.append(threading.current_thread().name)
+        return answer_query(*args)
+
+    monkeypatch.setattr(core, "answer_query", spied)
+    _run(session, route, _query(tiny_routes[0]))
+    assert callers == [threading.current_thread().name]  # asyncio.run's loop
+
+
+@pytest.mark.parametrize("route", ROUTES + ("degraded", "cancelled-reload"))
 def test_every_route_takes_one_batch_path(session, tiny_routes, route):
     """Same body bytes, one ``ok`` request event with the whole stage
     breakdown, one executed queue-wait observation — on every route."""

@@ -182,7 +182,7 @@ class TestAdmissionUnderFlood:
     def test_flood_answers_429_before_any_deadline_is_missed(
         self, pool_session, tiny_routes
     ):
-        """A flood against a slow executor and a short deadline: what the
+        """A flood against slow batches and a short deadline: what the
         service cannot answer in time it refuses at the door — never a
         504 for a request it admitted."""
         daemon = ServeDaemon(
@@ -230,32 +230,40 @@ class TestPoolHealthRule:
         dispatched = await supervisor.dispatch(TestPoolHealthRule.ITEMS)
         return dispatched, time.monotonic() - started
 
-    def test_no_live_worker_hands_back_at_once(self, pool_session):
-        supervisor = self._unstarted(pool_session, lease_timeout=5.0)
+    def test_no_live_worker_hands_back_at_once(self, pool_session, monkeypatch):
+        monkeypatch.setattr(pool, "LEASE_TIMEOUT", 5.0)
+        supervisor = self._unstarted(pool_session)
         dispatched, seconds = asyncio.run(self._timed_dispatch(supervisor))
         assert dispatched is None and seconds < 0.5
 
-    def test_degraded_or_stopping_pool_hands_back_at_once(self, pool_session):
+    def test_degraded_or_stopping_pool_hands_back_at_once(
+        self, pool_session, monkeypatch
+    ):
+        monkeypatch.setattr(pool, "LEASE_TIMEOUT", 5.0)
         for stop in (
             lambda s: s._degrade("test"),
             lambda s: setattr(s, "_stopping", True),
         ):
-            supervisor = self._unstarted(pool_session, lease_timeout=5.0)
+            supervisor = self._unstarted(pool_session)
             # A live worker that never comes free: only the rule can answer.
             supervisor._workers[0] = pool._Worker(0, None, None, 0, supervisor._index)
             stop(supervisor)
             dispatched, seconds = asyncio.run(self._timed_dispatch(supervisor))
             assert dispatched is None and seconds < 0.5
         # Whereas a live but busy worker is worth waiting a lease for.
-        supervisor = self._unstarted(pool_session, lease_timeout=0.3)
+        monkeypatch.setattr(pool, "LEASE_TIMEOUT", 0.3)
+        supervisor = self._unstarted(pool_session)
         supervisor._workers[0] = pool._Worker(0, None, None, 0, supervisor._index)
         dispatched, seconds = asyncio.run(self._timed_dispatch(supervisor))
         assert dispatched is None and seconds >= 0.3
 
-    def test_a_waiting_lease_wakes_when_the_pool_degrades(self, pool_session):
+    def test_a_waiting_lease_wakes_when_the_pool_degrades(
+        self, pool_session, monkeypatch
+    ):
         """A lease waits on the pool's changes, not on a clock: a busy
         pool that degrades mid-wait hands the batch back at once."""
-        supervisor = self._unstarted(pool_session, lease_timeout=5.0)
+        monkeypatch.setattr(pool, "LEASE_TIMEOUT", 5.0)
+        supervisor = self._unstarted(pool_session)
         supervisor._workers[0] = pool._Worker(0, None, None, 0, supervisor._index)
 
         async def scenario():
@@ -298,12 +306,15 @@ class TestPoolHealthRule:
     def test_respawn_backoff_doubles_per_consecutive_spawn_failure(
         self, pool_session, monkeypatch
     ):
-        supervisor = self._unstarted(pool_session, backoff_base=0.05, backoff_max=0.3)
+        monkeypatch.setattr(pool, "BACKOFF_BASE", 0.05)
+        monkeypatch.setattr(pool, "BACKOFF_MAX", 0.3)
+        supervisor = self._unstarted(pool_session)
         delays = self._respawn_delays(supervisor, monkeypatch, [False] * 5)
         assert delays == [0.0, 0.05, 0.1, 0.2, 0.3]
 
     def test_a_successful_spawn_resets_the_backoff(self, pool_session, monkeypatch):
-        supervisor = self._unstarted(pool_session, backoff_base=0.05)
+        monkeypatch.setattr(pool, "BACKOFF_BASE", 0.05)
+        supervisor = self._unstarted(pool_session)
         delays = self._respawn_delays(
             supervisor, monkeypatch, [False, False, True, False]
         )
