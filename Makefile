@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test ci chaos-serve perf-regression bench-smoke bench examples figures lint-world clean
+.PHONY: install test ci chaos-smoke chaos-serve perf-regression bench-smoke bench examples figures lint-world clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -17,7 +17,8 @@ test:
 # half-line WHOIS connection open: exit 0, EOF on both, no traceback),
 # the serve job's test suite (an un-awaited coroutine fails it),
 # the chaos-smoke job's fault-injection suite (every layer, the serve
-# core's batch-fault flood included), the serve-supervisor chaos layer,
+# core's batch-fault flood included) and its two CLI steps, the
+# serve-supervisor chaos layer,
 # the end-to-end ledger's correctness gates, and the strict perf gates.
 ci:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -31,6 +32,7 @@ ci:
 	  tests/test_serve_core.py -q -p no:cacheprovider -W error::RuntimeWarning \
 	  -W error::pytest.PytestUnraisableExceptionWarning
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --processes 2
+	$(MAKE) chaos-smoke
 	$(MAKE) chaos-serve
 	$(MAKE) bench-smoke
 	$(MAKE) perf-regression
@@ -65,6 +67,33 @@ bench-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload verify_table --seed 7 --seconds 4 --trace 0
 	$(PYTHON) benchmarks/e2e/run.py --workload ingest --seed 7 --seconds 4 --trace 0
 	$(PYTHON) benchmarks/e2e/run.py --workload serve --seed 7 --seconds 4 --trace 0
+
+# The chaos-smoke job's CLI steps, in a temporary directory removed
+# afterwards: explain the tiny world's first route with tracing forced on
+# (the AS_SET segment dropped from its path, never fused into one ASN),
+# then compile the IR exported compact and with indent=2: both compiles
+# must name the same IR digest.
+chaos-smoke:
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	export PYTHONPATH=$(CURDIR)/src; \
+	$(PYTHON) -m repro.cli synth "$$dir/world" --preset tiny --routes; \
+	$(PYTHON) -m repro.cli parse "$$dir/world" -o "$$dir/ir.json"; \
+	route=$$(head -1 "$$dir/world/table.txt"); \
+	prefix=$$(echo "$$route" | cut -d'|' -f6); \
+	aspath=$$(echo "$$route" | cut -d'|' -f7 | sed 's/ *{.*}//'); \
+	$(PYTHON) -m repro.cli explain --ir "$$dir/ir.json" --as-rel "$$dir/world/as-rel.txt" \
+	  $$prefix $$aspath; \
+	$(PYTHON) -c "import sys; from repro.ir.json_io import dumps_ir, load_ir; \
+	  open(sys.argv[2], 'w').write(dumps_ir(load_ir(sys.argv[1]), indent=2))" \
+	  "$$dir/ir.json" "$$dir/ir-indent2.json"; \
+	for layout in ir ir-indent2; do \
+	  $(PYTHON) -m repro.cli compile --ir "$$dir/$$layout.json" -o "$$dir/index-$$layout.pkl" \
+	    > "$$dir/compile-$$layout.txt" 2>&1; \
+	  cat "$$dir/compile-$$layout.txt"; \
+	done; \
+	compact=$$(grep -o 'compiled index for IR [0-9a-f]*' "$$dir/compile-ir.txt"); \
+	indented=$$(grep -o 'compiled index for IR [0-9a-f]*' "$$dir/compile-ir-indent2.txt"); \
+	test -n "$$compact" && test "$$compact" = "$$indented"
 
 # The one supervised worker pool under both of its callers.  Serve: the
 # self-healing lifecycle against a live daemon (SIGKILL mid-flood,

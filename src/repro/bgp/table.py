@@ -9,6 +9,12 @@ AS_SET segments inside an AS-path appear as ``{1,2,3}``; the paper ignores
 routes containing them (their use is deprecated), and the verifier does the
 same, so the parser preserves them as a marker rather than dropping the
 route silently.
+
+A table repeats its texts (the standard world's 36,514 lines hold 1,221
+distinct prefixes and 15,017 distinct AS-paths), so the reader parses
+each distinct prefix text and AS-path text once per call or per file:
+entries with equal text share one immutable :class:`Prefix` and one path
+tuple.  :func:`parse_table_file` bounds that memo.
 """
 
 from __future__ import annotations
@@ -82,17 +88,18 @@ def route_entry_lines(entries: Iterable[RouteEntry]) -> Iterator[str]:
         yield entry.to_line()
 
 
-def _parse_path(text: str) -> tuple[tuple[int, ...], frozenset[int] | None]:
+# An AS-path column parsed: the path and its trailing AS_SET (None if absent).
+_ParsedPath = tuple[tuple[int, ...], frozenset[int] | None]
+
+
+def _parse_path(text: str) -> _ParsedPath:
     as_set: frozenset[int] | None = None
-    match = _AS_SET_RE.search(text)
-    if match is not None:
-        members = frozenset(
-            int(token) for token in match.group(1).replace(",", " ").split()
-        )
-        as_set = members
-        text = _AS_SET_RE.sub(" ", text)
-    path = tuple(int(token) for token in text.split())
-    return path, as_set
+    if "{" in text:
+        match = _AS_SET_RE.search(text)
+        if match is not None:
+            as_set = frozenset(map(int, match.group(1).replace(",", " ").split()))
+            text = _AS_SET_RE.sub(" ", text)
+    return tuple(map(int, text.split())), as_set
 
 
 def _parse_communities(text: str) -> frozenset[tuple[int, int]]:
@@ -104,9 +111,22 @@ def _parse_communities(text: str) -> frozenset[tuple[int, int]]:
     return frozenset(tags)
 
 
-def parse_table_text(text: str | Iterable[str]) -> Iterator[RouteEntry]:
-    """Parse dump lines; malformed lines are skipped (as bgpdump users do)."""
-    lines = text.splitlines() if isinstance(text, str) else text
+# Texts a column's memo may hold at a batch boundary before it is cleared:
+# the size of Prefix.parse's own cache.
+_MEMO_ENTRIES = 2**16
+
+_Memo = tuple[dict[str, Prefix], dict[str, _ParsedPath]]
+
+
+def _parse_lines(lines: Iterable[str], memo: _Memo) -> Iterator[RouteEntry]:
+    """Parse dump lines, each distinct prefix and AS-path text once.
+
+    ``memo`` is one dict per column, prefix texts and AS-path texts, from
+    a text to its parse.  Only successful parses are stored, and the two
+    columns never share a dict, so a malformed text is rejected on every
+    line that carries it.
+    """
+    prefixes, paths = memo
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -115,22 +135,26 @@ def parse_table_text(text: str | Iterable[str]) -> Iterator[RouteEntry]:
         if len(parts) < 7 or parts[0] != "TABLE_DUMP2":
             continue
         try:
-            prefix = Prefix.parse(parts[5])
-            path, as_set = _parse_path(parts[6])
+            prefix = prefixes.get(parts[5])
+            if prefix is None:
+                prefix = prefixes[parts[5]] = Prefix.parse(parts[5])
+            parsed = paths.get(parts[6])
+            if parsed is None:
+                parsed = paths[parts[6]] = _parse_path(parts[6])
             peer_asn = int(parts[4])
             communities = _parse_communities(parts[8]) if len(parts) > 8 else frozenset()
         except (PrefixError, ValueError):
             continue
+        path, as_set = parsed
         if not path and as_set is None:
             continue
-        yield RouteEntry(
-            collector=parts[3],
-            peer_asn=peer_asn,
-            prefix=prefix,
-            as_path=path,
-            as_set=as_set,
-            communities=communities,
-        )
+        yield RouteEntry(parts[3], peer_asn, prefix, path, as_set, communities)
+
+
+def parse_table_text(text: str | Iterable[str]) -> Iterator[RouteEntry]:
+    """Parse dump lines; malformed lines are skipped (as bgpdump users do)."""
+    lines = text.splitlines() if isinstance(text, str) else text
+    yield from _parse_lines(lines, ({}, {}))
 
 
 # Lines parsed between two opportunities for the cyclic collector to run.
@@ -140,15 +164,24 @@ _GC_PAUSE_LINES = 8192
 def parse_table_file(path: str | Path) -> Iterator[RouteEntry]:
     """Stream-parse a dump file, a bounded batch of lines at a time.
 
+    One memo serves every batch of the file: entries with equal prefix
+    text share one :class:`Prefix`, and entries with equal AS-path text
+    one path tuple (and AS_SET).  At a batch boundary a column holding
+    more than ``_MEMO_ENTRIES`` texts is cleared, so memory stays flat
+    however long the file; sharing then starts over for that column.
     Each batch's entries are built with the cyclic collector paused
     (:func:`~repro.gcpause.cyclic_gc_paused`: tens of thousands of acyclic
     objects that all live on); the consumer's code between two entries
     runs with it on.
     """
+    memo: _Memo = ({}, {})
     with open(path, encoding="utf-8") as stream:
         while lines := list(islice(stream, _GC_PAUSE_LINES)):
+            for column in memo:
+                if len(column) > _MEMO_ENTRIES:
+                    column.clear()
             with cyclic_gc_paused():
-                entries = list(parse_table_text(lines))
+                entries = list(_parse_lines(lines, memo))
             yield from entries
 
 

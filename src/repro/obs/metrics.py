@@ -7,7 +7,8 @@ are shared no-op singletons — so an un-instrumented run pays one attribute
 lookup per instrumentation site at *setup* time and nothing per event.
 Callers that want metrics install a real :class:`MetricsRegistry` with
 :func:`set_registry` or the :func:`use_registry` context manager (the CLI's
-``--metrics`` flag does exactly this).
+``--metrics`` flag does exactly this); the installed registry belongs to
+the current thread or asyncio task (a context variable).
 
 Instruments are keyed by ``(name, sorted labels)`` the way Prometheus keys
 time series; asking twice for the same key returns the same instrument.
@@ -29,6 +30,7 @@ import re
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
 from repro.obs.spans import NULL_SPAN, SpanStore
@@ -327,20 +329,25 @@ class NullRegistry(MetricsRegistry):
 
 NULL_REGISTRY = NullRegistry()
 
-_current: MetricsRegistry = NULL_REGISTRY
+# The installed registry is scoped per thread and per asyncio task: a
+# scope entered on one never installs or removes another's registry (the
+# serve loop verifying while a reload patches on ``asyncio.to_thread``).
+# Tasks and ``asyncio.to_thread`` copy the context they start in; a plain
+# thread starts from the null registry unless it runs in a copy of its
+# starter's context (``contextvars.copy_context().run``).
+_current: ContextVar[MetricsRegistry] = ContextVar("repro_metrics_registry", default=NULL_REGISTRY)
 
 
 def get_registry() -> MetricsRegistry:
     """The registry instrumented code should report to right now."""
-    return _current
+    return _current.get()
 
 
 def set_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
-    """Install ``registry`` (None restores the null registry); returns the
-    previously installed one so callers can restore it."""
-    global _current
-    previous = _current
-    _current = registry if registry is not None else NULL_REGISTRY
+    """Install ``registry`` (None restores the null registry) in the current
+    context; returns the previously installed one so callers can restore it."""
+    previous = _current.get()
+    _current.set(registry if registry is not None else NULL_REGISTRY)
     return previous
 
 
@@ -349,11 +356,11 @@ def use_registry(registry: MetricsRegistry | None = None):
     """Temporarily install a registry (a fresh one if none is given)."""
     if registry is None:
         registry = MetricsRegistry()
-    previous = set_registry(registry)
+    token = _current.set(registry)
     try:
         yield registry
     finally:
-        set_registry(previous)
+        _current.reset(token)
 
 
 # -- Prometheus text exposition ---------------------------------------------

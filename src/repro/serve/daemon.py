@@ -37,6 +37,7 @@ returns a :class:`ServeHandle` exposing the bound ports and a blocking
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import logging
 import signal
 import threading
@@ -239,7 +240,10 @@ class ServeDaemon:
                 failure.append(exc)
                 ready.set()
 
-        thread = threading.Thread(target=_main, name="rpslyzer-serve", daemon=True)
+        # The daemon reports to its starter's ambient registry.
+        thread = threading.Thread(
+            target=contextvars.copy_context().run, args=(_main,), name="rpslyzer-serve", daemon=True
+        )
         thread.start()
         if not ready.wait(timeout):
             self.request_shutdown()

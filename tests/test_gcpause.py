@@ -175,8 +175,8 @@ class TestStagesLeaveTheCollectorAsFound:
                 for i in range(5)
             )
         )
-        spy = Spy(table.parse_table_text)
-        monkeypatch.setattr(table, "parse_table_text", spy)
+        spy = Spy(table._parse_lines)
+        monkeypatch.setattr(table, "_parse_lines", spy)
         monkeypatch.setattr(table, "_GC_PAUSE_LINES", 2)
         between = [gc.isenabled() for _ in table.parse_table_file(path)]
         assert spy.seen == [False, False, False]  # batches of 2, 2 and 1 lines
