@@ -16,9 +16,8 @@ test:
 # resident-daemon smoke (its SIGTERM is sent with an idle HTTP and a
 # half-line WHOIS connection open: exit 0, EOF on both, no traceback),
 # the serve job's test suite (an un-awaited coroutine fails it),
-# the chaos-smoke job's fault-injection suite (every layer, the serve
-# core's batch-fault flood included) and its two CLI steps, the
-# serve-supervisor chaos layer,
+# the chaos-smoke job's two CLI steps (its fault-injection tests,
+# tests/chaos, already ran in tier-1), the chaos-serve job,
 # the end-to-end ledger's correctness gates, and the strict perf gates.
 ci:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -31,7 +30,6 @@ ci:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serve.py tests/test_session.py \
 	  tests/test_serve_core.py -q -p no:cacheprovider -W error::RuntimeWarning \
 	  -W error::pytest.PytestUnraisableExceptionWarning
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 42 --processes 2
 	$(MAKE) chaos-smoke
 	$(MAKE) chaos-serve
 	$(MAKE) bench-smoke
@@ -95,19 +93,19 @@ chaos-smoke:
 	indented=$$(grep -o 'compiled index for IR [0-9a-f]*' "$$dir/compile-ir-indent2.txt"); \
 	test -n "$$compact" && test "$$compact" = "$$indented"
 
-# The one supervised worker pool under both of its callers.  Serve: the
-# self-healing lifecycle against a live daemon (SIGKILL mid-flood,
-# heartbeat replacement of a hung worker, restart accounting in /metrics
-# and the degradation report).  The table pass, Session.verify_table
+# The one supervised worker pool under both of its callers.  Serve
+# (tests/chaos/test_serve_pool.py): the self-healing lifecycle against a
+# live daemon (SIGKILL mid-flood, heartbeat replacement of a hung worker,
+# restart accounting in /metrics and the degradation report).  The table
+# pass, Session.verify_table
 # (processes=N), in tests/test_parallel.py: exact stats under killed,
 # SIGSTOPped and raising workers, no child left behind.
 # Then one table, traced, through the serial pass and a 2-worker pool: same
 # summary, same figure CSVs (a merge-order dependence shows up as a diff),
 # same `rpslyzer trace` summary, no spill directory left in $$TMPDIR.
 chaos-serve:
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --only serve-supervisor
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_supervisor.py tests/test_parallel.py \
-	  tests/test_serve_core.py -q -p no:cacheprovider -W error::RuntimeWarning \
+	PYTHONPATH=src $(PYTHON) -m pytest tests/chaos/test_serve_pool.py tests/test_supervisor.py \
+	  tests/test_parallel.py tests/test_serve_core.py -q -p no:cacheprovider -W error::RuntimeWarning \
 	  -W error::pytest.PytestUnraisableExceptionWarning
 	PYTHONPATH=src PYTHON=$(PYTHON) sh scripts/pool_figures.sh
 

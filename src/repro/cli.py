@@ -21,8 +21,6 @@ Subcommands mirror the paper's pipeline:
   term, and relaxation tier decided each hop;
 * ``trace events.jsonl`` — summarize or filter a trace file written by
   ``verify --trace``;
-* ``chaos --seed 42`` — run the fault-injection suite and print its
-  degradation report (exit 1 if any resilience check fails);
 * ``serve --ir ir.json --as-rel as-rel.txt`` — run the resident
   verification daemon: HTTP/JSON (``POST /verify``, ``POST /explain``,
   ``GET /healthz``, ``GET /metrics``) and optionally the WHOIS line
@@ -537,20 +535,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import run_chaos
-
-    report = run_chaos(
-        seed=args.seed, preset=args.preset, processes=args.processes, only=args.only
-    )
-    if args.json:
-        json.dump(report.as_dict(), sys.stdout, indent=2, sort_keys=True)
-        print()
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
-
-
 def _run_daemon(session, serve_config) -> int:
     """Serve ``session`` until SIGTERM/Ctrl-C has drained the daemon."""
     from repro.serve import ServeDaemon
@@ -860,21 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--asn", nargs="*", help="specific ASNs (default: all)")
     recommend.add_argument("--limit", type=int, default=0)
     recommend.set_defaults(func=_cmd_recommend)
-
-    chaos = subparsers.add_parser(
-        "chaos", help="run the fault-injection suite (see docs/robustness.md)"
-    )
-    chaos.add_argument("--seed", type=int, default=42)
-    chaos.add_argument("--preset", choices=("tiny", "default"), default="tiny")
-    chaos.add_argument("--processes", type=int, default=2)
-    chaos.add_argument(
-        "--only",
-        choices=("serve-supervisor",),
-        default=None,
-        help="run a single chaos layer instead of the full suite",
-    )
-    chaos.add_argument("--json", action="store_true", help="emit the report as JSON")
-    chaos.set_defaults(func=_cmd_chaos)
 
     whois = subparsers.add_parser("whois", help="serve the IR over WHOIS/IRRd")
     whois.add_argument("--ir", required=True)

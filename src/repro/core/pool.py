@@ -911,7 +911,7 @@ class WorkerSupervisor:
 
     # -- introspection -------------------------------------------------------
     #
-    # Safe from another thread (a test, the chaos harness) while the loop
+    # Safe from another thread (a test) while the loop
     # changes the pool: each reads the worker table once, in one C call.
 
     def worker_pids(self) -> list[int]:

@@ -1,16 +1,17 @@
-"""The installed fault plan: the one way chaos faults enter the product.
+"""The installed fault plan: the one way injected faults enter the product.
 
-No product signature takes a fault.  Tests and the chaos harness install
-a :class:`FaultPlan` with :func:`use_faults` (re-exported by
-:mod:`repro.chaos`), and two points read it: a pool worker's chunk frame
+No product signature takes a fault.  Tests install a :class:`FaultPlan`
+with :func:`use_faults` (the faults themselves live with the tests, in
+``tests/chaos/``), and two points read it: a pool worker's chunk frame
 (:func:`repro.core.pool._verify_chunk`, never the parent's in-process
 fallback) and :meth:`repro.serve.core.VerifyService._run_batch`, which
 runs a batch fault off the event loop (:func:`asyncio.to_thread`), before
 the batch is admitted.  The pool ships the plan
 current at each spawn in the worker's start arguments, so a
 ``spawn``-started or respawned worker carries it like a forked one.
-This module imports nothing from ``repro``: reading it never pulls in
-the chaos harness.
+The plan is process-wide, not per context: a daemon thread started
+before :func:`use_faults` still reads it.  This module imports nothing
+from ``repro``.
 """
 
 from __future__ import annotations

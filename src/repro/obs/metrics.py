@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
 
@@ -351,16 +350,27 @@ def set_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
     return previous
 
 
-@contextmanager
-def use_registry(registry: MetricsRegistry | None = None):
-    """Temporarily install a registry (a fresh one if none is given)."""
-    if registry is None:
-        registry = MetricsRegistry()
-    token = _current.set(registry)
-    try:
-        yield registry
-    finally:
-        _current.reset(token)
+class use_registry:
+    """Temporarily install a registry (a fresh one if none is given).
+
+    ``with use_registry(registry) as installed:`` yields the registry and
+    resets the context variable by token on exit, exception or not.  A
+    class rather than a generator ``@contextmanager``: ``Session`` enters
+    one per verdict, and the generator machinery cost several times the
+    ``ContextVar`` work.
+    """
+
+    __slots__ = ("registry", "_token")
+
+    def __init__(self, registry: MetricsRegistry | None = None):
+        self.registry = registry if registry is not None else MetricsRegistry()
+
+    def __enter__(self) -> MetricsRegistry:
+        self._token = _current.set(self.registry)
+        return self.registry
+
+    def __exit__(self, *exc_info) -> None:
+        _current.reset(self._token)
 
 
 # -- Prometheus text exposition ---------------------------------------------

@@ -2,12 +2,12 @@
 
 These are the injection points the mutators cannot reach — failures of
 the *processes and sockets* around the pipeline rather than of its
-inputs.  Both are built to be driven from tests and the chaos harness:
+inputs:
 
 * :class:`KillWorkerChunk` / :class:`RaiseOnChunk` are chunk faults for
   the installed fault plan (``with use_faults(chunk=...)``, see
   :mod:`repro.faultplan`; picklable, so they survive the trip into
-  spawn-started workers);
+  spawn-started workers, which import them as ``chaos.faults``);
 * :class:`KillServeWorker` / :class:`HungWorker` act on the worker
   pool's processes *from outside*, by PID — SIGKILL for a crash,
   SIGSTOP for a wedge the hang bound or the heartbeat must detect.
@@ -31,16 +31,6 @@ import struct
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-__all__ = [
-    "KillWorkerChunk",
-    "RaiseOnChunk",
-    "KillServeWorker",
-    "HungWorker",
-    "hang_a_worker_at",
-    "FlakyTcpProxy",
-    "SlowClient",
-]
 
 
 @dataclass(frozen=True)
@@ -173,6 +163,11 @@ class FlakyTcpProxy:
     def stop(self) -> None:
         """Stop accepting and close the listener."""
         self._stopping.set()
+        # close() alone does not wake a thread blocked in accept().
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -1,11 +1,11 @@
 """Seeded corruptions of dump and table text.
 
 Every mutator has the same shape — ``mutator(rng, text) -> bytes`` — so
-the harness (and tests) can drive them uniformly: feed each one its own
-:class:`random.Random` and the clean text, get back the damaged bytes to
-write to disk.  Returning *bytes* is deliberate: several corruptions
-(binary splice, mixed encodings) cannot be represented as a clean Python
-string, and real damage arrives as bytes anyway.
+the tests can drive them uniformly: feed each one its own
+:class:`random.Random` (:func:`rng_for`) and the clean text, get back the
+damaged bytes to write to disk.  Returning *bytes* is deliberate: several
+corruptions (binary splice, mixed encodings) cannot be represented as a
+clean Python string, and real damage arrives as bytes anyway.
 
 ``DUMP_MUTATORS`` applies to RPSL dump files, ``TABLE_MUTATORS`` to
 TABLE_DUMP2 route-table text; ``MUTATORS`` is their union.
@@ -16,24 +16,10 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict
 
-__all__ = [
-    "Mutator",
-    "DUMP_MUTATORS",
-    "TABLE_MUTATORS",
-    "MUTATORS",
-    "truncate_mid_paragraph",
-    "splice_binary",
-    "mixed_encoding",
-    "duplicate_attributes",
-    "reorder_attributes",
-    "oversized_paragraph",
-    "corrupt_table",
-]
-
 Mutator = Callable[[random.Random, str], bytes]
 
 # The oversized-paragraph mutator appends one object of roughly this many
-# bytes (ISSUE: "multi-MB paragraphs, 10k-member sets").
+# bytes — a multi-MB paragraph holding a 10k-member set.
 OVERSIZED_MEMBERS = 10_000
 OVERSIZED_PAD_BYTES = 2 << 20
 
@@ -163,6 +149,13 @@ def corrupt_table(rng: random.Random, text: str) -> bytes:
             line += "\x00\xff"
         out.append(line)
     return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def rng_for(seed: int, name: str) -> random.Random:
+    """The random stream for one mutator (or fault) under ``seed``."""
+    # str seeding hashes the bytes (PYTHONHASHSEED-independent), so every
+    # mutator gets its own deterministic stream.
+    return random.Random(f"{seed}:{name}")
 
 
 DUMP_MUTATORS: Dict[str, Mutator] = {

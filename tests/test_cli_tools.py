@@ -109,6 +109,6 @@ class TestParserWiring:
         )
         assert set(subparsers.choices) == {
             "synth", "parse", "verify", "compile", "stats", "metrics", "explain",
-            "trace", "lint", "asrel", "classify", "recommend", "whois", "chaos",
+            "trace", "lint", "asrel", "classify", "recommend", "whois",
             "serve", "debug",
         }

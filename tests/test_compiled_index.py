@@ -24,12 +24,12 @@ import weakref
 from array import array
 
 import pytest
+from chaos.faults import KillWorkerChunk
 from prefix_oracle import oracle_verifier
 from set_oracle import index_mismatches
 
 from repro.api import Session
 from repro.bgp.routegen import collector_routes
-from repro.chaos import KillWorkerChunk, use_faults
 from repro.core import compiled as production
 from repro.core.compiled import (
     CompiledIndex,
@@ -45,6 +45,7 @@ from repro.core.compiled import (
 from repro.core.filter_match import MAX_ITEMS, _merge_items
 from repro.core.report import ItemKind, ReportItem
 from repro.core.verify import Verifier
+from repro.faultplan import use_faults
 from repro.irr.dump import parse_dump_text
 from repro.irr.synth import build_world, tiny_config
 from repro.obs import MetricsRegistry, use_registry

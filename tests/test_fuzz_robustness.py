@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.bgp.table import parse_table_text
 from repro.bgp.updates import parse_update_text
-from repro.chaos.mutators import corrupt_table, splice_binary, truncate_mid_paragraph
+from chaos.mutators import corrupt_table, splice_binary, truncate_mid_paragraph
 from repro.irr.dump import parse_dump_text
 from repro.rpsl.errors import RpslSyntaxError
 from repro.rpsl.lexer import split_dump

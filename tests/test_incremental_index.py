@@ -20,13 +20,13 @@ from contextlib import contextmanager, nullcontext
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from chaos.faults import KillServeWorker, KillWorkerChunk
 from prefix_oracle import NaiveRouteIndex
 from set_oracle import index_mismatches
 
 from repro import api
 from repro.bgp.routegen import collector_routes
 from repro.bgp.topology import AsRelationships
-from repro.chaos import KillServeWorker, KillWorkerChunk, use_faults
 from repro.core.compiled import (
     _collect_references,
     _Referenced,
@@ -37,6 +37,7 @@ from repro.core.compiled import (
 from repro.core.prefixtrie import RouteTrieBuilder
 from repro.core.report import ItemKind
 from repro.core.verify import Verifier, VerifyOptions
+from repro.faultplan import use_faults
 from repro.ir.model import (
     AsSet,
     AutNum,

@@ -67,6 +67,19 @@ class TestRegistryInstallation:
             assert registry.enabled
         assert get_registry() is before
 
+    def test_use_registry_nests_and_resets_on_an_exception(self):
+        before = get_registry()
+        outer_registry, inner_registry = MetricsRegistry(), MetricsRegistry()
+        with use_registry(outer_registry) as outer:
+            assert outer is outer_registry
+            with pytest.raises(RuntimeError):
+                with use_registry(inner_registry) as inner:
+                    assert inner is inner_registry
+                    assert get_registry() is inner_registry
+                    raise RuntimeError("inside the inner scope")
+            assert get_registry() is outer_registry
+        assert get_registry() is before
+
     def test_set_registry_none_restores_null(self):
         previous = set_registry(MetricsRegistry())
         try:

@@ -9,11 +9,12 @@ from functools import partial
 
 import pytest
 
-from repro.chaos import KillWorkerChunk, RaiseOnChunk, hang_a_worker_at, use_faults
+from chaos.faults import KillWorkerChunk, RaiseOnChunk, hang_a_worker_at
 from repro import api
 from repro.core import pool, verify
 from repro.core.pool import SupervisorConfig, _verify_chunk
 from repro.core.verify import Verifier
+from repro.faultplan import use_faults
 from repro.obs import MetricsRegistry, use_registry
 from repro.stats.verification import VerificationStats
 

@@ -5,6 +5,7 @@ module, class, and function in ``repro`` carries a docstring, every
 ``__all__`` entry resolves, and the packages import cleanly in isolation.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -24,7 +25,6 @@ import repro
 PACKAGES = [
     "repro", "repro.net", "repro.rpsl", "repro.ir", "repro.irr",
     "repro.bgp", "repro.core", "repro.stats", "repro.baseline", "repro.tools",
-    "repro.chaos",
 ]
 
 
@@ -362,6 +362,47 @@ def test_no_chaos_instrumentation_in_product_signatures():
         node.name for node in load_result.body if isinstance(node, ast.FunctionDef)
     }
     assert not methods & {"__getattr__", "__iter__"}, methods
+
+
+def _imported_modules(tree) -> list[tuple[int, str]]:
+    """``(lineno, module)`` per import; a relative import as ``.module``."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append((node.lineno, "." * node.level + (node.module or "")))
+    return imported
+
+
+def test_the_chaos_apparatus_is_not_shipped():
+    """Fault injection is test apparatus (``tests/chaos/``): the product has
+    no chaos package or subcommand, imports nothing from ``tests/``, and
+    its one fault hook, ``repro.faultplan``, imports nothing from ``repro``."""
+    from repro.cli import build_parser
+
+    assert not (_SRC / "chaos").exists()
+    tests_dir = Path(__file__).resolve().parent
+    test_modules = {"tests", "chaos"} | {path.stem for path in tests_dir.glob("*.py")}
+    offenders = [
+        f"{path.relative_to(_SRC)}:{lineno} imports {module}"
+        for path in sorted(_SRC.rglob("*.py"))
+        for lineno, module in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if module.split(".")[0] in test_modules or module.startswith("repro.chaos")
+    ]
+    assert not offenders, offenders
+    faultplan = ast.parse((_SRC / "faultplan.py").read_text(encoding="utf-8"))
+    assert not [
+        module
+        for _, module in _imported_modules(faultplan)
+        if module.startswith((".", "repro"))
+    ]
+    (subcommands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert subcommands and "chaos" not in subcommands
 
 
 def test_version_exported():

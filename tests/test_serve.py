@@ -24,8 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from chaos.faults import HungWorker
 from repro import api
-from repro.chaos import HungWorker, use_faults
+from repro.faultplan import use_faults
 from repro.irr.whois import whois_query
 from repro.obs import MetricsRegistry, parse_prometheus, read_events
 from repro.serve import Query, ServeConfig, ServeDaemon, report_as_dict
@@ -1919,7 +1920,7 @@ class TestBoundedShutdown:
     def test_whois_client_stalled_mid_line_does_not_hold_stop(
         self, running, caplog
     ):
-        from repro.chaos import SlowClient
+        from chaos.faults import SlowClient
 
         ports = (running.http_port, running.whois_port)
         with SlowClient("127.0.0.1", running.whois_port, partial=b"AS") as slow:

@@ -16,8 +16,9 @@ import time
 
 import pytest
 
+from chaos.faults import KillServeWorker
 from repro import api
-from repro.chaos import KillServeWorker, use_faults
+from repro.faultplan import use_faults
 from repro.irr.history import ChurnConfig, evolve_with_journal
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import Counter, Gauge, Histogram

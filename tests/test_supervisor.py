@@ -22,9 +22,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from chaos.faults import HungWorker, KillServeWorker
 from repro import api
-from repro.chaos import HungWorker, KillServeWorker, use_faults
 from repro.core import pool
+from repro.faultplan import use_faults
 from repro.obs import MetricsRegistry
 from repro.serve import (
     BusyError,

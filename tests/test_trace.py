@@ -19,10 +19,11 @@ import tempfile
 
 import pytest
 
+from chaos.faults import KillWorkerChunk, RaiseOnChunk
 from repro import api
-from repro.chaos import KillWorkerChunk, RaiseOnChunk, use_faults
 from repro.cli import main
 from repro.core.verify import Verifier
+from repro.faultplan import use_faults
 from repro.obs.events import EventLog, read_events
 from repro.obs.trace import (
     NULL_TRACER,
