@@ -51,8 +51,10 @@ perf-regression:
 # The end-to-end ledger (benchmarks/e2e, BENCHMARK.json) for its exit
 # code only: the harness self-tests, then one short churn run whose
 # golden-count, pass-agreement and fresh-compile gates must hold, then
-# one short verify_table run — the hop-cache *miss* path — against the
-# golden verdict digest, hop histogram and lazy-engine differential, then
+# one short verify_table run — the hop cache cold per call, the rule plans
+# the index generation's — against the golden verdict digest, hop
+# histogram and the differential against a fresh verifier, which checks
+# those shared plans, then
 # one short ingest run — the IR codec on the real open path: cold/warm
 # digest parity, cached-artifact adoption, golden object counts, then
 # one short serve run — the daemon as a subprocess: every /verify body

@@ -537,9 +537,11 @@ class Session:
         return equal stats.
 
         The one table pass.  It adopts the index first (:meth:`warm`), then
-        verifies on a fresh :class:`Verifier` over the current generation,
-        with the session's options: its hop cache starts cold and is
-        dropped with the pass.
+        verifies on a pass view of the current generation's verifier
+        (:meth:`Verifier.for_pass`): its hop cache starts cold and is
+        dropped with the pass, while the rule plans, interned reports and
+        only-provider memo are the generation's, built by whichever pass
+        first needs them (plans and reports bounded by ``hop_cache_size``).
         ``entries`` may be any iterable (e.g. the streaming
         :func:`~repro.bgp.table.parse_table_file` generator).
 
@@ -563,7 +565,7 @@ class Session:
         owns a tracer, sampled decision provenance is recorded into it.
         """
         self._check_open()
-        relationships = self._need_relationships()
+        self._need_relationships()
         current = self.warm()._generation
         tracer_scope = (
             use_tracer(self.tracer) if self.tracer is not None else nullcontext()
@@ -584,21 +586,18 @@ class Session:
                     from repro.core.pool import _verify_pooled
 
                     stats = _verify_pooled(
-                        current.ir,
-                        relationships,
-                        self.options,
-                        current.index,
+                        current.verifier,
                         enumerate(chain([first], chunks)),
                         processes,
                         start_method,
                     )
                 else:
                     stats = VerificationStats()
-                    verifier = Verifier(
-                        current.ir, relationships, self.options, index=current.index
-                    )
                     verify_into(
-                        verifier, entries if first is None else first, stats, on_report
+                        current.verifier.for_pass(),
+                        entries if first is None else first,
+                        stats,
+                        on_report,
                     )
                 if registry.enabled:
                     # The hit rate of the merged counters, and this pass's
@@ -631,9 +630,10 @@ class Session:
 
         Returns ``(report, events)``: the route report plus the full
         decision-provenance event list (sample rate 1, deep chains always
-        recorded — the verifier is fresh, so every hop is a cache miss and
-        its filter-evaluation path is captured).  The verifier runs on the
-        session's options over the index it adopts once (:meth:`warm`).
+        recorded — the pass view's hop cache is empty, so every hop is a
+        cache miss and its filter-evaluation path is captured).  The view
+        (:meth:`Verifier.for_pass`) borrows the current generation's rule
+        plans, so the events are the same whether they are cold or warm.
         This is what ``rpslyzer explain`` and ``POST /explain`` print.  The
         events carry ``request_id`` (the served request being answered, if
         any) and the generation, and also land in the session's event log
@@ -641,17 +641,14 @@ class Session:
         request's matched rules next to its stage breakdown.
         """
         self._check_open()
-        relationships = self._need_relationships()
+        self._need_relationships()
         current = self.warm()._generation
         tracer = Tracer(
             TraceConfig(sample_rate=1, deep=True),
             ids={"request": request_id or None, "generation": current.number},
         )
         with self._scope(), use_tracer(tracer):
-            verifier = Verifier(
-                current.ir, relationships, self.options, index=current.index
-            )
-            report = verifier.verify_route(
+            report = current.verifier.for_pass().verify_route(
                 prefix, tuple(as_path), collector=collector
             )
         if self.flight is not None:

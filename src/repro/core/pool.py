@@ -158,39 +158,39 @@ def _verify_chunk(
 
 
 def _verify_pooled(
-    ir: Ir,
-    relationships: AsRelationships,
-    options: VerifyOptions | None,
-    index: CompiledIndex,
+    verifier: Verifier,
     chunks: Iterator[tuple[int, list[RouteEntry]]],
     processes: int,
     start_method: str | None,
 ) -> VerificationStats:
     """The pool's table client: one chunk in flight per worker.
 
-    Starts a pool of ``processes`` workers over ⟨ir, index⟩, feeds it the
-    numbered ``chunks`` and stops it again, all inside one event loop of
-    its own, on this thread — so the caller's iterator is advanced, every
-    result merged and the pool supervised here.  (Like any
+    Starts a pool of ``processes`` workers over the generation of
+    ``verifier`` (its ⟨ir, index⟩ and options), feeds it the numbered
+    ``chunks`` and stops it again, all inside one event loop of its own,
+    on this thread — so the caller's iterator is advanced, every result
+    merged and the pool supervised here.  (Like any
     ``asyncio.run``, not from inside a running loop: hand a pooled table
     pass to an executor thread there.)
 
     A chunk the pool hands back, or one that raised in a worker, is
-    verified in-process and recorded as ``verify/chunk-serial-fallback``;
-    once the pool degrades, the rest of the table drains here.  The
-    returned stats are exact either way.  Each worker's drained metrics,
-    trace lines and sample counts are folded into the parent's registry
-    and tracer only for a chunk whose result is accepted.
+    verified in-process — on one pass view of ``verifier``, which borrows
+    the generation's rule plans (:meth:`Verifier.for_pass`) — and recorded
+    as ``verify/chunk-serial-fallback``; once the pool degrades, the rest
+    of the table drains here.  The returned stats are exact either way.
+    Each worker's drained metrics, trace lines and sample counts are
+    folded into the parent's registry and tracer only for a chunk whose
+    result is accepted.
     """
     registry = get_registry()
     tracer = get_tracer()
     total = VerificationStats()
     fallback: Verifier | None = None
     pool = WorkerSupervisor(
-        ir,
-        relationships,
-        options,
-        index,
+        verifier.ir,
+        verifier.relationships,
+        verifier.options,
+        verifier.query.index,
         SupervisorConfig(workers=processes, start_method=start_method),
         degradation=total.degradation,
         component="verify",
@@ -225,7 +225,7 @@ def _verify_pooled(
                 )
             # A deterministic error surfaces from here, in the parent.
             if fallback is None:
-                fallback = Verifier(ir, relationships, options, index=index)
+                fallback = verifier.for_pass()
             verify_into(fallback, chunk, total)
 
     async def run() -> None:

@@ -19,6 +19,7 @@ rules and Y's import rules.  Every check is classified, in order, as:
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
@@ -102,8 +103,9 @@ class VerifyOptions:
     # verifier minus what the journal can reach (Verifier.adopt_hop_cache).
     # The same figure bounds the verifier's other two stores, the rule plans
     # (one per ⟨subject, direction, family, remote AS⟩) and the interned
-    # reports (one per verdict value): each cleared wholesale at capacity,
-    # the reports with the plans too, neither kept at 0, neither handed over.
+    # reports (one per verdict value), which every pass over a generation
+    # shares (Verifier.for_pass): each cleared wholesale at capacity, the
+    # reports with the plans too, neither kept at 0, neither handed over.
     hop_cache_size: int = 1 << 20
 
 
@@ -337,9 +339,12 @@ class Verifier:
     (:meth:`repro.api.Session.apply_deltas`) the replacement verifier takes
     the cache over through :meth:`adopt_hop_cache`, which drops exactly the
     entries the journal can have changed and keeps the rest warm across
-    index generations.  Rule plans and the intern store are a pure
-    function of one IR generation and are never handed over: a new
-    verifier starts with neither.
+    index generations.  Rule plans, the intern store and the only-provider
+    memo are a pure function of one IR generation: the generation's
+    verifier owns them and lends them to every :meth:`for_pass` view of
+    itself, but never hands them to another generation — a new verifier
+    starts with none.  Plans and reports stay bounded by
+    ``hop_cache_size``; the memo holds one flag per aut-num.
     """
 
     def __init__(
@@ -353,7 +358,32 @@ class Verifier:
         self.relationships = relationships
         self.options = options if options is not None else VerifyOptions()
         self.query = QueryEngine(ir, index if index is not None else compile_index(ir))
-        matcher = AsPathMatcher(self.query)
+        self.peerings = PeeringEvaluator(self.query)
+        self.special = SpecialCaseChecker(self.query, relationships)
+        # ⟨direction, from, to, family⟩ -> the subject's rules specialised on
+        # the remote AS.  A pure function of this verifier's IR, so it lives
+        # as long as the verifier does and is shared with its pass views.
+        self._rule_plans: dict[tuple[str, int, int, int], _RulePlan] = {}
+        # A report's value -> the one report object of that value (_finish).
+        self._reports: dict[tuple, HopReport] = {}
+        self._begin_pass(AsPathMatcher(self.query))
+
+    def for_pass(self) -> "Verifier":
+        """A *pass view* of this verifier, for one table pass or one replay.
+
+        The view shares this verifier's generation-scoped stores — the
+        rule plans, the interned reports and the only-provider memo — so
+        a plan is built once per generation, not once per pass.  Its hop
+        cache starts empty and its hit/miss counters at 0, and it binds
+        the registry and the tracer in scope now, as a new verifier would.
+        """
+        view = copy.copy(self)
+        view._begin_pass(self.filters.matcher)
+        return view
+
+    def _begin_pass(self, matcher: AsPathMatcher) -> None:
+        """Give this object what is a pass's own: its filter evaluator (whose
+        trace sink is per pass), hop cache, counters and instruments."""
         self.filters = FilterEvaluator(
             self.query,
             matcher,
@@ -361,15 +391,7 @@ class Verifier:
             handle_same_pattern=self.options.handle_same_pattern,
             community_matches=self.options.community_matches,
         )
-        self.peerings = PeeringEvaluator(self.query)
-        self.special = SpecialCaseChecker(self.query, relationships)
         self._hop_cache: dict[tuple, HopReport] = {}
-        # ⟨direction, from, to, family⟩ -> the subject's rules specialised on
-        # the remote AS.  A pure function of this verifier's IR, so it lives
-        # exactly as long as the verifier does.
-        self._rule_plans: dict[tuple[str, int, int, int], _RulePlan] = {}
-        # A report's value -> the one report object of that value (_finish).
-        self._reports: dict[tuple, HopReport] = {}
         self.hop_cache_hits = 0
         self.hop_cache_misses = 0
         self.hop_cache_evictions = 0
@@ -643,7 +665,8 @@ class Verifier:
 
         Bounded like the rule plans and by the same option: cleared
         wholesale at ``hop_cache_size`` entries and with the plans, not
-        kept at all when that is 0, never handed to another verifier.
+        kept at all when that is 0, shared with the pass views, never
+        handed to another generation.
         """
         items = items[:_MAX_ITEMS]
         key = (direction, from_asn, to_asn, status, items, peer_matched, rule_index, source)
@@ -668,8 +691,8 @@ class Verifier:
 
         Bounded like the hop cache and by the same option: cleared
         wholesale at ``hop_cache_size`` entries, not kept at all when that
-        is 0.  Never handed to another verifier — a plan reads as-sets and
-        peering-sets of this verifier's IR generation.
+        is 0.  Shared with the pass views, never handed to another
+        generation — a plan reads as-sets and peering-sets of this one.
         """
         key = (direction, from_asn, to_asn, version)
         plan = self._rule_plans.get(key)

@@ -151,10 +151,15 @@ class ServeDaemon:
                 )
 
     def request_shutdown(self) -> None:
-        """Trigger the drain sequence; safe to call from any thread."""
-        if self._loop is None or self._shutdown is None:
+        """Trigger the drain sequence; safe to call from any thread, and a
+        no-op once the daemon's loop has closed (it has already stopped)."""
+        loop = self._loop
+        if loop is None or self._shutdown is None or loop.is_closed():
             return
-        self._loop.call_soon_threadsafe(self._shutdown.set)
+        try:
+            loop.call_soon_threadsafe(self._shutdown.set)
+        except RuntimeError:  # the loop closed after the check above
+            pass
 
     def _install_signal_handlers(self) -> None:
         assert self._loop is not None
@@ -273,7 +278,8 @@ class ServeHandle:
         return self.daemon.whois.port if self.daemon.whois is not None else None
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Request the drain sequence and wait for the daemon to exit."""
+        """Request the drain sequence and wait for the daemon to exit.
+        Idempotent: stopping a stopped daemon returns at once."""
         self.daemon.request_shutdown()
         self._thread.join(timeout)
         if self._thread.is_alive():  # pragma: no cover

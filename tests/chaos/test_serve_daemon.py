@@ -33,8 +33,7 @@ def daemon(tiny_ir, tiny_world, tiny_routes):
         ServeConfig(http_port=0, queue_size=4, batch_max=2, default_deadline=30.0),
     ).start_in_thread()
     yield handle, body, expected
-    if handle._thread.is_alive():  # a second stop() raises on the closed loop
-        handle.stop()
+    handle.stop()
 
 
 def test_serve_http_bit_identity(daemon):

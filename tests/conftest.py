@@ -93,7 +93,8 @@ def tiny_verifier(tiny_ir, tiny_world):
 @pytest.fixture(scope="session")
 def tiny_session(tiny_ir, tiny_world):
     """A session over the tiny world, its index compiled in memory on the
-    first table pass; every ``verify_table`` builds a fresh verifier."""
+    first table pass; every ``verify_table`` starts a cold hop cache over
+    the generation's shared rule plans."""
     with Session(tiny_ir, tiny_world.topology, use_cache=False) as session:
         yield session
 

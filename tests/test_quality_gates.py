@@ -148,6 +148,34 @@ def test_one_resolver():
     assert not offenders, offenders
 
 
+def _call_scopes(tree, callee: str, scope: str = "<module>"):
+    """The scope (qualified def name) of every call to ``callee`` in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
+            yield from _call_scopes(node, callee, inner)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) == callee:
+                yield scope
+        yield from _call_scopes(node, callee, scope)
+
+
+def test_one_plan_store_per_generation():
+    """A verifier's rule plans, interned reports and only-provider memo are
+    its generation's: ``src/`` constructs a ``Verifier`` only for a new
+    generation (``Session._generation_over``) and for the public
+    ``make_verifier``.  Every pass borrows the generation's stores through
+    ``Verifier.for_pass``."""
+    sites = sorted(
+        f"{path.relative_to(_SRC)}:{scope}"
+        for path in _SRC.rglob("*.py")
+        for scope in _call_scopes(ast.parse(path.read_text(encoding="utf-8")), "Verifier")
+    )
+    assert sites == ["api.py:Session._generation_over", "api.py:make_verifier"]
+
+
 def _is_chunk(node) -> bool:
     return isinstance(node, ast.Constant) and node.value == "chunk"
 

@@ -384,6 +384,18 @@ class TestDeadlineValidation:
 
 
 class TestDrainPaths:
+    def test_stop_is_idempotent(self, serve_session):
+        """A second ``stop()``, or leaving the ``with`` block after an
+        explicit one, returns: the daemon's loop is closed by then."""
+        config = ServeConfig(http_port=0)
+        handle = ServeDaemon(serve_session, config).start_in_thread()
+        handle.stop()
+        handle.stop()
+        with ServeDaemon(serve_session, config).start_in_thread() as running:
+            running.stop()
+        assert not running._thread.is_alive()
+        running.daemon.request_shutdown()  # and from no handle at all
+
     def test_drain_timeout_returns_false_and_waiters_get_busy(
         self, serve_session, tiny_routes
     ):
