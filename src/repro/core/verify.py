@@ -19,7 +19,6 @@ rules and Y's import rules.  Every check is classified, in order, as:
 
 from __future__ import annotations
 
-import copy
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
@@ -309,6 +308,11 @@ class _VerifierMetrics:
             ).inc(count)
 
 
+# What a pass view shares with its verifier (Verifier.for_pass), in __init__'s order.
+_SHARED_WITH_PASSES = ("ir", "relationships", "options", "query", "peerings",
+                       "special", "_rule_plans", "_reports")
+
+
 class Verifier:
     """Verifies BGP routes against the policies of one (merged) IR.
 
@@ -340,11 +344,9 @@ class Verifier:
     the cache over through :meth:`adopt_hop_cache`, which drops exactly the
     entries the journal can have changed and keeps the rest warm across
     index generations.  Rule plans, the intern store and the only-provider
-    memo are a pure function of one IR generation: the generation's
-    verifier owns them and lends them to every :meth:`for_pass` view of
-    itself, but never hands them to another generation — a new verifier
-    starts with none.  Plans and reports stay bounded by
-    ``hop_cache_size``; the memo holds one flag per aut-num.
+    memo are a pure function of one IR generation: this verifier lends them
+    to its :meth:`for_pass` views and never hands them over, so a new one
+    starts with none (plans and reports bounded by ``hop_cache_size``).
     """
 
     def __init__(
@@ -371,13 +373,16 @@ class Verifier:
     def for_pass(self) -> "Verifier":
         """A *pass view* of this verifier, for one table pass or one replay.
 
-        The view shares this verifier's generation-scoped stores — the
-        rule plans, the interned reports and the only-provider memo — so
-        a plan is built once per generation, not once per pass.  Its hop
-        cache starts empty and its hit/miss counters at 0, and it binds
-        the registry and the tracer in scope now, as a new verifier would.
+        It shares the rule plans, the interned reports and the only-provider
+        memo, so a plan is built once per generation, not once per pass; its
+        hop cache, counters, registry and tracer are its own, as a new
+        verifier's would be.
         """
-        view = copy.copy(self)
+        # Not copy.copy: reading ``__dict__`` moves both objects off CPython's
+        # inline attribute storage, and every hot ``self.`` lookup slows down.
+        view = object.__new__(type(self))
+        for name in _SHARED_WITH_PASSES:
+            setattr(view, name, getattr(self, name))
         view._begin_pass(self.filters.matcher)
         return view
 
@@ -665,8 +670,7 @@ class Verifier:
 
         Bounded like the rule plans and by the same option: cleared
         wholesale at ``hop_cache_size`` entries and with the plans, not
-        kept at all when that is 0, shared with the pass views, never
-        handed to another generation.
+        kept at all when that is 0, never handed to another generation.
         """
         items = items[:_MAX_ITEMS]
         key = (direction, from_asn, to_asn, status, items, peer_matched, rule_index, source)

@@ -278,8 +278,7 @@ class ServeHandle:
         return self.daemon.whois.port if self.daemon.whois is not None else None
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Request the drain sequence and wait for the daemon to exit.
-        Idempotent: stopping a stopped daemon returns at once."""
+        """Request the drain sequence and wait for the daemon to exit (idempotent)."""
         self.daemon.request_shutdown()
         self._thread.join(timeout)
         if self._thread.is_alive():  # pragma: no cover

@@ -46,6 +46,7 @@ def test_examples_present():
         "route_leak_detection.py",
         "irr_tooling.py",
         "update_stream_monitoring.py",
+        "verify_collector_tables.py",
     } <= names
 
 

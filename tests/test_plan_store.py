@@ -90,6 +90,21 @@ def test_second_pass_builds_no_plan_and_starts_its_hop_cache_cold(
         assert session.verifier._hop_cache == {}  # no pass wrote to it
 
 
+def test_a_pass_view_is_a_whole_verifier(tiny_ir, tiny_world):
+    """The view has every attribute a verifier has, shares the
+    generation's stores and owns its hop cache and filter evaluator."""
+    with _open(tiny_ir, tiny_world) as session:
+        verifier = session.verifier
+        view = verifier.for_pass()
+        fresh = api.make_verifier(session.ir, session.relationships, session.options)
+        assert type(view) is type(verifier)
+        assert set(vars(view)) == set(vars(fresh))
+        for name in ("query", "special", "_rule_plans", "_reports"):
+            assert getattr(view, name) is getattr(verifier, name)
+        for name in ("filters", "_hop_cache"):
+            assert getattr(view, name) is not getattr(verifier, name)
+
+
 def test_pass_reports_equal_a_fresh_verifier_cold_warm_and_after_apply(
     tiny_ir, tiny_world, tiny_routes
 ):
