@@ -50,9 +50,11 @@ perf-regression:
 
 # The end-to-end ledger (benchmarks/e2e, BENCHMARK.json) for its exit
 # code only: the harness self-tests, then one short churn run whose
-# golden-count, pass-agreement and fresh-compile gates must hold, then
+# golden-count, pass-agreement and fresh-compile gates must hold (verdict
+# plans carried across its journals included), then
 # one short verify_table run — the hop cache cold per call, the rule plans
-# the index generation's — against the golden verdict digest, hop
+# the index generation's, a verdict plan answering its checks before the
+# hop cache — against the golden verdict digest, hop
 # histogram and the differential against a fresh verifier, which checks
 # those shared plans, then
 # one short ingest run — the IR codec on the real open path: cold/warm
@@ -101,13 +103,16 @@ chaos-smoke:
 # restart accounting in /metrics and the degradation report).  The table
 # pass, Session.verify_table
 # (processes=N), in tests/test_parallel.py: exact stats under killed,
-# SIGSTOPped and raising workers, no child left behind.
+# SIGSTOPped and raising workers, no child left behind; in
+# tests/test_plan_store.py, a pooled pass equal to the serial one after
+# every journal apply.
 # Then one table, traced, through the serial pass and a 2-worker pool: same
 # summary, same figure CSVs (a merge-order dependence shows up as a diff),
 # same `rpslyzer trace` summary, no spill directory left in $$TMPDIR.
 chaos-serve:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/chaos/test_serve_pool.py tests/test_supervisor.py \
-	  tests/test_parallel.py tests/test_serve_core.py -q -p no:cacheprovider -W error::RuntimeWarning \
+	  tests/test_parallel.py tests/test_serve_core.py tests/test_plan_store.py \
+	  -q -p no:cacheprovider -W error::RuntimeWarning \
 	  -W error::pytest.PytestUnraisableExceptionWarning
 	PYTHONPATH=src PYTHON=$(PYTHON) sh scripts/pool_figures.sh
 

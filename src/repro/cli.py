@@ -276,6 +276,7 @@ _CACHE_FIGURES = (
     "hop_cache_misses",
     "hop_cache_evictions",
     "hop_cache_hit_rate",
+    "rule_plan_verdicts",
     "index_cache_hits",
     "index_cache_misses",
     "index_compile_seconds",
@@ -317,10 +318,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     # below (disk_cache_dir is always set, so it must not gate this line).
     if any(caches[figure] for figure in _CACHE_FIGURES):
         print(
-            "caches: hop {hits}/{total} hits ({rate:.1%}), "
+            "caches: {verdicts} checks answered by verdict plans; "
+            "hop {hits}/{total} hits ({rate:.1%}), "
             "{evictions} evictions, {plans} rule plans for {misses} misses; "
             "index {index_hits} hits / "
             "{index_misses} misses, compile {compile:.2f}s".format(
+                verdicts=caches["rule_plan_verdicts"],
                 hits=caches["hop_cache_hits"],
                 total=caches["hop_cache_hits"] + caches["hop_cache_misses"],
                 rate=caches["hop_cache_hit_rate"],

@@ -104,7 +104,8 @@ class VerifyOptions:
     # (one per ⟨subject, direction, family, remote AS⟩) and the interned
     # reports (one per verdict value), which every pass over a generation
     # shares (Verifier.for_pass): each cleared wholesale at capacity, the
-    # reports with the plans too, neither kept at 0, neither handed over.
+    # reports with the plans too, neither kept at 0.  Of the plans, only
+    # the route-independent verdicts are handed over, by the same apply.
     hop_cache_size: int = 1 << 20
 
 
@@ -216,7 +217,9 @@ class _RulePlan:
     """One AS's rules in one direction, for one family and one remote AS.
 
     ``verdict`` is set when no rule can be consulted at all (no aut-num, or
-    none in this direction): the report is then the same for every route.
+    none in this direction): the report is then the same for every route,
+    and the plan holds nothing else, so it pins nothing of the IR it was
+    built from and may outlive it (``Verifier.adopt_hop_cache``).
     Otherwise ``aut_num`` is the subject, ``live`` holds ⟨index into its
     rule list, residual expression, evidence of the dead rules after it⟩
     per rule that can still match, and ``leading`` the evidence of the dead
@@ -266,6 +269,7 @@ class _VerifierMetrics:
         "cache_evictions",
         "plan_hits",
         "plans_built",
+        "plan_verdicts",
         "latency",
         "routes",
     )
@@ -282,14 +286,19 @@ class _VerifierMetrics:
         self.cache_evictions = registry.counter("verify_hop_cache_evictions_total")
         self.plan_hits = registry.counter("verify_rule_plans_total", result="hit")
         self.plans_built = registry.counter("verify_rule_plans_total", result="built")
+        self.plan_verdicts = registry.counter("verify_rule_plans_total", result="verdict")
         self.latency = registry.histogram("verify_hop_seconds")
         self.routes = registry.counter("verify_routes_total")
 
-    def add_route(self, counts: list[int], hits: int, misses: int, evictions: int) -> None:
+    def add_route(
+        self, counts: list[int], verdicts: int, hits: int, misses: int, evictions: int
+    ) -> None:
         """Publish one route's counts, kept in locals while its hops ran."""
         for counter, count in zip(self.status, counts):
             if count:
                 counter.inc(count)
+        if verdicts:
+            self.plan_verdicts.inc(verdicts)
         if hits:
             self.cache_hits.inc(hits)
         if misses:
@@ -338,15 +347,21 @@ class Verifier:
     object, so its tally key and renderings are worked out once per
     distinct verdict, not once per hop.
 
+    A plan that is a verdict (no aut-num, no rule in the direction) is
+    the check's answer whatever the route, so :meth:`verify_entry` asks
+    the plan store first and builds no hop-cache key for such a check.
+
     The stores have different lifetimes.  The hop cache belongs to the
     verdicts, not to one IR snapshot: when a journal is applied
     (:meth:`repro.api.Session.apply_deltas`) the replacement verifier takes
     the cache over through :meth:`adopt_hop_cache`, which drops exactly the
     entries the journal can have changed and keeps the rest warm across
-    index generations.  Rule plans, the intern store and the only-provider
-    memo are a pure function of one IR generation: this verifier lends them
-    to its :meth:`for_pass` views and never hands them over, so a new one
-    starts with none (plans and reports bounded by ``hop_cache_size``).
+    index generations.  The same call carries the verdict plans the journal
+    cannot reach; they read only the subject's aut-num and hold none of it.
+    Plans with rules to run, the intern store and the only-provider memo
+    are a pure function of one IR generation: this verifier lends them to
+    its :meth:`for_pass` views and never hands them over (plans and
+    reports bounded by ``hop_cache_size``).
     """
 
     def __init__(
@@ -397,6 +412,7 @@ class Verifier:
             community_matches=self.options.community_matches,
         )
         self._hop_cache: dict[tuple, HopReport] = {}
+        self.plan_verdicts = 0  # checks a verdict plan answered (verify_entry)
         self.hop_cache_hits = 0
         self.hop_cache_misses = 0
         self.hop_cache_evictions = 0
@@ -412,7 +428,8 @@ class Verifier:
     def adopt_hop_cache(
         self, previous: "Verifier", effects: PatchEffects | None
     ) -> dict:
-        """Take over ``previous``'s hop cache, minus what ``effects`` reaches.
+        """Take over ``previous``'s hop cache and verdict plans, minus what
+        ``effects`` reaches.
 
         ``previous`` verified the IR generation this verifier's IR was
         patched from; ``effects`` is that patch's
@@ -426,7 +443,11 @@ class Verifier:
         ``effects.prefixes`` covers *P*; or ``from``/``to`` is in
         ``effects.flipped_origins``.  ``docs/incremental.md`` ("What a
         delta invalidates") derives why those are all the reads a check
-        makes.
+        makes.  A rule plan that is a verdict reads only ``ir.aut_nums[s]``,
+        so it is carried unless the first clause reaches it: *s* is in
+        ``effects.subjects``, or the plan is an import's and *s* is in
+        ``effects.import_subjects``.  Plans with rules to run read sets
+        and are never carried.
 
         The dict itself changes hands and is swept in place — a cache may
         hold 2**20 entries, so no survivor copy is ever built — and
@@ -440,6 +461,7 @@ class Verifier:
             cache.clear()
         else:
             dropped.update(_sweep(cache, effects, self.query.routes))
+            self._rule_plans.update(_carried_verdicts(previous._rule_plans, effects))
         # Last: a sweep that raises leaves ``previous`` short of stale entries only.
         previous._hop_cache, self._hop_cache = {}, cache
         if self._metrics is not None:
@@ -451,13 +473,16 @@ class Verifier:
     def verify_entry(self, entry: RouteEntry) -> RouteReport:
         """Verify one observed route; hops are reported origin side first.
 
-        The one loop over a route's hops.  Each check probes the hop cache
-        on its full decision context — ⟨direction, from, to, prefix,
-        sub-path toward the origin, communities⟩ — so a hit is exact, and
-        reports are immutable so sharing is safe.  The prefix enters the
-        key as ``(version, network, length)`` ints, built once per route,
-        so the whole key hashes in C.  Only a miss calls :meth:`_miss`;
-        the counters are kept in locals and published once per route.
+        The one loop over a route's hops.  Each check first probes the rule
+        plans on ⟨direction, from, to, family⟩: a plan that is a verdict
+        answers the check for every route, with no hop-cache key built.
+        Any other check probes the hop cache on its full decision context —
+        ⟨direction, from, to, prefix, sub-path toward the origin,
+        communities⟩ — so a hit is exact, and reports are immutable so
+        sharing is safe.  The prefix enters the key as ``(version, network,
+        length)`` ints, built once per route, so the whole key hashes in C.
+        Only a miss calls :meth:`_miss`, with the plan the probe found; the
+        counters are kept in locals and published once per route.
         """
         tracer = self._tracer
         trace = tracer.route(entry) if tracer is not None else None
@@ -482,10 +507,12 @@ class Verifier:
         head = trace if trace is not None and trace.head else None
         prefix = entry.prefix
         communities = entry.communities
-        route_prefix = (prefix.version, prefix.network, prefix.length)
+        version = prefix.version
+        route_prefix = (version, prefix.network, prefix.length)
+        plans = self._rule_plans
         cache = self._hop_cache
-        cache_size = self.options.hop_cache_size  # at 0 the cache stays empty
-        hits = misses = evictions = 0
+        cache_size = self.options.hop_cache_size  # at 0 both stay empty
+        verdicts = hits = misses = evictions = 0
         counts = [0] * len(metrics.status) if metrics is not None else None
         hops = report.hops
         for index in range(len(path) - 2, -1, -1):
@@ -493,30 +520,41 @@ class Verifier:
             importer = path[index]
             sub_path = path[index + 1 :]
             for direction in _DIRECTIONS:
-                key = (direction, exporter, importer, route_prefix, sub_path, communities)
-                hop = cache.get(key)
-                if hop is not None:
-                    hits += 1
+                plan = plans.get((direction, exporter, importer, version))
+                if plan is not None and plan.verdict is not None:
+                    # Recorded as a miss on this plan would be: not cached,
+                    # no filter walked.
+                    hop = plan.verdict
+                    verdicts += 1
                     if head is not None:
-                        head.add_hop(hop, True, None)
+                        head.add_hop(hop, False, None)
                 else:
-                    hop = self._miss(
-                        direction, exporter, importer, prefix, sub_path, communities, head
-                    )
-                    if cache_size:
-                        misses += 1
-                        if len(cache) >= cache_size:
-                            cache.clear()
-                            evictions += 1
-                        cache[key] = hop
+                    key = (direction, exporter, importer, route_prefix, sub_path, communities)
+                    hop = cache.get(key)
+                    if hop is not None:
+                        hits += 1
+                        if head is not None:
+                            head.add_hop(hop, True, None)
+                    else:
+                        hop = self._miss(
+                            direction, exporter, importer, prefix, sub_path,
+                            communities, head, plan,
+                        )
+                        if cache_size:
+                            misses += 1
+                            if len(cache) >= cache_size:
+                                cache.clear()
+                                evictions += 1
+                            cache[key] = hop
                 hops.append(hop)
                 if counts is not None:
                     counts[hop.status] += 1
+        self.plan_verdicts += verdicts
         self.hop_cache_hits += hits
         self.hop_cache_misses += misses
         self.hop_cache_evictions += evictions
         if metrics is not None:
-            metrics.add_route(counts, hits, misses, evictions)
+            metrics.add_route(counts, verdicts, hits, misses, evictions)
         if trace is not None:
             tracer.commit(trace, report)
         return report
@@ -543,13 +581,16 @@ class Verifier:
         sub_path: tuple[int, ...],
         communities: frozenset[tuple[int, int]],
         trace: RouteTrace | None,
+        plan: _RulePlan | None,
     ) -> HopReport:
         """Classify one check the hop cache did not answer.
 
-        Timed when metrics are enabled.  ``trace`` is the route's head
-        sample, if it is one: the check is recorded as not cached, with
-        the filter-evaluation path the evaluator walked when the sample is
-        deep (see :mod:`repro.obs.trace`).
+        ``plan`` is what the plan store held for the check when it was
+        probed (None: not built yet).  Timed when metrics are enabled.
+        ``trace`` is the route's head sample, if it is one: the check is
+        recorded as not cached, with the filter-evaluation path the
+        evaluator walked when the sample is deep (see
+        :mod:`repro.obs.trace`).
         """
         chain: list[str] | None = [] if trace is not None and trace.deep else None
         if chain is not None:
@@ -558,7 +599,7 @@ class Verifier:
         started = time.perf_counter() if metrics is not None else 0.0
         try:
             report = self._check_uncached(
-                direction, from_asn, to_asn, prefix, sub_path, communities
+                direction, from_asn, to_asn, prefix, sub_path, communities, plan
             )
         finally:
             if chain is not None:
@@ -577,8 +618,12 @@ class Verifier:
         prefix: Prefix,
         sub_path: tuple[int, ...],
         communities: frozenset[tuple[int, int]],
+        plan: _RulePlan | None,
     ) -> HopReport:
-        plan = self._plan_for(direction, from_asn, to_asn, prefix.version)
+        if plan is None:
+            plan = self._plan_for(direction, from_asn, to_asn, prefix.version)
+        elif self._metrics is not None:
+            self._metrics.plan_hits.inc()
         if plan.verdict is not None:
             # Route-independent: nothing below would read a context.
             return plan.verdict
@@ -695,8 +740,9 @@ class Verifier:
 
         Bounded like the hop cache and by the same option: cleared
         wholesale at ``hop_cache_size`` entries, not kept at all when that
-        is 0.  Shared with the pass views, never handed to another
-        generation — a plan reads as-sets and peering-sets of this one.
+        is 0.  Shared with the pass views.  Only a verdict is handed to
+        the next generation (:meth:`adopt_hop_cache`): a plan with rules to
+        run reads as-sets and peering-sets of this one.
         """
         key = (direction, from_asn, to_asn, version)
         plan = self._rule_plans.get(key)
@@ -846,12 +892,40 @@ def verify_into(
                     on_report(report)
 
 
+def _carried_verdicts(plans: dict, effects: "PatchEffects") -> dict:
+    """The verdict plans of ``plans`` that clause 1 of "What a delta
+    invalidates" (``docs/incremental.md``) leaves standing.
+
+    ``plans`` may be filling on another thread (a pass view of the previous
+    generation): it is copied in one C call before it is walked.
+    """
+    carried = {key: plan for key, plan in plans.copy().items() if plan.verdict is not None}
+    for key in _reached_by_subject(carried, effects):
+        del carried[key]
+    return carried
+
+
+def _reached_by_subject(keys: Iterable[tuple], effects: "PatchEffects") -> list[tuple]:
+    """Clause 1 of "What a delta invalidates": the hop-cache or plan keys
+    ``(direction, from, to, ...)`` whose subject's aut-num the patch
+    rewrote — an export's ``from`` in ``effects.subjects``, an import's
+    ``to`` there or in ``effects.import_subjects``."""
+    subjects = effects.subjects
+    import_side = subjects | effects.import_subjects
+    return [
+        key
+        for key in keys
+        if (key[2] in import_side if key[0] == "import" else key[1] in subjects)
+    ]
+
+
 def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:
     """Delete the stale keys of a hop cache in place; returns counts by reason.
 
     ``routes`` is the patched route trie.  A key several clauses reach
-    counts under the first of subject, origin-flip, prefix.  One pass
-    over the keys: the subject and endpoint tests are set probes, and
+    counts under the first of subject, origin-flip, prefix.  Clause 1
+    (:func:`_reached_by_subject`) goes first; one pass over the other
+    keys runs the rest: the member and endpoint tests are set probes, and
     since a route's hops are inserted back to back the two per-prefix
     tests (covered by a changed prefix; registered, at or above, by a
     regrouped member AS) run once per run of keys sharing one
@@ -873,24 +947,17 @@ def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:
     probes = list(by_length.items())
     if not (subjects or import_subjects or member_subjects or flipped or probes):
         return {}
+    reached = _reached_by_subject(cache, effects)
+    for key in reached:
+        del cache[key]
     dead = []
-    by_subject = by_flip = 0
+    by_member = by_flip = 0
     last_prefix = None
     last_covered = False
     member_prefix = None
     member_registered = False
     for key in cache:
-        if key[0] == "import":
-            subject = key[2]
-            stale = subject in subjects or subject in import_subjects
-        else:
-            subject = key[1]
-            stale = subject in subjects
-        if stale:
-            by_subject += 1
-            dead.append(key)
-            continue
-        if subject in member_subjects:
+        if (key[2] if key[0] == "import" else key[1]) in member_subjects:
             prefix = key[3]
             if prefix is not member_prefix:
                 member_prefix = prefix
@@ -901,7 +968,7 @@ def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:
                 or key[2] in member_asns
                 or not member_asns.isdisjoint(key[4])
             ):
-                by_subject += 1
+                by_member += 1
                 dead.append(key)
                 continue
         # PeerAS reads has_any_routes of the hop's other endpoint.
@@ -927,9 +994,9 @@ def _sweep(cache: dict, effects: "PatchEffects", routes) -> dict[str, int]:
     for key in dead:
         del cache[key]
     return {
-        "subject": by_subject,
+        "subject": len(reached) + by_member,
         "origin-flip": by_flip,
-        "prefix": len(dead) - by_subject - by_flip,
+        "prefix": len(dead) - by_member - by_flip,
     }
 
 

@@ -189,9 +189,12 @@ def cache_summary(manifest: dict, cache_dir: str | Path | None = None) -> dict:
         "hop_cache_hit_rate": hop_hits / hop_total if hop_total else 0.0,
         # What the misses cost: a miss evaluates the subject's rule plan
         # for the remote AS, built on first use — "built" plans served
-        # "built + hits" misses.
+        # "built + hits" misses.  A plan that is a verdict answers its
+        # checks before the hop cache is probed: verdicts + hop-cache hits
+        # + misses = checks.
         "rule_plans_built": counter("verify_rule_plans_total", result="built"),
         "rule_plan_hits": counter("verify_rule_plans_total", result="hit"),
+        "rule_plan_verdicts": counter("verify_rule_plans_total", result="verdict"),
         "index_cache_hits": index_hits,
         "index_cache_misses": index_misses,
         "index_compile_seconds": gauge("index_compile_seconds"),

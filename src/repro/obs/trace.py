@@ -49,6 +49,7 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -393,33 +394,35 @@ class NullTracer(Tracer):
 
 NULL_TRACER = NullTracer()
 
-_current: Tracer = NULL_TRACER
+# Scoped per thread and per asyncio task, like the metrics registry
+# (repro.obs.metrics says how a thread or task inherits it).
+_current: ContextVar[Tracer] = ContextVar("repro_tracer", default=NULL_TRACER)
 
 
 def get_tracer() -> Tracer:
     """The tracer instrumented code should report to right now."""
-    return _current
+    return _current.get()
 
 
 def set_tracer(tracer: Tracer | None) -> Tracer:
-    """Install ``tracer`` (None restores the null tracer); returns the
-    previously installed one so callers can restore it."""
-    global _current
-    previous = _current
-    _current = tracer if tracer is not None else NULL_TRACER
+    """Install ``tracer`` (None restores the null tracer) in the current
+    context; returns the previously installed one so callers can restore it."""
+    previous = _current.get()
+    _current.set(tracer if tracer is not None else NULL_TRACER)
     return previous
 
 
 @contextmanager
 def use_tracer(tracer: Tracer | None = None):
-    """Temporarily install a tracer (a fresh default one if none given)."""
+    """Temporarily install a tracer (a fresh default one if none given);
+    the context variable is reset by token on exit."""
     if tracer is None:
         tracer = Tracer()
-    previous = set_tracer(tracer)
+    token = _current.set(tracer)
     try:
         yield tracer
     finally:
-        set_tracer(previous)
+        _current.reset(token)
 
 
 # -- event utilities ---------------------------------------------------------

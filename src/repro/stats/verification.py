@@ -10,7 +10,7 @@ memory stays flat over hundreds of millions of hops.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass, field
 
 from repro.core.degradation import DegradationReport
@@ -168,7 +168,8 @@ class VerificationStats:
         # distinct verdict and every other hop reads it back; each key
         # hashes in C (ints, a str, an IntEnum and an identity-hashed detail).
         route_keys = [hop.tally_key(keys) for hop in hops]
-        self._tally.update(route_keys)
+        # Counter.update's own loop, without its per-call Mapping check.
+        _count_elements(self._tally, route_keys)
         seen_statuses = {key[3] for key in route_keys}
         self.route_status_count_hist[len(seen_statuses)] += 1
         if len(seen_statuses) == 1:

@@ -2,8 +2,9 @@
 
 Four gates on the hit path, none of them a timer:
 
-* the route loop counts exactly what the per-hop ``check`` counted before
-  (values pinned on the commit that still built a ``MatchContext`` per hop);
+* the route loop counts exactly the verdicts the per-hop ``check`` counted
+  before (pinned on the commit that still built a ``MatchContext`` per
+  hop), and how its checks split between verdict plans and the hop cache;
 * operation counters — a warm route builds no ``MatchContext``, a miss
   builds one only when its rule plan has rules to run, and a
   route whose hops were all rendered before calls no ``__str__``; a
@@ -47,19 +48,27 @@ from test_incremental_index import _NO_RELATIONSHIPS, _PATH, _as_ir, _world
 
 # -- counter parity ------------------------------------------------------------
 
-# The first 400 tiny-world routes verified twice by one Verifier, captured
-# at 225bd25 (the parent of the probe-before-build change).  Whatever the
-# cache size: 3,796 hop checks, these statuses, 2 ignored routes.
+# The first 400 tiny-world routes verified twice by one Verifier.  Whatever
+# the cache size: 3,796 hop checks, these statuses, 2 ignored routes
+# (captured at 225bd25, the parent of the probe-before-build change).
 _STATUSES = {
     "relaxed": 46, "safelisted": 176, "unrecorded": 1444,
     "unverified": 718, "verified": 1412,
 }
+_CHECKS = 3796
+# How those checks split between the rule plans and the hop cache, pinned
+# since plans that are verdicts answer ahead of the hop cache.  With a
+# cache, verdicts + hits + misses = checks and built + plan hits = misses;
+# at 0 nothing is kept, so nothing is counted but builds and timings.
+# The default size's flags digest does begin "deadbee": the flag bytes,
+# written to a file, hash to deadbee2366e068045c7ab69… under sha256sum too.
 _PINNED = {
-    # hop_cache_size: hits, misses, evictions, verify_hop_seconds count,
-    # plans built, plan hits, traced hops answered by the cache, sha of flags
-    0: (0, 0, 0, 3796, 3796, 0, 0, "e027a818822760e0"),
-    3: (0, 3796, 1265, 3796, 3562, 234, 0, "e027a818822760e0"),
-    1 << 20: (2722, 1074, 0, 1074, 104, 970, 824, "d41b9a0bc2eddca4"),
+    # hop_cache_size: plan verdicts, hits, misses, evictions,
+    # verify_hop_seconds count, plans built, plan hits,
+    # traced hops answered by the cache, sha of flags
+    0: (0, 0, 0, 0, 3796, 3796, 0, 0, "e027a818822760e0"),
+    3: (80, 0, 3716, 1238, 3716, 3562, 154, 0, "e027a818822760e0"),
+    1 << 20: (1400, 1763, 633, 0, 633, 104, 529, 587, "deadbee2366e0680"),
 }
 
 
@@ -74,7 +83,11 @@ def _counter(snapshot: dict, name: str, **labels) -> int:
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("size", sorted(_PINNED))
 def test_check_counts_what_it_counted_before(tiny_ir, tiny_world, tiny_routes, size, traced):
-    hits, misses, evictions, timed, built, plan_hits, cached, flags_sha = _PINNED[size]
+    verdicts, hits, misses, evictions, timed, built, plan_hits, cached, flags_sha = (
+        _PINNED[size]
+    )
+    if size:
+        assert verdicts + hits + misses == _CHECKS and built + plan_hits == misses
     registry = MetricsRegistry()
     tracer = Tracer(TraceConfig(sample_rate=1, deep=True))
     with use_registry(registry), use_tracer(tracer) if traced else nullcontext():
@@ -85,14 +98,18 @@ def test_check_counts_what_it_counted_before(tiny_ir, tiny_world, tiny_routes, s
             for entry in tiny_routes[:400]:
                 verifier.verify_entry(entry)
     assert (
-        verifier.hop_cache_hits, verifier.hop_cache_misses, verifier.hop_cache_evictions
-    ) == (hits, misses, evictions)
+        verifier.plan_verdicts,
+        verifier.hop_cache_hits,
+        verifier.hop_cache_misses,
+        verifier.hop_cache_evictions,
+    ) == (verdicts, hits, misses, evictions)
     snapshot = registry.snapshot()
     assert _counter(snapshot, "verify_hop_cache_total", result="hit") == hits
     assert _counter(snapshot, "verify_hop_cache_total", result="miss") == misses
     assert _counter(snapshot, "verify_hop_cache_evictions_total") == evictions
     assert _counter(snapshot, "verify_rule_plans_total", result="built") == built
     assert _counter(snapshot, "verify_rule_plans_total", result="hit") == plan_hits
+    assert _counter(snapshot, "verify_rule_plans_total", result="verdict") == verdicts
     assert {
         status: _counter(snapshot, "verify_hops_total", status=status)
         for status in _STATUSES
@@ -162,13 +179,21 @@ def test_a_context_is_built_only_for_a_plan_with_rules_to_run(
     contexts = _Calls(monkeypatch, verify_module, "MatchContext")
     to_run = []
     plan_for = Verifier._plan_for
+    check_uncached = Verifier._check_uncached
 
-    def counting(self, *key):
+    def looking_up(self, *key):
         plan = plan_for(self, *key)
         to_run.append(plan.verdict is None)
         return plan
 
-    monkeypatch.setattr(Verifier, "_plan_for", counting)
+    def checking(self, *args):
+        probed = args[-1]  # the plan verify_entry's probe found, if any
+        if probed is not None:
+            to_run.append(probed.verdict is None)
+        return check_uncached(self, *args)
+
+    monkeypatch.setattr(Verifier, "_plan_for", looking_up)
+    monkeypatch.setattr(Verifier, "_check_uncached", checking)
     for size in (1 << 20, 3, 0):
         verifier = Verifier(
             tiny_ir, tiny_world.topology, VerifyOptions(hop_cache_size=size)
@@ -176,8 +201,10 @@ def test_a_context_is_built_only_for_a_plan_with_rules_to_run(
         contexts.count, to_run[:] = 0, []
         hops = sum(len(verifier.verify_entry(e).hops) for e in tiny_routes[:400])
         misses = verifier.hop_cache_misses if size else hops
-        assert len(to_run) == misses  # one plan look-up per miss
+        assert len(to_run) == misses  # one plan, probed or looked up, per miss
         assert contexts.count == sum(to_run) and 0 < sum(to_run) < misses
+        # A verdict plan the probe found answers without a miss.
+        assert verifier.plan_verdicts + verifier.hop_cache_hits + misses == hops
     # No aut-num anywhere: every miss is answered by its plan, no context at all.
     bare = Verifier(_as_ir("route: 10.31.0.0/16\norigin: AS3001\n"), _NO_RELATIONSHIPS)
     contexts.count, to_run[:] = 0, []
@@ -202,7 +229,9 @@ def test_a_pass_and_its_fold_hash_no_prefix_and_no_enum(
     summary = stats.summary()
     assert stats.unrecorded_breakdown() and stats.special_breakdown()
     assert verifier.hop_cache_hits > verifier.hop_cache_misses > 0
-    assert summary["hops"] == verifier.hop_cache_misses + verifier.hop_cache_hits
+    assert summary["hops"] == (
+        verifier.plan_verdicts + verifier.hop_cache_misses + verifier.hop_cache_hits
+    )
     assert (prefix_hashes.count, enum_hashes.count) == (0, 0)
 
 

@@ -394,6 +394,14 @@ class TestCacheSummary:
             == caches["hop_cache_misses"]
             == verifier.hop_cache_misses
         )
+        # Checks a verdict plan answered are neither hits nor misses.
+        hops = caches["hop_cache_hits"] + caches["hop_cache_misses"]
+        assert caches["rule_plan_verdicts"] == verifier.plan_verdicts > 0
+        assert caches["rule_plan_verdicts"] + hops == sum(
+            record["value"]
+            for record in registry.snapshot()["counters"]
+            if record["name"] == "verify_hops_total"
+        )
 
     def test_populated_cache_dir_is_counted(self, tmp_path):
         (tmp_path / "a.idx").write_bytes(b"x" * 10)

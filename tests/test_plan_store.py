@@ -9,6 +9,7 @@ Every pass must still answer exactly what a fresh verifier answers.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -20,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.core import verify as verify_module
 from repro.core.verify import VerifyOptions
 from repro.irr.history import ChurnConfig, evolve_with_journal
+from repro.irr.journal import journal_between
 from repro.obs import MetricsRegistry
 
 _NIGHTLY = os.environ.get("HYPOTHESIS_PROFILE") == "nightly"
@@ -66,27 +69,35 @@ def _stores(verifier) -> tuple[dict, dict, dict]:
 def test_second_pass_builds_no_plan_and_starts_its_hop_cache_cold(
     tiny_ir, tiny_world, tiny_routes
 ):
+    counted = (
+        ("verify_rule_plans_total", "built"),
+        ("verify_rule_plans_total", "hit"),
+        ("verify_rule_plans_total", "verdict"),
+        ("verify_hop_cache_total", "miss"),
+        ("verify_hop_cache_total", "hit"),
+    )
     with _open(tiny_ir, tiny_world) as session:
         registry = session.registry
         counts = []
         for _ in range(2):
-            before = (
-                _counter(registry, "verify_rule_plans_total", result="built"),
-                _counter(registry, "verify_hop_cache_total", result="miss"),
-                _counter(registry, "verify_hop_cache_total", result="hit"),
-            )
+            before = [_counter(registry, name, result=result) for name, result in counted]
             session.verify_table(tiny_routes)
-            after = (
-                _counter(registry, "verify_rule_plans_total", result="built"),
-                _counter(registry, "verify_hop_cache_total", result="miss"),
-                _counter(registry, "verify_hop_cache_total", result="hit"),
-            )
+            after = [_counter(registry, name, result=result) for name, result in counted]
             counts.append(tuple(b - a for a, b in zip(before, after)))
-        (built, misses, hits), (built_again, misses_again, hits_again) = counts
+        first, again = counts
+        built, plan_hits, verdicts, misses, hits = first
+        built_again, plan_hits_again, verdicts_again, misses_again, hits_again = again
         assert built > 0 and built_again == 0
-        # Each pass misses as often as the first: the hop cache is the pass's.
-        assert (misses_again, hits_again) == (misses, hits) and misses > 0
-        assert len(session.verifier._rule_plans) == built
+        assert built + plan_hits == misses and plan_hits_again == misses_again > 0
+        # Each pass hits as often as the first: the hop cache is the pass's.
+        assert hits_again == hits
+        assert verdicts_again + hits_again + misses_again == verdicts + hits + misses
+        # A verdict plan is built on its first check's miss and answers every
+        # later check of its key, in this pass and the next, before the cache.
+        plans = session.verifier._rule_plans
+        verdict_plans = sum(plan.verdict is not None for plan in plans.values())
+        assert misses - misses_again == verdicts_again - verdicts == verdict_plans > 0
+        assert len(plans) == built
         assert session.verifier._hop_cache == {}  # no pass wrote to it
 
 
@@ -122,7 +133,12 @@ def test_pass_reports_equal_a_fresh_verifier_cold_warm_and_after_apply(
         assert any(entry.cls == "aut-num" for entry in journal.entries)
         assert not session.apply_deltas(journal)
         assert session.verifier is not old
-        assert all(store == {} for store in _stores(session.verifier))
+        # Empty but for the verdict plans the journal left standing, which
+        # are the old generation's own objects.
+        plans, reports, only_provider = _stores(session.verifier)
+        assert reports == {} and only_provider == {}
+        assert plans and all(plan.verdict is not None for plan in plans.values())
+        assert all(old._rule_plans[key] is plan for key, plan in plans.items())
         fresh = _fresh(session, routes, index=api.compile_index(session.ir))
         assert _pass(session, routes) == fresh
         assert _pass(session, routes) == fresh  # and on the new generation's plans
@@ -232,3 +248,176 @@ def test_shared_plan_pass_agrees_with_a_fresh_verifier(
             session.apply_deltas(journal)
         fresh = _fresh(session, sample, index=api.compile_index(session.ir))
         assert _pass(session, sample) == fresh
+
+
+# -- verdict plans carried across journals ---------------------------------------
+#
+# A plan that is a verdict reads only ``ir.aut_nums[s]``, so
+# ``adopt_hop_cache`` carries it unless clause 1 of the invalidation rule
+# reaches it ("What a delta invalidates" in docs/incremental.md).  Each
+# epoch below chains three journals: the churn of ``evolve_with_journal``;
+# one that creates an aut-num, deletes one and strips one of its imports;
+# and one that gives those imports back, after passes have built the
+# stripped AS's import verdicts.  The last is an imports-only rewrite, the
+# case only the ``import_subjects`` half of clause 1 catches.
+
+_SIZES = (0, 3, VerifyOptions().hop_cache_size)
+
+
+def _subject(key: tuple) -> int:
+    direction, from_asn, to_asn, _ = key
+    return to_asn if direction == "import" else from_asn
+
+
+def _with_aut_nums(ir, changes: dict):
+    """A copy of ``ir`` whose aut-num table has ``changes`` applied: an
+    ``AutNum`` replaces or adds one, ``None`` deletes one."""
+    aut_nums = dict(ir.aut_nums)
+    for asn, aut_num in changes.items():
+        if aut_num is None:
+            del aut_nums[asn]
+        else:
+            aut_nums[asn] = aut_num
+    return dataclasses.replace(ir, aut_nums=aut_nums)
+
+
+def _scripted_edits(session, sample, rng):
+    """⟨the edited IR, the stripped AS and its imports⟩ for the next journal.
+
+    The created and the deleted AS are subjects of verdict plans the
+    generation holds; the stripped AS is an import subject of the sample
+    with rules in both directions, so its import verdicts get built once
+    its imports are gone.
+    """
+    ir = session.ir
+    aut_nums = ir.aut_nums
+    verdicts = {
+        _subject(key)
+        for key, plan in session.verifier._rule_plans.items()
+        if plan.verdict is not None
+    }
+    template = next(a for a in aut_nums.values() if a.imports and a.exports)
+    created = rng.choice(sorted(verdicts - aut_nums.keys()))
+    deleted = rng.choice(sorted(verdicts & aut_nums.keys()))
+    importers = sorted(
+        {
+            asn
+            for entry in sample
+            for asn in entry.deprepended_path()[:-1]
+            if asn in aut_nums and aut_nums[asn].imports and aut_nums[asn].exports
+        }
+        - {deleted}
+    )
+    stripped = rng.choice(importers)
+    edited = _with_aut_nums(ir, {
+        created: dataclasses.replace(template, asn=created, as_name=f"AS{created}-NEW"),
+        deleted: None,
+        stripped: dataclasses.replace(aut_nums[stripped], imports=[]),
+    })
+    return edited, stripped, aut_nums[stripped].imports
+
+
+def _apply(sessions, journal) -> None:
+    for session in sessions:
+        assert not session.apply_deltas(journal)  # the patch path, never a recompile
+
+
+def _disagreements(sessions, sample) -> list[str]:
+    """Where the generation each session just adopted differs from a fresh
+    verifier's: a carried plan, a table pass, the pooled pass."""
+    found = []
+    index = api.compile_index(sessions[0].ir)
+    for session in sessions:
+        fresh = api.make_verifier(
+            session.ir, session.relationships, session.options, index=index
+        )
+        size = session.options.hop_cache_size
+        # Right after the apply, the store holds only what was carried.
+        for key, plan in session.verifier._rule_plans.copy().items():
+            if plan != fresh._build_plan(*key):
+                found.append(f"size {size}: carried plan {key}")
+        if _pass(session, sample) != [fresh.verify_entry(entry) for entry in sample]:
+            found.append(f"size {size}: table pass")
+    session = sessions[-1]
+    serial = session.verify_table(sample)
+    pooled = session.verify_table(sample, processes=2, chunk_size=len(sample) // 3)
+    if (pooled._tally, pooled.summary()) != (serial._tally, serial.summary()):
+        found.append("pooled pass")
+    return found
+
+
+def _carry_epochs(tiny_ir, tiny_world, sample, seed, epochs) -> list[str]:
+    """Chain ``epochs`` × 3 journals over one session per cache size;
+    returns every disagreement seen after any apply."""
+    rng = random.Random(seed)
+    sessions = [
+        _open(tiny_ir, tiny_world, options=VerifyOptions(hop_cache_size=size))
+        for size in _SIZES
+    ]
+    found: list[str] = []
+    try:
+        serial = 1
+        for epoch in range(epochs):
+            for session in sessions:
+                _pass(session, sample)  # plans to carry, at every size
+            driver = sessions[-1]
+            _, churn = evolve_with_journal(
+                driver.ir, ChurnConfig(seed=seed + epoch, **_RULE_CHURN), start_serial=serial
+            )
+            if churn.entries:
+                serial = max(churn.serials().values()) + 1
+                _apply(sessions, churn)
+                found += _disagreements(sessions, sample)
+            edited, stripped, imports = _scripted_edits(driver, sample, rng)
+            scripted = journal_between(driver.ir, edited, start_serial=serial)
+            serial = max(scripted.serials().values()) + 1
+            _apply(sessions, scripted)
+            found += _disagreements(sessions, sample)
+            import_verdicts = [
+                key
+                for key, plan in driver.verifier._rule_plans.items()
+                if key[0] == "import" and key[2] == stripped and plan.verdict is not None
+            ]
+            assert import_verdicts  # the passes built what the next journal reaches
+            restored = _with_aut_nums(driver.ir, {
+                stripped: dataclasses.replace(driver.ir.aut_nums[stripped], imports=imports)
+            })
+            restore = journal_between(driver.ir, restored, start_serial=serial)
+            serial = max(restore.serials().values()) + 1
+            _apply(sessions, restore)
+            assert driver.index.effects.import_subjects == {stripped}
+            found += _disagreements(sessions, sample)
+    finally:
+        for session in sessions:
+            session.close()
+    return found
+
+
+@settings(max_examples=_PROPERTY_EXAMPLES, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    epochs=st.integers(min_value=1, max_value=2),
+)
+def test_carried_verdict_plans_agree_with_a_fresh_verifier(
+    tiny_ir, tiny_world, sample, seed, epochs
+):
+    """After every apply of chained journals — churn, an aut-num created,
+    one deleted, one whose imports alone are rewritten — each carried plan
+    is the plan a fresh verifier builds, every cache size's table pass is
+    a fresh verifier's, and the pooled pass is the serial one."""
+    assert _carry_epochs(tiny_ir, tiny_world, sample, seed, epochs) == []
+
+
+def test_the_carry_rule_needs_its_import_clause(tiny_ir, tiny_world, sample, monkeypatch):
+    """Without the ``import_subjects`` half of clause 1, an imports-only
+    rewrite leaves a stale "no import rules" verdict standing."""
+
+    carried_verdicts = verify_module._carried_verdicts
+
+    def without_import_clause(plans, effects):
+        return carried_verdicts(plans, dataclasses.replace(effects, import_subjects=frozenset()))
+
+    monkeypatch.setattr(verify_module, "_carried_verdicts", without_import_clause)
+    found = _carry_epochs(tiny_ir, tiny_world, sample, seed=0, epochs=1)
+    assert found and all("size 0" not in problem for problem in found)
+

@@ -205,4 +205,7 @@ export:  to AS20 announce ANY
         first = verifier.verify_route("10.0.0.0/16", (20, 10))
         second = verifier.verify_route("10.0.0.0/16", (20, 10))
         assert [str(h) for h in first.hops] == [str(h) for h in second.hops]
-        assert verifier.hop_cache_hits >= 2
+        # The second route misses nothing: AS10's export comes from the hop
+        # cache, and AS20's import (no aut-num) from its verdict plan.
+        assert verifier.hop_cache_misses == 2
+        assert (verifier.hop_cache_hits, verifier.plan_verdicts) == (1, 1)

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 import repro.core.verify as production
 from repro import api
 from repro.bgp.topology import AsRelationships
+from repro.core.compiled import PatchEffects
 from repro.core.filter_match import MAX_ITEMS, Eval, MatchContext, Val
 from repro.core.report import HopReport, ItemKind, ReportItem
 from repro.core.status import VerifyStatus
@@ -695,14 +696,17 @@ class TestPlanStore:
 
     def test_one_plan_serves_every_route_of_a_hop(self):
         verifier, counts = self._counts(None)
-        # Two directions of one hop, three routes: two plans, four hits.
-        assert counts == {"built": 2, "hit": 4}
+        # Two directions of one hop, three routes: two plans.  AS2 has no
+        # aut-num, so its export plan is a verdict and answers the later two
+        # routes before their hop-cache probe; the import plan serves their
+        # two misses.
+        assert counts == {"built": 2, "hit": 2, "verdict": 2}
         assert set(verifier._rule_plans) == {("export", 2, 1, 4), ("import", 2, 1, 4)}
 
     def test_hop_cache_size_zero_keeps_neither_store(self):
         options = VerifyOptions(hop_cache_size=0)
         verifier, counts = self._counts(options)
-        assert counts == {"built": 6, "hit": 0}
+        assert counts == {"built": 6, "hit": 0, "verdict": 0}
         assert verifier._rule_plans == {} and verifier._hop_cache == {}
         assert verifier._reports == {}  # nor the interned reports
         assert disagreements(self.POLICY, self.ROUTES, options) == []
@@ -738,6 +742,17 @@ class TestPlanStore:
         first.verify_route("10.1.0.0/16", (1, 2))
         second.adopt_hop_cache(first, None)
         assert first._rule_plans and second._rule_plans == {}
+
+    def test_only_verdict_plans_outlive_a_clean_patch(self):
+        first, second = build(self.POLICY)
+        first.verify_route("10.1.0.0/16", (1, 2))
+        nothing = frozenset()
+        second.adopt_hop_cache(
+            first, PatchEffects(nothing, nothing, nothing, nothing, nothing, nothing)
+        )
+        export = ("export", 2, 1, 4)  # AS2 has no aut-num: a verdict
+        assert first._rule_plans.keys() == {export, ("import", 2, 1, 4)}
+        assert second._rule_plans == {export: first._rule_plans[export]}
 
 
 class TestAppendixCUnchanged:
