@@ -22,7 +22,7 @@ from repro.api import synthesize
 from repro.core.verify import Verifier, VerifyOptions
 from repro.irr.dump import parse_dump_text
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 __all__ = [
     "Verifier",

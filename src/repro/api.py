@@ -273,10 +273,12 @@ class Session:
     * optionally a private :class:`~repro.obs.MetricsRegistry` installed
       around every operation (otherwise the ambient registry is used).
 
-    Reading :attr:`current` is safe from any thread; verifying and
-    :meth:`apply_deltas` are not (the hop cache is mutable and changes
-    hands) — the serve daemon verifies on its event loop and holds an
-    :class:`asyncio.Lock` across each patch it runs on a thread.
+    Reading :attr:`current` is safe from any thread, and so is verifying
+    while :meth:`apply_deltas` runs on another: the apply sweeps a copy
+    of the hop cache, so a route in flight on the replaced generation
+    neither disturbs the sweep nor reaches the new cache.  Two applies
+    must not overlap — the serve daemon verifies on its event loop and
+    holds an :class:`asyncio.Lock` across each patch it runs on a thread.
     """
 
     def __init__(

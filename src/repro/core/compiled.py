@@ -8,8 +8,9 @@ regex is resolved once, here, before any route is verified:
   immutable, picklable :class:`CompiledIndex` — the frozen
   :class:`~repro.core.prefixtrie.RouteTrie` over every declared
   ⟨prefix, origin⟩ pair, members-by-reference maps, fully flattened
-  as-set closures, resolved route-/peering-sets (their member tries
-  frozen), and AS-path regexes lowered to matcher programs;
+  as-set closures, resolved route-/peering-sets (a route-set's
+  prefix members in one :class:`~repro.core.query.PrefixOpIndex` dict),
+  and AS-path regexes lowered to matcher programs;
 * the :class:`Resolver` is the resolution code, and this module is the
   only one that constructs it: :func:`compile_index` runs it over every
   name the IR records or references, :func:`patch_index` over what a
@@ -26,9 +27,9 @@ regex is resolved once, here, before any route is verified:
   over the same IR start warm too (``rpslyzer compile`` /
   ``--no-index-cache`` are the CLI knobs).
 
-The on-disk envelope (format 3) is *flat*: a JSON header describing the
-trie planes, the plane bytes 16-aligned, then one pickle blob for the
-residual tables.  :func:`load_index` maps the file with ``mmap`` and
+The on-disk envelope (format 4) is *flat*: a JSON header describing the
+route trie's planes, the plane bytes 16-aligned, then one pickle blob
+for the residual tables (route-set members included).  :func:`load_index` maps the file with ``mmap`` and
 casts the planes to zero-copy memoryviews — warm start skips
 deserializing the largest tables entirely, and the pages stay shared
 between every process mapping the same artifact.  The mapping holds a
@@ -102,9 +103,12 @@ __all__ = [
 # Format 3: the tries persist their hash planes only (format 2 carried
 # patricia node planes beside them, in the envelope and in every pickled
 # route-set member trie).
-INDEX_FORMAT = "rpslyzer-compiled-index/3"
+# Format 4: route-set members pickle as plain dicts (format 3 pickled
+# them as hash-plane tries); the route trie's IPv4 length mask is sized
+# at 4 words per prefix, not 256.
+INDEX_FORMAT = "rpslyzer-compiled-index/4"
 
-_MAGIC = b"RPSLIDX3"
+_MAGIC = b"RPSLIDX4"
 _ALIGN = 16  # plane alignment; mmap bases are page-aligned so this holds
 _MAX_HEADER_BYTES = 1 << 24
 
@@ -1093,7 +1097,7 @@ def _library_version() -> str:
 def save_index(index: CompiledIndex, path: str | Path) -> None:
     """Persist an artifact atomically (write-temp-then-rename).
 
-    Layout: ``RPSLIDX3`` magic, a little-endian header length, the JSON
+    Layout: ``RPSLIDX4`` magic, a little-endian header length, the JSON
     header (format / library version / IR digest / trie meta / plane
     directory), then the 16-aligned plane region with the residual
     pickle blob at its tail.  :func:`load_index` refuses anything whose
@@ -1104,8 +1108,8 @@ def save_index(index: CompiledIndex, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # The region is laid out first and then written straight from the
     # planes' own buffers: assembled in memory it was a second copy (and,
-    # while a plane was being appended, a third) of an index that is all
-    # planes — the peak of a cold open's resident size.
+    # while a plane was being appended, a third) of the index's largest
+    # tables — the peak of a cold open's resident size.
     parts = []  # (directory entry, buffer) in file order
     end = 0
     for name, typecode, plane in index.route_trie.export_planes():
@@ -1170,7 +1174,7 @@ def load_index(path: str | Path, expect_digest: str | None = None) -> CompiledIn
     try:
         head = stream.read(lead)
         if len(head) < lead or head[: len(_MAGIC)] != _MAGIC:
-            # Earlier formats (plain pickle, ``RPSLIDX2``) land here too:
+            # Earlier formats (plain pickle, ``RPSLIDX2``/``3``) land here too:
             # recompile.
             raise IndexCacheError(f"{path}: not a compiled index (bad magic)")
         header_len = int.from_bytes(head[len(_MAGIC) :], "little")

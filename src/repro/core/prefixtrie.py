@@ -1,34 +1,32 @@
-"""Flat hash planes over interned prefixes (the verification hot path).
+"""Flat hash planes over every declared route prefix (the verification hot path).
 
-Per-route verification spends most of its time answering two questions:
-*"did this AS register a route object covering this announced prefix?"*
-and *"does this route-set member cover it under its range operator?"*.
-Answering either by ancestor **enumeration** costs up to 33 (IPv4) or 129
-(IPv6) masked-key constructions and hash probes per query, each
-allocating a fresh tuple.  This module keeps one structure per address
-family so a query touches only the ancestor lengths actually *declared*
-on its branch:
+Per-route verification keeps asking *"did this AS register a route
+object covering this announced prefix?"*.  Answering by ancestor
+**enumeration** costs up to 33 (IPv4) or 129 (IPv6) masked-key probes
+per query.  :class:`RouteTrie` keeps one structure per address family so
+a query touches only the ancestor lengths actually *declared* on its
+branch:
 
-* a **length-compression mask** — one 64-bit word per top-``lmk``-bit
-  bucket (IPv4) or per family (IPv6) recording which declared lengths
-  exist on that branch.  The candidate set for a query is one table read
-  and one AND; typical branches carry 1–3 lengths where the enumeration
-  probed all 33/129.
+* a **length mask** — bit ``n`` set iff some stored prefix of length
+  ``n`` lies on the branch: one 64-bit word per top-``lmk``-bit bucket
+  for IPv4 (about four words per stored prefix, so a bucket usually
+  carries a handful of lengths), one word for the whole of IPv6;
 * an **open-addressing hash plane** mapping ⟨masked network, length⟩ to
-  the prefix's payload span — linear probing at load factor ≤ 0.5, one
-  or two slot reads per candidate length, no allocation.  It is the only
-  record of which prefixes are stored: point mutation patches it in
-  place, rebuilds rehash its live slots, and enumeration is a slot scan.
+  the prefix's payload span — linear probing at load factor ≤ 0.5.  It
+  is the only record of which prefixes are stored: point mutation
+  patches it in place, rebuilds rehash its live slots, and enumeration
+  is a slot scan.
 
-Everything is laid out as flat parallel planes (``array`` buffers off
-the GC-tracked heap, or ``memoryview`` casts over an ``mmap`` region
-when loaded from the disk cache):
+Every query is one walk (:func:`_covering`) over the candidate lengths,
+each ending in one slot probe (:func:`_slot`).  Everything is laid out
+as flat parallel planes (``array`` buffers off the GC-tracked heap, or
+``memoryview`` casts over an ``mmap`` region when loaded from the disk
+cache):
 
 * per family (IPv4/IPv6): ``lenmask`` and the hash slots ``hlo``/
   [``hhi``/]``hpl``/``hval``;
 * a payload arena: per-prefix origin spans (``span_off`` into a sorted
-  ``origins`` plane) for the route trie, per-prefix range-operator spans
-  for the :class:`OpTrie`;
+  ``origins`` plane);
 * per-origin offset spans (``origin_ids`` + ``okey_*`` arenas) so
   "every prefix this AS registered" is one bisect plus a span read.
 
@@ -36,7 +34,9 @@ Because the planes are plain buffers they pickle compactly, share
 copy-on-write under ``fork``, and — via the cache envelope in
 :mod:`repro.core.compiled` — map straight out of the artifact file with
 near-zero deserialization.  They are built in sorted key order, so the
-artifact's bytes are a function of the IR's contents alone.
+artifact's bytes are a function of the IR's contents alone.  Route-set
+members, a few per set, are a plain dict
+(:class:`repro.core.query.PrefixOpIndex`).
 
 The ancestor-enumeration dict engine this replaced lives on as the
 differential oracle of the test suite (``tests/prefix_oracle.py``).
@@ -50,31 +50,13 @@ from bisect import bisect_left
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 
 __all__ = [
-    "OpTrie",
     "RouteTrie",
     "RouteTrieBuilder",
+    "admitted_lengths",
 ]
 
 _MAX_LEN = {4: 32, 6: 128}
 _U64 = (1 << 64) - 1
-
-# Range operators as stored in op planes.  EXACT and RANGE evaluate
-# identically (low <= announced <= high); both codes are kept so
-# iter_entries() can reconstruct the operator kind faithfully.
-_OP_NONE, _OP_MINUS, _OP_PLUS, _OP_EXACT, _OP_RANGE = range(5)
-_KIND_TO_CODE = {
-    RangeOpKind.NONE: _OP_NONE,
-    RangeOpKind.MINUS: _OP_MINUS,
-    RangeOpKind.PLUS: _OP_PLUS,
-    RangeOpKind.EXACT: _OP_EXACT,
-    RangeOpKind.RANGE: _OP_RANGE,
-}
-_CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
-
-# Bounds are stored in a 16-bit plane; announced lengths never exceed 128,
-# so clamping to 255 is exact for allows() while keeping hostile ^n-m
-# operators (RangeOp.parse accepts any integer) from overflowing it.
-_OP_BOUND_CAP = 255
 
 
 def _mask(net: int, plen: int, maxlen: int) -> int:
@@ -82,15 +64,34 @@ def _mask(net: int, plen: int, maxlen: int) -> int:
     return (net >> shift) << shift
 
 
+def admitted_lengths(op: RangeOp, qlen: int) -> int:
+    """The declared lengths under which ``op`` admits announced ``qlen``,
+    as a bit mask (bit ``n`` for length ``n``).
+
+    Over the ancestors of a query, ``op.allows(n, qlen)`` depends on ``n``
+    only through a bound: NONE admits the exact length, MINUS strict
+    ancestors, PLUS any cover; EXACT/RANGE admit every cover when
+    ``qlen`` is within their bounds and nothing otherwise.  One AND with
+    a branch's length mask then leaves exactly the lengths to probe.
+    """
+    kind = op.kind
+    if kind is RangeOpKind.NONE:
+        return 1 << qlen
+    if kind is RangeOpKind.MINUS:
+        return (1 << qlen) - 1
+    if kind is RangeOpKind.PLUS or op.low <= qlen <= op.high:
+        return (1 << (qlen + 1)) - 1
+    return 0
+
+
 class _Family:
     """One address family's planes (``hhi`` is None for IPv4).
 
-    * ``lenmask`` — the length-compression table (IPv4 only): one 64-bit
-      word per top-``lmk``-bit bucket, bit ``pl`` set iff some stored
-      prefix of length ``pl`` lies on that branch.  ``lmall`` is the
-      family-global union (the only mask IPv6 keeps — 129 possible
-      lengths exceed one word, and real route6 tables declare only a
-      handful of lengths anyway).
+    * ``lenmask`` — the length mask (IPv4 only): one 64-bit word per
+      top-``lmk``-bit bucket, bit ``pl`` set iff some stored prefix of
+      length ``pl`` lies on that branch.  ``lmall`` is the family-global
+      union (the only mask IPv6 keeps — 129 possible lengths exceed one
+      word, and real route6 tables declare only a handful of lengths).
     * ``hlo``/[``hhi``/]``hpl``/``hval`` — an open-addressing hash over
       ⟨masked network, length⟩ with linear probing; ``hval`` holds the
       payload id (-1 marks an empty slot).  ``hbits == 0`` (empty
@@ -98,14 +99,14 @@ class _Family:
 
     A candidate length taken from the mask still ends in a hash probe,
     so a mask bit set by a *different* network in the same bucket can
-    never produce a false positive — the masks are purely a pruning
-    layer and the hash is the ground truth.
+    never produce a false positive — the masks only prune, the hash is
+    the ground truth.
 
     Thawed (mutable) families additionally maintain ``live``/``tomb``
     slot counts for the hash plane: point deletes leave tombstones
-    (``hval == -2`` with an impossible length in ``hpl``) that the probe
-    loops walk through, and the counts decide when the plane is rehashed
-    from its live slots instead.
+    (``hval == -2`` with an impossible length in ``hpl``) that probes
+    walk through, and the counts decide when the plane is rehashed from
+    its live slots instead.
     """
 
     __slots__ = (
@@ -140,96 +141,146 @@ class _Family:
 
 _LENMASK_MAX_BITS = 20
 _LENMASK_MIN_PREFIXES = 16
-# Mask-table words per stored prefix (see :func:`_build_fast`): sharp
-# buckets for the one global route table, lean ones for the thousands of
-# per-route-set op tries a session holds.
-_ROUTE_LMFACTOR = 256
-_OP_LMFACTOR = 4
+# Length-mask words per stored prefix: buckets a few times finer than
+# the prefixes keep the candidate lengths per query to a handful, and
+# the mask stays the size of the hash plane rather than dwarfing it.
+_LMFACTOR = 4
 _HASH_C = 0x9E3779B97F4A7C15
 _HASH_P = 0xFF51AFD7ED558CCD
-# Tombstone encoding for point deletes: the probe loops stop only on -1
-# (truly empty), so a tombstoned slot must keep them walking while never
+# Tombstone encoding for point deletes: probes stop only on -1 (truly
+# empty), so a tombstoned slot must keep them walking while never
 # matching a key — hence the impossible declared length in ``hpl``.
 _TOMB = -2
 _TOMB_PL = 255
 
 
-def _attach_fast(fam: _Family, lmk: int, lmall: int, hbits: int, planes: dict, tag: str) -> None:
-    """Wire pre-built planes (mmap views or arrays) in."""
-    fam.lmk = lmk
-    fam.lmall = lmall
-    fam.lenmask = planes.get(f"{tag}.lenmask")
-    fam.hbits = hbits
-    fam.hshift = 64 - hbits
-    fam.hlo = planes.get(f"{tag}.hlo")
-    fam.hhi = planes.get(f"{tag}.hhi")
-    fam.hpl = planes.get(f"{tag}.hpl")
-    fam.hval = planes.get(f"{tag}.hval")
+def _slot(fam: _Family, net: int, pl: int) -> int:
+    """The hash slot of ⟨masked ``net``, ``pl``⟩ in a non-empty family.
+
+    When the key is absent, the slot a point insert would claim: the
+    first tombstone on the probe path, else the empty slot that ends it.
+    Either way ``hval`` there is negative, so ``fam.hval[_slot(...)]`` is
+    the key's payload id or a negative miss.
+    """
+    hlo, hhi, hpl, hval = fam.hlo, fam.hhi, fam.hpl, fam.hval
+    if hhi is None:
+        x = (net + pl * _HASH_P) & _U64
+    else:
+        x = ((net ^ (net >> 64)) + pl * _HASH_P) & _U64
+    s = ((x * _HASH_C) & _U64) >> fam.hshift
+    hmask = (1 << fam.hbits) - 1
+    nlo = net & _U64
+    free = -1
+    while True:
+        p = hval[s]
+        if p == -1:
+            return s if free < 0 else free
+        if hpl[s] == pl and hlo[s] == nlo and (hhi is None or hhi[s] == net >> 64):
+            return s
+        if p == _TOMB and free < 0:
+            free = s
+        s = (s + 1) & hmask
 
 
-def _build_fast(fam: _Family, entries: list, lmfactor: int) -> None:
+def _covering(fam: _Family, qnet: int, lengths: int) -> list:
+    """``(length, payload id)`` of every stored ancestor of ``qnet`` whose
+    length is a bit of ``lengths`` — deepest first, one slot probe per
+    candidate length the branch's mask leaves."""
+    lmk = fam.lmk
+    maxlen = fam.maxlen
+    m = lengths & (fam.lenmask[qnet >> (maxlen - lmk)] if lmk else fam.lmall)
+    found = []
+    while m:
+        pl = m.bit_length() - 1
+        m ^= 1 << pl
+        shift = maxlen - pl
+        p = fam.hval[_slot(fam, (qnet >> shift) << shift, pl)]
+        if p >= 0:
+            found.append((pl, p))
+    return found
+
+
+def _hash_point_set(fam: _Family, net: int, pl: int, payload_id: int) -> None:
+    """Insert or repoint one ⟨masked net, length⟩ key in the hash plane.
+
+    An existing key has its payload id rewritten in place; a new key
+    claims the slot :func:`_slot` names.  The caller guarantees headroom
+    — load factor including tombstones stays ≤ 0.5 via
+    :func:`_rebuild`.
+    """
+    hval = fam.hval
+    s = _slot(fam, net, pl)
+    if hval[s] < 0:
+        if hval[s] == _TOMB:
+            fam.tomb -= 1
+        fam.hlo[s] = net & _U64
+        if fam.hhi is not None:
+            fam.hhi[s] = net >> 64
+        fam.hpl[s] = pl
+        fam.live += 1
+    hval[s] = payload_id
+
+
+def _hash_point_delete(fam: _Family, net: int, pl: int) -> None:
+    """Tombstone one stored key: probes keep walking, key-match never fires."""
+    s = _slot(fam, net, pl)
+    fam.hval[s] = _TOMB
+    fam.hpl[s] = _TOMB_PL
+    fam.tomb += 1
+    fam.live -= 1
+
+
+def _mask_point_insert(fam: _Family, net: int, pl: int) -> None:
+    """Set the length bit for a new prefix in the pruning masks.
+
+    Deletes deliberately leave mask bits stale (a stale bit costs one
+    wasted probe, never a wrong answer), but inserts MUST set them — a
+    missing bit would hide the entry from every mask-pruned query.
+    Prefixes shorter than the bucket width set their bit in every bucket
+    they cover, so any query bucket sees every ancestor length.
+    """
+    bit = 1 << pl
+    fam.lmall |= bit
+    lmk = fam.lmk
+    if not lmk:
+        return
+    lenmask = fam.lenmask
+    start = net >> (fam.maxlen - lmk)
+    if pl >= lmk:
+        lenmask[start] |= bit
+    else:
+        for b in range(start, start + (1 << (lmk - pl))):
+            lenmask[b] |= bit
+
+
+def _build(fam: _Family, entries: list) -> None:
     """(Re)build the family's planes from ``(net, length, payload id)`` triples.
 
-    One pass fills the hash plane (sized to load factor ≤ 0.5) and the
-    length-compression masks; whatever the family held before is
-    replaced, tombstones included.  Prefixes shorter than the bucket
-    width set their length bit in every bucket they cover, so any query
-    bucket sees every ancestor length on its path.  Slots are claimed in
-    the order given: the builders pass triples in sorted key order, which
-    makes a compiled layout a function of the stored set alone.
-
-    ``lmfactor`` trades mask-table memory for bucket sharpness: the
-    table gets ``~lmfactor * prefixes`` words (capped at ``2**20``);
-    finer buckets mean fewer candidate lengths per query.
+    The hash plane is sized to load factor ≤ 0.5 and the IPv4 length
+    mask to ``_LMFACTOR`` words per prefix (at most ``2**20``); whatever
+    the family held before is replaced, tombstones included.  Slots are
+    claimed in the order given: the builder passes triples in sorted key
+    order, which makes a compiled layout a function of the stored set
+    alone.
     """
-    maxlen = fam.maxlen
     n = len(entries)
-    hbits = lmk = lmall = 0
-    hlo = hhi = hpl = hval = lenmask = None
+    fam.hbits = max(3, (2 * n - 1).bit_length()) if n else 0
+    fam.hshift = 64 - fam.hbits
+    fam.hlo = fam.hhi = fam.hpl = fam.hval = fam.lenmask = None
+    fam.lmk = fam.lmall = fam.live = fam.tomb = 0
     if n:
-        hbits = max(3, (2 * n - 1).bit_length())
-        size = 1 << hbits
-        hmask = size - 1
-        hlo = array("Q", bytes(8 * size))
-        hhi = array("Q", bytes(8 * size)) if maxlen > 64 else None
-        hpl = array("B", bytes(size))
-        hval = array("i", [-1]) * size
-        if maxlen <= 64 and n >= _LENMASK_MIN_PREFIXES:
-            lmk = min(_LENMASK_MAX_BITS, (lmfactor * n).bit_length(), maxlen)
-            lenmask = array("Q", bytes(8 << lmk))
+        size = 1 << fam.hbits
+        fam.hlo = array("Q", bytes(8 * size))
+        if fam.maxlen > 64:
+            fam.hhi = array("Q", bytes(8 * size))
+        fam.hpl = array("B", bytes(size))
+        fam.hval = array("i", [-1]) * size
+    if fam.maxlen <= 64 and n >= _LENMASK_MIN_PREFIXES:
+        fam.lmk = min(_LENMASK_MAX_BITS, (_LMFACTOR * n).bit_length(), fam.maxlen)
+        fam.lenmask = array("Q", bytes(8 << fam.lmk))
     for net, pl, p in entries:
-        lmall |= 1 << pl
-        if hhi is None:
-            x = (net + pl * _HASH_P) & _U64
-        else:
-            x = ((net ^ (net >> 64)) + pl * _HASH_P) & _U64
-        s = ((x * _HASH_C) & _U64) >> (64 - hbits)
-        while hval[s] != -1:
-            s = (s + 1) & hmask
-        hlo[s] = net & _U64
-        if hhi is not None:
-            hhi[s] = net >> 64
-        hpl[s] = pl
-        hval[s] = p
-        if lenmask is not None:
-            if pl >= lmk:
-                lenmask[net >> (maxlen - lmk)] |= 1 << pl
-            else:
-                start = (net >> (maxlen - lmk)) if pl else 0
-                bit = 1 << pl
-                for b in range(start, start + (1 << (lmk - pl))):
-                    lenmask[b] |= bit
-    fam.lmk = lmk
-    fam.lmall = lmall
-    fam.lenmask = lenmask
-    fam.hbits = hbits
-    fam.hshift = 64 - hbits
-    fam.hlo = hlo
-    fam.hhi = hhi
-    fam.hpl = hpl
-    fam.hval = hval
-    fam.live = n
-    fam.tomb = 0
+        _hash_point_set(fam, net, pl, p)
+        _mask_point_insert(fam, net, pl)
 
 
 def _live_entries(fam: _Family):
@@ -243,115 +294,15 @@ def _live_entries(fam: _Family):
             yield (hlo[s] if hhi is None else (hhi[s] << 64) | hlo[s]), hpl[s], p
 
 
-def _rebuild_fast(fam: _Family, extra: tuple = ()) -> None:
-    """Rehash a route family from its live slots (plus ``extra`` new triples).
+def _rebuild(fam: _Family, extra: tuple = ()) -> None:
+    """Rehash a family from its live slots (plus ``extra`` new triples).
 
     Point mutation triggers this when the hash plane's load factor would
     exceed 0.5 or tombstones dominate: the live slots are the ground
-    truth, so one :func:`_build_fast` pass over them resizes the table,
+    truth, so one :func:`_build` pass over them resizes the table,
     resharpens the masks and drops every tombstone at once.
     """
-    _build_fast(fam, [*_live_entries(fam), *extra], _ROUTE_LMFACTOR)
-
-
-def _hash_point_set(fam: _Family, net: int, pl: int, payload_id: int) -> None:
-    """Insert or repoint one ⟨masked net, length⟩ key in the hash plane.
-
-    An existing key has its payload id rewritten in place; a new key
-    claims the first tombstone on its probe path (or the terminating
-    empty slot).  The caller guarantees headroom — load factor including
-    tombstones stays ≤ 0.5 via :func:`_rebuild_fast`.
-    """
-    hlo, hhi, hpl, hval = fam.hlo, fam.hhi, fam.hpl, fam.hval
-    hmask = (1 << fam.hbits) - 1
-    if hhi is None:
-        x = (net + pl * _HASH_P) & _U64
-    else:
-        x = ((net ^ (net >> 64)) + pl * _HASH_P) & _U64
-    s = ((x * _HASH_C) & _U64) >> fam.hshift
-    nlo = net & _U64
-    nhi = net >> 64
-    free = -1
-    while hval[s] != -1:
-        if hval[s] == _TOMB:
-            if free < 0:
-                free = s
-        elif hpl[s] == pl and hlo[s] == nlo and (hhi is None or hhi[s] == nhi):
-            hval[s] = payload_id
-            return
-        s = (s + 1) & hmask
-    if free >= 0:
-        s = free
-        fam.tomb -= 1
-    hlo[s] = nlo
-    if hhi is not None:
-        hhi[s] = nhi
-    hpl[s] = pl
-    hval[s] = payload_id
-    fam.live += 1
-
-
-def _hash_point_delete(fam: _Family, net: int, pl: int) -> None:
-    """Tombstone one key: probes keep walking, key-match never fires."""
-    hlo, hhi, hpl, hval = fam.hlo, fam.hhi, fam.hpl, fam.hval
-    hmask = (1 << fam.hbits) - 1
-    if hhi is None:
-        x = (net + pl * _HASH_P) & _U64
-    else:
-        x = ((net ^ (net >> 64)) + pl * _HASH_P) & _U64
-    s = ((x * _HASH_C) & _U64) >> fam.hshift
-    nlo = net & _U64
-    nhi = net >> 64
-    while hval[s] != -1:
-        if (
-            hval[s] != _TOMB
-            and hpl[s] == pl
-            and hlo[s] == nlo
-            and (hhi is None or hhi[s] == nhi)
-        ):
-            hval[s] = _TOMB
-            hpl[s] = _TOMB_PL
-            fam.tomb += 1
-            fam.live -= 1
-            return
-        s = (s + 1) & hmask
-
-
-def _mask_point_insert(fam: _Family, net: int, pl: int) -> None:
-    """Set the length bit for a new prefix in the pruning masks.
-
-    Deletes deliberately leave mask bits stale (a stale bit costs one
-    wasted probe, never a wrong answer), but inserts MUST set them — a
-    missing bit would hide the entry from every mask-pruned query.
-    """
-    fam.lmall |= 1 << pl
-    lmk = fam.lmk
-    if not lmk or fam.lenmask is None:
-        return
-    bit = 1 << pl
-    if pl >= lmk:
-        fam.lenmask[net >> (fam.maxlen - lmk)] |= bit
-    else:
-        start = (net >> (fam.maxlen - lmk)) if pl else 0
-        for b in range(start, start + (1 << (lmk - pl))):
-            fam.lenmask[b] |= bit
-
-
-def _freeze(table: dict, payload_out, lmfactor: int) -> tuple[_Family, _Family]:
-    """Both families' planes from ``{(version, masked net, length): payload}``.
-
-    ``payload_out(payload) -> payload id`` appends one payload to the
-    caller's arena.  Keys are visited in sorted order, so payload ids and
-    slot layout never depend on the order pairs were registered in.
-    """
-    triples = {4: [], 6: []}
-    for key in sorted(table):
-        version, net, plen = key
-        triples[version].append((net, plen, payload_out(table[key])))
-    fam4, fam6 = _Family(32), _Family(128)
-    _build_fast(fam4, triples[4], lmfactor)
-    _build_fast(fam6, triples[6], lmfactor)
-    return fam4, fam6
+    _build(fam, [*_live_entries(fam), *extra])
 
 
 def _plane_bytes(plane) -> int:
@@ -462,29 +413,12 @@ class RouteTrie:
         return asn in origin_set
 
     def _exact_payload(self, fam: _Family, qnet: int, qlen: int) -> int:
+        """The payload id of the exact prefix (host bits tolerated), or a
+        negative miss."""
         if not (fam.lmall >> qlen) & 1:
             return -1
         shift = fam.maxlen - qlen
-        qnet = (qnet >> shift) << shift  # tolerate set host bits
-        hlo, hhi, hval = fam.hlo, fam.hhi, fam.hval
-        hmask = (1 << fam.hbits) - 1
-        hpl = fam.hpl
-        if hhi is None:
-            x = (qnet + qlen * _HASH_P) & _U64
-        else:
-            x = ((qnet ^ (qnet >> 64)) + qlen * _HASH_P) & _U64
-        s = ((x * _HASH_C) & _U64) >> fam.hshift
-        nlo = qnet & _U64
-        nhi = qnet >> 64
-        while hval[s] != -1:
-            if (
-                hpl[s] == qlen
-                and hlo[s] == nlo
-                and (hhi is None or hhi[s] == nhi)
-            ):
-                return hval[s]
-            s = (s + 1) & hmask
-        return -1
+        return fam.hval[_slot(fam, (qnet >> shift) << shift, qlen)]
 
     def has_exact(self, version: int, qnet: int, qlen: int) -> bool:
         """Whether some route object declares exactly this prefix."""
@@ -500,216 +434,47 @@ class RouteTrie:
         off = self._span_off
         return frozenset(self._origins[off[p] : off[p + 1]])
 
-    @staticmethod
-    def _op_limit(op: RangeOp, qlen: int) -> int:
-        """The max declared length ``op`` admits for this announced length.
-
-        ``op.allows(pl, qlen)`` reduces to ``pl <= limit`` over ancestors:
-        MINUS admits strict ancestors (``pl < qlen``), PLUS admits any
-        cover (``pl <= qlen``), and EXACT/RANGE depend only on the
-        announced length — when ``qlen`` falls outside their bounds no
-        declared prefix can qualify and the query is skipped outright
-        (returns -1).  Hoisted so the candidate-length mask is truncated
-        with one AND instead of a per-candidate method call.
-        """
-        kind = op.kind
-        if kind is RangeOpKind.MINUS:
-            return qlen - 1
-        if kind is RangeOpKind.PLUS:
-            return qlen
-        return qlen if op.low <= qlen <= op.high else -1
-
     def match_origin(self, asn: int, version: int, qnet: int, qlen: int, op: RangeOp) -> bool:
         """Whether ``asn`` declared a covering prefix whose ``op`` admits
         the announced length — a masked handful of hash probes."""
         fam = self._fam4 if version == 4 else self._fam6
-        if op.kind is RangeOpKind.NONE:
-            # NONE admits announced == declared only: the exact entry.
+        off, origins = self._span_off, self._origins
+        if op.kind is RangeOpKind.NONE:  # the exact entry only: one probe
             p = self._exact_payload(fam, qnet, qlen)
-            if p < 0:
-                return False
-            off = self._span_off
-            origins = self._origins
-            for j in range(off[p], off[p + 1]):
-                if origins[j] == asn:
-                    return True
-            return False
-        limit = self._op_limit(op, qlen)
-        if limit < 0:
-            return False
-        maxlen = fam.maxlen
-        lmk = fam.lmk
-        m = fam.lenmask[qnet >> (maxlen - lmk)] if lmk else fam.lmall
-        m &= (1 << (limit + 1)) - 1
-        if not m:
-            return False
-        hlo, hhi, hpl, hval = fam.hlo, fam.hhi, fam.hpl, fam.hval
-        hmask = (1 << fam.hbits) - 1
-        hshift = fam.hshift
-        off = self._span_off
-        origins = self._origins
-        while m:
-            pl = m.bit_length() - 1
-            m ^= 1 << pl
-            shift = maxlen - pl
-            net = (qnet >> shift) << shift
-            if hhi is None:
-                x = (net + pl * _HASH_P) & _U64
-            else:
-                x = ((net ^ (net >> 64)) + pl * _HASH_P) & _U64
-            s = ((x * _HASH_C) & _U64) >> hshift
-            nlo = net & _U64
-            nhi = net >> 64
-            while hval[s] != -1:
-                if (
-                    hpl[s] == pl
-                    and hlo[s] == nlo
-                    and (hhi is None or hhi[s] == nhi)
-                ):
-                    a, b = off[hval[s]], off[hval[s] + 1]
-                    while a < b:
-                        if origins[a] == asn:
-                            return True
-                        a += 1
-                    break
-                s = (s + 1) & hmask
+            return p >= 0 and asn in origins[off[p] : off[p + 1]]
+        for _, p in _covering(fam, qnet, admitted_lengths(op, qlen)):
+            if asn in origins[off[p] : off[p + 1]]:
+                return True
         return False
 
     def match_any(self, version: int, qnet: int, qlen: int, op: RangeOp) -> bool:
         """Whether *any* declared prefix covers the query under ``op``."""
         fam = self._fam4 if version == 4 else self._fam6
-        if op.kind is RangeOpKind.NONE:
-            return self._exact_payload(fam, qnet, qlen) >= 0
-        limit = self._op_limit(op, qlen)
-        if limit < 0:
-            return False
-        maxlen = fam.maxlen
-        lmk = fam.lmk
-        m = fam.lenmask[qnet >> (maxlen - lmk)] if lmk else fam.lmall
-        m &= (1 << (limit + 1)) - 1
-        if not m:
-            return False
-        hlo, hhi, hpl, hval = fam.hlo, fam.hhi, fam.hpl, fam.hval
-        hmask = (1 << fam.hbits) - 1
-        hshift = fam.hshift
-        while m:
-            pl = m.bit_length() - 1
-            m ^= 1 << pl
-            shift = maxlen - pl
-            net = (qnet >> shift) << shift
-            if hhi is None:
-                x = (net + pl * _HASH_P) & _U64
-            else:
-                x = ((net ^ (net >> 64)) + pl * _HASH_P) & _U64
-            s = ((x * _HASH_C) & _U64) >> hshift
-            nlo = net & _U64
-            nhi = net >> 64
-            while hval[s] != -1:
-                if (
-                    hpl[s] == pl
-                    and hlo[s] == nlo
-                    and (hhi is None or hhi[s] == nhi)
-                ):
-                    return True
-                s = (s + 1) & hmask
-        return False
+        return bool(_covering(fam, qnet, admitted_lengths(op, qlen)))
 
     def match_members(
         self, members, version: int, qnet: int, qlen: int, op: RangeOp
     ) -> bool:
         """Whether any covering prefix is originated by a member AS."""
         fam = self._fam4 if version == 4 else self._fam6
-        if op.kind is RangeOpKind.NONE:
+        off, origins = self._span_off, self._origins
+        if op.kind is RangeOpKind.NONE:  # the exact entry only: one probe
             p = self._exact_payload(fam, qnet, qlen)
-            if p < 0:
-                return False
-            off = self._span_off
-            origins = self._origins
-            for j in range(off[p], off[p + 1]):
-                if origins[j] in members:
-                    return True
-            return False
-        limit = self._op_limit(op, qlen)
-        if limit < 0:
-            return False
-        maxlen = fam.maxlen
-        lmk = fam.lmk
-        m = fam.lenmask[qnet >> (maxlen - lmk)] if lmk else fam.lmall
-        m &= (1 << (limit + 1)) - 1
-        if not m:
-            return False
-        hlo, hhi, hpl, hval = fam.hlo, fam.hhi, fam.hpl, fam.hval
-        hmask = (1 << fam.hbits) - 1
-        hshift = fam.hshift
-        off = self._span_off
-        origins = self._origins
-        while m:
-            pl = m.bit_length() - 1
-            m ^= 1 << pl
-            shift = maxlen - pl
-            net = (qnet >> shift) << shift
-            if hhi is None:
-                x = (net + pl * _HASH_P) & _U64
-            else:
-                x = ((net ^ (net >> 64)) + pl * _HASH_P) & _U64
-            s = ((x * _HASH_C) & _U64) >> hshift
-            nlo = net & _U64
-            nhi = net >> 64
-            while hval[s] != -1:
-                if (
-                    hpl[s] == pl
-                    and hlo[s] == nlo
-                    and (hhi is None or hhi[s] == nhi)
-                ):
-                    a, b = off[hval[s]], off[hval[s] + 1]
-                    while a < b:
-                        if origins[a] in members:
-                            return True
-                        a += 1
-                    break
-                s = (s + 1) & hmask
+            return p >= 0 and not members.isdisjoint(origins[off[p] : off[p + 1]])
+        for _, p in _covering(fam, qnet, admitted_lengths(op, qlen)):
+            if not members.isdisjoint(origins[off[p] : off[p + 1]]):
+                return True
         return False
 
     def covering_origins(self, version: int, qnet: int, qlen: int) -> list:
         """All stored ancestors of the query (exact included): a list of
-        ``(declared_length, origins-sequence)`` pairs, shallow first."""
+        ``(declared_length, origins-sequence)`` pairs, deepest first."""
         fam = self._fam4 if version == 4 else self._fam6
-        out: list = []
-        maxlen = fam.maxlen
-        lmk = fam.lmk
-        m = fam.lenmask[qnet >> (maxlen - lmk)] if lmk else fam.lmall
-        m &= (1 << (qlen + 1)) - 1
-        if not m:
-            return out
-        hlo, hhi, hpl, hval = fam.hlo, fam.hhi, fam.hpl, fam.hval
-        hmask = (1 << fam.hbits) - 1
-        hshift = fam.hshift
-        off = self._span_off
-        origins = self._origins
-        while m:
-            low = m & -m
-            pl = low.bit_length() - 1
-            m ^= low
-            shift = maxlen - pl
-            net = (qnet >> shift) << shift
-            if hhi is None:
-                x = (net + pl * _HASH_P) & _U64
-            else:
-                x = ((net ^ (net >> 64)) + pl * _HASH_P) & _U64
-            s = ((x * _HASH_C) & _U64) >> hshift
-            nlo = net & _U64
-            nhi = net >> 64
-            while hval[s] != -1:
-                if (
-                    hpl[s] == pl
-                    and hlo[s] == nlo
-                    and (hhi is None or hhi[s] == nhi)
-                ):
-                    p = hval[s]
-                    out.append((pl, origins[off[p] : off[p + 1]]))
-                    break
-                s = (s + 1) & hmask
-        return out
+        off, origins = self._span_off, self._origins
+        return [
+            (pl, origins[off[p] : off[p + 1]])
+            for pl, p in _covering(fam, qnet, (1 << (qlen + 1)) - 1)
+        ]
 
     # -- cold-path queries ------------------------------------------------
 
@@ -898,7 +663,7 @@ class RouteTrie:
             new_p = self._append_span([origin])
             self._prefix_count += 1
             if fam.hval is None or 2 * (fam.live + fam.tomb + 1) > (1 << fam.hbits):
-                _rebuild_fast(fam, ((net, qlen, new_p),))
+                _rebuild(fam, ((net, qlen, new_p),))
             else:
                 _hash_point_set(fam, net, qlen, new_p)
                 _mask_point_insert(fam, net, qlen)
@@ -934,7 +699,7 @@ class RouteTrie:
             _hash_point_delete(fam, net, qlen)
             self._prefix_count -= 1
             if fam.tomb > fam.live or 4 * fam.tomb > (1 << fam.hbits):
-                _rebuild_fast(fam)
+                _rebuild(fam)
         self._okey_remove(version, net, qlen, origin)
         self._origin_set = None
         return True
@@ -998,16 +763,13 @@ class RouteTrie:
         or arrays); the inverse of :meth:`export_planes`/:meth:`meta`."""
         fams = {}
         for tag, maxlen, suffix in (("f4", 32, "4"), ("f6", 128, "6")):
-            fam = _Family(maxlen)
-            _attach_fast(
-                fam,
-                meta[f"lmk{suffix}"],
-                meta[f"lm{suffix}"],
-                meta[f"h{suffix}"],
-                planes,
-                tag,
-            )
-            fams[tag] = fam
+            fam = fams[tag] = _Family(maxlen)
+            fam.lmk = meta[f"lmk{suffix}"]
+            fam.lmall = meta[f"lm{suffix}"]
+            fam.hbits = meta[f"h{suffix}"]
+            fam.hshift = 64 - fam.hbits
+            for name in cls._FAMILY_PLANES:
+                setattr(fam, name, planes.get(f"{tag}.{name}"))
         return cls(
             fams["f4"],
             fams["f6"],
@@ -1079,13 +841,17 @@ class RouteTrieBuilder:
         """Lower the accumulated pairs into a frozen :class:`RouteTrie`."""
         span_off = array("i", [0])
         origins = array("Q")
-
-        def payload_out(origin_set) -> int:
-            origins.extend(sorted(origin_set))
+        # Keys in sorted order: payload ids and slot layout never depend
+        # on the order pairs were registered in.
+        triples = {4: [], 6: []}
+        for key in sorted(self._table):
+            version, net, plen = key
+            origins.extend(sorted(self._table[key]))
             span_off.append(len(origins))
-            return len(span_off) - 2
-
-        fam4, fam6 = _freeze(self._table, payload_out, _ROUTE_LMFACTOR)
+            triples[version].append((net, plen, len(span_off) - 2))
+        fam4, fam6 = _Family(32), _Family(128)
+        _build(fam4, triples[4])
+        _build(fam6, triples[6])
         origin_ids = array("Q")
         okey_off = array("i", [0])
         okey_ver = array("B")
@@ -1113,178 +879,3 @@ class RouteTrieBuilder:
             okey_lo,
             prefix_count=len(span_off) - 1,
         )
-
-
-# -- the range-operator trie (route-set members) ----------------------------
-
-
-class OpTrie:
-    """Declared ``prefix^op`` members of one route-set, trie-frozen.
-
-    The payload arena holds ``(kind, low, high)`` triples; ``matches``
-    inlines :meth:`RangeOp.allows` over the codes so the walk never
-    reconstructs operator objects.
-    """
-
-    __slots__ = ("_fam4", "_fam6", "_off", "_kind", "_low", "_high")
-
-    def __init__(self, fam4, fam6, off, kind, low, high):
-        self._fam4 = fam4
-        self._fam6 = fam6
-        self._off = off
-        self._kind = kind
-        self._low = low
-        self._high = high
-
-    @classmethod
-    def from_entries(cls, entries: dict) -> "OpTrie":
-        """Freeze a ``{(version, net, plen): [RangeOp, ...]}`` mapping."""
-        table: dict[tuple, list] = {}
-        for (version, net, plen), ops in entries.items():
-            key = (version, _mask(net, plen, _MAX_LEN[version]), plen)
-            table.setdefault(key, []).extend(
-                (
-                    _KIND_TO_CODE[op.kind],
-                    min(op.low, _OP_BOUND_CAP),
-                    min(op.high, _OP_BOUND_CAP),
-                )
-                for op in ops
-            )
-        off = array("i", [0])
-        kind = array("B")
-        low = array("H")
-        high = array("H")
-
-        def payload_out(triples) -> int:
-            for k, lo_bound, hi_bound in triples:
-                kind.append(k)
-                low.append(lo_bound)
-                high.append(hi_bound)
-            off.append(len(kind))
-            return len(off) - 2
-
-        fam4, fam6 = _freeze(table, payload_out, _OP_LMFACTOR)
-        return cls(fam4, fam6, off, kind, low, high)
-
-    @property
-    def op_count(self) -> int:
-        return len(self._kind)
-
-    def matches(self, version: int, qnet: int, qlen: int, override: RangeOp | None) -> bool:
-        """Ancestor probes over the member prefixes, mask-pruned.
-
-        With ``override`` (an outer ``^op`` on the whole set) any stored
-        entry at a covering prefix counts if the override admits the
-        announced length — the length mask is truncated to the override's
-        admissible declared lengths, so every hit is a match.  Without an
-        override each stored operator is tested at its entry.
-        """
-        fam = self._fam4 if version == 4 else self._fam6
-        maxlen = fam.maxlen
-        lmk = fam.lmk
-        m = fam.lenmask[qnet >> (maxlen - lmk)] if lmk else fam.lmall
-        if override is None:
-            m &= (1 << (qlen + 1)) - 1
-        elif override.kind is RangeOpKind.NONE:
-            # NONE admits announced == declared only: the exact entry.
-            m &= 1 << qlen
-        else:
-            limit = RouteTrie._op_limit(override, qlen)
-            if limit < 0:
-                return False
-            m &= (1 << (limit + 1)) - 1
-        if not m:
-            return False
-        hlo, hhi, hpl, hval = fam.hlo, fam.hhi, fam.hpl, fam.hval
-        hmask = (1 << fam.hbits) - 1
-        hshift = fam.hshift
-        off, kind, low, high = self._off, self._kind, self._low, self._high
-        checked = override is None
-        while m:
-            pl = m.bit_length() - 1
-            m ^= 1 << pl
-            shift = maxlen - pl
-            net = (qnet >> shift) << shift
-            if hhi is None:
-                x = (net + pl * _HASH_P) & _U64
-            else:
-                x = ((net ^ (net >> 64)) + pl * _HASH_P) & _U64
-            s = ((x * _HASH_C) & _U64) >> hshift
-            nlo = net & _U64
-            nhi = net >> 64
-            while hval[s] != -1:
-                if (
-                    hpl[s] == pl
-                    and hlo[s] == nlo
-                    and (hhi is None or hhi[s] == nhi)
-                ):
-                    if not checked:
-                        return True
-                    a, b = off[hval[s]], off[hval[s] + 1]
-                    while a < b:
-                        code = kind[a]
-                        if code == _OP_NONE:
-                            ok = qlen == pl
-                        elif code == _OP_MINUS:
-                            ok = qlen > pl
-                        elif code == _OP_PLUS:
-                            ok = qlen >= pl
-                        else:
-                            ok = low[a] <= qlen <= high[a]
-                        if ok:
-                            return True
-                        a += 1
-                    break
-                s = (s + 1) & hmask
-        return False
-
-    def iter_entries(self):
-        """Yield every stored ``((version, net, plen), RangeOp)`` pair (a
-        slot scan: hash order, each prefix's operators in declared order).
-
-        Operators with bounds beyond 255 come back clamped (see
-        ``_OP_BOUND_CAP``) — exact for matching, approximate for display.
-        """
-        off = self._off
-        for version, fam in ((4, self._fam4), (6, self._fam6)):
-            for net, plen, p in _live_entries(fam):
-                key = (version, net, plen)
-                for t in range(off[p], off[p + 1]):
-                    code = self._kind[t]
-                    if code in (_OP_EXACT, _OP_RANGE):
-                        op = RangeOp(_CODE_TO_KIND[code], self._low[t], self._high[t])
-                    else:
-                        op = RangeOp(_CODE_TO_KIND[code])
-                    yield key, op
-
-    def __getstate__(self):
-        state = {"off": self._off, "kind": self._kind, "low": self._low, "high": self._high}
-        for tag, fam in (("f4", self._fam4), ("f6", self._fam6)):
-            state[tag] = {
-                "lmk": fam.lmk,
-                "lmall": fam.lmall,
-                "hbits": fam.hbits,
-                "planes": {
-                    name: _materialize(code, getattr(fam, name))
-                    for name, code in RouteTrie._FAMILY_PLANES.items()
-                    if getattr(fam, name) is not None
-                },
-            }
-        return state
-
-    def __setstate__(self, state):
-        for tag, maxlen, slot in (("f4", 32, "_fam4"), ("f6", 128, "_fam6")):
-            fam = _Family(maxlen)
-            _attach_fast(
-                fam,
-                state[tag]["lmk"],
-                state[tag]["lmall"],
-                state[tag]["hbits"],
-                {f"{tag}.{name}": plane for name, plane in state[tag]["planes"].items()},
-                tag,
-            )
-            setattr(self, slot, fam)
-        self._off = state["off"]
-        self._kind = state["kind"]
-        self._low = state["low"]
-        self._high = state["high"]

@@ -9,8 +9,8 @@ ahead of verification, so every check is a lookup:
   (``AS<n>`` / ``^-`` / ``^+`` / ``^n-m``) queries probe only the
   ancestor lengths actually declared on the branch, not all 33 (IPv4) or
   129 (IPv6);
-* plane-backed :class:`PrefixOpIndex` for route-set members with range
-  operators, probed the same way;
+* a dict per route-set (:class:`PrefixOpIndex`) for its members with
+  range operators, probed at the lengths its members declare;
 * flattened *as-sets* (with loop detection and depth measurement — the
   Section 4 statistics reuse both) and resolved *route-sets* and
   *peering-sets*, including RFC 2622 "members by reference" via
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.prefixtrie import OpTrie
+from repro.core.prefixtrie import admitted_lengths
 from repro.ir.model import Ir
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids an import cycle
@@ -49,39 +49,59 @@ _PrefixKey = tuple[int, int, int]  # (version, network, length)
 
 
 class PrefixOpIndex:
-    """Declared prefixes with range operators, probed through flat planes.
+    """Declared prefixes with range operators: one route-set's members.
 
-    Built frozen: the ``{(version, net, len): [RangeOp, ...]}`` mapping is
-    lowered into an :class:`~repro.core.prefixtrie.OpTrie` at construction,
-    whose flat planes pickle compactly inside the compiled artifact.
+    ``entries`` is a plain dict ``{(version, masked network, length):
+    (RangeOp, ...)}``; beside it, per family, the OR of the declared
+    lengths (bit ``n`` set iff some member has length ``n``), so
+    :meth:`matches` probes only the ancestor lengths a member declares.
+    A set holds a handful of members and travels in the artifact's
+    residual pickle, so a dict is all it needs.  Read-only once built.
     """
 
-    __slots__ = ("_trie",)
+    __slots__ = ("entries", "_lengths4", "_lengths6")
 
     def __init__(self, entries: dict[_PrefixKey, list[RangeOp]] | None = None):
-        self._trie = OpTrie.from_entries(entries or {})
-
-    @property
-    def entries(self) -> dict[_PrefixKey, list[RangeOp]]:
-        """The ``{(version, net, len): [RangeOp, ...]}`` mapping, read back
-        off the planes (a fresh dict per call)."""
-        rebuilt: dict[_PrefixKey, list[RangeOp]] = {}
-        for key, op in self._trie.iter_entries():
-            rebuilt.setdefault(key, []).append(op)
-        return rebuilt
+        table: dict[_PrefixKey, tuple[RangeOp, ...]] = {}
+        lengths = {4: 0, 6: 0}
+        for (version, net, plen), ops in (entries or {}).items():
+            shift = (32 if version == 4 else 128) - plen
+            key = (version, (net >> shift) << shift, plen)
+            table[key] = table.get(key, ()) + tuple(ops)
+            lengths[version] |= 1 << plen
+        self.entries = table
+        self._lengths4 = lengths[4]
+        self._lengths6 = lengths[6]
 
     def matches(self, prefix: Prefix, override: RangeOp | None = None) -> bool:
         """Whether any declared entry covers ``prefix`` under its operator.
 
         ``override`` replaces every stored operator (an outer ``^op``
-        applied to the whole set).
+        applied to the whole set): then any entry at an admitted length
+        matches.
         """
-        if override is not None and override.kind is RangeOpKind.NONE:
-            override = None  # a no-op override: invariant across the walk
-        return self._trie.matches(prefix.version, prefix.network, prefix.length, override)
+        version, qnet, qlen = prefix.version, prefix.network, prefix.length
+        if override is None or override.kind is RangeOpKind.NONE:
+            override = None  # a no-op override: each entry's own operator decides
+            m = (1 << (qlen + 1)) - 1
+        else:
+            m = admitted_lengths(override, qlen)
+        m &= self._lengths4 if version == 4 else self._lengths6
+        maxlen = 32 if version == 4 else 128
+        entries = self.entries
+        while m:
+            pl = m.bit_length() - 1
+            m ^= 1 << pl
+            shift = maxlen - pl
+            ops = entries.get((version, (qnet >> shift) << shift, pl))
+            if ops is not None and (
+                override is not None or any(op.allows(pl, qlen) for op in ops)
+            ):
+                return True
+        return False
 
     def __len__(self) -> int:
-        return self._trie.op_count
+        return sum(map(len, self.entries.values()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrefixOpIndex):
@@ -94,12 +114,10 @@ class PrefixOpIndex:
         return f"PrefixOpIndex(<{len(self)} ops>)"
 
     def __getstate__(self):
-        # Pickle the flat trie planes, not the dict of operator objects:
-        # this is what shrinks route-set members inside the artifact.
-        return {"trie": self._trie}
+        return self.entries
 
-    def __setstate__(self, state):
-        self._trie = state["trie"]
+    def __setstate__(self, entries):
+        self.__init__(entries)
 
 
 @dataclass(frozen=True, slots=True)

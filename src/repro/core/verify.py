@@ -449,20 +449,21 @@ class Verifier:
         ``effects.import_subjects``.  Plans with rules to run read sets
         and are never carried.
 
-        The dict itself changes hands and is swept in place — a cache may
-        hold 2**20 entries, so no survivor copy is ever built — and
-        ``previous`` is left with an empty one.  Returns
+        ``previous`` may still be verifying on other threads: a route binds
+        its verifier's dict when it starts and writes into it until it
+        ends.  So the dict is copied in one C call and the copy is swept:
+        nothing such a route writes, during the sweep or after it, reaches
+        this verifier.  ``previous`` is left with an empty dict.  Returns
         ``{"carried": n, "invalidated": {reason: n}}``.
         """
-        cache = previous._hop_cache
         dropped = dict.fromkeys(_INVALIDATION_REASONS, 0)
         if effects is None or not self.options.hop_cache_size:
-            dropped["full"] = len(cache)
-            cache.clear()
+            dropped["full"] = len(previous._hop_cache)
+            cache = {}
         else:
+            cache = previous._hop_cache.copy()
             dropped.update(_sweep(cache, effects, self.query.routes))
             self._rule_plans.update(_carried_verdicts(previous._rule_plans, effects))
-        # Last: a sweep that raises leaves ``previous`` short of stale entries only.
         previous._hop_cache, self._hop_cache = {}, cache
         if self._metrics is not None:
             self._metrics.carried(len(cache), dropped)

@@ -13,11 +13,13 @@ The trie-vs-legacy differential at the bottom scales through
 raises both to fuzz fresh worlds at higher route counts.
 """
 
+import dataclasses
 import gc
 import inspect
 import json
 import os
 import pickle
+import random
 import sys
 import types
 import weakref
@@ -43,11 +45,13 @@ from repro.core.compiled import (
     save_index,
 )
 from repro.core.filter_match import MAX_ITEMS, _merge_items
+from repro.core.prefixtrie import RouteTrieBuilder
 from repro.core.report import ItemKind, ReportItem
 from repro.core.verify import Verifier
 from repro.faultplan import use_faults
 from repro.irr.dump import parse_dump_text
 from repro.irr.synth import build_world, tiny_config
+from repro.net.prefix import Prefix
 from repro.obs import MetricsRegistry, use_registry
 from repro.stats.verification import VerificationStats
 
@@ -299,6 +303,20 @@ class TestSetOracle:
         assert index_mismatches(ir, index, *_set_names(ir))
 
 
+def _unenvelope(artifact: bytes) -> tuple[dict, bytearray]:
+    """An artifact's JSON header and its region (planes, then the pickle)."""
+    header_len = int.from_bytes(artifact[8:16], "little")
+    header = json.loads(artifact[16 : 16 + header_len])
+    return header, bytearray(artifact[-(-(16 + header_len) // 16) * 16 :])
+
+
+def _envelope(magic: bytes, header: dict, region: bytes) -> bytes:
+    """The inverse of :func:`_unenvelope`, under ``magic``."""
+    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    lead = len(magic) + 8 + len(raw)
+    return magic + len(raw).to_bytes(8, "little") + raw + b"\x00" * (-lead % 16) + bytes(region)
+
+
 def _as_format_2(artifact: bytes, magic: bytes = b"RPSLIDX2") -> bytes:
     """``artifact`` re-enveloped the way the parent commit wrote it.
 
@@ -307,9 +325,7 @@ def _as_format_2(artifact: bytes, magic: bytes = b"RPSLIDX2") -> bytes:
     patricia node planes, and a residual pickle holding a member trie's
     state with its node planes.
     """
-    header_len = int.from_bytes(artifact[8:16], "little")
-    header = json.loads(artifact[16 : 16 + header_len])
-    region = bytearray(artifact[-(-(16 + header_len) // 16) * 16 :])
+    header, region = _unenvelope(artifact)
     header["format"] = "rpslyzer-compiled-index/2"
     header["trie"].update(root4=0, root6=-1)
     node_planes = {"plen": "B", "lo": "Q", "left": "i", "right": "i", "payload": "i"}
@@ -325,9 +341,41 @@ def _as_format_2(artifact: bytes, magic: bytes = b"RPSLIDX2") -> bytes:
     region += b"\x00" * (-len(region) % 16)
     header["pickle"] = {"offset": len(region), "nbytes": len(blob)}
     region += blob
-    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    lead = len(magic) + 8 + len(raw)
-    return magic + len(raw).to_bytes(8, "little") + raw + b"\x00" * (-lead % 16) + bytes(region)
+    return _envelope(magic, header, region)
+
+
+def _as_format_3(artifact: bytes, magic: bytes = b"RPSLIDX3") -> bytes:
+    """``artifact`` re-enveloped the way format 3 wrote it.
+
+    Same digest, library version and plane directory, so only the format
+    can turn it away: a format-3 header, and a residual pickle whose
+    route-set member index holds a hash-plane trie's state (operator
+    codes, one-byte-clamped bounds, its own planes) rather than a dict.
+    """
+    header, region = _unenvelope(artifact)
+    header["format"] = "rpslyzer-compiled-index/3"
+    member_trie = {
+        "off": array("i", [0, 1]),
+        "kind": array("B", [2]),
+        "low": array("H", [0]),
+        "high": array("H", [255]),
+        "f4": {
+            "lmk": 0,
+            "lmall": 1 << 8,
+            "hbits": 3,
+            "planes": {
+                "hlo": array("Q", [0] * 8),
+                "hpl": array("B", [8] * 8),
+                "hval": array("i", [0] + [-1] * 7),
+            },
+        },
+        "f6": {"lmk": 0, "lmall": 0, "hbits": 0, "planes": {}},
+    }
+    blob = pickle.dumps({"route_sets": {"RS-OLD": {"trie": member_trie}}})
+    del region[header["pickle"]["offset"] :]
+    header["pickle"] = {"offset": len(region), "nbytes": len(blob)}
+    region += blob
+    return _envelope(magic, header, region)
 
 
 class TestOnDiskCache:
@@ -351,6 +399,8 @@ class TestOnDiskCache:
             (pickle.dumps({"format": "something-else/9"}), "bad magic"),
             (_as_format_2(current), "bad magic"),
             (_as_format_2(current, magic=current[:8]), "compiled-index/2"),
+            (_as_format_3(current), "bad magic"),
+            (_as_format_3(current, magic=current[:8]), "compiled-index/3"),
         ):
             path.write_bytes(foreign)
             with pytest.raises(IndexCacheError, match=f"not a compiled index.*{why}"):
@@ -377,8 +427,9 @@ class TestOnDiskCache:
     def test_corrupt_cache_degrades_to_recompile(self, index, tiny_ir, tmp_path):
         path = index_cache_path(index.digest, tmp_path)
         save_index(index, path)
-        # Garbage, and the entry the parent commit left under this digest.
-        for unusable in (b"not a pickle", _as_format_2(path.read_bytes())):
+        # Garbage, and the entries formats 2 and 3 left under this digest.
+        current = path.read_bytes()
+        for unusable in (b"not a pickle", _as_format_2(current), _as_format_3(current)):
             path.write_bytes(unusable)
             with use_registry(MetricsRegistry()) as registry:
                 fresh = get_or_compile(tiny_ir, cache_dir=tmp_path)
@@ -474,21 +525,36 @@ class TestMmapEnvelope:
         assert _fd_count() == base
 
     def test_save_writes_the_planes_without_copying_them(self, index, tmp_path):
-        """An index is all planes, and saving one is the peak of a cold
-        open's resident size: the region is written from the planes' own
-        buffers (arrays here, mmap views for a loaded index), never
-        assembled in memory — and lands where the header says it does."""
+        """Saving is the peak of a cold open's resident size: the region is
+        written from the planes' own buffers (arrays here, mmap views for a
+        loaded index), never assembled in memory — and lands where the
+        header says it does.  Two indexes that differ only in their route
+        trie, one with ≥ 10x the plane bytes, must save at peaks that
+        differ by far less than those bytes: a save that copied the
+        planes would put the whole difference on its peak."""
         import tracemalloc
 
-        plane_bytes = index.stats()["plane_bytes"]
+        builder = RouteTrieBuilder()
+        rng = random.Random(3)
+        for _ in range(20_000):
+            length = rng.randint(12, 24)
+            builder.add(Prefix(4, rng.getrandbits(length) << (32 - length), length), rng.randint(1, 3000))
+        larger = dataclasses.replace(index, route_trie=builder.build())
+        small, large = index.stats()["plane_bytes"], larger.stats()["plane_bytes"]
+        assert large >= 10 * small, (large, small)
+
+        def save_peak(artifact, path) -> int:
+            tracemalloc.start()
+            try:
+                save_index(artifact, path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         first, again = tmp_path / "first.rpslidx", tmp_path / "again.rpslidx"
-        tracemalloc.start()
-        try:
-            save_index(index, first)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < plane_bytes / 4, (peak, plane_bytes)
+        peak = save_peak(index, first)
+        larger_peak = save_peak(larger, tmp_path / "larger.rpslidx")
+        assert larger_peak - peak < (large - small) / 4, (larger_peak, peak, large, small)
         loaded = load_index(first)
         try:
             assert loaded.stats() == index.stats()

@@ -1,8 +1,8 @@
 """Property suite for the flat-plane prefix engine.
 
-The contract: :class:`RouteTrie` and :class:`OpTrie` answer every query
-identically to the dict-walk oracle of ``tests/prefix_oracle.py`` — the
-pre-trie algorithms preserved verbatim.  Hypothesis drives both engines
+The contract: :class:`RouteTrie` and :class:`PrefixOpIndex` answer every
+query identically to the dict-walk oracle of ``tests/prefix_oracle.py`` —
+the pre-trie algorithms preserved verbatim.  Hypothesis drives both engines
 over arbitrary IPv4+IPv6 prefix sets (including the degenerate ``/0``
 and max-length corners) and compares insert/lookup/ancestor/enumeration
 answers; the nightly CI profile raises the example budget.
@@ -10,6 +10,7 @@ answers; the nightly CI profile raises the example budget.
 
 import pickle
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,14 +35,15 @@ def prefixes(draw, version: int | None = None) -> Prefix:
 
 @st.composite
 def range_ops(draw) -> RangeOp:
-    """An arbitrary range operator, bounds beyond any real length included."""
+    """An arbitrary range operator, bounds beyond any real length (and
+    beyond one byte: ``RangeOp.parse`` accepts any integer) included."""
     kind = draw(st.sampled_from(list(RangeOpKind)))
     if kind is RangeOpKind.EXACT:
-        n = draw(st.integers(min_value=0, max_value=140))
+        n = draw(st.integers(min_value=0, max_value=300))
         return RangeOp(kind, n, n)
     if kind is RangeOpKind.RANGE:
-        low = draw(st.integers(min_value=0, max_value=140))
-        high = draw(st.integers(min_value=low, max_value=150))
+        low = draw(st.integers(min_value=0, max_value=300))
+        high = draw(st.integers(min_value=low, max_value=70_000))
         return RangeOp(kind, low, high)
     return RangeOp(kind)
 
@@ -121,7 +123,7 @@ def test_pickle_roundtrip_preserves_answers(route_pairs, extra, op):
         assert clone.match_any(*args, op) == trie.match_any(*args, op)
 
 
-# -- OpTrie (via PrefixOpIndex) vs the dict-walk oracle ---------------------
+# -- PrefixOpIndex vs the dict-walk oracle ----------------------------------
 
 
 @given(
@@ -146,9 +148,11 @@ def test_prefix_op_index_pickle_compat(entries):
     assert len(clone) == len(index)
     for probe, _ in entries:
         assert clone.matches(probe) == index.matches(probe)
-    # the dict view reconstructs from the trie (bounds may clamp at 255,
-    # unreachable for real prefixes)
-    assert clone.entries.keys() == index.entries.keys()
+    # every member and operator comes back as declared, bounds beyond 255 too
+    declared = {key: Counter(ops) for key, ops in op_entries(entries).items()}
+    assert {key: Counter(ops) for key, ops in clone.entries.items()} == declared
+    assert clone.entries == index.entries
+    assert clone == index
 
 
 # -- degenerate corners (explicit, not property-driven) ---------------------
@@ -199,6 +203,23 @@ def test_duplicate_adds_are_idempotent():
     assert trie.origin_keys(65000) == naive.origin_keys(65000)
 
 
+def test_plane_bytes_stay_proportional_to_the_prefixes():
+    """The planes cost a bounded number of bytes per stored prefix: the
+    length mask is sized to the data, so it cannot quietly outgrow the
+    hash plane it prunes for (256 words per prefix was ≈ 2,300 bytes)."""
+    rng = random.Random(5)
+    declared = set()
+    while len(declared) < 2000:
+        length = rng.randint(8, 24)
+        declared.add(Prefix(4, rng.getrandbits(length) << (32 - length), length))
+    builder = RouteTrieBuilder()
+    for prefix in sorted(declared):
+        builder.add(prefix, rng.randint(1, 500))
+    stats = builder.build().stats()
+    assert stats["prefixes"] == 2000
+    assert stats["plane_bytes"] / stats["prefixes"] <= 128, stats
+
+
 # -- production scale (what the retired BENCH_prefix_engine checked) --------
 
 _SCALE_OPS = (
@@ -211,8 +232,8 @@ _SCALE_OPS = (
 
 
 def test_production_scale_two_family_identity():
-    """≈100k prefixes over both families: the length masks at their 2**20
-    bucket cap, long probe chains, nested ancestors — sizes the hypothesis
+    """≈100k prefixes over both families: the IPv4 length mask at 2**19
+    buckets, long probe chains, nested ancestors — sizes the hypothesis
     budget never reaches.  Probes mix the verifier's three shapes: a
     declared exact hit, an origin miss, a perturbed network."""
     rng = random.Random(1)

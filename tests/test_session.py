@@ -1,6 +1,8 @@
 """Tests for the session-oriented facade: Session, open_session, LoadResult."""
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
@@ -341,3 +343,83 @@ class TestFailedApply:
             assert [str(session.verify_route(*route)) for route in routes] == [
                 str(fresh.verify_route(*route, collector="session")) for route in routes
             ]
+
+
+class TestApplyWhileVerifying:
+    """``apply_deltas`` while other threads call ``verify_route`` on the
+    generation it replaces: the hop cache changes hands without a crash,
+    and nothing an old-generation route writes is carried."""
+
+    def test_verifying_threads_never_break_an_apply(self, tiny_world, tiny_routes):
+        routes = [(str(e.prefix), e.as_path) for e in tiny_routes]
+        stop = threading.Event()
+        failures = []
+
+        def verify(start):
+            position = start
+            while not stop.is_set():
+                try:
+                    session.verify_route(*routes[position % len(routes)])
+                except Exception as exc:  # pragma: no cover - the failure under test
+                    failures.append(exc)
+                    return
+                position += 1
+
+        with api.open_session(tiny_world, use_cache=False) as session:
+            session.verify_route(*routes[0])
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=verify, args=(k * len(routes) // 2,)) for k in range(2)]
+            try:
+                for thread in threads:
+                    thread.start()
+                serial = 1
+                for epoch in range(12):
+                    _, journal = _churn(session.ir, epoch=epoch, start_serial=serial)
+                    serial = max(entry.serial for entry in journal) + 1
+                    assert not session.apply_deltas(journal)
+                    assert session.last_delta_hop_cache["carried"] >= 0
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join()
+                sys.setswitchinterval(interval)
+            assert not failures
+            assert session.generation == 12
+
+    def test_a_route_in_flight_during_an_apply_is_not_carried(self, tiny_world, tiny_routes):
+        """A route binds its generation's hop cache when it starts; a verdict
+        it writes after the hand-over belongs to the old generation."""
+        with api.open_session(tiny_world, use_cache=False) as session:
+            old = session.verifier
+            entered, resume = threading.Event(), threading.Event()
+            written = []
+            real_miss = old._miss
+
+            def held_miss(direction, exporter, importer, prefix, sub_path, communities, *rest):
+                if not entered.is_set():
+                    written.append(
+                        (direction, exporter, importer,
+                         (prefix.version, prefix.network, prefix.length), sub_path, communities)
+                    )
+                    entered.set()
+                    resume.wait(10)
+                return real_miss(direction, exporter, importer, prefix, sub_path, communities, *rest)
+
+            old._miss = held_miss
+
+            def verify():
+                for entry in tiny_routes:
+                    session.verify_route(str(entry.prefix), entry.as_path)
+                    if entered.is_set():
+                        return
+
+            thread = threading.Thread(target=verify)
+            thread.start()
+            assert entered.wait(10)
+            _, journal = _churn(session.ir)
+            assert not session.apply_deltas(journal)
+            resume.set()
+            thread.join()
+            assert session.verifier is not old
+            assert written and written[0] not in session.verifier._hop_cache
